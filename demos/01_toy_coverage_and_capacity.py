@@ -15,8 +15,8 @@ from partialid.scenarios import analytic_capacity_toy, analytic_coverage_toy
 cfg = pid.make_config("toy_analytic")
 batch = pid.draw_set_batch(cfg, "prior", n_draws=10_000, master_seed=1)
 print(f"drew {len(batch)} intervals, e.g. first three:")
-for iv in batch.as_intervals()[:3]:
-    print(f"  [{iv.lo:.3f}, {iv.hi:.3f}]")
+for lo, hi in zip(batch.lo[:3], batch.hi[:3]):
+    print(f"  [{lo:.3f}, {hi:.3f}]")
 
 # 1. coverage function vs its closed form
 grid = np.linspace(0.0, 2.0, 21)

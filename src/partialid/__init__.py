@@ -31,7 +31,8 @@ from .distributions import (
     sample_normal,
     sample_truncated_normal,
 )
-from .errors import DegenerateEstimateError, ParameterError, RejectionBudgetError
+from .errors import (DegenerateEstimateError, ParameterError, RejectionBudgetError,
+                     SkipBudgetError)
 from .priors import (
     ConditionalPriorSpec,
     Histogram,
@@ -91,6 +92,7 @@ __all__ = [
     "SCENARIO_IDS",
     "ScenarioConfig",
     "SetDrawBatch",
+    "SkipBudgetError",
     "TruncationPolicy",
     "analytic_capacity_toy",
     "analytic_coverage_binary",

@@ -153,16 +153,13 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     if scenario not in sc.SCENARIO_IDS:
         raise ParameterError(f"unknown scenario {scenario!r}")
 
+    record = sc.SCENARIOS[scenario]
     n = values.get("n")
-    if scenario == "toy_analytic":
+    if not record.columns:
         if n is not None:
-            raise ParameterError("toy_analytic takes no data: drop the 'n' option")
-        if values.get("prior_family") is not None:
-            raise ParameterError(
-                "toy_analytic has no study wiring for conditional priors"
-            )
+            raise ParameterError(f"{scenario} takes no data: drop the 'n' option")
     else:
-        n = 1000 if n is None else int(n)
+        n = sc.DEFAULT_SAMPLE_SIZE if n is None else int(n)
         if n < 1:
             raise ParameterError(f"n must be >= 1, got {n}")
 
@@ -176,6 +173,8 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     family = values.get("prior_family")
+    if family is not None and record.shapes is None:
+        raise ParameterError(f"{scenario} has no study wiring for conditional priors")
     if family is not None and family not in FAMILIES:
         raise ParameterError(f"prior_family must be one of {FAMILIES}, got {family!r}")
 
@@ -248,10 +247,9 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
     t0 = time.perf_counter()
     cfg = sc.make_config(run_cfg.scenario, n=run_cfg.n, grid=run_cfg.grid)
     seed = run_cfg.seed
-    is_toy = run_cfg.scenario == "toy_analytic"
 
     dataset = None
-    if not is_toy:
+    if sc.SCENARIOS[run_cfg.scenario].columns:
         dataset = sc.generate_data(cfg, sc.attempt_stream(seed, sc.ROLE_DATA, 0))
 
     prior_batch = sc.draw_set_batch(
@@ -383,11 +381,11 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
 
 def _cmd_list_scenarios(out=None):
     out = out if out is not None else sys.stdout
-    for sid in sc.SCENARIO_IDS:
-        truth = sc._TRUE_SETS[sid]
+    for sid, record in sc.SCENARIOS.items():
+        truth = record.true_set
         truth_txt = "-" if truth is None else f"[{_fmt(truth.lo)}, {_fmt(truth.hi)}]"
-        lo, hi = sc._GRID_RANGES[sid]
-        n_txt = "-" if sid == "toy_analytic" else "1000"
+        lo, hi = record.grid_range
+        n_txt = str(sc.DEFAULT_SAMPLE_SIZE) if record.columns else "-"
         print(f"{sid:22s} n={n_txt:>5s}  truth={truth_txt:12s}  grid=[{lo}, {hi}]",
               file=out)
     return 0

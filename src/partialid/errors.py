@@ -21,3 +21,12 @@ class RejectionBudgetError(RuntimeError):
         self.interval = interval
         self.center = center
         self.attempts = attempts
+
+
+class SkipBudgetError(RuntimeError):
+    """A batch exhausted its attempt cap; carries the skip and attempt counts."""
+
+    def __init__(self, message, skipped=None, attempts=None):
+        super().__init__(message)
+        self.skipped = skipped
+        self.attempts = attempts

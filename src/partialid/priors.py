@@ -17,8 +17,9 @@ identified quantities, this yields draws from its marginal prior/posterior.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -26,12 +27,13 @@ from .distributions import sample_beta, sample_normal, sample_truncated_normal
 from .errors import ParameterError, RejectionBudgetError
 from .random_sets import IntervalSet
 from .scenarios import (
+    SCENARIOS,
     Dataset,
     ROLE_POSTERIOR_GAMMA,
     ROLE_PRIOR_GAMMA,
     ScenarioConfig,
-    attempt_stream,
     draw_set,
+    run_attempts,
 )
 
 FAMILIES = ("I", "II", "III", "IV")
@@ -62,22 +64,14 @@ class ConditionalPriorSpec:
             raise ParameterError("max_rejections must be >= 1")
 
 
-#: Study wiring of (p, q) per scenario; variances are 1 and 2 everywhere.
-_SCENARIO_SHAPES = {
-    "interval_censored": (2.0, 2.0),
-    "errors_in_variables": (1.0, 0.5),
-    "interval_regression": (1.0, 0.5),
-    "binary_missing": (1.0, 0.5),
-}
-
-
 def default_prior_spec(scenario_id: str, family: str) -> ConditionalPriorSpec:
-    """The per-scenario hyperparameters used in the simulation studies."""
-    if scenario_id not in _SCENARIO_SHAPES:
+    """Study hyperparameters: the scenario's Beta (p, q), variances 1 and 2."""
+    scenario = SCENARIOS.get(scenario_id)
+    if scenario is None or scenario.shapes is None:
         raise ParameterError(
             f"no default conditional prior wiring for scenario {scenario_id!r}"
         )
-    p, q = _SCENARIO_SHAPES[scenario_id]
+    p, q = scenario.shapes
     return ConditionalPriorSpec(family=family, tau0_sq=1.0, sigma0_sq=2.0, p=p, q=q)
 
 
@@ -152,9 +146,7 @@ class MarginalSampleBatch:
         )
 
 
-def _attempt_marginal_draw(args):
-    cfg, spec, mode, dataset, master_seed, role, index = args
-    rng = attempt_stream(master_seed, role, index)
+def _marginal_attempt(cfg, spec, mode, dataset, rng):
     interval = draw_set(cfg, mode, rng, dataset)
     if interval is None:
         return None
@@ -178,53 +170,14 @@ def marginal_sample(
     conditional prior is always evaluated at hyperparameters recomputed from
     the freshly drawn identified quantities, never at data-independent ones.
     """
-    if mode not in ("prior", "posterior"):
-        raise ParameterError(f"mode must be 'prior' or 'posterior', got {mode!r}")
-    if n_draws < 1:
-        raise ParameterError("n_draws must be >= 1")
     if role is None:
         role = ROLE_PRIOR_GAMMA if mode == "prior" else ROLE_POSTERIOR_GAMMA
-    gammas: list[float] = []
-    lo: list[float] = []
-    hi: list[float] = []
-    indices: list[int] = []
-    rejection_stats: dict[int, int] = {}
-    skipped = 0
-    next_index = 0
-    attempt_cap = 50 * n_draws + 1000
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while len(gammas) < n_draws:
-            need = n_draws - len(gammas)
-            if next_index + need > attempt_cap:
-                raise RuntimeError(
-                    f"{cfg.scenario_id} {mode}: skip rate too high; "
-                    f"{skipped} skips in {next_index} attempts"
-                )
-            block = range(next_index, next_index + need)
-            next_index += need
-            args = [(cfg, spec, mode, dataset, master_seed, role, i) for i in block]
-            if executor is None:
-                results = [_attempt_marginal_draw(a) for a in args]
-            else:
-                chunk = max(1, need // (4 * workers))
-                results = list(executor.map(_attempt_marginal_draw, args, chunksize=chunk))
-            for i, res in zip(block, results):
-                if len(gammas) >= n_draws:
-                    break
-                if res is None:
-                    skipped += 1
-                    continue
-                g, a, b, attempts = res
-                gammas.append(g)
-                lo.append(a)
-                hi.append(b)
-                indices.append(i)
-                if spec.family == "I":
-                    rejection_stats[attempts] = rejection_stats.get(attempts, 0) + 1
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    indices, results, skipped = run_attempts(
+        partial(_marginal_attempt, cfg, spec, mode, dataset),
+        n_draws, master_seed, role, workers, f"{cfg.scenario_id} {mode}",
+    )
+    gammas, lo, hi, attempts = zip(*results)
+    rejection_stats = dict(Counter(attempts)) if spec.family == "I" else {}
     return MarginalSampleBatch(
         gammas, lo, hi, mode, cfg.scenario_id,
         skipped=skipped, rejection_stats=rejection_stats, attempt_indices=indices,

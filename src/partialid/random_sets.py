@@ -97,9 +97,6 @@ class SetDrawBatch:
         total = self.skipped + len(self)
         return self.skipped / total if total else 0.0
 
-    def as_intervals(self) -> list[IntervalSet]:
-        return [IntervalSet(float(a), float(b)) for a, b in zip(self.lo, self.hi)]
-
     def __repr__(self):
         return (
             f"SetDrawBatch({self.scenario_id!r}, {self.source}, n={len(self)}, "

@@ -1,8 +1,8 @@
 """The five partially identified models driving the simulation studies.
 
-Each scenario couples a data generating process with the functional mapping
-one draw of the (nonparametric) prior or posterior to one realization of the
-random identified interval:
+Each scenario, one record of :data:`SCENARIOS`, couples a data generating
+process with the functional mapping one draw of the (nonparametric) prior or
+posterior to one realization of the random identified interval:
 
 * ``toy_analytic``       — parametric check case: lower bound uniform on [0, 1],
                            upper bound uniform on [1, 2]; closed-form coverage
@@ -26,12 +26,13 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import partial
+from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .dirichlet import (
-    DEFAULT_TRUNCATION,
     DirichletProcessSpec,
     DiscreteMeasure,
     covariance,
@@ -40,19 +41,11 @@ from .dirichlet import (
     expectation,
 )
 from .distributions import beta_cdf, psd_repair, sample_mvnormal, sample_normal, sample_dirichlet
-from .errors import ParameterError
+from .errors import ParameterError, SkipBudgetError
 from .random_sets import IntervalSet, SetDrawBatch
 from .rng import RngStream, substream
 
 log = logging.getLogger(__name__)
-
-SCENARIO_IDS = (
-    "toy_analytic",
-    "interval_censored",
-    "errors_in_variables",
-    "interval_regression",
-    "binary_missing",
-)
 
 # Stream roles: disjoint index blocks so every workflow stage has its own
 # independent substream family under a single master seed.
@@ -73,22 +66,10 @@ def attempt_stream(master_seed: int, role: int, attempt: int) -> RngStream:
     return substream(master_seed, (role << _ROLE_SHIFT) + attempt)
 
 
-_GRID_RANGES = {
-    "toy_analytic": (0.0, 2.5),
-    "interval_censored": (-3.0, 12.0),
-    "errors_in_variables": (0.0, 3.0),
-    "interval_regression": (-1.0, 20.0),
-    "binary_missing": (0.0, 1.0),
-}
 _GRID_STEP = 0.05
 
-_TRUE_SETS = {
-    "toy_analytic": None,
-    "interval_censored": IntervalSet(0.0, 5.0),
-    "errors_in_variables": IntervalSet(0.5, 2.0),
-    "interval_regression": IntervalSet(2.0, 6.0),
-    "binary_missing": IntervalSet(0.4, 0.9),
-}
+#: Sample size of a generated dataset when none is given.
+DEFAULT_SAMPLE_SIZE = 1000
 
 # Base-measure covariance for the four-dimensional instrumented scenario as
 # stated for the simulation; it is not positive semidefinite and must pass
@@ -101,18 +82,10 @@ INTERVAL_REGRESSION_RAW_COV = np.array(
         [1.5, 3.0, 0.5, 0.1],
     ]
 )
-INTERVAL_REGRESSION_BASE_MEAN = np.array([0.0, 4.0, 0.0, 0.5])
-
-_DATA_COLUMNS = {
-    "interval_censored": ("y1", "y2"),
-    "errors_in_variables": ("y", "z"),
-    "interval_regression": ("y1", "y2", "x", "z"),
-    "binary_missing": ("yd", "d"),
-}
 
 
 def default_grid(scenario_id: str) -> np.ndarray:
-    lo, hi = _GRID_RANGES[scenario_id]
+    lo, hi = _scenario(scenario_id).grid_range
     n_points = int(round((hi - lo) / _GRID_STEP)) + 1
     return np.linspace(lo, hi, n_points)
 
@@ -130,14 +103,13 @@ class ScenarioConfig:
 
 def make_config(scenario_id: str, n: int | None = None, grid=None) -> ScenarioConfig:
     """Build a scenario configuration, filling in the study defaults."""
-    if scenario_id not in SCENARIO_IDS:
-        raise ParameterError(f"unknown scenario {scenario_id!r}")
-    if scenario_id == "toy_analytic":
+    scenario = _scenario(scenario_id)
+    if not scenario.columns:
         if n not in (None, 0):
-            raise ParameterError("toy_analytic has no data-generating process")
+            raise ParameterError(f"{scenario_id} has no data-generating process")
         n = 0
     else:
-        n = 1000 if n is None else int(n)
+        n = DEFAULT_SAMPLE_SIZE if n is None else int(n)
         if n < 1:
             raise ParameterError(f"sample size must be >= 1, got {n}")
     if grid is None:
@@ -146,37 +118,7 @@ def make_config(scenario_id: str, n: int | None = None, grid=None) -> ScenarioCo
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
             raise ParameterError("grid must be strictly increasing with >= 2 points")
-
-    if scenario_id == "interval_censored":
-        hyper = {
-            "n0": (10.0, 20.0),
-            "base_mean": (0.0, 10.0),
-            "base_var": (1.0, 1.0),
-        }
-    elif scenario_id == "errors_in_variables":
-        hyper = {
-            "n0": 20.0,
-            "base_mean": np.zeros(2),
-            "base_cov": np.array([[2.0, 0.9], [0.9, 2.0]]),
-        }
-    elif scenario_id == "interval_regression":
-        repair = psd_repair(INTERVAL_REGRESSION_RAW_COV, eigen_floor=1e-6)
-        if repair.clipped:
-            log.info(
-                "interval_regression base covariance was not PSD; "
-                "eigenvalues clipped at 1e-6"
-            )
-        hyper = {
-            "n0": 20.0,
-            "base_mean": INTERVAL_REGRESSION_BASE_MEAN.copy(),
-            "base_cov": repair.matrix,
-            "base_cov_clipped": repair.clipped,
-        }
-    elif scenario_id == "binary_missing":
-        hyper = {"alpha": np.array([2.0, 3.0, 1.0])}
-    else:
-        hyper = {}
-    return ScenarioConfig(scenario_id, n, grid, _TRUE_SETS[scenario_id], hyper)
+    return ScenarioConfig(scenario_id, n, grid, scenario.true_set, scenario.hyper())
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,6 +132,9 @@ class Dataset:
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape[1] != len(self.columns):
             raise ParameterError("values must be (n, k) matching the column names")
+        if not np.isfinite(self.values).all():
+            row, col = np.argwhere(~np.isfinite(self.values))[0]
+            raise ParameterError(f"non-finite value in row {row}, column {self.columns[col]}")
 
     @property
     def n(self) -> int:
@@ -207,45 +152,24 @@ class Dataset:
 
 def load_dataset(path, scenario_id: str) -> Dataset:
     """Read a dataset written by :meth:`Dataset.to_csv`."""
+    expected = _scenario(scenario_id).columns
+    if not expected:
+        raise ParameterError(f"{scenario_id} has no data-generating process")
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         columns = tuple(header.split(","))
         values = np.loadtxt(fh, delimiter=",", ndmin=2)
-    expected = _DATA_COLUMNS.get(scenario_id)
-    if expected is not None and columns != expected:
+    if columns != expected:
         raise ParameterError(f"expected columns {expected}, found {columns}")
     return Dataset(scenario_id, columns, values)
 
 
 def generate_data(cfg: ScenarioConfig, rng: RngStream) -> Dataset:
     """Draw one observable sample from the scenario's data generating process."""
-    sid = cfg.scenario_id
-    n = cfg.n
-    if sid == "toy_analytic":
-        raise ParameterError("toy_analytic has no data-generating process")
-    if sid == "interval_censored":
-        y1 = sample_normal(0.0, 0.1, rng, size=n)
-        y2 = sample_normal(5.0, 0.1, rng, size=n)
-        values = np.column_stack((y1, y2))
-    elif sid == "errors_in_variables":
-        latent = sample_normal(0.0, 1.0, rng, size=n)
-        noise = sample_mvnormal(np.zeros(2), np.eye(2), rng, size=n)
-        y = latent + noise[:, 0]  # true slope 1
-        z = latent + noise[:, 1]
-        values = np.column_stack((y, z))
-    elif sid == "interval_regression":
-        z = rng.uniform(size=n)
-        x = z + sample_normal(0.0, 1.0, rng, size=n)
-        y1 = 2.0 * x + sample_normal(0.0, 0.1, rng, size=n)
-        y2 = 6.0 * x + sample_normal(0.0, 0.1, rng, size=n)
-        values = np.column_stack((y1, y2, x, z))
-    elif sid == "binary_missing":
-        y = (rng.uniform(size=n) < 0.8).astype(float)
-        d = (rng.uniform(size=n) < 0.5).astype(float)
-        values = np.column_stack((y * d, d))
-    else:  # pragma: no cover - guarded by make_config
-        raise ParameterError(f"unknown scenario {sid!r}")
-    return Dataset(sid, _DATA_COLUMNS[sid], values)
+    scenario = _scenario(cfg.scenario_id)
+    if not scenario.columns:
+        raise ParameterError(f"{cfg.scenario_id} has no data-generating process")
+    return Dataset(cfg.scenario_id, scenario.columns, scenario.generate(cfg.n, rng))
 
 
 # --- identified-set functionals -------------------------------------------
@@ -293,14 +217,77 @@ def instrument_ratio_bounds(m: DiscreteMeasure) -> IntervalSet | None:
     return IntervalSet(lo, hi)
 
 
-# --- per-scenario interval draws -------------------------------------------
+# --- per-scenario data, hyperparameters and interval draws -----------------
+# Draw functions run after draw_set has checked the mode and the dataset.
 
-def _normal_base(mu: float, var: float):
-    return lambda rng, size: sample_normal(mu, var, rng, size=size)
+def _draw_toy(cfg, mode, rng, dataset):
+    return IntervalSet(rng.uniform(), 1.0 + rng.uniform())
 
 
-def _mvn_base(mean, cov):
-    return lambda rng, size: sample_mvnormal(mean, cov, rng, size=size)
+def _generate_censored(n, rng):
+    y1 = sample_normal(0.0, 0.1, rng, size=n)
+    y2 = sample_normal(5.0, 0.1, rng, size=n)
+    return np.column_stack((y1, y2))
+
+
+def _draw_censored(cfg, mode, rng, dataset):
+    n0_1, n0_2 = cfg.hyper["n0"]
+    mu1, mu2 = cfg.hyper["base_mean"]
+    var1, var2 = cfg.hyper["base_var"]
+    spec1 = DirichletProcessSpec(n0_1, partial(sample_normal, mu1, var1))
+    spec2 = DirichletProcessSpec(n0_2, partial(sample_normal, mu2, var2))
+    r1, r2 = rng.split(0), rng.split(1)
+    if mode == "prior":
+        m1 = draw_prior(spec1, r1)
+        m2 = draw_prior(spec2, r2)
+    else:
+        m1 = draw_posterior(spec1, dataset.column("y1"), r1)
+        m2 = draw_posterior(spec2, dataset.column("y2"), r2)
+    return censoring_bounds(m1, m2)
+
+
+def _joint_measure(cfg, mode, rng, dataset) -> DiscreteMeasure:
+    """One draw of the joint process behind the two regression scenarios."""
+    base = partial(sample_mvnormal, cfg.hyper["base_mean"], cfg.hyper["base_cov"])
+    spec = DirichletProcessSpec(cfg.hyper["n0"], base)
+    if mode == "prior":
+        return draw_prior(spec, rng)
+    return draw_posterior(spec, dataset.values, rng)
+
+
+def _generate_errors_in_variables(n, rng):
+    latent = sample_normal(0.0, 1.0, rng, size=n)
+    noise = sample_mvnormal(np.zeros(2), np.eye(2), rng, size=n)
+    y = latent + noise[:, 0]  # true slope 1
+    z = latent + noise[:, 1]
+    return np.column_stack((y, z))
+
+
+def _draw_errors_in_variables(cfg, mode, rng, dataset):
+    return reverse_regression_bounds(_joint_measure(cfg, mode, rng, dataset))
+
+
+def _interval_regression_hyper() -> dict:
+    repair = psd_repair(INTERVAL_REGRESSION_RAW_COV, eigen_floor=1e-6)
+    if repair.clipped:
+        log.info(
+            "interval_regression base covariance was not PSD; "
+            "eigenvalues clipped at 1e-6"
+        )
+    return {"n0": 20.0, "base_mean": np.array([0.0, 4.0, 0.0, 0.5]),
+            "base_cov": repair.matrix, "base_cov_clipped": repair.clipped}
+
+
+def _generate_interval_regression(n, rng):
+    z = rng.uniform(size=n)
+    x = z + sample_normal(0.0, 1.0, rng, size=n)
+    y1 = 2.0 * x + sample_normal(0.0, 0.1, rng, size=n)
+    y2 = 6.0 * x + sample_normal(0.0, 0.1, rng, size=n)
+    return np.column_stack((y1, y2, x, z))
+
+
+def _draw_interval_regression(cfg, mode, rng, dataset):
+    return instrument_ratio_bounds(_joint_measure(cfg, mode, rng, dataset))
 
 
 class BinaryCounts(NamedTuple):
@@ -313,7 +300,7 @@ class BinaryCounts(NamedTuple):
 
 def count_binary(dataset: Dataset) -> BinaryCounts:
     """Tally the three observable cells; rejects malformed rows."""
-    if dataset.columns != _DATA_COLUMNS["binary_missing"]:
+    if dataset.columns != SCENARIOS["binary_missing"].columns:
         raise ParameterError(f"expected a masked binary dataset, got {dataset.columns}")
     yd = dataset.column("yd")
     d = dataset.column("d")
@@ -335,6 +322,78 @@ def binary_posterior_params(alpha, counts: BinaryCounts) -> np.ndarray:
     return alpha + np.array([counts.n1, counts.n0_obs, counts.m], dtype=float)
 
 
+def _generate_binary(n, rng):
+    y = (rng.uniform(size=n) < 0.8).astype(float)
+    d = (rng.uniform(size=n) < 0.5).astype(float)
+    return np.column_stack((y * d, d))
+
+
+def _draw_binary(cfg, mode, rng, dataset):
+    alpha = cfg.hyper["alpha"]
+    if mode == "posterior":
+        alpha = binary_posterior_params(alpha, count_binary(dataset))
+    cells = sample_dirichlet(alpha, rng)
+    return IntervalSet(float(cells[0]), float(cells[0] + cells[2]))
+
+
+# --- the scenario table --------------------------------------------------------
+
+@dataclass(frozen=True)
+class Scenario:
+    """Everything the package knows about one scenario; add a scenario by adding one."""
+
+    columns: tuple[str, ...]  # empty: no data-generating process, no posterior
+    grid_range: tuple[float, float]
+    true_set: IntervalSet | None
+    shapes: tuple[float, float] | None  # family-IV (p, q); None: no prior wiring
+    hyper: Callable[[], dict]  # builds a fresh ScenarioConfig.hyper
+    generate: Callable[[int, RngStream], np.ndarray] | None  # (n, rng) -> (n, k) values
+    draw: Callable[..., IntervalSet | None]  # (cfg, mode, rng, dataset); None skips
+
+
+SCENARIOS = MappingProxyType({
+    "toy_analytic": Scenario(
+        columns=(), grid_range=(0.0, 2.5), true_set=None, shapes=None,
+        hyper=dict, generate=None, draw=_draw_toy,
+    ),
+    "interval_censored": Scenario(
+        columns=("y1", "y2"), grid_range=(-3.0, 12.0),
+        true_set=IntervalSet(0.0, 5.0), shapes=(2.0, 2.0),
+        hyper=lambda: {"n0": (10.0, 20.0), "base_mean": (0.0, 10.0),
+                       "base_var": (1.0, 1.0)},
+        generate=_generate_censored, draw=_draw_censored,
+    ),
+    "errors_in_variables": Scenario(
+        columns=("y", "z"), grid_range=(0.0, 3.0),
+        true_set=IntervalSet(0.5, 2.0), shapes=(1.0, 0.5),
+        hyper=lambda: {"n0": 20.0, "base_mean": np.zeros(2),
+                       "base_cov": np.array([[2.0, 0.9], [0.9, 2.0]])},
+        generate=_generate_errors_in_variables, draw=_draw_errors_in_variables,
+    ),
+    "interval_regression": Scenario(
+        columns=("y1", "y2", "x", "z"), grid_range=(-1.0, 20.0),
+        true_set=IntervalSet(2.0, 6.0), shapes=(1.0, 0.5),
+        hyper=_interval_regression_hyper,
+        generate=_generate_interval_regression, draw=_draw_interval_regression,
+    ),
+    "binary_missing": Scenario(
+        columns=("yd", "d"), grid_range=(0.0, 1.0),
+        true_set=IntervalSet(0.4, 0.9), shapes=(1.0, 0.5),
+        hyper=lambda: {"alpha": np.array([2.0, 3.0, 1.0])},
+        generate=_generate_binary, draw=_draw_binary,
+    ),
+})
+
+SCENARIO_IDS = tuple(SCENARIOS)
+
+
+def _scenario(scenario_id: str) -> Scenario:
+    try:
+        return SCENARIOS[scenario_id]
+    except KeyError:
+        raise ParameterError(f"unknown scenario {scenario_id!r}") from None
+
+
 def draw_set(
     cfg: ScenarioConfig,
     mode: str,
@@ -349,64 +408,80 @@ def draw_set(
     if mode not in ("prior", "posterior"):
         raise ParameterError(f"mode must be 'prior' or 'posterior', got {mode!r}")
     sid = cfg.scenario_id
+    scenario = _scenario(sid)
     if mode == "posterior":
-        if sid == "toy_analytic":
-            raise ParameterError("toy_analytic has no posterior")
+        if not scenario.columns:
+            raise ParameterError(f"{sid} has no posterior")
         if dataset is None:
             raise ParameterError("posterior draws need a dataset")
         if dataset.scenario_id != sid:
             raise ParameterError(
                 f"dataset was generated for {dataset.scenario_id!r}, not {sid!r}"
             )
-
-    if sid == "toy_analytic":
-        lo = rng.uniform()
-        hi = 1.0 + rng.uniform()
-        return IntervalSet(lo, hi)
-
-    if sid == "binary_missing":
-        alpha = cfg.hyper["alpha"]
-        if mode == "posterior":
-            alpha = binary_posterior_params(alpha, count_binary(dataset))
-        cells = sample_dirichlet(alpha, rng)
-        return IntervalSet(float(cells[0]), float(cells[0] + cells[2]))
-
-    if sid == "interval_censored":
-        n0_1, n0_2 = cfg.hyper["n0"]
-        mu1, mu2 = cfg.hyper["base_mean"]
-        var1, var2 = cfg.hyper["base_var"]
-        spec1 = DirichletProcessSpec(n0_1, _normal_base(mu1, var1), DEFAULT_TRUNCATION)
-        spec2 = DirichletProcessSpec(n0_2, _normal_base(mu2, var2), DEFAULT_TRUNCATION)
-        r1, r2 = rng.split(0), rng.split(1)
-        if mode == "prior":
-            m1 = draw_prior(spec1, r1)
-            m2 = draw_prior(spec2, r2)
-        else:
-            m1 = draw_posterior(spec1, dataset.column("y1"), r1)
-            m2 = draw_posterior(spec2, dataset.column("y2"), r2)
-        return censoring_bounds(m1, m2)
-
-    spec = DirichletProcessSpec(
-        cfg.hyper["n0"],
-        _mvn_base(cfg.hyper["base_mean"], cfg.hyper["base_cov"]),
-        DEFAULT_TRUNCATION,
-    )
-    if mode == "prior":
-        measure = draw_prior(spec, rng)
-    else:
-        measure = draw_posterior(spec, dataset.values, rng)
-    if sid == "errors_in_variables":
-        return reverse_regression_bounds(measure)
-    return instrument_ratio_bounds(measure)
+    return scenario.draw(cfg, mode, rng, dataset)
 
 
 # --- batch assembly ----------------------------------------------------------
 
-def _attempt_set_draw(args):
-    cfg, mode, dataset, master_seed, role, index = args
-    rng = attempt_stream(master_seed, role, index)
-    interval = draw_set(cfg, mode, rng, dataset)
-    return None if interval is None else (interval.lo, interval.hi)
+# (attempt, master_seed, role), set once in each pool worker by _init_worker
+_worker_job = None
+
+
+def _init_worker(attempt, master_seed, role):
+    global _worker_job
+    _worker_job = (attempt, master_seed, role)
+
+
+def _pool_attempt(index):
+    attempt, master_seed, role = _worker_job
+    return attempt(attempt_stream(master_seed, role, index))
+
+
+def run_attempts(attempt, n_draws: int, master_seed: int, role: int, workers: int,
+                 label: str):
+    """Run attempts 0, 1, 2, ... in index order until ``n_draws`` are accepted.
+
+    ``attempt(rng)`` returns a result, or None for a skip; attempt j always
+    uses the substream keyed by (master_seed, role, j), so the outcome is the
+    same for any worker count.  A pool worker receives ``attempt`` once; its
+    tasks carry only attempt indices.  Returns ``(attempt_indices, results,
+    skipped)``.  Raises :class:`SkipBudgetError`, its message opened by
+    ``label``, when skips exhaust ``50 * n_draws + 1000`` attempts.
+    """
+    if n_draws < 1:
+        raise ParameterError("n_draws must be >= 1")
+    indices, results = [], []
+    skipped = next_index = 0
+    attempt_cap = 50 * n_draws + 1000
+    executor = None
+    if workers > 1:
+        executor = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                       initargs=(attempt, master_seed, role))
+    try:
+        while len(results) < n_draws:
+            # a block of `need` attempts accepts at most `need`, never overshooting
+            need = n_draws - len(results)
+            if next_index + need > attempt_cap:
+                raise SkipBudgetError(
+                    f"{label}: skip rate too high; {skipped} skips in {next_index} attempts",
+                    skipped=skipped, attempts=next_index)
+            block = range(next_index, next_index + need)
+            next_index += need
+            if executor is None:
+                outcomes = [attempt(attempt_stream(master_seed, role, i)) for i in block]
+            else:
+                chunk = max(1, need // (4 * workers))
+                outcomes = executor.map(_pool_attempt, block, chunksize=chunk)
+            for i, res in zip(block, outcomes):
+                if res is None:
+                    skipped += 1
+                else:
+                    indices.append(i)
+                    results.append(res)
+    finally:
+        if executor is not None:
+            executor.shutdown()
+    return indices, results, skipped
 
 
 def draw_set_batch(
@@ -420,52 +495,16 @@ def draw_set_batch(
 ) -> SetDrawBatch:
     """Collect ``n_draws`` accepted interval draws, skipping guard violations.
 
-    Attempt j always uses the substream keyed by (master_seed, role, j) and
-    attempts are consumed in index order, so the batch is byte-identical for
-    any worker count.
+    Byte-identical for any worker count; see :func:`run_attempts`.
     """
-    if n_draws < 1:
-        raise ParameterError("n_draws must be >= 1")
     if role is None:
         role = ROLE_PRIOR_SETS if mode == "prior" else ROLE_POSTERIOR_SETS
-    lo: list[float] = []
-    hi: list[float] = []
-    indices: list[int] = []
-    skipped = 0
-    next_index = 0
-    attempt_cap = 50 * n_draws + 1000
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while len(lo) < n_draws:
-            need = n_draws - len(lo)
-            if next_index + need > attempt_cap:
-                raise RuntimeError(
-                    f"{cfg.scenario_id} {mode}: skip rate too high; "
-                    f"{skipped} skips in {next_index} attempts"
-                )
-            block = range(next_index, next_index + need)
-            next_index += need
-            args = [(cfg, mode, dataset, master_seed, role, i) for i in block]
-            if executor is None:
-                results = [_attempt_set_draw(a) for a in args]
-            else:
-                chunk = max(1, need // (4 * workers))
-                results = list(executor.map(_attempt_set_draw, args, chunksize=chunk))
-            for i, res in zip(block, results):
-                if len(lo) >= n_draws:
-                    break
-                if res is None:
-                    skipped += 1
-                else:
-                    lo.append(res[0])
-                    hi.append(res[1])
-                    indices.append(i)
-    finally:
-        if executor is not None:
-            executor.shutdown()
-    return SetDrawBatch(
-        lo, hi, mode, cfg.scenario_id, skipped=skipped, attempt_indices=indices
+    indices, intervals, skipped = run_attempts(
+        partial(draw_set, cfg, mode, dataset=dataset),
+        n_draws, master_seed, role, workers, f"{cfg.scenario_id} {mode}",
     )
+    return SetDrawBatch([iv.lo for iv in intervals], [iv.hi for iv in intervals], mode,
+                        cfg.scenario_id, skipped=skipped, attempt_indices=indices)
 
 
 # --- closed-form oracles -----------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from partialid import (
     DiscreteMeasure,
     IntervalSet,
     ParameterError,
+    SkipBudgetError,
     analytic_capacity_toy,
     analytic_coverage_binary,
     analytic_coverage_toy,
@@ -17,6 +20,7 @@ from partialid import (
     load_dataset,
     make_config,
 )
+from partialid.priors import ConditionalPriorSpec, marginal_sample
 from partialid.scenarios import (
     ROLE_DATA,
     attempt_stream,
@@ -127,6 +131,20 @@ class TestGenerateData:
         path = tmp_path / "data.csv"
         data.to_csv(path)
         with pytest.raises(ParameterError):
+            load_dataset(path, "interval_censored")
+
+    @pytest.mark.parametrize("scenario_id", ["toy_analytic", "no_such_scenario"])
+    def test_csv_needs_a_data_scenario(self, tmp_path, scenario_id):
+        cfg = make_config("binary_missing", n=10)
+        path = tmp_path / "data.csv"
+        generate_data(cfg, attempt_stream(2, ROLE_DATA, 0)).to_csv(path)
+        with pytest.raises(ParameterError, match=scenario_id):
+            load_dataset(path, scenario_id)
+
+    def test_csv_non_finite_value_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("y1,y2\n0.1,5.0\nnan,4.9\n", encoding="utf-8")
+        with pytest.raises(ParameterError, match="non-finite value in row 1, column y1"):
             load_dataset(path, "interval_censored")
 
 
@@ -268,6 +286,19 @@ class TestDrawSetBatch:
         assert np.array_equal(seq.lo, par.lo)
         assert np.array_equal(seq.hi, par.hi)
         assert seq.skipped == par.skipped
+
+    def test_skip_budget_error_carries_counts(self):
+        # a base measure with correlation -0.999 makes every prior draw fail
+        # the positive-covariance guard, so the attempt cap is reached
+        cfg = make_config("errors_in_variables", n=10)
+        cov = np.array([[2.0, -1.998], [-1.998, 2.0]])
+        cfg = dataclasses.replace(cfg, hyper={**cfg.hyper, "base_cov": cov})
+        with pytest.raises(SkipBudgetError, match="1050 skips in 1050 attempts") as err:
+            draw_set_batch(cfg, "prior", 1, 3)
+        assert isinstance(err.value, RuntimeError)
+        assert (err.value.skipped, err.value.attempts) == (1050, 1050)
+        with pytest.raises(SkipBudgetError):
+            marginal_sample(cfg, ConditionalPriorSpec("III"), "prior", 1, 3)
 
     def test_posterior_batch_concentrates(self):
         cfg = make_config("interval_censored", n=400)

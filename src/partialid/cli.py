@@ -12,13 +12,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from . import scenarios as sc
 from .errors import ParameterError
 from .priors import default_prior_spec, histogram, marginal_sample, FAMILIES
@@ -272,7 +275,14 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
         coverage_columns["analytic_coverage"] = sc.analytic_coverage_toy(cfg.grid)
 
     point_est = cred = None
-    diagnostics = {}
+    diagnostics = {
+        "versions": {
+            "partialid": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
+        },
+    }
     if posterior_batch is not None:
         point_est = point_estimate_set(posterior_batch)
         cred = credible_region(posterior_batch, run_cfg.alpha)

@@ -3,17 +3,23 @@
 All samplers are deterministic transforms of uniforms taken from an
 :class:`~partialid.rng.RngStream` — inverse-CDF wherever a quantile function
 exists, never unbounded rejection — so a stream's uniform sequence maps to the
-same variates on every platform.  Special functions are delegated to
-``scipy.special``, which meets the 1e-10 absolute-accuracy requirement on the
-unit interval.
+same variates on every platform; each variate takes one uniform.  The hot
+paths use closed-form quantiles: Exp(1), ``-log1p(-u)``, for Dirichlet
+parameters equal to 1 (the Bayesian-bootstrap weights of a posterior draw,
+Rubin 1981); Beta(1, b), ``-expm1(log1p(-u) / b)``, for stick-breaking
+fractions; and a log-space truncated-normal quantile built from ``log_ndtr``
+and ``ndtri_exp``.  Other shapes invert the regularized incomplete gamma and
+beta functions of ``scipy.special``, which meets the 1e-10 absolute-accuracy
+requirement on the unit interval; ``scipy.stats`` is not imported.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import ParameterError
 from .rng import RngStream
@@ -25,18 +31,22 @@ def _as_float(x, size):
 
 
 def sample_beta(a: float, b: float, rng: RngStream, size=None):
-    """Beta(a, b) draws by inverting the regularized incomplete beta function."""
+    """Beta(a, b) draws by inverse CDF, in closed form when ``a == 1``."""
     if not (a > 0 and b > 0):
         raise ParameterError(f"beta shapes must be positive, got a={a}, b={b}")
     u = rng.uniform(size)
+    if a == 1:
+        # I_x(1, b) = 1 - (1 - x)**b inverts exactly
+        return _as_float(-np.expm1(np.log1p(-u) / b), size)
     return _as_float(special.betaincinv(a, b, u), size)
 
 
 def sample_dirichlet(alpha, rng: RngStream) -> np.ndarray:
     """One draw from a Dirichlet distribution on the simplex.
 
-    Uses the normalized-gamma construction with each gamma variate obtained
-    by inverting the regularized incomplete gamma function.
+    Uses the normalized-gamma construction.  A component with parameter 1 is
+    an Exp(1) variate, ``-log1p(-u)``; the others invert the regularized
+    incomplete gamma function.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim != 1 or alpha.size == 0:
@@ -46,7 +56,9 @@ def sample_dirichlet(alpha, rng: RngStream) -> np.ndarray:
     if alpha.size == 1:
         return np.ones(1)
     u = rng.uniform(size=alpha.size)
-    g = special.gammaincinv(alpha, u)
+    g = -np.log1p(-u)
+    shaped = alpha != 1.0
+    g[shaped] = special.gammaincinv(alpha[shaped], u[shaped])
     total = g.sum()
     if total <= 0:
         # all K uniforms underflowed at once; not reachable in practice
@@ -89,18 +101,39 @@ def sample_mvnormal(mean, cov, rng: RngStream, size=None):
 
 
 def sample_truncated_normal(mu, sigma2, lo, hi, rng: RngStream, size=None):
-    """N(mu, sigma2) conditioned on [lo, hi], drawn by inverse CDF."""
+    """N(mu, sigma2) conditioned on [lo, hi], drawn by inverse CDF.
+
+    With standardized bounds a < b and M = Phi(b) - Phi(a), the draw x solves
+    Phi(x) = Phi(a) + u M, or equally Phi(-x) = Phi(-b) + (1 - u) M.  Both are
+    solved in log space, and x is taken from the first where it is <= 0 and
+    from the second otherwise, so ``ndtri_exp`` always inverts a lower-tail
+    probability that ``log_ndtr`` holds to full relative precision, even with
+    both bounds 60 standard deviations out.
+    """
     if not lo < hi:
         raise ParameterError(f"need lo < hi, got [{lo}, {hi}]")
     if not sigma2 > 0:
         raise ParameterError(f"variance must be positive, got {sigma2}")
-    sigma = np.sqrt(sigma2)
+    sigma = math.sqrt(sigma2)
     a = (lo - mu) / sigma
     b = (hi - mu) / sigma
+    log_below_a = special.log_ndtr(a)
+    log_above_b = special.log_ndtr(-b)
+    # log M, taken from the tail the interval lies in to avoid cancellation
+    if b <= 0:
+        log_below_b = special.log_ndtr(b)
+        log_mass = log_below_b + np.log1p(-math.exp(log_below_a - log_below_b))
+    elif a >= 0:
+        log_above_a = special.log_ndtr(-a)
+        log_mass = log_above_a + np.log1p(-math.exp(log_above_b - log_above_a))
+    else:
+        log_mass = np.log1p(-math.exp(log_below_a) - math.exp(log_above_b))
     u = rng.uniform(size)
-    x = stats.truncnorm.ppf(u, a, b, loc=mu, scale=sigma)
-    # ppf is exact at the ends; clip guards the last-ulp rounding
-    return _as_float(np.clip(x, lo, hi), size)
+    below = special.ndtri_exp(np.logaddexp(log_below_a, np.log(u) + log_mass))
+    above = -special.ndtri_exp(np.logaddexp(log_above_b, np.log1p(-u) + log_mass))
+    x = mu + sigma * np.where(below <= 0, below, above)
+    # clip to [lo, hi]: guards the last-ulp rounding at the ends
+    return _as_float(np.minimum(np.maximum(x, lo), hi), size)
 
 
 def beta_cdf(x, a: float, b: float):

@@ -124,6 +124,23 @@ class TestRunScenario:
         assert summary["config"]["scenario"] == "binary_missing"
         assert summary["diagnostics"]["credible_region_contains_point_estimate"] is True
 
+    def test_summary_records_library_versions(self, binary_run):
+        import platform
+        from pathlib import Path
+
+        import scipy
+
+        import partialid
+
+        cfg, report = binary_run
+        summary = json.loads((Path(report.out_dir) / "summary.json").read_text())
+        assert summary["diagnostics"]["versions"] == {
+            "partialid": partialid.__version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
+        }
+
     def test_manifest_hashes_match_files(self, binary_run):
         cfg, report = binary_run
         from pathlib import Path

@@ -1,10 +1,17 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special, stats
 from scipy.linalg import eigvalsh as scipy_eigvalsh
 
+import partialid
 from partialid import (
     ParameterError,
     beta_cdf,
@@ -38,9 +45,10 @@ class TestSampleBeta:
             sample_beta(2.0, -1.0, substream(1, 2))
 
     def test_scalar_draw_is_float(self):
-        x = sample_beta(2.0, 3.0, substream(1, 3))
-        assert isinstance(x, float)
-        assert 0.0 < x < 1.0
+        for a, b in [(2.0, 3.0), (1.0, 0.5)]:  # incomplete-beta and closed-form paths
+            x = sample_beta(a, b, substream(1, 3))
+            assert isinstance(x, float)
+            assert 0.0 < x < 1.0
 
     def test_deterministic(self):
         a = sample_beta(2.0, 3.0, substream(5, 0), size=100)
@@ -268,6 +276,93 @@ class TestTruncatedNormal:
     def test_invalid_interval_rejected(self):
         with pytest.raises(ParameterError):
             sample_truncated_normal(0.0, 1.0, 2.0, 2.0, substream(4, 3))
+
+
+class FixedUniforms:
+    """Stands in for an RngStream, handing out preset uniforms.
+
+    Lets a test evaluate a sampler's inverse CDF at chosen points.
+    """
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self, size=None):
+        return self.u
+
+
+#: standardized bounds spanning both far tails, both near tails and zero
+TAIL_BOUNDS = (-60.0, -38.0, -30.0, -8.0, -2.0, -0.5, 0.0, 0.5, 2.0, 8.0, 30.0, 38.0, 60.0)
+
+
+class TestTruncatedNormalQuantile:
+    @pytest.mark.parametrize("mu, sigma2", [(0.0, 1.0), (1.5, 4.0)])
+    def test_matches_scipy_across_both_tails(self, mu, sigma2):
+        sigma = np.sqrt(sigma2)
+        u = np.concatenate([np.linspace(0.005, 0.995, 199), substream(40, 0).uniform(200)])
+        for a, b in itertools.combinations(TAIL_BOUNDS, 2):
+            x = sample_truncated_normal(
+                mu, sigma2, mu + sigma * a, mu + sigma * b, FixedUniforms(u), size=u.size
+            )
+            oracle = stats.truncnorm.ppf(u, a, b, loc=mu, scale=sigma)
+            assert np.max(np.abs(x - oracle)) <= 1e-12 * sigma * (b - a), (a, b)
+
+    def test_upper_end_of_straddling_interval_against_mpmath(self):
+        # here Phi(x) rounds to 1; scipy.stats.truncnorm.ppf returns inf
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        a, b = -0.1, 10.0
+        mass = mpmath.ncdf(b) - mpmath.ncdf(a)
+        for u in (1.0 - 2.0**-53, 1.0 - 1e-12, 1.0 - 1e-6):
+            x = sample_truncated_normal(0.0, 1.0, a, b, FixedUniforms(u))
+            upper = mpmath.ncdf(-b) + (1 - mpmath.mpf(u)) * mass
+            oracle = float(-mpmath.sqrt(2) * mpmath.erfinv(2 * upper - 1))
+            assert abs(x - oracle) <= 1e-12 * (b - a)
+
+    @pytest.mark.parametrize("width", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_narrow_intervals_stay_in_support(self, width):
+        sigma2 = 2.0
+        sigma = np.sqrt(sigma2)
+        for k, a in enumerate((-60.0, -5.0, -width / 2, 0.0, 3.0, 60.0)):
+            lo, hi = sigma * a, sigma * (a + width)
+            draws = sample_truncated_normal(0.0, sigma2, lo, hi, substream(41, k), size=2000)
+            assert np.all((lo <= draws) & (draws <= hi)), (a, width)
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 2.0), (-2.0, -0.5), (-1.0, 1.0)])
+    def test_scalar_draw_is_float(self, lo, hi):
+        x = sample_truncated_normal(0.0, 1.0, lo, hi, substream(44, 0))
+        assert isinstance(x, float)
+        assert lo <= x <= hi
+
+
+class TestClosedFormQuantiles:
+    @pytest.mark.parametrize(
+        "alpha", [np.ones(1000), [1.0, 2.5, 1.0, 0.3], [0.5, 1.0], [3.0, 4.0]]
+    )
+    def test_dirichlet_matches_incomplete_gamma_inverse(self, alpha):
+        alpha = np.asarray(alpha, dtype=float)
+        u = substream(42, 0).uniform(size=alpha.size)
+        g = special.gammaincinv(alpha, u)
+        w = sample_dirichlet(alpha, substream(42, 0))
+        np.testing.assert_allclose(w, g / g.sum(), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("b", [0.5, 1.0, 3.0, 20.0, 1000.0])
+    def test_beta_one_b_matches_incomplete_beta_inverse(self, b):
+        u = substream(43, 0).uniform(size=5000)
+        x = sample_beta(1.0, b, substream(43, 0), size=5000)
+        np.testing.assert_allclose(x, special.betaincinv(1.0, b, u), rtol=1e-13, atol=0)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # the samplers need only scipy.special; scipy.stats is slow and large to import
+    src = str(Path(partialid.__file__).resolve().parents[1])
+    code = "import sys, partialid, partialid.cli; sys.exit('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr or "scipy.stats was imported"
 
 
 def test_sample_normal_moments():

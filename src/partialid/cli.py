@@ -26,6 +26,7 @@ from . import scenarios as sc
 from .errors import ParameterError
 from .priors import default_prior_spec, histogram, marginal_sample, FAMILIES
 from .random_sets import (
+    HIGH_SKIP_RATE,
     credible_region,
     estimate_coverage,
     point_estimate_set,
@@ -172,9 +173,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     alpha = float(values.get("alpha", 0.95))
     if not 0 < alpha <= 1:
         raise ParameterError(f"alpha must lie in (0, 1], got {alpha}")
-    workers = int(values.get("workers", 1))
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
+    workers = sc.check_workers(int(values.get("workers", 1)))
     family = values.get("prior_family")
     if family is not None and record.shapes is None:
         raise ParameterError(f"{scenario} has no study wiring for conditional priors")
@@ -241,6 +240,17 @@ def _write_gamma_hist_csv(path: Path, edges, prior_counts, posterior_counts):
             )
 
 
+def _batch_diagnostics(batch) -> dict:
+    """Skip accounting of one interval or marginal batch, for summary.json."""
+    skip_rate = batch.skipped / (batch.skipped + len(batch))
+    out = {"skip_rate": _round12(skip_rate), "high_skip_warning": skip_rate > HIGH_SKIP_RATE}
+    stats = getattr(batch, "rejection_stats", None)
+    if stats:
+        # proposals per accepted family-I draw -> number of draws
+        out["rejection_stats"] = {str(k): stats[k] for k in sorted(stats)}
+    return out
+
+
 def run_scenario(run_cfg: RunConfig) -> RunReport:
     """Execute one configured run and serialize its outputs.
 
@@ -292,9 +302,12 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
                 cred.region.lo <= point_est.lo and point_est.hi <= cred.region.hi
             )
 
-    skips = {"prior_sets": prior_batch.skipped}
+    if "base_cov" in cfg.hyper:
+        diagnostics["base_cov_clipped"] = bool(cfg.hyper.get("base_cov_clipped", False))
+
+    batches = {"prior_sets": prior_batch}
     if posterior_batch is not None:
-        skips["posterior_sets"] = posterior_batch.skipped
+        batches["posterior_sets"] = posterior_batch
 
     gamma_batches = None
     if run_cfg.prior_family is not None:
@@ -307,8 +320,11 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
             dataset=dataset, workers=run_cfg.workers,
         )
         gamma_batches = (gamma_prior, gamma_post)
-        skips["prior_gamma"] = gamma_prior.skipped
-        skips["posterior_gamma"] = gamma_post.skipped
+        batches["prior_gamma"] = gamma_prior
+        batches["posterior_gamma"] = gamma_post
+    skips = {name: batch.skipped for name, batch in batches.items()}
+    diagnostics["batches"] = {name: _batch_diagnostics(batch)
+                              for name, batch in batches.items()}
 
     # single writer phase
     out_dir = Path(run_cfg.out_dir) / f"{run_cfg.scenario}_seed{seed}"

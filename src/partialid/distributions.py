@@ -74,11 +74,28 @@ def sample_normal(mu: float, sigma2: float, rng: RngStream, size=None):
     return _as_float(mu + np.sqrt(sigma2) * z, size)
 
 
-def sample_mvnormal(mean, cov, rng: RngStream, size=None):
+def cholesky_factor(cov) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite covariance matrix."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ParameterError(f"expected a square covariance matrix, got shape {cov.shape}")
+    if not np.array_equal(cov, cov.T):
+        raise ParameterError("covariance matrix must be symmetric")
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ParameterError(
+            "covariance is not positive definite; apply psd_repair first"
+        ) from None
+
+
+def sample_mvnormal(mean, cov, rng: RngStream, size=None, *, chol=None):
     """Multivariate normal draws: Cholesky factor applied to quantile-transformed uniforms.
 
     ``cov`` must be symmetric positive definite; run :func:`psd_repair` first
-    if it is not.  Returns shape ``(d,)`` for ``size=None``, else ``(size, d)``.
+    if it is not.  A caller drawing repeatedly from one distribution passes
+    ``chol=cholesky_factor(cov)`` to skip the per-call check and factorization.
+    Returns shape ``(d,)`` for ``size=None``, else ``(size, d)``.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -86,14 +103,8 @@ def sample_mvnormal(mean, cov, rng: RngStream, size=None):
         raise ParameterError(
             f"dimension mismatch: mean has shape {mean.shape}, cov has shape {cov.shape}"
         )
-    if not np.array_equal(cov, cov.T):
-        raise ParameterError("covariance matrix must be symmetric")
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise ParameterError(
-            "covariance is not positive definite; apply psd_repair first"
-        ) from None
+    if chol is None:
+        chol = cholesky_factor(cov)
     d = mean.size
     u = rng.uniform(size=d if size is None else (size, d))
     z = special.ndtri(u)

@@ -32,7 +32,7 @@ from .scenarios import (
     ROLE_POSTERIOR_GAMMA,
     ROLE_PRIOR_GAMMA,
     ScenarioConfig,
-    draw_set,
+    prepare_draw,
     run_attempts,
 )
 
@@ -146,8 +146,8 @@ class MarginalSampleBatch:
         )
 
 
-def _marginal_attempt(cfg, spec, mode, dataset, rng):
-    interval = draw_set(cfg, mode, rng, dataset)
+def _marginal_attempt(draw, spec, rng):
+    interval = draw(rng)
     if interval is None:
         return None
     gamma, attempts = _sample_gamma(spec, interval, rng)
@@ -173,7 +173,7 @@ def marginal_sample(
     if role is None:
         role = ROLE_PRIOR_GAMMA if mode == "prior" else ROLE_POSTERIOR_GAMMA
     indices, results, skipped = run_attempts(
-        partial(_marginal_attempt, cfg, spec, mode, dataset),
+        partial(_marginal_attempt, prepare_draw(cfg, mode, dataset), spec),
         n_draws, master_seed, role, workers, f"{cfg.scenario_id} {mode}",
     )
     gammas, lo, hi, attempts = zip(*results)

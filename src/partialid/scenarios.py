@@ -24,9 +24,11 @@ are reported as skips, never reordered or hidden.
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -40,10 +42,17 @@ from .dirichlet import (
     draw_prior,
     expectation,
 )
-from .distributions import beta_cdf, psd_repair, sample_mvnormal, sample_normal, sample_dirichlet
+from .distributions import (
+    beta_cdf,
+    cholesky_factor,
+    psd_repair,
+    sample_dirichlet,
+    sample_mvnormal,
+    sample_normal,
+)
 from .errors import ParameterError, SkipBudgetError
 from .random_sets import IntervalSet, SetDrawBatch
-from .rng import RngStream, substream
+from .rng import RngStream, SeedBlock, substream
 
 log = logging.getLogger(__name__)
 
@@ -64,6 +73,19 @@ def attempt_stream(master_seed: int, role: int, attempt: int) -> RngStream:
     if attempt < 0 or attempt >= 2**_ROLE_SHIFT:
         raise ParameterError(f"attempt index out of range: {attempt}")
     return substream(master_seed, (role << _ROLE_SHIFT) + attempt)
+
+
+def attempt_streams(master_seed: int, role: int, attempts: range):
+    """The streams of a contiguous range of attempts, built one at a time.
+
+    Stream j equals ``attempt_stream(master_seed, role, j)``; the range is
+    seeded in one pass by a :class:`~partialid.rng.SeedBlock`.
+    """
+    if attempts.start < 0 or attempts.stop > 2**_ROLE_SHIFT or attempts.step != 1:
+        raise ParameterError(f"attempt range out of range: {attempts}")
+    base = role << _ROLE_SHIFT
+    block = SeedBlock(master_seed, range(base + attempts.start, base + attempts.stop))
+    return (block.stream(base + j) for j in attempts)
 
 
 _GRID_STEP = 0.05
@@ -217,11 +239,25 @@ def instrument_ratio_bounds(m: DiscreteMeasure) -> IntervalSet | None:
     return IntervalSet(lo, hi)
 
 
-# --- per-scenario data, hyperparameters and interval draws -----------------
-# Draw functions run after draw_set has checked the mode and the dataset.
+# --- per-scenario data, hyperparameters and prepared draws -----------------
+# A scenario's prepare(cfg, mode, dataset) runs once per batch, after
+# prepare_draw has checked the mode and the dataset.  It returns the batch's
+# attempt(rng), a functools.partial of a module-level function so that it
+# pickles for pool workers.
 
-def _draw_toy(cfg, mode, rng, dataset):
+def _process_draw(spec: DirichletProcessSpec, data, rng: RngStream) -> DiscreteMeasure:
+    """One draw of the process: from its prior when ``data`` is None, else its posterior."""
+    if data is None:
+        return draw_prior(spec, rng)
+    return draw_posterior(spec, data, rng)
+
+
+def _toy_attempt(rng):
     return IntervalSet(rng.uniform(), 1.0 + rng.uniform())
+
+
+def _prepare_toy(cfg, mode, dataset):
+    return _toy_attempt
 
 
 def _generate_censored(n, rng):
@@ -230,29 +266,33 @@ def _generate_censored(n, rng):
     return np.column_stack((y1, y2))
 
 
-def _draw_censored(cfg, mode, rng, dataset):
+def _censored_attempt(spec1, spec2, y1, y2, rng):
+    r1, r2 = rng.split(0), rng.split(1)
+    return censoring_bounds(_process_draw(spec1, y1, r1), _process_draw(spec2, y2, r2))
+
+
+def _prepare_censored(cfg, mode, dataset):
     n0_1, n0_2 = cfg.hyper["n0"]
     mu1, mu2 = cfg.hyper["base_mean"]
     var1, var2 = cfg.hyper["base_var"]
     spec1 = DirichletProcessSpec(n0_1, partial(sample_normal, mu1, var1))
     spec2 = DirichletProcessSpec(n0_2, partial(sample_normal, mu2, var2))
-    r1, r2 = rng.split(0), rng.split(1)
     if mode == "prior":
-        m1 = draw_prior(spec1, r1)
-        m2 = draw_prior(spec2, r2)
-    else:
-        m1 = draw_posterior(spec1, dataset.column("y1"), r1)
-        m2 = draw_posterior(spec2, dataset.column("y2"), r2)
-    return censoring_bounds(m1, m2)
+        return partial(_censored_attempt, spec1, spec2, None, None)
+    return partial(_censored_attempt, spec1, spec2,
+                   dataset.column("y1"), dataset.column("y2"))
 
 
-def _joint_measure(cfg, mode, rng, dataset) -> DiscreteMeasure:
-    """One draw of the joint process behind the two regression scenarios."""
-    base = partial(sample_mvnormal, cfg.hyper["base_mean"], cfg.hyper["base_cov"])
+def _joint_attempt(bounds, spec, data, rng):
+    return bounds(_process_draw(spec, data, rng))
+
+
+def _prepare_joint(bounds, cfg, mode, dataset):
+    """Prepared draw of a regression scenario: ``bounds`` of one joint process draw."""
+    mean, cov = cfg.hyper["base_mean"], cfg.hyper["base_cov"]
+    base = partial(sample_mvnormal, mean, cov, chol=cholesky_factor(cov))
     spec = DirichletProcessSpec(cfg.hyper["n0"], base)
-    if mode == "prior":
-        return draw_prior(spec, rng)
-    return draw_posterior(spec, dataset.values, rng)
+    return partial(_joint_attempt, bounds, spec, None if mode == "prior" else dataset.values)
 
 
 def _generate_errors_in_variables(n, rng):
@@ -263,8 +303,8 @@ def _generate_errors_in_variables(n, rng):
     return np.column_stack((y, z))
 
 
-def _draw_errors_in_variables(cfg, mode, rng, dataset):
-    return reverse_regression_bounds(_joint_measure(cfg, mode, rng, dataset))
+def _prepare_errors_in_variables(cfg, mode, dataset):
+    return _prepare_joint(reverse_regression_bounds, cfg, mode, dataset)
 
 
 def _interval_regression_hyper() -> dict:
@@ -286,8 +326,8 @@ def _generate_interval_regression(n, rng):
     return np.column_stack((y1, y2, x, z))
 
 
-def _draw_interval_regression(cfg, mode, rng, dataset):
-    return instrument_ratio_bounds(_joint_measure(cfg, mode, rng, dataset))
+def _prepare_interval_regression(cfg, mode, dataset):
+    return _prepare_joint(instrument_ratio_bounds, cfg, mode, dataset)
 
 
 class BinaryCounts(NamedTuple):
@@ -328,12 +368,16 @@ def _generate_binary(n, rng):
     return np.column_stack((y * d, d))
 
 
-def _draw_binary(cfg, mode, rng, dataset):
+def _binary_attempt(alpha, rng):
+    cells = sample_dirichlet(alpha, rng)
+    return IntervalSet(float(cells[0]), float(cells[0] + cells[2]))
+
+
+def _prepare_binary(cfg, mode, dataset):
     alpha = cfg.hyper["alpha"]
     if mode == "posterior":
         alpha = binary_posterior_params(alpha, count_binary(dataset))
-    cells = sample_dirichlet(alpha, rng)
-    return IntervalSet(float(cells[0]), float(cells[0] + cells[2]))
+    return partial(_binary_attempt, alpha)
 
 
 # --- the scenario table --------------------------------------------------------
@@ -348,39 +392,42 @@ class Scenario:
     shapes: tuple[float, float] | None  # family-IV (p, q); None: no prior wiring
     hyper: Callable[[], dict]  # builds a fresh ScenarioConfig.hyper
     generate: Callable[[int, RngStream], np.ndarray] | None  # (n, rng) -> (n, k) values
-    draw: Callable[..., IntervalSet | None]  # (cfg, mode, rng, dataset); None skips
+    # (cfg, mode, dataset) -> attempt(rng), once per batch; an attempt's None skips
+    prepare: Callable[..., Callable[[RngStream], IntervalSet | None]]
 
 
 SCENARIOS = MappingProxyType({
     "toy_analytic": Scenario(
         columns=(), grid_range=(0.0, 2.5), true_set=None, shapes=None,
-        hyper=dict, generate=None, draw=_draw_toy,
+        hyper=dict, generate=None, prepare=_prepare_toy,
     ),
     "interval_censored": Scenario(
         columns=("y1", "y2"), grid_range=(-3.0, 12.0),
         true_set=IntervalSet(0.0, 5.0), shapes=(2.0, 2.0),
         hyper=lambda: {"n0": (10.0, 20.0), "base_mean": (0.0, 10.0),
                        "base_var": (1.0, 1.0)},
-        generate=_generate_censored, draw=_draw_censored,
+        generate=_generate_censored, prepare=_prepare_censored,
     ),
     "errors_in_variables": Scenario(
         columns=("y", "z"), grid_range=(0.0, 3.0),
         true_set=IntervalSet(0.5, 2.0), shapes=(1.0, 0.5),
         hyper=lambda: {"n0": 20.0, "base_mean": np.zeros(2),
                        "base_cov": np.array([[2.0, 0.9], [0.9, 2.0]])},
-        generate=_generate_errors_in_variables, draw=_draw_errors_in_variables,
+        generate=_generate_errors_in_variables,
+        prepare=_prepare_errors_in_variables,
     ),
     "interval_regression": Scenario(
         columns=("y1", "y2", "x", "z"), grid_range=(-1.0, 20.0),
         true_set=IntervalSet(2.0, 6.0), shapes=(1.0, 0.5),
         hyper=_interval_regression_hyper,
-        generate=_generate_interval_regression, draw=_draw_interval_regression,
+        generate=_generate_interval_regression,
+        prepare=_prepare_interval_regression,
     ),
     "binary_missing": Scenario(
         columns=("yd", "d"), grid_range=(0.0, 1.0),
         true_set=IntervalSet(0.4, 0.9), shapes=(1.0, 0.5),
         hyper=lambda: {"alpha": np.array([2.0, 3.0, 1.0])},
-        generate=_generate_binary, draw=_draw_binary,
+        generate=_generate_binary, prepare=_prepare_binary,
     ),
 })
 
@@ -394,16 +441,18 @@ def _scenario(scenario_id: str) -> Scenario:
         raise ParameterError(f"unknown scenario {scenario_id!r}") from None
 
 
-def draw_set(
+def prepare_draw(
     cfg: ScenarioConfig,
     mode: str,
-    rng: RngStream,
     dataset: Dataset | None = None,
-) -> IntervalSet | None:
-    """One realization of the scenario's random identified interval.
+) -> Callable[[RngStream], IntervalSet | None]:
+    """Check a batch's mode and dataset once; return its ``attempt(rng)``.
 
-    Returns None when a scenario guard fails (the draw is skipped).  Posterior
-    mode requires a dataset from :func:`generate_data`.
+    The attempt makes one realization of the scenario's random identified
+    interval from ``rng``, or returns None when a scenario guard fails (the
+    draw is skipped).  Whatever does not depend on the stream (process specs,
+    data columns, conjugate parameters, covariance factors) is computed here,
+    once.  Posterior mode requires a dataset from :func:`generate_data`.
     """
     if mode not in ("prior", "posterior"):
         raise ParameterError(f"mode must be 'prior' or 'posterior', got {mode!r}")
@@ -418,7 +467,20 @@ def draw_set(
             raise ParameterError(
                 f"dataset was generated for {dataset.scenario_id!r}, not {sid!r}"
             )
-    return scenario.draw(cfg, mode, rng, dataset)
+    return scenario.prepare(cfg, mode, dataset)
+
+
+def draw_set(
+    cfg: ScenarioConfig,
+    mode: str,
+    rng: RngStream,
+    dataset: Dataset | None = None,
+) -> IntervalSet | None:
+    """One realization of the scenario's random identified interval.
+
+    Same as ``prepare_draw(cfg, mode, dataset)(rng)``; batches prepare once.
+    """
+    return prepare_draw(cfg, mode, dataset)(rng)
 
 
 # --- batch assembly ----------------------------------------------------------
@@ -432,9 +494,32 @@ def _init_worker(attempt, master_seed, role):
     _worker_job = (attempt, master_seed, role)
 
 
-def _pool_attempt(index):
-    attempt, master_seed, role = _worker_job
-    return attempt(attempt_stream(master_seed, role, index))
+def _run_chunk(attempt, master_seed, role, attempts: range) -> list:
+    """Outcomes of a contiguous range of attempts, in index order."""
+    return [attempt(rng) for rng in attempt_streams(master_seed, role, attempts)]
+
+
+def _pool_chunk(attempts: range) -> list:
+    return _run_chunk(*_worker_job, attempts)
+
+
+def max_workers() -> int:
+    """The number of CPUs this process may run on: the largest worker count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def check_workers(workers: int) -> int:
+    """Return ``workers`` if it lies in ``[1, max_workers()]``; raise otherwise.
+
+    Starts no process, so a bad count fails before any pool exists.
+    """
+    limit = max_workers()
+    if not 1 <= workers <= limit:
+        raise ParameterError(f"workers must lie in [1, {limit}] on this machine, "
+                             f"got {workers}")
+    return workers
 
 
 def run_attempts(attempt, n_draws: int, master_seed: int, role: int, workers: int,
@@ -443,13 +528,20 @@ def run_attempts(attempt, n_draws: int, master_seed: int, role: int, workers: in
 
     ``attempt(rng)`` returns a result, or None for a skip; attempt j always
     uses the substream keyed by (master_seed, role, j), so the outcome is the
-    same for any worker count.  A pool worker receives ``attempt`` once; its
-    tasks carry only attempt indices.  Returns ``(attempt_indices, results,
-    skipped)``.  Raises :class:`SkipBudgetError`, its message opened by
-    ``label``, when skips exhaust ``50 * n_draws + 1000`` attempts.
+    same for any worker count.  Attempts run in contiguous chunks whose
+    streams are seeded a chunk at a time (:func:`attempt_streams`).  A pool
+    worker receives ``attempt`` once; its tasks carry only attempt ranges.
+    The pool has at most :func:`max_workers` processes, whatever ``workers``
+    asks for; outputs do not depend on the worker count.  Returns
+    ``(attempt_indices, results, skipped)``.  Raises :class:`SkipBudgetError`,
+    its message opened by ``label``, when skips exhaust ``50 * n_draws + 1000``
+    attempts.
     """
     if n_draws < 1:
         raise ParameterError("n_draws must be >= 1")
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, max_workers())
     indices, results = [], []
     skipped = next_index = 0
     attempt_cap = 50 * n_draws + 1000
@@ -468,10 +560,11 @@ def run_attempts(attempt, n_draws: int, master_seed: int, role: int, workers: in
             block = range(next_index, next_index + need)
             next_index += need
             if executor is None:
-                outcomes = [attempt(attempt_stream(master_seed, role, i)) for i in block]
+                outcomes = _run_chunk(attempt, master_seed, role, block)
             else:
-                chunk = max(1, need // (4 * workers))
-                outcomes = executor.map(_pool_attempt, block, chunksize=chunk)
+                step = max(1, need // (4 * workers))
+                chunks = [block[i:i + step] for i in range(0, need, step)]
+                outcomes = chain.from_iterable(executor.map(_pool_chunk, chunks))
             for i, res in zip(block, outcomes):
                 if res is None:
                     skipped += 1
@@ -500,7 +593,7 @@ def draw_set_batch(
     if role is None:
         role = ROLE_PRIOR_SETS if mode == "prior" else ROLE_POSTERIOR_SETS
     indices, intervals, skipped = run_attempts(
-        partial(draw_set, cfg, mode, dataset=dataset),
+        prepare_draw(cfg, mode, dataset),
         n_draws, master_seed, role, workers, f"{cfg.scenario_id} {mode}",
     )
     return SetDrawBatch([iv.lo for iv in intervals], [iv.hi for iv in intervals], mode,

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
+from partialid import ParameterError
 from partialid.cli import build_parser, main, parse_config, run_scenario, RunConfig
 
 
@@ -85,6 +87,25 @@ class TestParseConfig:
         assert main(["run", "--scenario", "binary_missing", "--workers", "0"]) == 2
         capsys.readouterr()
 
+    def test_workers_above_cpu_count_rejected_without_a_pool(self, monkeypatch, capsys):
+        from partialid import scenarios
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", no_pool)
+        if hasattr(os, "sched_getaffinity"):
+            limit = len(os.sched_getaffinity(0))
+        else:
+            limit = os.cpu_count()
+        workers = str(limit + 1)
+        with pytest.raises(ParameterError, match="workers"):
+            parse_run(["--scenario", "binary_missing", "--workers", workers])
+        assert main(["run", "--scenario", "binary_missing", "--workers", workers]) == 2
+        assert "workers" in capsys.readouterr().err
+        assert parse_run(["--scenario", "binary_missing", "--workers", str(limit)]).workers \
+            == limit
+
     def test_missing_scenario(self, capsys):
         assert main(["run"]) == 2
         assert "scenario" in capsys.readouterr().err
@@ -140,6 +161,36 @@ class TestRunScenario:
             "scipy": scipy.__version__,
             "python": platform.python_version(),
         }
+
+    def test_summary_reports_batch_diagnostics(self, binary_run):
+        from pathlib import Path
+
+        cfg, report = binary_run
+        summary = json.loads((Path(report.out_dir) / "summary.json").read_text())
+        batches = summary["diagnostics"]["batches"]
+        assert set(batches) == set(summary["skips"])
+        for name, entry in batches.items():
+            skipped = summary["skips"][name]
+            assert entry["skip_rate"] == pytest.approx(skipped / (cfg.n_draws + skipped))
+            assert entry["high_skip_warning"] is (entry["skip_rate"] > 0.05)
+            assert "rejection_stats" not in entry  # family III
+        assert "base_cov_clipped" not in summary["diagnostics"]
+
+    def test_summary_reports_rejections_and_covariance_repair(self, tmp_path):
+        from pathlib import Path
+
+        run = RunConfig(scenario="interval_regression", n=100, n_draws=40, seed=2,
+                        prior_family="I", out_dir=str(tmp_path))
+        report = run_scenario(run)
+        summary = json.loads((Path(report.out_dir) / "summary.json").read_text())
+        diagnostics = summary["diagnostics"]
+        assert diagnostics["base_cov_clipped"] is True
+        for name in ("prior_gamma", "posterior_gamma"):
+            stats = diagnostics["batches"][name]["rejection_stats"]
+            # proposals per draw -> draws; every accepted draw is counted once
+            assert sum(stats.values()) == run.n_draws
+            assert all(int(k) >= 1 for k in stats)
+        assert "rejection_stats" not in diagnostics["batches"]["prior_sets"]
 
     def test_manifest_hashes_match_files(self, binary_run):
         cfg, report = binary_run

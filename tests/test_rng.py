@@ -58,3 +58,62 @@ def test_independence_of_other_streams():
     a.uniform(size=10_000)
     after = substream(11, 5).uniform(size=10)
     assert np.array_equal(before, after)
+
+
+# --- seeding a block of streams at once -------------------------------------
+
+from partialid.rng import SeedBlock, seed_words  # noqa: E402
+from partialid.scenarios import attempt_stream, attempt_streams  # noqa: E402
+
+MASTER_SEEDS = (0, 7, 2**32 - 1, 2**32, 2**64 - 1)
+ROLES = (0, 1, 2, 5)
+ATTEMPTS = (0, 1, 999, 2**31, 2**32 - 1)
+SUBKEYS = ((), (0,), (1,), (0, 3))
+
+
+@pytest.mark.parametrize("master_seed", MASTER_SEEDS)
+@pytest.mark.parametrize("subkey", SUBKEYS)
+def test_seed_words_reproduce_seed_sequence(master_seed, subkey):
+    # one call mixes one-word (role 0) and two-word stream indices
+    indices = [(role << 32) + a for role in ROLES for a in ATTEMPTS]
+    words = seed_words(master_seed, np.array(indices, dtype=np.uint64), subkey)
+    assert words.shape == (len(indices), 4) and words.dtype == np.uint64
+    for row, index in zip(words, indices):
+        expected = np.random.SeedSequence((master_seed, index, *subkey)).generate_state(
+            4, np.uint64)
+        assert np.array_equal(row, expected), (master_seed, index, subkey)
+
+
+@pytest.mark.parametrize("master_seed", (0, 2**32, 2**64 - 1))
+@pytest.mark.parametrize("role", ROLES)
+def test_block_streams_match_attempt_streams(master_seed, role):
+    attempts = range(2**32 - 4, 2**32) if role == 5 else range(995, 1001)
+    for j, rng in zip(attempts, attempt_streams(master_seed, role, attempts)):
+        ref = attempt_stream(master_seed, role, j)
+        assert (rng.master_seed, rng.stream_index, rng.subkey) == (
+            ref.master_seed, ref.stream_index, ref.subkey)
+        c0, c1, c01 = rng.split(0), rng.split(1), rng.split(0).split(1)
+        assert np.array_equal(c0.uniform(size=5), ref.split(0).uniform(size=5))
+        assert np.array_equal(c1.uniform(size=5), ref.split(1).uniform(size=5))
+        assert np.array_equal(c01.uniform(size=5), ref.split(0).split(1).uniform(size=5))
+        assert c1.subkey == (1,) and c01.subkey == (0, 1)
+        assert np.array_equal(rng.uniform(size=7), ref.uniform(size=7))
+
+
+def test_block_split_is_computed_once_and_does_not_advance_the_parent():
+    block = SeedBlock(3, range(10, 20))
+    assert block.split(0) is block.split(0)
+    a, b = block.stream(12), block.stream(12)
+    a.split(0)
+    assert a.uniform() == b.uniform()
+
+
+def test_seed_block_rejects_bad_ranges():
+    with pytest.raises(ParameterError):
+        SeedBlock(3, range(-1, 4))
+    with pytest.raises(ParameterError):
+        SeedBlock(3, range(0, 10, 2))
+    with pytest.raises(ParameterError):
+        SeedBlock(3, range(10, 20)).stream(20)
+    with pytest.raises(ParameterError):
+        attempt_streams(3, 1, range(2**32 - 1, 2**32 + 1))

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -20,14 +22,18 @@ from partialid import (
     load_dataset,
     make_config,
 )
+from partialid import scenarios
 from partialid.priors import ConditionalPriorSpec, marginal_sample
 from partialid.scenarios import (
     ROLE_DATA,
+    SCENARIO_IDS,
     attempt_stream,
     censoring_bounds,
     default_grid,
     instrument_ratio_bounds,
+    prepare_draw,
     reverse_regression_bounds,
+    run_attempts,
 )
 
 
@@ -306,6 +312,99 @@ class TestDrawSetBatch:
         batch = draw_set_batch(cfg, "posterior", 200, master_seed=13, dataset=data)
         assert abs(np.mean(batch.lo)) < 0.3
         assert abs(np.mean(batch.hi) - 5.0) < 0.6
+
+
+class TestPreparedDraws:
+    @pytest.mark.parametrize("sid", SCENARIO_IDS)
+    def test_prepared_attempt_matches_draw_set_and_pickles(self, sid):
+        has_data = bool(scenarios.SCENARIOS[sid].columns)
+        cfg = make_config(sid, n=50 if has_data else None)
+        modes = ["prior"]
+        data = None
+        if has_data:
+            modes.append("posterior")
+            data = generate_data(cfg, attempt_stream(2, ROLE_DATA, 0))
+        for mode in modes:
+            attempt = prepare_draw(cfg, mode, data)
+            shipped = pickle.loads(pickle.dumps(attempt))
+            for j in range(5):
+                want = draw_set(cfg, mode, attempt_stream(2, 7, j), data)
+                assert attempt(attempt_stream(2, 7, j)) == want
+                assert shipped(attempt_stream(2, 7, j)) == want
+
+    def test_posterior_batch_counts_binary_cells_once(self, monkeypatch):
+        cfg = make_config("binary_missing", n=100)
+        data = generate_data(cfg, attempt_stream(4, ROLE_DATA, 0))
+        calls = []
+
+        def counting(dataset):
+            calls.append(dataset)
+            return count_binary(dataset)
+
+        monkeypatch.setattr(scenarios, "count_binary", counting)
+        batch = draw_set_batch(cfg, "posterior", 300, master_seed=4, dataset=data)
+        assert len(batch) == 300
+        assert len(calls) == 1
+        marginal_sample(cfg, ConditionalPriorSpec("III"), "posterior", 300, 4, dataset=data)
+        assert len(calls) == 2
+
+    def test_prepare_raises_draw_set_errors(self):
+        with pytest.raises(ParameterError, match="mode"):
+            prepare_draw(make_config("binary_missing"), "sideways")
+        with pytest.raises(ParameterError, match="dataset"):
+            prepare_draw(make_config("binary_missing"), "posterior")
+        cfg = make_config("errors_in_variables", n=10)
+        cfg = dataclasses.replace(cfg, hyper={**cfg.hyper, "base_cov": -np.eye(2)})
+        with pytest.raises(ParameterError, match="positive definite"):
+            prepare_draw(cfg, "prior")
+
+
+def _cpu_limit():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
+class TestWorkerBound:
+    def test_run_attempts_caps_the_pool_at_the_cpu_count(self, monkeypatch):
+        # stands in for ProcessPoolExecutor: records its size, runs tasks here
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(scenarios, "_worker_job", None)  # restored afterwards
+        cfg = make_config("toy_analytic")
+        want = draw_set_batch(cfg, "prior", 40, 6)
+        got = draw_set_batch(cfg, "prior", 40, 6, workers=_cpu_limit() + 1)
+        assert np.array_equal(got.lo, want.lo) and np.array_equal(got.hi, want.hi)
+        assert sizes in ([], [_cpu_limit()])  # no pool at all on one CPU
+
+    def test_run_attempts_rejects_zero_workers(self):
+        with pytest.raises(ParameterError, match="workers"):
+            run_attempts(lambda rng: 1, 5, 0, 1, 0, "test")
+
+    def test_check_workers(self):
+        limit = _cpu_limit()
+        assert scenarios.max_workers() == limit
+        assert scenarios.check_workers(limit) == limit
+        for bad in (0, limit + 1):
+            with pytest.raises(ParameterError, match="workers"):
+                scenarios.check_workers(bad)
+
+    def test_cpu_count_used_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert scenarios.max_workers() == 3
 
 
 class TestToyOracles:

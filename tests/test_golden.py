@@ -1,11 +1,17 @@
-"""Golden CSV digests: a pure refactor must leave every run output byte-identical.
+"""Golden digests: a pure refactor must leave every run output byte-identical.
 
 Fifteen small ``run_scenario`` runs (seed 5, n=200, 100 draws) cover every
 scenario, every conditional-prior family on ``interval_censored``, families
-II-IV on ``binary_missing`` and the worker-pool path.  The SHA-256 values were
-recorded before the scenario table and the shared attempt driver were
-introduced; a change that moves them on purpose must say so in CHANGES.md.
+II-IV on ``binary_missing`` and the worker-pool path.  The CSV SHA-256 values
+were recorded before the scenario table and the shared attempt driver were
+introduced; the ``summary.json`` digests were recorded before the per-mode
+pipeline in ``run_scenario``.  A change that moves them on purpose must say
+so in CHANGES.md.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -84,18 +90,67 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize(
-    "case, digests", GOLDEN, ids=["-".join(map(str, case)) for case, _ in GOLDEN]
-)
-def test_csv_digests_unchanged(case, digests, tmp_path):
+# (scenario, prior family, workers) -> SHA-256 of the summary.json content,
+# less the fields that vary by machine, serialized by json.dumps(sort_keys=True)
+SUMMARY_GOLDEN = {
+    ('toy_analytic', None, 1):
+        '61b5f1455417b7ca9f3a45a1831011828f87feaa0b8a8ee2730fa280740f3570',
+    ('interval_censored', None, 1):
+        '81753ed42dce3c5c7e630a7ed47f85a530ea39063e7abccd7b2686408f9111a7',
+    ('errors_in_variables', None, 1):
+        'a1e02ed02d645aa117ac3be7acfe49663bbcc2703dff074076130b008b867d0a',
+    ('interval_regression', None, 1):
+        '206ee5e2bf16dc4e5b55ac799381aba688946e6e0a8c62a2ba4311d2577bc802',
+    ('binary_missing', None, 1):
+        '706ace7d1fc8df681b33a65c43b6afdb1b2fa7e43cb2e38f91bba77e5bd30908',
+    ('interval_censored', 'I', 1):
+        '51fc3d33dec42790f003a5fe0e2c9e6e40b5652adeff1c9d7bab50f00a596991',
+    ('interval_censored', 'II', 1):
+        'aeda64d02c2ac673c546dddc352eb7cf6d7730336202d2da14ad14ce7e701369',
+    ('interval_censored', 'III', 1):
+        'da23974a49c8c0db3bd14b64157a7ce3c0a957a1509db5a08284854f51e4beb2',
+    ('interval_censored', 'IV', 1):
+        '3b0e7b737226e9266725c02dbdafb53845e4493146f7edf4dfc4a38adbfce272',
+    ('binary_missing', 'II', 1):
+        '6741623722bc532aeeb4db128bfa2a423d24ab8c44b7444cb36015f3b5f038ef',
+    ('binary_missing', 'III', 1):
+        'd41e9e6edced407733a7dccd6d8100c1f8695eabadc6d11834bea4c9781ab546',
+    ('binary_missing', 'IV', 1):
+        '5d03500db1cc58170787335a78fbc6641a958aa183aacdb045cd0071f2eb3f07',
+    ('interval_censored', None, 2):
+        '5e66c658892424781881b620de9f39f4943fb46b16d1b393f14f0881fd5add44',
+    ('interval_regression', None, 2):
+        '8c7f224bb6e16d3796cdbf74698a45ee20659ad1da1d4828f314233668feb6af',
+    ('errors_in_variables', 'II', 2):
+        'cb58410a2e30e0728807da0ce7967756a7d6700785f777a0b49dfc20f6ecf539',
+}
+
+CASE_IDS = ["-".join(map(str, case)) for case, _ in GOLDEN]
+
+
+def _run(case, out_dir):
     scenario, family, workers = case
-    report = run_scenario(RunConfig(
+    return run_scenario(RunConfig(
         scenario=scenario,
         n=None if scenario == "toy_analytic" else 200,
         n_draws=100,
         seed=5,
         prior_family=family,
-        out_dir=str(tmp_path),
+        out_dir=str(out_dir),
         workers=workers,
     ))
-    assert report.files == digests
+
+
+@pytest.mark.parametrize("case, digests", GOLDEN, ids=CASE_IDS)
+def test_csv_digests_unchanged(case, digests, tmp_path):
+    assert _run(case, tmp_path).files == digests
+
+
+@pytest.mark.parametrize("case", [case for case, _ in GOLDEN], ids=CASE_IDS)
+def test_summary_digest_unchanged(case, tmp_path):
+    report = _run(case, tmp_path)
+    summary = json.loads((Path(report.out_dir) / "summary.json").read_text())
+    # wall time, output path and library versions vary by machine
+    del summary["wall_time_s"], summary["out_dir"], summary["diagnostics"]["versions"]
+    text = json.dumps(summary, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SUMMARY_GOLDEN[case]

@@ -15,7 +15,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,19 +25,9 @@ from . import __version__
 from . import scenarios as sc
 from .errors import ParameterError
 from .priors import default_prior_spec, histogram, marginal_sample, FAMILIES
-from .random_sets import (
-    HIGH_SKIP_RATE,
-    credible_region,
-    estimate_coverage,
-    point_estimate_set,
-)
+from .random_sets import credible_region, estimate_coverage, point_estimate_set
 
 _FMT = "{:.12g}"
-
-_CONFIG_KEYS = (
-    "scenario", "n", "n_draws", "seed", "grid", "prior_family",
-    "alpha", "out_dir", "workers",
-)
 
 #: Histogram resolution for marginal parameter draws.
 GAMMA_HIST_BINS = 50
@@ -56,6 +46,9 @@ class RunConfig:
     alpha: float = 0.95
     out_dir: str = "runs"
     workers: int = 1
+
+
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 @dataclass
@@ -85,16 +78,16 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", help=f"one of {', '.join(sc.SCENARIO_IDS)}")
     run.add_argument("--n", type=int, help="sample size of the generated dataset")
     run.add_argument("--n-draws", type=int, dest="n_draws", help="Monte Carlo draws")
-    run.add_argument("--seed", type=int, help="master seed (default 0)")
+    run.add_argument("--seed", type=int, help=f"master seed (default {RunConfig.seed})")
     run.add_argument(
         "--grid", type=float, nargs=3, metavar=("LO", "HI", "STEP"),
         help="override the coverage evaluation grid",
     )
     run.add_argument("--prior-family", dest="prior_family",
                      help="conditional prior family (I, II, III, IV)")
-    run.add_argument("--alpha", type=float, help="credible level (default 0.95)")
+    run.add_argument("--alpha", type=float, help=f"credible level (default {RunConfig.alpha})")
     run.add_argument("--out-dir", dest="out_dir", help="parent directory for run outputs")
-    run.add_argument("--workers", type=int, help="parallel workers (default 1)")
+    run.add_argument("--workers", type=int, help=f"parallel workers (default {RunConfig.workers})")
 
     sub.add_parser("list-scenarios", help="list scenario ids and their defaults")
 
@@ -143,62 +136,48 @@ def _coerce(key: str, val):
 
 
 def parse_config(args: argparse.Namespace) -> RunConfig:
-    """Merge a config file (if any) with command-line flags into a RunConfig."""
+    """Merge a config file (if any) with command-line flags into a RunConfig.
+
+    Options given by neither take the field defaults of :class:`RunConfig`.
+    """
     values = _read_config_file(args.config) if getattr(args, "config", None) else {}
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    values = {k: _coerce(k, v) for k, v in values.items()}
-
-    scenario = values.get("scenario")
-    if scenario is None:
+    if values.get("scenario") is None:
         raise ParameterError("missing required option: scenario")
-    if scenario not in sc.SCENARIO_IDS:
-        raise ParameterError(f"unknown scenario {scenario!r}")
+    run = RunConfig(**{"n": None, **{k: _coerce(k, v) for k, v in values.items()}})
 
-    record = sc.SCENARIOS[scenario]
-    n = values.get("n")
+    if run.scenario not in sc.SCENARIO_IDS:
+        raise ParameterError(f"unknown scenario {run.scenario!r}")
+    record = sc.SCENARIOS[run.scenario]
     if not record.columns:
-        if n is not None:
-            raise ParameterError(f"{scenario} takes no data: drop the 'n' option")
-    else:
-        n = sc.DEFAULT_SAMPLE_SIZE if n is None else int(n)
-        if n < 1:
-            raise ParameterError(f"n must be >= 1, got {n}")
+        if run.n is not None:
+            raise ParameterError(f"{run.scenario} takes no data: drop the 'n' option")
+    elif run.n is None:
+        run.n = sc.DEFAULT_SAMPLE_SIZE
+    elif run.n < 1:
+        raise ParameterError(f"n must be >= 1, got {run.n}")
 
-    n_draws = int(values.get("n_draws", 1000))
-    if n_draws < 1:
-        raise ParameterError(f"n_draws must be >= 1, got {n_draws}")
-    alpha = float(values.get("alpha", 0.95))
-    if not 0 < alpha <= 1:
-        raise ParameterError(f"alpha must lie in (0, 1], got {alpha}")
-    workers = sc.check_workers(int(values.get("workers", 1)))
-    family = values.get("prior_family")
+    if run.n_draws < 1:
+        raise ParameterError(f"n_draws must be >= 1, got {run.n_draws}")
+    if not 0 < run.alpha <= 1:
+        raise ParameterError(f"alpha must lie in (0, 1], got {run.alpha}")
+    sc.check_workers(run.workers)
+    family = run.prior_family
     if family is not None and record.shapes is None:
-        raise ParameterError(f"{scenario} has no study wiring for conditional priors")
+        raise ParameterError(f"{run.scenario} has no study wiring for conditional priors")
     if family is not None and family not in FAMILIES:
         raise ParameterError(f"prior_family must be one of {FAMILIES}, got {family!r}")
 
-    grid = None
-    if values.get("grid") is not None:
-        lo, hi, step = values["grid"]
+    if run.grid is not None:
+        lo, hi, step = run.grid
         if not (hi > lo and step > 0):
             raise ParameterError(f"bad grid spec: lo={lo}, hi={hi}, step={step}")
         points = int(round((hi - lo) / step)) + 1
-        grid = np.linspace(lo, hi, points)
-
-    return RunConfig(
-        scenario=scenario,
-        n=n,
-        n_draws=n_draws,
-        seed=int(values.get("seed", 0)),
-        grid=grid,
-        prior_family=family,
-        alpha=alpha,
-        out_dir=str(values.get("out_dir", "runs")),
-        workers=workers,
-    )
+        run.grid = np.linspace(lo, hi, points)
+    return run
 
 
 def _fmt(x) -> str:
@@ -209,41 +188,16 @@ def _round12(x):
     return float(_FMT.format(float(x)))
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_coverage_csv(path: Path, grid, columns: dict):
-    names = ",".join(["gamma"] + list(columns))
+def _write_csv(path: Path, header, rows):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(names + "\n")
-        for i, g in enumerate(grid):
-            cells = [_fmt(g)] + [_fmt(vals[i]) for vals in columns.values()]
-            fh.write(",".join(cells) + "\n")
-
-
-def _write_intervals_csv(path: Path, batches):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("draw_index,source,lo,hi\n")
-        for batch in batches:
-            for idx, lo, hi in zip(batch.attempt_indices, batch.lo, batch.hi):
-                fh.write(f"{idx},{batch.source},{_fmt(lo)},{_fmt(hi)}\n")
-
-
-def _write_gamma_hist_csv(path: Path, edges, prior_counts, posterior_counts):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("bin_lo,bin_hi,prior_count,posterior_count\n")
-        for i in range(len(prior_counts)):
-            fh.write(
-                f"{_fmt(edges[i])},{_fmt(edges[i + 1])},"
-                f"{prior_counts[i]},{posterior_counts[i]}\n"
-            )
+        for row in [header, *rows]:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _batch_diagnostics(batch) -> dict:
     """Skip accounting of one interval or marginal batch, for summary.json."""
-    skip_rate = batch.skipped / (batch.skipped + len(batch))
-    out = {"skip_rate": _round12(skip_rate), "high_skip_warning": skip_rate > HIGH_SKIP_RATE}
+    out = {"skip_rate": _round12(batch.skip_rate),
+           "high_skip_warning": batch.high_skip_warning}
     stats = getattr(batch, "rejection_stats", None)
     if stats:
         # proposals per accepted family-I draw -> number of draws
@@ -256,35 +210,36 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
 
     Outputs land in ``<out_dir>/<scenario>_seed<seed>/``: coverage.csv,
     intervals.csv, gamma_hist.csv (when a prior family is set), summary.json.
+    A scenario without data runs the prior mode only; one with data runs the
+    prior and the posterior mode, each through the same steps.
     """
     t0 = time.perf_counter()
     cfg = sc.make_config(run_cfg.scenario, n=run_cfg.n, grid=run_cfg.grid)
     seed = run_cfg.seed
 
     dataset = None
+    modes = ("prior",)
     if sc.SCENARIOS[run_cfg.scenario].columns:
         dataset = sc.generate_data(cfg, sc.attempt_stream(seed, sc.ROLE_DATA, 0))
+        modes = ("prior", "posterior")
+    spec = None
+    if run_cfg.prior_family is not None:
+        spec = default_prior_spec(run_cfg.scenario, run_cfg.prior_family)
+    value_range = (float(cfg.grid[0]), float(cfg.grid[-1]))
 
-    prior_batch = sc.draw_set_batch(
-        cfg, "prior", run_cfg.n_draws, seed, workers=run_cfg.workers
-    )
-    posterior_batch = None
-    if dataset is not None:
-        posterior_batch = sc.draw_set_batch(
-            cfg, "posterior", run_cfg.n_draws, seed,
-            dataset=dataset, workers=run_cfg.workers,
+    batches, coverage, hists = {}, {}, {}
+    for mode in modes:
+        batch = batches[f"{mode}_sets"] = sc.draw_set_batch(
+            cfg, mode, run_cfg.n_draws, seed, dataset=dataset, workers=run_cfg.workers
         )
+        coverage[f"{mode}_coverage"] = estimate_coverage(batch, cfg.grid).values
+        if spec is not None:
+            marginal = batches[f"{mode}_gamma"] = marginal_sample(
+                cfg, spec, mode, run_cfg.n_draws, seed,
+                dataset=dataset, workers=run_cfg.workers,
+            )
+            hists[mode] = histogram(marginal.gammas, GAMMA_HIST_BINS, value_range)
 
-    coverage_columns = {"prior_coverage": estimate_coverage(prior_batch, cfg.grid).values}
-    if posterior_batch is not None:
-        coverage_columns["posterior_coverage"] = estimate_coverage(
-            posterior_batch, cfg.grid
-        ).values
-    else:
-        # the toy model admits a closed form; record it next to the mc column
-        coverage_columns["analytic_coverage"] = sc.analytic_coverage_toy(cfg.grid)
-
-    point_est = cred = None
     diagnostics = {
         "versions": {
             "partialid": __version__,
@@ -292,95 +247,68 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
             "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
+        "batches": {name: _batch_diagnostics(b) for name, b in batches.items()},
     }
-    if posterior_batch is not None:
-        point_est = point_estimate_set(posterior_batch)
-        cred = credible_region(posterior_batch, run_cfg.alpha)
+    point_est = cred = None
+    posterior = batches.get("posterior_sets")
+    if posterior is None:
+        # the toy model admits a closed form; record it next to the mc column
+        coverage["analytic_coverage"] = sc.analytic_coverage_toy(cfg.grid)
+    else:
+        point_est = point_estimate_set(posterior)
+        cred = credible_region(posterior, run_cfg.alpha)
         if run_cfg.alpha >= 0.5:
             # expected to hold; a violation is reported, never raised
             diagnostics["credible_region_contains_point_estimate"] = bool(
                 cred.region.lo <= point_est.lo and point_est.hi <= cred.region.hi
             )
-
     if "base_cov" in cfg.hyper:
         diagnostics["base_cov_clipped"] = bool(cfg.hyper.get("base_cov_clipped", False))
 
-    batches = {"prior_sets": prior_batch}
-    if posterior_batch is not None:
-        batches["posterior_sets"] = posterior_batch
-
-    gamma_batches = None
-    if run_cfg.prior_family is not None:
-        spec = default_prior_spec(run_cfg.scenario, run_cfg.prior_family)
-        gamma_prior = marginal_sample(
-            cfg, spec, "prior", run_cfg.n_draws, seed, workers=run_cfg.workers
+    tables = {
+        "coverage.csv": (
+            ["gamma", *coverage],
+            ([_fmt(g), *(_fmt(vals[i]) for vals in coverage.values())]
+             for i, g in enumerate(cfg.grid)),
+        ),
+        "intervals.csv": (
+            ["draw_index", "source", "lo", "hi"],
+            ([idx, b.source, _fmt(lo), _fmt(hi)]
+             for b in (batches[f"{mode}_sets"] for mode in modes)
+             for idx, lo, hi in zip(b.attempt_indices, b.lo, b.hi)),
+        ),
+    }
+    if hists:
+        edges = hists["prior"].edges
+        tables["gamma_hist.csv"] = (
+            ["bin_lo", "bin_hi", "prior_count", "posterior_count"],
+            ([_fmt(edges[i]), _fmt(edges[i + 1]),
+              hists["prior"].counts[i], hists["posterior"].counts[i]]
+             for i in range(GAMMA_HIST_BINS)),
         )
-        gamma_post = marginal_sample(
-            cfg, spec, "posterior", run_cfg.n_draws, seed,
-            dataset=dataset, workers=run_cfg.workers,
-        )
-        gamma_batches = (gamma_prior, gamma_post)
-        batches["prior_gamma"] = gamma_prior
-        batches["posterior_gamma"] = gamma_post
-    skips = {name: batch.skipped for name, batch in batches.items()}
-    diagnostics["batches"] = {name: _batch_diagnostics(batch)
-                              for name, batch in batches.items()}
+        # draws outside the grid range are not in the CSV; keep them accountable
+        diagnostics["gamma_hist_tallies"] = {
+            mode: {"in_range": int(h.counts.sum()), "underflow": h.underflow,
+                   "overflow": h.overflow}
+            for mode, h in hists.items()
+        }
 
     # single writer phase
     out_dir = Path(run_cfg.out_dir) / f"{run_cfg.scenario}_seed{seed}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    coverage_path = out_dir / "coverage.csv"
-    _write_coverage_csv(coverage_path, cfg.grid, coverage_columns)
-    written.append(coverage_path)
-
-    intervals_path = out_dir / "intervals.csv"
-    batches = [prior_batch] + ([posterior_batch] if posterior_batch is not None else [])
-    _write_intervals_csv(intervals_path, batches)
-    written.append(intervals_path)
-
-    if gamma_batches is not None:
-        value_range = (float(cfg.grid[0]), float(cfg.grid[-1]))
-        hist_prior = histogram(gamma_batches[0].gammas, GAMMA_HIST_BINS, value_range)
-        hist_post = histogram(gamma_batches[1].gammas, GAMMA_HIST_BINS, value_range)
-        hist_path = out_dir / "gamma_hist.csv"
-        _write_gamma_hist_csv(
-            hist_path, hist_prior.edges, hist_prior.counts, hist_post.counts
-        )
-        written.append(hist_path)
-        # draws outside the grid range are not in the CSV; keep them accountable
-        diagnostics["gamma_hist_tallies"] = {
-            "prior": {
-                "in_range": int(hist_prior.counts.sum()),
-                "underflow": hist_prior.underflow,
-                "overflow": hist_prior.overflow,
-            },
-            "posterior": {
-                "in_range": int(hist_post.counts.sum()),
-                "underflow": hist_post.underflow,
-                "overflow": hist_post.overflow,
-            },
-        }
-
-    files = {p.name: _sha256(p) for p in written}
+    for name, (header, rows) in tables.items():
+        _write_csv(out_dir / name, header, rows)
+    files = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+             for name in tables}
     wall = time.perf_counter() - t0
 
-    grid_echo = {
-        "lo": _round12(cfg.grid[0]),
-        "hi": _round12(cfg.grid[-1]),
-        "points": int(cfg.grid.size),
-    }
     report = RunReport(
+        # every option but the output directory, which the report has already
         config={
-            "scenario": run_cfg.scenario,
+            **{key: getattr(run_cfg, key) for key in _CONFIG_KEYS if key != "out_dir"},
             "n": cfg.n,
-            "n_draws": run_cfg.n_draws,
-            "seed": seed,
-            "grid": grid_echo,
-            "prior_family": run_cfg.prior_family,
-            "alpha": run_cfg.alpha,
-            "workers": run_cfg.workers,
+            "grid": {"lo": _round12(cfg.grid[0]), "hi": _round12(cfg.grid[-1]),
+                     "points": int(cfg.grid.size)},
         },
         true_set=(None if cfg.true_set is None
                   else [_round12(cfg.true_set.lo), _round12(cfg.true_set.hi)]),
@@ -392,7 +320,7 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
             "containment": _round12(cred.containment),
             "alpha": _round12(cred.alpha),
         }),
-        skips=skips,
+        skips={name: b.skipped for name, b in batches.items()},
         diagnostics=diagnostics,
         wall_time_s=wall,
         files=files,

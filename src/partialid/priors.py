@@ -25,7 +25,7 @@ import numpy as np
 
 from .distributions import sample_beta, sample_normal, sample_truncated_normal
 from .errors import ParameterError, RejectionBudgetError
-from .random_sets import IntervalSet
+from .random_sets import IntervalSet, SetDrawBatch
 from .scenarios import (
     SCENARIOS,
     Dataset,
@@ -108,42 +108,26 @@ def sample_gamma_given_theta(
     return float(gamma)
 
 
-class MarginalSampleBatch:
-    """Paired (gamma, interval) draws from the marginal prior or posterior."""
+class MarginalSampleBatch(SetDrawBatch):
+    """Paired (gamma, interval) draws from the marginal prior or posterior.
 
-    __slots__ = ("gammas", "lo", "hi", "source", "scenario_id", "skipped",
-                 "rejection_stats", "attempt_indices")
+    A :class:`SetDrawBatch` whose draws each carry a gamma inside the interval,
+    plus the family-I ``rejection_stats`` (proposals per draw -> draws).
+    """
+
+    __slots__ = ("gammas", "rejection_stats")
 
     def __init__(self, gammas, lo, hi, source, scenario_id, skipped=0,
                  rejection_stats=None, attempt_indices=None):
+        super().__init__(lo, hi, source, scenario_id, skipped, attempt_indices)
         gammas = np.array(gammas, dtype=float)
-        lo = np.array(lo, dtype=float)
-        hi = np.array(hi, dtype=float)
-        if not (gammas.shape == lo.shape == hi.shape) or gammas.ndim != 1:
+        if gammas.shape != self.lo.shape:
             raise ParameterError("gammas, lo, hi must be aligned 1-d arrays")
-        if np.any(gammas < lo) or np.any(gammas > hi):
+        if np.any(gammas < self.lo) or np.any(gammas > self.hi):
             raise ParameterError("every gamma must lie in its paired interval")
+        gammas.setflags(write=False)
         self.gammas = gammas
-        self.lo = lo
-        self.hi = hi
-        self.source = source
-        self.scenario_id = scenario_id
-        self.skipped = int(skipped)
         self.rejection_stats = dict(rejection_stats or {})
-        self.attempt_indices = (
-            None if attempt_indices is None else np.array(attempt_indices, dtype=int)
-        )
-        for arr in (self.gammas, self.lo, self.hi):
-            arr.setflags(write=False)
-
-    def __len__(self):
-        return self.gammas.shape[0]
-
-    def __repr__(self):
-        return (
-            f"MarginalSampleBatch({self.scenario_id!r}, {self.source}, "
-            f"n={len(self)}, skipped={self.skipped})"
-        )
 
 
 def _marginal_attempt(draw, spec, rng):

@@ -51,7 +51,10 @@ class SetDrawBatch:
     ``skipped`` counts draws the scenario rejected (guard violations such as
     inverted bounds); they are surfaced here rather than silently reordered.
     ``attempt_indices`` optionally records which attempt produced each stored
-    draw, which lets run outputs reconcile rows against skips.
+    draw, which lets run outputs reconcile rows against skips.  A batch whose
+    ``skip_rate`` exceeds :data:`HIGH_SKIP_RATE` sets ``high_skip_warning`` and
+    warns once, at construction.  Marginal (gamma, interval) batches are a
+    subclass, so both kinds follow the same rules.
     """
 
     __slots__ = ("lo", "hi", "source", "scenario_id", "skipped", "attempt_indices",
@@ -99,7 +102,7 @@ class SetDrawBatch:
 
     def __repr__(self):
         return (
-            f"SetDrawBatch({self.scenario_id!r}, {self.source}, n={len(self)}, "
+            f"{type(self).__name__}({self.scenario_id!r}, {self.source}, n={len(self)}, "
             f"skipped={self.skipped})"
         )
 
@@ -111,12 +114,6 @@ class CoverageCurve:
     grid: np.ndarray
     values: np.ndarray
     mc_draws: int
-
-    def value_at(self, gamma: float) -> float:
-        idx = int(np.argmin(np.abs(self.grid - gamma)))
-        if not np.isclose(self.grid[idx], gamma):
-            raise ParameterError(f"{gamma} is not a grid point")
-        return float(self.values[idx])
 
 
 def _require_nonempty(batch: SetDrawBatch):

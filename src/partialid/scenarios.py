@@ -28,7 +28,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -494,13 +493,28 @@ def _init_worker(attempt, master_seed, role):
     _worker_job = (attempt, master_seed, role)
 
 
-def _run_chunk(attempt, master_seed, role, attempts: range) -> list:
-    """Outcomes of a contiguous range of attempts, in index order."""
-    return [attempt(rng) for rng in attempt_streams(master_seed, role, attempts)]
+def _run_chunk(attempt, master_seed, role, attempts: range):
+    """Outcomes of a contiguous range of attempts, in index order, run as consumed."""
+    return (attempt(rng) for rng in attempt_streams(master_seed, role, attempts))
 
 
-def _pool_chunk(attempts: range) -> list:
-    return _run_chunk(*_worker_job, attempts)
+def _pool_chunk(attempts: range):
+    """Outcomes up to the first error, and that error (or None): the caller
+    raises it only if it consumes the failing attempt, as a serial run would."""
+    outcomes = []
+    try:
+        for outcome in _run_chunk(*_worker_job, attempts):
+            outcomes.append(outcome)
+    except Exception as exc:
+        return outcomes, exc
+    return outcomes, None
+
+
+def _pool_outcomes(executor, chunks):
+    for outcomes, error in executor.map(_pool_chunk, chunks):
+        yield from outcomes
+        if error is not None:
+            raise error
 
 
 def max_workers() -> int:
@@ -529,13 +543,17 @@ def run_attempts(attempt, n_draws: int, master_seed: int, role: int, workers: in
     ``attempt(rng)`` returns a result, or None for a skip; attempt j always
     uses the substream keyed by (master_seed, role, j), so the outcome is the
     same for any worker count.  Attempts run in contiguous chunks whose
-    streams are seeded a chunk at a time (:func:`attempt_streams`).  A pool
-    worker receives ``attempt`` once; its tasks carry only attempt ranges.
-    The pool has at most :func:`max_workers` processes, whatever ``workers``
-    asks for; outputs do not depend on the worker count.  Returns
-    ``(attempt_indices, results, skipped)``.  Raises :class:`SkipBudgetError`,
-    its message opened by ``label``, when skips exhaust ``50 * n_draws + 1000``
-    attempts.
+    streams are seeded a chunk at a time (:func:`attempt_streams`).  The
+    first block holds ``n_draws`` attempts; each top-up block is sized by the
+    acceptance rate so far, so a batch that mostly skips builds few blocks.
+    Attempts past the ``n_draws``-th acceptance are never consumed: a serial
+    run does not make them, and a pool run drops them and any error they
+    raised.  A pool worker receives ``attempt`` once; its tasks carry only
+    attempt ranges.  The pool has at most :func:`max_workers` processes,
+    whatever ``workers`` asks for; outputs do not depend on the worker count.
+    Returns ``(attempt_indices, results, skipped)``.  Raises
+    :class:`SkipBudgetError`, its message opened by ``label``, when skips
+    exhaust ``50 * n_draws + 1000`` attempts.
     """
     if n_draws < 1:
         raise ParameterError("n_draws must be >= 1")
@@ -551,26 +569,29 @@ def run_attempts(attempt, n_draws: int, master_seed: int, role: int, workers: in
                                        initargs=(attempt, master_seed, role))
     try:
         while len(results) < n_draws:
-            # a block of `need` attempts accepts at most `need`, never overshooting
             need = n_draws - len(results)
             if next_index + need > attempt_cap:
                 raise SkipBudgetError(
                     f"{label}: skip rate too high; {skipped} skips in {next_index} attempts",
                     skipped=skipped, attempts=next_index)
-            block = range(next_index, next_index + need)
-            next_index += need
+            # expect `need` acceptances at the rate seen so far
+            size = max(need, need * next_index // max(len(results), 1))
+            block = range(next_index, min(next_index + size, attempt_cap))
+            next_index = block.stop
             if executor is None:
                 outcomes = _run_chunk(attempt, master_seed, role, block)
             else:
-                step = max(1, need // (4 * workers))
-                chunks = [block[i:i + step] for i in range(0, need, step)]
-                outcomes = chain.from_iterable(executor.map(_pool_chunk, chunks))
+                step = max(1, len(block) // (4 * workers))
+                chunks = [block[i:i + step] for i in range(0, len(block), step)]
+                outcomes = _pool_outcomes(executor, chunks)
             for i, res in zip(block, outcomes):
                 if res is None:
                     skipped += 1
-                else:
-                    indices.append(i)
-                    results.append(res)
+                    continue
+                indices.append(i)
+                results.append(res)
+                if len(results) == n_draws:
+                    break
     finally:
         if executor is not None:
             executor.shutdown()

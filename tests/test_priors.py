@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -7,6 +9,7 @@ from partialid import (
     IntervalSet,
     ParameterError,
     RejectionBudgetError,
+    SetDrawBatch,
     default_prior_spec,
     generate_data,
     histogram,
@@ -170,6 +173,16 @@ class TestMarginalSample:
         spec = default_prior_spec("binary_missing", "III")
         with pytest.raises(ParameterError):
             marginal_sample(cfg, spec, "posterior", 10, 35)
+
+    def test_marginal_batch_follows_skip_rules(self):
+        # an identity base covariance fails the positive-covariance guard often
+        cfg = make_config("errors_in_variables", n=10)
+        cfg = dataclasses.replace(cfg, hyper={**cfg.hyper, "base_cov": np.eye(2)})
+        with pytest.warns(UserWarning, match="prior batch skipped"):
+            batch = marginal_sample(cfg, ConditionalPriorSpec("III"), "prior", 50, 3)
+        assert isinstance(batch, SetDrawBatch)
+        assert batch.high_skip_warning is True
+        assert batch.skip_rate == batch.skipped / (batch.skipped + len(batch)) > 0.05
 
     def test_mismatched_pairs_rejected(self):
         from partialid import MarginalSampleBatch

@@ -306,6 +306,63 @@ class TestDrawSetBatch:
         with pytest.raises(SkipBudgetError):
             marginal_sample(cfg, ConditionalPriorSpec("III"), "prior", 1, 3)
 
+    def test_all_skip_batch_builds_few_seed_blocks(self, monkeypatch):
+        # top-up blocks grow with the skip rate instead of one block per attempt
+        built = []
+
+        class CountingSeedBlock(scenarios.SeedBlock):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "SeedBlock", CountingSeedBlock)
+        cfg = make_config("errors_in_variables", n=10)
+        cov = np.array([[2.0, -1.998], [-1.998, 2.0]])
+        cfg = dataclasses.replace(cfg, hyper={**cfg.hyper, "base_cov": cov})
+        with pytest.raises(SkipBudgetError, match="1050 skips in 1050 attempts"):
+            draw_set_batch(cfg, "prior", 1, 3)
+        assert 1 <= len(built) <= 16
+
+    def test_top_up_blocks_match_one_attempt_at_a_time(self):
+        def attempt(rng):
+            u = rng.uniform()
+            return None if u < 0.8 else u
+
+        indices, results, skipped = run_attempts(attempt, 40, 21, 1, 1, "synthetic")
+        expected, j = [], 0
+        while len(expected) < 40:
+            u = attempt_stream(21, 1, j).uniform()
+            if u >= 0.8:
+                expected.append((j, u))
+            j += 1
+        assert indices == [i for i, _ in expected]
+        assert results == [u for _, u in expected]
+        assert skipped == j - 40
+
+    def test_attempts_past_the_last_acceptance_are_not_consumed(self, monkeypatch,
+                                                                 pool_sizes):
+        def skip_most(rng):
+            u = rng.uniform()
+            return None if u < 0.8 else u
+
+        indices, _, _ = run_attempts(skip_most, 10, 21, 1, 1, "synthetic")
+        poison = attempt_stream(21, 1, indices[-1] + 1).uniform()
+        ran = []
+
+        def fail_late(rng):
+            u = rng.uniform()
+            if u == poison:
+                ran.append(u)
+                raise RuntimeError("attempt past the last acceptance")
+            return None if u < 0.8 else u
+
+        # serial runs never make the attempt; the pool makes it and drops its error
+        monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
+        assert run_attempts(fail_late, 10, 21, 1, 1, "synthetic")[0] == indices
+        assert ran == []
+        assert run_attempts(fail_late, 10, 21, 1, 2, "synthetic")[0] == indices
+        assert pool_sizes == [2] and ran == [poison]
+
     def test_posterior_batch_concentrates(self):
         cfg = make_config("interval_censored", n=400)
         data = generate_data(cfg, attempt_stream(13, ROLE_DATA, 0))
@@ -365,24 +422,30 @@ def _cpu_limit():
     return os.cpu_count()
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stand in for ProcessPoolExecutor, running tasks here; yields the sizes asked for."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(scenarios, "_worker_job", None)  # restored afterwards
+    return sizes
+
+
 class TestWorkerBound:
-    def test_run_attempts_caps_the_pool_at_the_cpu_count(self, monkeypatch):
-        # stands in for ProcessPoolExecutor: records its size, runs tasks here
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def map(self, fn, tasks):
-                return [fn(t) for t in tasks]
-
-            def shutdown(self):
-                pass
-
-        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(scenarios, "_worker_job", None)  # restored afterwards
+    def test_run_attempts_caps_the_pool_at_the_cpu_count(self, pool_sizes):
+        sizes = pool_sizes
         cfg = make_config("toy_analytic")
         want = draw_set_batch(cfg, "prior", 40, 6)
         got = draw_set_batch(cfg, "prior", 40, 6, workers=_cpu_limit() + 1)

@@ -188,10 +188,11 @@ def _round12(x):
     return float(_FMT.format(float(x)))
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, header: str, rows):
     with open(path, "w", encoding="utf-8") as fh:
-        for row in [header, *rows]:
-            fh.write(",".join(map(str, row)) + "\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(row + "\n")
 
 
 def _batch_diagnostics(batch) -> dict:
@@ -225,7 +226,6 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
     spec = None
     if run_cfg.prior_family is not None:
         spec = default_prior_spec(run_cfg.scenario, run_cfg.prior_family)
-    value_range = (float(cfg.grid[0]), float(cfg.grid[-1]))
 
     batches, coverage, hists = {}, {}, {}
     for mode in modes:
@@ -238,7 +238,7 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
                 cfg, spec, mode, run_cfg.n_draws, seed,
                 dataset=dataset, workers=run_cfg.workers,
             )
-            hists[mode] = histogram(marginal.gammas, GAMMA_HIST_BINS, value_range)
+            hists[mode] = histogram(marginal.gammas, GAMMA_HIST_BINS, cfg.grid[[0, -1]])
 
     diagnostics = {
         "versions": {
@@ -267,13 +267,13 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
 
     tables = {
         "coverage.csv": (
-            ["gamma", *coverage],
-            ([_fmt(g), *(_fmt(vals[i]) for vals in coverage.values())]
+            ",".join(["gamma", *coverage]),
+            (",".join([_fmt(g), *(_fmt(vals[i]) for vals in coverage.values())])
              for i, g in enumerate(cfg.grid)),
         ),
         "intervals.csv": (
-            ["draw_index", "source", "lo", "hi"],
-            ([idx, b.source, _fmt(lo), _fmt(hi)]
+            "draw_index,source,lo,hi",
+            (f"{idx},{b.source},{_fmt(lo)},{_fmt(hi)}"
              for b in (batches[f"{mode}_sets"] for mode in modes)
              for idx, lo, hi in zip(b.attempt_indices, b.lo, b.hi)),
         ),
@@ -281,9 +281,9 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
     if hists:
         edges = hists["prior"].edges
         tables["gamma_hist.csv"] = (
-            ["bin_lo", "bin_hi", "prior_count", "posterior_count"],
-            ([_fmt(edges[i]), _fmt(edges[i + 1]),
-              hists["prior"].counts[i], hists["posterior"].counts[i]]
+            "bin_lo,bin_hi,prior_count,posterior_count",
+            (f"{_fmt(edges[i])},{_fmt(edges[i + 1])},"
+             f"{hists['prior'].counts[i]},{hists['posterior'].counts[i]}"
              for i in range(GAMMA_HIST_BINS)),
         )
         # draws outside the grid range are not in the CSV; keep them accountable
@@ -300,7 +300,6 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
         _write_csv(out_dir / name, header, rows)
     files = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
              for name in tables}
-    wall = time.perf_counter() - t0
 
     report = RunReport(
         # every option but the output directory, which the report has already
@@ -322,12 +321,11 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
         }),
         skips={name: b.skipped for name, b in batches.items()},
         diagnostics=diagnostics,
-        wall_time_s=wall,
+        wall_time_s=time.perf_counter() - t0,
         files=files,
         out_dir=str(out_dir),
     )
-    summary_path = out_dir / "summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(report.__dict__, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return report

@@ -590,7 +590,8 @@ def run_attempts(attempt, n_draws: int, master_seed: int, role: int, workers: in
                     continue
                 indices.append(i)
                 results.append(res)
-                if len(results) == n_draws:
+                need -= 1
+                if not need:
                     break
     finally:
         if executor is not None:

@@ -277,6 +277,12 @@ class TestDrawSet:
             draw_set(make_config("binary_missing"), "sideways", attempt_stream(4, 7, 0))
 
 
+def _skip_most(rng):
+    """A synthetic attempt that skips four times in five."""
+    u = rng.uniform()
+    return None if u < 0.8 else u
+
+
 class TestDrawSetBatch:
     def test_skip_accounting_identity(self):
         cfg = make_config("errors_in_variables", n=200)
@@ -324,11 +330,7 @@ class TestDrawSetBatch:
         assert 1 <= len(built) <= 16
 
     def test_top_up_blocks_match_one_attempt_at_a_time(self):
-        def attempt(rng):
-            u = rng.uniform()
-            return None if u < 0.8 else u
-
-        indices, results, skipped = run_attempts(attempt, 40, 21, 1, 1, "synthetic")
+        indices, results, skipped = run_attempts(_skip_most, 40, 21, 1, 1, "synthetic")
         expected, j = [], 0
         while len(expected) < 40:
             u = attempt_stream(21, 1, j).uniform()
@@ -341,11 +343,7 @@ class TestDrawSetBatch:
 
     def test_attempts_past_the_last_acceptance_are_not_consumed(self, monkeypatch,
                                                                  pool_sizes):
-        def skip_most(rng):
-            u = rng.uniform()
-            return None if u < 0.8 else u
-
-        indices, _, _ = run_attempts(skip_most, 10, 21, 1, 1, "synthetic")
+        indices, _, _ = run_attempts(_skip_most, 10, 21, 1, 1, "synthetic")
         poison = attempt_stream(21, 1, indices[-1] + 1).uniform()
         ran = []
 
@@ -424,7 +422,7 @@ def _cpu_limit():
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Stand in for ProcessPoolExecutor, running tasks here; yields the sizes asked for."""
+    """Stand in for ProcessPoolExecutor, running tasks here; return the sizes asked for."""
     sizes = []
 
     class InProcessPool:

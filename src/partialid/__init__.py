@@ -32,8 +32,7 @@ from .distributions import (
     sample_normal,
     sample_truncated_normal,
 )
-from .errors import (DegenerateEstimateError, ParameterError, RejectionBudgetError,
-                     SkipBudgetError)
+from .errors import DegenerateEstimateError, ParameterError, SkipBudgetError
 from .priors import (
     ConditionalPriorSpec,
     Histogram,
@@ -89,7 +88,6 @@ __all__ = [
     "MarginalSampleBatch",
     "ParameterError",
     "PsdRepair",
-    "RejectionBudgetError",
     "RngStream",
     "SCENARIO_IDS",
     "ScenarioConfig",

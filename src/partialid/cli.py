@@ -23,8 +23,8 @@ import scipy
 
 from . import __version__
 from . import scenarios as sc
-from .errors import ParameterError
-from .priors import default_prior_spec, histogram, marginal_sample, FAMILIES
+from .errors import ParameterError, SkipBudgetError
+from .priors import default_prior_spec, draw_gammas, histogram, FAMILIES
 from .random_sets import credible_region, estimate_coverage, point_estimate_set
 
 _FMT = "{:.12g}"
@@ -123,15 +123,18 @@ def _read_config_file(path: str) -> dict:
 def _coerce(key: str, val):
     if val is None or not isinstance(val, str):
         return val
-    if key in ("n", "n_draws", "seed", "workers"):
-        return int(val)
-    if key == "alpha":
-        return float(val)
-    if key == "grid":
-        parts = val.replace(",", " ").split()
-        if len(parts) != 3:
-            raise ParameterError(f"grid needs three numbers 'lo hi step', got {val!r}")
-        return [float(p) for p in parts]
+    try:
+        if key in ("n", "n_draws", "seed", "workers"):
+            return int(val)
+        if key == "alpha":
+            return float(val)
+        if key == "grid":
+            parts = val.replace(",", " ").split()
+            if len(parts) != 3:
+                raise ParameterError(f"grid needs three numbers 'lo hi step', got {val!r}")
+            return [float(p) for p in parts]
+    except ValueError:
+        raise ParameterError(f"{key} must be a number, got {val!r}") from None
     return val
 
 
@@ -195,17 +198,6 @@ def _write_csv(path: Path, header: str, rows):
             fh.write(row + "\n")
 
 
-def _batch_diagnostics(batch) -> dict:
-    """Skip accounting of one interval or marginal batch, for summary.json."""
-    out = {"skip_rate": _round12(batch.skip_rate),
-           "high_skip_warning": batch.high_skip_warning}
-    stats = getattr(batch, "rejection_stats", None)
-    if stats:
-        # proposals per accepted family-I draw -> number of draws
-        out["rejection_stats"] = {str(k): stats[k] for k in sorted(stats)}
-    return out
-
-
 def run_scenario(run_cfg: RunConfig) -> RunReport:
     """Execute one configured run and serialize its outputs.
 
@@ -234,10 +226,7 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
         )
         coverage[f"{mode}_coverage"] = estimate_coverage(batch, cfg.grid).values
         if spec is not None:
-            marginal = batches[f"{mode}_gamma"] = marginal_sample(
-                cfg, spec, mode, run_cfg.n_draws, seed,
-                dataset=dataset, workers=run_cfg.workers,
-            )
+            marginal = batches[f"{mode}_gamma"] = draw_gammas(spec, batch)
             hists[mode] = histogram(marginal.gammas, GAMMA_HIST_BINS, cfg.grid[[0, -1]])
 
     diagnostics = {
@@ -247,7 +236,9 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
             "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
-        "batches": {name: _batch_diagnostics(b) for name, b in batches.items()},
+        "batches": {name: {"skip_rate": _round12(b.skip_rate),
+                           "high_skip_warning": b.high_skip_warning}
+                    for name, b in batches.items()},
     }
     point_est = cred = None
     posterior = batches.get("posterior_sets")
@@ -386,7 +377,7 @@ def main(argv=None) -> int:
         if args.command == "list-scenarios":
             return _cmd_list_scenarios()
         return _cmd_oracle(args)
-    except ParameterError as exc:
+    except (ParameterError, SkipBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

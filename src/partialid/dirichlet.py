@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import gamma_quantile, sample_beta, sample_dirichlet
+from .distributions import DirichletParams, gamma_quantile, sample_beta, sample_dirichlet
 from .errors import ParameterError
 from .rng import RngStream
 
@@ -175,6 +175,12 @@ def draw_prior(spec: DirichletProcessSpec, rng: RngStream) -> DiscreteMeasure:
     return DiscreteMeasure(atoms, weights)
 
 
+@lru_cache(maxsize=8)
+def _data_weight_params(n: int) -> DirichletParams:
+    """Dirichlet(1, ..., 1) parameters of n data weights, checked once per size."""
+    return DirichletParams(np.ones(n))
+
+
 def draw_posterior(
     spec: DirichletProcessSpec, data, rng: RngStream
 ) -> DiscreteMeasure:
@@ -198,7 +204,7 @@ def draw_posterior(
             "have different dimensions"
         )
     rho = sample_beta(float(n), spec.concentration, rng)
-    data_w = sample_dirichlet(np.ones(n), rng)
+    data_w = sample_dirichlet(_data_weight_params(n), rng)
     weights = np.concatenate(((1.0 - rho) * prior_w / prior_w.sum(), rho * data_w))
     atoms = np.concatenate((prior_atoms, data), axis=0)
     return DiscreteMeasure(atoms, weights)

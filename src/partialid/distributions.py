@@ -41,24 +41,43 @@ def sample_beta(a: float, b: float, rng: RngStream, size=None):
     return _as_float(special.betaincinv(a, b, u), size)
 
 
+class DirichletParams:
+    """A Dirichlet parameter vector, copied, frozen and checked once for many draws.
+
+    ``shaped`` indexes the parameters not equal to 1, whose gamma variates
+    need the incomplete-gamma inverse.
+    """
+
+    __slots__ = ("alpha", "shaped")
+
+    def __init__(self, alpha):
+        alpha = np.array(alpha, dtype=float)
+        if alpha.ndim != 1 or alpha.size == 0:
+            raise ParameterError("alpha must be a nonempty 1-d vector")
+        if np.any(alpha <= 0):
+            raise ParameterError("all Dirichlet parameters must be positive")
+        alpha.setflags(write=False)
+        self.alpha = alpha
+        self.shaped = np.flatnonzero(alpha != 1.0)
+
+
 def sample_dirichlet(alpha, rng: RngStream) -> np.ndarray:
     """One draw from a Dirichlet distribution on the simplex.
 
     Uses the normalized-gamma construction.  A component with parameter 1 is
     an Exp(1) variate, ``-log1p(-u)``; the others invert the regularized
-    incomplete gamma function.
+    incomplete gamma function.  ``alpha`` is a parameter vector, checked on
+    every call, or a :class:`DirichletParams` checked when it was built.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim != 1 or alpha.size == 0:
-        raise ParameterError("alpha must be a nonempty 1-d vector")
-    if np.any(alpha <= 0):
-        raise ParameterError("all Dirichlet parameters must be positive")
+    if not isinstance(alpha, DirichletParams):
+        alpha = DirichletParams(alpha)
+    shaped, alpha = alpha.shaped, alpha.alpha
     if alpha.size == 1:
         return np.ones(1)
     u = rng.uniform(size=alpha.size)
     g = -np.log1p(-u)
-    shaped = alpha != 1.0
-    g[shaped] = special.gammaincinv(alpha[shaped], u[shaped])
+    if shaped.size:
+        g[shaped] = special.gammaincinv(alpha[shaped], u[shaped])
     total = g.sum()
     if total <= 0:
         # all K uniforms underflowed at once; not reachable in practice
@@ -119,10 +138,15 @@ def sample_truncated_normal(mu, sigma2, lo, hi, rng: RngStream, size=None):
     solved in log space, and x is taken from the first where it is <= 0 and
     from the second otherwise, so ``ndtri_exp`` always inverts a lower-tail
     probability that ``log_ndtr`` holds to full relative precision, even with
-    both bounds 60 standard deviations out.
+    both bounds 60 standard deviations out.  ``mu``, ``lo`` and ``hi`` may be
+    arrays of ``size`` elements, one truncated normal each, drawn elementwise.
     """
-    if not lo < hi:
-        raise ParameterError(f"need lo < hi, got [{lo}, {hi}]")
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if not (lo < hi).all():
+        lo, hi = np.broadcast_arrays(lo, hi)
+        k = np.flatnonzero(~(lo < hi))[0]
+        raise ParameterError(f"need lo < hi, got [{lo.flat[k]}, {hi.flat[k]}]")
     if not sigma2 > 0:
         raise ParameterError(f"variance must be positive, got {sigma2}")
     sigma = math.sqrt(sigma2)
@@ -130,15 +154,12 @@ def sample_truncated_normal(mu, sigma2, lo, hi, rng: RngStream, size=None):
     b = (hi - mu) / sigma
     log_below_a = special.log_ndtr(a)
     log_above_b = special.log_ndtr(-b)
-    # log M, taken from the tail the interval lies in to avoid cancellation
-    if b <= 0:
-        log_below_b = special.log_ndtr(b)
-        log_mass = log_below_b + np.log1p(-math.exp(log_below_a - log_below_b))
-    elif a >= 0:
-        log_above_a = special.log_ndtr(-a)
-        log_mass = log_above_a + np.log1p(-math.exp(log_above_b - log_above_a))
-    else:
-        log_mass = np.log1p(-math.exp(log_below_a) - math.exp(log_above_b))
+    # log M as log Phi(b') + log(1 - Phi(a') / Phi(b')) over [a', b'], the
+    # reflection of [a, b] with a' + b' <= 0 (same mass), which leans to the
+    # lower tail, where log_ndtr keeps full relative precision
+    log_near = special.log_ndtr(np.minimum(b, -a))
+    log_far = np.minimum(log_below_a, log_above_b)  # log Phi(a'), Phi monotone
+    log_mass = log_near + np.log(-np.expm1(log_far - log_near))
     u = rng.uniform(size)
     below = special.ndtri_exp(np.logaddexp(log_below_a, np.log(u) + log_mass))
     above = -special.ndtri_exp(np.logaddexp(log_above_b, np.log1p(-u) + log_mass))

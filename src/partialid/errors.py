@@ -9,20 +9,6 @@ class DegenerateEstimateError(RuntimeError):
     """A set point estimate collapsed to an inverted interval."""
 
 
-class RejectionBudgetError(RuntimeError):
-    """Rejection sampling exhausted its attempt budget.
-
-    Carries the interval and proposal center so the caller can see how far
-    into the tail the target interval sits.
-    """
-
-    def __init__(self, message, interval=None, center=None, attempts=None):
-        super().__init__(message)
-        self.interval = interval
-        self.center = center
-        self.attempts = attempts
-
-
 class SkipBudgetError(RuntimeError):
     """A batch exhausted its attempt cap; carries the skip and attempt counts."""
 

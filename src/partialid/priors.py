@@ -1,11 +1,10 @@
 """Conditional priors for the partially identified parameter, and marginal sampling.
 
 Four families of conditional priors on the interval [lo, hi] delivered by one
-draw of the identified set:
+draw of the identified set, each drawn by inverse CDF from one uniform:
 
-* ``I``   — normal centered at the interval midpoint, accepted by rejection
-            into the interval (bounded by an attempt budget);
-* ``II``  — normal centered at zero, truncated to the interval by inverse CDF;
+* ``I``   — normal centered at the interval midpoint, truncated to the interval;
+* ``II``  — normal centered at zero, truncated to the interval;
 * ``III`` — uniform on the interval (flat);
 * ``IV``  — shifted-and-scaled Beta(p, q) supported on the interval.
 
@@ -13,28 +12,20 @@ The two-stage marginal sampler draws the identified interval first (prior or
 posterior) and then the parameter from its conditional prior given that draw;
 because the parameter is conditionally independent of the data given the
 identified quantities, this yields draws from its marginal prior/posterior.
+The second stage is one vectorised step on a batch of interval draws.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
-from .distributions import sample_beta, sample_normal, sample_truncated_normal
-from .errors import ParameterError, RejectionBudgetError
+from .distributions import sample_beta, sample_truncated_normal
+from .errors import ParameterError
 from .random_sets import IntervalSet, SetDrawBatch
-from .scenarios import (
-    SCENARIOS,
-    Dataset,
-    ROLE_POSTERIOR_GAMMA,
-    ROLE_PRIOR_GAMMA,
-    ScenarioConfig,
-    prepare_draw,
-    run_attempts,
-)
+from .scenarios import SCENARIOS, Dataset, ScenarioConfig, draw_set_batch
 
 FAMILIES = ("I", "II", "III", "IV")
 
@@ -51,7 +42,6 @@ class ConditionalPriorSpec:
     sigma0_sq: float = 2.0
     p: float = 1.0
     q: float = 0.5
-    max_rejections: int = 100_000
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -60,8 +50,6 @@ class ConditionalPriorSpec:
             raise ParameterError("prior variances must be positive")
         if not (self.p > 0 and self.q > 0):
             raise ParameterError("Beta shapes must be positive")
-        if self.max_rejections < 1:
-            raise ParameterError("max_rejections must be >= 1")
 
 
 def default_prior_spec(scenario_id: str, family: str) -> ConditionalPriorSpec:
@@ -75,50 +63,43 @@ def default_prior_spec(scenario_id: str, family: str) -> ConditionalPriorSpec:
     return ConditionalPriorSpec(family=family, tau0_sq=1.0, sigma0_sq=2.0, p=p, q=q)
 
 
-def _sample_gamma(spec: ConditionalPriorSpec, interval: IntervalSet, rng):
-    """Return (gamma, attempts); attempts > 1 only for the rejection family."""
-    lo, hi = interval.lo, interval.hi
-    width = hi - lo
-    if width < DEGENERATE_WIDTH:
-        return interval.midpoint, 1
+def _gamma_step(spec: ConditionalPriorSpec, lo, hi, rng, size=None):
+    """Draws on [lo, hi] (scalars, or arrays of ``size``), one uniform of ``rng`` each.
+
+    An interval narrower than :data:`DEGENERATE_WIDTH` gives its midpoint.
+    """
+    mid = 0.5 * (lo + hi)
+    degenerate = hi - lo < DEGENERATE_WIDTH
+    hi = np.where(degenerate, lo + 1.0, hi)  # a stand-in whose draw is discarded
     if spec.family == "I":
-        center = interval.midpoint
-        for attempt in range(1, spec.max_rejections + 1):
-            x = sample_normal(center, spec.tau0_sq, rng)
-            if lo <= x <= hi:
-                return x, attempt
-        raise RejectionBudgetError(
-            f"no acceptance in {spec.max_rejections} proposals for [{lo}, {hi}]",
-            interval=interval,
-            center=center,
-            attempts=spec.max_rejections,
-        )
-    if spec.family == "II":
-        return sample_truncated_normal(0.0, spec.sigma0_sq, lo, hi, rng), 1
-    if spec.family == "III":
-        return lo + width * rng.uniform(), 1
-    return lo + width * sample_beta(spec.p, spec.q, rng), 1
+        draws = sample_truncated_normal(mid, spec.tau0_sq, lo, hi, rng, size)
+    elif spec.family == "II":
+        draws = sample_truncated_normal(0.0, spec.sigma0_sq, lo, hi, rng, size)
+    elif spec.family == "III":
+        draws = lo + (hi - lo) * rng.uniform(size)
+    else:
+        draws = lo + (hi - lo) * sample_beta(spec.p, spec.q, rng, size)
+    return np.where(degenerate, mid, draws)
 
 
-def sample_gamma_given_theta(
-    spec: ConditionalPriorSpec, interval: IntervalSet, rng
-) -> float:
-    """One draw of the partially identified parameter given its interval."""
-    gamma, _ = _sample_gamma(spec, interval, rng)
-    return float(gamma)
+def sample_gamma_given_theta(spec: ConditionalPriorSpec, interval: IntervalSet, rng) -> float:
+    """One draw of the parameter given its interval, from one uniform of ``rng``.
+
+    A batch of one through the step of :func:`draw_gammas`.
+    """
+    return float(_gamma_step(spec, interval.lo, interval.hi, rng))
 
 
 class MarginalSampleBatch(SetDrawBatch):
     """Paired (gamma, interval) draws from the marginal prior or posterior.
 
-    A :class:`SetDrawBatch` whose draws each carry a gamma inside the interval,
-    plus the family-I ``rejection_stats`` (proposals per draw -> draws).
+    A :class:`SetDrawBatch` whose draws each carry a gamma inside the interval.
     """
 
-    __slots__ = ("gammas", "rejection_stats")
+    __slots__ = ("gammas",)
 
     def __init__(self, gammas, lo, hi, source, scenario_id, skipped=0,
-                 rejection_stats=None, attempt_indices=None):
+                 attempt_indices=None):
         super().__init__(lo, hi, source, scenario_id, skipped, attempt_indices)
         gammas = np.array(gammas, dtype=float)
         if gammas.shape != self.lo.shape:
@@ -127,15 +108,24 @@ class MarginalSampleBatch(SetDrawBatch):
             raise ParameterError("every gamma must lie in its paired interval")
         gammas.setflags(write=False)
         self.gammas = gammas
-        self.rejection_stats = dict(rejection_stats or {})
 
 
-def _marginal_attempt(draw, spec, rng):
-    interval = draw(rng)
-    if interval is None:
-        return None
-    gamma, attempts = _sample_gamma(spec, interval, rng)
-    return float(gamma), interval.lo, interval.hi, attempts
+def draw_gammas(spec: ConditionalPriorSpec, batch: SetDrawBatch) -> MarginalSampleBatch:
+    """One gamma per interval of ``batch``, drawn as one vectorised step.
+
+    Draw j transforms ``batch.gamma_uniforms[j]``, the uniform its attempt
+    stream drew after the interval, so it never fails and never redraws the
+    interval.  The result keeps the batch's intervals and skip account.
+    """
+    if batch.gamma_uniforms is None:
+        raise ParameterError("drawing gammas needs the batch's gamma_uniforms")
+    u = batch.gamma_uniforms
+    drawn = SimpleNamespace(uniform=lambda size: u)  # an RngStream whose draws are u
+    return MarginalSampleBatch(
+        _gamma_step(spec, batch.lo, batch.hi, drawn, u.size), batch.lo, batch.hi,
+        batch.source, batch.scenario_id, skipped=batch.skipped,
+        attempt_indices=batch.attempt_indices,
+    )
 
 
 def marginal_sample(
@@ -150,22 +140,12 @@ def marginal_sample(
 ) -> MarginalSampleBatch:
     """Draw ``n_draws`` (gamma, interval) pairs from the marginal distribution.
 
-    Interval draws rejected by the scenario guards propagate as skips; the
-    conditional prior is always evaluated at hyperparameters recomputed from
-    the freshly drawn identified quantities, never at data-independent ones.
+    :func:`draw_gammas` on the :func:`~partialid.scenarios.draw_set_batch` of
+    the same arguments; ``role`` keys the attempt streams of both stages.
     """
-    if role is None:
-        role = ROLE_PRIOR_GAMMA if mode == "prior" else ROLE_POSTERIOR_GAMMA
-    indices, results, skipped = run_attempts(
-        partial(_marginal_attempt, prepare_draw(cfg, mode, dataset), spec),
-        n_draws, master_seed, role, workers, f"{cfg.scenario_id} {mode}",
-    )
-    gammas, lo, hi, attempts = zip(*results)
-    rejection_stats = dict(Counter(attempts)) if spec.family == "I" else {}
-    return MarginalSampleBatch(
-        gammas, lo, hi, mode, cfg.scenario_id,
-        skipped=skipped, rejection_stats=rejection_stats, attempt_indices=indices,
-    )
+    batch = draw_set_batch(cfg, mode, n_draws, master_seed, dataset=dataset,
+                           workers=workers, role=role)
+    return draw_gammas(spec, batch)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ covered, and two intervals sharing only an endpoint count as hitting.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -17,6 +18,8 @@ from .errors import DegenerateEstimateError, ParameterError
 
 #: Skip fraction above which a batch carries a data-quality warning.
 HIGH_SKIP_RATE = 0.05
+
+_PACKAGE = __name__.partition(".")[0] + "."
 
 
 @dataclass(frozen=True)
@@ -36,14 +39,6 @@ class IntervalSet:
     def intersects(self, other: "IntervalSet") -> bool:
         return self.lo <= other.hi and self.hi >= other.lo
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
 
 class SetDrawBatch:
     """A batch of interval draws from one source, with skip accounting.
@@ -51,17 +46,20 @@ class SetDrawBatch:
     ``skipped`` counts draws the scenario rejected (guard violations such as
     inverted bounds); they are surfaced here rather than silently reordered.
     ``attempt_indices`` optionally records which attempt produced each stored
-    draw, which lets run outputs reconcile rows against skips.  A batch whose
+    draw, which lets run outputs reconcile rows against skips, and
+    ``gamma_uniforms`` the uniform in [0, 1) that attempt drew after its
+    interval, for a second-stage draw given the interval.  A batch whose
     ``skip_rate`` exceeds :data:`HIGH_SKIP_RATE` sets ``high_skip_warning`` and
-    warns once, at construction.  Marginal (gamma, interval) batches are a
-    subclass, so both kinds follow the same rules.
+    warns at construction, naming the first caller outside the package.
+    Marginal (gamma, interval) batches are a subclass, so both kinds follow
+    the same rules.
     """
 
     __slots__ = ("lo", "hi", "source", "scenario_id", "skipped", "attempt_indices",
-                 "high_skip_warning")
+                 "gamma_uniforms", "high_skip_warning")
 
     def __init__(self, lo, hi, source: str, scenario_id: str, skipped: int = 0,
-                 attempt_indices=None):
+                 attempt_indices=None, gamma_uniforms=None):
         lo = np.array(lo, dtype=float)
         hi = np.array(hi, dtype=float)
         if lo.ndim != 1 or lo.shape != hi.shape:
@@ -82,14 +80,25 @@ class SetDrawBatch:
             if attempt_indices.shape != lo.shape:
                 raise ParameterError("attempt_indices must align with the draws")
         self.attempt_indices = attempt_indices
+        if gamma_uniforms is not None:
+            gamma_uniforms = np.array(gamma_uniforms, dtype=float)
+            if gamma_uniforms.shape != lo.shape or not np.all(
+                    (0 <= gamma_uniforms) & (gamma_uniforms < 1)):
+                raise ParameterError("gamma_uniforms must be aligned uniforms in [0, 1)")
+            gamma_uniforms.setflags(write=False)
+        self.gamma_uniforms = gamma_uniforms
         self.lo.setflags(write=False)
         self.hi.setflags(write=False)
         self.high_skip_warning = self.skip_rate > HIGH_SKIP_RATE
         if self.high_skip_warning:
+            # name the first caller outside the package (skip_file_prefixes is 3.12+)
+            frame, level = sys._getframe(1), 2
+            while frame is not None and frame.f_globals.get("__name__", "").startswith(_PACKAGE):
+                frame, level = frame.f_back, level + 1
             warnings.warn(
                 f"{scenario_id} {source} batch skipped {self.skipped} of "
                 f"{self.skipped + len(self)} draws ({self.skip_rate:.1%})",
-                stacklevel=2,
+                stacklevel=level,
             )
 
     def __len__(self):

@@ -42,6 +42,7 @@ from .dirichlet import (
     expectation,
 )
 from .distributions import (
+    DirichletParams,
     beta_cdf,
     cholesky_factor,
     psd_repair,
@@ -60,8 +61,6 @@ log = logging.getLogger(__name__)
 ROLE_DATA = 0
 ROLE_PRIOR_SETS = 1
 ROLE_POSTERIOR_SETS = 2
-ROLE_PRIOR_GAMMA = 3
-ROLE_POSTERIOR_GAMMA = 4
 ROLE_HELDOUT_SETS = 5
 
 _ROLE_SHIFT = 32
@@ -376,7 +375,7 @@ def _prepare_binary(cfg, mode, dataset):
     alpha = cfg.hyper["alpha"]
     if mode == "posterior":
         alpha = binary_posterior_params(alpha, count_binary(dataset))
-    return partial(_binary_attempt, alpha)
+    return partial(_binary_attempt, DirichletParams(alpha))
 
 
 # --- the scenario table --------------------------------------------------------
@@ -599,6 +598,12 @@ def run_attempts(attempt, n_draws: int, master_seed: int, role: int, workers: in
     return indices, results, skipped
 
 
+def _then_uniform(attempt, rng):
+    """An attempt's interval and the next uniform of its stream; None for a skip."""
+    interval = attempt(rng)
+    return None if interval is None else (interval, rng.uniform())
+
+
 def draw_set_batch(
     cfg: ScenarioConfig,
     mode: str,
@@ -610,16 +615,20 @@ def draw_set_batch(
 ) -> SetDrawBatch:
     """Collect ``n_draws`` accepted interval draws, skipping guard violations.
 
+    Each accepted attempt then draws one more uniform, the batch's
+    ``gamma_uniforms``, for :func:`~partialid.priors.draw_gammas`.
     Byte-identical for any worker count; see :func:`run_attempts`.
     """
     if role is None:
         role = ROLE_PRIOR_SETS if mode == "prior" else ROLE_POSTERIOR_SETS
-    indices, intervals, skipped = run_attempts(
-        prepare_draw(cfg, mode, dataset),
+    indices, results, skipped = run_attempts(
+        partial(_then_uniform, prepare_draw(cfg, mode, dataset)),
         n_draws, master_seed, role, workers, f"{cfg.scenario_id} {mode}",
     )
+    intervals, uniforms = zip(*results)
     return SetDrawBatch([iv.lo for iv in intervals], [iv.hi for iv in intervals], mode,
-                        cfg.scenario_id, skipped=skipped, attempt_indices=indices)
+                        cfg.scenario_id, skipped=skipped, attempt_indices=indices,
+                        gamma_uniforms=uniforms)
 
 
 # --- closed-form oracles -----------------------------------------------------

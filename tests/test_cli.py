@@ -110,6 +110,39 @@ class TestParseConfig:
         assert main(["run"]) == 2
         assert "scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["n_draws = abc", "alpha = high", "grid = 0 1 x"])
+    def test_non_numeric_config_value_is_an_error_not_a_traceback(
+            self, tmp_path, capsys, line):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"scenario = binary_missing\n{line}\n", encoding="utf-8")
+        with pytest.raises(ParameterError, match="must be a number"):
+            parse_run(["--config", str(cfg_file)])
+        assert main(["run", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and line.split(" = ")[1] in err
+
+    def test_skip_budget_error_is_an_error_not_a_traceback(
+            self, monkeypatch, tmp_path, capsys):
+        # a base measure with correlation -0.999 makes every prior draw skip
+        import dataclasses
+
+        from partialid import scenarios
+
+        make_config = scenarios.make_config
+
+        def anticorrelated(*args, **kwargs):
+            cfg = make_config(*args, **kwargs)
+            cov = np.array([[2.0, -1.998], [-1.998, 2.0]])
+            return dataclasses.replace(cfg, hyper={**cfg.hyper, "base_cov": cov})
+
+        monkeypatch.setattr(scenarios, "make_config", anticorrelated)
+        rc = main(["run", "--scenario", "errors_in_variables", "--n", "10",
+                   "--n-draws", "1", "--seed", "3", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: errors_in_variables prior: skip rate too high; "
+            "1050 skips in 1050 attempts\n")
+
 
 @pytest.fixture(scope="module")
 def binary_run(tmp_path_factory):
@@ -173,24 +206,31 @@ class TestRunScenario:
             skipped = summary["skips"][name]
             assert entry["skip_rate"] == pytest.approx(skipped / (cfg.n_draws + skipped))
             assert entry["high_skip_warning"] is (entry["skip_rate"] > 0.05)
-            assert "rejection_stats" not in entry  # family III
         assert "base_cov_clipped" not in summary["diagnostics"]
 
-    def test_summary_reports_rejections_and_covariance_repair(self, tmp_path):
+    def test_summary_reports_covariance_repair(self, tmp_path):
         from pathlib import Path
 
         run = RunConfig(scenario="interval_regression", n=100, n_draws=40, seed=2,
                         prior_family="I", out_dir=str(tmp_path))
         report = run_scenario(run)
         summary = json.loads((Path(report.out_dir) / "summary.json").read_text())
-        diagnostics = summary["diagnostics"]
-        assert diagnostics["base_cov_clipped"] is True
-        for name in ("prior_gamma", "posterior_gamma"):
-            stats = diagnostics["batches"][name]["rejection_stats"]
-            # proposals per draw -> draws; every accepted draw is counted once
-            assert sum(stats.values()) == run.n_draws
-            assert all(int(k) >= 1 for k in stats)
-        assert "rejection_stats" not in diagnostics["batches"]["prior_sets"]
+        assert summary["diagnostics"]["base_cov_clipped"] is True
+
+    def test_family_one_run_that_exhausted_the_rejection_budget(self, tmp_path, capsys):
+        # family I once drew by proposals from N(midpoint, 1), at most 100000 per
+        # gamma; this run's prior batch holds an interval 5.6e-6 wide, which
+        # catches about one proposal in 500000
+        rc = main(["run", "--scenario", "binary_missing", "--n-draws", "2000",
+                   "--prior-family", "I", "--seed", "101", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        _, rows = read_csv(os.path.join(report["out_dir"], "intervals.csv"))
+        assert min(float(r[3]) - float(r[2]) for r in rows if r[1] == "prior") < 6e-6
+        for mode in ("prior", "posterior"):
+            assert report["diagnostics"]["gamma_hist_tallies"][mode]["in_range"] == 2000
+            assert report["diagnostics"]["batches"][f"{mode}_gamma"] == {
+                "skip_rate": 0.0, "high_skip_warning": False}
 
     def test_manifest_hashes_match_files(self, binary_run):
         cfg, report = binary_run

@@ -25,6 +25,7 @@ from partialid import (
     sample_truncated_normal,
     substream,
 )
+from partialid.distributions import DirichletParams
 from partialid.scenarios import INTERVAL_REGRESSION_RAW_COV
 
 
@@ -84,6 +85,23 @@ class TestSampleDirichlet:
         w = sample_dirichlet(alpha, substream(99, idx))
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [np.ones(1000), [1.0, 2.5, 1.0, 0.3], [3.0, 4.0], [5.0]])
+    def test_prepared_parameters_draw_the_same_weights(self, alpha):
+        prepared = DirichletParams(alpha)
+        for k in range(3):
+            want = sample_dirichlet(alpha, substream(45, k))
+            assert np.array_equal(sample_dirichlet(prepared, substream(45, k)), want)
+
+    def test_prepared_parameters_are_checked_and_frozen(self):
+        with pytest.raises(ParameterError):
+            DirichletParams([1.0, 0.0])
+        with pytest.raises(ParameterError):
+            DirichletParams(np.ones((2, 2)))
+        alpha = np.array([1.0, 2.0])
+        prepared = DirichletParams(alpha)
+        alpha[0] = -1.0
+        assert prepared.alpha[0] == 1.0 and not prepared.alpha.flags.writeable
 
 
 class TestSampleMvnormal:
@@ -318,6 +336,39 @@ class TestTruncatedNormalQuantile:
             upper = mpmath.ncdf(-b) + (1 - mpmath.mpf(u)) * mass
             oracle = float(-mpmath.sqrt(2) * mpmath.erfinv(2 * upper - 1))
             assert abs(x - oracle) <= 1e-12 * (b - a)
+
+    @pytest.mark.parametrize("mu, sigma2", [(0.0, 1.0), (1.5, 4.0)])
+    def test_array_bounds_match_scipy_across_both_tails(self, mu, sigma2):
+        # every pair of bounds at once, one truncated normal per element
+        sigma = np.sqrt(sigma2)
+        u = np.concatenate([np.linspace(0.005, 0.995, 199), substream(40, 0).uniform(200)])
+        a, b = np.repeat(np.array(list(itertools.combinations(TAIL_BOUNDS, 2))).T, u.size,
+                         axis=1)
+        u = np.tile(u, a.size // u.size)
+        mus = np.full(u.size, mu)
+        x = sample_truncated_normal(
+            mus, sigma2, mu + sigma * a, mu + sigma * b, FixedUniforms(u), size=u.size
+        )
+        oracle = stats.truncnorm.ppf(u, a, b, loc=mu, scale=sigma)
+        assert np.all(np.abs(x - oracle) <= 1e-12 * sigma * (b - a))
+
+    def test_array_bounds_upper_end_of_straddling_interval_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        a, b = -0.1, 10.0
+        mass = mpmath.ncdf(b) - mpmath.ncdf(a)
+        u = np.array([1.0 - 2.0**-53, 1.0 - 1e-12, 1.0 - 1e-6])
+        x = sample_truncated_normal(0.0, 1.0, np.full(3, a), np.full(3, b),
+                                    FixedUniforms(u), size=3)
+        for xi, ui in zip(x, u):
+            upper = mpmath.ncdf(-b) + (1 - mpmath.mpf(ui)) * mass
+            oracle = float(-mpmath.sqrt(2) * mpmath.erfinv(2 * upper - 1))
+            assert abs(xi - oracle) <= 1e-12 * (b - a)
+
+    def test_array_bounds_name_the_first_inverted_pair(self):
+        with pytest.raises(ParameterError, match=r"\[3.0, 2.0\]"):
+            sample_truncated_normal(0.0, 1.0, np.array([0.0, 3.0, 5.0]),
+                                    np.array([1.0, 2.0, 4.0]), substream(4, 3), size=3)
 
     @pytest.mark.parametrize("width", [1e-3, 1e-6, 1e-9, 1e-12])
     def test_narrow_intervals_stay_in_support(self, width):

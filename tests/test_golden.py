@@ -5,8 +5,11 @@ scenario, every conditional-prior family on ``interval_censored``, families
 II-IV on ``binary_missing`` and the worker-pool path.  The CSV SHA-256 values
 were recorded before the scenario table and the shared attempt driver were
 introduced; the ``summary.json`` digests were recorded before the per-mode
-pipeline in ``run_scenario``.  A change that moves them on purpose must say
-so in CHANGES.md.
+pipeline in ``run_scenario``.  The ``gamma_hist.csv`` and ``summary.json``
+digests of the eight runs with a prior family were recorded again when the
+gammas became one step on the run's interval batch (a deliberate numeric
+change); every other digest is as first recorded.  A change that moves them
+on purpose must say so in CHANGES.md.
 """
 
 import hashlib
@@ -41,37 +44,37 @@ GOLDEN = [
     }),
     (('interval_censored', 'I', 1), {
         'coverage.csv': 'f63cc08b55f9afb8d119dee2bb1e08277a1735c87b8e1158adfacb11d6983801',
-        'gamma_hist.csv': '2ff6c382de8f42f58a219ae2a662d097717e13b3ed205f0bf34ff6047e1af657',
+        'gamma_hist.csv': '5f81b1018e89c7e6916f8a902a6cf2b4a7ac98e889847fbae4c79e4b41e5081c',
         'intervals.csv': 'addfb984df820a3af986d2ecb49c4b57cb85f626bacfa17daa8e51d25c38aa76',
     }),
     (('interval_censored', 'II', 1), {
         'coverage.csv': 'f63cc08b55f9afb8d119dee2bb1e08277a1735c87b8e1158adfacb11d6983801',
-        'gamma_hist.csv': '9e61bfb1d9bb20af5a531c547a4bfe8ec8a15912dec6ae2c6a0614e1c8bf5beb',
+        'gamma_hist.csv': 'db8df34ad6686c31bef7d353617a63bea402233befa3d32c826178306c276b70',
         'intervals.csv': 'addfb984df820a3af986d2ecb49c4b57cb85f626bacfa17daa8e51d25c38aa76',
     }),
     (('interval_censored', 'III', 1), {
         'coverage.csv': 'f63cc08b55f9afb8d119dee2bb1e08277a1735c87b8e1158adfacb11d6983801',
-        'gamma_hist.csv': '3e41f6fca23080b4cdebeb5ac34d214352c4c640f47de0d54094ea3ea8a59899',
+        'gamma_hist.csv': '462b165192df244b950367784a3f3d576dc0bb62d6978deb5852e3f80abb0b12',
         'intervals.csv': 'addfb984df820a3af986d2ecb49c4b57cb85f626bacfa17daa8e51d25c38aa76',
     }),
     (('interval_censored', 'IV', 1), {
         'coverage.csv': 'f63cc08b55f9afb8d119dee2bb1e08277a1735c87b8e1158adfacb11d6983801',
-        'gamma_hist.csv': '43bc55f2b1ffc55c8afd838cd293d513886495b8f75ebc20685dd87d25f42e5a',
+        'gamma_hist.csv': '8475b5775c80f018e4b1c67fb00581ca164eade6c3d6b89251a391ec0b36a0c0',
         'intervals.csv': 'addfb984df820a3af986d2ecb49c4b57cb85f626bacfa17daa8e51d25c38aa76',
     }),
     (('binary_missing', 'II', 1), {
         'coverage.csv': '8d5844c4cc2f29dd84459da42835a664f5bc0461ca746ab390c883230ea05bb8',
-        'gamma_hist.csv': '2a0791d3aa99601e0ae1eda81ad48c9e78b9ee4b2689c935b5b3893e8d462e91',
+        'gamma_hist.csv': '2b071cdfc6fb9b32ac18532a42da26337166892bb0973d6a8feab3d5efdb4ef2',
         'intervals.csv': '90e49df43c4b8fabf4c5990f1fe28d8b1b5c4c2ffb7a2c4dfd735f1f23422af0',
     }),
     (('binary_missing', 'III', 1), {
         'coverage.csv': '8d5844c4cc2f29dd84459da42835a664f5bc0461ca746ab390c883230ea05bb8',
-        'gamma_hist.csv': '3ea40af1789be7cc12306a5c9e830599567dae2ef2caaf7611988ef1b34e3630',
+        'gamma_hist.csv': '6d07318d14ee6674b9c1e67680f1ed52f35a90d896c3154589a15829c8bd60d1',
         'intervals.csv': '90e49df43c4b8fabf4c5990f1fe28d8b1b5c4c2ffb7a2c4dfd735f1f23422af0',
     }),
     (('binary_missing', 'IV', 1), {
         'coverage.csv': '8d5844c4cc2f29dd84459da42835a664f5bc0461ca746ab390c883230ea05bb8',
-        'gamma_hist.csv': 'dea137db5939042717218baf04010cec94e830b31c60549c549a83e15c06814c',
+        'gamma_hist.csv': 'dab39ed88a398623cf7779d4f664ba44233df495cda0563cb0729bd05b3fc8e6',
         'intervals.csv': '90e49df43c4b8fabf4c5990f1fe28d8b1b5c4c2ffb7a2c4dfd735f1f23422af0',
     }),
     (('interval_censored', None, 2), {
@@ -84,7 +87,7 @@ GOLDEN = [
     }),
     (('errors_in_variables', 'II', 2), {
         'coverage.csv': '265106477f40630a6633b82a520a4dc7bab6311c6221fe86cd41c8feec564f75',
-        'gamma_hist.csv': '2affa4cd2a3b5a90cb5fafcf889d89bea710e4c9b85852ab799e7dcfb7702af2',
+        'gamma_hist.csv': 'd50572e5760caf54382e663658cf4239c449772047276f1713ec15fc88178326',
         'intervals.csv': '25197239bf58ed65838af6d034948f37626de42ccd4135929950746dcdecf882',
     }),
 ]
@@ -104,25 +107,25 @@ SUMMARY_GOLDEN = {
     ('binary_missing', None, 1):
         '706ace7d1fc8df681b33a65c43b6afdb1b2fa7e43cb2e38f91bba77e5bd30908',
     ('interval_censored', 'I', 1):
-        '51fc3d33dec42790f003a5fe0e2c9e6e40b5652adeff1c9d7bab50f00a596991',
+        '0186e892acaa9eec163acf438b63a9e69429f5111cdea490c2ca6be0c79176d4',
     ('interval_censored', 'II', 1):
-        'aeda64d02c2ac673c546dddc352eb7cf6d7730336202d2da14ad14ce7e701369',
+        '6be0d56017c2efbdf41f54c2da73fbe3460d29303f4b1445ca8ee018bebf46e3',
     ('interval_censored', 'III', 1):
-        'da23974a49c8c0db3bd14b64157a7ce3c0a957a1509db5a08284854f51e4beb2',
+        'f34e37c87bc901ca9cf42d74406ffc5b868ae19dfe1047702a432e84fb56a78f',
     ('interval_censored', 'IV', 1):
-        '3b0e7b737226e9266725c02dbdafb53845e4493146f7edf4dfc4a38adbfce272',
+        '226cec7efbabcb2dac9a51639e091d1a128b789ddfd88c9e32738bdefa4529aa',
     ('binary_missing', 'II', 1):
-        '6741623722bc532aeeb4db128bfa2a423d24ab8c44b7444cb36015f3b5f038ef',
+        '00f6c9c7f6581e920cbae498cb7c890d6542add24314a11cfa7d36b0b91a701e',
     ('binary_missing', 'III', 1):
-        'd41e9e6edced407733a7dccd6d8100c1f8695eabadc6d11834bea4c9781ab546',
+        '4582f451ba32814def027da3203d7477e97a6df5aaa482f8da263cbe2f3ee212',
     ('binary_missing', 'IV', 1):
-        '5d03500db1cc58170787335a78fbc6641a958aa183aacdb045cd0071f2eb3f07',
+        '643a626a8eb4a05dd013d06fcc66e687e7ee7fd8f98c8f1a4f88a8b5952f3231',
     ('interval_censored', None, 2):
         '5e66c658892424781881b620de9f39f4943fb46b16d1b393f14f0881fd5add44',
     ('interval_regression', None, 2):
         '8c7f224bb6e16d3796cdbf74698a45ee20659ad1da1d4828f314233668feb6af',
     ('errors_in_variables', 'II', 2):
-        'cb58410a2e30e0728807da0ce7967756a7d6700785f777a0b49dfc20f6ecf539',
+        '256042261d5ab668e0fd69c394069de17b0884bb9e5bc550b5cdbd587fa909d1',
 }
 
 CASE_IDS = ["-".join(map(str, case)) for case, _ in GOLDEN]

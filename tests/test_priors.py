@@ -8,9 +8,10 @@ from partialid import (
     ConditionalPriorSpec,
     IntervalSet,
     ParameterError,
-    RejectionBudgetError,
     SetDrawBatch,
     default_prior_spec,
+    draw_set,
+    draw_set_batch,
     generate_data,
     histogram,
     make_config,
@@ -19,7 +20,13 @@ from partialid import (
     sample_truncated_normal,
     substream,
 )
-from partialid.scenarios import ROLE_DATA, attempt_stream
+from partialid.priors import draw_gammas
+from partialid.scenarios import (
+    ROLE_DATA,
+    ROLE_POSTERIOR_SETS,
+    ROLE_PRIOR_SETS,
+    attempt_stream,
+)
 
 UNIT_05 = IntervalSet(0.0, 5.0)
 
@@ -92,14 +99,15 @@ class TestSampleGamma:
         se = np.sqrt(fam1.var() / fam1.size + fam2.var() / fam2.size)
         assert abs(fam1.mean() - fam2.mean()) > 3 * se
 
-    def test_rejection_budget_error(self):
-        spec = ConditionalPriorSpec("I", tau0_sq=1.0, max_rejections=50)
-        narrow = IntervalSet(0.0, 1e-9)  # tiny acceptance region, wide proposal
-        rng = substream(27, 0)
-        with pytest.raises(RejectionBudgetError) as err:
-            sample_gamma_given_theta(spec, narrow, rng)
-        assert err.value.attempts == 50
-        assert err.value.interval == narrow
+    def test_midpoint_family_draws_inside_a_far_narrow_interval(self):
+        # 1e-9 wide: about 4e-10 of the mass of family I's normal, far beyond any
+        # rejection budget, and 5 sds out for the zero-centered family II
+        narrow = IntervalSet(5.0, 5.0 + 1e-9)
+        for spec in (ConditionalPriorSpec("I", tau0_sq=1.0),
+                     ConditionalPriorSpec("II", sigma0_sq=1.0)):
+            for k in range(50):
+                x = sample_gamma_given_theta(spec, narrow, substream(27, k))
+                assert narrow.lo <= x <= narrow.hi
 
     def test_degenerate_interval_returns_midpoint(self):
         point = IntervalSet(3.0, 3.0 + 1e-13)
@@ -151,13 +159,40 @@ class TestMarginalSample:
         ks = stats.kstest(batch.gammas, stats.uniform(loc=lo, scale=hi - lo).cdf)
         assert ks.statistic <= 0.05
 
-    def test_rejection_stats_recorded_for_family_one(self):
-        cfg = make_config("binary_missing", n=300)
+    @pytest.mark.parametrize("mode", ["prior", "posterior"])
+    def test_each_gamma_is_the_two_stage_draw_of_its_attempt_stream(self, mode):
+        # the base covariance of the skip test makes attempts and positions differ
+        cfg = make_config("errors_in_variables", n=3)
+        cfg = dataclasses.replace(cfg, hyper={**cfg.hyper, "base_cov": np.eye(2)})
+        data = generate_data(cfg, attempt_stream(33, ROLE_DATA, 0))
+        with pytest.warns(UserWarning, match="batch skipped"):
+            batch = draw_set_batch(cfg, mode, 40, 33, dataset=data)
+        role = ROLE_PRIOR_SETS if mode == "prior" else ROLE_POSTERIOR_SETS
+        for family in ("I", "II", "III", "IV"):
+            spec = default_prior_spec("errors_in_variables", family)
+            with pytest.warns(UserWarning, match="batch skipped"):
+                gammas = draw_gammas(spec, batch).gammas
+            for j, index in enumerate(batch.attempt_indices):
+                # the scalar two-stage sampler: interval, then gamma, from one stream
+                rng = attempt_stream(33, role, int(index))
+                interval = draw_set(cfg, mode, rng, data)
+                assert (interval.lo, interval.hi) == (batch.lo[j], batch.hi[j])
+                assert gammas[j] == sample_gamma_given_theta(spec, interval, rng)
+
+    def test_marginal_sample_draws_gammas_on_the_set_batch(self):
+        cfg = make_config("binary_missing", n=200)
         data = generate_data(cfg, attempt_stream(33, ROLE_DATA, 0))
         spec = default_prior_spec("binary_missing", "I")
-        batch = marginal_sample(cfg, spec, "posterior", 200, 33, dataset=data)
-        assert sum(batch.rejection_stats.values()) == 200
-        assert min(batch.rejection_stats) >= 1
+        sets = draw_set_batch(cfg, "posterior", 100, 33, dataset=data)
+        batch = marginal_sample(cfg, spec, "posterior", 100, 33, dataset=data)
+        assert np.array_equal(batch.lo, sets.lo) and np.array_equal(batch.hi, sets.hi)
+        assert np.array_equal(batch.attempt_indices, sets.attempt_indices)
+        assert batch.skipped == sets.skipped
+        assert np.array_equal(batch.gammas, draw_gammas(spec, sets).gammas)
+        other = marginal_sample(cfg, spec, "posterior", 100, 33, dataset=data, role=9)
+        resets = draw_set_batch(cfg, "posterior", 100, 33, dataset=data, role=9)
+        assert np.array_equal(other.gammas, draw_gammas(spec, resets).gammas)
+        assert not np.array_equal(other.gammas, batch.gammas)
 
     def test_worker_invariance(self):
         cfg = make_config("binary_missing", n=200)
@@ -167,6 +202,19 @@ class TestMarginalSample:
         par = marginal_sample(cfg, spec, "posterior", 80, 34, dataset=data, workers=2)
         assert np.array_equal(seq.gammas, par.gammas)
         assert np.array_equal(seq.lo, par.lo)
+
+    def test_worker_invariance_with_skips(self):
+        # binary_missing intervals never skip; an identity base covariance makes
+        # about half of these attempts skip
+        cfg = make_config("errors_in_variables", n=10)
+        cfg = dataclasses.replace(cfg, hyper={**cfg.hyper, "base_cov": np.eye(2)})
+        spec = ConditionalPriorSpec("I")
+        with pytest.warns(UserWarning, match="batch skipped"):
+            seq = marginal_sample(cfg, spec, "prior", 80, 34, workers=1)
+            par = marginal_sample(cfg, spec, "prior", 80, 34, workers=2)
+        assert seq.skipped == par.skipped > 0
+        for name in ("attempt_indices", "lo", "hi", "gammas"):
+            assert np.array_equal(getattr(seq, name), getattr(par, name))
 
     def test_posterior_needs_dataset(self):
         cfg = make_config("binary_missing", n=100)
@@ -183,6 +231,17 @@ class TestMarginalSample:
         assert isinstance(batch, SetDrawBatch)
         assert batch.high_skip_warning is True
         assert batch.skip_rate == batch.skipped / (batch.skipped + len(batch)) > 0.05
+
+    @pytest.mark.parametrize("marginal", [False, True])
+    def test_high_skip_warning_names_the_callers_file(self, marginal):
+        cfg = make_config("errors_in_variables", n=10)
+        cfg = dataclasses.replace(cfg, hyper={**cfg.hyper, "base_cov": np.eye(2)})
+        with pytest.warns(UserWarning, match="prior batch skipped") as record:
+            if marginal:
+                marginal_sample(cfg, ConditionalPriorSpec("III"), "prior", 50, 3)
+            else:
+                draw_set_batch(cfg, "prior", 50, 3)
+        assert [w.filename for w in record] == [__file__] * len(record)
 
     def test_mismatched_pairs_rejected(self):
         from partialid import MarginalSampleBatch

@@ -403,6 +403,29 @@ class TestPreparedDraws:
         marginal_sample(cfg, ConditionalPriorSpec("III"), "posterior", 300, 4, dataset=data)
         assert len(calls) == 2
 
+    def test_dirichlet_parameters_are_checked_once_per_batch(self, monkeypatch):
+        from partialid import dirichlet, distributions
+
+        built = []
+
+        class CountingParams(distributions.DirichletParams):
+            def __init__(self, alpha):
+                built.append(len(alpha))
+                super().__init__(alpha)
+
+        for module in (distributions, dirichlet, scenarios):
+            monkeypatch.setattr(module, "DirichletParams", CountingParams)
+        dirichlet._data_weight_params.cache_clear()
+        cfg = make_config("binary_missing", n=100)
+        data = generate_data(cfg, attempt_stream(4, ROLE_DATA, 0))
+        draw_set_batch(cfg, "posterior", 300, master_seed=4, dataset=data)
+        assert built == [3]
+        cfg = make_config("interval_censored", n=50)
+        data = generate_data(cfg, attempt_stream(4, ROLE_DATA, 0))
+        draw_set_batch(cfg, "posterior", 20, master_seed=4, dataset=data)
+        assert built == [3, 50]  # the data weights, shared by both processes
+        dirichlet._data_weight_params.cache_clear()
+
     def test_prepare_raises_draw_set_errors(self):
         with pytest.raises(ParameterError, match="mode"):
             prepare_draw(make_config("binary_missing"), "sideways")

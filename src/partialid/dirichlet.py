@@ -8,6 +8,11 @@ minus the log of the tail is Gamma(K, rate n0), so K can be picked to keep the
 tail below a tolerance with high probability.  Posterior draws mix the
 truncated prior atoms with the observed data points through a Beta(n, n0)
 split and symmetric-Dirichlet data weights.
+
+The arithmetic is row-wise, the blocked view of truncated stick-breaking of
+Ishwaran & James (2001): :func:`process_draw`, :func:`row_means` and
+:func:`row_covariance` make one draw per row of uniforms, and one draw from a
+stream is a block of one, so a row equals its own draw bit for bit.
 """
 
 from __future__ import annotations
@@ -153,26 +158,16 @@ def stick_weights(n0: float, k: int, rng: RngStream) -> tuple[np.ndarray, float]
     """Raw (unnormalized) stick-breaking weights and the leftover tail mass.
 
     Weight j is v_j * prod_{i<j}(1 - v_i) with v_i i.i.d. Beta(1, n0); the
-    tail is prod_{i<=k}(1 - v_i), the mass the truncation discards.
+    tail is prod_{i<=k}(1 - v_i), the mass the truncation discards.  A
+    :class:`~partialid.rng.UniformRows` gives one draw, and one tail, per row.
     """
     if k < 1:
         raise ParameterError("need at least one stick")
     v = sample_beta(1.0, n0, rng, size=k)
-    remaining = np.cumprod(1.0 - v)
-    weights = v * np.concatenate(([1.0], remaining[:-1]))
-    return weights, float(remaining[-1])
-
-
-def draw_prior(spec: DirichletProcessSpec, rng: RngStream) -> DiscreteMeasure:
-    """One truncated draw from the process prior."""
-    k = spec.truncation.resolve(spec.concentration)
-    weights, _ = stick_weights(spec.concentration, k, rng)
-    atoms = np.asarray(spec.base_sampler(rng, k), dtype=float)
-    if atoms.shape[0] != k:
-        raise ParameterError(
-            f"base sampler returned {atoms.shape[0]} atoms, expected {k}"
-        )
-    return DiscreteMeasure(atoms, weights)
+    remaining = np.cumprod(1.0 - v, axis=-1)
+    weights = v * np.concatenate((np.ones_like(remaining[..., :1]), remaining[..., :-1]),
+                                 axis=-1)
+    return weights, remaining[..., -1]
 
 
 @lru_cache(maxsize=8)
@@ -181,33 +176,77 @@ def _data_weight_params(n: int) -> DirichletParams:
     return DirichletParams(np.ones(n))
 
 
+def process_uniforms(spec: DirichletProcessSpec, atom_size: int, n: int = 0) -> int:
+    """The uniforms one :func:`process_draw` takes, for atoms of ``atom_size``
+    uniforms and a posterior on n points (0: the prior)."""
+    k = spec.truncation.resolve(spec.concentration)
+    return k * (1 + atom_size) + (n > 0) + (n if n > 1 else 0)
+
+
+def process_draw(spec: DirichletProcessSpec, source, data=None):
+    """Raw weights and atoms of truncated draws: the prior, or given n data points
+    the posterior, which puts mass rho ~ Beta(n, n0) on the data (last, split by
+    a symmetric Dirichlet) and 1 - rho on the k prior atoms.
+
+    ``source`` is a stream, for one draw, or a :class:`~partialid.rng.UniformRows`,
+    for one draw per row.  A draw takes k sticks, k atoms, then rho and n data
+    weights (none for n = 1).
+    """
+    n0 = spec.concentration
+    k = spec.truncation.resolve(n0)
+    weights, _ = stick_weights(n0, k, source)
+    atoms = np.asarray(spec.base_sampler(source, k), dtype=float)
+    lead = weights.shape[:-1]  # the rows of a block, () for one draw
+    if atoms.shape[:len(lead) + 1] != weights.shape:
+        raise ParameterError(f"base sampler returned atoms {atoms.shape}, expected {k}")
+    if data is None:
+        return weights, atoms
+    if atoms.shape[len(lead) + 1:] != data.shape[1:]:
+        raise ParameterError(f"base-measure atoms {atoms.shape[len(lead):]} and data "
+                             f"{data.shape} have different dimensions")
+    n = len(data)
+    rho = sample_beta(float(n), n0, source, size=1)
+    data_w = sample_dirichlet(_data_weight_params(n), source)
+    weights = np.concatenate(
+        ((1.0 - rho) * weights / weights.sum(axis=-1, keepdims=True), rho * data_w), axis=-1)
+    return weights, np.concatenate((atoms, np.broadcast_to(data, lead + data.shape)),
+                                   axis=len(lead))
+
+
+def draw_prior(spec: DirichletProcessSpec, rng: RngStream) -> DiscreteMeasure:
+    """One truncated draw from the process prior (:func:`process_draw`)."""
+    weights, atoms = process_draw(spec, rng)
+    return DiscreteMeasure(atoms, weights)
+
+
 def draw_posterior(
     spec: DirichletProcessSpec, data, rng: RngStream
 ) -> DiscreteMeasure:
     """One truncated draw from the process posterior given observed points.
 
     The draw places mass rho ~ Beta(n, n0) on the n data points (split by a
-    symmetric Dirichlet) and mass 1 - rho on a fresh truncated prior draw.
+    symmetric Dirichlet) and mass 1 - rho on a fresh truncated prior draw
+    (:func:`process_draw`).
     """
     data = np.asarray(data, dtype=float)
-    n = data.shape[0]
-    if n == 0:
+    if data.shape[0] == 0:
         raise ParameterError("posterior draw needs data; use draw_prior otherwise")
-    k = spec.truncation.resolve(spec.concentration)
-    prior_w, _ = stick_weights(spec.concentration, k, rng)
-    prior_atoms = np.asarray(spec.base_sampler(rng, k), dtype=float)
-    if prior_atoms.ndim != data.ndim or (
-        prior_atoms.ndim == 2 and prior_atoms.shape[1] != data.shape[1]
-    ):
-        raise ParameterError(
-            f"base-measure atoms {prior_atoms.shape} and data {data.shape} "
-            "have different dimensions"
-        )
-    rho = sample_beta(float(n), spec.concentration, rng)
-    data_w = sample_dirichlet(_data_weight_params(n), rng)
-    weights = np.concatenate(((1.0 - rho) * prior_w / prior_w.sum(), rho * data_w))
-    atoms = np.concatenate((prior_atoms, data), axis=0)
+    weights, atoms = process_draw(spec, rng, data)
     return DiscreteMeasure(atoms, weights)
+
+
+def row_means(weights, values) -> np.ndarray:
+    """Means of ``values`` under normalized ``weights``, row by row (the last axis).
+
+    Each row is the dot product ``weights[r] @ values[r]``, bit for bit.
+    """
+    return np.matmul(weights[..., None, :], values[..., :, None])[..., 0, 0]
+
+
+def row_covariance(weights, atoms, i: int, j: int) -> np.ndarray:
+    """Covariance of coordinates i and j of ``atoms`` (..., L, d), row by row."""
+    xi, xj = atoms[..., i], atoms[..., j]
+    return row_means(weights, xi * xj) - row_means(weights, xi) * row_means(weights, xj)
 
 
 def expectation(measure: DiscreteMeasure, h) -> float:
@@ -220,7 +259,7 @@ def expectation(measure: DiscreteMeasure, h) -> float:
         raise ParameterError(
             f"h must map the atom array to shape ({len(measure)},), got {values.shape}"
         )
-    return float(measure.weights @ values)
+    return float(row_means(measure.weights, values))
 
 
 def covariance(measure: DiscreteMeasure, i: int, j: int) -> float:
@@ -229,9 +268,4 @@ def covariance(measure: DiscreteMeasure, i: int, j: int) -> float:
     d = coords.shape[1]
     if not (0 <= i < d and 0 <= j < d):
         raise ParameterError(f"coordinates ({i}, {j}) out of range for dim {d}")
-    w = measure.weights
-    xi = coords[:, i]
-    xj = coords[:, j]
-    mean_i = float(w @ xi)
-    mean_j = float(w @ xj)
-    return float(w @ (xi * xj)) - mean_i * mean_j
+    return float(row_covariance(measure.weights, coords, i, j))

@@ -26,8 +26,9 @@ from .rng import RngStream
 
 
 def _as_float(x, size):
-    """Collapse numpy scalars to Python floats when a scalar was requested."""
-    return float(x) if size is None else np.asarray(x, dtype=float)
+    """Collapse numpy scalars to Python floats when one draw was requested (a
+    :class:`~partialid.rng.UniformRows` gives one per row)."""
+    return float(x) if size is None and np.ndim(x) == 0 else np.asarray(x, dtype=float)
 
 
 def sample_beta(a: float, b: float, rng: RngStream, size=None):
@@ -62,27 +63,26 @@ class DirichletParams:
 
 
 def sample_dirichlet(alpha, rng: RngStream) -> np.ndarray:
-    """One draw from a Dirichlet distribution on the simplex.
+    """One draw from a Dirichlet distribution on the simplex, or one per row of
+    a :class:`~partialid.rng.UniformRows` (shaped ``(rows, K)``).
 
     Uses the normalized-gamma construction.  A component with parameter 1 is
     an Exp(1) variate, ``-log1p(-u)``; the others invert the regularized
     incomplete gamma function.  ``alpha`` is a parameter vector, checked on
-    every call, or a :class:`DirichletParams` checked when it was built.
+    every call, or a :class:`DirichletParams` checked when it was built.  One
+    component takes no uniform.  A draw whose K uniforms are all zero, which
+    does not happen in practice, gives NaN weights rather than an error.
     """
     if not isinstance(alpha, DirichletParams):
         alpha = DirichletParams(alpha)
     shaped, alpha = alpha.shaped, alpha.alpha
+    u = rng.uniform(size=alpha.size if alpha.size > 1 else 0)
     if alpha.size == 1:
-        return np.ones(1)
-    u = rng.uniform(size=alpha.size)
+        return np.ones(u.shape[:-1] + (1,))
     g = -np.log1p(-u)
     if shaped.size:
-        g[shaped] = special.gammaincinv(alpha[shaped], u[shaped])
-    total = g.sum()
-    if total <= 0:
-        # all K uniforms underflowed at once; not reachable in practice
-        raise ParameterError("degenerate Dirichlet draw: all gamma variates zero")
-    return g / total
+        g[..., shaped] = special.gammaincinv(alpha[shaped], u[..., shaped])
+    return g / g.sum(axis=-1, keepdims=True)
 
 
 def sample_normal(mu: float, sigma2: float, rng: RngStream, size=None):
@@ -127,6 +127,7 @@ def sample_mvnormal(mean, cov, rng: RngStream, size=None, *, chol=None):
     d = mean.size
     u = rng.uniform(size=d if size is None else (size, d))
     z = special.ndtri(u)
+    # a stack of draws (rows of a UniformRows) multiplies one matrix at a time
     return mean + z @ chol.T
 
 

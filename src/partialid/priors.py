@@ -18,13 +18,13 @@ The second stage is one vectorised step on a batch of interval draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from .distributions import sample_beta, sample_truncated_normal
 from .errors import ParameterError
 from .random_sets import IntervalSet, SetDrawBatch
+from .rng import UniformRows
 from .scenarios import SCENARIOS, Dataset, ScenarioConfig, draw_set_batch
 
 FAMILIES = ("I", "II", "III", "IV")
@@ -63,8 +63,9 @@ def default_prior_spec(scenario_id: str, family: str) -> ConditionalPriorSpec:
     return ConditionalPriorSpec(family=family, tau0_sq=1.0, sigma0_sq=2.0, p=p, q=q)
 
 
-def _gamma_step(spec: ConditionalPriorSpec, lo, hi, rng, size=None):
-    """Draws on [lo, hi] (scalars, or arrays of ``size``), one uniform of ``rng`` each.
+def _gamma_step(spec: ConditionalPriorSpec, lo, hi, rng):
+    """Draws on [lo, hi], one uniform of ``rng`` each: scalars from a stream, or
+    arrays from a :class:`~partialid.rng.UniformRows` of one uniform per row.
 
     An interval narrower than :data:`DEGENERATE_WIDTH` gives its midpoint.
     """
@@ -72,13 +73,13 @@ def _gamma_step(spec: ConditionalPriorSpec, lo, hi, rng, size=None):
     degenerate = hi - lo < DEGENERATE_WIDTH
     hi = np.where(degenerate, lo + 1.0, hi)  # a stand-in whose draw is discarded
     if spec.family == "I":
-        draws = sample_truncated_normal(mid, spec.tau0_sq, lo, hi, rng, size)
+        draws = sample_truncated_normal(mid, spec.tau0_sq, lo, hi, rng)
     elif spec.family == "II":
-        draws = sample_truncated_normal(0.0, spec.sigma0_sq, lo, hi, rng, size)
+        draws = sample_truncated_normal(0.0, spec.sigma0_sq, lo, hi, rng)
     elif spec.family == "III":
-        draws = lo + (hi - lo) * rng.uniform(size)
+        draws = lo + (hi - lo) * rng.uniform()
     else:
-        draws = lo + (hi - lo) * sample_beta(spec.p, spec.q, rng, size)
+        draws = lo + (hi - lo) * sample_beta(spec.p, spec.q, rng)
     return np.where(degenerate, mid, draws)
 
 
@@ -99,8 +100,8 @@ class MarginalSampleBatch(SetDrawBatch):
     __slots__ = ("gammas",)
 
     def __init__(self, gammas, lo, hi, source, scenario_id, skipped=0,
-                 attempt_indices=None):
-        super().__init__(lo, hi, source, scenario_id, skipped, attempt_indices)
+                 attempt_indices=None, *, warn: bool = True):
+        super().__init__(lo, hi, source, scenario_id, skipped, attempt_indices, warn=warn)
         gammas = np.array(gammas, dtype=float)
         if gammas.shape != self.lo.shape:
             raise ParameterError("gammas, lo, hi must be aligned 1-d arrays")
@@ -115,16 +116,16 @@ def draw_gammas(spec: ConditionalPriorSpec, batch: SetDrawBatch) -> MarginalSamp
 
     Draw j transforms ``batch.gamma_uniforms[j]``, the uniform its attempt
     stream drew after the interval, so it never fails and never redraws the
-    interval.  The result keeps the batch's intervals and skip account.
+    interval.  The result keeps the batch's intervals, skip account and
+    high-skip flag, and does not warn again.
     """
     if batch.gamma_uniforms is None:
         raise ParameterError("drawing gammas needs the batch's gamma_uniforms")
-    u = batch.gamma_uniforms
-    drawn = SimpleNamespace(uniform=lambda size: u)  # an RngStream whose draws are u
+    drawn = UniformRows(batch.gamma_uniforms[:, None])
     return MarginalSampleBatch(
-        _gamma_step(spec, batch.lo, batch.hi, drawn, u.size), batch.lo, batch.hi,
+        _gamma_step(spec, batch.lo, batch.hi, drawn), batch.lo, batch.hi,
         batch.source, batch.scenario_id, skipped=batch.skipped,
-        attempt_indices=batch.attempt_indices,
+        attempt_indices=batch.attempt_indices, warn=False,
     )
 
 

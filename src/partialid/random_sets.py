@@ -50,7 +50,8 @@ class SetDrawBatch:
     ``gamma_uniforms`` the uniform in [0, 1) that attempt drew after its
     interval, for a second-stage draw given the interval.  A batch whose
     ``skip_rate`` exceeds :data:`HIGH_SKIP_RATE` sets ``high_skip_warning`` and
-    warns at construction, naming the first caller outside the package.
+    warns at construction, naming the first caller outside the package, unless
+    ``warn`` is false (a batch made from one that has warned).
     Marginal (gamma, interval) batches are a subclass, so both kinds follow
     the same rules.
     """
@@ -59,7 +60,7 @@ class SetDrawBatch:
                  "gamma_uniforms", "high_skip_warning")
 
     def __init__(self, lo, hi, source: str, scenario_id: str, skipped: int = 0,
-                 attempt_indices=None, gamma_uniforms=None):
+                 attempt_indices=None, gamma_uniforms=None, *, warn: bool = True):
         lo = np.array(lo, dtype=float)
         hi = np.array(hi, dtype=float)
         if lo.ndim != 1 or lo.shape != hi.shape:
@@ -90,7 +91,7 @@ class SetDrawBatch:
         self.lo.setflags(write=False)
         self.hi.setflags(write=False)
         self.high_skip_warning = self.skip_rate > HIGH_SKIP_RATE
-        if self.high_skip_warning:
+        if self.high_skip_warning and warn:
             # name the first caller outside the package (skip_file_prefixes is 3.12+)
             frame, level = sys._getframe(1), 2
             while frame is not None and frame.f_globals.get("__name__", "").startswith(_PACKAGE):

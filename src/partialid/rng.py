@@ -11,10 +11,13 @@ Building a ``SeedSequence`` costs far more than most draws it feeds, so a run
 of consecutive indices can be seeded at once by a :class:`SeedBlock`.  It
 computes the ``SeedSequence`` hash of every key of the block in one vectorized
 pass (:func:`seed_words`) and reproduces ``generate_state(4, np.uint64)`` word
-for word, so a block-born stream is the same stream as ``RngStream(key)``.
+for word; :meth:`SeedBlock.uniforms` fills one row per stream with the same
+uniforms as ``RngStream(key)`` draws, without building the streams.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -29,26 +32,19 @@ class RngStream:
 
     Identical keys reproduce identical draw sequences; distinct keys give
     statistically independent sequences.  Streams are stateful and must not
-    be shared between concurrent consumers.  ``block`` is set only by
-    :meth:`SeedBlock.stream`; it supplies the precomputed seed words.
+    be shared between concurrent consumers.
     """
 
-    __slots__ = ("master_seed", "stream_index", "subkey", "_gen", "_block")
+    __slots__ = ("master_seed", "stream_index", "subkey", "_gen")
 
-    def __init__(self, master_seed: int, stream_index: int, subkey: tuple = (),
-                 block: "SeedBlock | None" = None):
+    def __init__(self, master_seed: int, stream_index: int, subkey: tuple = ()):
         if stream_index < 0:
             raise ParameterError(f"stream_index must be >= 0, got {stream_index}")
         self.master_seed = int(master_seed) % _SEED_MOD
         self.stream_index = int(stream_index)
         self.subkey = tuple(map(int, subkey))
-        self._block = block
-        if block is None:
-            entropy = (self.master_seed, self.stream_index, *self.subkey)
-            seed = np.random.SeedSequence(entropy)
-        else:
-            seed = _SeedRow(block.words[self.stream_index - block.start])
-        self._gen = np.random.Generator(np.random.PCG64(seed))
+        entropy = (self.master_seed, self.stream_index, *self.subkey)
+        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
     def uniform(self, size=None):
         """Uniform draws on [0, 1): a float for ``size=None``, else an array."""
@@ -63,15 +59,29 @@ class RngStream:
         sources (e.g. two independent processes inside one scenario draw).
         The child's sequence is unrelated to the parent's and to siblings'.
         """
-        if self._block is None:
-            return RngStream(self.master_seed, self.stream_index, self.subkey + (int(k),))
-        return self._block.split(k).stream(self.stream_index)
+        return RngStream(self.master_seed, self.stream_index, self.subkey + (int(k),))
 
     def __repr__(self):
         return (
             f"RngStream(master_seed={self.master_seed}, "
             f"stream_index={self.stream_index}, subkey={self.subkey})"
         )
+
+
+class UniformRows:
+    """Stands in for one stream per row of ``u``: ``uniform(size)`` gives each
+    row's next uniforms, shaped ``(rows, *size)``, as that row's stream would."""
+
+    __slots__ = ("u", "at")
+
+    def __init__(self, u: np.ndarray):
+        self.u, self.at = u, 0
+
+    def uniform(self, size=None) -> np.ndarray:
+        shape = () if size is None else tuple(np.atleast_1d(size))
+        count = math.prod(shape)
+        self.at += count
+        return self.u[:, self.at - count:self.at].reshape(len(self.u), *shape)
 
 
 def substream(master_seed: int, index: int) -> RngStream:
@@ -210,7 +220,7 @@ class SeedBlock:
     Seed words for the whole range are computed on construction, so each
     stream costs only its bit generator.  The block of a child key
     ``subkey + (k,)`` is computed on the first :meth:`split` by ``k`` and
-    kept, so splits of block-born streams are seeded a block at a time too.
+    kept, so the splits of a block's streams are seeded a block at a time too.
     """
 
     __slots__ = ("master_seed", "start", "stop", "subkey", "words", "_children")
@@ -227,11 +237,16 @@ class SeedBlock:
                                 np.arange(self.start, self.stop, dtype=np.uint64), self.subkey)
         self._children = {}
 
-    def stream(self, index: int) -> RngStream:
-        """The stream of ``index``, which must lie in the block's range."""
-        if not self.start <= index < self.stop:
-            raise ParameterError(f"index {index} outside [{self.start}, {self.stop})")
-        return RngStream(self.master_seed, index, self.subkey, block=self)
+    def uniforms(self, m: int, indices: range) -> np.ndarray:
+        """The first ``m`` uniforms of the streams of ``indices``, a subrange of
+        the block, one row per index: row r is ``RngStream(master_seed, indices[r],
+        subkey).uniform(m)``, drawn without building the stream."""
+        if not self.start <= indices.start <= indices.stop <= self.stop:
+            raise ParameterError(f"{indices} is not within [{self.start}, {self.stop})")
+        out = np.empty((len(indices), m))
+        for row, words in zip(out, self.words[indices.start - self.start:]):
+            np.random.Generator(np.random.PCG64(_SeedRow(words))).random(out=row)
+        return out
 
     def split(self, k: int) -> "SeedBlock":
         """The block of child key ``k`` over the same indices."""

@@ -19,6 +19,11 @@ posterior to one realization of the random identified interval:
 
 Draws violating a scenario guard (inverted bounds, nonpositive denominators)
 are reported as skips, never reordered or hidden.
+
+Attempts run in blocks.  A scenario's prepared draw declares how many
+uniforms an attempt takes from each of its streams and maps arrays of them,
+one attempt per row, to interval endpoints and an accept mask; one draw from
+one stream (:func:`draw_set`) is a block of one.
 """
 
 from __future__ import annotations
@@ -26,8 +31,10 @@ from __future__ import annotations
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -36,10 +43,10 @@ import numpy as np
 from .dirichlet import (
     DirichletProcessSpec,
     DiscreteMeasure,
-    covariance,
-    draw_posterior,
-    draw_prior,
-    expectation,
+    process_draw,
+    process_uniforms,
+    row_covariance,
+    row_means,
 )
 from .distributions import (
     DirichletParams,
@@ -52,7 +59,7 @@ from .distributions import (
 )
 from .errors import ParameterError, SkipBudgetError
 from .random_sets import IntervalSet, SetDrawBatch
-from .rng import RngStream, SeedBlock, substream
+from .rng import RngStream, SeedBlock, UniformRows, substream
 
 log = logging.getLogger(__name__)
 
@@ -71,19 +78,6 @@ def attempt_stream(master_seed: int, role: int, attempt: int) -> RngStream:
     if attempt < 0 or attempt >= 2**_ROLE_SHIFT:
         raise ParameterError(f"attempt index out of range: {attempt}")
     return substream(master_seed, (role << _ROLE_SHIFT) + attempt)
-
-
-def attempt_streams(master_seed: int, role: int, attempts: range):
-    """The streams of a contiguous range of attempts, built one at a time.
-
-    Stream j equals ``attempt_stream(master_seed, role, j)``; the range is
-    seeded in one pass by a :class:`~partialid.rng.SeedBlock`.
-    """
-    if attempts.start < 0 or attempts.stop > 2**_ROLE_SHIFT or attempts.step != 1:
-        raise ParameterError(f"attempt range out of range: {attempts}")
-    base = role << _ROLE_SHIFT
-    block = SeedBlock(master_seed, range(base + attempts.start, base + attempts.stop))
-    return (block.stream(base + j) for j in attempts)
 
 
 _GRID_STEP = 0.05
@@ -193,14 +187,33 @@ def generate_data(cfg: ScenarioConfig, rng: RngStream) -> Dataset:
 
 
 # --- identified-set functionals -------------------------------------------
+# The row forms map process draws -- normalized weights (..., L) and atoms
+# (..., L) or (..., L, d), one draw per leading index -- to (lo, hi, accept);
+# a draw failing a guard is not accepted.  The public forms take one measure.
+
+def _interval(lo, hi, accept) -> IntervalSet | None:
+    return IntervalSet(float(lo), float(hi)) if accept else None
+
+
+def _censoring_rows(w1, a1, w2, a2):
+    lo, hi = row_means(w1, a1), row_means(w2, a2)
+    return lo, hi, ~(hi < lo)
+
 
 def censoring_bounds(m1: DiscreteMeasure, m2: DiscreteMeasure) -> IntervalSet | None:
     """[mean of lower measure, mean of upper measure]; None when inverted."""
-    lo = expectation(m1, lambda a: a)
-    hi = expectation(m2, lambda a: a)
-    if hi < lo:
-        return None
-    return IntervalSet(lo, hi)
+    return _interval(*_censoring_rows(m1.weights, m1.atoms, m2.weights, m2.atoms))
+
+
+def _reverse_regression_rows(w, a):
+    syz = row_covariance(w, a, 0, 1)
+    szz = row_covariance(w, a, 1, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # in rows the guard rejects
+        direct, reverse = syz / szz, row_covariance(w, a, 0, 0) / syz
+    # min and max of (direct, reverse) as Python's min and max take them
+    lo = np.where(reverse < direct, reverse, direct)
+    hi = np.where(reverse > direct, reverse, direct)
+    return lo, hi, ~(syz <= 0) & ~(szz <= 0)
 
 
 def reverse_regression_bounds(m: DiscreteMeasure) -> IntervalSet | None:
@@ -209,16 +222,16 @@ def reverse_regression_bounds(m: DiscreteMeasure) -> IntervalSet | None:
     Requires a positive y-z covariance; draws violating the sign constraint
     (or with a degenerate z marginal) are reported as None.
     """
-    syz = covariance(m, 0, 1)
-    if syz <= 0:
-        return None
-    szz = covariance(m, 1, 1)
-    if szz <= 0:
-        return None
-    syy = covariance(m, 0, 0)
-    direct = syz / szz
-    reverse = syy / syz
-    return IntervalSet(min(direct, reverse), max(direct, reverse))
+    return _interval(*_reverse_regression_rows(m.weights, m.atoms))
+
+
+def _instrument_ratio_rows(w, a):
+    z = a[..., 3]
+    ezx = row_means(w, a[..., 2] * z)
+    with np.errstate(divide="ignore", invalid="ignore"):  # in rows the guard rejects
+        lo = row_means(w, a[..., 0] * z) / ezx
+        hi = row_means(w, a[..., 1] * z) / ezx
+    return lo, hi, ~(ezx <= 0) & ~(lo > hi)
 
 
 def instrument_ratio_bounds(m: DiscreteMeasure) -> IntervalSet | None:
@@ -227,35 +240,46 @@ def instrument_ratio_bounds(m: DiscreteMeasure) -> IntervalSet | None:
     Uses raw (uncentered) cross moments.  Requires a positive instrument
     moment E[z x] and ordered numerators; otherwise the draw is skipped.
     """
-    ezx = expectation(m, lambda a: a[:, 2] * a[:, 3])
-    if ezx <= 0:
-        return None
-    lo = expectation(m, lambda a: a[:, 0] * a[:, 3]) / ezx
-    hi = expectation(m, lambda a: a[:, 1] * a[:, 3]) / ezx
-    if lo > hi:
-        return None
-    return IntervalSet(lo, hi)
+    return _interval(*_instrument_ratio_rows(m.weights, m.atoms))
 
 
 # --- per-scenario data, hyperparameters and prepared draws -----------------
 # A scenario's prepare(cfg, mode, dataset) runs once per batch, after
-# prepare_draw has checked the mode and the dataset.  It returns the batch's
-# attempt(rng), a functools.partial of a module-level function so that it
-# pickles for pool workers.
+# prepare_draw has checked the mode and the dataset.  Its draw is a
+# functools.partial of a module-level function, so that it pickles.
 
-def _process_draw(spec: DirichletProcessSpec, data, rng: RngStream) -> DiscreteMeasure:
-    """One draw of the process: from its prior when ``data`` is None, else its posterior."""
-    if data is None:
-        return draw_prior(spec, rng)
-    return draw_posterior(spec, data, rng)
+class PreparedDraw(NamedTuple):
+    """A scenario's interval draw for one batch: a uniform layout and the draw.
+
+    ``layout`` maps each stream key of an attempt, ``()`` for the attempt
+    stream and ``(k,)`` for its split k, to the uniforms the interval takes
+    from it.  ``draw`` maps a dict of one source per key, streams or
+    :class:`~partialid.rng.UniformRows`, to ``(lo, hi, accept)``.  Unaccepted
+    rows are skips, accepted ones without ``lo <= hi`` errors; it never raises
+    for one row.
+    """
+
+    layout: dict
+    draw: Callable
+
+    def __call__(self, rng: RngStream) -> IntervalSet | None:
+        """One interval from ``rng`` and its splits, or None for a skip: a block of one."""
+        return _interval(*self.draw({key: rng.split(*key) if key else rng
+                                     for key in self.layout}))
 
 
-def _toy_attempt(rng):
-    return IntervalSet(rng.uniform(), 1.0 + rng.uniform())
+def _process_rows(spec, data, source):
+    weights, atoms = process_draw(spec, source, data)
+    return weights / weights.sum(axis=-1, keepdims=True), atoms
+
+
+def _toy_draw(sources):
+    x = sources[()].uniform(2)
+    return x[..., 0], 1.0 + x[..., 1], np.ones(x.shape[:-1], dtype=bool)
 
 
 def _prepare_toy(cfg, mode, dataset):
-    return _toy_attempt
+    return PreparedDraw({(): 2}, _toy_draw)
 
 
 def _generate_censored(n, rng):
@@ -264,33 +288,38 @@ def _generate_censored(n, rng):
     return np.column_stack((y1, y2))
 
 
-def _censored_attempt(spec1, spec2, y1, y2, rng):
-    r1, r2 = rng.split(0), rng.split(1)
-    return censoring_bounds(_process_draw(spec1, y1, r1), _process_draw(spec2, y2, r2))
+def _censored_draw(spec1, spec2, y1, y2, sources):
+    return _censoring_rows(*_process_rows(spec1, y1, sources[(0,)]),
+                           *_process_rows(spec2, y2, sources[(1,)]))
 
 
 def _prepare_censored(cfg, mode, dataset):
+    """The two processes draw from the attempt stream's splits 0 and 1."""
     n0_1, n0_2 = cfg.hyper["n0"]
     mu1, mu2 = cfg.hyper["base_mean"]
     var1, var2 = cfg.hyper["base_var"]
     spec1 = DirichletProcessSpec(n0_1, partial(sample_normal, mu1, var1))
     spec2 = DirichletProcessSpec(n0_2, partial(sample_normal, mu2, var2))
-    if mode == "prior":
-        return partial(_censored_attempt, spec1, spec2, None, None)
-    return partial(_censored_attempt, spec1, spec2,
-                   dataset.column("y1"), dataset.column("y2"))
+    y1 = y2 = None
+    if mode == "posterior":
+        y1, y2 = dataset.column("y1"), dataset.column("y2")
+    n = 0 if y1 is None else len(y1)
+    layout = {(): 0, (0,): process_uniforms(spec1, 1, n), (1,): process_uniforms(spec2, 1, n)}
+    return PreparedDraw(layout, partial(_censored_draw, spec1, spec2, y1, y2))
 
 
-def _joint_attempt(bounds, spec, data, rng):
-    return bounds(_process_draw(spec, data, rng))
+def _joint_draw(bounds_rows, spec, data, sources):
+    return bounds_rows(*_process_rows(spec, data, sources[()]))
 
 
-def _prepare_joint(bounds, cfg, mode, dataset):
-    """Prepared draw of a regression scenario: ``bounds`` of one joint process draw."""
+def _prepare_joint(bounds_rows, cfg, mode, dataset):
+    """Prepared draw of a regression scenario: ``bounds_rows`` of one joint process draw."""
     mean, cov = cfg.hyper["base_mean"], cfg.hyper["base_cov"]
     base = partial(sample_mvnormal, mean, cov, chol=cholesky_factor(cov))
     spec = DirichletProcessSpec(cfg.hyper["n0"], base)
-    return partial(_joint_attempt, bounds, spec, None if mode == "prior" else dataset.values)
+    data = None if mode == "prior" else dataset.values
+    m = process_uniforms(spec, len(mean), 0 if data is None else len(data))
+    return PreparedDraw({(): m}, partial(_joint_draw, bounds_rows, spec, data))
 
 
 def _generate_errors_in_variables(n, rng):
@@ -299,10 +328,6 @@ def _generate_errors_in_variables(n, rng):
     y = latent + noise[:, 0]  # true slope 1
     z = latent + noise[:, 1]
     return np.column_stack((y, z))
-
-
-def _prepare_errors_in_variables(cfg, mode, dataset):
-    return _prepare_joint(reverse_regression_bounds, cfg, mode, dataset)
 
 
 def _interval_regression_hyper() -> dict:
@@ -322,10 +347,6 @@ def _generate_interval_regression(n, rng):
     y1 = 2.0 * x + sample_normal(0.0, 0.1, rng, size=n)
     y2 = 6.0 * x + sample_normal(0.0, 0.1, rng, size=n)
     return np.column_stack((y1, y2, x, z))
-
-
-def _prepare_interval_regression(cfg, mode, dataset):
-    return _prepare_joint(instrument_ratio_bounds, cfg, mode, dataset)
 
 
 class BinaryCounts(NamedTuple):
@@ -366,16 +387,16 @@ def _generate_binary(n, rng):
     return np.column_stack((y * d, d))
 
 
-def _binary_attempt(alpha, rng):
-    cells = sample_dirichlet(alpha, rng)
-    return IntervalSet(float(cells[0]), float(cells[0] + cells[2]))
+def _binary_draw(alpha, sources):
+    cells = sample_dirichlet(alpha, sources[()])
+    return cells[..., 0], cells[..., 0] + cells[..., 2], np.ones(cells.shape[:-1], dtype=bool)
 
 
 def _prepare_binary(cfg, mode, dataset):
     alpha = cfg.hyper["alpha"]
     if mode == "posterior":
         alpha = binary_posterior_params(alpha, count_binary(dataset))
-    return partial(_binary_attempt, DirichletParams(alpha))
+    return PreparedDraw({(): 3}, partial(_binary_draw, DirichletParams(alpha)))
 
 
 # --- the scenario table --------------------------------------------------------
@@ -390,8 +411,7 @@ class Scenario:
     shapes: tuple[float, float] | None  # family-IV (p, q); None: no prior wiring
     hyper: Callable[[], dict]  # builds a fresh ScenarioConfig.hyper
     generate: Callable[[int, RngStream], np.ndarray] | None  # (n, rng) -> (n, k) values
-    # (cfg, mode, dataset) -> attempt(rng), once per batch; an attempt's None skips
-    prepare: Callable[..., Callable[[RngStream], IntervalSet | None]]
+    prepare: Callable[..., PreparedDraw]  # (cfg, mode, dataset), once per batch
 
 
 SCENARIOS = MappingProxyType({
@@ -412,14 +432,14 @@ SCENARIOS = MappingProxyType({
         hyper=lambda: {"n0": 20.0, "base_mean": np.zeros(2),
                        "base_cov": np.array([[2.0, 0.9], [0.9, 2.0]])},
         generate=_generate_errors_in_variables,
-        prepare=_prepare_errors_in_variables,
+        prepare=partial(_prepare_joint, _reverse_regression_rows),
     ),
     "interval_regression": Scenario(
         columns=("y1", "y2", "x", "z"), grid_range=(-1.0, 20.0),
         true_set=IntervalSet(2.0, 6.0), shapes=(1.0, 0.5),
         hyper=_interval_regression_hyper,
         generate=_generate_interval_regression,
-        prepare=_prepare_interval_regression,
+        prepare=partial(_prepare_joint, _instrument_ratio_rows),
     ),
     "binary_missing": Scenario(
         columns=("yd", "d"), grid_range=(0.0, 1.0),
@@ -443,14 +463,15 @@ def prepare_draw(
     cfg: ScenarioConfig,
     mode: str,
     dataset: Dataset | None = None,
-) -> Callable[[RngStream], IntervalSet | None]:
-    """Check a batch's mode and dataset once; return its ``attempt(rng)``.
+) -> PreparedDraw:
+    """Check a batch's mode and dataset once; return its :class:`PreparedDraw`.
 
-    The attempt makes one realization of the scenario's random identified
-    interval from ``rng``, or returns None when a scenario guard fails (the
-    draw is skipped).  Whatever does not depend on the stream (process specs,
-    data columns, conjugate parameters, covariance factors) is computed here,
-    once.  Posterior mode requires a dataset from :func:`generate_data`.
+    It declares the uniforms an attempt takes from each of its streams, and
+    maps them, one attempt per row, to intervals and an accept mask (a failed
+    scenario guard is a skip); called with a stream, it makes one interval.
+    Whatever does not depend on the uniforms (process specs, data columns,
+    conjugate parameters, covariance factors) is computed here, once.
+    Posterior mode requires a dataset from :func:`generate_data`.
     """
     if mode not in ("prior", "posterior"):
         raise ParameterError(f"mode must be 'prior' or 'posterior', got {mode!r}")
@@ -476,44 +497,29 @@ def draw_set(
 ) -> IntervalSet | None:
     """One realization of the scenario's random identified interval.
 
-    Same as ``prepare_draw(cfg, mode, dataset)(rng)``; batches prepare once.
+    Same as ``prepare_draw(cfg, mode, dataset)(rng)``: a block of one, read
+    from ``rng`` and its splits.  Batches prepare once.
     """
     return prepare_draw(cfg, mode, dataset)(rng)
 
 
 # --- batch assembly ----------------------------------------------------------
 
-# (attempt, master_seed, role), set once in each pool worker by _init_worker
-_worker_job = None
+#: Most uniforms a chunk's array holds per stream key (256 KB of doubles), so
+#: a batch's memory does not grow with its size or its data.
+CHUNK_UNIFORMS = 2**15
 
 
-def _init_worker(attempt, master_seed, role):
-    global _worker_job
-    _worker_job = (attempt, master_seed, role)
-
-
-def _run_chunk(attempt, master_seed, role, attempts: range):
-    """Outcomes of a contiguous range of attempts, in index order, run as consumed."""
-    return (attempt(rng) for rng in attempt_streams(master_seed, role, attempts))
-
-
-def _pool_chunk(attempts: range):
-    """Outcomes up to the first error, and that error (or None): the caller
-    raises it only if it consumes the failing attempt, as a serial run would."""
-    outcomes = []
-    try:
-        for outcome in _run_chunk(*_worker_job, attempts):
-            outcomes.append(outcome)
-    except Exception as exc:
-        return outcomes, exc
-    return outcomes, None
-
-
-def _pool_outcomes(executor, chunks):
-    for outcomes, error in executor.map(_pool_chunk, chunks):
-        yield from outcomes
-        if error is not None:
-            raise error
+def _chunk(prepared: PreparedDraw, master_seed: int, streams: range, seeds=None):
+    """``(lo, hi, accept, gamma_uniforms)`` of a range of attempt streams, one row
+    each, from ``seeds`` (a :class:`SeedBlock` holding them) or seeded here."""
+    seeds = seeds or SeedBlock(master_seed, streams)
+    uniforms = {}
+    for key, m in prepared.layout.items():  # the attempt stream adds the gamma uniform
+        keyed = seeds.split(*key) if key else seeds
+        uniforms[key] = keyed.uniforms(m if key else m + 1, streams)
+    return (*prepared.draw({key: UniformRows(u) for key, u in uniforms.items()}),
+            uniforms[()][:, -1])
 
 
 def max_workers() -> int:
@@ -535,22 +541,28 @@ def check_workers(workers: int) -> int:
     return workers
 
 
-def run_attempts(attempt, n_draws: int, master_seed: int, role: int, workers: int,
-                 label: str):
+def attempt_pool(workers: int):
+    """A process pool of ``min(workers, max_workers())`` processes to share among
+    the batches of a run, as a context manager; None when that is one process."""
+    workers = min(workers, max_workers())
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+
+
+def run_attempts(prepared: PreparedDraw, n_draws: int, master_seed: int, role: int,
+                 workers: int, label: str, pool=None):
     """Run attempts 0, 1, 2, ... in index order until ``n_draws`` are accepted.
 
-    ``attempt(rng)`` returns a result, or None for a skip; attempt j always
-    uses the substream keyed by (master_seed, role, j), so the outcome is the
-    same for any worker count.  Attempts run in contiguous chunks whose
-    streams are seeded a chunk at a time (:func:`attempt_streams`).  The
-    first block holds ``n_draws`` attempts; each top-up block is sized by the
-    acceptance rate so far, so a batch that mostly skips builds few blocks.
-    Attempts past the ``n_draws``-th acceptance are never consumed: a serial
-    run does not make them, and a pool run drops them and any error they
-    raised.  A pool worker receives ``attempt`` once; its tasks carry only
-    attempt ranges.  The pool has at most :func:`max_workers` processes,
-    whatever ``workers`` asks for; outputs do not depend on the worker count.
-    Returns ``(attempt_indices, results, skipped)``.  Raises
+    Attempt j uses the streams keyed by (master_seed, role, j) and their
+    splits, whatever the worker count.  Attempts run in chunks: per stream key
+    of ``prepared.layout``, attempt j's uniforms are row j of the chunk's
+    array (at most :data:`CHUNK_UNIFORMS`), the gamma uniform last in the
+    attempt stream's row.  The first block holds ``n_draws`` attempts, each
+    top-up block as many as the acceptance rate so far asks.  Attempts past
+    the ``n_draws``-th acceptance are never counted and their errors never
+    raised; a consumed, accepted one without ``lo <= hi`` raises
+    :class:`ParameterError`.  ``pool`` (:func:`attempt_pool`) runs chunks as
+    tasks; without one, ``workers > 1`` starts a pool for this call.  Returns
+    ``(attempt_indices, lo, hi, gamma_uniforms, skipped)``.  Raises
     :class:`SkipBudgetError`, its message opened by ``label``, when skips
     exhaust ``50 * n_draws + 1000`` attempts.
     """
@@ -559,49 +571,43 @@ def run_attempts(attempt, n_draws: int, master_seed: int, role: int, workers: in
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     workers = min(workers, max_workers())
-    indices, results = [], []
-    skipped = next_index = 0
-    attempt_cap = 50 * n_draws + 1000
-    executor = None
-    if workers > 1:
-        executor = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                       initargs=(attempt, master_seed, role))
-    try:
-        while len(results) < n_draws:
-            need = n_draws - len(results)
-            if next_index + need > attempt_cap:
-                raise SkipBudgetError(
-                    f"{label}: skip rate too high; {skipped} skips in {next_index} attempts",
-                    skipped=skipped, attempts=next_index)
-            # expect `need` acceptances at the rate seen so far
-            size = max(need, need * next_index // max(len(results), 1))
-            block = range(next_index, min(next_index + size, attempt_cap))
-            next_index = block.stop
-            if executor is None:
-                outcomes = _run_chunk(attempt, master_seed, role, block)
-            else:
-                step = max(1, len(block) // (4 * workers))
-                chunks = [block[i:i + step] for i in range(0, len(block), step)]
-                outcomes = _pool_outcomes(executor, chunks)
-            for i, res in zip(block, outcomes):
-                if res is None:
-                    skipped += 1
-                    continue
-                indices.append(i)
-                results.append(res)
-                need -= 1
-                if not need:
-                    break
-    finally:
-        if executor is not None:
-            executor.shutdown()
-    return indices, results, skipped
-
-
-def _then_uniform(attempt, rng):
-    """An attempt's interval and the next uniform of its stream; None for a skip."""
-    interval = attempt(rng)
-    return None if interval is None else (interval, rng.uniform())
+    if pool is None and workers > 1:
+        with attempt_pool(workers) as pool:
+            return run_attempts(prepared, n_draws, master_seed, role, workers, label, pool)
+    taken = []  # (indices, lo, hi, gamma uniforms) of each chunk's acceptances
+    need, skipped, next_index = n_draws, 0, 0
+    attempt_cap = min(50 * n_draws + 1000, 2**_ROLE_SHIFT)
+    rows_cap = max(1, CHUNK_UNIFORMS // (1 + max(prepared.layout.values())))
+    base = role << _ROLE_SHIFT
+    while need:
+        if next_index + need > attempt_cap:
+            raise SkipBudgetError(
+                f"{label}: skip rate too high; {skipped} skips in {next_index} attempts",
+                skipped=skipped, attempts=next_index)
+        # expect `need` acceptances at the rate seen so far
+        size = max(need, need * next_index // max(n_draws - need, 1))
+        streams = range(base + next_index, base + min(next_index + size, attempt_cap))
+        next_index = streams.stop - base
+        step = rows_cap if pool is None else max(1, min(rows_cap, len(streams) // (4 * workers)))
+        chunks = [streams[i:i + step] for i in range(0, len(streams), step)]
+        if pool is None:  # a chunk is computed when it is consumed
+            seeds = SeedBlock(master_seed, streams)
+            outcomes = (_chunk(prepared, master_seed, c, seeds) for c in chunks)
+        else:
+            outcomes = pool.map(_chunk, repeat(prepared), repeat(master_seed), chunks)
+        for chunk, (lo, hi, accept, u) in zip(chunks, outcomes):
+            rows = np.flatnonzero(accept)[:need]
+            skipped += int(rows[-1] + 1 if len(rows) == need else len(chunk)) - len(rows)
+            first = chunk.start - base  # the attempt of row 0
+            bad = rows[~(lo[rows] <= hi[rows])]
+            if bad.size:
+                raise ParameterError(f"{label}: attempt {first + bad[0]} drew the invalid "
+                                     f"interval [{lo[bad[0]]}, {hi[bad[0]]}]")
+            taken.append((first + rows, lo[rows], hi[rows], u[rows]))
+            need -= len(rows)
+            if not need:
+                break
+    return (*(np.concatenate(part) for part in zip(*taken)), skipped)
 
 
 def draw_set_batch(
@@ -612,23 +618,24 @@ def draw_set_batch(
     dataset: Dataset | None = None,
     workers: int = 1,
     role: int | None = None,
+    pool=None,
 ) -> SetDrawBatch:
     """Collect ``n_draws`` accepted interval draws, skipping guard violations.
 
-    Each accepted attempt then draws one more uniform, the batch's
-    ``gamma_uniforms``, for :func:`~partialid.priors.draw_gammas`.
-    Byte-identical for any worker count; see :func:`run_attempts`.
+    Attempt j's uniforms are row j of its chunk's array per stream key, the
+    last of its attempt stream's row its ``gamma_uniforms`` entry for
+    :func:`~partialid.priors.draw_gammas` (:func:`run_attempts`): its interval
+    is ``draw_set(cfg, mode, attempt_stream(master_seed, role, j), dataset)``
+    and its gamma uniform that stream's next.  Byte-identical for any worker
+    count; ``pool`` shares an :func:`attempt_pool` among a run's batches.
     """
     if role is None:
         role = ROLE_PRIOR_SETS if mode == "prior" else ROLE_POSTERIOR_SETS
-    indices, results, skipped = run_attempts(
-        partial(_then_uniform, prepare_draw(cfg, mode, dataset)),
-        n_draws, master_seed, role, workers, f"{cfg.scenario_id} {mode}",
-    )
-    intervals, uniforms = zip(*results)
-    return SetDrawBatch([iv.lo for iv in intervals], [iv.hi for iv in intervals], mode,
-                        cfg.scenario_id, skipped=skipped, attempt_indices=indices,
-                        gamma_uniforms=uniforms)
+    indices, lo, hi, gamma_uniforms, skipped = run_attempts(
+        prepare_draw(cfg, mode, dataset), n_draws, master_seed, role, workers,
+        f"{cfg.scenario_id} {mode}", pool)
+    return SetDrawBatch(lo, hi, mode, cfg.scenario_id, skipped=skipped,
+                        attempt_indices=indices, gamma_uniforms=gamma_uniforms)
 
 
 # --- closed-form oracles -----------------------------------------------------

@@ -306,6 +306,20 @@ class TestRunScenario:
         assert summary["true_set"] is None
         assert summary["point_estimate"] is None
 
+    def test_a_run_shares_one_pool_among_its_batches(self, tmp_path, monkeypatch,
+                                                      pool_sizes):
+        from partialid import scenarios
+
+        monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
+        base = dict(scenario="interval_censored", n=40, n_draws=60, seed=4,
+                    prior_family="III")
+        r1 = run_scenario(RunConfig(out_dir=str(tmp_path / "w1"), **base))
+        assert pool_sizes == []
+        r2 = run_scenario(RunConfig(out_dir=str(tmp_path / "w2"), workers=2, **base))
+        assert pool_sizes == [2]
+        for name in ("coverage.csv", "intervals.csv", "gamma_hist.csv"):
+            assert r1.files[name] == r2.files[name]
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         base = dict(scenario="binary_missing", n=150, n_draws=80, seed=4,
                     prior_family="II")

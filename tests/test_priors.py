@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -170,7 +171,8 @@ class TestMarginalSample:
         role = ROLE_PRIOR_SETS if mode == "prior" else ROLE_POSTERIOR_SETS
         for family in ("I", "II", "III", "IV"):
             spec = default_prior_spec("errors_in_variables", family)
-            with pytest.warns(UserWarning, match="batch skipped"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the set batch has warned already
                 gammas = draw_gammas(spec, batch).gammas
             for j, index in enumerate(batch.attempt_indices):
                 # the scalar two-stage sampler: interval, then gamma, from one stream
@@ -242,6 +244,15 @@ class TestMarginalSample:
             else:
                 draw_set_batch(cfg, "prior", 50, 3)
         assert [w.filename for w in record] == [__file__] * len(record)
+
+    def test_high_skip_batch_warns_once(self):
+        cfg = make_config("errors_in_variables", n=10)
+        cfg = dataclasses.replace(cfg, hyper={**cfg.hyper, "base_cov": np.eye(2)})
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            batch = marginal_sample(cfg, ConditionalPriorSpec("III"), "prior", 50, 3)
+        assert batch.high_skip_warning is True
+        assert [w.category for w in record] == [UserWarning]
 
     def test_mismatched_pairs_rejected(self):
         from partialid import MarginalSampleBatch

@@ -62,8 +62,8 @@ def test_independence_of_other_streams():
 
 # --- seeding a block of streams at once -------------------------------------
 
-from partialid.rng import SeedBlock, seed_words  # noqa: E402
-from partialid.scenarios import attempt_stream, attempt_streams  # noqa: E402
+from partialid.rng import RngStream, SeedBlock, seed_words  # noqa: E402
+from partialid.scenarios import attempt_stream  # noqa: E402
 
 MASTER_SEEDS = (0, 7, 2**32 - 1, 2**32, 2**64 - 1)
 ROLES = (0, 1, 2, 5)
@@ -88,22 +88,25 @@ def test_seed_words_reproduce_seed_sequence(master_seed, subkey):
 @pytest.mark.parametrize("role", ROLES)
 def test_block_streams_match_attempt_streams(master_seed, role):
     attempts = range(2**32 - 4, 2**32) if role == 5 else range(995, 1001)
-    for j, rng in zip(attempts, attempt_streams(master_seed, role, attempts)):
+    base = role << 32
+    streams = range(base + attempts.start, base + attempts.stop)
+    block = SeedBlock(master_seed, streams)
+    # rows of uniforms, read without building the streams; a subrange too
+    rows = (block.uniforms(7, streams), block.split(1).uniforms(5, streams),
+            block.split(0).split(1).uniforms(5, streams), block.split(0).uniforms(5, streams))
+    assert np.array_equal(block.uniforms(7, streams[2:4]), rows[0][2:4])
+    for r, j in enumerate(attempts):
         ref = attempt_stream(master_seed, role, j)
-        assert (rng.master_seed, rng.stream_index, rng.subkey) == (
-            ref.master_seed, ref.stream_index, ref.subkey)
-        c0, c1, c01 = rng.split(0), rng.split(1), rng.split(0).split(1)
-        assert np.array_equal(c0.uniform(size=5), ref.split(0).uniform(size=5))
-        assert np.array_equal(c1.uniform(size=5), ref.split(1).uniform(size=5))
-        assert np.array_equal(c01.uniform(size=5), ref.split(0).split(1).uniform(size=5))
-        assert c1.subkey == (1,) and c01.subkey == (0, 1)
-        assert np.array_equal(rng.uniform(size=7), ref.uniform(size=7))
+        assert np.array_equal(rows[3][r], ref.split(0).uniform(size=5))
+        assert np.array_equal(rows[1][r], ref.split(1).uniform(size=5))
+        assert np.array_equal(rows[2][r], ref.split(0).split(1).uniform(size=5))
+        assert np.array_equal(rows[0][r], ref.uniform(size=7))
 
 
 def test_block_split_is_computed_once_and_does_not_advance_the_parent():
     block = SeedBlock(3, range(10, 20))
     assert block.split(0) is block.split(0)
-    a, b = block.stream(12), block.stream(12)
+    a, b = RngStream(3, 12), RngStream(3, 12)
     a.split(0)
     assert a.uniform() == b.uniform()
 
@@ -114,6 +117,6 @@ def test_seed_block_rejects_bad_ranges():
     with pytest.raises(ParameterError):
         SeedBlock(3, range(0, 10, 2))
     with pytest.raises(ParameterError):
-        SeedBlock(3, range(10, 20)).stream(20)
+        SeedBlock(3, range(10, 20)).uniforms(1, range(15, 21))
     with pytest.raises(ParameterError):
-        attempt_streams(3, 1, range(2**32 - 1, 2**32 + 1))
+        attempt_stream(3, 1, 2**32)

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,7 +27,10 @@ from partialid import scenarios
 from partialid.priors import ConditionalPriorSpec, marginal_sample
 from partialid.scenarios import (
     ROLE_DATA,
+    ROLE_POSTERIOR_SETS,
+    ROLE_PRIOR_SETS,
     SCENARIO_IDS,
+    PreparedDraw,
     attempt_stream,
     censoring_bounds,
     default_grid,
@@ -277,10 +281,28 @@ class TestDrawSet:
             draw_set(make_config("binary_missing"), "sideways", attempt_stream(4, 7, 0))
 
 
-def _skip_most(rng):
-    """A synthetic attempt that skips four times in five."""
-    u = rng.uniform()
-    return None if u < 0.8 else u
+def _skip_most(sources):
+    """A synthetic draw that skips four attempts in five."""
+    x = sources[()].uniform()
+    return x, x, x >= 0.8
+
+
+SKIP_MOST = PreparedDraw({(): 1}, _skip_most)
+
+
+def _nan_at(poison, sources):
+    """SKIP_MOST with the attempt that draws ``poison`` accepted as a NaN interval."""
+    lo, hi, accept = _skip_most(sources)
+    hit = lo == poison
+    return np.where(hit, np.nan, lo), hi, accept | hit
+
+
+def _raise_at(poison, sources):
+    """SKIP_MOST, raising for a chunk that holds the attempt that draws ``poison``."""
+    lo, hi, accept = _skip_most(sources)
+    if np.any(lo == poison):
+        raise RuntimeError("a chunk past the last acceptance")
+    return lo, hi, accept
 
 
 class TestDrawSetBatch:
@@ -329,37 +351,44 @@ class TestDrawSetBatch:
             draw_set_batch(cfg, "prior", 1, 3)
         assert 1 <= len(built) <= 16
 
-    def test_top_up_blocks_match_one_attempt_at_a_time(self):
-        indices, results, skipped = run_attempts(_skip_most, 40, 21, 1, 1, "synthetic")
+    def test_top_up_blocks_match_one_attempt_at_a_time(self, monkeypatch):
         expected, j = [], 0
         while len(expected) < 40:
-            u = attempt_stream(21, 1, j).uniform()
+            rng = attempt_stream(21, 1, j)
+            u = rng.uniform()
             if u >= 0.8:
-                expected.append((j, u))
+                expected.append((j, u, rng.uniform()))
             j += 1
-        assert indices == [i for i, _ in expected]
-        assert results == [u for _, u in expected]
-        assert skipped == j - 40
+        # 14 uniforms make chunks of 7 rows, so blocks span many chunks
+        for chunk_uniforms in (scenarios.CHUNK_UNIFORMS, 14):
+            monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", chunk_uniforms)
+            indices, lo, hi, gammas, skipped = run_attempts(SKIP_MOST, 40, 21, 1, 1, "synthetic")
+            assert indices.tolist() == [i for i, _, _ in expected]
+            assert lo.tolist() == hi.tolist() == [u for _, u, _ in expected]
+            assert gammas.tolist() == [g for _, _, g in expected]
+            assert skipped == j - 40
 
     def test_attempts_past_the_last_acceptance_are_not_consumed(self, monkeypatch,
                                                                  pool_sizes):
-        indices, _, _ = run_attempts(_skip_most, 10, 21, 1, 1, "synthetic")
-        poison = attempt_stream(21, 1, indices[-1] + 1).uniform()
-        ran = []
-
-        def fail_late(rng):
-            u = rng.uniform()
-            if u == poison:
-                ran.append(u)
-                raise RuntimeError("attempt past the last acceptance")
-            return None if u < 0.8 else u
-
-        # serial runs never make the attempt; the pool makes it and drops its error
+        indices = run_attempts(SKIP_MOST, 10, 21, 1, 1, "synthetic")[0]
+        last = attempt_stream(21, 1, indices[-1]).uniform()
+        late = attempt_stream(21, 1, indices[-1] + 1).uniform()
         monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
-        assert run_attempts(fail_late, 10, 21, 1, 1, "synthetic")[0] == indices
-        assert ran == []
-        assert run_attempts(fail_late, 10, 21, 1, 2, "synthetic")[0] == indices
-        assert pool_sizes == [2] and ran == [poison]
+        monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", 2)  # one attempt per chunk
+        for workers in (1, 2):
+            # a bad row is masked in its chunk; only a consumed one raises
+            late_nan = PreparedDraw({(): 1}, partial(_nan_at, late))
+            assert np.array_equal(run_attempts(late_nan, 10, 21, 1, workers, "synthetic")[0],
+                                  indices)
+            last_nan = PreparedDraw({(): 1}, partial(_nan_at, last))
+            with pytest.raises(ParameterError, match=f"attempt {indices[-1]} drew"):
+                run_attempts(last_nan, 10, 21, 1, workers, "synthetic")
+        # the pool runs a task past the last acceptance and drops its error
+        late_raise = PreparedDraw({(): 1}, partial(_raise_at, late))
+        assert np.array_equal(run_attempts(late_raise, 10, 21, 1, 2, "synthetic")[0], indices)
+        with pytest.raises(RuntimeError, match="past the last acceptance"):
+            run_attempts(late_raise, 11, 21, 1, 2, "synthetic")
+        assert pool_sizes == [2, 2, 2, 2]
 
     def test_posterior_batch_concentrates(self):
         cfg = make_config("interval_censored", n=400)
@@ -367,6 +396,56 @@ class TestDrawSetBatch:
         batch = draw_set_batch(cfg, "posterior", 200, master_seed=13, dataset=data)
         assert abs(np.mean(batch.lo)) < 0.3
         assert abs(np.mean(batch.hi) - 5.0) < 0.6
+
+
+def _modes(sid):
+    return ("prior", "posterior") if scenarios.SCENARIOS[sid].columns else ("prior",)
+
+
+class TestBlockEquivalence:
+    """A batch is attempt-by-attempt draw_set, then one more uniform of the stream."""
+
+    @pytest.mark.parametrize("sid,mode,n", [
+        *((sid, mode, 30) for sid in SCENARIO_IDS for mode in _modes(sid)),
+        ("interval_censored", "posterior", 1),  # one data point takes no data uniform
+        ("errors_in_variables", "posterior", 1),
+    ])
+    def test_batch_equals_draw_set_per_attempt(self, monkeypatch, sid, mode, n):
+        has_data = bool(scenarios.SCENARIOS[sid].columns)
+        cfg = make_config(sid, n=n if has_data else None)
+        data = generate_data(cfg, attempt_stream(9, ROLE_DATA, 0)) if has_data else None
+        # chunks of 7 rows, so the batch spans several chunks and top-up blocks
+        widest = 1 + max(prepare_draw(cfg, mode, data).layout.values())
+        monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", 7 * widest)
+        batch = draw_set_batch(cfg, mode, 40, 9, dataset=data)
+        role = ROLE_PRIOR_SETS if mode == "prior" else ROLE_POSTERIOR_SETS
+        rows = dict(zip(batch.attempt_indices.tolist(), range(len(batch))))
+        for j in range(batch.attempt_indices[-1] + 1):
+            rng = attempt_stream(9, role, j)
+            interval = draw_set(cfg, mode, rng, data)
+            if j not in rows:
+                assert interval is None
+                continue
+            r = rows[j]
+            assert (interval.lo, interval.hi) == (batch.lo[r], batch.hi[r])
+            assert rng.uniform() == batch.gamma_uniforms[r]
+        assert batch.skipped == batch.attempt_indices[-1] + 1 - len(batch)
+
+    def test_batches_build_no_per_draw_interval(self, monkeypatch):
+        built = []
+
+        class CountingIntervalSet(IntervalSet):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(scenarios, "IntervalSet", CountingIntervalSet)
+        cfg = make_config("interval_censored", n=30)
+        data = generate_data(cfg, attempt_stream(9, ROLE_DATA, 0))
+        draw_set_batch(cfg, "posterior", 50, 9, dataset=data)
+        assert built == []
+        draw_set(cfg, "posterior", attempt_stream(9, 2, 0), data)
+        assert len(built) == 1
 
 
 class TestPreparedDraws:
@@ -443,27 +522,6 @@ def _cpu_limit():
     return os.cpu_count()
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Stand in for ProcessPoolExecutor, running tasks here; return the sizes asked for."""
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(scenarios, "_worker_job", None)  # restored afterwards
-    return sizes
-
-
 class TestWorkerBound:
     def test_run_attempts_caps_the_pool_at_the_cpu_count(self, pool_sizes):
         sizes = pool_sizes
@@ -475,7 +533,7 @@ class TestWorkerBound:
 
     def test_run_attempts_rejects_zero_workers(self):
         with pytest.raises(ParameterError, match="workers"):
-            run_attempts(lambda rng: 1, 5, 0, 1, 0, "test")
+            run_attempts(SKIP_MOST, 5, 0, 1, 0, "test")
 
     def test_check_workers(self):
         limit = _cpu_limit()

@@ -3,7 +3,9 @@
 Coverage functions, capacity functionals, credible regions, and point
 estimates, all computed from batches of simulated interval draws.  Intervals
 are closed everywhere: a grid point sitting exactly on an endpoint counts as
-covered, and two intervals sharing only an endpoint count as hitting.
+covered, and two intervals sharing only an endpoint count as hitting.  The
+estimators count draws by binary search in endpoints sorted once per batch:
+O((G + N) log N) time and O(G + N) memory for G grid points over N draws.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class SetDrawBatch:
     """
 
     __slots__ = ("lo", "hi", "source", "scenario_id", "skipped", "attempt_indices",
-                 "gamma_uniforms", "high_skip_warning")
+                 "gamma_uniforms", "high_skip_warning", "_lo_sorted", "_hi_sorted")
 
     def __init__(self, lo, hi, source: str, scenario_id: str, skipped: int = 0,
                  attempt_indices=None, gamma_uniforms=None, *, warn: bool = True):
@@ -65,8 +67,8 @@ class SetDrawBatch:
         hi = np.array(hi, dtype=float)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ParameterError("lo and hi must be 1-d arrays of equal length")
-        if np.any(lo > hi):
-            raise ParameterError("inverted draws must be skipped, not stored")
+        if not np.all(lo <= hi):
+            raise ParameterError("NaN endpoints and inverted draws must be skipped, not stored")
         if source not in ("prior", "posterior"):
             raise ParameterError(f"source must be 'prior' or 'posterior', got {source!r}")
         if skipped < 0:
@@ -88,8 +90,9 @@ class SetDrawBatch:
                 raise ParameterError("gamma_uniforms must be aligned uniforms in [0, 1)")
             gamma_uniforms.setflags(write=False)
         self.gamma_uniforms = gamma_uniforms
-        self.lo.setflags(write=False)
-        self.hi.setflags(write=False)
+        self._lo_sorted, self._hi_sorted = np.sort(lo), np.sort(hi)
+        for arr in (lo, hi, self._lo_sorted, self._hi_sorted):
+            arr.setflags(write=False)
         self.high_skip_warning = self.skip_rate > HIGH_SKIP_RATE
         if self.high_skip_warning and warn:
             # name the first caller outside the package (skip_file_prefixes is 3.12+)
@@ -131,23 +134,31 @@ def _require_nonempty(batch: SetDrawBatch):
         raise ParameterError("batch is empty")
 
 
+def _hit_fraction(batch: SetDrawBatch, a, b):
+    """Fraction of draws meeting [a, b]: a miss has lo > b or hi < a, never both."""
+    return (np.searchsorted(batch._lo_sorted, b, side="right")
+            - np.searchsorted(batch._hi_sorted, a, side="left")) / len(batch)
+
+
 def estimate_coverage(batch: SetDrawBatch, grid) -> CoverageCurve:
-    """Fraction of draws covering each grid point."""
+    """Fraction of draws covering each grid point, in O((G + N) log N) time.
+
+    Counted by binary search in the batch's sorted endpoints; O(G + N) memory.
+    """
     _require_nonempty(batch)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ParameterError("grid must be a nonempty 1-d array")
-    if np.any(np.diff(grid) <= 0):
-        raise ParameterError("grid must be strictly increasing")
-    inside = (batch.lo[None, :] <= grid[:, None]) & (grid[:, None] <= batch.hi[None, :])
-    values = inside.mean(axis=1)
+    if np.any(np.isnan(grid)) or np.any(np.diff(grid) <= 0):
+        raise ParameterError("grid must be strictly increasing, without NaN")
+    values = _hit_fraction(batch, grid, grid)
     return CoverageCurve(grid=grid.copy(), values=values, mc_draws=len(batch))
 
 
 def estimate_capacity(batch: SetDrawBatch, probe: IntervalSet) -> float:
-    """Fraction of draws hitting the probe interval (closed-interval overlap)."""
+    """Fraction of draws hitting the closed probe: two binary searches, O(log N)."""
     _require_nonempty(batch)
-    return float(np.mean((batch.lo <= probe.hi) & (batch.hi >= probe.lo)))
+    return float(_hit_fraction(batch, probe.lo, probe.hi))
 
 
 @dataclass(frozen=True)
@@ -174,12 +185,10 @@ def credible_region(batch: SetDrawBatch, alpha: float) -> CredibleRegion:
         raise ParameterError("credible regions are defined for posterior batches")
     _require_nonempty(batch)
     n = len(batch)
-    lo_sorted = np.sort(batch.lo)
-    hi_sorted = np.sort(batch.hi)
     k = int(np.floor((1.0 - alpha) / 2.0 * n))
     while True:
-        q_lo = lo_sorted[k]
-        q_hi = hi_sorted[n - 1 - k]
+        q_lo = batch._lo_sorted[k]
+        q_hi = batch._hi_sorted[n - 1 - k]
         contained = float(np.mean((batch.lo >= q_lo) & (batch.hi <= q_hi)))
         if contained >= alpha or k == 0:
             break

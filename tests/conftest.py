@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import settings
 
 from partialid import scenarios
+
+# CI runs with --hypothesis-profile=ci, so a property failure there reproduces locally
+settings.register_profile("ci", derandomize=True)
 
 
 def _result(outcome):

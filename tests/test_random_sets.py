@@ -1,5 +1,10 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partialid import (
     DegenerateEstimateError,
@@ -24,6 +29,17 @@ def random_batch(seed, n=500, source="posterior"):
     lo = gen.normal(size=n)
     hi = lo + gen.exponential(size=n)
     return SetDrawBatch(lo, hi, source, "synthetic")
+
+
+def matrix_coverage(batch, grid):
+    """Coverage as a G x N membership matrix: the reference the sorted counts must equal."""
+    grid = np.asarray(grid, dtype=float)[:, None]
+    return ((batch.lo[None, :] <= grid) & (grid <= batch.hi[None, :])).mean(axis=1)
+
+
+def matrix_capacity(batch, probe):
+    """Capacity as the mean of the closed-overlap mask over all draws."""
+    return float(np.mean((batch.lo <= probe.hi) & (batch.hi >= probe.lo)))
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +70,17 @@ class TestSetDrawBatch:
     def test_bad_source_rejected(self):
         with pytest.raises(ParameterError):
             SetDrawBatch([0.0], [1.0], "sideways", "synthetic")
+
+    @pytest.mark.parametrize("lo, hi", [([np.nan, 0.0], [0.5, 1.0]),
+                                        ([0.0, 0.5], [np.nan, 1.0]),
+                                        ([np.nan], [np.nan])])
+    def test_nan_endpoint_rejected(self, lo, hi):
+        with pytest.raises(ParameterError):
+            SetDrawBatch(lo, hi, "prior", "synthetic")
+
+    def test_infinite_endpoints_accepted(self):
+        batch = SetDrawBatch([-np.inf, 0.0, np.inf], [0.0, np.inf, np.inf], "prior", "synthetic")
+        assert len(batch) == 3
 
     def test_high_skip_rate_warns(self):
         with pytest.warns(UserWarning):
@@ -100,6 +127,66 @@ class TestEstimateCoverage:
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ParameterError):
             estimate_coverage(constant_batch(0, 1), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("grid", [[np.nan], [0.0, np.nan], [np.nan, 0.0, 1.0]])
+    def test_nan_grid_point_rejected(self, grid):
+        with pytest.raises(ParameterError):
+            estimate_coverage(constant_batch(0, 1), np.array(grid))
+
+    def test_memory_independent_of_grid_times_draws(self):
+        # a G x N boolean matrix here would peak at about 76 MB (2001 x 20000 cells)
+        batch = random_batch(9, n=20_000)
+        grid = np.linspace(-3.0, 4.0, 2001)
+        tracemalloc.start()
+        try:
+            estimate_coverage(batch, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+def _tied_batch():
+    gen = np.random.default_rng(10)
+    lo = gen.integers(0, 6, size=400) / 2.0
+    return SetDrawBatch(lo, lo + gen.integers(0, 4, size=400) / 2.0, "posterior", "synthetic")
+
+
+def _degenerate_batch():
+    gen = np.random.default_rng(11)
+    lo = np.round(gen.normal(size=300), 1)
+    hi = np.where(gen.random(300) < 0.5, lo, lo + np.round(gen.exponential(size=300), 1))
+    return SetDrawBatch(lo, hi, "posterior", "synthetic")
+
+
+def _infinite_batch():
+    gen = np.random.default_rng(12)
+    lo = np.round(gen.normal(size=300), 1)
+    hi = lo + np.round(gen.exponential(size=300), 1)
+    lo[gen.random(300) < 0.2] = -np.inf
+    hi[gen.random(300) < 0.2] = np.inf
+    lo[:3] = hi[:3] = np.inf
+    hi[3:6] = lo[3:6] = -np.inf
+    return SetDrawBatch(lo, hi, "posterior", "synthetic")
+
+
+class TestMatrixOracle:
+    """The sorted-endpoint estimators equal the G x N matrix form exactly."""
+
+    @pytest.mark.parametrize("make_batch", [_tied_batch, _degenerate_batch, _infinite_batch,
+                                            lambda: random_batch(13)])
+    def test_coverage_and_capacity_equal_matrix_form(self, make_batch):
+        batch = make_batch()
+        # every endpoint is a grid point and a probe end, plus points between them
+        ends = np.unique(np.concatenate([batch.lo, batch.hi]))
+        finite = ends[np.isfinite(ends)]
+        grid = np.unique(np.concatenate([ends, (finite[1:] + finite[:-1]) / 2,
+                                         [-np.inf, finite[0] - 1.0, finite[-1] + 1.0, np.inf]]))
+        assert np.array_equal(estimate_coverage(batch, grid).values, matrix_coverage(batch, grid))
+        picks = grid[np.linspace(0, grid.size - 1, 25).astype(int)]
+        for a, b in itertools.combinations_with_replacement(picks, 2):
+            probe = IntervalSet(a, b)
+            assert estimate_capacity(batch, probe) == matrix_capacity(batch, probe)
 
 
 class TestEstimateCapacity:
@@ -200,3 +287,50 @@ class TestPointEstimateSet:
         empty = SetDrawBatch([], [], "posterior", "synthetic")
         with pytest.raises(ParameterError):
             point_estimate_set(empty)
+
+
+# endpoints on a quarter grid give ties, degenerate draws and grid points on endpoints
+_quarters = st.integers(-12, 12).map(lambda i: i / 4.0)
+_endpoint = st.one_of(_quarters, st.floats(-3.0, 3.0))
+_width = st.one_of(st.just(0.0), _quarters.map(abs), st.floats(0.0, 3.0))
+
+
+@st.composite
+def batches(draw):
+    pairs = draw(st.lists(st.tuples(_endpoint, _width), min_size=1, max_size=40))
+    lo = np.array([a for a, _ in pairs])
+    return SetDrawBatch(lo, lo + np.array([w for _, w in pairs]), "posterior", "synthetic")
+
+
+grids = st.lists(_endpoint, min_size=1, max_size=30, unique=True).map(sorted)
+
+
+class TestEstimatorProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(batches(), grids)
+    def test_coverage_is_a_probability_equal_to_singleton_capacity(self, batch, grid):
+        values = estimate_coverage(batch, grid).values
+        assert np.all((0 <= values) & (values <= 1))
+        assert np.array_equal(values, matrix_coverage(batch, grid))
+        for g, value in zip(grid, values):
+            assert estimate_capacity(batch, IntervalSet(g, g)) == value
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches(), grids, _endpoint, _width)
+    def test_capacity_bounds_coverage_inside_probe(self, batch, grid, a, w):
+        probe = IntervalSet(a, a + w)
+        capacity = estimate_capacity(batch, probe)
+        assert capacity == matrix_capacity(batch, probe)
+        values = estimate_coverage(batch, grid).values
+        inside = (probe.lo <= np.array(grid)) & (np.array(grid) <= probe.hi)
+        assert np.all(capacity >= values[inside])
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches(), st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5).map(sorted))
+    def test_credible_regions_meet_alpha_and_nest(self, batch, alphas):
+        regions = [credible_region(batch, alpha) for alpha in alphas]
+        for r in regions:
+            assert r.containment >= r.alpha
+        for r, s in zip(regions, regions[1:]):
+            assert r.containment <= s.containment
+            assert s.region.lo <= r.region.lo and r.region.hi <= s.region.hi

@@ -78,10 +78,6 @@ class TestSetDrawBatch:
         with pytest.raises(ParameterError):
             SetDrawBatch(lo, hi, "prior", "synthetic")
 
-    def test_infinite_endpoints_accepted(self):
-        batch = SetDrawBatch([-np.inf, 0.0, np.inf], [0.0, np.inf, np.inf], "prior", "synthetic")
-        assert len(batch) == 3
-
     def test_high_skip_rate_warns(self):
         with pytest.warns(UserWarning):
             SetDrawBatch(np.zeros(50), np.ones(50), "prior", "synthetic", skipped=10)

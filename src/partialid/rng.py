@@ -12,12 +12,15 @@ of consecutive indices can be seeded at once by a :class:`SeedBlock`.  It
 computes the ``SeedSequence`` hash of every key of the block in one vectorized
 pass (:func:`seed_words`) and reproduces ``generate_state(4, np.uint64)`` word
 for word; :meth:`SeedBlock.uniforms` fills one row per stream with the same
-uniforms as ``RngStream(key)`` draws, without building the streams.
+uniforms as ``RngStream(key)`` draws, without building the streams.  Short rows
+come from PCG64 itself, computed in uint64 limbs for all rows at once
+(:func:`pcg64_uniforms`); longer rows from one generator per row.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -214,11 +217,66 @@ def seed_words(master_seed: int, indices, subkey: tuple = ()) -> np.ndarray:
     return out
 
 
+# --- PCG64 for many seeds at once ---------------------------------------------
+# numpy's PCG64 (pcg64.h): a 128-bit LCG with XSL-RR output.  A 128-bit value
+# is a (hi, lo) pair of uint64 arrays.  No operand is a Python int, so the
+# value-based casting of numpy 1.x cannot promote the arithmetic to float64.
+
+#: Rows of at most this many uniforms are computed by :func:`pcg64_uniforms`,
+#: longer rows by one generator each: building a generator costs about as much
+#: as 60 limb steps of a row, and each double it fills about an eighth of one.
+SHORT_ROW = 16
+
+_LOW32 = np.uint64(_MASK32)
+_U1, _U11, _U32, _U58, _U63, _U64 = map(np.uint64, (1, 11, 32, 58, 63, 64))
+_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
+_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
+_PCG_MULT_LO_0, _PCG_MULT_LO_1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> _U32
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """``state * multiplier + inc mod 2**128`` on (hi, lo) limbs."""
+    # the high half of lo * _PCG_MULT_LO, from 32-bit halves (Hacker's Delight 8-2)
+    lo0, lo1 = lo & _LOW32, lo >> _U32
+    t = lo1 * _PCG_MULT_LO_0 + ((lo0 * _PCG_MULT_LO_0) >> _U32)
+    w = lo0 * _PCG_MULT_LO_1 + (t & _LOW32)
+    carry = lo1 * _PCG_MULT_LO_1 + (t >> _U32) + (w >> _U32)
+    new_lo = lo * _PCG_MULT_LO + inc_lo
+    new_hi = carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
+
+
+def pcg64_uniforms(words: np.ndarray, m: int) -> np.ndarray:
+    """``Generator(PCG64(seed)).random(m)`` for every row of seed words at once.
+
+    ``words`` is ``(n, 4)`` uint64, each row the four words PCG64 takes from
+    its seed sequence; the result is ``(n, m)``, bit for bit as numpy draws it.
+    """
+    states = np.empty((2, m, len(words)), dtype=np.uint64)  # hi, lo of each step
+    with np.errstate(over="ignore"):
+        init_hi, init_lo, seq_hi, seq_lo = words.T
+        # pcg_setseq_128_srandom_r: inc = (initseq << 1) | 1, then from state 0
+        # one step (state = inc), add initstate, one more step
+        inc_hi = (seq_hi << _U1) | (seq_lo >> _U63)
+        inc_lo = (seq_lo << _U1) | _U1
+        lo = inc_lo + init_lo
+        hi, lo = _pcg64_step(inc_hi + init_hi + (lo < init_lo), lo, inc_hi, inc_lo)
+        for j in range(m):
+            hi, lo = states[:, j] = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR: (hi ^ lo) rotated right by the top 6 bits of the state
+        hi, lo = states
+        rot = hi >> _U58
+        out = hi ^ lo
+        out = (out >> rot) | (out << ((_U64 - rot) & _U63))
+    # a double from the top 53 bits; C order, as row-wise reductions expect
+    return np.ascontiguousarray((out >> _U11).T * 2.0**-53)
+
+
 class SeedBlock:
     """The streams ``(master_seed, index, *subkey)`` for a range of indices.
 
     Seed words for the whole range are computed on construction, so each
-    stream costs only its bit generator.  The block of a child key
+    stream costs only its draws.  The block of a child key
     ``subkey + (k,)`` is computed on the first :meth:`split` by ``k`` and
     kept, so the splits of a block's streams are seeded a block at a time too.
     """
@@ -237,16 +295,40 @@ class SeedBlock:
                                 np.arange(self.start, self.stop, dtype=np.uint64), self.subkey)
         self._children = {}
 
+    def _rows(self, indices: range) -> slice:
+        if not self.start <= indices.start <= indices.stop <= self.stop:
+            raise ParameterError(f"{indices} is not within [{self.start}, {self.stop})")
+        return slice(indices.start - self.start, indices.stop - self.start)
+
     def uniforms(self, m: int, indices: range) -> np.ndarray:
         """The first ``m`` uniforms of the streams of ``indices``, a subrange of
         the block, one row per index: row r is ``RngStream(master_seed, indices[r],
-        subkey).uniform(m)``, drawn without building the stream."""
-        if not self.start <= indices.start <= indices.stop <= self.stop:
-            raise ParameterError(f"{indices} is not within [{self.start}, {self.stop})")
+        subkey).uniform(m)``, drawn without building the stream.  Up to
+        :data:`SHORT_ROW` uniforms, all rows are computed at once."""
+        try:
+            m = operator.index(m)
+        except TypeError:
+            raise ParameterError(f"m must be an integer, got {m!r}") from None
+        if m < 0:
+            raise ParameterError(f"m must be >= 0, got {m}")
+        words = self.words[self._rows(indices)]
+        if m <= SHORT_ROW:
+            return pcg64_uniforms(words, m)
         out = np.empty((len(indices), m))
-        for row, words in zip(out, self.words[indices.start - self.start:]):
-            np.random.Generator(np.random.PCG64(_SeedRow(words))).random(out=row)
+        for row, seed in zip(out, words):
+            np.random.Generator(np.random.PCG64(_SeedRow(seed))).random(out=row)
         return out
+
+    def part(self, indices: range) -> "SeedBlock":
+        """The block of ``indices``, a subrange, with the splits computed so far:
+        views of this block's words, so no seed word is computed again."""
+        rows = self._rows(indices)
+        block = object.__new__(SeedBlock)
+        block.master_seed, block.subkey = self.master_seed, self.subkey
+        block.start, block.stop = indices.start, indices.stop
+        block.words = self.words[rows]
+        block._children = {k: child.part(indices) for k, child in self._children.items()}
+        return block
 
     def split(self, k: int) -> "SeedBlock":
         """The block of child key ``k`` over the same indices."""

@@ -510,10 +510,10 @@ def draw_set(
 CHUNK_UNIFORMS = 2**15
 
 
-def _chunk(prepared: PreparedDraw, master_seed: int, streams: range, seeds=None):
-    """``(lo, hi, accept, gamma_uniforms)`` of a range of attempt streams, one row
-    each, from ``seeds`` (a :class:`SeedBlock` holding them) or seeded here."""
-    seeds = seeds or SeedBlock(master_seed, streams)
+def _chunk(prepared: PreparedDraw, seeds: SeedBlock):
+    """``(lo, hi, accept, gamma_uniforms)`` of the attempt streams of ``seeds``,
+    one row each."""
+    streams = range(seeds.start, seeds.stop)
     uniforms = {}
     for key, m in prepared.layout.items():  # the attempt stream adds the gamma uniform
         keyed = seeds.split(*key) if key else seeds
@@ -590,11 +590,14 @@ def run_attempts(prepared: PreparedDraw, n_draws: int, master_seed: int, role: i
         next_index = streams.stop - base
         step = rows_cap if pool is None else max(1, min(rows_cap, len(streams) // (4 * workers)))
         chunks = [streams[i:i + step] for i in range(0, len(streams), step)]
-        if pool is None:  # a chunk is computed when it is consumed
-            seeds = SeedBlock(master_seed, streams)
-            outcomes = (_chunk(prepared, master_seed, c, seeds) for c in chunks)
-        else:
-            outcomes = pool.map(_chunk, repeat(prepared), repeat(master_seed), chunks)
+        seeds = SeedBlock(master_seed, streams)
+        for key in prepared.layout:  # the seed words of every key, once per block
+            if key:
+                seeds.split(*key)
+        # serially a chunk is computed when it is consumed; a task gets its
+        # chunk's share of the seed words
+        outcomes = (map if pool is None else pool.map)(
+            _chunk, repeat(prepared), map(seeds.part, chunks))
         for chunk, (lo, hi, accept, u) in zip(chunks, outcomes):
             rows = np.flatnonzero(accept)[:need]
             skipped += int(rows[-1] + 1 if len(rows) == need else len(chunk)) - len(rows)

@@ -33,8 +33,10 @@ UNIT_05 = IntervalSet(0.0, 5.0)
 
 
 def draw_many(spec, interval, seed, n):
-    rng = substream(seed, 0)
-    return np.array([sample_gamma_given_theta(spec, interval, rng) for _ in range(n)])
+    # the n scalar gammas of one stream, as one step on n copies of the interval
+    batch = SetDrawBatch(np.full(n, interval.lo), np.full(n, interval.hi), "prior",
+                         "synthetic", gamma_uniforms=substream(seed, 0).uniform(n))
+    return draw_gammas(spec, batch).gammas
 
 
 class TestSpecValidation:

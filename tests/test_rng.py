@@ -1,7 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from partialid import ParameterError, substream
+from partialid import ParameterError, rng, substream
 
 
 def test_identical_keys_reproduce_identical_sequences():
@@ -62,7 +66,7 @@ def test_independence_of_other_streams():
 
 # --- seeding a block of streams at once -------------------------------------
 
-from partialid.rng import RngStream, SeedBlock, seed_words  # noqa: E402
+from partialid.rng import SHORT_ROW, RngStream, SeedBlock, pcg64_uniforms, seed_words  # noqa: E402
 from partialid.scenarios import attempt_stream  # noqa: E402
 
 MASTER_SEEDS = (0, 7, 2**32 - 1, 2**32, 2**64 - 1)
@@ -120,3 +124,94 @@ def test_seed_block_rejects_bad_ranges():
         SeedBlock(3, range(10, 20)).uniforms(1, range(15, 21))
     with pytest.raises(ParameterError):
         attempt_stream(3, 1, 2**32)
+
+
+@pytest.mark.parametrize("bad", (-1, 2.0, 2.5, "3"))
+def test_seed_block_uniforms_rejects_a_bad_count(bad):
+    with pytest.raises(ParameterError):
+        SeedBlock(3, range(10, 20)).uniforms(bad, range(10, 20))
+
+
+def test_block_part_shares_the_words_of_its_block(monkeypatch):
+    block = SeedBlock(3, range(10, 20))
+    block.split(0)
+    monkeypatch.setattr(rng, "seed_words", None)  # a part computes no seed words
+    part = pickle.loads(pickle.dumps(block.part(range(12, 15))))
+    assert (part.start, part.stop, part.subkey) == (12, 15, ())
+    for m in (3, SHORT_ROW + 1):
+        assert np.array_equal(part.uniforms(m, range(13, 15)), block.uniforms(m, range(13, 15)))
+        assert np.array_equal(part.split(0).uniforms(m, range(12, 15)),
+                              block.split(0).uniforms(m, range(12, 15)))
+    with pytest.raises(ParameterError):
+        block.part(range(15, 21))
+
+
+# --- PCG64 in limbs ------------------------------------------------------------
+
+@pytest.mark.parametrize("master_seed", (0, 2**64 - 1))
+@pytest.mark.parametrize("subkey", ((), (0,), (1, 2**40)))
+@pytest.mark.parametrize("m", (0, 1, SHORT_ROW, SHORT_ROW + 1))
+def test_short_and_long_rows_match_streams(master_seed, subkey, m):
+    # indices below and at or above 2**32 take one and two entropy words
+    block = SeedBlock(master_seed, range(2**32 - 3, 2**32 + 3), subkey)
+    for indices in (range(2**32 - 3, 2**32 + 3), range(2**32 - 1, 2**32 + 2)):
+        rows = block.uniforms(m, indices)
+        assert rows.shape == (len(indices), m) and rows.flags.c_contiguous
+        for row, index in zip(rows, indices):
+            assert np.array_equal(row, RngStream(master_seed, index, subkey).uniform(m))
+
+
+def test_only_long_rows_build_a_generator_per_row(monkeypatch):
+    block = SeedBlock(3, range(10, 20))
+    monkeypatch.setattr(rng, "_SeedRow", None)
+    assert block.uniforms(SHORT_ROW, range(10, 20)).shape == (10, SHORT_ROW)
+    with pytest.raises(TypeError):
+        block.uniforms(SHORT_ROW + 1, range(10, 20))
+
+
+PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+M64, M128 = 2**64 - 1, 2**128
+
+
+def native_uniforms(words, m):
+    return np.random.Generator(np.random.PCG64(rng._SeedRow(words))).random(m)
+
+
+def words_reaching(state, initseq):
+    """Seed words whose generator's first draw steps to the 128-bit ``state``."""
+    inc = (initseq << 1 | 1) % M128
+    inverse = pow(PCG_MULT, -1, M128)
+    seeded = (state - inc) * inverse % M128  # the state after seeding
+    initstate = ((seeded - inc) * inverse - inc) % M128
+    return np.array([initstate >> 64, initstate & M64, initseq >> 64, initseq & M64],
+                    dtype=np.uint64)
+
+
+def xsl_rr(state):
+    """PCG64's output of ``state`` as a uniform, with Python integers."""
+    x, rot = (state >> 64) ^ (state & M64), state >> 122
+    return (((x >> rot | x << (64 - rot)) & M64) >> 11) * 2.0**-53
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from((0, 63, None)),
+                               st.integers(0, M128 - 1), st.integers(0, M128 - 1)),
+                     min_size=1, max_size=8),
+       m=st.integers(1, 2 * SHORT_ROW))
+def test_limb_arithmetic_matches_the_generator(rows, m):
+    # each row's first draw steps to a state of rotation 0, 63 or (None) any
+    words = []
+    for rot, state, initseq in rows:
+        if rot is not None:
+            state = rot << 122 | state % 2**122
+        words.append(words_reaching(state, initseq))
+        assert native_uniforms(words[-1], 1)[0] == xsl_rr(state)
+    words = np.array(words)
+    expected = np.array([native_uniforms(w, m) for w in words])
+    assert np.array_equal(pcg64_uniforms(words, m), expected)
+
+
+def test_limb_arithmetic_at_extreme_words():
+    words = np.array([[0] * 4, [M64] * 4, [M64, 0, M64, 0], [0, M64, 0, M64]], dtype=np.uint64)
+    expected = np.array([native_uniforms(w, 40) for w in words])
+    assert np.array_equal(pcg64_uniforms(words, 40), expected)

@@ -267,14 +267,11 @@ class TestDrawSet:
 
     def test_binary_prior_endpoint_means(self):
         # aggregated Dirichlet cells: E lo = a1/sum, E hi = (a1 + a3)/sum
-        cfg = make_config("binary_missing")
-        lo, hi = [], []
-        for idx in range(100_000):
-            iv = draw_set(cfg, "prior", attempt_stream(5, 7, idx))
-            lo.append(iv.lo)
-            hi.append(iv.hi)
-        assert abs(np.mean(lo) - 2.0 / 6.0) < 0.005
-        assert abs(np.mean(hi) - 3.0 / 6.0) < 0.005
+        # attempt j draws from attempt_stream(5, 7, j); binary never skips
+        batch = draw_set_batch(make_config("binary_missing"), "prior", 100_000, 5, role=7)
+        assert batch.skipped == 0
+        assert abs(np.mean(batch.lo) - 2.0 / 6.0) < 0.005
+        assert abs(np.mean(batch.hi) - 3.0 / 6.0) < 0.005
 
     def test_bad_mode(self):
         with pytest.raises(ParameterError):

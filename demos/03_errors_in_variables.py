@@ -12,7 +12,7 @@ slope 1 with unit noise everywhere, so the target bracket is [1/2, 2].
 import numpy as np
 
 import partialid as pid
-from partialid.dirichlet import covariance, draw_prior
+from partialid.dirichlet import process_draw, row_covariance
 from partialid.scenarios import ROLE_DATA, attempt_stream
 
 SEED = 2
@@ -45,6 +45,6 @@ spec = DirichletProcessSpec(
     lambda rng, size: sample_mvnormal(cfg.hyper["base_mean"], cfg.hyper["base_cov"],
                                       rng, size=size),
 )
-m = draw_prior(spec, pid.substream(SEED, 999))
-print(f"\none prior measure: {len(m)} atoms, cov(y,z) under it = "
-      f"{covariance(m, 0, 1):.4f}")
+weights, atoms = process_draw(spec, pid.substream(SEED, 999))
+print(f"\none prior measure: {len(weights)} atoms, cov(y,z) under it = "
+      f"{row_covariance(weights, atoms, 0, 1):.4f}")

@@ -8,15 +8,11 @@ families — with reproducible, worker-invariant random streams throughout.
 """
 
 from .dirichlet import (
-    DEFAULT_TRUNCATION,
     DirichletProcessSpec,
-    DiscreteMeasure,
-    TruncationPolicy,
     choose_truncation_level,
-    covariance,
-    draw_posterior,
-    draw_prior,
-    expectation,
+    process_draw,
+    row_covariance,
+    row_means,
     stick_weights,
 )
 from .distributions import (
@@ -79,10 +75,8 @@ __all__ = [
     "CoverageCurve",
     "CredibleRegion",
     "Dataset",
-    "DEFAULT_TRUNCATION",
     "DegenerateEstimateError",
     "DirichletProcessSpec",
-    "DiscreteMeasure",
     "Histogram",
     "IntervalSet",
     "MarginalSampleBatch",
@@ -93,7 +87,6 @@ __all__ = [
     "ScenarioConfig",
     "SetDrawBatch",
     "SkipBudgetError",
-    "TruncationPolicy",
     "analytic_capacity_toy",
     "analytic_coverage_binary",
     "analytic_coverage_toy",
@@ -102,16 +95,12 @@ __all__ = [
     "cholesky_factor",
     "choose_truncation_level",
     "count_binary",
-    "covariance",
     "credible_region",
     "default_prior_spec",
-    "draw_posterior",
-    "draw_prior",
     "draw_set",
     "draw_set_batch",
     "estimate_capacity",
     "estimate_coverage",
-    "expectation",
     "gamma_cdf",
     "gamma_quantile",
     "generate_data",
@@ -121,7 +110,10 @@ __all__ = [
     "marginal_sample",
     "point_estimate_set",
     "prepare_draw",
+    "process_draw",
     "psd_repair",
+    "row_covariance",
+    "row_means",
     "sample_beta",
     "sample_dirichlet",
     "sample_gamma_given_theta",

@@ -1,11 +1,12 @@
 """Truncated stick-breaking simulation of Dirichlet-process priors and posteriors.
 
-A process draw is represented as a :class:`DiscreteMeasure`: atoms in R^d with
-normalized weights.  Prior draws place K atoms sampled from the base measure,
-where the stick-breaking weights are truncated at K and renormalized.  The
-truncation level is chosen from the known law of the discarded tail mass:
-minus the log of the tail is Gamma(K, rate n0), so K can be picked to keep the
-tail below a tolerance with high probability.  Posterior draws mix the
+A process draw is a row of normalized weights and the row of atoms in R^d they
+sit on (:func:`process_draw`).  Prior draws place K atoms sampled from the base
+measure, where the stick-breaking weights are truncated at K and renormalized.
+The truncation level is chosen from the known law of the discarded tail mass:
+minus the log of the tail is Gamma(K, rate n0), so K is the smallest level
+that keeps the tail below ``TRUNCATION_EPS`` with probability
+1 - ``TRUNCATION_DELTA`` (Muliere & Tardella, 1998).  Posterior draws mix the
 truncated prior atoms with the observed data points through a Beta(n, n0)
 split and symmetric-Dirichlet data weights.
 
@@ -58,47 +59,16 @@ def choose_truncation_level(n0: float, eps: float, delta: float) -> int:
     return hi
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Either a fixed number of sticks or an (eps, delta) error target."""
-
-    fixed_k: int | None = None
-    eps: float | None = None
-    delta: float | None = None
-
-    def __post_init__(self):
-        if self.fixed_k is not None:
-            if self.fixed_k < 1:
-                raise ParameterError("fixed_k must be >= 1")
-            if self.eps is not None or self.delta is not None:
-                raise ParameterError("give either fixed_k or (eps, delta), not both")
-        else:
-            if self.eps is None or self.delta is None:
-                raise ParameterError("need fixed_k or both eps and delta")
-            if not (0 < self.eps < 1 and 0 < self.delta < 1):
-                raise ParameterError("eps and delta must lie strictly in (0, 1)")
-
-    @classmethod
-    def fixed(cls, k: int) -> "TruncationPolicy":
-        return cls(fixed_k=k)
-
-    @classmethod
-    def by_error(cls, eps: float, delta: float) -> "TruncationPolicy":
-        return cls(eps=eps, delta=delta)
-
-    def resolve(self, n0: float) -> int:
-        if self.fixed_k is not None:
-            return self.fixed_k
-        return choose_truncation_level(n0, self.eps, self.delta)
-
-
-#: Keeps the truncation error negligible next to Monte Carlo error at ~1000 draws.
-DEFAULT_TRUNCATION = TruncationPolicy.by_error(eps=1e-3, delta=0.01)
+#: The (eps, delta) truncation rule: keep the discarded tail mass below eps
+#: with probability 1 - delta, which keeps the truncation error negligible next
+#: to Monte Carlo error at ~1000 draws.
+TRUNCATION_EPS = 1e-3
+TRUNCATION_DELTA = 0.01
 
 
 @dataclass(frozen=True)
 class DirichletProcessSpec:
-    """Concentration, base-measure sampler, and truncation policy.
+    """Concentration and base-measure sampler of a Dirichlet process.
 
     ``base_sampler(rng, size)`` must return ``size`` i.i.d. atoms from the
     base measure, shaped ``(size,)`` for scalar atoms or ``(size, d)``.
@@ -106,52 +76,12 @@ class DirichletProcessSpec:
 
     concentration: float
     base_sampler: Callable[[RngStream, int], np.ndarray]
-    truncation: TruncationPolicy = DEFAULT_TRUNCATION
 
     def __post_init__(self):
         if not self.concentration > 0:
             raise ParameterError(
                 f"concentration must be positive, got {self.concentration}"
             )
-
-
-class DiscreteMeasure:
-    """Finitely supported probability measure: weighted atoms in R^d.
-
-    Weights are normalized at construction and the arrays are frozen, so a
-    measure can be shared freely once built.
-    """
-
-    __slots__ = ("atoms", "weights")
-
-    def __init__(self, atoms, weights):
-        atoms = np.array(atoms, dtype=float)
-        weights = np.array(weights, dtype=float)
-        if weights.ndim != 1 or atoms.shape[0] != weights.shape[0]:
-            raise ParameterError(
-                f"atoms ({atoms.shape}) and weights ({weights.shape}) do not align"
-            )
-        if atoms.shape[0] == 0:
-            raise ParameterError("a measure needs at least one atom")
-        if np.any(weights < 0):
-            raise ParameterError("weights must be nonnegative")
-        total = weights.sum()
-        if not total > 0:
-            raise ParameterError("weights must have positive total mass")
-        self.atoms = atoms
-        self.weights = weights / total
-        self.atoms.setflags(write=False)
-        self.weights.setflags(write=False)
-
-    def __len__(self):
-        return self.atoms.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return 1 if self.atoms.ndim == 1 else self.atoms.shape[1]
-
-    def __repr__(self):
-        return f"DiscreteMeasure({len(self)} atoms, dim={self.dim})"
 
 
 def stick_weights(n0: float, k: int, rng: RngStream) -> tuple[np.ndarray, float]:
@@ -179,60 +109,42 @@ def _data_weight_params(n: int) -> DirichletParams:
 def process_uniforms(spec: DirichletProcessSpec, atom_size: int, n: int = 0) -> int:
     """The uniforms one :func:`process_draw` takes, for atoms of ``atom_size``
     uniforms and a posterior on n points (0: the prior)."""
-    k = spec.truncation.resolve(spec.concentration)
+    k = choose_truncation_level(spec.concentration, TRUNCATION_EPS, TRUNCATION_DELTA)
     return k * (1 + atom_size) + (n > 0) + (n if n > 1 else 0)
 
 
 def process_draw(spec: DirichletProcessSpec, source, data=None):
-    """Raw weights and atoms of truncated draws: the prior, or given n data points
-    the posterior, which puts mass rho ~ Beta(n, n0) on the data (last, split by
-    a symmetric Dirichlet) and 1 - rho on the k prior atoms.
+    """Normalized weights and their atoms of truncated draws, one draw per row:
+    the prior, or given n data points the posterior, which puts mass
+    rho ~ Beta(n, n0) on the data (last, split by a symmetric Dirichlet) and
+    1 - rho on the k prior atoms.
 
     ``source`` is a stream, for one draw, or a :class:`~partialid.rng.UniformRows`,
     for one draw per row.  A draw takes k sticks, k atoms, then rho and n data
     weights (none for n = 1).
     """
     n0 = spec.concentration
-    k = spec.truncation.resolve(n0)
+    k = choose_truncation_level(n0, TRUNCATION_EPS, TRUNCATION_DELTA)
     weights, _ = stick_weights(n0, k, source)
     atoms = np.asarray(spec.base_sampler(source, k), dtype=float)
     lead = weights.shape[:-1]  # the rows of a block, () for one draw
     if atoms.shape[:len(lead) + 1] != weights.shape:
         raise ParameterError(f"base sampler returned atoms {atoms.shape}, expected {k}")
-    if data is None:
-        return weights, atoms
-    if atoms.shape[len(lead) + 1:] != data.shape[1:]:
-        raise ParameterError(f"base-measure atoms {atoms.shape[len(lead):]} and data "
-                             f"{data.shape} have different dimensions")
-    n = len(data)
-    rho = sample_beta(float(n), n0, source, size=1)
-    data_w = sample_dirichlet(_data_weight_params(n), source)
-    weights = np.concatenate(
-        ((1.0 - rho) * weights / weights.sum(axis=-1, keepdims=True), rho * data_w), axis=-1)
-    return weights, np.concatenate((atoms, np.broadcast_to(data, lead + data.shape)),
-                                   axis=len(lead))
-
-
-def draw_prior(spec: DirichletProcessSpec, rng: RngStream) -> DiscreteMeasure:
-    """One truncated draw from the process prior (:func:`process_draw`)."""
-    weights, atoms = process_draw(spec, rng)
-    return DiscreteMeasure(atoms, weights)
-
-
-def draw_posterior(
-    spec: DirichletProcessSpec, data, rng: RngStream
-) -> DiscreteMeasure:
-    """One truncated draw from the process posterior given observed points.
-
-    The draw places mass rho ~ Beta(n, n0) on the n data points (split by a
-    symmetric Dirichlet) and mass 1 - rho on a fresh truncated prior draw
-    (:func:`process_draw`).
-    """
-    data = np.asarray(data, dtype=float)
-    if data.shape[0] == 0:
-        raise ParameterError("posterior draw needs data; use draw_prior otherwise")
-    weights, atoms = process_draw(spec, rng, data)
-    return DiscreteMeasure(atoms, weights)
+    if data is not None:
+        data = np.asarray(data, dtype=float)
+        if atoms.shape[len(lead) + 1:] != data.shape[1:]:
+            raise ParameterError(f"base-measure atoms {atoms.shape[len(lead):]} and data "
+                                 f"{data.shape} have different dimensions")
+        n = len(data)
+        if n == 0:
+            raise ParameterError("a posterior draw needs data; pass None for the prior")
+        rho = sample_beta(float(n), n0, source, size=1)
+        data_w = sample_dirichlet(_data_weight_params(n), source)
+        weights = np.concatenate(((1.0 - rho) * weights / weights.sum(axis=-1, keepdims=True),
+                                  rho * data_w), axis=-1)
+        atoms = np.concatenate((atoms, np.broadcast_to(data, lead + data.shape)),
+                               axis=len(lead))
+    return weights / weights.sum(axis=-1, keepdims=True), atoms
 
 
 def row_means(weights, values) -> np.ndarray:
@@ -247,25 +159,3 @@ def row_covariance(weights, atoms, i: int, j: int) -> np.ndarray:
     """Covariance of coordinates i and j of ``atoms`` (..., L, d), row by row."""
     xi, xj = atoms[..., i], atoms[..., j]
     return row_means(weights, xi * xj) - row_means(weights, xi) * row_means(weights, xj)
-
-
-def expectation(measure: DiscreteMeasure, h) -> float:
-    """Weighted average of ``h`` over the atoms.
-
-    ``h`` receives the full atom array and must return one value per atom.
-    """
-    values = np.asarray(h(measure.atoms), dtype=float)
-    if values.shape != (len(measure),):
-        raise ParameterError(
-            f"h must map the atom array to shape ({len(measure)},), got {values.shape}"
-        )
-    return float(row_means(measure.weights, values))
-
-
-def covariance(measure: DiscreteMeasure, i: int, j: int) -> float:
-    """Population covariance of coordinates i and j under the measure."""
-    coords = measure.atoms if measure.atoms.ndim == 2 else measure.atoms[:, None]
-    d = coords.shape[1]
-    if not (0 <= i < d and 0 <= j < d):
-        raise ParameterError(f"coordinates ({i}, {j}) out of range for dim {d}")
-    return float(row_covariance(measure.weights, coords, i, j))

@@ -42,7 +42,6 @@ import numpy as np
 
 from .dirichlet import (
     DirichletProcessSpec,
-    DiscreteMeasure,
     process_draw,
     process_uniforms,
     row_covariance,
@@ -130,7 +129,7 @@ def make_config(scenario_id: str, n: int | None = None, grid=None) -> ScenarioCo
         grid = default_grid(scenario_id)
     else:
         grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
+        if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
             raise ParameterError("grid must be strictly increasing with >= 2 points")
     return ScenarioConfig(scenario_id, n, grid, scenario.true_set, scenario.hyper())
 
@@ -172,7 +171,10 @@ def load_dataset(path, scenario_id: str) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         columns = tuple(header.split(","))
-        values = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            values = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ParameterError(f"malformed dataset file {path}: {exc}") from None
     if columns != expected:
         raise ParameterError(f"expected columns {expected}, found {columns}")
     return Dataset(scenario_id, columns, values)
@@ -187,9 +189,10 @@ def generate_data(cfg: ScenarioConfig, rng: RngStream) -> Dataset:
 
 
 # --- identified-set functionals -------------------------------------------
-# The row forms map process draws -- normalized weights (..., L) and atoms
-# (..., L) or (..., L, d), one draw per leading index -- to (lo, hi, accept);
-# a draw failing a guard is not accepted.  The public forms take one measure.
+# Each maps process draws -- normalized weights (..., L) and atoms (..., L) or
+# (..., L, d), one draw per leading index -- to (lo, hi, accept); a draw failing
+# a guard is not accepted.  They stay private: SCENARIOS binds them in partials
+# at import, and a pool pickles each by its module-level name.
 
 def _interval(lo, hi, accept) -> IntervalSet | None:
     return IntervalSet(float(lo), float(hi)) if accept else None
@@ -198,11 +201,6 @@ def _interval(lo, hi, accept) -> IntervalSet | None:
 def _censoring_rows(w1, a1, w2, a2):
     lo, hi = row_means(w1, a1), row_means(w2, a2)
     return lo, hi, ~(hi < lo)
-
-
-def censoring_bounds(m1: DiscreteMeasure, m2: DiscreteMeasure) -> IntervalSet | None:
-    """[mean of lower measure, mean of upper measure]; None when inverted."""
-    return _interval(*_censoring_rows(m1.weights, m1.atoms, m2.weights, m2.atoms))
 
 
 def _reverse_regression_rows(w, a):
@@ -216,15 +214,6 @@ def _reverse_regression_rows(w, a):
     return lo, hi, ~(syz <= 0) & ~(szz <= 0)
 
 
-def reverse_regression_bounds(m: DiscreteMeasure) -> IntervalSet | None:
-    """Direct/reverse regression slope bracket from a joint (y, z) measure.
-
-    Requires a positive y-z covariance; draws violating the sign constraint
-    (or with a degenerate z marginal) are reported as None.
-    """
-    return _interval(*_reverse_regression_rows(m.weights, m.atoms))
-
-
 def _instrument_ratio_rows(w, a):
     z = a[..., 3]
     ezx = row_means(w, a[..., 2] * z)
@@ -232,15 +221,6 @@ def _instrument_ratio_rows(w, a):
         lo = row_means(w, a[..., 0] * z) / ezx
         hi = row_means(w, a[..., 1] * z) / ezx
     return lo, hi, ~(ezx <= 0) & ~(lo > hi)
-
-
-def instrument_ratio_bounds(m: DiscreteMeasure) -> IntervalSet | None:
-    """Cross-moment ratio bounds from a joint (y1, y2, x, z) measure.
-
-    Uses raw (uncentered) cross moments.  Requires a positive instrument
-    moment E[z x] and ordered numerators; otherwise the draw is skipped.
-    """
-    return _interval(*_instrument_ratio_rows(m.weights, m.atoms))
 
 
 # --- per-scenario data, hyperparameters and prepared draws -----------------
@@ -268,11 +248,6 @@ class PreparedDraw(NamedTuple):
                                      for key in self.layout}))
 
 
-def _process_rows(spec, data, source):
-    weights, atoms = process_draw(spec, source, data)
-    return weights / weights.sum(axis=-1, keepdims=True), atoms
-
-
 def _toy_draw(sources):
     x = sources[()].uniform(2)
     return x[..., 0], 1.0 + x[..., 1], np.ones(x.shape[:-1], dtype=bool)
@@ -289,8 +264,8 @@ def _generate_censored(n, rng):
 
 
 def _censored_draw(spec1, spec2, y1, y2, sources):
-    return _censoring_rows(*_process_rows(spec1, y1, sources[(0,)]),
-                           *_process_rows(spec2, y2, sources[(1,)]))
+    return _censoring_rows(*process_draw(spec1, sources[(0,)], y1),
+                           *process_draw(spec2, sources[(1,)], y2))
 
 
 def _prepare_censored(cfg, mode, dataset):
@@ -309,7 +284,7 @@ def _prepare_censored(cfg, mode, dataset):
 
 
 def _joint_draw(bounds_rows, spec, data, sources):
-    return bounds_rows(*_process_rows(spec, data, sources[()]))
+    return bounds_rows(*process_draw(spec, sources[()], data))
 
 
 def _prepare_joint(bounds_rows, cfg, mode, dataset):

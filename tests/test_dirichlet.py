@@ -3,18 +3,16 @@ import pytest
 
 from partialid import (
     DirichletProcessSpec,
-    DiscreteMeasure,
     ParameterError,
-    TruncationPolicy,
     choose_truncation_level,
-    covariance,
-    draw_posterior,
-    draw_prior,
-    expectation,
+    process_draw,
+    row_covariance,
+    row_means,
     sample_normal,
     stick_weights,
     substream,
 )
+from partialid.dirichlet import TRUNCATION_DELTA, TRUNCATION_EPS
 
 
 def normal_base(mu, var):
@@ -53,24 +51,6 @@ class TestChooseTruncationLevel:
             choose_truncation_level(10.0, 1e-3, 1.0)
 
 
-class TestTruncationPolicy:
-    def test_fixed(self):
-        assert TruncationPolicy.fixed(25).resolve(10.0) == 25
-
-    def test_by_error(self):
-        assert TruncationPolicy.by_error(1e-3, 0.01).resolve(1.0) == 15
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            TruncationPolicy(fixed_k=0)
-        with pytest.raises(ParameterError):
-            TruncationPolicy(fixed_k=5, eps=0.1, delta=0.1)
-        with pytest.raises(ParameterError):
-            TruncationPolicy(eps=0.1)
-        with pytest.raises(ParameterError):
-            TruncationPolicy(eps=2.0, delta=0.1)
-
-
 class TestStickWeights:
     def test_weights_plus_tail_is_unity(self):
         w, tail = stick_weights(20.0, 100, substream(1, 0))
@@ -98,39 +78,22 @@ class TestStickWeights:
         assert abs(neglog.var() - k / n0**2) < 0.2 * k / n0**2
 
 
-class TestDiscreteMeasure:
-    def test_normalization(self):
-        m = DiscreteMeasure([1.0, 2.0], [2.0, 6.0])
-        assert abs(m.weights.sum() - 1.0) <= 1e-12
-        assert m.weights[1] == pytest.approx(0.75)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            DiscreteMeasure([], [])
-        with pytest.raises(ParameterError):
-            DiscreteMeasure([1.0], [1.0, 2.0])
-        with pytest.raises(ParameterError):
-            DiscreteMeasure([1.0, 2.0], [0.5, -0.5])
-
-    def test_immutable(self):
-        m = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
-        with pytest.raises(ValueError):
-            m.weights[0] = 1.0
+def default_level(n0):
+    return choose_truncation_level(n0, TRUNCATION_EPS, TRUNCATION_DELTA)
 
 
-class TestDrawPrior:
+class TestProcessDrawPrior:
     def test_weights_sum_to_one(self):
         spec = DirichletProcessSpec(10.0, normal_base(0.0, 1.0))
-        m = draw_prior(spec, substream(2, 0))
-        assert abs(m.weights.sum() - 1.0) <= 1e-12
+        weights, atoms = process_draw(spec, substream(2, 0))
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        assert weights.shape == atoms.shape == (default_level(10.0),)
 
     def test_process_mean_matches_base_mean(self):
         # averaged over process draws, the measure mean equals the base mean
         spec = DirichletProcessSpec(10.0, normal_base(0.0, 1.0))
         rng = substream(2, 1)
-        means = np.array(
-            [expectation(draw_prior(spec, rng), lambda a: a) for _ in range(2000)]
-        )
+        means = np.array([row_means(*process_draw(spec, rng)) for _ in range(2000)])
         se = means.std() / np.sqrt(means.size)
         assert abs(means.mean()) < 3 * se
 
@@ -140,30 +103,31 @@ class TestDrawPrior:
         rng = substream(2, 2)
         fracs = []
         for _ in range(2000):
-            m = draw_prior(spec, rng)
-            fracs.append(m.weights[m.atoms < 0.0].sum())
+            weights, atoms = process_draw(spec, rng)
+            fracs.append(weights[atoms < 0.0].sum())
         fracs = np.array(fracs)
         se = fracs.std() / np.sqrt(fracs.size)
         assert abs(fracs.mean() - 0.5) < 3 * se
 
 
-class TestDrawPosterior:
+class TestProcessDrawPosterior:
     def test_weights_sum_to_one(self):
         spec = DirichletProcessSpec(20.0, normal_base(0.0, 1.0))
         data = sample_normal(1.0, 1.0, substream(3, 0), size=100)
-        m = draw_posterior(spec, data, substream(3, 1))
-        assert abs(m.weights.sum() - 1.0) <= 1e-12
-        assert len(m) == TruncationPolicy.by_error(1e-3, 0.01).resolve(20.0) + 100
+        weights, atoms = process_draw(spec, substream(3, 1), data)
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        assert weights.shape == atoms.shape == (default_level(20.0) + 100,)
+        assert np.array_equal(atoms[-100:], data)
 
     def test_expected_data_mass_is_beta_mean(self):
         # mass on the data block is Beta(n, n0); mean n / (n + n0) = 5/6
         n, n0 = 100, 20.0
         spec = DirichletProcessSpec(n0, normal_base(0.0, 1.0))
         data = sample_normal(0.0, 1.0, substream(3, 2), size=n)
-        k = spec.truncation.resolve(n0)
+        k = default_level(n0)
         rng = substream(3, 3)
         mass = np.array(
-            [draw_posterior(spec, data, rng).weights[k:].sum() for _ in range(5000)]
+            [process_draw(spec, rng, data)[0][k:].sum() for _ in range(5000)]
         )
         se = mass.std() / np.sqrt(mass.size)
         assert abs(mass.mean() - n / (n + n0)) < 3 * se
@@ -179,8 +143,8 @@ class TestDrawPosterior:
         rng = substream(3, 5)
         fracs = []
         for _ in range(5000):
-            m = draw_posterior(spec, data, rng)
-            fracs.append(m.weights[m.atoms <= t].sum())
+            weights, atoms = process_draw(spec, rng, data)
+            fracs.append(weights[atoms <= t].sum())
         fracs = np.array(fracs)
         se = fracs.std() / np.sqrt(fracs.size)
         assert abs(fracs.mean() - target) < 3 * se
@@ -188,87 +152,80 @@ class TestDrawPosterior:
     def test_tiny_concentration_puts_mass_on_data(self):
         # n0 -> 0 limit: virtually all mass sits on the data atoms
         n0 = 1e-6
-        spec = DirichletProcessSpec(n0, normal_base(0.0, 1.0), TruncationPolicy.fixed(50))
+        spec = DirichletProcessSpec(n0, normal_base(0.0, 1.0))
+        k = default_level(n0)
+        assert k == 1
         data = sample_normal(0.0, 1.0, substream(3, 6), size=50)
         rng = substream(3, 7)
         mass = np.array(
-            [draw_posterior(spec, data, rng).weights[50:].sum() for _ in range(1000)]
+            [process_draw(spec, rng, data)[0][k:].sum() for _ in range(1000)]
         )
         assert mass.mean() >= 0.999
 
     def test_empty_data_rejected(self):
         spec = DirichletProcessSpec(10.0, normal_base(0.0, 1.0))
-        with pytest.raises(ParameterError):
-            draw_posterior(spec, np.array([]), substream(3, 8))
+        with pytest.raises(ParameterError, match="needs data"):
+            process_draw(spec, substream(3, 8), np.array([]))
 
     def test_dimension_mismatch_rejected(self):
         spec = DirichletProcessSpec(10.0, normal_base(0.0, 1.0))
         with pytest.raises(ParameterError):
-            draw_posterior(spec, np.zeros((10, 2)), substream(3, 9))
+            process_draw(spec, substream(3, 9), np.zeros((10, 2)))
 
 
-class TestExpectation:
+def normalized(weights):
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+class TestRowMeans:
     def test_two_atoms(self):
-        m = DiscreteMeasure([1.0, 3.0], [0.5, 0.5])
-        assert expectation(m, lambda a: a) == 2.0
+        assert row_means(np.array([0.5, 0.5]), np.array([1.0, 3.0])) == 2.0
 
     def test_single_atom(self):
-        m = DiscreteMeasure([7.0], [1.0])
-        assert expectation(m, lambda a: a**2) == 49.0
+        assert row_means(np.array([1.0]), np.array([7.0]) ** 2) == 49.0
 
-    def test_matches_direct_loop(self):
+    def test_matches_direct_loop_row_by_row(self):
         gen = np.random.default_rng(5)
-        atoms = gen.normal(size=50)
-        weights = gen.random(50)
-        m = DiscreteMeasure(atoms, weights)
-        oracle = sum(w * (a**3 - a) for w, a in zip(m.weights, m.atoms))
-        assert abs(expectation(m, lambda a: a**3 - a) - oracle) < 1e-12
+        atoms = gen.normal(size=(4, 50))
+        weights = normalized(gen.random((4, 50)))
+        means = row_means(weights, atoms**3 - atoms)
+        assert means.shape == (4,)
+        for w, a, mean in zip(weights, atoms, means):
+            oracle = sum(wk * (ak**3 - ak) for wk, ak in zip(w, a))
+            assert abs(mean - oracle) < 1e-12
+            assert mean == row_means(w, a**3 - a)  # a row equals its own draw
 
     def test_linearity(self):
         gen = np.random.default_rng(6)
-        m = DiscreteMeasure(gen.normal(size=30), gen.random(30))
-        h1 = lambda a: a**2
-        h2 = lambda a: np.sin(a)
-        lhs = expectation(m, lambda a: 2.5 * h1(a) + h2(a))
-        rhs = 2.5 * expectation(m, h1) + expectation(m, h2)
+        atoms = gen.normal(size=30)
+        weights = normalized(gen.random(30))
+        h1 = atoms**2
+        h2 = np.sin(atoms)
+        lhs = row_means(weights, 2.5 * h1 + h2)
+        rhs = 2.5 * row_means(weights, h1) + row_means(weights, h2)
         assert abs(lhs - rhs) < 1e-12
 
-    def test_bad_output_shape_rejected(self):
-        m = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
-        with pytest.raises(ParameterError):
-            expectation(m, lambda a: np.ones(3))
 
-
-class TestCovariance:
+class TestRowCovariance:
     def test_perfectly_correlated_atoms(self):
-        m = DiscreteMeasure([[0.0, 0.0], [2.0, 2.0]], [0.5, 0.5])
-        assert covariance(m, 0, 1) == pytest.approx(1.0)
+        atoms = np.array([[0.0, 0.0], [2.0, 2.0]])
+        assert row_covariance(np.array([0.5, 0.5]), atoms, 0, 1) == pytest.approx(1.0)
 
     def test_single_atom_is_degenerate(self):
-        m = DiscreteMeasure([[3.0, -1.0]], [1.0])
-        assert covariance(m, 0, 1) == 0.0
+        assert row_covariance(np.array([1.0]), np.array([[3.0, -1.0]]), 0, 1) == 0.0
 
     def test_matches_double_loop(self):
         gen = np.random.default_rng(7)
         atoms = gen.normal(size=(50, 3))
-        weights = gen.random(50)
-        m = DiscreteMeasure(atoms, weights)
-        w = m.weights
-        mean_i = sum(wk * a[0] for wk, a in zip(w, m.atoms))
-        mean_j = sum(wk * a[2] for wk, a in zip(w, m.atoms))
-        oracle = sum(wk * (a[0] - mean_i) * (a[2] - mean_j) for wk, a in zip(w, m.atoms))
-        assert abs(covariance(m, 0, 2) - oracle) < 1e-12
+        w = normalized(gen.random(50))
+        mean_i = sum(wk * a[0] for wk, a in zip(w, atoms))
+        mean_j = sum(wk * a[2] for wk, a in zip(w, atoms))
+        oracle = sum(wk * (a[0] - mean_i) * (a[2] - mean_j) for wk, a in zip(w, atoms))
+        assert abs(row_covariance(w, atoms, 0, 2) - oracle) < 1e-12
 
-    def test_out_of_range_coordinate(self):
-        m = DiscreteMeasure([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
-        with pytest.raises(ParameterError):
-            covariance(m, 0, 2)
-
-    def test_univariate_atoms_have_one_coordinate(self):
-        m = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
-        assert covariance(m, 0, 0) == pytest.approx(0.25)
-        with pytest.raises(ParameterError):
-            covariance(m, 0, 1)
+    def test_variance_of_one_coordinate(self):
+        atoms = np.array([[1.0], [2.0]])
+        assert row_covariance(np.array([0.5, 0.5]), atoms, 0, 0) == pytest.approx(0.25)
 
 
 def test_spec_validation():

@@ -8,7 +8,6 @@ import pytest
 
 from partialid import (
     BinaryCounts,
-    DiscreteMeasure,
     IntervalSet,
     ParameterError,
     SkipBudgetError,
@@ -32,11 +31,8 @@ from partialid.scenarios import (
     SCENARIO_IDS,
     PreparedDraw,
     attempt_stream,
-    censoring_bounds,
     default_grid,
-    instrument_ratio_bounds,
     prepare_draw,
-    reverse_regression_bounds,
     run_attempts,
 )
 
@@ -88,6 +84,12 @@ class TestMakeConfig:
         assert default_grid("interval_regression")[0] == -1.0
         cfg = make_config("binary_missing", grid=np.linspace(0, 1, 101))
         assert cfg.grid.size == 101
+
+    @pytest.mark.parametrize("grid", [[0.5], [[0.0, 1.0]], [0.0, 0.0, 1.0], [1.0, 0.0],
+                                      [0.0, np.nan, 1.0]])
+    def test_bad_grid_rejected(self, grid):
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            make_config("binary_missing", grid=grid)
 
 
 class TestGenerateData:
@@ -151,6 +153,13 @@ class TestGenerateData:
         with pytest.raises(ParameterError, match=scenario_id):
             load_dataset(path, scenario_id)
 
+    @pytest.mark.parametrize("body", ["0,abc\n", "0,1\n0\n"])
+    def test_csv_malformed_row_rejected(self, tmp_path, body):
+        path = tmp_path / "data.csv"
+        path.write_text("yd,d\n" + body, encoding="utf-8")
+        with pytest.raises(ParameterError, match="data.csv"):
+            load_dataset(path, "binary_missing")
+
     def test_csv_non_finite_value_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("y1,y2\n0.1,5.0\nnan,4.9\n", encoding="utf-8")
@@ -213,33 +222,39 @@ class TestBinaryPosteriorParams:
             binary_posterior_params([2.0, -3.0, 1.0], BinaryCounts(0, 0, 0))
 
 
+def _rows(*pairs):
+    """Weights and atoms arrays of (weight, atom) pairs: one process draw."""
+    weights, atoms = zip(*pairs)
+    return np.array(weights, dtype=float), np.array(atoms, dtype=float)
+
+
 class TestBoundsFunctionals:
-    def test_censoring_bounds_order(self):
-        m1 = DiscreteMeasure([0.0, 2.0], [0.5, 0.5])
-        m2 = DiscreteMeasure([5.0], [1.0])
-        assert censoring_bounds(m1, m2) == IntervalSet(1.0, 5.0)
-        assert censoring_bounds(m2, m1) is None
+    def test_censoring_rows_order(self):
+        m1 = _rows((0.5, 0.0), (0.5, 2.0))
+        m2 = _rows((1.0, 5.0))
+        assert scenarios._censoring_rows(*m1, *m2) == (1.0, 5.0, True)
+        assert scenarios._censoring_rows(*m2, *m1) == (5.0, 1.0, False)
 
     def test_reverse_regression_degenerate_correlated_atoms(self):
-        m = DiscreteMeasure([[1.0, 1.0], [-1.0, -1.0]], [0.5, 0.5])
-        assert reverse_regression_bounds(m) == IntervalSet(1.0, 1.0)
+        m = _rows((0.5, [1.0, 1.0]), (0.5, [-1.0, -1.0]))
+        assert scenarios._reverse_regression_rows(*m) == (1.0, 1.0, True)
 
     def test_reverse_regression_sign_guard(self):
-        m = DiscreteMeasure([[1.0, -1.0], [-1.0, 1.0]], [0.5, 0.5])
-        assert reverse_regression_bounds(m) is None
+        m = _rows((0.5, [1.0, -1.0]), (0.5, [-1.0, 1.0]))
+        assert scenarios._reverse_regression_rows(*m) == (-1.0, -1.0, False)
 
     def test_instrument_ratio_guard(self):
         # E[zx] < 0 must be skipped
-        m = DiscreteMeasure([[1.0, 2.0, 1.0, -1.0], [1.0, 2.0, 1.0, -1.0]], [0.5, 0.5])
-        assert instrument_ratio_bounds(m) is None
+        m = _rows((0.5, [1.0, 2.0, 1.0, -1.0]), (0.5, [1.0, 2.0, 1.0, -1.0]))
+        assert scenarios._instrument_ratio_rows(*m) == (1.0, 2.0, False)
 
     def test_instrument_ratio_values(self):
-        m = DiscreteMeasure([[1.0, 2.0, 1.0, 1.0]], [1.0])
-        assert instrument_ratio_bounds(m) == IntervalSet(1.0, 2.0)
+        m = _rows((1.0, [1.0, 2.0, 1.0, 1.0]))
+        assert scenarios._instrument_ratio_rows(*m) == (1.0, 2.0, True)
 
     def test_instrument_ratio_inversion_guard(self):
-        m = DiscreteMeasure([[2.0, 1.0, 1.0, 1.0]], [1.0])
-        assert instrument_ratio_bounds(m) is None
+        m = _rows((1.0, [2.0, 1.0, 1.0, 1.0]))
+        assert scenarios._instrument_ratio_rows(*m) == (2.0, 1.0, False)
 
 
 class TestDrawSet:

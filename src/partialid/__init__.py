@@ -28,7 +28,7 @@ from .distributions import (
     sample_normal,
     sample_truncated_normal,
 )
-from .errors import DegenerateEstimateError, ParameterError, SkipBudgetError
+from .errors import ParameterError, SkipBudgetError
 from .priors import (
     ConditionalPriorSpec,
     Histogram,
@@ -75,7 +75,6 @@ __all__ = [
     "CoverageCurve",
     "CredibleRegion",
     "Dataset",
-    "DegenerateEstimateError",
     "DirichletProcessSpec",
     "Histogram",
     "IntervalSet",

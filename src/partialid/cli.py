@@ -191,11 +191,13 @@ def _round12(x):
     return float(_FMT.format(float(x)))
 
 
-def _write_csv(path: Path, header: str, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+def _rows(row_fmt: str, *columns) -> str:
+    """``row_fmt % row`` for each row of ``columns``, arrays of one length, joined.
+
+    The values are Python numbers (``.tolist()``), so ``%.12g`` writes what
+    :func:`_fmt` writes and ``%d`` what ``str`` writes for an integer.
+    """
+    return "".join([row_fmt % row for row in zip(*(c.tolist() for c in columns))])
 
 
 def run_scenario(run_cfg: RunConfig) -> RunReport:
@@ -258,26 +260,17 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
         diagnostics["base_cov_clipped"] = bool(cfg.hyper.get("base_cov_clipped", False))
 
     tables = {
-        "coverage.csv": (
-            ",".join(["gamma", *coverage]),
-            (",".join([_fmt(g), *(_fmt(vals[i]) for vals in coverage.values())])
-             for i, g in enumerate(cfg.grid)),
-        ),
-        "intervals.csv": (
-            "draw_index,source,lo,hi",
-            (f"{idx},{b.source},{_fmt(lo)},{_fmt(hi)}"
-             for b in (batches[f"{mode}_sets"] for mode in modes)
-             for idx, lo, hi in zip(b.attempt_indices, b.lo, b.hi)),
-        ),
+        "coverage.csv": ",".join(["gamma", *coverage]) + "\n" + _rows(
+            ",".join(["%.12g"] * (1 + len(coverage))) + "\n", cfg.grid, *coverage.values()),
+        "intervals.csv": "draw_index,source,lo,hi\n" + "".join([
+            _rows(f"%d,{b.source},%.12g,%.12g\n", b.attempt_indices, b.lo, b.hi)
+            for b in (batches[f"{mode}_sets"] for mode in modes)]),
     }
     if hists:
         edges = hists["prior"].edges
-        tables["gamma_hist.csv"] = (
-            "bin_lo,bin_hi,prior_count,posterior_count",
-            (f"{_fmt(edges[i])},{_fmt(edges[i + 1])},"
-             f"{hists['prior'].counts[i]},{hists['posterior'].counts[i]}"
-             for i in range(GAMMA_HIST_BINS)),
-        )
+        tables["gamma_hist.csv"] = "bin_lo,bin_hi,prior_count,posterior_count\n" + _rows(
+            "%.12g,%.12g,%d,%d\n", edges[:-1], edges[1:], hists["prior"].counts,
+            hists["posterior"].counts)
         # draws outside the grid range are not in the CSV; keep them accountable
         diagnostics["gamma_hist_tallies"] = {
             mode: {"in_range": int(h.counts.sum()), "underflow": h.underflow,
@@ -288,10 +281,11 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
     # single writer phase
     out_dir = Path(run_cfg.out_dir) / f"{run_cfg.scenario}_seed{seed}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        _write_csv(out_dir / name, header, rows)
-    files = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-             for name in tables}
+    files = {}
+    for name, text in tables.items():  # one write per table, hashed from memory
+        data = text.encode("utf-8")
+        (out_dir / name).write_bytes(data)
+        files[name] = hashlib.sha256(data).hexdigest()
 
     report = RunReport(
         # every option but the output directory, which the report has already

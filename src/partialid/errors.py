@@ -5,10 +5,6 @@ class ParameterError(ValueError):
     """An argument lies outside its documented domain."""
 
 
-class DegenerateEstimateError(RuntimeError):
-    """A set point estimate collapsed to an inverted interval."""
-
-
 class SkipBudgetError(RuntimeError):
     """A batch exhausted its attempt cap; carries the skip and attempt counts."""
 

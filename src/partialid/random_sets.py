@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEstimateError, ParameterError
+from .errors import ParameterError
 
 #: Skip fraction above which a batch carries a data-quality warning.
 HIGH_SKIP_RATE = 0.05
@@ -199,10 +199,4 @@ def credible_region(batch: SetDrawBatch, alpha: float) -> CredibleRegion:
 def point_estimate_set(batch: SetDrawBatch) -> IntervalSet:
     """Interval of Monte Carlo mean endpoints (the posterior-mean bounds)."""
     _require_nonempty(batch)
-    lo = float(batch.lo.mean())
-    hi = float(batch.hi.mean())
-    if lo > hi:
-        raise DegenerateEstimateError(
-            f"mean bounds crossed: [{lo}, {hi}] for {batch.scenario_id}"
-        )
-    return IntervalSet(lo, hi)
+    return IntervalSet(float(batch.lo.mean()), float(batch.hi.mean()))

@@ -157,10 +157,11 @@ class Dataset:
         return self.values[:, self.columns.index(name)]
 
     def to_csv(self, path):
+        row_fmt = ",".join(["%.12g"] * len(self.columns)) + "\n"
+        text = ",".join(self.columns) + "\n" + "".join(
+            [row_fmt % row for row in zip(*self.values.T.tolist())])
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.values:
-                fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+            fh.write(text)
 
 
 def load_dataset(path, scenario_id: str) -> Dataset:
@@ -171,10 +172,13 @@ def load_dataset(path, scenario_id: str) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         columns = tuple(header.split(","))
-        try:
-            values = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ParameterError(f"malformed dataset file {path}: {exc}") from None
+        lines = fh.read().splitlines()
+    if not any(line.strip() for line in lines):  # numpy would warn, then read (0,) values
+        raise ParameterError(f"dataset file {path} has no rows")
+    try:
+        values = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ParameterError(f"malformed dataset file {path}: {exc}") from None
     if columns != expected:
         raise ParameterError(f"expected columns {expected}, found {columns}")
     return Dataset(scenario_id, columns, values)
@@ -497,6 +501,14 @@ def _chunk(prepared: PreparedDraw, seeds: SeedBlock):
             uniforms[()][:, -1])
 
 
+def _task(prepared: PreparedDraw, seeds: SeedBlock, rows_cap: int):
+    """:func:`_chunk` over parts of at most ``rows_cap`` rows of ``seeds``, its
+    outputs concatenated: one pool task."""
+    parts = [_chunk(prepared, seeds.part(range(i, min(i + rows_cap, seeds.stop))))
+             for i in range(seeds.start, seeds.stop, rows_cap)]
+    return tuple(np.concatenate(out) for out in zip(*parts))
+
+
 def max_workers() -> int:
     """The number of CPUs this process may run on: the largest worker count."""
     if hasattr(os, "sched_getaffinity"):
@@ -535,8 +547,9 @@ def run_attempts(prepared: PreparedDraw, n_draws: int, master_seed: int, role: i
     top-up block as many as the acceptance rate so far asks.  Attempts past
     the ``n_draws``-th acceptance are never counted and their errors never
     raised; a consumed, accepted one without ``lo <= hi`` raises
-    :class:`ParameterError`.  ``pool`` (:func:`attempt_pool`) runs chunks as
-    tasks; without one, ``workers > 1`` starts a pool for this call.  Returns
+    :class:`ParameterError`.  ``pool`` (:func:`attempt_pool`) runs a block as
+    tasks of ``ceil(len(block) / (2 * workers))`` attempts, each looped over
+    in chunks; without one, ``workers > 1`` starts a pool for this call.  Returns
     ``(attempt_indices, lo, hi, gamma_uniforms, skipped)``.  Raises
     :class:`SkipBudgetError`, its message opened by ``label``, when skips
     exhaust ``50 * n_draws + 1000`` attempts.
@@ -563,16 +576,18 @@ def run_attempts(prepared: PreparedDraw, n_draws: int, master_seed: int, role: i
         size = max(need, need * next_index // max(n_draws - need, 1))
         streams = range(base + next_index, base + min(next_index + size, attempt_cap))
         next_index = streams.stop - base
-        step = rows_cap if pool is None else max(1, min(rows_cap, len(streams) // (4 * workers)))
+        # a task is a chunk serially; with a pool, about 1 / (2 * workers) of the block
+        step = rows_cap if pool is None else -(-len(streams) // (2 * workers))
         chunks = [streams[i:i + step] for i in range(0, len(streams), step)]
         seeds = SeedBlock(master_seed, streams)
         for key in prepared.layout:  # the seed words of every key, once per block
             if key:
                 seeds.split(*key)
         # serially a chunk is computed when it is consumed; a task gets its
-        # chunk's share of the seed words
-        outcomes = (map if pool is None else pool.map)(
-            _chunk, repeat(prepared), map(seeds.part, chunks))
+        # share of the seed words and runs it in chunks
+        parts = map(seeds.part, chunks)
+        outcomes = (map(_chunk, repeat(prepared), parts) if pool is None
+                    else pool.map(_task, repeat(prepared), parts, repeat(rows_cap)))
         for chunk, (lo, hi, accept, u) in zip(chunks, outcomes):
             rows = np.flatnonzero(accept)[:need]
             skipped += int(rows[-1] + 1 if len(rows) == need else len(chunk)) - len(rows)

@@ -4,9 +4,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from partialid import ParameterError
-from partialid.cli import build_parser, main, parse_config, run_scenario, RunConfig
+from partialid.cli import _fmt, _rows, build_parser, main, parse_config, run_scenario, RunConfig
 
 
 def parse_run(argv):
@@ -237,8 +239,10 @@ class TestRunScenario:
         from pathlib import Path
 
         out = Path(report.out_dir)
+        assert sorted(report.files) == sorted(p.name for p in out.glob("*.csv"))
         for name, digest in report.files.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        assert json.loads((out / "summary.json").read_text())["files"] == report.files
 
     def test_coverage_csv_round_trip(self, binary_run):
         cfg, report = binary_run
@@ -332,6 +336,37 @@ class TestRunScenario:
             b2 = (Path(r2.out_dir) / name).read_bytes()
             assert b1 == b2
         assert r1.files == r2.files
+
+
+EDGE_FLOATS = [np.inf, -np.inf, -0.0, 0.0, np.nan, 5e-324, 1e-300, 1e300, 1e12, 1e12 + 1,
+               999999999999.0, 123456789012345.0, 2.0**53, 1e22, 0.1, -2.5, 1 / 3]
+
+
+def _per_value_rows(indices, lo, hi):
+    """The interval rows as a run wrote them one value at a time."""
+    return "".join(f"{idx},prior,{_fmt(a)},{_fmt(b)}\n"
+                   for idx, a, b in zip(indices, lo, hi))
+
+
+class TestTableText:
+    """A table's one-pass text is the bytes its per-value rows made."""
+
+    def test_edge_values(self):
+        lo = np.array(EDGE_FLOATS)
+        indices = np.array([0, 1, 7, 2**31, 2**32 + 5, 2**40] * 3)[:lo.size]
+        assert indices.dtype == np.int64
+        text = _rows("%d,prior,%.12g,%.12g\n", indices, lo, lo[::-1])
+        assert text == _per_value_rows(indices, lo, lo[::-1])
+        assert text.splitlines()[:3] == ["0,prior,inf,0.333333333333",
+                                         "1,prior,-inf,-2.5", "7,prior,-0,0.1"]
+
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=50),
+           st.integers(0, 2**63 - 1))
+    def test_any_floats(self, values, first):
+        lo = np.array(values)
+        indices = np.arange(lo.size, dtype=np.int64) + np.int64(min(first, 2**63 - 51))
+        assert (_rows("%d,prior,%.12g,%.12g\n", indices, lo, -lo)
+                == _per_value_rows(indices, lo, -lo))
 
 
 class TestOtherCommands:

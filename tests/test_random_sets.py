@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partialid import (
-    DegenerateEstimateError,
     IntervalSet,
     ParameterError,
     SetDrawBatch,
@@ -268,16 +267,6 @@ class TestPointEstimateSet:
     def test_means_of_endpoints(self):
         batch = SetDrawBatch([0.0, 1.0], [2.0, 4.0], "posterior", "synthetic")
         assert point_estimate_set(batch) == IntervalSet(0.5, 3.0)
-
-    def test_crossed_means_error(self):
-        # cannot arise from a validated batch (every draw has lo <= hi, so the
-        # means are ordered); bypass __init__ to exercise the guard
-        batch = SetDrawBatch.__new__(SetDrawBatch)
-        batch.lo = np.array([0.0, 3.0])
-        batch.hi = np.array([0.5, 1.0])
-        batch.scenario_id = "synthetic"
-        with pytest.raises(DegenerateEstimateError):
-            point_estimate_set(batch)
 
     def test_empty_batch_rejected(self):
         empty = SetDrawBatch([], [], "posterior", "synthetic")

@@ -8,6 +8,7 @@ import pytest
 
 from partialid import (
     BinaryCounts,
+    Dataset,
     IntervalSet,
     ParameterError,
     SkipBudgetError,
@@ -159,6 +160,23 @@ class TestGenerateData:
         path.write_text("yd,d\n" + body, encoding="utf-8")
         with pytest.raises(ParameterError, match="data.csv"):
             load_dataset(path, "binary_missing")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", ["", "\n", " \n\n"])
+    def test_csv_without_rows_rejected(self, tmp_path, body):
+        path = tmp_path / "data.csv"
+        path.write_text("yd,d\n" + body, encoding="utf-8")
+        with pytest.raises(ParameterError, match=r"data\.csv has no rows"):
+            load_dataset(path, "binary_missing")
+
+    def test_csv_writes_each_value_as_twelve_digits(self, tmp_path):
+        values = np.array([[-0.0, 5e-324], [1e-300, 1e300], [1e12, 123456789012345.0],
+                           [0.1, -2.5]])
+        path = tmp_path / "data.csv"
+        Dataset("interval_censored", ("y1", "y2"), values).to_csv(path)
+        expected = "y1,y2\n" + "".join(
+            ",".join("{:.12g}".format(float(x)) for x in row) + "\n" for row in values)
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_csv_non_finite_value_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -401,6 +419,35 @@ class TestDrawSetBatch:
         with pytest.raises(RuntimeError, match="past the last acceptance"):
             run_attempts(late_raise, 11, 21, 1, 2, "synthetic")
         assert pool_sizes == [2, 2, 2, 2]
+
+    def test_pool_tasks_span_chunks(self, monkeypatch, pool_sizes):
+        """A pool task runs its attempts in chunks; the output is the serial one."""
+        tasks, task = [], scenarios._task  # (rows, rows_cap) of each pool task
+
+        def counted_task(prepared, seeds, rows_cap):
+            tasks.append((seeds.stop - seeds.start, rows_cap))
+            return task(prepared, seeds, rows_cap)
+
+        monkeypatch.setattr(scenarios, "_task", counted_task)
+        monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
+        cfg = make_config("interval_censored", n=1000)
+        data = generate_data(cfg, attempt_stream(5, ROLE_DATA, 0))
+        # about 24 rows a chunk against 50-attempt tasks; SKIP_MOST tops its
+        # blocks up after skips, and 14 uniforms make its chunks 7 rows
+        for prepared, n_draws, chunk_uniforms in [
+                (prepare_draw(cfg, "posterior", data), 200, scenarios.CHUNK_UNIFORMS),
+                (SKIP_MOST, 40, 14)]:
+            monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", chunk_uniforms)
+            tasks.clear()
+            serial = run_attempts(prepared, n_draws, 5, ROLE_POSTERIOR_SETS, 1, "s")
+            pooled = run_attempts(prepared, n_draws, 5, ROLE_POSTERIOR_SETS, 2, "s")
+            assert len(serial[0]) == n_draws
+            for a, b in zip(serial[:4], pooled[:4]):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert serial[4] == pooled[4]
+            assert any(rows >= 2 * rows_cap for rows, rows_cap in tasks), tasks
+        assert pooled[4] > 0 and len({rows for rows, _ in tasks}) > 1  # topped up
+        assert pool_sizes == [2, 2]
 
     def test_posterior_batch_concentrates(self):
         cfg = make_config("interval_censored", n=400)

@@ -12,7 +12,6 @@ slope 1 with unit noise everywhere, so the target bracket is [1/2, 2].
 import numpy as np
 
 import partialid as pid
-from partialid.dirichlet import process_draw, row_covariance
 from partialid.scenarios import ROLE_DATA, attempt_stream
 
 SEED = 2
@@ -36,8 +35,8 @@ print(f"\ntrue set:          [{cfg.true_set.lo}, {cfg.true_set.hi}]")
 print(f"point estimate:    [{pe.lo:.4f}, {pe.hi:.4f}]")
 print(f"95% credible set:  [{cr.region.lo:.4f}, {cr.region.hi:.4f}]")
 
-# peek at the functional itself on one fresh prior draw
-from partialid.dirichlet import DirichletProcessSpec
+# peek at the functional itself on one fresh prior draw: the means of y, z and yz
+from partialid.dirichlet import DirichletProcessSpec, process_means
 from partialid.distributions import sample_mvnormal
 
 spec = DirichletProcessSpec(
@@ -45,6 +44,7 @@ spec = DirichletProcessSpec(
     lambda rng, size: sample_mvnormal(cfg.hyper["base_mean"], cfg.hyper["base_cov"],
                                       rng, size=size),
 )
-weights, atoms = process_draw(spec, pid.substream(SEED, 999))
-print(f"\none prior measure: {len(weights)} atoms, cov(y,z) under it = "
-      f"{row_covariance(weights, atoms, 0, 1):.4f}")
+ey, ez, eyz = process_means(spec, pid.substream(SEED, 999),
+                            lambda a: np.stack((a[..., 0], a[..., 1], a[..., 0] * a[..., 1]),
+                                               axis=-2))
+print(f"\none prior measure: cov(y,z) under it = {eyz - ey * ez:.4f}")

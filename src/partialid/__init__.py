@@ -10,16 +10,13 @@ families — with reproducible, worker-invariant random streams throughout.
 from .dirichlet import (
     DirichletProcessSpec,
     choose_truncation_level,
-    process_draw,
-    row_covariance,
-    row_means,
+    process_means,
     stick_weights,
 )
 from .distributions import (
     PsdRepair,
     beta_cdf,
     cholesky_factor,
-    gamma_cdf,
     gamma_quantile,
     psd_repair,
     sample_beta,
@@ -100,7 +97,6 @@ __all__ = [
     "draw_set_batch",
     "estimate_capacity",
     "estimate_coverage",
-    "gamma_cdf",
     "gamma_quantile",
     "generate_data",
     "histogram",
@@ -109,10 +105,8 @@ __all__ = [
     "marginal_sample",
     "point_estimate_set",
     "prepare_draw",
-    "process_draw",
+    "process_means",
     "psd_repair",
-    "row_covariance",
-    "row_means",
     "sample_beta",
     "sample_dirichlet",
     "sample_gamma_given_theta",

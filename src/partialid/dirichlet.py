@@ -1,19 +1,22 @@
 """Truncated stick-breaking simulation of Dirichlet-process priors and posteriors.
 
-A process draw is a row of normalized weights and the row of atoms in R^d they
-sit on (:func:`process_draw`).  Prior draws place K atoms sampled from the base
-measure, where the stick-breaking weights are truncated at K and renormalized.
-The truncation level is chosen from the known law of the discarded tail mass:
-minus the log of the tail is Gamma(K, rate n0), so K is the smallest level
-that keeps the tail below ``TRUNCATION_EPS`` with probability
-1 - ``TRUNCATION_DELTA`` (Muliere & Tardella, 1998).  Posterior draws mix the
-truncated prior atoms with the observed data points through a Beta(n, n0)
-split and symmetric-Dirichlet data weights.
+Every functional the scenarios take of a process draw is a mean, and a mean is
+linear in the measure, so a draw is never materialised: :func:`process_means`
+returns the weighted means of a few features of each draw.  Prior draws place
+K atoms sampled from the base measure, where the stick-breaking weights are
+truncated at K and renormalized.  The truncation level is chosen from the
+known law of the discarded tail mass: minus the log of the tail is Gamma(K,
+rate n0), so K is the smallest level that keeps the tail below
+``TRUNCATION_EPS`` with probability 1 - ``TRUNCATION_DELTA`` (Muliere &
+Tardella, 1998).  Posterior draws mix the truncated prior with the observed
+data points through a Beta(n, n0) split and symmetric-Dirichlet data weights
+(Ferguson, 1973; the Bayesian bootstrap of Rubin, 1981), whose side is one
+weighted sum over the data's feature table.
 
 The arithmetic is row-wise, the blocked view of truncated stick-breaking of
-Ishwaran & James (2001): :func:`process_draw`, :func:`row_means` and
-:func:`row_covariance` make one draw per row of uniforms, and one draw from a
-stream is a block of one, so a row equals its own draw bit for bit.
+Ishwaran & James (2001): :func:`process_means` makes one draw per row of
+uniforms, and one draw from a stream is a block of one, so a row equals its
+own draw bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import DirichletParams, gamma_quantile, sample_beta, sample_dirichlet
+from .distributions import gamma_quantile, sample_beta
 from .errors import ParameterError
 from .rng import RngStream
 
@@ -100,28 +103,25 @@ def stick_weights(n0: float, k: int, rng: RngStream) -> tuple[np.ndarray, float]
     return weights, remaining[..., -1]
 
 
-@lru_cache(maxsize=8)
-def _data_weight_params(n: int) -> DirichletParams:
-    """Dirichlet(1, ..., 1) parameters of n data weights, checked once per size."""
-    return DirichletParams(np.ones(n))
-
-
 def process_uniforms(spec: DirichletProcessSpec, atom_size: int, n: int = 0) -> int:
-    """The uniforms one :func:`process_draw` takes, for atoms of ``atom_size``
+    """The uniforms one :func:`process_means` takes, for atoms of ``atom_size``
     uniforms and a posterior on n points (0: the prior)."""
     k = choose_truncation_level(spec.concentration, TRUNCATION_EPS, TRUNCATION_DELTA)
     return k * (1 + atom_size) + (n > 0) + (n if n > 1 else 0)
 
 
-def process_draw(spec: DirichletProcessSpec, source, data=None):
-    """Normalized weights and their atoms of truncated draws, one draw per row:
-    the prior, or given n data points the posterior, which puts mass
-    rho ~ Beta(n, n0) on the data (last, split by a symmetric Dirichlet) and
-    1 - rho on the k prior atoms.
+def process_means(spec: DirichletProcessSpec, source, features, data_table=None):
+    """Means of q features under truncated draws, one draw per row, shaped
+    ``(..., q)``: the prior, or given the ``(q, n)`` data table, ``features``
+    of n data points, the posterior, which puts mass rho ~ Beta(n, n0) on the
+    data (split by a symmetric Dirichlet) and 1 - rho on the k prior atoms.
 
-    ``source`` is a stream, for one draw, or a :class:`~partialid.rng.UniformRows`,
-    for one draw per row.  A draw takes k sticks, k atoms, then rho and n data
-    weights (none for n = 1).
+    ``features`` maps atoms ``(..., k)`` or ``(..., k, d)`` to their feature
+    values ``(..., q, k)``.  ``source`` is a stream, for one draw, or a
+    :class:`~partialid.rng.UniformRows`, for one draw per row.  A draw takes k
+    sticks, k atoms, then rho and n data weights (none for n = 1).  A mean is
+    linear in the measure, so each side is one weighted sum divided by its
+    weights' total, and every row makes the same products whatever the rows.
     """
     n0 = spec.concentration
     k = choose_truncation_level(n0, TRUNCATION_EPS, TRUNCATION_DELTA)
@@ -130,32 +130,21 @@ def process_draw(spec: DirichletProcessSpec, source, data=None):
     lead = weights.shape[:-1]  # the rows of a block, () for one draw
     if atoms.shape[:len(lead) + 1] != weights.shape:
         raise ParameterError(f"base sampler returned atoms {atoms.shape}, expected {k}")
-    if data is not None:
-        data = np.asarray(data, dtype=float)
-        if atoms.shape[len(lead) + 1:] != data.shape[1:]:
-            raise ParameterError(f"base-measure atoms {atoms.shape[len(lead):]} and data "
-                                 f"{data.shape} have different dimensions")
-        n = len(data)
-        if n == 0:
-            raise ParameterError("a posterior draw needs data; pass None for the prior")
-        rho = sample_beta(float(n), n0, source, size=1)
-        data_w = sample_dirichlet(_data_weight_params(n), source)
-        weights = np.concatenate(((1.0 - rho) * weights / weights.sum(axis=-1, keepdims=True),
-                                  rho * data_w), axis=-1)
-        atoms = np.concatenate((atoms, np.broadcast_to(data, lead + data.shape)),
-                               axis=len(lead))
-    return weights / weights.sum(axis=-1, keepdims=True), atoms
-
-
-def row_means(weights, values) -> np.ndarray:
-    """Means of ``values`` under normalized ``weights``, row by row (the last axis).
-
-    Each row is the dot product ``weights[r] @ values[r]``, bit for bit.
-    """
-    return np.matmul(weights[..., None, :], values[..., :, None])[..., 0, 0]
-
-
-def row_covariance(weights, atoms, i: int, j: int) -> np.ndarray:
-    """Covariance of coordinates i and j of ``atoms`` (..., L, d), row by row."""
-    xi, xj = atoms[..., i], atoms[..., j]
-    return row_means(weights, xi * xj) - row_means(weights, xi) * row_means(weights, xj)
+    values = features(atoms)
+    means = (values @ weights[..., None])[..., 0] / weights.sum(axis=-1, keepdims=True)
+    if data_table is None:
+        return means
+    n = data_table.shape[-1]
+    if n == 0:
+        raise ParameterError("a posterior draw needs data; pass None for the prior")
+    if data_table.shape != (values.shape[-2], n):
+        raise ParameterError(f"{values.shape[-2]} features of the base-measure atoms, "
+                             f"data table {data_table.shape}")
+    rho = sample_beta(float(n), n0, source, size=1)
+    if n == 1:
+        return (1.0 - rho) * means + rho * data_table[:, 0]
+    # log1p(-u) is minus the Exp(1) variate of a Dirichlet(1, ..., 1) weight;
+    # the sign cancels in the ratio
+    g = np.log1p(-source.uniform(n))
+    data_means = (data_table @ g[..., None])[..., 0] / g.sum(axis=-1, keepdims=True)
+    return (1.0 - rho) * means + rho * data_means

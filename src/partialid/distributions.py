@@ -180,15 +180,6 @@ def beta_cdf(x, a: float, b: float):
     return float(out) if np.isscalar(x) else out
 
 
-def gamma_cdf(x, shape: float, rate: float):
-    """CDF of the Gamma(shape, rate) distribution (rate parameterization)."""
-    if not (shape > 0 and rate > 0):
-        raise ParameterError("gamma shape and rate must be positive")
-    arr = np.asarray(x, dtype=float)
-    out = np.where(arr <= 0, 0.0, special.gammainc(shape, rate * np.maximum(arr, 0.0)))
-    return float(out) if np.isscalar(x) else out
-
-
 def gamma_quantile(p, shape: float, rate: float):
     """Quantile of Gamma(shape, rate): the q with CDF(q) = p, for p in (0, 1)."""
     if not (shape > 0 and rate > 0):

@@ -35,12 +35,6 @@ class IntervalSet:
         if not self.lo <= self.hi:
             raise ParameterError(f"inverted interval [{self.lo}, {self.hi}]")
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    def intersects(self, other: "IntervalSet") -> bool:
-        return self.lo <= other.hi and self.hi >= other.lo
-
 
 class SetDrawBatch:
     """A batch of interval draws from one source, with skip accounting.

@@ -40,13 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dirichlet import (
-    DirichletProcessSpec,
-    process_draw,
-    process_uniforms,
-    row_covariance,
-    row_means,
-)
+from .dirichlet import DirichletProcessSpec, process_means, process_uniforms
 from .distributions import (
     DirichletParams,
     beta_cdf,
@@ -193,37 +187,49 @@ def generate_data(cfg: ScenarioConfig, rng: RngStream) -> Dataset:
 
 
 # --- identified-set functionals -------------------------------------------
-# Each maps process draws -- normalized weights (..., L) and atoms (..., L) or
-# (..., L, d), one draw per leading index -- to (lo, hi, accept); a draw failing
-# a guard is not accepted.  They stay private: SCENARIOS binds them in partials
-# at import, and a pool pickles each by its module-level name.
+# A Dirichlet-process scenario's interval is a map of feature means of its
+# process draws (dirichlet.process_means): the ``*_features`` functions map
+# atoms (..., k) or (..., k, d) to features (..., q, k), and the ``*_rows``
+# functions map means (..., q), one draw per leading index, to (lo, hi,
+# accept); a draw failing a guard is not accepted.  They stay private:
+# SCENARIOS binds them in partials at import, and a pool pickles each by its
+# module-level name.
 
 def _interval(lo, hi, accept) -> IntervalSet | None:
     return IntervalSet(float(lo), float(hi)) if accept else None
 
 
-def _censoring_rows(w1, a1, w2, a2):
-    lo, hi = row_means(w1, a1), row_means(w2, a2)
-    return lo, hi, ~(hi < lo)
+def _atom_features(a):  # the mean of the atoms, q = 1
+    return a[..., None, :]
 
 
-def _reverse_regression_rows(w, a):
-    syz = row_covariance(w, a, 0, 1)
-    szz = row_covariance(w, a, 1, 1)
+def _moment_features(a):  # y, z, yz, zz, yy of atoms (y, z)
+    y, z = a[..., 0], a[..., 1]
+    return np.stack((y, z, y * z, z * z, y * y), axis=-2)
+
+
+def _instrument_features(a):  # y1 z, y2 z, x z of atoms (y1, y2, x, z)
+    out = np.empty(a.shape[:-2] + (3, a.shape[-2]))
+    for i in range(3):  # in place: faster than stacking three products of strided columns
+        np.multiply(a[..., i], a[..., 3], out=out[..., i, :])
+    return out
+
+
+def _reverse_regression_rows(m):
+    ey, ez = m[..., 0], m[..., 1]
+    syz, szz = m[..., 2] - ey * ez, m[..., 3] - ez * ez
     with np.errstate(divide="ignore", invalid="ignore"):  # in rows the guard rejects
-        direct, reverse = syz / szz, row_covariance(w, a, 0, 0) / syz
+        direct, reverse = syz / szz, (m[..., 4] - ey * ey) / syz
     # min and max of (direct, reverse) as Python's min and max take them
     lo = np.where(reverse < direct, reverse, direct)
     hi = np.where(reverse > direct, reverse, direct)
     return lo, hi, ~(syz <= 0) & ~(szz <= 0)
 
 
-def _instrument_ratio_rows(w, a):
-    z = a[..., 3]
-    ezx = row_means(w, a[..., 2] * z)
+def _instrument_ratio_rows(m):
+    ezx = m[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):  # in rows the guard rejects
-        lo = row_means(w, a[..., 0] * z) / ezx
-        hi = row_means(w, a[..., 1] * z) / ezx
+        lo, hi = m[..., 0] / ezx, m[..., 1] / ezx
     return lo, hi, ~(ezx <= 0) & ~(lo > hi)
 
 
@@ -267,9 +273,10 @@ def _generate_censored(n, rng):
     return np.column_stack((y1, y2))
 
 
-def _censored_draw(spec1, spec2, y1, y2, sources):
-    return _censoring_rows(*process_draw(spec1, sources[(0,)], y1),
-                           *process_draw(spec2, sources[(1,)], y2))
+def _censored_draw(spec1, spec2, t1, t2, sources):
+    lo = process_means(spec1, sources[(0,)], _atom_features, t1)[..., 0]
+    hi = process_means(spec2, sources[(1,)], _atom_features, t2)[..., 0]
+    return lo, hi, ~(hi < lo)
 
 
 def _prepare_censored(cfg, mode, dataset):
@@ -279,26 +286,27 @@ def _prepare_censored(cfg, mode, dataset):
     var1, var2 = cfg.hyper["base_var"]
     spec1 = DirichletProcessSpec(n0_1, partial(sample_normal, mu1, var1))
     spec2 = DirichletProcessSpec(n0_2, partial(sample_normal, mu2, var2))
-    y1 = y2 = None
-    if mode == "posterior":
-        y1, y2 = dataset.column("y1"), dataset.column("y2")
-    n = 0 if y1 is None else len(y1)
+    t1 = t2 = None
+    if mode == "posterior":  # the data tables, as _prepare_joint builds them
+        t1, t2 = (np.ascontiguousarray(_atom_features(dataset.column(c))) for c in ("y1", "y2"))
+    n = 0 if t1 is None else t1.shape[1]
     layout = {(): 0, (0,): process_uniforms(spec1, 1, n), (1,): process_uniforms(spec2, 1, n)}
-    return PreparedDraw(layout, partial(_censored_draw, spec1, spec2, y1, y2))
+    return PreparedDraw(layout, partial(_censored_draw, spec1, spec2, t1, t2))
 
 
-def _joint_draw(bounds_rows, spec, data, sources):
-    return bounds_rows(*process_draw(spec, sources[()], data))
+def _joint_draw(features, bounds_rows, spec, table, sources):
+    return bounds_rows(process_means(spec, sources[()], features, table))
 
 
-def _prepare_joint(bounds_rows, cfg, mode, dataset):
-    """Prepared draw of a regression scenario: ``bounds_rows`` of one joint process draw."""
+def _prepare_joint(features, bounds_rows, cfg, mode, dataset):
+    """Prepared draw of a regression scenario: ``bounds_rows`` of the means of
+    ``features`` under one joint process draw, the data's table built here."""
     mean, cov = cfg.hyper["base_mean"], cfg.hyper["base_cov"]
     base = partial(sample_mvnormal, mean, cov, chol=cholesky_factor(cov))
     spec = DirichletProcessSpec(cfg.hyper["n0"], base)
-    data = None if mode == "prior" else dataset.values
-    m = process_uniforms(spec, len(mean), 0 if data is None else len(data))
-    return PreparedDraw({(): m}, partial(_joint_draw, bounds_rows, spec, data))
+    table = None if mode == "prior" else np.ascontiguousarray(features(dataset.values))
+    m = process_uniforms(spec, len(mean), 0 if table is None else table.shape[1])
+    return PreparedDraw({(): m}, partial(_joint_draw, features, bounds_rows, spec, table))
 
 
 def _generate_errors_in_variables(n, rng):
@@ -411,14 +419,14 @@ SCENARIOS = MappingProxyType({
         hyper=lambda: {"n0": 20.0, "base_mean": np.zeros(2),
                        "base_cov": np.array([[2.0, 0.9], [0.9, 2.0]])},
         generate=_generate_errors_in_variables,
-        prepare=partial(_prepare_joint, _reverse_regression_rows),
+        prepare=partial(_prepare_joint, _moment_features, _reverse_regression_rows),
     ),
     "interval_regression": Scenario(
         columns=("y1", "y2", "x", "z"), grid_range=(-1.0, 20.0),
         true_set=IntervalSet(2.0, 6.0), shapes=(1.0, 0.5),
         hyper=_interval_regression_hyper,
         generate=_generate_interval_regression,
-        prepare=partial(_prepare_joint, _instrument_ratio_rows),
+        prepare=partial(_prepare_joint, _instrument_features, _instrument_ratio_rows),
     ),
     "binary_missing": Scenario(
         columns=("yd", "d"), grid_range=(0.0, 1.0),

@@ -5,14 +5,13 @@ from partialid import (
     DirichletProcessSpec,
     ParameterError,
     choose_truncation_level,
-    process_draw,
-    row_covariance,
-    row_means,
+    process_means,
     sample_normal,
     stick_weights,
     substream,
 )
-from partialid.dirichlet import TRUNCATION_DELTA, TRUNCATION_EPS
+from partialid.dirichlet import TRUNCATION_DELTA, TRUNCATION_EPS, process_uniforms
+from partialid.rng import UniformRows
 
 
 def normal_base(mu, var):
@@ -82,18 +81,33 @@ def default_level(n0):
     return choose_truncation_level(n0, TRUNCATION_EPS, TRUNCATION_DELTA)
 
 
-class TestProcessDrawPrior:
-    def test_weights_sum_to_one(self):
+def atom(a):
+    """The atom itself, one feature."""
+    return a[..., None, :]
+
+
+def ones(a):
+    """The constant 1, one feature: its mean is the total mass."""
+    return np.ones_like(a)[..., None, :]
+
+
+def below(t):
+    """The indicator of atoms below ``t``, one feature: its mean is a mass."""
+    return lambda a: (a < t)[..., None, :].astype(float)
+
+
+class TestProcessMeansPrior:
+    def test_total_mass_is_one(self):
         spec = DirichletProcessSpec(10.0, normal_base(0.0, 1.0))
-        weights, atoms = process_draw(spec, substream(2, 0))
-        assert abs(weights.sum() - 1.0) <= 1e-12
-        assert weights.shape == atoms.shape == (default_level(10.0),)
+        means = process_means(spec, substream(2, 0), ones)
+        assert means.shape == (1,)
+        assert abs(means[0] - 1.0) <= 1e-12
 
     def test_process_mean_matches_base_mean(self):
         # averaged over process draws, the measure mean equals the base mean
         spec = DirichletProcessSpec(10.0, normal_base(0.0, 1.0))
         rng = substream(2, 1)
-        means = np.array([row_means(*process_draw(spec, rng)) for _ in range(2000)])
+        means = np.array([process_means(spec, rng, atom)[0] for _ in range(2000)])
         se = means.std() / np.sqrt(means.size)
         assert abs(means.mean()) < 3 * se
 
@@ -101,34 +115,43 @@ class TestProcessDrawPrior:
         # expected measure of any set equals its base-measure probability
         spec = DirichletProcessSpec(10.0, normal_base(0.0, 1.0))
         rng = substream(2, 2)
-        fracs = []
-        for _ in range(2000):
-            weights, atoms = process_draw(spec, rng)
-            fracs.append(weights[atoms < 0.0].sum())
-        fracs = np.array(fracs)
+        fracs = np.array([process_means(spec, rng, below(0.0))[0] for _ in range(2000)])
         se = fracs.std() / np.sqrt(fracs.size)
         assert abs(fracs.mean() - 0.5) < 3 * se
 
+    def test_features_of_joint_atoms(self):
+        # the means of (x0, x0 * x1) are those of the normalized sticks, by hand
+        base = lambda rng, size: np.stack((sample_normal(0.0, 1.0, rng, size=size),
+                                           sample_normal(1.0, 2.0, rng, size=size)), axis=-1)
+        spec = DirichletProcessSpec(5.0, base)
+        features = lambda a: np.stack((a[..., 0], a[..., 0] * a[..., 1]), axis=-2)
+        means = process_means(spec, substream(2, 3), features)
+        k = default_level(5.0)
+        rng = substream(2, 3)
+        w, _ = stick_weights(5.0, k, rng)
+        atoms = base(rng, k)
+        w = w / w.sum()
+        oracle = [sum(wj * a[0] for wj, a in zip(w, atoms)),
+                  sum(wj * a[0] * a[1] for wj, a in zip(w, atoms))]
+        assert means.shape == (2,)
+        assert np.allclose(means, oracle, rtol=1e-12, atol=1e-12)
 
-class TestProcessDrawPosterior:
-    def test_weights_sum_to_one(self):
+
+class TestProcessMeansPosterior:
+    def test_total_mass_is_one(self):
         spec = DirichletProcessSpec(20.0, normal_base(0.0, 1.0))
-        data = sample_normal(1.0, 1.0, substream(3, 0), size=100)
-        weights, atoms = process_draw(spec, substream(3, 1), data)
-        assert abs(weights.sum() - 1.0) <= 1e-12
-        assert weights.shape == atoms.shape == (default_level(20.0) + 100,)
-        assert np.array_equal(atoms[-100:], data)
+        means = process_means(spec, substream(3, 1), ones, np.ones((1, 100)))
+        assert means.shape == (1,)
+        assert abs(means[0] - 1.0) <= 1e-12
 
     def test_expected_data_mass_is_beta_mean(self):
         # mass on the data block is Beta(n, n0); mean n / (n + n0) = 5/6
         n, n0 = 100, 20.0
         spec = DirichletProcessSpec(n0, normal_base(0.0, 1.0))
-        data = sample_normal(0.0, 1.0, substream(3, 2), size=n)
-        k = default_level(n0)
+        zeros = lambda a: np.zeros_like(a)[..., None, :]
         rng = substream(3, 3)
-        mass = np.array(
-            [process_draw(spec, rng, data)[0][k:].sum() for _ in range(5000)]
-        )
+        mass = np.array([process_means(spec, rng, zeros, np.ones((1, n)))[0]
+                         for _ in range(5000)])
         se = mass.std() / np.sqrt(mass.size)
         assert abs(mass.mean() - n / (n + n0)) < 3 * se
 
@@ -140,12 +163,10 @@ class TestProcessDrawPosterior:
         from scipy.stats import norm
 
         target = (n0 * norm.cdf(t) + n * np.mean(data <= t)) / (n0 + n)
+        at_most_t = lambda a: (a <= t)[..., None, :].astype(float)
+        table = at_most_t(data)
         rng = substream(3, 5)
-        fracs = []
-        for _ in range(5000):
-            weights, atoms = process_draw(spec, rng, data)
-            fracs.append(weights[atoms <= t].sum())
-        fracs = np.array(fracs)
+        fracs = np.array([process_means(spec, rng, at_most_t, table)[0] for _ in range(5000)])
         se = fracs.std() / np.sqrt(fracs.size)
         assert abs(fracs.mean() - target) < 3 * se
 
@@ -153,79 +174,45 @@ class TestProcessDrawPosterior:
         # n0 -> 0 limit: virtually all mass sits on the data atoms
         n0 = 1e-6
         spec = DirichletProcessSpec(n0, normal_base(0.0, 1.0))
-        k = default_level(n0)
-        assert k == 1
-        data = sample_normal(0.0, 1.0, substream(3, 6), size=50)
+        assert default_level(n0) == 1
+        zeros = lambda a: np.zeros_like(a)[..., None, :]
         rng = substream(3, 7)
-        mass = np.array(
-            [process_draw(spec, rng, data)[0][k:].sum() for _ in range(1000)]
-        )
+        mass = np.array([process_means(spec, rng, zeros, np.ones((1, 50)))[0]
+                         for _ in range(1000)])
         assert mass.mean() >= 0.999
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 30])
+    def test_uniforms_taken(self, n):
+        # k sticks, k atoms, then rho and n data weights; one point takes no weight
+        spec = DirichletProcessSpec(10.0, normal_base(0.0, 1.0))
+        rows = UniformRows(np.random.default_rng(n).random((3, 400)))
+        process_means(spec, rows, atom, np.ones((1, n)) if n else None)
+        assert rows.at == process_uniforms(spec, 1, n) == 2 * default_level(10.0) + (
+            n > 0) + (n if n > 1 else 0)
+
+    def test_one_data_point(self):
+        # rho on the point, 1 - rho on the prior mean
+        spec = DirichletProcessSpec(10.0, normal_base(0.0, 1.0))
+        u = np.random.default_rng(1).random((2, process_uniforms(spec, 1, 1)))
+        prior_means = process_means(spec, UniformRows(u), atom)
+        means = process_means(spec, UniformRows(u), atom, np.array([[3.0]]))
+        rho = -np.expm1(np.log1p(-u[:, -1:]) / 10.0)  # Beta(1, n0) by inverse CDF
+        assert np.allclose(means, (1.0 - rho) * prior_means + rho * 3.0, rtol=1e-14)
 
     def test_empty_data_rejected(self):
         spec = DirichletProcessSpec(10.0, normal_base(0.0, 1.0))
         with pytest.raises(ParameterError, match="needs data"):
-            process_draw(spec, substream(3, 8), np.array([]))
+            process_means(spec, substream(3, 8), atom, np.zeros((1, 0)))
 
-    def test_dimension_mismatch_rejected(self):
+    def test_feature_count_mismatch_rejected(self):
         spec = DirichletProcessSpec(10.0, normal_base(0.0, 1.0))
-        with pytest.raises(ParameterError):
-            process_draw(spec, substream(3, 9), np.zeros((10, 2)))
+        with pytest.raises(ParameterError, match="features"):
+            process_means(spec, substream(3, 9), atom, np.zeros((2, 10)))
 
-
-def normalized(weights):
-    return weights / weights.sum(axis=-1, keepdims=True)
-
-
-class TestRowMeans:
-    def test_two_atoms(self):
-        assert row_means(np.array([0.5, 0.5]), np.array([1.0, 3.0])) == 2.0
-
-    def test_single_atom(self):
-        assert row_means(np.array([1.0]), np.array([7.0]) ** 2) == 49.0
-
-    def test_matches_direct_loop_row_by_row(self):
-        gen = np.random.default_rng(5)
-        atoms = gen.normal(size=(4, 50))
-        weights = normalized(gen.random((4, 50)))
-        means = row_means(weights, atoms**3 - atoms)
-        assert means.shape == (4,)
-        for w, a, mean in zip(weights, atoms, means):
-            oracle = sum(wk * (ak**3 - ak) for wk, ak in zip(w, a))
-            assert abs(mean - oracle) < 1e-12
-            assert mean == row_means(w, a**3 - a)  # a row equals its own draw
-
-    def test_linearity(self):
-        gen = np.random.default_rng(6)
-        atoms = gen.normal(size=30)
-        weights = normalized(gen.random(30))
-        h1 = atoms**2
-        h2 = np.sin(atoms)
-        lhs = row_means(weights, 2.5 * h1 + h2)
-        rhs = 2.5 * row_means(weights, h1) + row_means(weights, h2)
-        assert abs(lhs - rhs) < 1e-12
-
-
-class TestRowCovariance:
-    def test_perfectly_correlated_atoms(self):
-        atoms = np.array([[0.0, 0.0], [2.0, 2.0]])
-        assert row_covariance(np.array([0.5, 0.5]), atoms, 0, 1) == pytest.approx(1.0)
-
-    def test_single_atom_is_degenerate(self):
-        assert row_covariance(np.array([1.0]), np.array([[3.0, -1.0]]), 0, 1) == 0.0
-
-    def test_matches_double_loop(self):
-        gen = np.random.default_rng(7)
-        atoms = gen.normal(size=(50, 3))
-        w = normalized(gen.random(50))
-        mean_i = sum(wk * a[0] for wk, a in zip(w, atoms))
-        mean_j = sum(wk * a[2] for wk, a in zip(w, atoms))
-        oracle = sum(wk * (a[0] - mean_i) * (a[2] - mean_j) for wk, a in zip(w, atoms))
-        assert abs(row_covariance(w, atoms, 0, 2) - oracle) < 1e-12
-
-    def test_variance_of_one_coordinate(self):
-        atoms = np.array([[1.0], [2.0]])
-        assert row_covariance(np.array([0.5, 0.5]), atoms, 0, 0) == pytest.approx(0.25)
+    def test_bad_base_sampler_rejected(self):
+        spec = DirichletProcessSpec(10.0, lambda rng, size: np.zeros(size + 1))
+        with pytest.raises(ParameterError, match="base sampler"):
+            process_means(spec, substream(3, 10), atom)
 
 
 def test_spec_validation():

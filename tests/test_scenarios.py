@@ -23,8 +23,9 @@ from partialid import (
     load_dataset,
     make_config,
 )
-from partialid import scenarios
+from partialid import DirichletProcessSpec, scenarios
 from partialid.priors import ConditionalPriorSpec, marginal_sample
+from partialid.rng import UniformRows
 from partialid.scenarios import (
     ROLE_DATA,
     ROLE_POSTERIOR_SETS,
@@ -240,39 +241,59 @@ class TestBinaryPosteriorParams:
             binary_posterior_params([2.0, -3.0, 1.0], BinaryCounts(0, 0, 0))
 
 
-def _rows(*pairs):
-    """Weights and atoms arrays of (weight, atom) pairs: one process draw."""
+def _means(features, *pairs):
+    """Feature means of one process draw given as (weight, atom) pairs."""
     weights, atoms = zip(*pairs)
-    return np.array(weights, dtype=float), np.array(atoms, dtype=float)
+    return features(np.array(atoms, dtype=float)) @ np.array(weights, dtype=float)
+
+
+def _constant_process(c):
+    """A process whose atoms are all ``c``; it takes its uniforms as any process."""
+    return DirichletProcessSpec(1.0, lambda rng, size: np.full(np.shape(rng.uniform(size)), c))
 
 
 class TestBoundsFunctionals:
-    def test_censoring_rows_order(self):
-        m1 = _rows((0.5, 0.0), (0.5, 2.0))
-        m2 = _rows((1.0, 5.0))
-        assert scenarios._censoring_rows(*m1, *m2) == (1.0, 5.0, True)
-        assert scenarios._censoring_rows(*m2, *m1) == (5.0, 1.0, False)
+    def test_censoring_order_guard(self):
+        for lo_c, hi_c, ok in ((1.0, 5.0, True), (5.0, 1.0, False)):
+            rows = {(0,): UniformRows(np.full((1, 40), 0.5)),
+                    (1,): UniformRows(np.full((1, 40), 0.5))}
+            lo, hi, accept = scenarios._censored_draw(
+                _constant_process(lo_c), _constant_process(hi_c), None, None, rows)
+            assert np.allclose([lo[0], hi[0]], [lo_c, hi_c], rtol=1e-15, atol=0)
+            assert accept.tolist() == [ok]
 
     def test_reverse_regression_degenerate_correlated_atoms(self):
-        m = _rows((0.5, [1.0, 1.0]), (0.5, [-1.0, -1.0]))
-        assert scenarios._reverse_regression_rows(*m) == (1.0, 1.0, True)
+        m = _means(scenarios._moment_features, (0.5, [1.0, 1.0]), (0.5, [-1.0, -1.0]))
+        assert scenarios._reverse_regression_rows(m) == (1.0, 1.0, True)
 
     def test_reverse_regression_sign_guard(self):
-        m = _rows((0.5, [1.0, -1.0]), (0.5, [-1.0, 1.0]))
-        assert scenarios._reverse_regression_rows(*m) == (-1.0, -1.0, False)
+        m = _means(scenarios._moment_features, (0.5, [1.0, -1.0]), (0.5, [-1.0, 1.0]))
+        assert scenarios._reverse_regression_rows(m) == (-1.0, -1.0, False)
 
     def test_instrument_ratio_guard(self):
         # E[zx] < 0 must be skipped
-        m = _rows((0.5, [1.0, 2.0, 1.0, -1.0]), (0.5, [1.0, 2.0, 1.0, -1.0]))
-        assert scenarios._instrument_ratio_rows(*m) == (1.0, 2.0, False)
+        m = _means(scenarios._instrument_features,
+                   (0.5, [1.0, 2.0, 1.0, -1.0]), (0.5, [1.0, 2.0, 1.0, -1.0]))
+        assert scenarios._instrument_ratio_rows(m) == (1.0, 2.0, False)
 
     def test_instrument_ratio_values(self):
-        m = _rows((1.0, [1.0, 2.0, 1.0, 1.0]))
-        assert scenarios._instrument_ratio_rows(*m) == (1.0, 2.0, True)
+        m = _means(scenarios._instrument_features, (1.0, [1.0, 2.0, 1.0, 1.0]))
+        assert scenarios._instrument_ratio_rows(m) == (1.0, 2.0, True)
 
     def test_instrument_ratio_inversion_guard(self):
-        m = _rows((1.0, [2.0, 1.0, 1.0, 1.0]))
-        assert scenarios._instrument_ratio_rows(*m) == (2.0, 1.0, False)
+        m = _means(scenarios._instrument_features, (1.0, [2.0, 1.0, 1.0, 1.0]))
+        assert scenarios._instrument_ratio_rows(m) == (2.0, 1.0, False)
+
+    def test_feature_tables_match_features_of_the_data(self):
+        # a data table is the data's features, one column per point
+        for sid, features in (("errors_in_variables", scenarios._moment_features),
+                              ("interval_regression", scenarios._instrument_features)):
+            cfg = make_config(sid, n=30)
+            data = generate_data(cfg, attempt_stream(4, ROLE_DATA, 0))
+            table = prepare_draw(cfg, "posterior", data).draw.args[-1]
+            assert table.flags.c_contiguous
+            for column, point in zip(table.T, data.values):
+                assert np.array_equal(column, features(point[None])[:, 0])
 
 
 class TestDrawSet:
@@ -542,7 +563,7 @@ class TestPreparedDraws:
         assert len(calls) == 2
 
     def test_dirichlet_parameters_are_checked_once_per_batch(self, monkeypatch):
-        from partialid import dirichlet, distributions
+        from partialid import distributions
 
         built = []
 
@@ -551,18 +572,23 @@ class TestPreparedDraws:
                 built.append(len(alpha))
                 super().__init__(alpha)
 
-        for module in (distributions, dirichlet, scenarios):
+        for module in (distributions, scenarios):
             monkeypatch.setattr(module, "DirichletParams", CountingParams)
-        dirichlet._data_weight_params.cache_clear()
         cfg = make_config("binary_missing", n=100)
         data = generate_data(cfg, attempt_stream(4, ROLE_DATA, 0))
         draw_set_batch(cfg, "posterior", 300, master_seed=4, dataset=data)
         assert built == [3]
+        # the data weights are Exp(1) variates, with no parameters; each data
+        # table (a 1-d column's features) is built once per batch, not per chunk
+        is_column = []
+        atom_features = scenarios._atom_features
+        monkeypatch.setattr(scenarios, "_atom_features",
+                            lambda a: is_column.append(a.ndim == 1) or atom_features(a))
         cfg = make_config("interval_censored", n=50)
         data = generate_data(cfg, attempt_stream(4, ROLE_DATA, 0))
-        draw_set_batch(cfg, "posterior", 20, master_seed=4, dataset=data)
-        assert built == [3, 50]  # the data weights, shared by both processes
-        dirichlet._data_weight_params.cache_clear()
+        draw_set_batch(cfg, "posterior", 300, master_seed=4, dataset=data)
+        assert built == [3]
+        assert is_column.count(True) == 2 and is_column.count(False) > 2
 
     def test_prepare_raises_draw_set_errors(self):
         with pytest.raises(ParameterError, match="mode"):

@@ -211,10 +211,10 @@ def check_variance(x, exact, bound):
     assert abs(s2 - exact) <= Z_MAX * se + bound, (s2, exact, se)
 
 
-def posterior_base(n0, h_mean, h_second, data_mean, data_second, n):
-    """Mean and second moment of the posterior base (n0 H + sum of deltas) / (n0 + n)."""
-    return ((n0 * h_mean + n * data_mean) / (n0 + n),
-            (n0 * h_second + n * data_second) / (n0 + n))
+def posterior_base(n0, under_h, at_data):
+    """The expectation of a statistic under (n0 H + sum of the n deltas) / (n0 + n),
+    from its expectation ``under_h`` and its ``at_data`` values at the n points."""
+    return (n0 * under_h + np.sum(at_data)) / (n0 + len(at_data))
 
 
 @pytest.mark.parametrize("mode", ["prior", "posterior"])
@@ -229,7 +229,7 @@ def test_censored_endpoint_moments(mode):
         if mode == "posterior":
             y = dataset.column(column)
             a = n0 + y.size
-            mean, second = posterior_base(n0, mu, var + mu**2, y.mean(), np.mean(y**2), y.size)
+            mean, second = posterior_base(n0, mu, y), posterior_base(n0, var + mu**2, y**2)
         check_mean(x, mean)
         check_variance(x, (second - mean**2) / (a + 1), 2 * truncation_tail_mean(n0) * var)
 
@@ -246,9 +246,8 @@ def test_errors_in_variables_expected_covariance(mode):
     if mode == "posterior":
         y, z = dataset.column("y"), dataset.column("z")
         a = n0 + y.size
-        ey, _ = posterior_base(n0, 0.0, 0.0, y.mean(), 0.0, y.size)
-        ez, eyz = posterior_base(n0, 0.0, h_cov, z.mean(), np.mean(y * z), y.size)
-        cov = eyz - ey * ez
+        cov = posterior_base(n0, h_cov, y * z) - posterior_base(n0, 0.0, y) * posterior_base(
+            n0, 0.0, z)
     check_mean(cov_p, a / (a + 1) * cov, 2 * truncation_tail_mean(n0) * abs(h_cov))
 
 
@@ -263,5 +262,5 @@ def test_interval_regression_cross_moment_means(mode):
         exact = h_cov[i, 3] + mu[i] * mu[3]
         if mode == "posterior":
             v = dataset.values
-            exact, _ = posterior_base(n0, exact, 0.0, np.mean(v[:, i] * v[:, 3]), 0.0, len(v))
+            exact = posterior_base(n0, exact, v[:, i] * v[:, 3])
         check_mean(m[:, i], exact)

@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="conditional prior family (I, II, III, IV)")
     run.add_argument("--alpha", type=float, help=f"credible level (default {RunConfig.alpha})")
     run.add_argument("--out-dir", dest="out_dir", help="parent directory for run outputs")
-    run.add_argument("--workers", type=int, help=f"parallel workers (default {RunConfig.workers})")
+    run.add_argument("--workers", type=int,
+                     help=f"processes drawing, this one included (default {RunConfig.workers})")
 
     sub.add_parser("list-scenarios", help="list scenario ids and their defaults")
 

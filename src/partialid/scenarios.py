@@ -34,7 +34,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -505,13 +504,14 @@ def _chunk(prepared: PreparedDraw, seeds: SeedBlock):
     for key, m in prepared.layout.items():  # the attempt stream adds the gamma uniform
         keyed = seeds.split(*key) if key else seeds
         uniforms[key] = keyed.uniforms(m if key else m + 1, streams)
+    # a copy, so a task's chunk arrays are freed before its outputs are joined
     return (*prepared.draw({key: UniformRows(u) for key, u in uniforms.items()}),
-            uniforms[()][:, -1])
+            uniforms[()][:, -1].copy())
 
 
 def _task(prepared: PreparedDraw, seeds: SeedBlock, rows_cap: int):
     """:func:`_chunk` over parts of at most ``rows_cap`` rows of ``seeds``, its
-    outputs concatenated: one pool task."""
+    outputs concatenated: one share of a block."""
     parts = [_chunk(prepared, seeds.part(range(i, min(i + rows_cap, seeds.stop))))
              for i in range(seeds.start, seeds.stop, rows_cap)]
     return tuple(np.concatenate(out) for out in zip(*parts))
@@ -537,10 +537,11 @@ def check_workers(workers: int) -> int:
 
 
 def attempt_pool(workers: int):
-    """A process pool of ``min(workers, max_workers())`` processes to share among
-    the batches of a run, as a context manager; None when that is one process."""
+    """A process pool of ``min(workers, max_workers()) - 1`` processes to share
+    among the batches of a run, as a context manager: the caller is the other
+    worker.  None when that is no process."""
     workers = min(workers, max_workers())
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    return ProcessPoolExecutor(max_workers=workers - 1) if workers > 1 else nullcontext()
 
 
 def run_attempts(prepared: PreparedDraw, n_draws: int, master_seed: int, role: int,
@@ -555,9 +556,11 @@ def run_attempts(prepared: PreparedDraw, n_draws: int, master_seed: int, role: i
     top-up block as many as the acceptance rate so far asks.  Attempts past
     the ``n_draws``-th acceptance are never counted and their errors never
     raised; a consumed, accepted one without ``lo <= hi`` raises
-    :class:`ParameterError`.  ``pool`` (:func:`attempt_pool`) runs a block as
-    tasks of ``ceil(len(block) / (2 * workers))`` attempts, each looped over
-    in chunks; without one, ``workers > 1`` starts a pool for this call.  Returns
+    :class:`ParameterError`.  With ``pool`` (:func:`attempt_pool`), a block is
+    ``workers`` shares of ``ceil(len(block) / workers)`` attempts, each looped
+    over in chunks: the caller computes the first while the pool runs the
+    others, and shares not started when the block's acceptances are in are
+    cancelled.  Without one, ``workers > 1`` starts a pool for this call.  Returns
     ``(attempt_indices, lo, hi, gamma_uniforms, skipped)``.  Raises
     :class:`SkipBudgetError`, its message opened by ``label``, when skips
     exhaust ``50 * n_draws + 1000`` attempts.
@@ -584,30 +587,41 @@ def run_attempts(prepared: PreparedDraw, n_draws: int, master_seed: int, role: i
         size = max(need, need * next_index // max(n_draws - need, 1))
         streams = range(base + next_index, base + min(next_index + size, attempt_cap))
         next_index = streams.stop - base
-        # a task is a chunk serially; with a pool, about 1 / (2 * workers) of the block
-        step = rows_cap if pool is None else -(-len(streams) // (2 * workers))
+        # serially a chunk at a time; with a pool, a share of the block per worker
+        step = rows_cap if pool is None else -(-len(streams) // workers)
         chunks = [streams[i:i + step] for i in range(0, len(streams), step)]
         seeds = SeedBlock(master_seed, streams)
         for key in prepared.layout:  # the seed words of every key, once per block
             if key:
                 seeds.split(*key)
-        # serially a chunk is computed when it is consumed; a task gets its
-        # share of the seed words and runs it in chunks
+        # serially a chunk is computed when it is consumed; a share gets its
+        # part of the seed words and runs it in chunks
         parts = map(seeds.part, chunks)
-        outcomes = (map(_chunk, repeat(prepared), parts) if pool is None
-                    else pool.map(_task, repeat(prepared), parts, repeat(rows_cap)))
-        for chunk, (lo, hi, accept, u) in zip(chunks, outcomes):
-            rows = np.flatnonzero(accept)[:need]
-            skipped += int(rows[-1] + 1 if len(rows) == need else len(chunk)) - len(rows)
-            first = chunk.start - base  # the attempt of row 0
-            bad = rows[~(lo[rows] <= hi[rows])]
-            if bad.size:
-                raise ParameterError(f"{label}: attempt {first + bad[0]} drew the invalid "
-                                     f"interval [{lo[bad[0]]}, {hi[bad[0]]}]")
-            taken.append((first + rows, lo[rows], hi[rows], u[rows]))
-            need -= len(rows)
-            if not need:
-                break
+        futures = []
+        if pool is None:
+            outcomes = (partial(_chunk, prepared, part) for part in parts)
+        else:  # the pool runs the later shares while this process computes the first
+            first_share, *shares = parts
+            futures = [pool.submit(_task, prepared, part, rows_cap) for part in shares]
+            outcomes = [partial(_task, prepared, first_share, rows_cap),
+                        *(future.result for future in futures)]
+        try:
+            for chunk, outcome in zip(chunks, outcomes):
+                lo, hi, accept, u = outcome()
+                rows = np.flatnonzero(accept)[:need]
+                skipped += int(rows[-1] + 1 if len(rows) == need else len(chunk)) - len(rows)
+                first = chunk.start - base  # the attempt of row 0
+                bad = rows[~(lo[rows] <= hi[rows])]
+                if bad.size:
+                    raise ParameterError(f"{label}: attempt {first + bad[0]} drew the "
+                                         f"invalid interval [{lo[bad[0]]}, {hi[bad[0]]}]")
+                taken.append((first + rows, lo[rows], hi[rows], u[rows]))
+                need -= len(rows)
+                if not need:
+                    break
+        finally:  # a share past the last acceptance is not started, or not read
+            for future in futures:
+                future.cancel()
     return (*(np.concatenate(part) for part in zip(*taken)), skipped)
 
 

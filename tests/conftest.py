@@ -1,3 +1,6 @@
+from concurrent.futures import Future
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import settings
 
@@ -7,34 +10,29 @@ from partialid import scenarios
 settings.register_profile("ci", derandomize=True)
 
 
-def _result(outcome):
-    value, error = outcome
-    if error is not None:
-        raise error
-    return value
-
-
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Stand in for ProcessPoolExecutor, running tasks here; return the sizes asked for.
+def in_process_pool(monkeypatch):
+    """Stand in for ProcessPoolExecutor, running tasks here.
 
-    Like a pool, it runs every task it is given at once and raises a task's
-    error only when that task's result is read.
+    Returns the pool sizes asked for (``.sizes``) and the argument tuples of
+    the tasks submitted (``.submitted``).  Like a pool with a free process per
+    task, it runs every task when it is submitted and raises a task's error
+    only when that task's result is read.
     """
-    sizes = []
+    record = SimpleNamespace(sizes=[], submitted=[])
 
     class InProcessPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            record.sizes.append(max_workers)
 
-        def map(self, fn, *iterables):
-            outcomes = []
-            for args in zip(*iterables):
-                try:
-                    outcomes.append((fn(*args), None))
-                except Exception as exc:
-                    outcomes.append((None, exc))
-            return map(_result, outcomes)
+        def submit(self, fn, *args):
+            record.submitted.append(args)
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
         def __enter__(self):
             return self
@@ -43,4 +41,10 @@ def pool_sizes(monkeypatch):
             pass
 
     monkeypatch.setattr(scenarios, "ProcessPoolExecutor", InProcessPool)
-    return sizes
+    return record
+
+
+@pytest.fixture
+def pool_sizes(in_process_pool):
+    """The stand-in pool's sizes asked for (:func:`in_process_pool`)."""
+    return in_process_pool.sizes

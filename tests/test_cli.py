@@ -320,7 +320,7 @@ class TestRunScenario:
         r1 = run_scenario(RunConfig(out_dir=str(tmp_path / "w1"), **base))
         assert pool_sizes == []
         r2 = run_scenario(RunConfig(out_dir=str(tmp_path / "w2"), workers=2, **base))
-        assert pool_sizes == [2]
+        assert pool_sizes == [1]
         for name in ("coverage.csv", "intervals.csv", "gamma_hist.csv"):
             assert r1.files[name] == r2.files[name]
 

@@ -1,6 +1,9 @@
 import dataclasses
+import multiprocessing
 import os
 import pickle
+import tracemalloc
+from concurrent.futures import Future
 from functools import partial
 
 import numpy as np
@@ -24,6 +27,7 @@ from partialid import (
     make_config,
 )
 from partialid import DirichletProcessSpec, scenarios
+from partialid.cli import RunConfig, run_scenario
 from partialid.priors import ConditionalPriorSpec, marginal_sample
 from partialid.rng import UniformRows
 from partialid.scenarios import (
@@ -439,7 +443,7 @@ class TestDrawSetBatch:
         assert np.array_equal(run_attempts(late_raise, 10, 21, 1, 2, "synthetic")[0], indices)
         with pytest.raises(RuntimeError, match="past the last acceptance"):
             run_attempts(late_raise, 11, 21, 1, 2, "synthetic")
-        assert pool_sizes == [2, 2, 2, 2]
+        assert pool_sizes == [1, 1, 1, 1]
 
     def test_pool_tasks_span_chunks(self, monkeypatch, pool_sizes):
         """A pool task runs its attempts in chunks; the output is the serial one."""
@@ -468,7 +472,7 @@ class TestDrawSetBatch:
             assert serial[4] == pooled[4]
             assert any(rows >= 2 * rows_cap for rows, rows_cap in tasks), tasks
         assert pooled[4] > 0 and len({rows for rows, _ in tasks}) > 1  # topped up
-        assert pool_sizes == [2, 2]
+        assert pool_sizes == [1, 1]
 
     def test_posterior_batch_concentrates(self):
         cfg = make_config("interval_censored", n=400)
@@ -614,7 +618,7 @@ class TestWorkerBound:
         want = draw_set_batch(cfg, "prior", 40, 6)
         got = draw_set_batch(cfg, "prior", 40, 6, workers=_cpu_limit() + 1)
         assert np.array_equal(got.lo, want.lo) and np.array_equal(got.hi, want.hi)
-        assert sizes in ([], [_cpu_limit()])  # no pool at all on one CPU
+        assert sizes in ([], [_cpu_limit() - 1])  # no pool at all on one CPU
 
     def test_run_attempts_rejects_zero_workers(self):
         with pytest.raises(ParameterError, match="workers"):
@@ -632,6 +636,95 @@ class TestWorkerBound:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert scenarios.max_workers() == 3
+
+
+class TestPool:
+    """The parent computes the first share of every block; a pool of
+    ``workers - 1`` processes computes the others."""
+
+    def test_the_parent_computes_the_first_share_of_each_block(self, monkeypatch,
+                                                               in_process_pool):
+        blocks, shares, task = [], [], scenarios._task
+
+        class CountingSeedBlock(scenarios.SeedBlock):
+            def __init__(self, master_seed, indices, *args):
+                blocks.append(indices.start)
+                super().__init__(master_seed, indices, *args)
+
+        def counted_task(prepared, seeds, rows_cap):
+            shares.append(seeds.start)
+            return task(prepared, seeds, rows_cap)
+
+        monkeypatch.setattr(scenarios, "SeedBlock", CountingSeedBlock)
+        monkeypatch.setattr(scenarios, "_task", counted_task)
+        monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
+        run_attempts(SKIP_MOST, 40, 21, 1, 2, "synthetic")
+        submitted = [seeds.start for _, seeds, _ in in_process_pool.submitted]
+        assert len(blocks) > 1 and submitted
+        assert [start for start in shares if start not in submitted] == blocks
+        assert not set(submitted) & set(blocks)
+        assert len(submitted) <= len(blocks)  # one pool share per block at workers 2
+        assert in_process_pool.sizes == [1]
+
+    def test_output_is_byte_identical_at_any_worker_count(self, monkeypatch, pool_sizes):
+        # share boundaries move with the worker count; the output does not
+        monkeypatch.setattr(scenarios, "max_workers", lambda: 4)
+        cfg = make_config("interval_censored", n=1000)
+        data = generate_data(cfg, attempt_stream(5, ROLE_DATA, 0))
+        for prepared, n_draws, chunk_uniforms in [
+                (prepare_draw(cfg, "posterior", data), 200, scenarios.CHUNK_UNIFORMS),
+                (SKIP_MOST, 40, 14)]:  # top-up blocks of 7-row chunks
+            monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", chunk_uniforms)
+            serial = run_attempts(prepared, n_draws, 5, ROLE_POSTERIOR_SETS, 1, "s")
+            for workers in (2, 3, 4):
+                pooled = run_attempts(prepared, n_draws, 5, ROLE_POSTERIOR_SETS, workers, "s")
+                for a, b in zip(serial[:4], pooled[:4]):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert serial[4] == pooled[4]
+        assert serial[4] > 0
+        assert pool_sizes == [1, 2, 3, 1, 2, 3]
+
+    def test_a_share_peak_memory_does_not_grow_with_its_rows(self):
+        # one chunk (17 rows at n=1000) against a 500-row share of many chunks
+        cfg = make_config("interval_regression", n=1000)
+        data = generate_data(cfg, attempt_stream(3, ROLE_DATA, 0))
+        prepared = prepare_draw(cfg, "posterior", data)
+        rows_cap = max(1, scenarios.CHUNK_UNIFORMS // (1 + max(prepared.layout.values())))
+        assert 500 >= 10 * rows_cap
+        peaks = []
+        for rows in (rows_cap, 500):
+            seeds = scenarios.SeedBlock(3, range(rows))
+            tracemalloc.start()
+            try:
+                scenarios._task(prepared, seeds, rows_cap)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    @pytest.mark.skipif(scenarios.max_workers() < 2, reason="needs two CPUs")
+    def test_no_process_outlives_a_run(self, tmp_path, monkeypatch):
+        """With a real pool, including a block whose last share is left unread."""
+        read, cancelled = [], []
+        result, cancel = Future.result, Future.cancel
+
+        def reading(future, timeout=None):
+            read.append(future)
+            return result(future, timeout)
+
+        def cancelling(future):
+            cancelled.append(future)
+            return cancel(future)
+
+        monkeypatch.setattr(Future, "result", reading)
+        monkeypatch.setattr(Future, "cancel", cancelling)
+        monkeypatch.setattr(scenarios, "prepare_draw", lambda *args: SKIP_MOST)
+        with pytest.warns(UserWarning, match="skipped"):
+            report = run_scenario(RunConfig(scenario="toy_analytic", n=None, n_draws=10,
+                                            seed=21, workers=2, out_dir=str(tmp_path)))
+        assert report.skips["prior_sets"] > 0
+        assert [future for future in cancelled if future not in read]
+        assert multiprocessing.active_children() == []
 
 
 class TestToyOracles:

@@ -33,7 +33,6 @@ from .priors import (
     default_prior_spec,
     histogram,
     marginal_sample,
-    sample_gamma_given_theta,
 )
 from .random_sets import (
     CoverageCurve,
@@ -109,7 +108,6 @@ __all__ = [
     "psd_repair",
     "sample_beta",
     "sample_dirichlet",
-    "sample_gamma_given_theta",
     "sample_mvnormal",
     "sample_normal",
     "sample_truncated_normal",

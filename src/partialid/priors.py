@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import sample_beta, sample_truncated_normal
 from .errors import ParameterError
-from .random_sets import IntervalSet, SetDrawBatch
+from .random_sets import SetDrawBatch
 from .rng import UniformRows
 from .scenarios import SCENARIOS, Dataset, ScenarioConfig, draw_set_batch
 
@@ -63,34 +63,6 @@ def default_prior_spec(scenario_id: str, family: str) -> ConditionalPriorSpec:
     return ConditionalPriorSpec(family=family, tau0_sq=1.0, sigma0_sq=2.0, p=p, q=q)
 
 
-def _gamma_step(spec: ConditionalPriorSpec, lo, hi, rng):
-    """Draws on [lo, hi], one uniform of ``rng`` each: scalars from a stream, or
-    arrays from a :class:`~partialid.rng.UniformRows` of one uniform per row.
-
-    An interval narrower than :data:`DEGENERATE_WIDTH` gives its midpoint.
-    """
-    mid = 0.5 * (lo + hi)
-    degenerate = hi - lo < DEGENERATE_WIDTH
-    hi = np.where(degenerate, lo + 1.0, hi)  # a stand-in whose draw is discarded
-    if spec.family == "I":
-        draws = sample_truncated_normal(mid, spec.tau0_sq, lo, hi, rng)
-    elif spec.family == "II":
-        draws = sample_truncated_normal(0.0, spec.sigma0_sq, lo, hi, rng)
-    elif spec.family == "III":
-        draws = lo + (hi - lo) * rng.uniform()
-    else:
-        draws = lo + (hi - lo) * sample_beta(spec.p, spec.q, rng)
-    return np.where(degenerate, mid, draws)
-
-
-def sample_gamma_given_theta(spec: ConditionalPriorSpec, interval: IntervalSet, rng) -> float:
-    """One draw of the parameter given its interval, from one uniform of ``rng``.
-
-    A batch of one through the step of :func:`draw_gammas`.
-    """
-    return float(_gamma_step(spec, interval.lo, interval.hi, rng))
-
-
 class MarginalSampleBatch(SetDrawBatch):
     """Paired (gamma, interval) draws from the marginal prior or posterior.
 
@@ -116,14 +88,26 @@ def draw_gammas(spec: ConditionalPriorSpec, batch: SetDrawBatch) -> MarginalSamp
 
     Draw j transforms ``batch.gamma_uniforms[j]``, the uniform its attempt
     stream drew after the interval, so it never fails and never redraws the
-    interval.  The result keeps the batch's intervals, skip account and
+    interval.  An interval narrower than :data:`DEGENERATE_WIDTH` gives its
+    midpoint.  The result keeps the batch's intervals, skip account and
     high-skip flag, and does not warn again.
     """
     if batch.gamma_uniforms is None:
         raise ParameterError("drawing gammas needs the batch's gamma_uniforms")
-    drawn = UniformRows(batch.gamma_uniforms[:, None])
+    rng = UniformRows(batch.gamma_uniforms[:, None])
+    lo, mid = batch.lo, 0.5 * (batch.lo + batch.hi)
+    degenerate = batch.hi - lo < DEGENERATE_WIDTH
+    hi = np.where(degenerate, lo + 1.0, batch.hi)  # a stand-in whose draw is discarded
+    if spec.family == "I":
+        draws = sample_truncated_normal(mid, spec.tau0_sq, lo, hi, rng)
+    elif spec.family == "II":
+        draws = sample_truncated_normal(0.0, spec.sigma0_sq, lo, hi, rng)
+    elif spec.family == "III":
+        draws = lo + (hi - lo) * rng.uniform()
+    else:
+        draws = lo + (hi - lo) * sample_beta(spec.p, spec.q, rng)
     return MarginalSampleBatch(
-        _gamma_step(spec, batch.lo, batch.hi, drawn), batch.lo, batch.hi,
+        np.where(degenerate, mid, draws), batch.lo, batch.hi,
         batch.source, batch.scenario_id, skipped=batch.skipped,
         attempt_indices=batch.attempt_indices, warn=False,
     )

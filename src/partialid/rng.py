@@ -319,17 +319,6 @@ class SeedBlock:
             np.random.Generator(np.random.PCG64(_SeedRow(seed))).random(out=row)
         return out
 
-    def part(self, indices: range) -> "SeedBlock":
-        """The block of ``indices``, a subrange, with the splits computed so far:
-        views of this block's words, so no seed word is computed again."""
-        rows = self._rows(indices)
-        block = object.__new__(SeedBlock)
-        block.master_seed, block.subkey = self.master_seed, self.subkey
-        block.start, block.stop = indices.start, indices.stop
-        block.words = self.words[rows]
-        block._children = {k: child.part(indices) for k, child in self._children.items()}
-        return block
-
     def split(self, k: int) -> "SeedBlock":
         """The block of child key ``k`` over the same indices."""
         child = self._children.get(k)

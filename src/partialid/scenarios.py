@@ -496,24 +496,26 @@ def draw_set(
 CHUNK_UNIFORMS = 2**15
 
 
-def _chunk(prepared: PreparedDraw, seeds: SeedBlock):
-    """``(lo, hi, accept, gamma_uniforms)`` of the attempt streams of ``seeds``,
-    one row each."""
-    streams = range(seeds.start, seeds.stop)
-    uniforms = {}
-    for key, m in prepared.layout.items():  # the attempt stream adds the gamma uniform
-        keyed = seeds.split(*key) if key else seeds
-        uniforms[key] = keyed.uniforms(m if key else m + 1, streams)
-    # a copy, so a task's chunk arrays are freed before its outputs are joined
-    return (*prepared.draw({key: UniformRows(u) for key, u in uniforms.items()}),
-            uniforms[()][:, -1].copy())
+def _rows_cap(prepared: PreparedDraw) -> int:
+    """Rows of a chunk: at most :data:`CHUNK_UNIFORMS` uniforms per stream key,
+    the attempt stream's gamma uniform included."""
+    return max(1, CHUNK_UNIFORMS // (1 + max(prepared.layout.values())))
 
 
-def _task(prepared: PreparedDraw, seeds: SeedBlock, rows_cap: int):
-    """:func:`_chunk` over parts of at most ``rows_cap`` rows of ``seeds``, its
-    outputs concatenated: one share of a block."""
-    parts = [_chunk(prepared, seeds.part(range(i, min(i + rows_cap, seeds.stop))))
-             for i in range(seeds.start, seeds.stop, rows_cap)]
+def _task(prepared: PreparedDraw, master_seed: int, streams: range):
+    """``(lo, hi, accept, gamma_uniforms)`` of the attempt streams ``streams``,
+    one row each: one share of a block.  It seeds its own streams and runs them
+    in chunks of :func:`_rows_cap` rows."""
+    seeds, step, parts = SeedBlock(master_seed, streams), _rows_cap(prepared), []
+    for i in range(0, len(streams), step):
+        chunk = streams[i:i + step]
+        uniforms = {}
+        for key, m in prepared.layout.items():  # the attempt stream adds the gamma uniform
+            keyed = seeds.split(*key) if key else seeds
+            uniforms[key] = keyed.uniforms(m if key else m + 1, chunk)
+        # a copy, so a chunk's arrays are freed before the outputs are joined
+        parts.append((*prepared.draw({key: UniformRows(u) for key, u in uniforms.items()}),
+                      uniforms[()][:, -1].copy()))
     return tuple(np.concatenate(out) for out in zip(*parts))
 
 
@@ -549,18 +551,20 @@ def run_attempts(prepared: PreparedDraw, n_draws: int, master_seed: int, role: i
     """Run attempts 0, 1, 2, ... in index order until ``n_draws`` are accepted.
 
     Attempt j uses the streams keyed by (master_seed, role, j) and their
-    splits, whatever the worker count.  Attempts run in chunks: per stream key
-    of ``prepared.layout``, attempt j's uniforms are row j of the chunk's
-    array (at most :data:`CHUNK_UNIFORMS`), the gamma uniform last in the
-    attempt stream's row.  The first block holds ``n_draws`` attempts, each
-    top-up block as many as the acceptance rate so far asks.  Attempts past
-    the ``n_draws``-th acceptance are never counted and their errors never
-    raised; a consumed, accepted one without ``lo <= hi`` raises
-    :class:`ParameterError`.  With ``pool`` (:func:`attempt_pool`), a block is
-    ``workers`` shares of ``ceil(len(block) / workers)`` attempts, each looped
-    over in chunks: the caller computes the first while the pool runs the
-    others, and shares not started when the block's acceptances are in are
-    cancelled.  Without one, ``workers > 1`` starts a pool for this call.  Returns
+    splits, whatever the worker count.  The first block holds ``n_draws``
+    attempts, each top-up block as many as the acceptance rate so far asks.
+    A block is shares of ``ceil(len(block) / workers)`` attempts, one share at
+    ``workers`` 1.  A share (:func:`_task`) carries only its attempt range,
+    seeds its own streams and runs them in chunks: per stream key of
+    ``prepared.layout``, attempt j's uniforms are row j of the chunk's array
+    (at most :data:`CHUNK_UNIFORMS`), the gamma uniform last in the attempt
+    stream's row.  The caller computes the first share of every block while
+    ``pool`` (:func:`attempt_pool`) runs the others; without one,
+    ``workers > 1`` starts a pool for this call.  Shares are consumed in
+    attempt order, and those not started when the block's acceptances are in
+    are cancelled.  Attempts past the ``n_draws``-th acceptance are never
+    counted and their errors never raised; a consumed, accepted one without
+    ``lo <= hi`` raises :class:`ParameterError`.  Returns
     ``(attempt_indices, lo, hi, gamma_uniforms, skipped)``.  Raises
     :class:`SkipBudgetError`, its message opened by ``label``, when skips
     exhaust ``50 * n_draws + 1000`` attempts.
@@ -573,10 +577,9 @@ def run_attempts(prepared: PreparedDraw, n_draws: int, master_seed: int, role: i
     if pool is None and workers > 1:
         with attempt_pool(workers) as pool:
             return run_attempts(prepared, n_draws, master_seed, role, workers, label, pool)
-    taken = []  # (indices, lo, hi, gamma uniforms) of each chunk's acceptances
+    taken = []  # (indices, lo, hi, gamma uniforms) of each share's acceptances
     need, skipped, next_index = n_draws, 0, 0
     attempt_cap = min(50 * n_draws + 1000, 2**_ROLE_SHIFT)
-    rows_cap = max(1, CHUNK_UNIFORMS // (1 + max(prepared.layout.values())))
     base = role << _ROLE_SHIFT
     while need:
         if next_index + need > attempt_cap:
@@ -587,30 +590,18 @@ def run_attempts(prepared: PreparedDraw, n_draws: int, master_seed: int, role: i
         size = max(need, need * next_index // max(n_draws - need, 1))
         streams = range(base + next_index, base + min(next_index + size, attempt_cap))
         next_index = streams.stop - base
-        # serially a chunk at a time; with a pool, a share of the block per worker
-        step = rows_cap if pool is None else -(-len(streams) // workers)
-        chunks = [streams[i:i + step] for i in range(0, len(streams), step)]
-        seeds = SeedBlock(master_seed, streams)
-        for key in prepared.layout:  # the seed words of every key, once per block
-            if key:
-                seeds.split(*key)
-        # serially a chunk is computed when it is consumed; a share gets its
-        # part of the seed words and runs it in chunks
-        parts = map(seeds.part, chunks)
-        futures = []
-        if pool is None:
-            outcomes = (partial(_chunk, prepared, part) for part in parts)
-        else:  # the pool runs the later shares while this process computes the first
-            first_share, *shares = parts
-            futures = [pool.submit(_task, prepared, part, rows_cap) for part in shares]
-            outcomes = [partial(_task, prepared, first_share, rows_cap),
-                        *(future.result for future in futures)]
+        step = -(-len(streams) // workers)
+        shares = [streams[i:i + step] for i in range(0, len(streams), step)]
+        # the pool runs the later shares while this process computes the first
+        futures = [pool.submit(_task, prepared, master_seed, share) for share in shares[1:]]
+        outcomes = [partial(_task, prepared, master_seed, shares[0]),
+                    *(future.result for future in futures)]
         try:
-            for chunk, outcome in zip(chunks, outcomes):
+            for share, outcome in zip(shares, outcomes):
                 lo, hi, accept, u = outcome()
                 rows = np.flatnonzero(accept)[:need]
-                skipped += int(rows[-1] + 1 if len(rows) == need else len(chunk)) - len(rows)
-                first = chunk.start - base  # the attempt of row 0
+                skipped += int(rows[-1] + 1 if len(rows) == need else len(share)) - len(rows)
+                first = share.start - base  # the attempt of row 0
                 bad = rows[~(lo[rows] <= hi[rows])]
                 if bad.size:
                     raise ParameterError(f"{label}: attempt {first + bad[0]} drew the "
@@ -637,11 +628,11 @@ def draw_set_batch(
 ) -> SetDrawBatch:
     """Collect ``n_draws`` accepted interval draws, skipping guard violations.
 
-    Attempt j's uniforms are row j of its chunk's array per stream key, the
-    last of its attempt stream's row its ``gamma_uniforms`` entry for
-    :func:`~partialid.priors.draw_gammas` (:func:`run_attempts`): its interval
-    is ``draw_set(cfg, mode, attempt_stream(master_seed, role, j), dataset)``
-    and its gamma uniform that stream's next.  Byte-identical for any worker
+    Attempt j's interval is ``draw_set(cfg, mode, attempt_stream(master_seed,
+    role, j), dataset)`` and its ``gamma_uniforms`` entry, for
+    :func:`~partialid.priors.draw_gammas`, that stream's next uniform.  Every
+    block of attempts is shares that seed their own streams
+    (:func:`run_attempts`), so the batch is byte-identical for any worker
     count; ``pool`` shares an :func:`attempt_pool` among a run's batches.
     """
     if role is None:

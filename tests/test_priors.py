@@ -17,7 +17,6 @@ from partialid import (
     histogram,
     make_config,
     marginal_sample,
-    sample_gamma_given_theta,
     sample_truncated_normal,
     substream,
 )
@@ -32,11 +31,16 @@ from partialid.scenarios import (
 UNIT_05 = IntervalSet(0.0, 5.0)
 
 
-def draw_many(spec, interval, seed, n):
-    # the n scalar gammas of one stream, as one step on n copies of the interval
-    batch = SetDrawBatch(np.full(n, interval.lo), np.full(n, interval.hi), "prior",
-                         "synthetic", gamma_uniforms=substream(seed, 0).uniform(n))
+def gammas_on(spec, interval, u):
+    """The gammas of ``spec`` on copies of ``interval``, one per uniform of ``u``."""
+    batch = SetDrawBatch(np.full(len(u), interval.lo), np.full(len(u), interval.hi),
+                         "prior", "synthetic", gamma_uniforms=u)
     return draw_gammas(spec, batch).gammas
+
+
+def draw_many(spec, interval, seed, n):
+    # the gammas of the first n uniforms of one stream
+    return gammas_on(spec, interval, substream(seed, 0).uniform(n))
 
 
 class TestSpecValidation:
@@ -106,27 +110,27 @@ class TestSampleGamma:
         # 1e-9 wide: about 4e-10 of the mass of family I's normal, far beyond any
         # rejection budget, and 5 sds out for the zero-centered family II
         narrow = IntervalSet(5.0, 5.0 + 1e-9)
+        u = [substream(27, k).uniform() for k in range(50)]
         for spec in (ConditionalPriorSpec("I", tau0_sq=1.0),
                      ConditionalPriorSpec("II", sigma0_sq=1.0)):
-            for k in range(50):
-                x = sample_gamma_given_theta(spec, narrow, substream(27, k))
-                assert narrow.lo <= x <= narrow.hi
+            x = gammas_on(spec, narrow, u)
+            assert x.size == 50
+            assert np.all((narrow.lo <= x) & (x <= narrow.hi))
 
     def test_degenerate_interval_returns_midpoint(self):
         point = IntervalSet(3.0, 3.0 + 1e-13)
-        rng = substream(28, 0)
+        u = substream(28, 0).uniform(4)
         for family in ("I", "II", "III", "IV"):
-            spec = ConditionalPriorSpec(family)
-            assert sample_gamma_given_theta(spec, point, rng) == pytest.approx(3.0)
+            x = gammas_on(ConditionalPriorSpec(family), point, u)
+            assert x.tolist() == pytest.approx([3.0] * 4)
 
     def test_all_families_respect_support(self):
         interval = IntervalSet(-2.0, -0.5)
-        rng = substream(29, 0)
-        for family in ("I", "II", "III", "IV"):
-            spec = ConditionalPriorSpec(family)
-            for _ in range(2000):
-                x = sample_gamma_given_theta(spec, interval, rng)
-                assert interval.lo <= x <= interval.hi
+        u = substream(29, 0).uniform(4 * 2000)  # 2000 consecutive uniforms per family
+        for i, family in enumerate(("I", "II", "III", "IV")):
+            x = gammas_on(ConditionalPriorSpec(family), interval, u[2000 * i:2000 * (i + 1)])
+            assert x.size == 2000
+            assert np.all((interval.lo <= x) & (x <= interval.hi))
 
 
 class TestMarginalSample:
@@ -177,11 +181,11 @@ class TestMarginalSample:
                 warnings.simplefilter("error")  # the set batch has warned already
                 gammas = draw_gammas(spec, batch).gammas
             for j, index in enumerate(batch.attempt_indices):
-                # the scalar two-stage sampler: interval, then gamma, from one stream
+                # the two-stage draw: interval, then gamma from the same stream's next uniform
                 rng = attempt_stream(33, role, int(index))
                 interval = draw_set(cfg, mode, rng, data)
                 assert (interval.lo, interval.hi) == (batch.lo[j], batch.hi[j])
-                assert gammas[j] == sample_gamma_given_theta(spec, interval, rng)
+                assert gammas[j] == gammas_on(spec, interval, [rng.uniform()])[0]
 
     def test_marginal_sample_draws_gammas_on_the_set_batch(self):
         cfg = make_config("binary_missing", n=200)

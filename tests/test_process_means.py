@@ -24,7 +24,7 @@ from partialid.distributions import (
     sample_normal,
 )
 from partialid.rng import SeedBlock, UniformRows
-from partialid.scenarios import CHUNK_UNIFORMS, ROLE_DATA, attempt_stream
+from partialid.scenarios import ROLE_DATA, attempt_stream
 
 DP_SCENARIOS = ("interval_censored", "errors_in_variables", "interval_regression")
 
@@ -103,9 +103,9 @@ def oracle_draw(cfg, mode, dataset, sources):
 
 # --- blocks of attempt rows ------------------------------------------------------
 
-def block_uniforms(prepared, seeds):
-    """Per stream key, the uniforms of the attempt rows of ``seeds``, as a chunk takes them."""
-    rows = range(seeds.start, seeds.stop)
+def block_uniforms(prepared, seeds, rows):
+    """Per stream key, the uniforms of the attempt rows ``rows`` of ``seeds``, as a
+    chunk takes them."""
     return {key: (seeds.split(*key) if key else seeds).uniforms(m, rows)
             for key, m in prepared.layout.items()}
 
@@ -121,10 +121,6 @@ def process_calls(prepared):
     return [((), spec, features, table)]
 
 
-def rows_cap(prepared):
-    return max(1, CHUNK_UNIFORMS // (1 + max(prepared.layout.values())))
-
-
 CASES = [(sid, "prior", 30) for sid in DP_SCENARIOS] + [
     (sid, "posterior", n) for sid in DP_SCENARIOS for n in (1, 30, 1000)]
 
@@ -134,7 +130,7 @@ def test_matches_concatenated_draws(sid, mode, n):
     cfg = make_config(sid, n=n)
     dataset = generate_data(cfg, attempt_stream(11, ROLE_DATA, 0))
     prepared = prepare_draw(cfg, mode, dataset)
-    u = block_uniforms(prepared, SeedBlock(11, range(200)))
+    u = block_uniforms(prepared, SeedBlock(11, range(200)), range(200))
     lo, hi, accept = prepared.draw({key: UniformRows(x) for key, x in u.items()})
     old_lo, old_hi, old_accept = oracle_draw(cfg, mode, dataset,
                                              {key: UniformRows(x) for key, x in u.items()})
@@ -145,17 +141,16 @@ def test_matches_concatenated_draws(sid, mode, n):
 
 @pytest.mark.parametrize("sid, mode, n", CASES)
 def test_row_means_do_not_depend_on_the_chunk(sid, mode, n):
-    # a row's means are the same bits in chunks of 1, 7 and rows_cap rows, which
+    # a row's means are the same bits in chunks of 1, 7 and _rows_cap rows, which
     # makes a batch the same whatever its worker count or chunk boundaries
     cfg = make_config(sid, n=n)
     dataset = generate_data(cfg, attempt_stream(11, ROLE_DATA, 0))
     prepared = prepare_draw(cfg, mode, dataset)
-    seeds = SeedBlock(11, range(150))
-    u = block_uniforms(prepared, seeds)
+    u = block_uniforms(prepared, SeedBlock(11, range(150)), range(150))
     for key, spec, features, table in process_calls(prepared):
         whole = process_means(spec, UniformRows(u[key]), features, table)
         assert whole.shape[0] == 150
-        for size in (1, 7, rows_cap(prepared)):
+        for size in (1, 7, scenarios._rows_cap(prepared)):
             parts = [process_means(spec, UniformRows(u[key][i:i + size]), features, table)
                      for i in range(0, 150, size)]
             assert np.array_equal(np.concatenate(parts), whole)
@@ -189,11 +184,10 @@ def truncation_tail_mean(n0):
 def draw_means(prepared, calls):
     """Per process_means call, its means over DRAWS attempt rows, in chunks."""
     out = [[] for _ in calls]
-    cap = rows_cap(prepared)
+    cap = scenarios._rows_cap(prepared)
     seeds = SeedBlock(SEED, range(DRAWS))
     for start in range(0, DRAWS, cap):
-        part = seeds.part(range(start, min(start + cap, DRAWS)))
-        u = block_uniforms(prepared, part)
+        u = block_uniforms(prepared, seeds, range(start, min(start + cap, DRAWS)))
         for i, (key, spec, features, table) in enumerate(calls):
             out[i].append(process_means(spec, UniformRows(u[key]), features, table))
     return [np.concatenate(means) for means in out]

@@ -1,5 +1,3 @@
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +97,7 @@ def test_block_streams_match_attempt_streams(master_seed, role):
     rows = (block.uniforms(7, streams), block.split(1).uniforms(5, streams),
             block.split(0).split(1).uniforms(5, streams), block.split(0).uniforms(5, streams))
     assert np.array_equal(block.uniforms(7, streams[2:4]), rows[0][2:4])
+    assert np.array_equal(block.split(0).uniforms(5, streams[2:4]), rows[3][2:4])
     for r, j in enumerate(attempts):
         ref = attempt_stream(master_seed, role, j)
         assert np.array_equal(rows[3][r], ref.split(0).uniform(size=5))
@@ -130,20 +129,6 @@ def test_seed_block_rejects_bad_ranges():
 def test_seed_block_uniforms_rejects_a_bad_count(bad):
     with pytest.raises(ParameterError):
         SeedBlock(3, range(10, 20)).uniforms(bad, range(10, 20))
-
-
-def test_block_part_shares_the_words_of_its_block(monkeypatch):
-    block = SeedBlock(3, range(10, 20))
-    block.split(0)
-    monkeypatch.setattr(rng, "seed_words", None)  # a part computes no seed words
-    part = pickle.loads(pickle.dumps(block.part(range(12, 15))))
-    assert (part.start, part.stop, part.subkey) == (12, 15, ())
-    for m in (3, SHORT_ROW + 1):
-        assert np.array_equal(part.uniforms(m, range(13, 15)), block.uniforms(m, range(13, 15)))
-        assert np.array_equal(part.split(0).uniforms(m, range(12, 15)),
-                              block.split(0).uniforms(m, range(12, 15)))
-    with pytest.raises(ParameterError):
-        block.part(range(15, 21))
 
 
 # --- PCG64 in limbs ------------------------------------------------------------

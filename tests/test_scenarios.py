@@ -445,35 +445,6 @@ class TestDrawSetBatch:
             run_attempts(late_raise, 11, 21, 1, 2, "synthetic")
         assert pool_sizes == [1, 1, 1, 1]
 
-    def test_pool_tasks_span_chunks(self, monkeypatch, pool_sizes):
-        """A pool task runs its attempts in chunks; the output is the serial one."""
-        tasks, task = [], scenarios._task  # (rows, rows_cap) of each pool task
-
-        def counted_task(prepared, seeds, rows_cap):
-            tasks.append((seeds.stop - seeds.start, rows_cap))
-            return task(prepared, seeds, rows_cap)
-
-        monkeypatch.setattr(scenarios, "_task", counted_task)
-        monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
-        cfg = make_config("interval_censored", n=1000)
-        data = generate_data(cfg, attempt_stream(5, ROLE_DATA, 0))
-        # about 24 rows a chunk against 50-attempt tasks; SKIP_MOST tops its
-        # blocks up after skips, and 14 uniforms make its chunks 7 rows
-        for prepared, n_draws, chunk_uniforms in [
-                (prepare_draw(cfg, "posterior", data), 200, scenarios.CHUNK_UNIFORMS),
-                (SKIP_MOST, 40, 14)]:
-            monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", chunk_uniforms)
-            tasks.clear()
-            serial = run_attempts(prepared, n_draws, 5, ROLE_POSTERIOR_SETS, 1, "s")
-            pooled = run_attempts(prepared, n_draws, 5, ROLE_POSTERIOR_SETS, 2, "s")
-            assert len(serial[0]) == n_draws
-            for a, b in zip(serial[:4], pooled[:4]):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-            assert serial[4] == pooled[4]
-            assert any(rows >= 2 * rows_cap for rows, rows_cap in tasks), tasks
-        assert pooled[4] > 0 and len({rows for rows, _ in tasks}) > 1  # topped up
-        assert pool_sizes == [1, 1]
-
     def test_posterior_batch_concentrates(self):
         cfg = make_config("interval_censored", n=400)
         data = generate_data(cfg, attempt_stream(13, ROLE_DATA, 0))
@@ -638,65 +609,102 @@ class TestWorkerBound:
         assert scenarios.max_workers() == 3
 
 
+@pytest.fixture
+def shares(monkeypatch):
+    """The attempt ranges of the shares :func:`scenarios._task` computes, in call order."""
+    calls, task = [], scenarios._task
+
+    def counted_task(prepared, master_seed, streams):
+        calls.append(streams)
+        return task(prepared, master_seed, streams)
+
+    monkeypatch.setattr(scenarios, "_task", counted_task)
+    return calls
+
+
 class TestPool:
     """The parent computes the first share of every block; a pool of
     ``workers - 1`` processes computes the others."""
 
-    def test_the_parent_computes_the_first_share_of_each_block(self, monkeypatch,
+    def test_the_parent_computes_the_first_share_of_each_block(self, monkeypatch, shares,
                                                                in_process_pool):
-        blocks, shares, task = [], [], scenarios._task
-
-        class CountingSeedBlock(scenarios.SeedBlock):
-            def __init__(self, master_seed, indices, *args):
-                blocks.append(indices.start)
-                super().__init__(master_seed, indices, *args)
-
-        def counted_task(prepared, seeds, rows_cap):
-            shares.append(seeds.start)
-            return task(prepared, seeds, rows_cap)
-
-        monkeypatch.setattr(scenarios, "SeedBlock", CountingSeedBlock)
-        monkeypatch.setattr(scenarios, "_task", counted_task)
         monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
         run_attempts(SKIP_MOST, 40, 21, 1, 2, "synthetic")
-        submitted = [seeds.start for _, seeds, _ in in_process_pool.submitted]
-        assert len(blocks) > 1 and submitted
-        assert [start for start in shares if start not in submitted] == blocks
-        assert not set(submitted) & set(blocks)
-        assert len(submitted) <= len(blocks)  # one pool share per block at workers 2
+        submitted = [streams for _, _, streams in in_process_pool.submitted]
+        parent = [streams for streams in shares if streams not in submitted]
+        assert len(parent) > 1 and submitted
+        assert parent[0] == range(2**32, 2**32 + 20)  # half of the first block
+        # the shares tile the attempts, each block opened by a parent share
+        tiles = sorted(shares, key=lambda streams: streams.start)
+        assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+        assert all(streams.start in [p.stop for p in parent] for streams in submitted)
+        assert len(submitted) <= len(parent)  # one pool share per block at workers 2
         assert in_process_pool.sizes == [1]
 
-    def test_output_is_byte_identical_at_any_worker_count(self, monkeypatch, pool_sizes):
-        # share boundaries move with the worker count; the output does not
+    def test_workers_1_runs_each_block_as_one_share_without_a_pool(self, monkeypatch, shares,
+                                                                   in_process_pool):
+        monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", 14)  # 7-row chunks
+        indices = run_attempts(SKIP_MOST, 40, 21, 1, 1, "synthetic")[0] + 2**32
+        assert shares[0] == range(2**32, 2**32 + 40)  # the whole first block
+        assert all(a.stop == b.start for a, b in zip(shares, shares[1:]))
+        for k, streams in enumerate(shares[1:]):  # a top-up block asks for at least `need`
+            need = 40 - np.count_nonzero(indices < shares[k].stop)
+            assert len(streams) >= need > 0
+        assert shares[-1].start <= indices[-1] < shares[-1].stop
+        assert in_process_pool.sizes == [] and in_process_pool.submitted == []
+
+    def test_output_is_byte_identical_at_any_worker_count(self, monkeypatch, in_process_pool):
+        """Share boundaries move with the worker count; the output does not.  A
+        share runs its attempts in chunks."""
         monkeypatch.setattr(scenarios, "max_workers", lambda: 4)
         cfg = make_config("interval_censored", n=1000)
         data = generate_data(cfg, attempt_stream(5, ROLE_DATA, 0))
+        # about 24 rows a chunk against shares of 50 to 100 attempts; SKIP_MOST
+        # tops its blocks up after skips, and 14 uniforms make its chunks 7 rows
         for prepared, n_draws, chunk_uniforms in [
                 (prepare_draw(cfg, "posterior", data), 200, scenarios.CHUNK_UNIFORMS),
-                (SKIP_MOST, 40, 14)]:  # top-up blocks of 7-row chunks
+                (SKIP_MOST, 40, 14)]:
             monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", chunk_uniforms)
+            in_process_pool.submitted.clear()
             serial = run_attempts(prepared, n_draws, 5, ROLE_POSTERIOR_SETS, 1, "s")
+            assert len(serial[0]) == n_draws
             for workers in (2, 3, 4):
                 pooled = run_attempts(prepared, n_draws, 5, ROLE_POSTERIOR_SETS, workers, "s")
                 for a, b in zip(serial[:4], pooled[:4]):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
                 assert serial[4] == pooled[4]
-        assert serial[4] > 0
-        assert pool_sizes == [1, 2, 3, 1, 2, 3]
+            rows = [len(streams) for _, _, streams in in_process_pool.submitted]
+            assert any(r >= 2 * scenarios._rows_cap(prepared) for r in rows), rows
+        assert serial[4] > 0 and len(set(rows)) > 1  # topped up
+        assert in_process_pool.sizes == [1, 2, 3, 1, 2, 3]
+
+    def test_a_share_carries_its_attempt_range_not_its_seed_words(self, monkeypatch,
+                                                                  in_process_pool):
+        # every toy attempt is accepted, so a batch is one block, and at
+        # workers 2 it submits one share of half the block: 40 or 4000 attempts
+        monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
+        prepared = prepare_draw(make_config("toy_analytic"), "prior")
+        sizes = []
+        for n_draws in (80, 8000):
+            in_process_pool.submitted.clear()
+            run_attempts(prepared, n_draws, 4, ROLE_PRIOR_SETS, 2, "toy")
+            (args,) = in_process_pool.submitted
+            sizes.append(len(pickle.dumps(args)))
+        # seed words would add 32 bytes per attempt: 126720 bytes more
+        assert sizes[1] <= sizes[0] + 16, sizes
 
     def test_a_share_peak_memory_does_not_grow_with_its_rows(self):
         # one chunk (17 rows at n=1000) against a 500-row share of many chunks
         cfg = make_config("interval_regression", n=1000)
         data = generate_data(cfg, attempt_stream(3, ROLE_DATA, 0))
         prepared = prepare_draw(cfg, "posterior", data)
-        rows_cap = max(1, scenarios.CHUNK_UNIFORMS // (1 + max(prepared.layout.values())))
+        rows_cap = scenarios._rows_cap(prepared)
         assert 500 >= 10 * rows_cap
         peaks = []
         for rows in (rows_cap, 500):
-            seeds = scenarios.SeedBlock(3, range(rows))
             tracemalloc.start()
             try:
-                scenarios._task(prepared, seeds, rows_cap)
+                scenarios._task(prepared, 3, range(rows))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -24,7 +24,7 @@ import scipy
 from . import __version__
 from . import scenarios as sc
 from .errors import ParameterError, SkipBudgetError
-from .priors import default_prior_spec, draw_gammas, histogram, FAMILIES
+from .priors import default_prior_spec, draw_gammas, histogram
 from .random_sets import credible_region, estimate_coverage, point_estimate_set
 
 _FMT = "{:.12g}"
@@ -35,7 +35,7 @@ GAMMA_HIST_BINS = 50
 
 @dataclass
 class RunConfig:
-    """Fully resolved configuration of one `run` invocation."""
+    """The options of one `run` invocation; :func:`run_scenario` checks them."""
 
     scenario: str
     n: int | None
@@ -143,6 +143,9 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     """Merge a config file (if any) with command-line flags into a RunConfig.
 
     Options given by neither take the field defaults of :class:`RunConfig`.
+    It only parses: values become numbers, ``grid`` (``lo hi step``) an
+    array, and ``workers`` must not exceed the CPUs this process may run on.
+    :func:`run_scenario` checks every option before it draws.
     """
     values = _read_config_file(args.config) if getattr(args, "config", None) else {}
     for key in _CONFIG_KEYS:
@@ -152,29 +155,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     if values.get("scenario") is None:
         raise ParameterError("missing required option: scenario")
     run = RunConfig(**{"n": None, **{k: _coerce(k, v) for k, v in values.items()}})
-
-    if run.scenario not in sc.SCENARIO_IDS:
-        raise ParameterError(f"unknown scenario {run.scenario!r}")
-    record = sc.SCENARIOS[run.scenario]
-    if not record.columns:
-        if run.n is not None:
-            raise ParameterError(f"{run.scenario} takes no data: drop the 'n' option")
-    elif run.n is None:
-        run.n = sc.DEFAULT_SAMPLE_SIZE
-    elif run.n < 1:
-        raise ParameterError(f"n must be >= 1, got {run.n}")
-
-    if run.n_draws < 1:
-        raise ParameterError(f"n_draws must be >= 1, got {run.n_draws}")
-    if not 0 < run.alpha <= 1:
-        raise ParameterError(f"alpha must lie in (0, 1], got {run.alpha}")
     sc.check_workers(run.workers)
-    family = run.prior_family
-    if family is not None and record.shapes is None:
-        raise ParameterError(f"{run.scenario} has no study wiring for conditional priors")
-    if family is not None and family not in FAMILIES:
-        raise ParameterError(f"prior_family must be one of {FAMILIES}, got {family!r}")
-
     if run.grid is not None:
         lo, hi, step = run.grid
         if not (hi > lo and step > 0):
@@ -208,9 +189,19 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
     intervals.csv, gamma_hist.csv (when a prior family is set), summary.json.
     A scenario without data runs the prior mode only; one with data runs the
     prior and the posterior mode, each through the same steps.
+
+    Raises :class:`ParameterError` for a bad option, however the config was
+    built: the scenario, ``n``, the grid, the prior family and ``alpha``
+    before any data, pool or draw; ``n_draws`` and ``workers`` before the
+    first attempt.  ``workers`` above the CPU count is capped, not rejected.
     """
     t0 = time.perf_counter()
     cfg = sc.make_config(run_cfg.scenario, n=run_cfg.n, grid=run_cfg.grid)
+    spec = None
+    if run_cfg.prior_family is not None:
+        spec = default_prior_spec(run_cfg.scenario, run_cfg.prior_family)
+    if not 0 < run_cfg.alpha <= 1:
+        raise ParameterError(f"alpha must lie in (0, 1], got {run_cfg.alpha}")
     seed = run_cfg.seed
 
     dataset = None
@@ -218,9 +209,6 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
     if sc.SCENARIOS[run_cfg.scenario].columns:
         dataset = sc.generate_data(cfg, sc.attempt_stream(seed, sc.ROLE_DATA, 0))
         modes = ("prior", "posterior")
-    spec = None
-    if run_cfg.prior_family is not None:
-        spec = default_prior_spec(run_cfg.scenario, run_cfg.prior_family)
 
     batches, coverage, hists = {}, {}, {}
     with sc.attempt_pool(run_cfg.workers) as pool:  # one pool for every batch, or none

@@ -25,12 +25,6 @@ from .errors import ParameterError
 from .rng import RngStream
 
 
-def _as_float(x, size):
-    """Collapse numpy scalars to Python floats when one draw was requested (a
-    :class:`~partialid.rng.UniformRows` gives one per row)."""
-    return float(x) if size is None and np.ndim(x) == 0 else np.asarray(x, dtype=float)
-
-
 def sample_beta(a: float, b: float, rng: RngStream, size=None):
     """Beta(a, b) draws by inverse CDF, in closed form when ``a == 1``."""
     if not (a > 0 and b > 0):
@@ -38,8 +32,8 @@ def sample_beta(a: float, b: float, rng: RngStream, size=None):
     u = rng.uniform(size)
     if a == 1:
         # I_x(1, b) = 1 - (1 - x)**b inverts exactly
-        return _as_float(-np.expm1(np.log1p(-u) / b), size)
-    return _as_float(special.betaincinv(a, b, u), size)
+        return -np.expm1(np.log1p(-u) / b)
+    return special.betaincinv(a, b, u)
 
 
 class DirichletParams:
@@ -90,7 +84,7 @@ def sample_normal(mu: float, sigma2: float, rng: RngStream, size=None):
     if not sigma2 > 0:
         raise ParameterError(f"variance must be positive, got {sigma2}")
     z = special.ndtri(rng.uniform(size))
-    return _as_float(mu + np.sqrt(sigma2) * z, size)
+    return mu + np.sqrt(sigma2) * z
 
 
 def cholesky_factor(cov) -> np.ndarray:
@@ -166,7 +160,7 @@ def sample_truncated_normal(mu, sigma2, lo, hi, rng: RngStream, size=None):
     above = -special.ndtri_exp(np.logaddexp(log_above_b, np.log1p(-u) + log_mass))
     x = mu + sigma * np.where(below <= 0, below, above)
     # clip to [lo, hi]: guards the last-ulp rounding at the ends
-    return _as_float(np.minimum(np.maximum(x, lo), hi), size)
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 def beta_cdf(x, a: float, b: float):

@@ -51,8 +51,6 @@ class RngStream:
 
     def uniform(self, size=None):
         """Uniform draws on [0, 1): a float for ``size=None``, else an array."""
-        if size is None:
-            return self._gen.random()
         return self._gen.random(size)
 
     def split(self, k: int) -> "RngStream":
@@ -276,12 +274,11 @@ class SeedBlock:
     """The streams ``(master_seed, index, *subkey)`` for a range of indices.
 
     Seed words for the whole range are computed on construction, so each
-    stream costs only its draws.  The block of a child key
-    ``subkey + (k,)`` is computed on the first :meth:`split` by ``k`` and
-    kept, so the splits of a block's streams are seeded a block at a time too.
+    stream costs only its draws.  The splits of the streams are blocks of
+    their own: ``SeedBlock(master_seed, indices, subkey + (k,))``.
     """
 
-    __slots__ = ("master_seed", "start", "stop", "subkey", "words", "_children")
+    __slots__ = ("master_seed", "start", "stop", "subkey", "words")
 
     def __init__(self, master_seed: int, indices: range, subkey: tuple = ()):
         if indices.step != 1 or indices.start < 0 or indices.stop > _SEED_MOD:
@@ -293,7 +290,6 @@ class SeedBlock:
         self.subkey = tuple(map(int, subkey))
         self.words = seed_words(self.master_seed,
                                 np.arange(self.start, self.stop, dtype=np.uint64), self.subkey)
-        self._children = {}
 
     def _rows(self, indices: range) -> slice:
         if not self.start <= indices.start <= indices.stop <= self.stop:
@@ -318,11 +314,3 @@ class SeedBlock:
         for row, seed in zip(out, words):
             np.random.Generator(np.random.PCG64(_SeedRow(seed))).random(out=row)
         return out
-
-    def split(self, k: int) -> "SeedBlock":
-        """The block of child key ``k`` over the same indices."""
-        child = self._children.get(k)
-        if child is None:
-            child = self._children[k] = SeedBlock(
-                self.master_seed, range(self.start, self.stop), self.subkey + (int(k),))
-        return child

@@ -111,7 +111,7 @@ def make_config(scenario_id: str, n: int | None = None, grid=None) -> ScenarioCo
     """Build a scenario configuration, filling in the study defaults."""
     scenario = _scenario(scenario_id)
     if not scenario.columns:
-        if n not in (None, 0):
+        if n is not None:
             raise ParameterError(f"{scenario_id} has no data-generating process")
         n = 0
     else:
@@ -504,15 +504,16 @@ def _rows_cap(prepared: PreparedDraw) -> int:
 
 def _task(prepared: PreparedDraw, master_seed: int, streams: range):
     """``(lo, hi, accept, gamma_uniforms)`` of the attempt streams ``streams``,
-    one row each: one share of a block.  It seeds its own streams and runs them
-    in chunks of :func:`_rows_cap` rows."""
-    seeds, step, parts = SeedBlock(master_seed, streams), _rows_cap(prepared), []
+    one row each: one share of a block.  It seeds its own streams, one
+    :class:`~partialid.rng.SeedBlock` per stream key of ``prepared.layout``,
+    and runs them in chunks of :func:`_rows_cap` rows."""
+    seeds = {key: SeedBlock(master_seed, streams, key) for key in prepared.layout}
+    step, parts = _rows_cap(prepared), []
     for i in range(0, len(streams), step):
         chunk = streams[i:i + step]
-        uniforms = {}
-        for key, m in prepared.layout.items():  # the attempt stream adds the gamma uniform
-            keyed = seeds.split(*key) if key else seeds
-            uniforms[key] = keyed.uniforms(m if key else m + 1, chunk)
+        # the attempt stream adds the gamma uniform
+        uniforms = {key: seeds[key].uniforms(m if key else m + 1, chunk)
+                    for key, m in prepared.layout.items()}
         # a copy, so a chunk's arrays are freed before the outputs are joined
         parts.append((*prepared.draw({key: UniformRows(u) for key, u in uniforms.items()}),
                       uniforms[()][:, -1].copy()))

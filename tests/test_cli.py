@@ -27,7 +27,7 @@ class TestParseConfig:
     def test_interval_censored_defaults(self):
         cfg = parse_run(["--scenario", "interval_censored", "--seed", "7"])
         assert cfg.scenario == "interval_censored"
-        assert cfg.n == 1000
+        assert cfg.n is None  # the default sample size is filled downstream
         assert cfg.n_draws == 1000
         assert cfg.seed == 7
         assert cfg.alpha == 0.95
@@ -36,6 +36,7 @@ class TestParseConfig:
         from partialid import make_config
 
         sc_cfg = make_config(cfg.scenario, n=cfg.n, grid=cfg.grid)
+        assert sc_cfg.n == 1000
         assert sc_cfg.hyper["n0"] == (10.0, 20.0)
         assert sc_cfg.grid[0] == -3.0 and sc_cfg.grid[-1] == 12.0
 
@@ -158,6 +159,25 @@ def binary_run(tmp_path_factory):
 
 
 class TestRunScenario:
+    @pytest.mark.parametrize("scenario, option, match", [
+        ("interval_censored", {"alpha": 1.5}, r"alpha .*1\.5"),
+        ("interval_censored", {"prior_family": "V"}, r"family .*'V'"),
+        ("binary_missing", {"alpha": 0.0}, r"alpha .*0\.0"),
+    ], ids=["alpha_above_one", "unknown_family", "alpha_zero"])
+    def test_bad_option_fails_before_any_data_pool_or_draw(
+            self, tmp_path, monkeypatch, scenario, option, match):
+        from partialid import scenarios
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started on a bad option")
+
+        for name in ("generate_data", "attempt_pool", "draw_set_batch"):
+            monkeypatch.setattr(scenarios, name, no_work)
+        run = RunConfig(scenario=scenario, n=None, out_dir=str(tmp_path), **option)
+        with pytest.raises(ParameterError, match=match):
+            run_scenario(run)
+        assert list(tmp_path.iterdir()) == []
+
     def test_emits_all_files(self, binary_run):
         cfg, report = binary_run
         from pathlib import Path

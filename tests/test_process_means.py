@@ -103,10 +103,10 @@ def oracle_draw(cfg, mode, dataset, sources):
 
 # --- blocks of attempt rows ------------------------------------------------------
 
-def block_uniforms(prepared, seeds, rows):
-    """Per stream key, the uniforms of the attempt rows ``rows`` of ``seeds``, as a
-    chunk takes them."""
-    return {key: (seeds.split(*key) if key else seeds).uniforms(m, rows)
+def block_uniforms(prepared, master_seed, rows):
+    """Per stream key, the uniforms of the attempt rows ``rows``, one seed block
+    per key, as a chunk takes them."""
+    return {key: SeedBlock(master_seed, rows, key).uniforms(m, rows)
             for key, m in prepared.layout.items()}
 
 
@@ -130,7 +130,7 @@ def test_matches_concatenated_draws(sid, mode, n):
     cfg = make_config(sid, n=n)
     dataset = generate_data(cfg, attempt_stream(11, ROLE_DATA, 0))
     prepared = prepare_draw(cfg, mode, dataset)
-    u = block_uniforms(prepared, SeedBlock(11, range(200)), range(200))
+    u = block_uniforms(prepared, 11, range(200))
     lo, hi, accept = prepared.draw({key: UniformRows(x) for key, x in u.items()})
     old_lo, old_hi, old_accept = oracle_draw(cfg, mode, dataset,
                                              {key: UniformRows(x) for key, x in u.items()})
@@ -146,7 +146,7 @@ def test_row_means_do_not_depend_on_the_chunk(sid, mode, n):
     cfg = make_config(sid, n=n)
     dataset = generate_data(cfg, attempt_stream(11, ROLE_DATA, 0))
     prepared = prepare_draw(cfg, mode, dataset)
-    u = block_uniforms(prepared, SeedBlock(11, range(150)), range(150))
+    u = block_uniforms(prepared, 11, range(150))
     for key, spec, features, table in process_calls(prepared):
         whole = process_means(spec, UniformRows(u[key]), features, table)
         assert whole.shape[0] == 150
@@ -185,9 +185,8 @@ def draw_means(prepared, calls):
     """Per process_means call, its means over DRAWS attempt rows, in chunks."""
     out = [[] for _ in calls]
     cap = scenarios._rows_cap(prepared)
-    seeds = SeedBlock(SEED, range(DRAWS))
     for start in range(0, DRAWS, cap):
-        u = block_uniforms(prepared, seeds, range(start, min(start + cap, DRAWS)))
+        u = block_uniforms(prepared, SEED, range(start, min(start + cap, DRAWS)))
         for i, (key, spec, features, table) in enumerate(calls):
             out[i].append(process_means(spec, UniformRows(u[key]), features, table))
     return [np.concatenate(means) for means in out]

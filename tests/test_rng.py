@@ -93,25 +93,19 @@ def test_block_streams_match_attempt_streams(master_seed, role):
     base = role << 32
     streams = range(base + attempts.start, base + attempts.stop)
     block = SeedBlock(master_seed, streams)
+    split0, split1, split01 = (SeedBlock(master_seed, streams, key)
+                               for key in ((0,), (1,), (0, 1)))
     # rows of uniforms, read without building the streams; a subrange too
-    rows = (block.uniforms(7, streams), block.split(1).uniforms(5, streams),
-            block.split(0).split(1).uniforms(5, streams), block.split(0).uniforms(5, streams))
+    rows = (block.uniforms(7, streams), split1.uniforms(5, streams),
+            split01.uniforms(5, streams), split0.uniforms(5, streams))
     assert np.array_equal(block.uniforms(7, streams[2:4]), rows[0][2:4])
-    assert np.array_equal(block.split(0).uniforms(5, streams[2:4]), rows[3][2:4])
+    assert np.array_equal(split0.uniforms(5, streams[2:4]), rows[3][2:4])
     for r, j in enumerate(attempts):
         ref = attempt_stream(master_seed, role, j)
         assert np.array_equal(rows[3][r], ref.split(0).uniform(size=5))
         assert np.array_equal(rows[1][r], ref.split(1).uniform(size=5))
         assert np.array_equal(rows[2][r], ref.split(0).split(1).uniform(size=5))
         assert np.array_equal(rows[0][r], ref.uniform(size=7))
-
-
-def test_block_split_is_computed_once_and_does_not_advance_the_parent():
-    block = SeedBlock(3, range(10, 20))
-    assert block.split(0) is block.split(0)
-    a, b = RngStream(3, 12), RngStream(3, 12)
-    a.split(0)
-    assert a.uniform() == b.uniform()
 
 
 def test_seed_block_rejects_bad_ranges():

@@ -49,8 +49,9 @@ class TestMakeConfig:
             make_config("nosuch")
 
     def test_toy_takes_no_sample_size(self):
-        with pytest.raises(ParameterError):
-            make_config("toy_analytic", n=50)
+        for n in (50, 0):
+            with pytest.raises(ParameterError):
+                make_config("toy_analytic", n=n)
         assert make_config("toy_analytic").n == 0
 
     def test_data_scenarios_default_to_n_1000(self):

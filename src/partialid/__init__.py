@@ -58,7 +58,6 @@ from .scenarios import (
     draw_set,
     draw_set_batch,
     generate_data,
-    load_dataset,
     make_config,
     prepare_draw,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "gamma_quantile",
     "generate_data",
     "histogram",
-    "load_dataset",
     "make_config",
     "marginal_sample",
     "point_estimate_set",

@@ -191,9 +191,8 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
     prior and the posterior mode, each through the same steps.
 
     Raises :class:`ParameterError` for a bad option, however the config was
-    built: the scenario, ``n``, the grid, the prior family and ``alpha``
-    before any data, pool or draw; ``n_draws`` and ``workers`` before the
-    first attempt.  ``workers`` above the CPU count is capped, not rejected.
+    built, before any data, pool or draw.  ``workers`` above the CPU count is
+    capped, not rejected.
     """
     t0 = time.perf_counter()
     cfg = sc.make_config(run_cfg.scenario, n=run_cfg.n, grid=run_cfg.grid)
@@ -202,6 +201,7 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
         spec = default_prior_spec(run_cfg.scenario, run_cfg.prior_family)
     if not 0 < run_cfg.alpha <= 1:
         raise ParameterError(f"alpha must lie in (0, 1], got {run_cfg.alpha}")
+    sc.check_attempts(run_cfg.n_draws, run_cfg.workers)
     seed = run_cfg.seed
 
     dataset = None

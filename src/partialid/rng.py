@@ -46,6 +46,8 @@ class RngStream:
         self.master_seed = int(master_seed) % _SEED_MOD
         self.stream_index = int(stream_index)
         self.subkey = tuple(map(int, subkey))
+        if any(k < 0 for k in self.subkey):
+            raise ParameterError(f"subkey entries must be >= 0, got {self.subkey}")
         entropy = (self.master_seed, self.stream_index, *self.subkey)
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 

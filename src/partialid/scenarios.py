@@ -129,18 +129,27 @@ def make_config(scenario_id: str, n: int | None = None, grid=None) -> ScenarioCo
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Observable sample of one scenario, column-labelled for serialization."""
+    """Observable sample of one scenario: ``values`` is ``(n, k)``, one row per
+    observation and one column per name of the scenario's ``columns``, in that
+    order, as its data-generating process draws them."""
 
     scenario_id: str
-    columns: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.columns):
-            raise ParameterError("values must be (n, k) matching the column names")
+        columns = _scenario(self.scenario_id).columns
+        if not columns:
+            raise ParameterError(f"{self.scenario_id} has no data-generating process")
+        if self.values.shape[1:] != (len(columns),) or self.n < 1:
+            raise ParameterError(f"values must be (n >= 1, {len(columns)}) for "
+                                 f"{self.scenario_id}, got {self.values.shape}")
         if not np.isfinite(self.values).all():
             row, col = np.argwhere(~np.isfinite(self.values))[0]
-            raise ParameterError(f"non-finite value in row {row}, column {self.columns[col]}")
+            raise ParameterError(f"non-finite value in row {row}, column {columns[col]}")
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return SCENARIOS[self.scenario_id].columns
 
     @property
     def n(self) -> int:
@@ -149,40 +158,13 @@ class Dataset:
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.columns.index(name)]
 
-    def to_csv(self, path):
-        row_fmt = ",".join(["%.12g"] * len(self.columns)) + "\n"
-        text = ",".join(self.columns) + "\n" + "".join(
-            [row_fmt % row for row in zip(*self.values.T.tolist())])
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def load_dataset(path, scenario_id: str) -> Dataset:
-    """Read a dataset written by :meth:`Dataset.to_csv`."""
-    expected = _scenario(scenario_id).columns
-    if not expected:
-        raise ParameterError(f"{scenario_id} has no data-generating process")
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        columns = tuple(header.split(","))
-        lines = fh.read().splitlines()
-    if not any(line.strip() for line in lines):  # numpy would warn, then read (0,) values
-        raise ParameterError(f"dataset file {path} has no rows")
-    try:
-        values = np.loadtxt(lines, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ParameterError(f"malformed dataset file {path}: {exc}") from None
-    if columns != expected:
-        raise ParameterError(f"expected columns {expected}, found {columns}")
-    return Dataset(scenario_id, columns, values)
-
 
 def generate_data(cfg: ScenarioConfig, rng: RngStream) -> Dataset:
     """Draw one observable sample from the scenario's data generating process."""
     scenario = _scenario(cfg.scenario_id)
     if not scenario.columns:
         raise ParameterError(f"{cfg.scenario_id} has no data-generating process")
-    return Dataset(cfg.scenario_id, scenario.columns, scenario.generate(cfg.n, rng))
+    return Dataset(cfg.scenario_id, scenario.generate(cfg.n, rng))
 
 
 # --- identified-set functionals -------------------------------------------
@@ -345,8 +327,8 @@ class BinaryCounts(NamedTuple):
 
 def count_binary(dataset: Dataset) -> BinaryCounts:
     """Tally the three observable cells; rejects malformed rows."""
-    if dataset.columns != SCENARIOS["binary_missing"].columns:
-        raise ParameterError(f"expected a masked binary dataset, got {dataset.columns}")
+    if dataset.scenario_id != "binary_missing":
+        raise ParameterError(f"expected a binary_missing dataset, got {dataset.scenario_id!r}")
     yd = dataset.column("yd")
     d = dataset.column("d")
     valid = np.isin(yd, (0.0, 1.0)) & np.isin(d, (0.0, 1.0)) & (yd <= d)
@@ -539,6 +521,17 @@ def check_workers(workers: int) -> int:
     return workers
 
 
+def check_attempts(n_draws: int, workers: int) -> None:
+    """Raise unless ``n_draws`` and ``workers`` are each at least 1.
+
+    A count above the CPUs is capped where it is used, not rejected here.
+    """
+    if n_draws < 1:
+        raise ParameterError("n_draws must be >= 1")
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+
+
 def attempt_pool(workers: int):
     """A process pool of ``min(workers, max_workers()) - 1`` processes to share
     among the batches of a run, as a context manager: the caller is the other
@@ -570,10 +563,7 @@ def run_attempts(prepared: PreparedDraw, n_draws: int, master_seed: int, role: i
     :class:`SkipBudgetError`, its message opened by ``label``, when skips
     exhaust ``50 * n_draws + 1000`` attempts.
     """
-    if n_draws < 1:
-        raise ParameterError("n_draws must be >= 1")
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
+    check_attempts(n_draws, workers)
     workers = min(workers, max_workers())
     if pool is None and workers > 1:
         with attempt_pool(workers) as pool:

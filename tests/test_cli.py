@@ -163,7 +163,9 @@ class TestRunScenario:
         ("interval_censored", {"alpha": 1.5}, r"alpha .*1\.5"),
         ("interval_censored", {"prior_family": "V"}, r"family .*'V'"),
         ("binary_missing", {"alpha": 0.0}, r"alpha .*0\.0"),
-    ], ids=["alpha_above_one", "unknown_family", "alpha_zero"])
+        ("interval_censored", {"n_draws": 0}, r"n_draws .*>= 1"),
+        ("interval_censored", {"workers": 0}, r"workers .*>= 1, got 0"),
+    ], ids=["alpha_above_one", "unknown_family", "alpha_zero", "no_draws", "no_workers"])
     def test_bad_option_fails_before_any_data_pool_or_draw(
             self, tmp_path, monkeypatch, scenario, option, match):
         from partialid import scenarios

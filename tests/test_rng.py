@@ -28,6 +28,16 @@ def test_negative_index_rejected():
         substream(42, -1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: rng.RngStream(0, 0, (-1,)),
+    lambda: substream(0, 0).split(-1),
+    lambda: rng.SeedBlock(0, range(3), (-1,)),
+], ids=["stream", "split", "seed_block"])
+def test_negative_subkey_rejected(make):
+    with pytest.raises(ParameterError, match="must be >= 0"):
+        make()
+
+
 def test_scalar_and_vector_draws_agree():
     s1 = substream(7, 3)
     s2 = substream(7, 3)

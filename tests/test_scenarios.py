@@ -23,7 +23,6 @@ from partialid import (
     draw_set,
     draw_set_batch,
     generate_data,
-    load_dataset,
     make_config,
 )
 from partialid import DirichletProcessSpec, scenarios
@@ -135,67 +134,50 @@ class TestGenerateData:
         missing = np.mean(data.column("d") == 0.0)
         assert abs(missing - 0.5) < 0.02
 
-    def test_csv_round_trip(self, tmp_path):
-        cfg = make_config("interval_regression", n=50)
-        data = generate_data(cfg, attempt_stream(2, ROLE_DATA, 0))
-        path = tmp_path / "data.csv"
-        data.to_csv(path)
-        back = load_dataset(path, "interval_regression")
-        assert back.columns == data.columns
-        np.testing.assert_allclose(back.values, data.values, rtol=1e-11)
 
-    def test_csv_wrong_columns_rejected(self, tmp_path):
-        cfg = make_config("binary_missing", n=10)
-        data = generate_data(cfg, attempt_stream(2, ROLE_DATA, 0))
-        path = tmp_path / "data.csv"
-        data.to_csv(path)
-        with pytest.raises(ParameterError):
-            load_dataset(path, "interval_censored")
+DATA_SCENARIOS = [sid for sid in SCENARIO_IDS if scenarios.SCENARIOS[sid].columns]
 
-    @pytest.mark.parametrize("scenario_id", ["toy_analytic", "no_such_scenario"])
-    def test_csv_needs_a_data_scenario(self, tmp_path, scenario_id):
-        cfg = make_config("binary_missing", n=10)
-        path = tmp_path / "data.csv"
-        generate_data(cfg, attempt_stream(2, ROLE_DATA, 0)).to_csv(path)
-        with pytest.raises(ParameterError, match=scenario_id):
-            load_dataset(path, scenario_id)
 
-    @pytest.mark.parametrize("body", ["0,abc\n", "0,1\n0\n"])
-    def test_csv_malformed_row_rejected(self, tmp_path, body):
-        path = tmp_path / "data.csv"
-        path.write_text("yd,d\n" + body, encoding="utf-8")
-        with pytest.raises(ParameterError, match="data.csv"):
-            load_dataset(path, "binary_missing")
+class TestDataset:
+    @pytest.mark.parametrize("scenario_id", DATA_SCENARIOS)
+    def test_columns_are_the_scenarios(self, scenario_id):
+        columns = scenarios.SCENARIOS[scenario_id].columns
+        data = Dataset(scenario_id, np.zeros((1, len(columns))))
+        assert data.columns == columns
+        assert data.n == 1
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("body", ["", "\n", " \n\n"])
-    def test_csv_without_rows_rejected(self, tmp_path, body):
-        path = tmp_path / "data.csv"
-        path.write_text("yd,d\n" + body, encoding="utf-8")
-        with pytest.raises(ParameterError, match=r"data\.csv has no rows"):
-            load_dataset(path, "binary_missing")
+    def test_column_order_is_not_an_argument(self):
+        values = np.array([[0.1, 0.2], [0.3, 0.4]])
+        with pytest.raises(TypeError):
+            Dataset("errors_in_variables", ("z", "y"), values)
+        data = Dataset("errors_in_variables", values)
+        with pytest.raises(AttributeError):
+            data.columns = ("z", "y")
+        assert np.array_equal(data.column("y"), values[:, 0])
 
-    def test_csv_writes_each_value_as_twelve_digits(self, tmp_path):
-        values = np.array([[-0.0, 5e-324], [1e-300, 1e300], [1e12, 123456789012345.0],
-                           [0.1, -2.5]])
-        path = tmp_path / "data.csv"
-        Dataset("interval_censored", ("y1", "y2"), values).to_csv(path)
-        expected = "y1,y2\n" + "".join(
-            ",".join("{:.12g}".format(float(x)) for x in row) + "\n" for row in values)
-        assert path.read_bytes() == expected.encode("utf-8")
-
-    def test_csv_non_finite_value_rejected(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("y1,y2\n0.1,5.0\nnan,4.9\n", encoding="utf-8")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        values = np.array([[0.1, 5.0], [bad, 4.9]])
         with pytest.raises(ParameterError, match="non-finite value in row 1, column y1"):
-            load_dataset(path, "interval_censored")
+            Dataset("interval_censored", values)
+
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 1), (3, 3), (2,), (1, 2, 1)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ParameterError, match=r"values must be \(n >= 1, 2\)"):
+            Dataset("interval_censored", np.zeros(shape))
+
+    @pytest.mark.parametrize("scenario_id, match", [
+        ("toy_analytic", "toy_analytic has no data-generating process"),
+        ("no_such_scenario", "unknown scenario 'no_such_scenario'"),
+    ])
+    def test_needs_a_data_scenario(self, scenario_id, match):
+        with pytest.raises(ParameterError, match=match):
+            Dataset(scenario_id, np.zeros((3, 2)))
 
 
 class TestCountBinary:
     def make(self, rows):
-        from partialid.scenarios import Dataset
-
-        return Dataset("binary_missing", ("yd", "d"), np.array(rows, dtype=float))
+        return Dataset("binary_missing", np.array(rows, dtype=float))
 
     def test_small_example(self):
         counts = count_binary(self.make([(1, 1), (0, 1), (0, 0)]))
@@ -225,6 +207,11 @@ class TestCountBinary:
             count_binary(self.make([(1, 1), (1, 0)]))  # observed value without flag
         with pytest.raises(ParameterError):
             count_binary(self.make([(0.5, 1)]))
+
+    def test_other_scenario_rejected(self):
+        data = Dataset("interval_censored", np.array([[1.0, 1.0]]))
+        with pytest.raises(ParameterError, match="binary_missing dataset"):
+            count_binary(data)
 
 
 class TestBinaryPosteriorParams:

@@ -1,0 +1,32 @@
+#!/usr/bin/env bash
+# Worker invariance at study size: runs each data scenario at workers 1, 2 and,
+# on more CPUs, nproc (where more than one pool process draws), and compares
+# every CSV byte for byte with the workers-1 run.  The golden runs use 100
+# draws, which never fill more than one chunk.  Process means are stacked
+# matmuls, one BLAS call per row, which every numpy must dispatch per row
+# whatever the chunk a row is in; binary_missing's short rows come from
+# rng.pcg64_uniforms, in every chunk.
+#
+# Usage: PYTHONPATH=src .github/scripts/worker_invariance.sh OUT_DIR
+set -euo pipefail
+out="${1:?usage: worker_invariance.sh OUT_DIR}"
+
+counts="1 2"; if [ "$(nproc)" -gt 2 ]; then counts="$counts $(nproc)"; fi
+for sid in interval_censored errors_in_variables interval_regression binary_missing; do
+  for w in $counts; do
+    python -m partialid.cli run --scenario "$sid" --n 1000 \
+      --n-draws 1000 --seed 7 --workers "$w" --out-dir "$out/w$w" > /dev/null
+    for f in coverage.csv intervals.csv; do
+      cmp "$out/w1/${sid}_seed7/$f" "$out/w$w/${sid}_seed7/$f"
+    done
+  done
+done
+# several chunks of short stream rows, through the pool
+for w in $counts; do
+  python -m partialid.cli run --scenario binary_missing --n 1000 \
+    --prior-family II --n-draws 20000 --seed 7 --workers "$w" \
+    --out-dir "$out/s$w" > /dev/null
+  for f in coverage.csv intervals.csv gamma_hist.csv; do
+    cmp "$out/s1/binary_missing_seed7/$f" "$out/s$w/binary_missing_seed7/$f"
+  done
+done

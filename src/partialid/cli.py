@@ -143,8 +143,9 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     """Merge a config file (if any) with command-line flags into a RunConfig.
 
     Options given by neither take the field defaults of :class:`RunConfig`.
-    It only parses: values become numbers, ``grid`` (``lo hi step``) an
-    array, and ``workers`` must not exceed the CPUs this process may run on.
+    It only parses: values become numbers, ``grid`` (``lo hi step``, finite,
+    with a point count numpy can allocate) an array, and ``workers`` must not
+    exceed the CPUs this process may run on.
     :func:`run_scenario` checks every option before it draws.
     """
     values = _read_config_file(args.config) if getattr(args, "config", None) else {}
@@ -158,10 +159,14 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     sc.check_workers(run.workers)
     if run.grid is not None:
         lo, hi, step = run.grid
-        if not (hi > lo and step > 0):
+        if not (np.isfinite(run.grid).all() and hi > lo and step > 0):
             raise ParameterError(f"bad grid spec: lo={lo}, hi={hi}, step={step}")
-        points = int(round((hi - lo) / step)) + 1
-        run.grid = np.linspace(lo, hi, points)
+        span = (hi - lo) / step  # inf when it overflows
+        # numpy sizes an array in bytes, which its index type must count
+        if not span < np.iinfo(np.intp).max // np.dtype(float).itemsize:
+            raise ParameterError(f"grid spec lo={lo}, hi={hi}, step={step} has too many "
+                                 f"points to allocate")
+        run.grid = np.linspace(lo, hi, int(round(span)) + 1)
     return run
 
 

@@ -1,11 +1,12 @@
 """Deterministic, worker-invariant random number streams.
 
 Every source of randomness in the package is an :class:`RngStream`, keyed by
-``(master_seed, stream_index)`` plus an optional child path.  The key is mixed
-into the generator state by ``numpy``'s ``SeedSequence``, so a stream's draw
-sequence depends only on its key, never on how many other streams exist or on
-which process consumes it.  Monte Carlo loops assign one stream per draw index,
-which makes results invariant to the worker count.
+``(master_seed, stream_index)``.  The key is mixed into the generator state by
+``numpy``'s ``SeedSequence``, so a stream's draw sequence depends only on its
+key, never on how many other streams exist or on which process consumes it.
+Monte Carlo loops assign one stream per draw index, which makes results
+invariant to the worker count; a draw that needs several independent parts
+reads them from its one stream in turn.
 
 Building a ``SeedSequence`` costs far more than most draws it feeds, so a run
 of consecutive indices can be seeded at once by a :class:`SeedBlock`.  It
@@ -38,37 +39,22 @@ class RngStream:
     be shared between concurrent consumers.
     """
 
-    __slots__ = ("master_seed", "stream_index", "subkey", "_gen")
+    __slots__ = ("master_seed", "stream_index", "_gen")
 
-    def __init__(self, master_seed: int, stream_index: int, subkey: tuple = ()):
+    def __init__(self, master_seed: int, stream_index: int):
         if stream_index < 0:
             raise ParameterError(f"stream_index must be >= 0, got {stream_index}")
         self.master_seed = int(master_seed) % _SEED_MOD
         self.stream_index = int(stream_index)
-        self.subkey = tuple(map(int, subkey))
-        if any(k < 0 for k in self.subkey):
-            raise ParameterError(f"subkey entries must be >= 0, got {self.subkey}")
-        entropy = (self.master_seed, self.stream_index, *self.subkey)
+        entropy = (self.master_seed, self.stream_index)
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
     def uniform(self, size=None):
         """Uniform draws on [0, 1): a float for ``size=None``, else an array."""
         return self._gen.random(size)
 
-    def split(self, k: int) -> "RngStream":
-        """Derive an independent child stream keyed by ``k``.
-
-        Used where one logical draw needs several mutually independent
-        sources (e.g. two independent processes inside one scenario draw).
-        The child's sequence is unrelated to the parent's and to siblings'.
-        """
-        return RngStream(self.master_seed, self.stream_index, self.subkey + (int(k),))
-
     def __repr__(self):
-        return (
-            f"RngStream(master_seed={self.master_seed}, "
-            f"stream_index={self.stream_index}, subkey={self.subkey})"
-        )
+        return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
 
 
 class UniformRows:
@@ -122,18 +108,6 @@ class _SeedRow(ISeedSequence):
         return self._row
 
 
-def _int_words(n: int) -> list[int]:
-    """The uint32 words SeedSequence takes from one integer, least significant first."""
-    if n < 0:
-        raise ParameterError(f"seed key entries must be >= 0, got {n}")
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     """``init * mult**k mod 2**32`` for k < count, as a uint32 column."""
     out = [init]
@@ -150,15 +124,15 @@ def _mix(x, y):
 def _hash_words(entropy: np.ndarray) -> np.ndarray:
     """``SeedSequence(entropy).generate_state(4, np.uint64)`` for each column.
 
-    ``entropy`` is ``(L, n)`` uint32, row j holding entropy word j of every
-    key; the result is ``(n, 4)`` uint64.  SeedSequence hashes one word at a
-    time with a running multiplier; a hash does not depend on the words
-    before it, so the hashes SeedSequence takes from one pool word in a row
-    are taken here at once, each with its own multiplier.
+    ``entropy`` is ``(L, n)`` uint32 with L at most the pool size, row j
+    holding entropy word j of every key; the result is ``(n, 4)`` uint64.
+    SeedSequence hashes one word at a time with a running multiplier; a hash
+    does not depend on the words before it, so the hashes SeedSequence takes
+    from one pool word in a row are taken here at once, each with its own
+    multiplier.
     """
     n_words, n = entropy.shape
-    n_hashes = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, n_words - _POOL_SIZE)
-    consts = _hash_constants(_INIT_A, _MULT_A, n_hashes + 1)
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + 1)
     used = 0
 
     def hashmix(value, count):
@@ -168,13 +142,11 @@ def _hash_words(entropy: np.ndarray) -> np.ndarray:
         return value ^ (value >> _XSHIFT)
 
     pool = np.zeros((_POOL_SIZE, n), dtype=np.uint32)
-    pool[:n_words] = entropy[:_POOL_SIZE]
+    pool[:n_words] = entropy
     pool = hashmix(pool, _POOL_SIZE)
     for src in range(_POOL_SIZE):
         dst = [d for d in range(_POOL_SIZE) if d != src]
         pool[dst] = _mix(pool[dst], hashmix(pool[src], _POOL_SIZE - 1))
-    for src in range(_POOL_SIZE, n_words):
-        pool = _mix(pool, hashmix(entropy[src], _POOL_SIZE))
 
     # generate_state: 8 uint32 words cycling through the pool
     consts = _hash_constants(_INIT_B, _MULT_B, 9)
@@ -184,10 +156,10 @@ def _hash_words(entropy: np.ndarray) -> np.ndarray:
     return (state[0::2] | (state[1::2] << np.uint64(32))).T
 
 
-def seed_words(master_seed: int, indices, subkey: tuple = ()) -> np.ndarray:
-    """PCG64 seed words of the streams ``(master_seed, index, *subkey)``.
+def seed_words(master_seed: int, indices) -> np.ndarray:
+    """PCG64 seed words of the streams ``(master_seed, index)``.
 
-    Row r equals ``SeedSequence((master_seed % 2**64, indices[r], *subkey))
+    Row r equals ``SeedSequence((master_seed % 2**64, indices[r]))
     .generate_state(4, np.uint64)``, computed for all indices in one pass.
     ``indices`` is a 1-d integer array with entries in ``[0, 2**64)``.
     """
@@ -197,8 +169,9 @@ def seed_words(master_seed: int, indices, subkey: tuple = ()) -> np.ndarray:
     if indices.dtype.kind == "i" and indices.size and indices.min() < 0:
         raise ParameterError("stream indices must be >= 0")
     indices = indices.astype(np.uint64)
-    head = _int_words(int(master_seed) % _SEED_MOD)
-    tail = [w for k in subkey for w in _int_words(int(k))]
+    # SeedSequence takes an integer as its uint32 words, least significant first
+    seed = int(master_seed) % _SEED_MOD
+    head = [seed & _MASK32, seed >> 32] if seed > _MASK32 else [seed]
     out = np.empty((indices.size, 4), dtype=np.uint64)
     # an index below 2**32 is one entropy word, a larger one two
     for wide in (False, True):
@@ -207,12 +180,11 @@ def seed_words(master_seed: int, indices, subkey: tuple = ()) -> np.ndarray:
             continue
         idx = indices[rows]
         mid = 1 + wide
-        entropy = np.empty((len(head) + mid + len(tail), rows.size), dtype=np.uint32)
+        entropy = np.empty((len(head) + mid, rows.size), dtype=np.uint32)
         entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
         entropy[len(head)] = idx & np.uint64(_MASK32)
         if wide:
             entropy[len(head) + 1] = idx >> np.uint64(32)
-        entropy[len(head) + mid:] = np.array(tail, dtype=np.uint32)[:, None]
         out[rows] = _hash_words(entropy)
     return out
 
@@ -273,25 +245,23 @@ def pcg64_uniforms(words: np.ndarray, m: int) -> np.ndarray:
 
 
 class SeedBlock:
-    """The streams ``(master_seed, index, *subkey)`` for a range of indices.
+    """The streams ``(master_seed, index)`` for a range of indices.
 
     Seed words for the whole range are computed on construction, so each
-    stream costs only its draws.  The splits of the streams are blocks of
-    their own: ``SeedBlock(master_seed, indices, subkey + (k,))``.
+    stream costs only its draws.
     """
 
-    __slots__ = ("master_seed", "start", "stop", "subkey", "words")
+    __slots__ = ("master_seed", "start", "stop", "words")
 
-    def __init__(self, master_seed: int, indices: range, subkey: tuple = ()):
+    def __init__(self, master_seed: int, indices: range):
         if indices.step != 1 or indices.start < 0 or indices.stop > _SEED_MOD:
             raise ParameterError(f"a seed block needs a contiguous range in [0, 2**64), "
                                  f"got {indices}")
         self.master_seed = int(master_seed) % _SEED_MOD
         self.start = indices.start
         self.stop = indices.stop
-        self.subkey = tuple(map(int, subkey))
         self.words = seed_words(self.master_seed,
-                                np.arange(self.start, self.stop, dtype=np.uint64), self.subkey)
+                                np.arange(self.start, self.stop, dtype=np.uint64))
 
     def _rows(self, indices: range) -> slice:
         if not self.start <= indices.start <= indices.stop <= self.stop:
@@ -300,8 +270,8 @@ class SeedBlock:
 
     def uniforms(self, m: int, indices: range) -> np.ndarray:
         """The first ``m`` uniforms of the streams of ``indices``, a subrange of
-        the block, one row per index: row r is ``RngStream(master_seed, indices[r],
-        subkey).uniform(m)``, drawn without building the stream.  Up to
+        the block, one row per index: row r is ``RngStream(master_seed,
+        indices[r]).uniform(m)``, drawn without building the stream.  Up to
         :data:`SHORT_ROW` uniforms, all rows are computed at once."""
         try:
             m = operator.index(m)

@@ -21,9 +21,9 @@ Draws violating a scenario guard (inverted bounds, nonpositive denominators)
 are reported as skips, never reordered or hidden.
 
 Attempts run in blocks.  A scenario's prepared draw declares how many
-uniforms an attempt takes from each of its streams and maps arrays of them,
-one attempt per row, to interval endpoints and an accept mask; one draw from
-one stream (:func:`draw_set`) is a block of one.
+uniforms an attempt takes from its stream and maps an array of them, one
+attempt per row, to interval endpoints and an accept mask; one draw from one
+stream (:func:`draw_set`) is a block of one.
 """
 
 from __future__ import annotations
@@ -131,7 +131,8 @@ def make_config(scenario_id: str, n: int | None = None, grid=None) -> ScenarioCo
 class Dataset:
     """Observable sample of one scenario: ``values`` is ``(n, k)``, one row per
     observation and one column per name of the scenario's ``columns``, in that
-    order, as its data-generating process draws them."""
+    order, as its data-generating process draws them.  The dataset holds a
+    read-only float copy of the values it is given, checked once."""
 
     scenario_id: str
     values: np.ndarray
@@ -140,6 +141,12 @@ class Dataset:
         columns = _scenario(self.scenario_id).columns
         if not columns:
             raise ParameterError(f"{self.scenario_id} has no data-generating process")
+        try:
+            values = np.array(self.values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"values must be numbers: {exc}") from None
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
         if self.values.shape[1:] != (len(columns),) or self.n < 1:
             raise ParameterError(f"values must be (n >= 1, {len(columns)}) for "
                                  f"{self.scenario_id}, got {self.values.shape}")
@@ -220,32 +227,30 @@ def _instrument_ratio_rows(m):
 # functools.partial of a module-level function, so that it pickles.
 
 class PreparedDraw(NamedTuple):
-    """A scenario's interval draw for one batch: a uniform layout and the draw.
+    """A scenario's interval draw for one batch: the uniforms an attempt reads
+    from its stream, and the draw.
 
-    ``layout`` maps each stream key of an attempt, ``()`` for the attempt
-    stream and ``(k,)`` for its split k, to the uniforms the interval takes
-    from it.  ``draw`` maps a dict of one source per key, streams or
-    :class:`~partialid.rng.UniformRows`, to ``(lo, hi, accept)``.  Unaccepted
-    rows are skips, accepted ones without ``lo <= hi`` errors; it never raises
-    for one row.
+    ``draw`` maps one source, a stream or a :class:`~partialid.rng.UniformRows`,
+    to ``(lo, hi, accept)``, reading ``uniforms`` uniforms of each row in order.
+    Unaccepted rows are skips, accepted ones without ``lo <= hi`` errors; it
+    never raises for one row.
     """
 
-    layout: dict
+    uniforms: int
     draw: Callable
 
     def __call__(self, rng: RngStream) -> IntervalSet | None:
-        """One interval from ``rng`` and its splits, or None for a skip: a block of one."""
-        return _interval(*self.draw({key: rng.split(*key) if key else rng
-                                     for key in self.layout}))
+        """One interval from ``rng``, or None for a skip: a block of one."""
+        return _interval(*self.draw(rng))
 
 
-def _toy_draw(sources):
-    x = sources[()].uniform(2)
+def _toy_draw(source):
+    x = source.uniform(2)
     return x[..., 0], 1.0 + x[..., 1], np.ones(x.shape[:-1], dtype=bool)
 
 
 def _prepare_toy(cfg, mode, dataset):
-    return PreparedDraw({(): 2}, _toy_draw)
+    return PreparedDraw(2, _toy_draw)
 
 
 def _generate_censored(n, rng):
@@ -254,14 +259,14 @@ def _generate_censored(n, rng):
     return np.column_stack((y1, y2))
 
 
-def _censored_draw(spec1, spec2, t1, t2, sources):
-    lo = process_means(spec1, sources[(0,)], _atom_features, t1)[..., 0]
-    hi = process_means(spec2, sources[(1,)], _atom_features, t2)[..., 0]
+def _censored_draw(spec1, spec2, t1, t2, source):
+    lo = process_means(spec1, source, _atom_features, t1)[..., 0]
+    hi = process_means(spec2, source, _atom_features, t2)[..., 0]
     return lo, hi, ~(hi < lo)
 
 
 def _prepare_censored(cfg, mode, dataset):
-    """The two processes draw from the attempt stream's splits 0 and 1."""
+    """The two processes read disjoint uniforms of the attempt stream, in turn."""
     n0_1, n0_2 = cfg.hyper["n0"]
     mu1, mu2 = cfg.hyper["base_mean"]
     var1, var2 = cfg.hyper["base_var"]
@@ -271,12 +276,12 @@ def _prepare_censored(cfg, mode, dataset):
     if mode == "posterior":  # the data tables, as _prepare_joint builds them
         t1, t2 = (np.ascontiguousarray(_atom_features(dataset.column(c))) for c in ("y1", "y2"))
     n = 0 if t1 is None else t1.shape[1]
-    layout = {(): 0, (0,): process_uniforms(spec1, 1, n), (1,): process_uniforms(spec2, 1, n)}
-    return PreparedDraw(layout, partial(_censored_draw, spec1, spec2, t1, t2))
+    m = process_uniforms(spec1, 1, n) + process_uniforms(spec2, 1, n)
+    return PreparedDraw(m, partial(_censored_draw, spec1, spec2, t1, t2))
 
 
-def _joint_draw(features, bounds_rows, spec, table, sources):
-    return bounds_rows(process_means(spec, sources[()], features, table))
+def _joint_draw(features, bounds_rows, spec, table, source):
+    return bounds_rows(process_means(spec, source, features, table))
 
 
 def _prepare_joint(features, bounds_rows, cfg, mode, dataset):
@@ -287,7 +292,7 @@ def _prepare_joint(features, bounds_rows, cfg, mode, dataset):
     spec = DirichletProcessSpec(cfg.hyper["n0"], base)
     table = None if mode == "prior" else np.ascontiguousarray(features(dataset.values))
     m = process_uniforms(spec, len(mean), 0 if table is None else table.shape[1])
-    return PreparedDraw({(): m}, partial(_joint_draw, features, bounds_rows, spec, table))
+    return PreparedDraw(m, partial(_joint_draw, features, bounds_rows, spec, table))
 
 
 def _generate_errors_in_variables(n, rng):
@@ -355,8 +360,8 @@ def _generate_binary(n, rng):
     return np.column_stack((y * d, d))
 
 
-def _binary_draw(alpha, sources):
-    cells = sample_dirichlet(alpha, sources[()])
+def _binary_draw(alpha, source):
+    cells = sample_dirichlet(alpha, source)
     return cells[..., 0], cells[..., 0] + cells[..., 2], np.ones(cells.shape[:-1], dtype=bool)
 
 
@@ -364,7 +369,7 @@ def _prepare_binary(cfg, mode, dataset):
     alpha = cfg.hyper["alpha"]
     if mode == "posterior":
         alpha = binary_posterior_params(alpha, count_binary(dataset))
-    return PreparedDraw({(): 3}, partial(_binary_draw, DirichletParams(alpha)))
+    return PreparedDraw(3, partial(_binary_draw, DirichletParams(alpha)))
 
 
 # --- the scenario table --------------------------------------------------------
@@ -434,9 +439,9 @@ def prepare_draw(
 ) -> PreparedDraw:
     """Check a batch's mode and dataset once; return its :class:`PreparedDraw`.
 
-    It declares the uniforms an attempt takes from each of its streams, and
-    maps them, one attempt per row, to intervals and an accept mask (a failed
-    scenario guard is a skip); called with a stream, it makes one interval.
+    It declares the uniforms an attempt takes from its stream, and maps them,
+    one attempt per row, to intervals and an accept mask (a failed scenario
+    guard is a skip); called with a stream, it makes one interval.
     Whatever does not depend on the uniforms (process specs, data columns,
     conjugate parameters, covariance factors) is computed here, once.
     Posterior mode requires a dataset from :func:`generate_data`.
@@ -466,39 +471,35 @@ def draw_set(
     """One realization of the scenario's random identified interval.
 
     Same as ``prepare_draw(cfg, mode, dataset)(rng)``: a block of one, read
-    from ``rng`` and its splits.  Batches prepare once.
+    from ``rng``.  Batches prepare once.
     """
     return prepare_draw(cfg, mode, dataset)(rng)
 
 
 # --- batch assembly ----------------------------------------------------------
 
-#: Most uniforms a chunk's array holds per stream key (256 KB of doubles), so
-#: a batch's memory does not grow with its size or its data.
+#: Most uniforms a chunk's array holds (256 KB of doubles), so a batch's
+#: memory does not grow with its size or its data.
 CHUNK_UNIFORMS = 2**15
 
 
 def _rows_cap(prepared: PreparedDraw) -> int:
-    """Rows of a chunk: at most :data:`CHUNK_UNIFORMS` uniforms per stream key,
-    the attempt stream's gamma uniform included."""
-    return max(1, CHUNK_UNIFORMS // (1 + max(prepared.layout.values())))
+    """Rows of a chunk: at most :data:`CHUNK_UNIFORMS` uniforms, the gamma
+    uniform included."""
+    return max(1, CHUNK_UNIFORMS // (1 + prepared.uniforms))
 
 
 def _task(prepared: PreparedDraw, master_seed: int, streams: range):
     """``(lo, hi, accept, gamma_uniforms)`` of the attempt streams ``streams``,
-    one row each: one share of a block.  It seeds its own streams, one
-    :class:`~partialid.rng.SeedBlock` per stream key of ``prepared.layout``,
-    and runs them in chunks of :func:`_rows_cap` rows."""
-    seeds = {key: SeedBlock(master_seed, streams, key) for key in prepared.layout}
-    step, parts = _rows_cap(prepared), []
+    one row each: one share of a block.  It seeds its own streams in one
+    :class:`~partialid.rng.SeedBlock` and runs them in chunks of
+    :func:`_rows_cap` rows, each row the interval's uniforms and the gamma
+    uniform last."""
+    seeds, step, parts = SeedBlock(master_seed, streams), _rows_cap(prepared), []
     for i in range(0, len(streams), step):
-        chunk = streams[i:i + step]
-        # the attempt stream adds the gamma uniform
-        uniforms = {key: seeds[key].uniforms(m if key else m + 1, chunk)
-                    for key, m in prepared.layout.items()}
-        # a copy, so a chunk's arrays are freed before the outputs are joined
-        parts.append((*prepared.draw({key: UniformRows(u) for key, u in uniforms.items()}),
-                      uniforms[()][:, -1].copy()))
+        u = seeds.uniforms(prepared.uniforms + 1, streams[i:i + step])
+        # a copy, so a chunk's array is freed before the outputs are joined
+        parts.append((*prepared.draw(UniformRows(u)), u[:, -1].copy()))
     return tuple(np.concatenate(out) for out in zip(*parts))
 
 
@@ -544,15 +545,14 @@ def run_attempts(prepared: PreparedDraw, n_draws: int, master_seed: int, role: i
                  workers: int, label: str, pool=None):
     """Run attempts 0, 1, 2, ... in index order until ``n_draws`` are accepted.
 
-    Attempt j uses the streams keyed by (master_seed, role, j) and their
-    splits, whatever the worker count.  The first block holds ``n_draws``
-    attempts, each top-up block as many as the acceptance rate so far asks.
+    Attempt j uses the stream keyed by (master_seed, role, j), whatever the
+    worker count.  The first block holds ``n_draws`` attempts, each top-up
+    block as many as the acceptance rate so far asks.
     A block is shares of ``ceil(len(block) / workers)`` attempts, one share at
     ``workers`` 1.  A share (:func:`_task`) carries only its attempt range,
-    seeds its own streams and runs them in chunks: per stream key of
-    ``prepared.layout``, attempt j's uniforms are row j of the chunk's array
-    (at most :data:`CHUNK_UNIFORMS`), the gamma uniform last in the attempt
-    stream's row.  The caller computes the first share of every block while
+    seeds its own streams and runs them in chunks: attempt j's uniforms are
+    row j of the chunk's array (at most :data:`CHUNK_UNIFORMS`), the gamma
+    uniform last.  The caller computes the first share of every block while
     ``pool`` (:func:`attempt_pool`) runs the others; without one,
     ``workers > 1`` starts a pool for this call.  Shares are consumed in
     attempt order, and those not started when the block's acceptances are in
@@ -621,10 +621,11 @@ def draw_set_batch(
 
     Attempt j's interval is ``draw_set(cfg, mode, attempt_stream(master_seed,
     role, j), dataset)`` and its ``gamma_uniforms`` entry, for
-    :func:`~partialid.priors.draw_gammas`, that stream's next uniform.  Every
-    block of attempts is shares that seed their own streams
-    (:func:`run_attempts`), so the batch is byte-identical for any worker
-    count; ``pool`` shares an :func:`attempt_pool` among a run's batches.
+    :func:`~partialid.priors.draw_gammas`, that stream's next uniform: an
+    attempt reads one stream, in order.  Every block of attempts is shares
+    that seed their own streams (:func:`run_attempts`), so the batch is
+    byte-identical for any worker count; ``pool`` shares an
+    :func:`attempt_pool` among a run's batches.
     """
     if role is None:
         role = ROLE_PRIOR_SETS if mode == "prior" else ROLE_POSTERIOR_SETS

@@ -84,6 +84,16 @@ class TestParseConfig:
         assert cfg.grid.size == 101
         assert cfg.grid[0] == 0.0 and cfg.grid[-1] == 1.0
 
+    @pytest.mark.parametrize("grid", [("0", "1e308", "1e-10"), ("0", "inf", "1"),
+                                      ("0", "1", "1e-300")],
+                             ids=["span_overflows", "infinite_hi", "tiny_step"])
+    def test_unallocatable_grid_is_an_error_not_a_traceback(self, capsys, grid):
+        args = ["--scenario", "toy_analytic", "--grid", *grid]
+        with pytest.raises(ParameterError, match="grid spec"):
+            parse_run(args)
+        assert main(["run", *args]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_values(self, capsys):
         assert main(["run", "--scenario", "binary_missing", "--alpha", "1.5"]) == 2
         assert main(["run", "--scenario", "binary_missing", "--n-draws", "0"]) == 2

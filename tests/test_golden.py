@@ -7,9 +7,11 @@ were recorded before the scenario table and the shared attempt driver were
 introduced; the ``summary.json`` digests were recorded before the per-mode
 pipeline in ``run_scenario``.  The ``gamma_hist.csv`` and ``summary.json``
 digests of the eight runs with a prior family were recorded again when the
-gammas became one step on the run's interval batch (a deliberate numeric
-change); every other digest is as first recorded.  A change that moves them
-on purpose must say so in CHANGES.md.
+gammas became one step on the run's interval batch, and every digest of the
+six ``interval_censored`` runs when its two processes moved from two split
+streams to consecutive uniforms of the attempt stream (both deliberate
+numeric changes); every other digest is as first recorded.  A change that
+moves them on purpose must say so in CHANGES.md.
 """
 
 import hashlib
@@ -27,8 +29,8 @@ GOLDEN = [
         'intervals.csv': '6a5705cd13bde2d3bf067d4f22f3c8fee772ac7b749d32116a70d2151068e9e1',
     }),
     (('interval_censored', None, 1), {
-        'coverage.csv': 'f63cc08b55f9afb8d119dee2bb1e08277a1735c87b8e1158adfacb11d6983801',
-        'intervals.csv': 'addfb984df820a3af986d2ecb49c4b57cb85f626bacfa17daa8e51d25c38aa76',
+        'coverage.csv': '5b0afdebe698c5cb9a86614174b1cc734668be6ee15f713e241d8b92079ce7ce',
+        'intervals.csv': 'b705c5af24af9ea842fa6f0c53d98c7f11537724e273ba33fdbf648e86839f6c',
     }),
     (('errors_in_variables', None, 1), {
         'coverage.csv': '265106477f40630a6633b82a520a4dc7bab6311c6221fe86cd41c8feec564f75',
@@ -43,24 +45,24 @@ GOLDEN = [
         'intervals.csv': '90e49df43c4b8fabf4c5990f1fe28d8b1b5c4c2ffb7a2c4dfd735f1f23422af0',
     }),
     (('interval_censored', 'I', 1), {
-        'coverage.csv': 'f63cc08b55f9afb8d119dee2bb1e08277a1735c87b8e1158adfacb11d6983801',
-        'gamma_hist.csv': '5f81b1018e89c7e6916f8a902a6cf2b4a7ac98e889847fbae4c79e4b41e5081c',
-        'intervals.csv': 'addfb984df820a3af986d2ecb49c4b57cb85f626bacfa17daa8e51d25c38aa76',
+        'coverage.csv': '5b0afdebe698c5cb9a86614174b1cc734668be6ee15f713e241d8b92079ce7ce',
+        'gamma_hist.csv': 'f91ff235225cd62194b876e4444c9189479711c15d6fa30762e31ce379f37831',
+        'intervals.csv': 'b705c5af24af9ea842fa6f0c53d98c7f11537724e273ba33fdbf648e86839f6c',
     }),
     (('interval_censored', 'II', 1), {
-        'coverage.csv': 'f63cc08b55f9afb8d119dee2bb1e08277a1735c87b8e1158adfacb11d6983801',
-        'gamma_hist.csv': 'db8df34ad6686c31bef7d353617a63bea402233befa3d32c826178306c276b70',
-        'intervals.csv': 'addfb984df820a3af986d2ecb49c4b57cb85f626bacfa17daa8e51d25c38aa76',
+        'coverage.csv': '5b0afdebe698c5cb9a86614174b1cc734668be6ee15f713e241d8b92079ce7ce',
+        'gamma_hist.csv': '675a9cb6e4599292051dba862fde4175fbeaf6b9e3239c4b7cf3744ba90af078',
+        'intervals.csv': 'b705c5af24af9ea842fa6f0c53d98c7f11537724e273ba33fdbf648e86839f6c',
     }),
     (('interval_censored', 'III', 1), {
-        'coverage.csv': 'f63cc08b55f9afb8d119dee2bb1e08277a1735c87b8e1158adfacb11d6983801',
-        'gamma_hist.csv': '462b165192df244b950367784a3f3d576dc0bb62d6978deb5852e3f80abb0b12',
-        'intervals.csv': 'addfb984df820a3af986d2ecb49c4b57cb85f626bacfa17daa8e51d25c38aa76',
+        'coverage.csv': '5b0afdebe698c5cb9a86614174b1cc734668be6ee15f713e241d8b92079ce7ce',
+        'gamma_hist.csv': '697da4b78b7a5f6f05f7406178a5085824b8cd71566814bd4d90d65b45c4c8cd',
+        'intervals.csv': 'b705c5af24af9ea842fa6f0c53d98c7f11537724e273ba33fdbf648e86839f6c',
     }),
     (('interval_censored', 'IV', 1), {
-        'coverage.csv': 'f63cc08b55f9afb8d119dee2bb1e08277a1735c87b8e1158adfacb11d6983801',
-        'gamma_hist.csv': '8475b5775c80f018e4b1c67fb00581ca164eade6c3d6b89251a391ec0b36a0c0',
-        'intervals.csv': 'addfb984df820a3af986d2ecb49c4b57cb85f626bacfa17daa8e51d25c38aa76',
+        'coverage.csv': '5b0afdebe698c5cb9a86614174b1cc734668be6ee15f713e241d8b92079ce7ce',
+        'gamma_hist.csv': 'dca257a85c9ac195fb1a2e791f51df466526134008832459d59248c5d1f1d29b',
+        'intervals.csv': 'b705c5af24af9ea842fa6f0c53d98c7f11537724e273ba33fdbf648e86839f6c',
     }),
     (('binary_missing', 'II', 1), {
         'coverage.csv': '8d5844c4cc2f29dd84459da42835a664f5bc0461ca746ab390c883230ea05bb8',
@@ -78,8 +80,8 @@ GOLDEN = [
         'intervals.csv': '90e49df43c4b8fabf4c5990f1fe28d8b1b5c4c2ffb7a2c4dfd735f1f23422af0',
     }),
     (('interval_censored', None, 2), {
-        'coverage.csv': 'f63cc08b55f9afb8d119dee2bb1e08277a1735c87b8e1158adfacb11d6983801',
-        'intervals.csv': 'addfb984df820a3af986d2ecb49c4b57cb85f626bacfa17daa8e51d25c38aa76',
+        'coverage.csv': '5b0afdebe698c5cb9a86614174b1cc734668be6ee15f713e241d8b92079ce7ce',
+        'intervals.csv': 'b705c5af24af9ea842fa6f0c53d98c7f11537724e273ba33fdbf648e86839f6c',
     }),
     (('interval_regression', None, 2), {
         'coverage.csv': 'c52c9408f3a15125240236c27653e520894d0708c89fdb9b6508d42d4a77a873',
@@ -99,7 +101,7 @@ SUMMARY_GOLDEN = {
     ('toy_analytic', None, 1):
         '61b5f1455417b7ca9f3a45a1831011828f87feaa0b8a8ee2730fa280740f3570',
     ('interval_censored', None, 1):
-        '81753ed42dce3c5c7e630a7ed47f85a530ea39063e7abccd7b2686408f9111a7',
+        '4d25b04acf0c5fe81d598dd72df96e4a1a903f7832beed902c9bfdc6d914cc1c',
     ('errors_in_variables', None, 1):
         'a1e02ed02d645aa117ac3be7acfe49663bbcc2703dff074076130b008b867d0a',
     ('interval_regression', None, 1):
@@ -107,13 +109,13 @@ SUMMARY_GOLDEN = {
     ('binary_missing', None, 1):
         '706ace7d1fc8df681b33a65c43b6afdb1b2fa7e43cb2e38f91bba77e5bd30908',
     ('interval_censored', 'I', 1):
-        '0186e892acaa9eec163acf438b63a9e69429f5111cdea490c2ca6be0c79176d4',
+        'f8ca3b35d88d43d904198786812a8b3f80f00baeb1d9208bc1480ffe7f65d8ee',
     ('interval_censored', 'II', 1):
-        '6be0d56017c2efbdf41f54c2da73fbe3460d29303f4b1445ca8ee018bebf46e3',
+        '5ebcd90c2a7800a4f381188e1bd41414d5596603c17598e1aa3538eab375c81d',
     ('interval_censored', 'III', 1):
-        'f34e37c87bc901ca9cf42d74406ffc5b868ae19dfe1047702a432e84fb56a78f',
+        'c76e1538e4e2a9cda33645d35b438e1a8ca05b9c766528b6c99201814d47c6e3',
     ('interval_censored', 'IV', 1):
-        '226cec7efbabcb2dac9a51639e091d1a128b789ddfd88c9e32738bdefa4529aa',
+        '6df9643493bbbb3d3b90f4886d732b2ff6db78fbc484746891952b9dc346d5f2',
     ('binary_missing', 'II', 1):
         '00f6c9c7f6581e920cbae498cb7c890d6542add24314a11cfa7d36b0b91a701e',
     ('binary_missing', 'III', 1):
@@ -121,7 +123,7 @@ SUMMARY_GOLDEN = {
     ('binary_missing', 'IV', 1):
         '643a626a8eb4a05dd013d06fcc66e687e7ee7fd8f98c8f1a4f88a8b5952f3231',
     ('interval_censored', None, 2):
-        '5e66c658892424781881b620de9f39f4943fb46b16d1b393f14f0881fd5add44',
+        '5c2a0d39bf59ad1f6a0c4c87ed10d2c824dbf36cbfb3f9d5de8cb7c70557aac6',
     ('interval_regression', None, 2):
         '8c7f224bb6e16d3796cdbf74698a45ee20659ad1da1d4828f314233668feb6af',
     ('errors_in_variables', 'II', 2):

@@ -14,7 +14,13 @@ import pytest
 
 from partialid import DirichletProcessSpec, generate_data, make_config, prepare_draw, process_means
 from partialid import scenarios
-from partialid.dirichlet import TRUNCATION_DELTA, TRUNCATION_EPS, choose_truncation_level, stick_weights
+from partialid.dirichlet import (
+    TRUNCATION_DELTA,
+    TRUNCATION_EPS,
+    choose_truncation_level,
+    process_uniforms,
+    stick_weights,
+)
 from partialid.distributions import (
     DirichletParams,
     cholesky_factor,
@@ -82,8 +88,9 @@ def instrument_ratio_rows(w, a):
     return lo, hi, ~(ezx <= 0) & ~(lo > hi)
 
 
-def oracle_draw(cfg, mode, dataset, sources):
-    """``(lo, hi, accept)`` of the scenario from the concatenated draws."""
+def oracle_draw(cfg, mode, dataset, source):
+    """``(lo, hi, accept)`` of the scenario from the concatenated draws, each
+    read from ``source`` in turn."""
     hyper = cfg.hyper
     if cfg.scenario_id == "interval_censored":
         draws = []
@@ -91,34 +98,35 @@ def oracle_draw(cfg, mode, dataset, sources):
             spec = DirichletProcessSpec(hyper["n0"][i], partial(
                 sample_normal, hyper["base_mean"][i], hyper["base_var"][i]))
             data = None if mode == "prior" else dataset.column(column)
-            draws.extend(concatenated_draw(spec, sources[(i,)], data))
+            draws.extend(concatenated_draw(spec, source, data))
         return censoring_rows(*draws)
     mean, cov = hyper["base_mean"], hyper["base_cov"]
     spec = DirichletProcessSpec(hyper["n0"], partial(sample_mvnormal, mean, cov,
                                                      chol=cholesky_factor(cov)))
     rows = (reverse_regression_rows if cfg.scenario_id == "errors_in_variables"
             else instrument_ratio_rows)
-    return rows(*concatenated_draw(spec, sources[()], None if mode == "prior" else dataset.values))
+    return rows(*concatenated_draw(spec, source, None if mode == "prior" else dataset.values))
 
 
 # --- blocks of attempt rows ------------------------------------------------------
 
 def block_uniforms(prepared, master_seed, rows):
-    """Per stream key, the uniforms of the attempt rows ``rows``, one seed block
-    per key, as a chunk takes them."""
-    return {key: SeedBlock(master_seed, rows, key).uniforms(m, rows)
-            for key, m in prepared.layout.items()}
+    """The uniforms of the attempt rows ``rows``, one seed block, as a chunk
+    takes them less the gamma uniform."""
+    return SeedBlock(master_seed, rows).uniforms(prepared.uniforms, rows)
 
 
 def process_calls(prepared):
-    """``(key, spec, features, table)`` of each process_means call of a prepared draw."""
+    """``(offset, spec, features, table)`` of each process_means call of a
+    prepared draw, ``offset`` the column of an attempt row it starts at."""
     args = prepared.draw.args
     if prepared.draw.func is scenarios._censored_draw:
         spec1, spec2, t1, t2 = args
-        return [((0,), spec1, scenarios._atom_features, t1),
-                ((1,), spec2, scenarios._atom_features, t2)]
+        n = 0 if t1 is None else t1.shape[1]
+        return [(0, spec1, scenarios._atom_features, t1),
+                (process_uniforms(spec1, 1, n), spec2, scenarios._atom_features, t2)]
     features, _, spec, table = args
-    return [((), spec, features, table)]
+    return [(0, spec, features, table)]
 
 
 CASES = [(sid, "prior", 30) for sid in DP_SCENARIOS] + [
@@ -131,9 +139,8 @@ def test_matches_concatenated_draws(sid, mode, n):
     dataset = generate_data(cfg, attempt_stream(11, ROLE_DATA, 0))
     prepared = prepare_draw(cfg, mode, dataset)
     u = block_uniforms(prepared, 11, range(200))
-    lo, hi, accept = prepared.draw({key: UniformRows(x) for key, x in u.items()})
-    old_lo, old_hi, old_accept = oracle_draw(cfg, mode, dataset,
-                                             {key: UniformRows(x) for key, x in u.items()})
+    lo, hi, accept = prepared.draw(UniformRows(u))
+    old_lo, old_hi, old_accept = oracle_draw(cfg, mode, dataset, UniformRows(u))
     assert np.array_equal(accept, old_accept)
     for new, old in ((lo, old_lo), (hi, old_hi)):
         assert np.all(np.abs(new[accept] - old[accept]) <= 1e-12 * (1 + np.abs(old[accept])))
@@ -147,11 +154,11 @@ def test_row_means_do_not_depend_on_the_chunk(sid, mode, n):
     dataset = generate_data(cfg, attempt_stream(11, ROLE_DATA, 0))
     prepared = prepare_draw(cfg, mode, dataset)
     u = block_uniforms(prepared, 11, range(150))
-    for key, spec, features, table in process_calls(prepared):
-        whole = process_means(spec, UniformRows(u[key]), features, table)
+    for offset, spec, features, table in process_calls(prepared):
+        whole = process_means(spec, UniformRows(u[:, offset:]), features, table)
         assert whole.shape[0] == 150
         for size in (1, 7, scenarios._rows_cap(prepared)):
-            parts = [process_means(spec, UniformRows(u[key][i:i + size]), features, table)
+            parts = [process_means(spec, UniformRows(u[i:i + size, offset:]), features, table)
                      for i in range(0, 150, size)]
             assert np.array_equal(np.concatenate(parts), whole)
 
@@ -187,8 +194,8 @@ def draw_means(prepared, calls):
     cap = scenarios._rows_cap(prepared)
     for start in range(0, DRAWS, cap):
         u = block_uniforms(prepared, SEED, range(start, min(start + cap, DRAWS)))
-        for i, (key, spec, features, table) in enumerate(calls):
-            out[i].append(process_means(spec, UniformRows(u[key]), features, table))
+        for i, (offset, spec, features, table) in enumerate(calls):
+            out[i].append(process_means(spec, UniformRows(u[:, offset:]), features, table))
     return [np.concatenate(means) for means in out]
 
 

@@ -28,39 +28,11 @@ def test_negative_index_rejected():
         substream(42, -1)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: rng.RngStream(0, 0, (-1,)),
-    lambda: substream(0, 0).split(-1),
-    lambda: rng.SeedBlock(0, range(3), (-1,)),
-], ids=["stream", "split", "seed_block"])
-def test_negative_subkey_rejected(make):
-    with pytest.raises(ParameterError, match="must be >= 0"):
-        make()
-
-
 def test_scalar_and_vector_draws_agree():
     s1 = substream(7, 3)
     s2 = substream(7, 3)
     scalars = np.array([s1.uniform() for _ in range(50)])
     assert np.array_equal(scalars, s2.uniform(size=50))
-
-
-def test_split_children_are_deterministic_and_independent():
-    parent1 = substream(9, 4)
-    parent2 = substream(9, 4)
-    c1 = parent1.split(0).uniform(size=200)
-    c1_again = parent2.split(0).uniform(size=200)
-    c2 = parent2.split(1).uniform(size=200)
-    assert np.array_equal(c1, c1_again)
-    assert np.any(c1 != c2)
-
-
-def test_split_does_not_advance_parent_state():
-    a = substream(9, 4)
-    b = substream(9, 4)
-    a.split(0)
-    a.split(1)
-    assert a.uniform() == b.uniform()
 
 
 def test_independence_of_other_streams():
@@ -80,20 +52,17 @@ from partialid.scenarios import attempt_stream  # noqa: E402
 MASTER_SEEDS = (0, 7, 2**32 - 1, 2**32, 2**64 - 1)
 ROLES = (0, 1, 2, 5)
 ATTEMPTS = (0, 1, 999, 2**31, 2**32 - 1)
-SUBKEYS = ((), (0,), (1,), (0, 3))
 
 
 @pytest.mark.parametrize("master_seed", MASTER_SEEDS)
-@pytest.mark.parametrize("subkey", SUBKEYS)
-def test_seed_words_reproduce_seed_sequence(master_seed, subkey):
+def test_seed_words_reproduce_seed_sequence(master_seed):
     # one call mixes one-word (role 0) and two-word stream indices
     indices = [(role << 32) + a for role in ROLES for a in ATTEMPTS]
-    words = seed_words(master_seed, np.array(indices, dtype=np.uint64), subkey)
+    words = seed_words(master_seed, np.array(indices, dtype=np.uint64))
     assert words.shape == (len(indices), 4) and words.dtype == np.uint64
     for row, index in zip(words, indices):
-        expected = np.random.SeedSequence((master_seed, index, *subkey)).generate_state(
-            4, np.uint64)
-        assert np.array_equal(row, expected), (master_seed, index, subkey)
+        expected = np.random.SeedSequence((master_seed, index)).generate_state(4, np.uint64)
+        assert np.array_equal(row, expected), (master_seed, index)
 
 
 @pytest.mark.parametrize("master_seed", (0, 2**32, 2**64 - 1))
@@ -103,19 +72,11 @@ def test_block_streams_match_attempt_streams(master_seed, role):
     base = role << 32
     streams = range(base + attempts.start, base + attempts.stop)
     block = SeedBlock(master_seed, streams)
-    split0, split1, split01 = (SeedBlock(master_seed, streams, key)
-                               for key in ((0,), (1,), (0, 1)))
     # rows of uniforms, read without building the streams; a subrange too
-    rows = (block.uniforms(7, streams), split1.uniforms(5, streams),
-            split01.uniforms(5, streams), split0.uniforms(5, streams))
-    assert np.array_equal(block.uniforms(7, streams[2:4]), rows[0][2:4])
-    assert np.array_equal(split0.uniforms(5, streams[2:4]), rows[3][2:4])
+    rows = block.uniforms(7, streams)
+    assert np.array_equal(block.uniforms(7, streams[2:4]), rows[2:4])
     for r, j in enumerate(attempts):
-        ref = attempt_stream(master_seed, role, j)
-        assert np.array_equal(rows[3][r], ref.split(0).uniform(size=5))
-        assert np.array_equal(rows[1][r], ref.split(1).uniform(size=5))
-        assert np.array_equal(rows[2][r], ref.split(0).split(1).uniform(size=5))
-        assert np.array_equal(rows[0][r], ref.uniform(size=7))
+        assert np.array_equal(rows[r], attempt_stream(master_seed, role, j).uniform(size=7))
 
 
 def test_seed_block_rejects_bad_ranges():
@@ -138,16 +99,15 @@ def test_seed_block_uniforms_rejects_a_bad_count(bad):
 # --- PCG64 in limbs ------------------------------------------------------------
 
 @pytest.mark.parametrize("master_seed", (0, 2**64 - 1))
-@pytest.mark.parametrize("subkey", ((), (0,), (1, 2**40)))
 @pytest.mark.parametrize("m", (0, 1, SHORT_ROW, SHORT_ROW + 1))
-def test_short_and_long_rows_match_streams(master_seed, subkey, m):
+def test_short_and_long_rows_match_streams(master_seed, m):
     # indices below and at or above 2**32 take one and two entropy words
-    block = SeedBlock(master_seed, range(2**32 - 3, 2**32 + 3), subkey)
+    block = SeedBlock(master_seed, range(2**32 - 3, 2**32 + 3))
     for indices in (range(2**32 - 3, 2**32 + 3), range(2**32 - 1, 2**32 + 2)):
         rows = block.uniforms(m, indices)
         assert rows.shape == (len(indices), m) and rows.flags.c_contiguous
         for row, index in zip(rows, indices):
-            assert np.array_equal(row, RngStream(master_seed, index, subkey).uniform(m))
+            assert np.array_equal(row, RngStream(master_seed, index).uniform(m))
 
 
 def test_only_long_rows_build_a_generator_per_row(monkeypatch):

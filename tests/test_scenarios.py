@@ -25,8 +25,10 @@ from partialid import (
     generate_data,
     make_config,
 )
-from partialid import DirichletProcessSpec, scenarios
+from partialid import DirichletProcessSpec, process_means, scenarios
 from partialid.cli import RunConfig, run_scenario
+from partialid.dirichlet import process_uniforms
+from partialid.distributions import sample_normal
 from partialid.priors import ConditionalPriorSpec, marginal_sample
 from partialid.rng import UniformRows
 from partialid.scenarios import (
@@ -175,6 +177,25 @@ class TestDataset:
             Dataset(scenario_id, np.zeros((3, 2)))
 
 
+    def test_values_are_a_read_only_float_copy(self):
+        given = np.array([[1, 2], [3, 4]])
+        data = Dataset("interval_censored", given)
+        given[0, 0] = 9
+        assert data.values.dtype == float and data.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert Dataset("interval_censored", [[1.0, 2.0]]).values.tolist() == [[1.0, 2.0]]
+        generated = generate_data(make_config("interval_censored", n=5),
+                                  attempt_stream(3, ROLE_DATA, 0))
+        for values in (data.values, generated.values):
+            with pytest.raises(ValueError, match="read-only"):
+                values[1, 0] = np.nan
+
+    @pytest.mark.parametrize("values", [np.array([["a", "b"]]), [[1.0, 2.0], [3.0]]],
+                             ids=["strings", "ragged"])
+    def test_values_that_are_not_numbers_rejected(self, values):
+        with pytest.raises(ParameterError, match="values must be numbers"):
+            Dataset("interval_censored", values)
+
+
 class TestCountBinary:
     def make(self, rows):
         return Dataset("binary_missing", np.array(rows, dtype=float))
@@ -247,8 +268,7 @@ def _constant_process(c):
 class TestBoundsFunctionals:
     def test_censoring_order_guard(self):
         for lo_c, hi_c, ok in ((1.0, 5.0, True), (5.0, 1.0, False)):
-            rows = {(0,): UniformRows(np.full((1, 40), 0.5)),
-                    (1,): UniformRows(np.full((1, 40), 0.5))}
+            rows = UniformRows(np.full((1, 80), 0.5))
             lo, hi, accept = scenarios._censored_draw(
                 _constant_process(lo_c), _constant_process(hi_c), None, None, rows)
             assert np.allclose([lo[0], hi[0]], [lo_c, hi_c], rtol=1e-15, atol=0)
@@ -324,25 +344,25 @@ class TestDrawSet:
             draw_set(make_config("binary_missing"), "sideways", attempt_stream(4, 7, 0))
 
 
-def _skip_most(sources):
+def _skip_most(source):
     """A synthetic draw that skips four attempts in five."""
-    x = sources[()].uniform()
+    x = source.uniform()
     return x, x, x >= 0.8
 
 
-SKIP_MOST = PreparedDraw({(): 1}, _skip_most)
+SKIP_MOST = PreparedDraw(1, _skip_most)
 
 
-def _nan_at(poison, sources):
+def _nan_at(poison, source):
     """SKIP_MOST with the attempt that draws ``poison`` accepted as a NaN interval."""
-    lo, hi, accept = _skip_most(sources)
+    lo, hi, accept = _skip_most(source)
     hit = lo == poison
     return np.where(hit, np.nan, lo), hi, accept | hit
 
 
-def _raise_at(poison, sources):
+def _raise_at(poison, source):
     """SKIP_MOST, raising for a chunk that holds the attempt that draws ``poison``."""
-    lo, hi, accept = _skip_most(sources)
+    lo, hi, accept = _skip_most(source)
     if np.any(lo == poison):
         raise RuntimeError("a chunk past the last acceptance")
     return lo, hi, accept
@@ -420,14 +440,14 @@ class TestDrawSetBatch:
         monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", 2)  # one attempt per chunk
         for workers in (1, 2):
             # a bad row is masked in its chunk; only a consumed one raises
-            late_nan = PreparedDraw({(): 1}, partial(_nan_at, late))
+            late_nan = PreparedDraw(1, partial(_nan_at, late))
             assert np.array_equal(run_attempts(late_nan, 10, 21, 1, workers, "synthetic")[0],
                                   indices)
-            last_nan = PreparedDraw({(): 1}, partial(_nan_at, last))
+            last_nan = PreparedDraw(1, partial(_nan_at, last))
             with pytest.raises(ParameterError, match=f"attempt {indices[-1]} drew"):
                 run_attempts(last_nan, 10, 21, 1, workers, "synthetic")
         # the pool runs a task past the last acceptance and drops its error
-        late_raise = PreparedDraw({(): 1}, partial(_raise_at, late))
+        late_raise = PreparedDraw(1, partial(_raise_at, late))
         assert np.array_equal(run_attempts(late_raise, 10, 21, 1, 2, "synthetic")[0], indices)
         with pytest.raises(RuntimeError, match="past the last acceptance"):
             run_attempts(late_raise, 11, 21, 1, 2, "synthetic")
@@ -458,7 +478,7 @@ class TestBlockEquivalence:
         cfg = make_config(sid, n=n if has_data else None)
         data = generate_data(cfg, attempt_stream(9, ROLE_DATA, 0)) if has_data else None
         # chunks of 7 rows, so the batch spans several chunks and top-up blocks
-        widest = 1 + max(prepare_draw(cfg, mode, data).layout.values())
+        widest = 1 + prepare_draw(cfg, mode, data).uniforms
         monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", 7 * widest)
         batch = draw_set_batch(cfg, mode, 40, 9, dataset=data)
         role = ROLE_PRIOR_SETS if mode == "prior" else ROLE_POSTERIOR_SETS
@@ -473,6 +493,27 @@ class TestBlockEquivalence:
             assert (interval.lo, interval.hi) == (batch.lo[r], batch.hi[r])
             assert rng.uniform() == batch.gamma_uniforms[r]
         assert batch.skipped == batch.attempt_indices[-1] + 1 - len(batch)
+
+    @pytest.mark.parametrize("mode", ["prior", "posterior"])
+    def test_censored_processes_read_the_attempt_stream_in_turn(self, mode):
+        # an attempt's row is spec1's process, spec2's, then the gamma uniform
+        cfg = make_config("interval_censored", n=30)
+        data = generate_data(cfg, attempt_stream(6, ROLE_DATA, 0))
+        batch = draw_set_batch(cfg, mode, 5, 6, dataset=data)
+        role = ROLE_PRIOR_SETS if mode == "prior" else ROLE_POSTERIOR_SETS
+        calls, n = [], 30 if mode == "posterior" else 0
+        for i, column in enumerate(("y1", "y2")):
+            n0, mu, var = (cfg.hyper[name][i] for name in ("n0", "base_mean", "base_var"))
+            spec = DirichletProcessSpec(n0, partial(sample_normal, mu, var))
+            table = np.ascontiguousarray(data.column(column)[None]) if n else None
+            calls.append((spec, table, process_uniforms(spec, 1, n)))
+        (spec1, t1, m1), (spec2, t2, m2) = calls
+        for r, j in enumerate(batch.attempt_indices):
+            u = attempt_stream(6, role, j).uniform(m1 + m2 + 1)[None]
+            lo = process_means(spec1, UniformRows(u[:, :m1]), scenarios._atom_features, t1)
+            hi = process_means(spec2, UniformRows(u[:, m1:m1 + m2]), scenarios._atom_features, t2)
+            assert (batch.lo[r], batch.hi[r]) == (lo[0, 0], hi[0, 0])
+            assert batch.gamma_uniforms[r] == u[0, -1]
 
     def test_batches_build_no_per_draw_interval(self, monkeypatch):
         built = []

@@ -495,7 +495,8 @@ def _task(prepared: PreparedDraw, master_seed: int, streams: range):
     :class:`~partialid.rng.SeedBlock` and runs them in chunks of
     :func:`_rows_cap` rows, each row the interval's uniforms and the gamma
     uniform last."""
-    seeds, step, parts = SeedBlock(master_seed, streams), _rows_cap(prepared), []
+    seeds = SeedBlock(master_seed, streams)
+    step, parts = _rows_cap(prepared), []
     for i in range(0, len(streams), step):
         u = seeds.uniforms(prepared.uniforms + 1, streams[i:i + step])
         # a copy, so a chunk's array is freed before the outputs are joined

@@ -176,7 +176,6 @@ class TestDataset:
         with pytest.raises(ParameterError, match=match):
             Dataset(scenario_id, np.zeros((3, 2)))
 
-
     def test_values_are_a_read_only_float_copy(self):
         given = np.array([[1, 2], [3, 4]])
         data = Dataset("interval_censored", given)

@@ -55,10 +55,17 @@ ATTEMPTS = (0, 1, 999, 2**31, 2**32 - 1)
 
 
 @pytest.mark.parametrize("master_seed", MASTER_SEEDS)
-def test_seed_words_reproduce_seed_sequence(master_seed):
-    # one call mixes one-word (role 0) and two-word stream indices
+@pytest.mark.parametrize("dtype", (np.uint64, np.int64), ids=("uint64", "int64"))
+@pytest.mark.parametrize("order", ("ascending", "interleaved"))
+def test_seed_words_reproduce_seed_sequence(master_seed, dtype, order):
+    # one call mixes one-word (role 0) and two-word stream indices; interleaved,
+    # each row's neighbours take the other word count, so rows hashed in two
+    # groups must land back in place
     indices = [(role << 32) + a for role in ROLES for a in ATTEMPTS]
-    words = seed_words(master_seed, np.array(indices, dtype=np.uint64))
+    if order == "interleaved":
+        narrow, wide = indices[:len(ATTEMPTS)], indices[len(ATTEMPTS):]
+        indices = [i for pair in zip(wide, narrow) for i in pair] + wide[len(narrow):]
+    words = seed_words(master_seed, np.array(indices, dtype=dtype))
     assert words.shape == (len(indices), 4) and words.dtype == np.uint64
     for row, index in zip(words, indices):
         expected = np.random.SeedSequence((master_seed, index)).generate_state(4, np.uint64)
@@ -99,11 +106,13 @@ def test_seed_block_uniforms_rejects_a_bad_count(bad):
 # --- PCG64 in limbs ------------------------------------------------------------
 
 @pytest.mark.parametrize("master_seed", (0, 2**64 - 1))
+@pytest.mark.parametrize("start", (0, 2**32 - 3, 2**64 - 6), ids=("low", "straddle", "top"))
 @pytest.mark.parametrize("m", (0, 1, SHORT_ROW, SHORT_ROW + 1))
-def test_short_and_long_rows_match_streams(master_seed, m):
-    # indices below and at or above 2**32 take one and two entropy words
-    block = SeedBlock(master_seed, range(2**32 - 3, 2**32 + 3))
-    for indices in (range(2**32 - 3, 2**32 + 3), range(2**32 - 1, 2**32 + 2)):
+def test_short_and_long_rows_match_streams(master_seed, start, m):
+    # indices below and at or above 2**32 take one and two entropy words; the
+    # top block ends at the last index, 2**64 - 1
+    block = SeedBlock(master_seed, range(start, start + 6))
+    for indices in (range(start, start + 6), range(start + 2, start + 5)):
         rows = block.uniforms(m, indices)
         assert rows.shape == (len(indices), m) and rows.flags.c_contiguous
         for row, index in zip(rows, indices):

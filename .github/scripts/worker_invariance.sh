@@ -4,8 +4,8 @@
 # every CSV byte for byte with the workers-1 run.  The golden runs use 100
 # draws, which never fill more than one chunk.  Process means are stacked
 # matmuls, one BLAS call per row, which every numpy must dispatch per row
-# whatever the chunk a row is in; binary_missing's short rows come from
-# rng.pcg64_uniforms, in every chunk.
+# whatever the chunk a row is in, and row-wise sums; binary_missing's short
+# rows come from rng.pcg64_uniforms, in every chunk.
 #
 # Usage: PYTHONPATH=src .github/scripts/worker_invariance.sh OUT_DIR
 set -euo pipefail
@@ -19,6 +19,16 @@ for sid in interval_censored errors_in_variables interval_regression binary_miss
     for f in coverage.csv intervals.csv; do
       cmp "$out/w1/${sid}_seed7/$f" "$out/w$w/${sid}_seed7/$f"
     done
+  done
+done
+# interval_censored's gamma uniform, the last column of each attempt row after
+# the two processes' sticks and one variate each: 126 prior rows a chunk
+for w in $counts; do
+  python -m partialid.cli run --scenario interval_censored --n 1000 \
+    --prior-family II --n-draws 1000 --seed 7 --workers "$w" \
+    --out-dir "$out/g$w" > /dev/null
+  for f in coverage.csv intervals.csv gamma_hist.csv; do
+    cmp "$out/g1/interval_censored_seed7/$f" "$out/g$w/interval_censored_seed7/$f"
   done
 done
 # several chunks of short stream rows, through the pool

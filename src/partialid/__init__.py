@@ -15,6 +15,7 @@ from .dirichlet import (
 )
 from .distributions import (
     PsdRepair,
+    ScalarNormal,
     beta_cdf,
     cholesky_factor,
     gamma_quantile,
@@ -78,6 +79,7 @@ __all__ = [
     "PsdRepair",
     "RngStream",
     "SCENARIO_IDS",
+    "ScalarNormal",
     "ScenarioConfig",
     "SetDrawBatch",
     "SkipBudgetError",

@@ -8,10 +8,14 @@ truncated at K and renormalized.  The truncation level is chosen from the
 known law of the discarded tail mass: minus the log of the tail is Gamma(K,
 rate n0), so K is the smallest level that keeps the tail below
 ``TRUNCATION_EPS`` with probability 1 - ``TRUNCATION_DELTA`` (Muliere &
-Tardella, 1998).  Posterior draws mix the truncated prior with the observed
-data points through a Beta(n, n0) split and symmetric-Dirichlet data weights
-(Ferguson, 1973; the Bayesian bootstrap of Rubin, 1981), whose side is one
-weighted sum over the data's feature table.
+Tardella, 1998).  A base measure that states its law, a
+:class:`~partialid.distributions.ScalarNormal` N(mu, var), needs no atoms for
+the mean of the atoms themselves: given the weights w, the weighted mean of K
+i.i.d. atoms is exactly N(mu, var Σw² / (Σw)²), one normal variate.
+Posterior draws mix the truncated prior with the observed data points through
+a Beta(n, n0) split and symmetric-Dirichlet data weights (Ferguson, 1973; the
+Bayesian bootstrap of Rubin, 1981), whose side is one weighted sum over the
+data's feature table.
 
 The arithmetic is row-wise, the blocked view of truncated stick-breaking of
 Ishwaran & James (2001): :func:`process_means` makes one draw per row of
@@ -27,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import gamma_quantile, sample_beta
+from .distributions import ScalarNormal, gamma_quantile, sample_beta, sample_normal
 from .errors import ParameterError
 from .rng import RngStream
 
@@ -74,7 +78,8 @@ class DirichletProcessSpec:
     """Concentration and base-measure sampler of a Dirichlet process.
 
     ``base_sampler(rng, size)`` must return ``size`` i.i.d. atoms from the
-    base measure, shaped ``(size,)`` for scalar atoms or ``(size, d)``.
+    base measure, shaped ``(size,)`` for scalar atoms or ``(size, d)``; a
+    :class:`~partialid.distributions.ScalarNormal` also states its law.
     """
 
     concentration: float
@@ -105,40 +110,58 @@ def stick_weights(n0: float, k: int, rng: RngStream) -> tuple[np.ndarray, float]
 
 def process_uniforms(spec: DirichletProcessSpec, atom_size: int, n: int = 0) -> int:
     """The uniforms one :func:`process_means` takes, for atoms of ``atom_size``
-    uniforms and a posterior on n points (0: the prior)."""
+    uniforms and a posterior on n points (0: the prior): k sticks, then k atoms
+    or, for a :class:`~partialid.distributions.ScalarNormal` base, the one
+    variate of their mean, then rho and n data weights (none for n = 1)."""
     k = choose_truncation_level(spec.concentration, TRUNCATION_EPS, TRUNCATION_DELTA)
-    return k * (1 + atom_size) + (n > 0) + (n if n > 1 else 0)
+    prior = k + 1 if isinstance(spec.base_sampler, ScalarNormal) else k * (1 + atom_size)
+    return prior + (n > 0) + (n if n > 1 else 0)
 
 
-def process_means(spec: DirichletProcessSpec, source, features, data_table=None):
+def process_means(spec: DirichletProcessSpec, source, features=None, data_table=None):
     """Means of q features under truncated draws, one draw per row, shaped
     ``(..., q)``: the prior, or given the ``(q, n)`` data table, ``features``
     of n data points, the posterior, which puts mass rho ~ Beta(n, n0) on the
     data (split by a symmetric Dirichlet) and 1 - rho on the k prior atoms.
 
     ``features`` maps atoms ``(..., k)`` or ``(..., k, d)`` to their feature
-    values ``(..., q, k)``.  ``source`` is a stream, for one draw, or a
+    values ``(..., q, k)``; None makes scalar atoms their own feature, q = 1.
+    ``source`` is a stream, for one draw, or a
     :class:`~partialid.rng.UniformRows`, for one draw per row.  A draw takes k
-    sticks, k atoms, then rho and n data weights (none for n = 1).  A mean is
-    linear in the measure, so each side is one weighted sum divided by its
-    weights' total, and every row makes the same products whatever the rows.
+    sticks, k atoms, then rho and n data weights (none for n = 1).  A
+    :class:`~partialid.distributions.ScalarNormal` base takes no ``features``
+    and one variate z in place of the atoms: their mean is exactly
+    mu + sqrt(var Σw²) / Σw · z given the weights w.  A mean is linear in the
+    measure, so each side is one weighted sum divided by its weights' total,
+    and every row makes the same products whatever the rows.
     """
     n0 = spec.concentration
     k = choose_truncation_level(n0, TRUNCATION_EPS, TRUNCATION_DELTA)
     weights, _ = stick_weights(n0, k, source)
-    atoms = np.asarray(spec.base_sampler(source, k), dtype=float)
-    lead = weights.shape[:-1]  # the rows of a block, () for one draw
-    if atoms.shape[:len(lead) + 1] != weights.shape:
-        raise ParameterError(f"base sampler returned atoms {atoms.shape}, expected {k}")
-    values = features(atoms)
-    means = (values @ weights[..., None])[..., 0] / weights.sum(axis=-1, keepdims=True)
+    total = weights.sum(axis=-1, keepdims=True)
+    base = spec.base_sampler
+    if isinstance(base, ScalarNormal):
+        if features is not None:
+            raise ParameterError("a ScalarNormal base draws the mean of its atoms; "
+                                 "pass features=None")
+        spread = np.sqrt(np.sum(weights * weights, axis=-1, keepdims=True)) / total
+        means = base.mu + spread * sample_normal(0.0, base.var, source, size=1)
+    else:
+        atoms = np.asarray(base(source, k), dtype=float)
+        lead = weights.shape[:-1]  # the rows of a block, () for one draw
+        if atoms.shape[:len(lead) + 1] != weights.shape:
+            raise ParameterError(f"base sampler returned atoms {atoms.shape}, expected {k}")
+        if features is None and atoms.ndim != len(lead) + 1:
+            raise ParameterError(f"atoms of shape {atoms.shape[len(lead) + 1:]} need features")
+        values = atoms[..., None, :] if features is None else features(atoms)
+        means = (values @ weights[..., None])[..., 0] / total
     if data_table is None:
         return means
     n = data_table.shape[-1]
     if n == 0:
         raise ParameterError("a posterior draw needs data; pass None for the prior")
-    if data_table.shape != (values.shape[-2], n):
-        raise ParameterError(f"{values.shape[-2]} features of the base-measure atoms, "
+    if data_table.shape != (means.shape[-1], n):
+        raise ParameterError(f"{means.shape[-1]} features of the base-measure atoms, "
                              f"data table {data_table.shape}")
     rho = sample_beta(float(n), n0, source, size=1)
     if n == 1:

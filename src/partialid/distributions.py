@@ -16,6 +16,7 @@ requirement on the unit interval; ``scipy.stats`` is not imported.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -85,6 +86,24 @@ def sample_normal(mu: float, sigma2: float, rng: RngStream, size=None):
         raise ParameterError(f"variance must be positive, got {sigma2}")
     z = special.ndtri(rng.uniform(size))
     return mu + np.sqrt(sigma2) * z
+
+
+@dataclass(frozen=True)
+class ScalarNormal:
+    """The N(mu, var) base measure of a Dirichlet process: called as
+    ``(rng, size)`` it draws ``size`` atoms by :func:`sample_normal`, and its
+    fields state the law, which lets a process draw the mean of its atoms as
+    one variate (:func:`~partialid.dirichlet.process_means`)."""
+
+    mu: float
+    var: float
+
+    def __post_init__(self):
+        if not self.var > 0:
+            raise ParameterError(f"variance must be positive, got {self.var}")
+
+    def __call__(self, rng: RngStream, size=None):
+        return sample_normal(self.mu, self.var, rng, size)
 
 
 def cholesky_factor(cov) -> np.ndarray:

@@ -57,8 +57,11 @@ class SetDrawBatch:
 
     def __init__(self, lo, hi, source: str, scenario_id: str, skipped: int = 0,
                  attempt_indices=None, gamma_uniforms=None, *, warn: bool = True):
-        lo = np.array(lo, dtype=float)
-        hi = np.array(hi, dtype=float)
+        try:
+            lo = np.array(lo, dtype=float)
+            hi = np.array(hi, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"lo and hi must be numbers: {exc}") from None
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ParameterError("lo and hi must be 1-d arrays of equal length")
         if not np.all(lo <= hi):

@@ -42,6 +42,7 @@ import numpy as np
 from .dirichlet import DirichletProcessSpec, process_means, process_uniforms
 from .distributions import (
     DirichletParams,
+    ScalarNormal,
     beta_cdf,
     cholesky_factor,
     psd_repair,
@@ -124,6 +125,8 @@ def make_config(scenario_id: str, n: int | None = None, grid=None) -> ScenarioCo
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
             raise ParameterError("grid must be strictly increasing with >= 2 points")
+        if not np.isfinite(grid).all():
+            raise ParameterError(f"grid points must be finite, got {grid[~np.isfinite(grid)][0]}")
     return ScenarioConfig(scenario_id, n, grid, scenario.true_set, scenario.hyper())
 
 
@@ -177,18 +180,14 @@ def generate_data(cfg: ScenarioConfig, rng: RngStream) -> Dataset:
 # --- identified-set functionals -------------------------------------------
 # A Dirichlet-process scenario's interval is a map of feature means of its
 # process draws (dirichlet.process_means): the ``*_features`` functions map
-# atoms (..., k) or (..., k, d) to features (..., q, k), and the ``*_rows``
-# functions map means (..., q), one draw per leading index, to (lo, hi,
-# accept); a draw failing a guard is not accepted.  They stay private:
+# atoms (..., k, d) to features (..., q, k), and the ``*_rows`` functions map
+# means (..., q), one draw per leading index, to (lo, hi, accept); a draw
+# failing a guard is not accepted.  They stay private:
 # SCENARIOS binds them in partials at import, and a pool pickles each by its
 # module-level name.
 
 def _interval(lo, hi, accept) -> IntervalSet | None:
     return IntervalSet(float(lo), float(hi)) if accept else None
-
-
-def _atom_features(a):  # the mean of the atoms, q = 1
-    return a[..., None, :]
 
 
 def _moment_features(a):  # y, z, yz, zz, yy of atoms (y, z)
@@ -260,21 +259,23 @@ def _generate_censored(n, rng):
 
 
 def _censored_draw(spec1, spec2, t1, t2, source):
-    lo = process_means(spec1, source, _atom_features, t1)[..., 0]
-    hi = process_means(spec2, source, _atom_features, t2)[..., 0]
+    lo = process_means(spec1, source, None, t1)[..., 0]
+    hi = process_means(spec2, source, None, t2)[..., 0]
     return lo, hi, ~(hi < lo)
 
 
 def _prepare_censored(cfg, mode, dataset):
-    """The two processes read disjoint uniforms of the attempt stream, in turn."""
+    """The two processes read disjoint uniforms of the attempt stream, in turn.
+    Each base is a :class:`~partialid.distributions.ScalarNormal`, so each
+    prior side's mean is one normal variate (:func:`process_means`)."""
     n0_1, n0_2 = cfg.hyper["n0"]
     mu1, mu2 = cfg.hyper["base_mean"]
     var1, var2 = cfg.hyper["base_var"]
-    spec1 = DirichletProcessSpec(n0_1, partial(sample_normal, mu1, var1))
-    spec2 = DirichletProcessSpec(n0_2, partial(sample_normal, mu2, var2))
+    spec1 = DirichletProcessSpec(n0_1, ScalarNormal(mu1, var1))
+    spec2 = DirichletProcessSpec(n0_2, ScalarNormal(mu2, var2))
     t1 = t2 = None
-    if mode == "posterior":  # the data tables, as _prepare_joint builds them
-        t1, t2 = (np.ascontiguousarray(_atom_features(dataset.column(c))) for c in ("y1", "y2"))
+    if mode == "posterior":  # the (1, n) data tables of the atoms themselves
+        t1, t2 = (np.ascontiguousarray(dataset.column(c)[None, :]) for c in ("y1", "y2"))
     n = 0 if t1 is None else t1.shape[1]
     m = process_uniforms(spec1, 1, n) + process_uniforms(spec2, 1, n)
     return PreparedDraw(m, partial(_censored_draw, spec1, spec2, t1, t2))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from scipy import special
+
 from partialid import (
     DirichletProcessSpec,
     ParameterError,
+    ScalarNormal,
     choose_truncation_level,
     process_means,
     sample_normal,
@@ -136,6 +139,34 @@ class TestProcessMeansPrior:
         assert means.shape == (2,)
         assert np.allclose(means, oracle, rtol=1e-12, atol=1e-12)
 
+    def test_no_features_makes_scalar_atoms_their_own(self):
+        spec = DirichletProcessSpec(10.0, normal_base(0.0, 1.0))
+        assert np.array_equal(process_means(spec, substream(2, 4)),
+                              process_means(spec, substream(2, 4), atom))
+        joint = DirichletProcessSpec(10.0, lambda rng, size: np.zeros((size, 2)))
+        with pytest.raises(ParameterError, match="need features"):
+            process_means(joint, substream(2, 4))
+
+    def test_scalar_normal_mean_is_one_variate(self):
+        # k sticks, then mu + sqrt(var sum(w^2)) / sum(w) times one standard normal
+        spec = DirichletProcessSpec(5.0, ScalarNormal(2.0, 0.25))
+        means = process_means(spec, substream(2, 5))
+        rng = substream(2, 5)
+        w, _ = stick_weights(5.0, default_level(5.0), rng)
+        z = special.ndtri(rng.uniform())
+        assert means.shape == (1,)
+        assert np.isclose(means[0], 2.0 + np.sqrt(0.25 * np.sum(w * w)) / w.sum() * z,
+                          rtol=1e-14, atol=0)
+
+    def test_scalar_normal_takes_no_features(self):
+        spec = DirichletProcessSpec(5.0, ScalarNormal(0.0, 1.0))
+        with pytest.raises(ParameterError, match="features=None"):
+            process_means(spec, substream(2, 6), atom)
+        assert np.array_equal(ScalarNormal(1.0, 4.0)(substream(2, 7), 5),
+                              sample_normal(1.0, 4.0, substream(2, 7), size=5))
+        with pytest.raises(ParameterError, match="variance"):
+            ScalarNormal(0.0, 0.0)
+
 
 class TestProcessMeansPosterior:
     def test_total_mass_is_one(self):
@@ -188,6 +219,15 @@ class TestProcessMeansPosterior:
         rows = UniformRows(np.random.default_rng(n).random((3, 400)))
         process_means(spec, rows, atom, np.ones((1, n)) if n else None)
         assert rows.at == process_uniforms(spec, 1, n) == 2 * default_level(10.0) + (
+            n > 0) + (n if n > 1 else 0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 30])
+    def test_scalar_normal_uniforms_taken(self, n):
+        # k sticks and one variate, then rho and n data weights
+        spec = DirichletProcessSpec(10.0, ScalarNormal(0.0, 1.0))
+        rows = UniformRows(np.random.default_rng(n).random((3, 400)))
+        process_means(spec, rows, None, np.ones((1, n)) if n else None)
+        assert rows.at == process_uniforms(spec, 1, n) == default_level(10.0) + 1 + (
             n > 0) + (n if n > 1 else 0)
 
     def test_one_data_point(self):

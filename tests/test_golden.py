@@ -9,8 +9,10 @@ pipeline in ``run_scenario``.  The ``gamma_hist.csv`` and ``summary.json``
 digests of the eight runs with a prior family were recorded again when the
 gammas became one step on the run's interval batch, and every digest of the
 six ``interval_censored`` runs when its two processes moved from two split
-streams to consecutive uniforms of the attempt stream (both deliberate
-numeric changes); every other digest is as first recorded.  A change that
+streams to consecutive uniforms of the attempt stream, and again when each
+process drew its prior-side mean as one normal variate from its exact law in
+place of K atoms (all deliberate numeric changes); every other digest is as
+first recorded.  A change that
 moves them on purpose must say so in CHANGES.md.
 """
 
@@ -29,8 +31,8 @@ GOLDEN = [
         'intervals.csv': '6a5705cd13bde2d3bf067d4f22f3c8fee772ac7b749d32116a70d2151068e9e1',
     }),
     (('interval_censored', None, 1), {
-        'coverage.csv': '5b0afdebe698c5cb9a86614174b1cc734668be6ee15f713e241d8b92079ce7ce',
-        'intervals.csv': 'b705c5af24af9ea842fa6f0c53d98c7f11537724e273ba33fdbf648e86839f6c',
+        'coverage.csv': '829a1dabe13b5237c710e876a6b2c8c2f8b59c998c6682d2ca5d9dd35fa80f4d',
+        'intervals.csv': '01cb1d0dfd3bd2e2c432a3bd43aaab6e129946489994c2188ee526eca8318a8e',
     }),
     (('errors_in_variables', None, 1), {
         'coverage.csv': '265106477f40630a6633b82a520a4dc7bab6311c6221fe86cd41c8feec564f75',
@@ -45,24 +47,24 @@ GOLDEN = [
         'intervals.csv': '90e49df43c4b8fabf4c5990f1fe28d8b1b5c4c2ffb7a2c4dfd735f1f23422af0',
     }),
     (('interval_censored', 'I', 1), {
-        'coverage.csv': '5b0afdebe698c5cb9a86614174b1cc734668be6ee15f713e241d8b92079ce7ce',
-        'gamma_hist.csv': 'f91ff235225cd62194b876e4444c9189479711c15d6fa30762e31ce379f37831',
-        'intervals.csv': 'b705c5af24af9ea842fa6f0c53d98c7f11537724e273ba33fdbf648e86839f6c',
+        'coverage.csv': '829a1dabe13b5237c710e876a6b2c8c2f8b59c998c6682d2ca5d9dd35fa80f4d',
+        'gamma_hist.csv': 'f30299584b013d7f4233ebd2458f4ec1b8bf88d20af30fcd7be0f6d3181d44fd',
+        'intervals.csv': '01cb1d0dfd3bd2e2c432a3bd43aaab6e129946489994c2188ee526eca8318a8e',
     }),
     (('interval_censored', 'II', 1), {
-        'coverage.csv': '5b0afdebe698c5cb9a86614174b1cc734668be6ee15f713e241d8b92079ce7ce',
-        'gamma_hist.csv': '675a9cb6e4599292051dba862fde4175fbeaf6b9e3239c4b7cf3744ba90af078',
-        'intervals.csv': 'b705c5af24af9ea842fa6f0c53d98c7f11537724e273ba33fdbf648e86839f6c',
+        'coverage.csv': '829a1dabe13b5237c710e876a6b2c8c2f8b59c998c6682d2ca5d9dd35fa80f4d',
+        'gamma_hist.csv': '58b674d7f2190bc0a363527895adf766ae37c21690f224ae6fdf5c7c049f4d6f',
+        'intervals.csv': '01cb1d0dfd3bd2e2c432a3bd43aaab6e129946489994c2188ee526eca8318a8e',
     }),
     (('interval_censored', 'III', 1), {
-        'coverage.csv': '5b0afdebe698c5cb9a86614174b1cc734668be6ee15f713e241d8b92079ce7ce',
-        'gamma_hist.csv': '697da4b78b7a5f6f05f7406178a5085824b8cd71566814bd4d90d65b45c4c8cd',
-        'intervals.csv': 'b705c5af24af9ea842fa6f0c53d98c7f11537724e273ba33fdbf648e86839f6c',
+        'coverage.csv': '829a1dabe13b5237c710e876a6b2c8c2f8b59c998c6682d2ca5d9dd35fa80f4d',
+        'gamma_hist.csv': 'b993d59dcc8d5378e90f8b2e51a151a90ca16c6e9363ba17e103f22399f06e44',
+        'intervals.csv': '01cb1d0dfd3bd2e2c432a3bd43aaab6e129946489994c2188ee526eca8318a8e',
     }),
     (('interval_censored', 'IV', 1), {
-        'coverage.csv': '5b0afdebe698c5cb9a86614174b1cc734668be6ee15f713e241d8b92079ce7ce',
-        'gamma_hist.csv': 'dca257a85c9ac195fb1a2e791f51df466526134008832459d59248c5d1f1d29b',
-        'intervals.csv': 'b705c5af24af9ea842fa6f0c53d98c7f11537724e273ba33fdbf648e86839f6c',
+        'coverage.csv': '829a1dabe13b5237c710e876a6b2c8c2f8b59c998c6682d2ca5d9dd35fa80f4d',
+        'gamma_hist.csv': 'ae07b88fb1039e254262cbea2a903d65783bd621099cd6cc2d440a1ac78103dd',
+        'intervals.csv': '01cb1d0dfd3bd2e2c432a3bd43aaab6e129946489994c2188ee526eca8318a8e',
     }),
     (('binary_missing', 'II', 1), {
         'coverage.csv': '8d5844c4cc2f29dd84459da42835a664f5bc0461ca746ab390c883230ea05bb8',
@@ -80,8 +82,8 @@ GOLDEN = [
         'intervals.csv': '90e49df43c4b8fabf4c5990f1fe28d8b1b5c4c2ffb7a2c4dfd735f1f23422af0',
     }),
     (('interval_censored', None, 2), {
-        'coverage.csv': '5b0afdebe698c5cb9a86614174b1cc734668be6ee15f713e241d8b92079ce7ce',
-        'intervals.csv': 'b705c5af24af9ea842fa6f0c53d98c7f11537724e273ba33fdbf648e86839f6c',
+        'coverage.csv': '829a1dabe13b5237c710e876a6b2c8c2f8b59c998c6682d2ca5d9dd35fa80f4d',
+        'intervals.csv': '01cb1d0dfd3bd2e2c432a3bd43aaab6e129946489994c2188ee526eca8318a8e',
     }),
     (('interval_regression', None, 2), {
         'coverage.csv': 'c52c9408f3a15125240236c27653e520894d0708c89fdb9b6508d42d4a77a873',
@@ -101,7 +103,7 @@ SUMMARY_GOLDEN = {
     ('toy_analytic', None, 1):
         '61b5f1455417b7ca9f3a45a1831011828f87feaa0b8a8ee2730fa280740f3570',
     ('interval_censored', None, 1):
-        '4d25b04acf0c5fe81d598dd72df96e4a1a903f7832beed902c9bfdc6d914cc1c',
+        '133dc76ce6d132af24528452acfa76342506ea4ac2ae3dca252b737f2f0f33f6',
     ('errors_in_variables', None, 1):
         'a1e02ed02d645aa117ac3be7acfe49663bbcc2703dff074076130b008b867d0a',
     ('interval_regression', None, 1):
@@ -109,13 +111,13 @@ SUMMARY_GOLDEN = {
     ('binary_missing', None, 1):
         '706ace7d1fc8df681b33a65c43b6afdb1b2fa7e43cb2e38f91bba77e5bd30908',
     ('interval_censored', 'I', 1):
-        'f8ca3b35d88d43d904198786812a8b3f80f00baeb1d9208bc1480ffe7f65d8ee',
+        '3340b30a5242141f31060bc66ae69802b38b6b9b4221830ef6b5ff9deaeca7cf',
     ('interval_censored', 'II', 1):
-        '5ebcd90c2a7800a4f381188e1bd41414d5596603c17598e1aa3538eab375c81d',
+        '84c82d4d6add3795e24f52505ae61347ac69cf8a11a2f954fbde2384c5be1e5d',
     ('interval_censored', 'III', 1):
-        'c76e1538e4e2a9cda33645d35b438e1a8ca05b9c766528b6c99201814d47c6e3',
+        '2ea464850c4e4de00c589f51a9360f5d68fde19cec38a9db957f1bd633070bd5',
     ('interval_censored', 'IV', 1):
-        '6df9643493bbbb3d3b90f4886d732b2ff6db78fbc484746891952b9dc346d5f2',
+        '551880f1f9f85715fc5f9dcea304c29924b025dcc7271db2015b9c1c6038e386',
     ('binary_missing', 'II', 1):
         '00f6c9c7f6581e920cbae498cb7c890d6542add24314a11cfa7d36b0b91a701e',
     ('binary_missing', 'III', 1):
@@ -123,7 +125,7 @@ SUMMARY_GOLDEN = {
     ('binary_missing', 'IV', 1):
         '643a626a8eb4a05dd013d06fcc66e687e7ee7fd8f98c8f1a4f88a8b5952f3231',
     ('interval_censored', None, 2):
-        '5c2a0d39bf59ad1f6a0c4c87ed10d2c824dbf36cbfb3f9d5de8cb7c70557aac6',
+        '5f6f85acdf967323a35d41ed2f4b6ceed82104324e68c6ef528c521338246639',
     ('interval_regression', None, 2):
         '8c7f224bb6e16d3796cdbf74698a45ee20659ad1da1d4828f314233668feb6af',
     ('errors_in_variables', 'II', 2):

@@ -2,15 +2,19 @@
 
 ``process_means`` never builds a process draw.  The concatenated computation
 it replaced, one row of normalized weights over the k prior atoms followed by
-the n data points, survives here only, as the oracle the three
-Dirichlet-process scenarios are checked against.  The moment tests check the
-draws against exact moments of the Dirichlet process (Ferguson, 1973).
+the n data points, survives here only, as the oracle the Dirichlet-process
+scenarios are checked against: the two regression scenarios bit for bit, and
+interval_censored, whose prior side is one normal variate in place of k atoms,
+in law given the same sticks.  The moment tests check the draws against exact
+moments of the Dirichlet process (Ferguson, 1973).
 """
 
+import dataclasses
 from functools import partial
 
 import numpy as np
 import pytest
+from scipy import special
 
 from partialid import DirichletProcessSpec, generate_data, make_config, prepare_draw, process_means
 from partialid import scenarios
@@ -27,7 +31,6 @@ from partialid.distributions import (
     sample_beta,
     sample_dirichlet,
     sample_mvnormal,
-    sample_normal,
 )
 from partialid.rng import SeedBlock, UniformRows
 from partialid.scenarios import ROLE_DATA, attempt_stream
@@ -64,11 +67,6 @@ def row_covariance(weights, atoms, i, j):
     return row_means(weights, xi * xj) - row_means(weights, xi) * row_means(weights, xj)
 
 
-def censoring_rows(w1, a1, w2, a2):
-    lo, hi = row_means(w1, a1), row_means(w2, a2)
-    return lo, hi, ~(hi < lo)
-
-
 def reverse_regression_rows(w, a):
     syz = row_covariance(w, a, 0, 1)
     szz = row_covariance(w, a, 1, 1)
@@ -89,17 +87,8 @@ def instrument_ratio_rows(w, a):
 
 
 def oracle_draw(cfg, mode, dataset, source):
-    """``(lo, hi, accept)`` of the scenario from the concatenated draws, each
-    read from ``source`` in turn."""
+    """``(lo, hi, accept)`` of a regression scenario from the concatenated draw."""
     hyper = cfg.hyper
-    if cfg.scenario_id == "interval_censored":
-        draws = []
-        for i, column in enumerate(("y1", "y2")):
-            spec = DirichletProcessSpec(hyper["n0"][i], partial(
-                sample_normal, hyper["base_mean"][i], hyper["base_var"][i]))
-            data = None if mode == "prior" else dataset.column(column)
-            draws.extend(concatenated_draw(spec, source, data))
-        return censoring_rows(*draws)
     mean, cov = hyper["base_mean"], hyper["base_cov"]
     spec = DirichletProcessSpec(hyper["n0"], partial(sample_mvnormal, mean, cov,
                                                      chol=cholesky_factor(cov)))
@@ -123,17 +112,17 @@ def process_calls(prepared):
     if prepared.draw.func is scenarios._censored_draw:
         spec1, spec2, t1, t2 = args
         n = 0 if t1 is None else t1.shape[1]
-        return [(0, spec1, scenarios._atom_features, t1),
-                (process_uniforms(spec1, 1, n), spec2, scenarios._atom_features, t2)]
+        return [(0, spec1, None, t1), (process_uniforms(spec1, 1, n), spec2, None, t2)]
     features, _, spec, table = args
     return [(0, spec, features, table)]
 
 
 CASES = [(sid, "prior", 30) for sid in DP_SCENARIOS] + [
     (sid, "posterior", n) for sid in DP_SCENARIOS for n in (1, 30, 1000)]
+REGRESSION_CASES = [case for case in CASES if case[0] != "interval_censored"]
 
 
-@pytest.mark.parametrize("sid, mode, n", CASES)
+@pytest.mark.parametrize("sid, mode, n", REGRESSION_CASES)
 def test_matches_concatenated_draws(sid, mode, n):
     cfg = make_config(sid, n=n)
     dataset = generate_data(cfg, attempt_stream(11, ROLE_DATA, 0))
@@ -161,6 +150,61 @@ def test_row_means_do_not_depend_on_the_chunk(sid, mode, n):
             parts = [process_means(spec, UniformRows(u[i:i + size, offset:]), features, table)
                      for i in range(0, 150, size)]
             assert np.array_equal(np.concatenate(parts), whole)
+
+
+# --- interval_censored's prior side in law ----------------------------------------
+# Given the stick weights w, the mean of k i.i.d. N(mu, var) atoms under w / sum(w)
+# is N(mu, var sum(w^2) / sum(w)^2).  The oracle draws the k atoms; standardised
+# by that spread, its prior-side mean must be N(0, 1), checked by the KS
+# distance within the Dvoretzky-Kiefer-Wolfowitz bound with Massart's (1990)
+# constant at failure probability LAW_ALPHA.  process_means reads the same
+# sticks, then one uniform z in place of the atoms, then the same rho and data
+# weights, so it differs from the oracle only by the standardised variate.  The
+# variances (not 1, so sd and variance differ), LAW_ALPHA, the draws and the
+# seeds were fixed before any result was seen; a failure is a defect.
+
+LAW_DRAWS = 4000
+LAW_ALPHA = 1e-6
+LAW_SEED = 13
+
+
+@pytest.mark.parametrize("mode", ["prior", "posterior"])
+def test_censored_prior_side_follows_its_exact_law(mode):
+    cfg = make_config("interval_censored", n=30)
+    cfg = dataclasses.replace(cfg, hyper={**cfg.hyper, "base_var": (0.25, 4.0)})
+    dataset = generate_data(cfg, attempt_stream(LAW_SEED, ROLE_DATA, 0))
+    prepared = prepare_draw(cfg, mode, dataset)
+    u = block_uniforms(prepared, LAW_SEED, range(LAW_DRAWS))
+    fresh = SeedBlock(LAW_SEED + 1, range(LAW_DRAWS))
+    bound = np.sqrt(np.log(2 / LAW_ALPHA) / (2 * LAW_DRAWS))
+    for (offset, spec, _, table), column in zip(process_calls(prepared), ("y1", "y2")):
+        base = spec.base_sampler
+        k = choose_truncation_level(spec.concentration, TRUNCATION_EPS, TRUNCATION_DELTA)
+        rows = u[:, offset:]  # k sticks, the one variate, then rho and the data weights
+        oracle_rows = np.concatenate(
+            (rows[:, :k], fresh.uniforms(k, range(LAW_DRAWS)), rows[:, k + 1:]), axis=1)
+        data = None if table is None else dataset.column(column)
+        weights, atoms = concatenated_draw(spec, UniformRows(oracle_rows), data)
+        w = weights[:, :k]
+        spread = np.sqrt(base.var * np.sum(w * w, axis=1)) / w.sum(axis=1)
+        t = (row_means(w, atoms[:, :k]) / w.sum(axis=1) - base.mu) / spread
+        cdf = special.ndtr(np.sort(t))
+        steps = np.arange(1, LAW_DRAWS + 1) / LAW_DRAWS
+        ks = max(np.max(steps - cdf), np.max(cdf - (steps - 1 / LAW_DRAWS)))
+        assert ks <= bound, (mode, column, ks, bound)
+        z = special.ndtri(rows[:, k])
+        means = process_means(spec, UniformRows(rows), None, table)[:, 0]
+        expected = row_means(weights, atoms) + w.sum(axis=1) * spread * (z - t)
+        assert np.all(np.abs(means - expected) <= 1e-12 * (1 + np.abs(expected)))
+
+
+@pytest.mark.parametrize("mode, uniforms", [("prior", 259), ("posterior", 2261)])
+def test_censored_attempt_uniforms(mode, uniforms):
+    # k sticks and one variate per process (k = 90 and 167), then rho and the
+    # n = 1000 data weights of each in the posterior
+    cfg = make_config("interval_censored")
+    dataset = generate_data(cfg, attempt_stream(1, ROLE_DATA, 0))
+    assert prepare_draw(cfg, mode, dataset).uniforms == uniforms
 
 
 # --- Ferguson's moments --------------------------------------------------------

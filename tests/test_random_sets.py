@@ -79,6 +79,11 @@ class TestSetDrawBatch:
         with pytest.raises(ParameterError):
             SetDrawBatch(lo, hi, "prior", "synthetic")
 
+    @pytest.mark.parametrize("lo, hi", [(["a"], ["b"]), ([0.0], [[1.0], [1.0, 2.0]])])
+    def test_endpoints_that_are_not_numbers_rejected(self, lo, hi):
+        with pytest.raises(ParameterError, match="must be numbers"):
+            SetDrawBatch(lo, hi, "prior", "toy_analytic")
+
     def test_high_skip_rate_warns(self):
         with pytest.warns(UserWarning):
             SetDrawBatch(np.zeros(50), np.ones(50), "prior", "synthetic", skipped=10)

@@ -28,7 +28,7 @@ from partialid import (
 from partialid import DirichletProcessSpec, process_means, scenarios
 from partialid.cli import RunConfig, run_scenario
 from partialid.dirichlet import process_uniforms
-from partialid.distributions import sample_normal
+from partialid.distributions import ScalarNormal
 from partialid.priors import ConditionalPriorSpec, marginal_sample
 from partialid.rng import UniformRows
 from partialid.scenarios import (
@@ -98,6 +98,16 @@ class TestMakeConfig:
     def test_bad_grid_rejected(self, grid):
         with pytest.raises(ParameterError, match="strictly increasing"):
             make_config("binary_missing", grid=grid)
+
+    @pytest.mark.parametrize("grid", [[0.0, np.inf], [-np.inf, 1.0]])
+    def test_infinite_grid_point_rejected(self, grid, tmp_path):
+        # increasing, but an infinite row has no place in coverage.csv or summary.json
+        with pytest.raises(ParameterError, match="finite"):
+            make_config("toy_analytic", grid=grid)
+        with pytest.raises(ParameterError, match="finite"):
+            run_scenario(RunConfig(scenario="toy_analytic", n=None, n_draws=50, seed=1,
+                                   grid=np.array(grid), out_dir=str(tmp_path)))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGenerateData:
@@ -503,14 +513,14 @@ class TestBlockEquivalence:
         calls, n = [], 30 if mode == "posterior" else 0
         for i, column in enumerate(("y1", "y2")):
             n0, mu, var = (cfg.hyper[name][i] for name in ("n0", "base_mean", "base_var"))
-            spec = DirichletProcessSpec(n0, partial(sample_normal, mu, var))
+            spec = DirichletProcessSpec(n0, ScalarNormal(mu, var))
             table = np.ascontiguousarray(data.column(column)[None]) if n else None
             calls.append((spec, table, process_uniforms(spec, 1, n)))
         (spec1, t1, m1), (spec2, t2, m2) = calls
         for r, j in enumerate(batch.attempt_indices):
             u = attempt_stream(6, role, j).uniform(m1 + m2 + 1)[None]
-            lo = process_means(spec1, UniformRows(u[:, :m1]), scenarios._atom_features, t1)
-            hi = process_means(spec2, UniformRows(u[:, m1:m1 + m2]), scenarios._atom_features, t2)
+            lo = process_means(spec1, UniformRows(u[:, :m1]), None, t1)
+            hi = process_means(spec2, UniformRows(u[:, m1:m1 + m2]), None, t2)
             assert (batch.lo[r], batch.hi[r]) == (lo[0, 0], hi[0, 0])
             assert batch.gamma_uniforms[r] == u[0, -1]
 
@@ -582,16 +592,17 @@ class TestPreparedDraws:
         draw_set_batch(cfg, "posterior", 300, master_seed=4, dataset=data)
         assert built == [3]
         # the data weights are Exp(1) variates, with no parameters; each data
-        # table (a 1-d column's features) is built once per batch, not per chunk
-        is_column = []
-        atom_features = scenarios._atom_features
-        monkeypatch.setattr(scenarios, "_atom_features",
-                            lambda a: is_column.append(a.ndim == 1) or atom_features(a))
+        # table (a column as one row) is built once per batch, not per chunk
+        tables = []
+        means = scenarios.process_means
+        monkeypatch.setattr(scenarios, "process_means",
+                            lambda spec, source, features, table:
+                            tables.append(table) or means(spec, source, features, table))
         cfg = make_config("interval_censored", n=50)
         data = generate_data(cfg, attempt_stream(4, ROLE_DATA, 0))
         draw_set_batch(cfg, "posterior", 300, master_seed=4, dataset=data)
         assert built == [3]
-        assert is_column.count(True) == 2 and is_column.count(False) > 2
+        assert len(tables) > 2 and len({id(t) for t in tables}) == 2
 
     def test_prepare_raises_draw_set_errors(self):
         with pytest.raises(ParameterError, match="mode"):

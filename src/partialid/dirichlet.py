@@ -108,16 +108,6 @@ def stick_weights(n0: float, k: int, rng: RngStream) -> tuple[np.ndarray, float]
     return weights, remaining[..., -1]
 
 
-def process_uniforms(spec: DirichletProcessSpec, atom_size: int, n: int = 0) -> int:
-    """The uniforms one :func:`process_means` takes, for atoms of ``atom_size``
-    uniforms and a posterior on n points (0: the prior): k sticks, then k atoms
-    or, for a :class:`~partialid.distributions.ScalarNormal` base, the one
-    variate of their mean, then rho and n data weights (none for n = 1)."""
-    k = choose_truncation_level(spec.concentration, TRUNCATION_EPS, TRUNCATION_DELTA)
-    prior = k + 1 if isinstance(spec.base_sampler, ScalarNormal) else k * (1 + atom_size)
-    return prior + (n > 0) + (n if n > 1 else 0)
-
-
 def process_means(spec: DirichletProcessSpec, source, features=None, data_table=None):
     """Means of q features under truncated draws, one draw per row, shaped
     ``(..., q)``: the prior, or given the ``(q, n)`` data table, ``features``

@@ -36,6 +36,14 @@ class IntervalSet:
             raise ParameterError(f"inverted interval [{self.lo}, {self.hi}]")
 
 
+def _numbers(name: str, values, dtype=float) -> np.ndarray:
+    """A new ``dtype`` array of ``values``; :class:`ParameterError` if they are not numbers."""
+    try:
+        return np.array(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{name} must be numbers: {exc}") from None
+
+
 class SetDrawBatch:
     """A batch of interval draws from one source, with skip accounting.
 
@@ -57,11 +65,7 @@ class SetDrawBatch:
 
     def __init__(self, lo, hi, source: str, scenario_id: str, skipped: int = 0,
                  attempt_indices=None, gamma_uniforms=None, *, warn: bool = True):
-        try:
-            lo = np.array(lo, dtype=float)
-            hi = np.array(hi, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"lo and hi must be numbers: {exc}") from None
+        lo, hi = _numbers("lo and hi", lo), _numbers("lo and hi", hi)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ParameterError("lo and hi must be 1-d arrays of equal length")
         if not np.all(lo <= hi):
@@ -76,12 +80,12 @@ class SetDrawBatch:
         self.scenario_id = scenario_id
         self.skipped = int(skipped)
         if attempt_indices is not None:
-            attempt_indices = np.array(attempt_indices, dtype=int)
+            attempt_indices = _numbers("attempt_indices", attempt_indices, int)
             if attempt_indices.shape != lo.shape:
                 raise ParameterError("attempt_indices must align with the draws")
         self.attempt_indices = attempt_indices
         if gamma_uniforms is not None:
-            gamma_uniforms = np.array(gamma_uniforms, dtype=float)
+            gamma_uniforms = _numbers("gamma_uniforms", gamma_uniforms)
             if gamma_uniforms.shape != lo.shape or not np.all(
                     (0 <= gamma_uniforms) & (gamma_uniforms < 1)):
                 raise ParameterError("gamma_uniforms must be aligned uniforms in [0, 1)")

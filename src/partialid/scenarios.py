@@ -20,10 +20,10 @@ posterior to one realization of the random identified interval:
 Draws violating a scenario guard (inverted bounds, nonpositive denominators)
 are reported as skips, never reordered or hidden.
 
-Attempts run in blocks.  A scenario's prepared draw declares how many
-uniforms an attempt takes from its stream and maps an array of them, one
-attempt per row, to interval endpoints and an accept mask; one draw from one
-stream (:func:`draw_set`) is a block of one.
+Attempts run in blocks.  A scenario's prepared draw maps a source of
+uniforms, one attempt per row, to interval endpoints and an accept mask; one
+draw from one stream (:func:`draw_set`) is a block of one.
+:func:`run_attempts` counts the uniforms an attempt reads on one row.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dirichlet import DirichletProcessSpec, process_means, process_uniforms
+from .dirichlet import DirichletProcessSpec, process_means
 from .distributions import (
     DirichletParams,
     ScalarNormal,
@@ -104,8 +104,11 @@ class ScenarioConfig:
     scenario_id: str
     n: int
     grid: np.ndarray
-    true_set: IntervalSet | None
     hyper: dict
+
+    @property
+    def true_set(self) -> IntervalSet | None:
+        return SCENARIOS[self.scenario_id].true_set
 
 
 def make_config(scenario_id: str, n: int | None = None, grid=None) -> ScenarioConfig:
@@ -127,7 +130,7 @@ def make_config(scenario_id: str, n: int | None = None, grid=None) -> ScenarioCo
             raise ParameterError("grid must be strictly increasing with >= 2 points")
         if not np.isfinite(grid).all():
             raise ParameterError(f"grid points must be finite, got {grid[~np.isfinite(grid)][0]}")
-    return ScenarioConfig(scenario_id, n, grid, scenario.true_set, scenario.hyper())
+    return ScenarioConfig(scenario_id, n, grid, scenario.hyper())
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,26 +225,12 @@ def _instrument_ratio_rows(m):
 
 # --- per-scenario data, hyperparameters and prepared draws -----------------
 # A scenario's prepare(cfg, mode, dataset) runs once per batch, after
-# prepare_draw has checked the mode and the dataset.  Its draw is a
-# functools.partial of a module-level function, so that it pickles.
-
-class PreparedDraw(NamedTuple):
-    """A scenario's interval draw for one batch: the uniforms an attempt reads
-    from its stream, and the draw.
-
-    ``draw`` maps one source, a stream or a :class:`~partialid.rng.UniformRows`,
-    to ``(lo, hi, accept)``, reading ``uniforms`` uniforms of each row in order.
-    Unaccepted rows are skips, accepted ones without ``lo <= hi`` errors; it
-    never raises for one row.
-    """
-
-    uniforms: int
-    draw: Callable
-
-    def __call__(self, rng: RngStream) -> IntervalSet | None:
-        """One interval from ``rng``, or None for a skip: a block of one."""
-        return _interval(*self.draw(rng))
-
+# prepare_draw has checked the mode and the dataset, and returns its draw: a
+# map of one source, a stream or a UniformRows, to (lo, hi, accept), reading
+# each row's uniforms in order, as many whatever their values.  Unaccepted
+# rows are skips, accepted ones without lo <= hi errors; it never raises for
+# one row.  A draw is a module-level function or a functools.partial of one,
+# so that it pickles.
 
 def _toy_draw(source):
     x = source.uniform(2)
@@ -249,7 +238,7 @@ def _toy_draw(source):
 
 
 def _prepare_toy(cfg, mode, dataset):
-    return PreparedDraw(2, _toy_draw)
+    return _toy_draw
 
 
 def _generate_censored(n, rng):
@@ -276,9 +265,7 @@ def _prepare_censored(cfg, mode, dataset):
     t1 = t2 = None
     if mode == "posterior":  # the (1, n) data tables of the atoms themselves
         t1, t2 = (np.ascontiguousarray(dataset.column(c)[None, :]) for c in ("y1", "y2"))
-    n = 0 if t1 is None else t1.shape[1]
-    m = process_uniforms(spec1, 1, n) + process_uniforms(spec2, 1, n)
-    return PreparedDraw(m, partial(_censored_draw, spec1, spec2, t1, t2))
+    return partial(_censored_draw, spec1, spec2, t1, t2)
 
 
 def _joint_draw(features, bounds_rows, spec, table, source):
@@ -292,8 +279,7 @@ def _prepare_joint(features, bounds_rows, cfg, mode, dataset):
     base = partial(sample_mvnormal, mean, cov, chol=cholesky_factor(cov))
     spec = DirichletProcessSpec(cfg.hyper["n0"], base)
     table = None if mode == "prior" else np.ascontiguousarray(features(dataset.values))
-    m = process_uniforms(spec, len(mean), 0 if table is None else table.shape[1])
-    return PreparedDraw(m, partial(_joint_draw, features, bounds_rows, spec, table))
+    return partial(_joint_draw, features, bounds_rows, spec, table)
 
 
 def _generate_errors_in_variables(n, rng):
@@ -370,7 +356,7 @@ def _prepare_binary(cfg, mode, dataset):
     alpha = cfg.hyper["alpha"]
     if mode == "posterior":
         alpha = binary_posterior_params(alpha, count_binary(dataset))
-    return PreparedDraw(3, partial(_binary_draw, DirichletParams(alpha)))
+    return partial(_binary_draw, DirichletParams(alpha))
 
 
 # --- the scenario table --------------------------------------------------------
@@ -385,7 +371,7 @@ class Scenario:
     shapes: tuple[float, float] | None  # family-IV (p, q); None: no prior wiring
     hyper: Callable[[], dict]  # builds a fresh ScenarioConfig.hyper
     generate: Callable[[int, RngStream], np.ndarray] | None  # (n, rng) -> (n, k) values
-    prepare: Callable[..., PreparedDraw]  # (cfg, mode, dataset), once per batch
+    prepare: Callable[..., Callable]  # (cfg, mode, dataset) -> draw, once per batch
 
 
 SCENARIOS = MappingProxyType({
@@ -437,15 +423,17 @@ def prepare_draw(
     cfg: ScenarioConfig,
     mode: str,
     dataset: Dataset | None = None,
-) -> PreparedDraw:
-    """Check a batch's mode and dataset once; return its :class:`PreparedDraw`.
+) -> Callable:
+    """Check a batch's mode and dataset once; return its picklable draw.
 
-    It declares the uniforms an attempt takes from its stream, and maps them,
-    one attempt per row, to intervals and an accept mask (a failed scenario
-    guard is a skip); called with a stream, it makes one interval.
-    Whatever does not depend on the uniforms (process specs, data columns,
-    conjugate parameters, covariance factors) is computed here, once.
-    Posterior mode requires a dataset from :func:`generate_data`.
+    The draw maps one source, a stream or a
+    :class:`~partialid.rng.UniformRows`, to ``(lo, hi, accept)``, one attempt
+    per row (a failed scenario guard is a skip, not accepted).  It reads the
+    same number of uniforms from every row, whatever they are, which
+    :func:`run_attempts` counts.  Whatever does not depend on the uniforms
+    (process specs, data columns, conjugate parameters, covariance factors) is
+    computed here, once.  Posterior mode requires a dataset from
+    :func:`generate_data`.
     """
     if mode not in ("prior", "posterior"):
         raise ParameterError(f"mode must be 'prior' or 'posterior', got {mode!r}")
@@ -471,10 +459,10 @@ def draw_set(
 ) -> IntervalSet | None:
     """One realization of the scenario's random identified interval.
 
-    Same as ``prepare_draw(cfg, mode, dataset)(rng)``: a block of one, read
-    from ``rng``.  Batches prepare once.
+    ``prepare_draw(cfg, mode, dataset)(rng)`` as an interval, or None for a
+    skip: a block of one, read from ``rng``.  Batches prepare once.
     """
-    return prepare_draw(cfg, mode, dataset)(rng)
+    return _interval(*prepare_draw(cfg, mode, dataset)(rng))
 
 
 # --- batch assembly ----------------------------------------------------------
@@ -484,24 +472,18 @@ def draw_set(
 CHUNK_UNIFORMS = 2**15
 
 
-def _rows_cap(prepared: PreparedDraw) -> int:
-    """Rows of a chunk: at most :data:`CHUNK_UNIFORMS` uniforms, the gamma
-    uniform included."""
-    return max(1, CHUNK_UNIFORMS // (1 + prepared.uniforms))
-
-
-def _task(prepared: PreparedDraw, master_seed: int, streams: range):
+def _task(draw: Callable, m: int, master_seed: int, streams: range):
     """``(lo, hi, accept, gamma_uniforms)`` of the attempt streams ``streams``,
-    one row each: one share of a block.  It seeds its own streams in one
-    :class:`~partialid.rng.SeedBlock` and runs them in chunks of
-    :func:`_rows_cap` rows, each row the interval's uniforms and the gamma
-    uniform last."""
+    one row each: one share of a block, whose attempts read ``m`` uniforms
+    each.  It seeds its own streams in one :class:`~partialid.rng.SeedBlock`
+    and runs them in chunks of at most :data:`CHUNK_UNIFORMS` uniforms, each
+    row the interval's ``m`` uniforms and the gamma uniform last."""
     seeds = SeedBlock(master_seed, streams)
-    step, parts = _rows_cap(prepared), []
+    step, parts = max(1, CHUNK_UNIFORMS // (m + 1)), []
     for i in range(0, len(streams), step):
-        u = seeds.uniforms(prepared.uniforms + 1, streams[i:i + step])
+        u = seeds.uniforms(m + 1, streams[i:i + step])
         # a copy, so a chunk's array is freed before the outputs are joined
-        parts.append((*prepared.draw(UniformRows(u)), u[:, -1].copy()))
+        parts.append((*draw(UniformRows(u)), u[:, -1].copy()))
     return tuple(np.concatenate(out) for out in zip(*parts))
 
 
@@ -543,19 +525,23 @@ def attempt_pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers - 1) if workers > 1 else nullcontext()
 
 
-def run_attempts(prepared: PreparedDraw, n_draws: int, master_seed: int, role: int,
+def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
                  workers: int, label: str, pool=None):
-    """Run attempts 0, 1, 2, ... in index order until ``n_draws`` are accepted.
+    """Run attempts of ``draw`` (:func:`prepare_draw`) 0, 1, 2, ... in index
+    order until ``n_draws`` are accepted.
 
     Attempt j uses the stream keyed by (master_seed, role, j), whatever the
-    worker count.  The first block holds ``n_draws`` attempts, each top-up
-    block as many as the acceptance rate so far asks.
+    worker count.  The uniforms m an attempt reads are counted once, here, by
+    one draw from a row of 0.5s: every variate is one uniform by inverse CDF,
+    with no rejection, so a row reads m whatever its uniforms.
+    The first block holds ``n_draws`` attempts, each top-up block as many as
+    the acceptance rate so far asks.
     A block is shares of ``ceil(len(block) / workers)`` attempts, one share at
-    ``workers`` 1.  A share (:func:`_task`) carries only its attempt range,
-    seeds its own streams and runs them in chunks: attempt j's uniforms are
-    row j of the chunk's array (at most :data:`CHUNK_UNIFORMS`), the gamma
-    uniform last.  The caller computes the first share of every block while
-    ``pool`` (:func:`attempt_pool`) runs the others; without one,
+    ``workers`` 1.  A share (:func:`_task`) carries only the draw, m and its
+    attempt range, seeds its own streams and runs them in chunks: attempt j's
+    m uniforms are row j of the chunk's array (at most :data:`CHUNK_UNIFORMS`),
+    the gamma uniform last.  The caller computes the first share of every
+    block while ``pool`` (:func:`attempt_pool`) runs the others; without one,
     ``workers > 1`` starts a pool for this call.  Shares are consumed in
     attempt order, and those not started when the block's acceptances are in
     are cancelled.  Attempts past the ``n_draws``-th acceptance are never
@@ -569,7 +555,10 @@ def run_attempts(prepared: PreparedDraw, n_draws: int, master_seed: int, role: i
     workers = min(workers, max_workers())
     if pool is None and workers > 1:
         with attempt_pool(workers) as pool:
-            return run_attempts(prepared, n_draws, master_seed, role, workers, label, pool)
+            return run_attempts(draw, n_draws, master_seed, role, workers, label, pool)
+    probe = UniformRows(np.broadcast_to(0.5, (1, 2**40)))  # read-only: allocates nothing
+    draw(probe)
+    m = probe.at
     taken = []  # (indices, lo, hi, gamma uniforms) of each share's acceptances
     need, skipped, next_index = n_draws, 0, 0
     attempt_cap = min(50 * n_draws + 1000, 2**_ROLE_SHIFT)
@@ -586,8 +575,8 @@ def run_attempts(prepared: PreparedDraw, n_draws: int, master_seed: int, role: i
         step = -(-len(streams) // workers)
         shares = [streams[i:i + step] for i in range(0, len(streams), step)]
         # the pool runs the later shares while this process computes the first
-        futures = [pool.submit(_task, prepared, master_seed, share) for share in shares[1:]]
-        outcomes = [partial(_task, prepared, master_seed, shares[0]),
+        futures = [pool.submit(_task, draw, m, master_seed, share) for share in shares[1:]]
+        outcomes = [partial(_task, draw, m, master_seed, shares[0]),
                     *(future.result for future in futures)]
         try:
             for share, outcome in zip(shares, outcomes):

@@ -13,7 +13,7 @@ from partialid import (
     stick_weights,
     substream,
 )
-from partialid.dirichlet import TRUNCATION_DELTA, TRUNCATION_EPS, process_uniforms
+from partialid.dirichlet import TRUNCATION_DELTA, TRUNCATION_EPS
 from partialid.rng import UniformRows
 
 
@@ -218,8 +218,7 @@ class TestProcessMeansPosterior:
         spec = DirichletProcessSpec(10.0, normal_base(0.0, 1.0))
         rows = UniformRows(np.random.default_rng(n).random((3, 400)))
         process_means(spec, rows, atom, np.ones((1, n)) if n else None)
-        assert rows.at == process_uniforms(spec, 1, n) == 2 * default_level(10.0) + (
-            n > 0) + (n if n > 1 else 0)
+        assert rows.at == 2 * default_level(10.0) + (n > 0) + (n if n > 1 else 0)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 30])
     def test_scalar_normal_uniforms_taken(self, n):
@@ -227,13 +226,12 @@ class TestProcessMeansPosterior:
         spec = DirichletProcessSpec(10.0, ScalarNormal(0.0, 1.0))
         rows = UniformRows(np.random.default_rng(n).random((3, 400)))
         process_means(spec, rows, None, np.ones((1, n)) if n else None)
-        assert rows.at == process_uniforms(spec, 1, n) == default_level(10.0) + 1 + (
-            n > 0) + (n if n > 1 else 0)
+        assert rows.at == default_level(10.0) + 1 + (n > 0) + (n if n > 1 else 0)
 
     def test_one_data_point(self):
         # rho on the point, 1 - rho on the prior mean
         spec = DirichletProcessSpec(10.0, normal_base(0.0, 1.0))
-        u = np.random.default_rng(1).random((2, process_uniforms(spec, 1, 1)))
+        u = np.random.default_rng(1).random((2, 2 * default_level(10.0) + 1))
         prior_means = process_means(spec, UniformRows(u), atom)
         means = process_means(spec, UniformRows(u), atom, np.array([[3.0]]))
         rho = -np.expm1(np.log1p(-u[:, -1:]) / 10.0)  # Beta(1, n0) by inverse CDF

@@ -22,7 +22,6 @@ from partialid.dirichlet import (
     TRUNCATION_DELTA,
     TRUNCATION_EPS,
     choose_truncation_level,
-    process_uniforms,
     stick_weights,
 )
 from partialid.distributions import (
@@ -99,21 +98,34 @@ def oracle_draw(cfg, mode, dataset, source):
 
 # --- blocks of attempt rows ------------------------------------------------------
 
-def block_uniforms(prepared, master_seed, rows):
+def attempt_uniforms(draw):
+    """The uniforms an attempt of ``draw`` reads, counted on a row of 0.5s."""
+    probe = UniformRows(np.broadcast_to(0.5, (1, 2**40)))
+    draw(probe)
+    return probe.at
+
+
+def chunk_rows(draw):
+    """The rows of a chunk of ``draw``'s attempts, each with its gamma uniform."""
+    return max(1, scenarios.CHUNK_UNIFORMS // (1 + attempt_uniforms(draw)))
+
+
+def block_uniforms(draw, master_seed, rows):
     """The uniforms of the attempt rows ``rows``, one seed block, as a chunk
     takes them less the gamma uniform."""
-    return SeedBlock(master_seed, rows).uniforms(prepared.uniforms, rows)
+    return SeedBlock(master_seed, rows).uniforms(attempt_uniforms(draw), rows)
 
 
-def process_calls(prepared):
+def process_calls(draw):
     """``(offset, spec, features, table)`` of each process_means call of a
     prepared draw, ``offset`` the column of an attempt row it starts at."""
-    args = prepared.draw.args
-    if prepared.draw.func is scenarios._censored_draw:
-        spec1, spec2, t1, t2 = args
+    if draw.func is scenarios._censored_draw:
+        spec1, spec2, t1, t2 = draw.args
         n = 0 if t1 is None else t1.shape[1]
-        return [(0, spec1, None, t1), (process_uniforms(spec1, 1, n), spec2, None, t2)]
-    features, _, spec, table = args
+        # k sticks and the one variate of the atoms' mean, then rho and n data weights
+        k = choose_truncation_level(spec1.concentration, TRUNCATION_EPS, TRUNCATION_DELTA)
+        return [(0, spec1, None, t1), (k + 1 + (n > 0) + (n if n > 1 else 0), spec2, None, t2)]
+    features, _, spec, table = draw.args
     return [(0, spec, features, table)]
 
 
@@ -126,9 +138,9 @@ REGRESSION_CASES = [case for case in CASES if case[0] != "interval_censored"]
 def test_matches_concatenated_draws(sid, mode, n):
     cfg = make_config(sid, n=n)
     dataset = generate_data(cfg, attempt_stream(11, ROLE_DATA, 0))
-    prepared = prepare_draw(cfg, mode, dataset)
-    u = block_uniforms(prepared, 11, range(200))
-    lo, hi, accept = prepared.draw(UniformRows(u))
+    draw = prepare_draw(cfg, mode, dataset)
+    u = block_uniforms(draw, 11, range(200))
+    lo, hi, accept = draw(UniformRows(u))
     old_lo, old_hi, old_accept = oracle_draw(cfg, mode, dataset, UniformRows(u))
     assert np.array_equal(accept, old_accept)
     for new, old in ((lo, old_lo), (hi, old_hi)):
@@ -137,16 +149,16 @@ def test_matches_concatenated_draws(sid, mode, n):
 
 @pytest.mark.parametrize("sid, mode, n", CASES)
 def test_row_means_do_not_depend_on_the_chunk(sid, mode, n):
-    # a row's means are the same bits in chunks of 1, 7 and _rows_cap rows, which
+    # a row's means are the same bits in chunks of 1, 7 and a chunk's rows, which
     # makes a batch the same whatever its worker count or chunk boundaries
     cfg = make_config(sid, n=n)
     dataset = generate_data(cfg, attempt_stream(11, ROLE_DATA, 0))
-    prepared = prepare_draw(cfg, mode, dataset)
-    u = block_uniforms(prepared, 11, range(150))
-    for offset, spec, features, table in process_calls(prepared):
+    draw = prepare_draw(cfg, mode, dataset)
+    u = block_uniforms(draw, 11, range(150))
+    for offset, spec, features, table in process_calls(draw):
         whole = process_means(spec, UniformRows(u[:, offset:]), features, table)
         assert whole.shape[0] == 150
-        for size in (1, 7, scenarios._rows_cap(prepared)):
+        for size in (1, 7, chunk_rows(draw)):
             parts = [process_means(spec, UniformRows(u[i:i + size, offset:]), features, table)
                      for i in range(0, 150, size)]
             assert np.array_equal(np.concatenate(parts), whole)
@@ -173,11 +185,11 @@ def test_censored_prior_side_follows_its_exact_law(mode):
     cfg = make_config("interval_censored", n=30)
     cfg = dataclasses.replace(cfg, hyper={**cfg.hyper, "base_var": (0.25, 4.0)})
     dataset = generate_data(cfg, attempt_stream(LAW_SEED, ROLE_DATA, 0))
-    prepared = prepare_draw(cfg, mode, dataset)
-    u = block_uniforms(prepared, LAW_SEED, range(LAW_DRAWS))
+    draw = prepare_draw(cfg, mode, dataset)
+    u = block_uniforms(draw, LAW_SEED, range(LAW_DRAWS))
     fresh = SeedBlock(LAW_SEED + 1, range(LAW_DRAWS))
     bound = np.sqrt(np.log(2 / LAW_ALPHA) / (2 * LAW_DRAWS))
-    for (offset, spec, _, table), column in zip(process_calls(prepared), ("y1", "y2")):
+    for (offset, spec, _, table), column in zip(process_calls(draw), ("y1", "y2")):
         base = spec.base_sampler
         k = choose_truncation_level(spec.concentration, TRUNCATION_EPS, TRUNCATION_DELTA)
         rows = u[:, offset:]  # k sticks, the one variate, then rho and the data weights
@@ -204,7 +216,7 @@ def test_censored_attempt_uniforms(mode, uniforms):
     # n = 1000 data weights of each in the posterior
     cfg = make_config("interval_censored")
     dataset = generate_data(cfg, attempt_stream(1, ROLE_DATA, 0))
-    assert prepare_draw(cfg, mode, dataset).uniforms == uniforms
+    assert attempt_uniforms(prepare_draw(cfg, mode, dataset)) == uniforms
 
 
 # --- Ferguson's moments --------------------------------------------------------
@@ -232,12 +244,12 @@ def truncation_tail_mean(n0):
     return (n0 / (n0 + 1.0)) ** choose_truncation_level(n0, TRUNCATION_EPS, TRUNCATION_DELTA)
 
 
-def draw_means(prepared, calls):
+def draw_means(draw, calls):
     """Per process_means call, its means over DRAWS attempt rows, in chunks."""
     out = [[] for _ in calls]
-    cap = scenarios._rows_cap(prepared)
+    cap = chunk_rows(draw)
     for start in range(0, DRAWS, cap):
-        u = block_uniforms(prepared, SEED, range(start, min(start + cap, DRAWS)))
+        u = block_uniforms(draw, SEED, range(start, min(start + cap, DRAWS)))
         for i, (offset, spec, features, table) in enumerate(calls):
             out[i].append(process_means(spec, UniformRows(u[:, offset:]), features, table))
     return [np.concatenate(means) for means in out]
@@ -261,12 +273,18 @@ def posterior_base(n0, under_h, at_data):
     return (n0 * under_h + np.sum(at_data)) / (n0 + len(at_data))
 
 
-@pytest.mark.parametrize("mode", ["prior", "posterior"])
-def test_censored_endpoint_moments(mode):
+# the study's unit base variances, and 0.25 and 4, at which a base standard
+# deviation and a base variance differ
+@pytest.mark.parametrize("mode, base_var", [
+    ("prior", (1.0, 1.0)), ("posterior", (1.0, 1.0)),
+    ("prior", (0.25, 4.0)), ("posterior", (0.25, 4.0)),
+], ids=["prior", "posterior", "prior-var0.25-4", "posterior-var0.25-4"])
+def test_censored_endpoint_moments(mode, base_var):
     cfg = make_config("interval_censored", n=200)
+    cfg = dataclasses.replace(cfg, hyper={**cfg.hyper, "base_var": base_var})
     dataset = generate_data(cfg, attempt_stream(SEED, ROLE_DATA, 0))
-    prepared = prepare_draw(cfg, mode, dataset)
-    lo, hi = (m[:, 0] for m in draw_means(prepared, process_calls(prepared)))
+    draw = prepare_draw(cfg, mode, dataset)
+    lo, hi = (m[:, 0] for m in draw_means(draw, process_calls(draw)))
     for i, (x, column) in enumerate(((lo, "y1"), (hi, "y2"))):
         n0, mu, var = (cfg.hyper[name][i] for name in ("n0", "base_mean", "base_var"))
         a, mean, second = n0, mu, var + mu**2
@@ -282,8 +300,8 @@ def test_censored_endpoint_moments(mode):
 def test_errors_in_variables_expected_covariance(mode):
     cfg = make_config("errors_in_variables", n=200)
     dataset = generate_data(cfg, attempt_stream(SEED, ROLE_DATA, 0))
-    prepared = prepare_draw(cfg, mode, dataset)
-    (m,) = draw_means(prepared, process_calls(prepared))
+    draw = prepare_draw(cfg, mode, dataset)
+    (m,) = draw_means(draw, process_calls(draw))
     cov_p = m[:, 2] - m[:, 0] * m[:, 1]  # features y, z, yz, zz, yy
     n0, h_cov = cfg.hyper["n0"], cfg.hyper["base_cov"][0, 1]
     a, cov = n0, h_cov  # the base mean is zero
@@ -299,8 +317,8 @@ def test_errors_in_variables_expected_covariance(mode):
 def test_interval_regression_cross_moment_means(mode):
     cfg = make_config("interval_regression", n=200)
     dataset = generate_data(cfg, attempt_stream(SEED, ROLE_DATA, 0))
-    prepared = prepare_draw(cfg, mode, dataset)
-    (m,) = draw_means(prepared, process_calls(prepared))
+    draw = prepare_draw(cfg, mode, dataset)
+    (m,) = draw_means(draw, process_calls(draw))
     mu, h_cov, n0 = cfg.hyper["base_mean"], cfg.hyper["base_cov"], cfg.hyper["n0"]
     for i in range(3):  # E_P[y1 z], E_P[y2 z], E_P[x z]
         exact = h_cov[i, 3] + mu[i] * mu[3]

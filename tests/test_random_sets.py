@@ -79,10 +79,13 @@ class TestSetDrawBatch:
         with pytest.raises(ParameterError):
             SetDrawBatch(lo, hi, "prior", "synthetic")
 
-    @pytest.mark.parametrize("lo, hi", [(["a"], ["b"]), ([0.0], [[1.0], [1.0, 2.0]])])
-    def test_endpoints_that_are_not_numbers_rejected(self, lo, hi):
+    @pytest.mark.parametrize("lo, hi, extra", [
+        (["a"], ["b"], {}), ([0.0], [[1.0], [1.0, 2.0]], {}),
+        ([0.0], [1.0], {"gamma_uniforms": ["a"]}), ([0.0], [1.0], {"attempt_indices": ["a"]}),
+    ], ids=["lo0-hi0", "lo1-hi1", "gamma_uniforms", "attempt_indices"])
+    def test_endpoints_that_are_not_numbers_rejected(self, lo, hi, extra):
         with pytest.raises(ParameterError, match="must be numbers"):
-            SetDrawBatch(lo, hi, "prior", "toy_analytic")
+            SetDrawBatch(lo, hi, "prior", "toy_analytic", **extra)
 
     def test_high_skip_rate_warns(self):
         with pytest.warns(UserWarning):

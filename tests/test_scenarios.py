@@ -27,16 +27,15 @@ from partialid import (
 )
 from partialid import DirichletProcessSpec, process_means, scenarios
 from partialid.cli import RunConfig, run_scenario
-from partialid.dirichlet import process_uniforms
+from partialid.dirichlet import TRUNCATION_DELTA, TRUNCATION_EPS, choose_truncation_level
 from partialid.distributions import ScalarNormal
 from partialid.priors import ConditionalPriorSpec, marginal_sample
-from partialid.rng import UniformRows
+from partialid.rng import SeedBlock, UniformRows
 from partialid.scenarios import (
     ROLE_DATA,
     ROLE_POSTERIOR_SETS,
     ROLE_PRIOR_SETS,
     SCENARIO_IDS,
-    PreparedDraw,
     attempt_stream,
     default_grid,
     prepare_draw,
@@ -85,6 +84,15 @@ class TestMakeConfig:
         cfg = make_config("binary_missing")
         assert np.array_equal(cfg.hyper["alpha"], [2.0, 3.0, 1.0])
         assert cfg.true_set == IntervalSet(0.4, 0.9)
+
+    @pytest.mark.parametrize("sid", SCENARIO_IDS)
+    def test_true_set_is_the_scenarios(self, sid):
+        cfg = make_config(sid)
+        assert cfg.true_set is scenarios.SCENARIOS[sid].true_set
+        with pytest.raises(TypeError):
+            dataclasses.replace(cfg, true_set=IntervalSet(0.0, 1.0))
+        with pytest.raises(AttributeError):
+            cfg.true_set = IntervalSet(0.0, 1.0)
 
     def test_grid_defaults(self):
         assert default_grid("toy_analytic")[-1] == 2.5
@@ -311,7 +319,7 @@ class TestBoundsFunctionals:
                               ("interval_regression", scenarios._instrument_features)):
             cfg = make_config(sid, n=30)
             data = generate_data(cfg, attempt_stream(4, ROLE_DATA, 0))
-            table = prepare_draw(cfg, "posterior", data).draw.args[-1]
+            table = prepare_draw(cfg, "posterior", data).args[-1]
             assert table.flags.c_contiguous
             for column, point in zip(table.T, data.values):
                 assert np.array_equal(column, features(point[None])[:, 0])
@@ -359,18 +367,15 @@ def _skip_most(source):
     return x, x, x >= 0.8
 
 
-SKIP_MOST = PreparedDraw(1, _skip_most)
-
-
 def _nan_at(poison, source):
-    """SKIP_MOST with the attempt that draws ``poison`` accepted as a NaN interval."""
+    """:func:`_skip_most` with the attempt that draws ``poison`` accepted as a NaN interval."""
     lo, hi, accept = _skip_most(source)
     hit = lo == poison
     return np.where(hit, np.nan, lo), hi, accept | hit
 
 
 def _raise_at(poison, source):
-    """SKIP_MOST, raising for a chunk that holds the attempt that draws ``poison``."""
+    """:func:`_skip_most`, raising for a chunk that holds the attempt that draws ``poison``."""
     lo, hi, accept = _skip_most(source)
     if np.any(lo == poison):
         raise RuntimeError("a chunk past the last acceptance")
@@ -434,7 +439,7 @@ class TestDrawSetBatch:
         # 14 uniforms make chunks of 7 rows, so blocks span many chunks
         for chunk_uniforms in (scenarios.CHUNK_UNIFORMS, 14):
             monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", chunk_uniforms)
-            indices, lo, hi, gammas, skipped = run_attempts(SKIP_MOST, 40, 21, 1, 1, "synthetic")
+            indices, lo, hi, gammas, skipped = run_attempts(_skip_most, 40, 21, 1, 1, "synthetic")
             assert indices.tolist() == [i for i, _, _ in expected]
             assert lo.tolist() == hi.tolist() == [u for _, u, _ in expected]
             assert gammas.tolist() == [g for _, _, g in expected]
@@ -442,21 +447,21 @@ class TestDrawSetBatch:
 
     def test_attempts_past_the_last_acceptance_are_not_consumed(self, monkeypatch,
                                                                  pool_sizes):
-        indices = run_attempts(SKIP_MOST, 10, 21, 1, 1, "synthetic")[0]
+        indices = run_attempts(_skip_most, 10, 21, 1, 1, "synthetic")[0]
         last = attempt_stream(21, 1, indices[-1]).uniform()
         late = attempt_stream(21, 1, indices[-1] + 1).uniform()
         monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
         monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", 2)  # one attempt per chunk
         for workers in (1, 2):
             # a bad row is masked in its chunk; only a consumed one raises
-            late_nan = PreparedDraw(1, partial(_nan_at, late))
+            late_nan = partial(_nan_at, late)
             assert np.array_equal(run_attempts(late_nan, 10, 21, 1, workers, "synthetic")[0],
                                   indices)
-            last_nan = PreparedDraw(1, partial(_nan_at, last))
+            last_nan = partial(_nan_at, last)
             with pytest.raises(ParameterError, match=f"attempt {indices[-1]} drew"):
                 run_attempts(last_nan, 10, 21, 1, workers, "synthetic")
         # the pool runs a task past the last acceptance and drops its error
-        late_raise = PreparedDraw(1, partial(_raise_at, late))
+        late_raise = partial(_raise_at, late)
         assert np.array_equal(run_attempts(late_raise, 10, 21, 1, 2, "synthetic")[0], indices)
         with pytest.raises(RuntimeError, match="past the last acceptance"):
             run_attempts(late_raise, 11, 21, 1, 2, "synthetic")
@@ -474,6 +479,18 @@ def _modes(sid):
     return ("prior", "posterior") if scenarios.SCENARIOS[sid].columns else ("prior",)
 
 
+def attempt_uniforms(draw):
+    """The uniforms an attempt of ``draw`` reads, counted on a row of 0.5s."""
+    probe = UniformRows(np.broadcast_to(0.5, (1, 2**40)))
+    draw(probe)
+    return probe.at
+
+
+def chunk_rows(draw):
+    """The rows of a chunk of ``draw``'s attempts, each with its gamma uniform."""
+    return max(1, scenarios.CHUNK_UNIFORMS // (1 + attempt_uniforms(draw)))
+
+
 class TestBlockEquivalence:
     """A batch is attempt-by-attempt draw_set, then one more uniform of the stream."""
 
@@ -487,7 +504,7 @@ class TestBlockEquivalence:
         cfg = make_config(sid, n=n if has_data else None)
         data = generate_data(cfg, attempt_stream(9, ROLE_DATA, 0)) if has_data else None
         # chunks of 7 rows, so the batch spans several chunks and top-up blocks
-        widest = 1 + prepare_draw(cfg, mode, data).uniforms
+        widest = 1 + attempt_uniforms(prepare_draw(cfg, mode, data))
         monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", 7 * widest)
         batch = draw_set_batch(cfg, mode, 40, 9, dataset=data)
         role = ROLE_PRIOR_SETS if mode == "prior" else ROLE_POSTERIOR_SETS
@@ -503,6 +520,26 @@ class TestBlockEquivalence:
             assert rng.uniform() == batch.gamma_uniforms[r]
         assert batch.skipped == batch.attempt_indices[-1] + 1 - len(batch)
 
+    @pytest.mark.parametrize("sid,mode,n", [
+        ("toy_analytic", "prior", None),
+        *((sid, mode, n) for sid in DATA_SCENARIOS for mode in _modes(sid) for n in (1, 2, 1000)),
+    ])
+    def test_an_attempt_reads_as_many_uniforms_whatever_they_are(self, monkeypatch, sid, mode,
+                                                                  n):
+        # run_attempts counts the uniforms m of an attempt on a row of 0.5s; a
+        # stream's row must read m as well, as inverse-CDF variates do
+        cfg = make_config(sid, n=n)
+        data = generate_data(cfg, attempt_stream(8, ROLE_DATA, 0)) if n else None
+        draw = prepare_draw(cfg, mode, data)
+        counts, task = [], scenarios._task
+        monkeypatch.setattr(scenarios, "_task",
+                            lambda draw, m, *args: counts.append(m) or task(draw, m, *args))
+        run_attempts(draw, 1, 8, ROLE_PRIOR_SETS, 1, "count")
+        (m,) = set(counts)
+        rows = UniformRows(SeedBlock(8, range(3)).uniforms(m + 20, range(3)))
+        draw(rows)
+        assert rows.at == m
+
     @pytest.mark.parametrize("mode", ["prior", "posterior"])
     def test_censored_processes_read_the_attempt_stream_in_turn(self, mode):
         # an attempt's row is spec1's process, spec2's, then the gamma uniform
@@ -515,7 +552,9 @@ class TestBlockEquivalence:
             n0, mu, var = (cfg.hyper[name][i] for name in ("n0", "base_mean", "base_var"))
             spec = DirichletProcessSpec(n0, ScalarNormal(mu, var))
             table = np.ascontiguousarray(data.column(column)[None]) if n else None
-            calls.append((spec, table, process_uniforms(spec, 1, n)))
+            # k sticks and the one variate of the atoms' mean, then rho and n data weights
+            k = choose_truncation_level(n0, TRUNCATION_EPS, TRUNCATION_DELTA)
+            calls.append((spec, table, k + 1 + (n > 0) + (n if n > 1 else 0)))
         (spec1, t1, m1), (spec2, t2, m2) = calls
         for r, j in enumerate(batch.attempt_indices):
             u = attempt_stream(6, role, j).uniform(m1 + m2 + 1)[None]
@@ -556,8 +595,8 @@ class TestPreparedDraws:
             shipped = pickle.loads(pickle.dumps(attempt))
             for j in range(5):
                 want = draw_set(cfg, mode, attempt_stream(2, 7, j), data)
-                assert attempt(attempt_stream(2, 7, j)) == want
-                assert shipped(attempt_stream(2, 7, j)) == want
+                assert scenarios._interval(*attempt(attempt_stream(2, 7, j))) == want
+                assert scenarios._interval(*shipped(attempt_stream(2, 7, j))) == want
 
     def test_posterior_batch_counts_binary_cells_once(self, monkeypatch):
         cfg = make_config("binary_missing", n=100)
@@ -632,7 +671,7 @@ class TestWorkerBound:
 
     def test_run_attempts_rejects_zero_workers(self):
         with pytest.raises(ParameterError, match="workers"):
-            run_attempts(SKIP_MOST, 5, 0, 1, 0, "test")
+            run_attempts(_skip_most, 5, 0, 1, 0, "test")
 
     def test_check_workers(self):
         limit = _cpu_limit()
@@ -653,9 +692,9 @@ def shares(monkeypatch):
     """The attempt ranges of the shares :func:`scenarios._task` computes, in call order."""
     calls, task = [], scenarios._task
 
-    def counted_task(prepared, master_seed, streams):
+    def counted_task(draw, m, master_seed, streams):
         calls.append(streams)
-        return task(prepared, master_seed, streams)
+        return task(draw, m, master_seed, streams)
 
     monkeypatch.setattr(scenarios, "_task", counted_task)
     return calls
@@ -668,8 +707,8 @@ class TestPool:
     def test_the_parent_computes_the_first_share_of_each_block(self, monkeypatch, shares,
                                                                in_process_pool):
         monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
-        run_attempts(SKIP_MOST, 40, 21, 1, 2, "synthetic")
-        submitted = [streams for _, _, streams in in_process_pool.submitted]
+        run_attempts(_skip_most, 40, 21, 1, 2, "synthetic")
+        submitted = [streams for *_, streams in in_process_pool.submitted]
         parent = [streams for streams in shares if streams not in submitted]
         assert len(parent) > 1 and submitted
         assert parent[0] == range(2**32, 2**32 + 20)  # half of the first block
@@ -683,7 +722,7 @@ class TestPool:
     def test_workers_1_runs_each_block_as_one_share_without_a_pool(self, monkeypatch, shares,
                                                                    in_process_pool):
         monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", 14)  # 7-row chunks
-        indices = run_attempts(SKIP_MOST, 40, 21, 1, 1, "synthetic")[0] + 2**32
+        indices = run_attempts(_skip_most, 40, 21, 1, 1, "synthetic")[0] + 2**32
         assert shares[0] == range(2**32, 2**32 + 40)  # the whole first block
         assert all(a.stop == b.start for a, b in zip(shares, shares[1:]))
         for k, streams in enumerate(shares[1:]):  # a top-up block asks for at least `need`
@@ -698,22 +737,22 @@ class TestPool:
         monkeypatch.setattr(scenarios, "max_workers", lambda: 4)
         cfg = make_config("interval_censored", n=1000)
         data = generate_data(cfg, attempt_stream(5, ROLE_DATA, 0))
-        # about 24 rows a chunk against shares of 50 to 100 attempts; SKIP_MOST
-        # tops its blocks up after skips, and 14 uniforms make its chunks 7 rows
-        for prepared, n_draws, chunk_uniforms in [
+        # 14 rows a chunk against shares of 50 to 100 attempts; _skip_most tops
+        # its blocks up after skips, and 14 uniforms make its chunks 7 rows
+        for draw, n_draws, chunk_uniforms in [
                 (prepare_draw(cfg, "posterior", data), 200, scenarios.CHUNK_UNIFORMS),
-                (SKIP_MOST, 40, 14)]:
+                (_skip_most, 40, 14)]:
             monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", chunk_uniforms)
             in_process_pool.submitted.clear()
-            serial = run_attempts(prepared, n_draws, 5, ROLE_POSTERIOR_SETS, 1, "s")
+            serial = run_attempts(draw, n_draws, 5, ROLE_POSTERIOR_SETS, 1, "s")
             assert len(serial[0]) == n_draws
             for workers in (2, 3, 4):
-                pooled = run_attempts(prepared, n_draws, 5, ROLE_POSTERIOR_SETS, workers, "s")
+                pooled = run_attempts(draw, n_draws, 5, ROLE_POSTERIOR_SETS, workers, "s")
                 for a, b in zip(serial[:4], pooled[:4]):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
                 assert serial[4] == pooled[4]
-            rows = [len(streams) for _, _, streams in in_process_pool.submitted]
-            assert any(r >= 2 * scenarios._rows_cap(prepared) for r in rows), rows
+            rows = [len(streams) for *_, streams in in_process_pool.submitted]
+            assert any(r >= 2 * chunk_rows(draw) for r in rows), rows
         assert serial[4] > 0 and len(set(rows)) > 1  # topped up
         assert in_process_pool.sizes == [1, 2, 3, 1, 2, 3]
 
@@ -722,11 +761,11 @@ class TestPool:
         # every toy attempt is accepted, so a batch is one block, and at
         # workers 2 it submits one share of half the block: 40 or 4000 attempts
         monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
-        prepared = prepare_draw(make_config("toy_analytic"), "prior")
+        draw = prepare_draw(make_config("toy_analytic"), "prior")
         sizes = []
         for n_draws in (80, 8000):
             in_process_pool.submitted.clear()
-            run_attempts(prepared, n_draws, 4, ROLE_PRIOR_SETS, 2, "toy")
+            run_attempts(draw, n_draws, 4, ROLE_PRIOR_SETS, 2, "toy")
             (args,) = in_process_pool.submitted
             sizes.append(len(pickle.dumps(args)))
         # seed words would add 32 bytes per attempt: 126720 bytes more
@@ -736,14 +775,14 @@ class TestPool:
         # one chunk (17 rows at n=1000) against a 500-row share of many chunks
         cfg = make_config("interval_regression", n=1000)
         data = generate_data(cfg, attempt_stream(3, ROLE_DATA, 0))
-        prepared = prepare_draw(cfg, "posterior", data)
-        rows_cap = scenarios._rows_cap(prepared)
+        draw = prepare_draw(cfg, "posterior", data)
+        m, rows_cap = attempt_uniforms(draw), chunk_rows(draw)
         assert 500 >= 10 * rows_cap
         peaks = []
         for rows in (rows_cap, 500):
             tracemalloc.start()
             try:
-                scenarios._task(prepared, 3, range(rows))
+                scenarios._task(draw, m, 3, range(rows))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -765,7 +804,7 @@ class TestPool:
 
         monkeypatch.setattr(Future, "result", reading)
         monkeypatch.setattr(Future, "cancel", cancelling)
-        monkeypatch.setattr(scenarios, "prepare_draw", lambda *args: SKIP_MOST)
+        monkeypatch.setattr(scenarios, "prepare_draw", lambda *args: _skip_most)
         with pytest.warns(UserWarning, match="skipped"):
             report = run_scenario(RunConfig(scenario="toy_analytic", n=None, n_draws=10,
                                             seed=21, workers=2, out_dir=str(tmp_path)))

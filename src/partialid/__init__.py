@@ -18,7 +18,6 @@ from .distributions import (
     ScalarNormal,
     beta_cdf,
     cholesky_factor,
-    gamma_quantile,
     psd_repair,
     sample_beta,
     sample_dirichlet,
@@ -97,7 +96,6 @@ __all__ = [
     "draw_set_batch",
     "estimate_capacity",
     "estimate_coverage",
-    "gamma_quantile",
     "generate_data",
     "histogram",
     "make_config",

@@ -6,9 +6,10 @@ returns the weighted means of a few features of each draw.  Prior draws place
 K atoms sampled from the base measure, where the stick-breaking weights are
 truncated at K and renormalized.  The truncation level is chosen from the
 known law of the discarded tail mass: minus the log of the tail is Gamma(K,
-rate n0), so K is the smallest level that keeps the tail below
+rate n0), so K, the smallest level that keeps the tail below
 ``TRUNCATION_EPS`` with probability 1 - ``TRUNCATION_DELTA`` (Muliere &
-Tardella, 1998).  A base measure that states its law, a
+Tardella, 1998), is the ceiling of the Gamma shape that
+``scipy.special.gdtrib`` solves for.  A base measure that states its law, a
 :class:`~partialid.distributions.ScalarNormal` N(mu, var), needs no atoms for
 the mean of the atoms themselves: given the weights w, the weighted mean of K
 i.i.d. atoms is exactly N(mu, var Σw² / (Σw)²), one normal variate.
@@ -25,45 +26,17 @@ own draw bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from scipy import special
 
-from .distributions import ScalarNormal, gamma_quantile, sample_beta, sample_normal
+from .distributions import ScalarNormal, sample_beta, sample_normal
 from .errors import ParameterError
 from .rng import RngStream
-
-
-@lru_cache(maxsize=None)
-def choose_truncation_level(n0: float, eps: float, delta: float) -> int:
-    """Smallest K such that P(truncation tail mass > eps) <= delta.
-
-    The tail mass after keeping K sticks satisfies -ln(tail) ~ Gamma(K, n0),
-    so the condition is equivalent to the delta-quantile of Gamma(K, n0)
-    reaching -ln(eps).
-    """
-    if not n0 > 0:
-        raise ParameterError(f"concentration must be positive, got {n0}")
-    if not (0 < eps < 1 and 0 < delta < 1):
-        raise ParameterError("eps and delta must lie strictly in (0, 1)")
-    target = -np.log(eps)
-
-    def ok(k: int) -> bool:
-        return gamma_quantile(delta, k, n0) >= target
-
-    hi = 1
-    while not ok(hi):
-        hi *= 2
-    lo = hi // 2  # ok(lo) is False (or hi == 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 #: The (eps, delta) truncation rule: keep the discarded tail mass below eps
@@ -71,6 +44,21 @@ def choose_truncation_level(n0: float, eps: float, delta: float) -> int:
 #: to Monte Carlo error at ~1000 draws.
 TRUNCATION_EPS = 1e-3
 TRUNCATION_DELTA = 0.01
+
+
+@lru_cache(maxsize=None)
+def choose_truncation_level(n0: float) -> int:
+    """Smallest K with P(truncation tail mass > TRUNCATION_EPS) <= TRUNCATION_DELTA.
+
+    The tail mass after keeping K sticks satisfies -ln(tail) ~ Gamma(K, rate
+    n0), whose CDF at -ln(eps), P(tail > eps), falls as K grows;
+    ``scipy.special.gdtrib`` inverts that CDF in the shape, and K is the
+    ceiling of the shape at which it equals delta.
+    """
+    if not 0 < n0 < math.inf:
+        raise ParameterError(f"concentration must be positive and finite, got {n0}")
+    shape = special.gdtrib(n0, TRUNCATION_DELTA, -math.log(TRUNCATION_EPS))
+    return max(1, math.ceil(shape))
 
 
 @dataclass(frozen=True)
@@ -86,9 +74,9 @@ class DirichletProcessSpec:
     base_sampler: Callable[[RngStream, int], np.ndarray]
 
     def __post_init__(self):
-        if not self.concentration > 0:
+        if not 0 < self.concentration < math.inf:
             raise ParameterError(
-                f"concentration must be positive, got {self.concentration}"
+                f"concentration must be positive and finite, got {self.concentration}"
             )
 
 
@@ -126,7 +114,7 @@ def process_means(spec: DirichletProcessSpec, source, features=None, data_table=
     and every row makes the same products whatever the rows.
     """
     n0 = spec.concentration
-    k = choose_truncation_level(n0, TRUNCATION_EPS, TRUNCATION_DELTA)
+    k = choose_truncation_level(n0)
     weights, _ = stick_weights(n0, k, source)
     total = weights.sum(axis=-1, keepdims=True)
     base = spec.base_sampler

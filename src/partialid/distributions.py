@@ -193,17 +193,6 @@ def beta_cdf(x, a: float, b: float):
     return float(out) if np.isscalar(x) else out
 
 
-def gamma_quantile(p, shape: float, rate: float):
-    """Quantile of Gamma(shape, rate): the q with CDF(q) = p, for p in (0, 1)."""
-    if not (shape > 0 and rate > 0):
-        raise ParameterError("gamma shape and rate must be positive")
-    arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0) or np.any(arr >= 1):
-        raise ParameterError("gamma_quantile probability must lie strictly in (0, 1)")
-    out = special.gammaincinv(shape, arr) / rate
-    return float(out) if np.isscalar(p) else out
-
-
 class PsdRepair(NamedTuple):
     matrix: np.ndarray
     clipped: bool

@@ -10,6 +10,7 @@ O((G + N) log N) time and O(G + N) memory for G grid points over N draws.
 
 from __future__ import annotations
 
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -44,6 +45,18 @@ def _numbers(name: str, values, dtype=float) -> np.ndarray:
         raise ParameterError(f"{name} must be numbers: {exc}") from None
 
 
+def _attempt_indices(values) -> np.ndarray:
+    """A new int64 array of ``values``; :class:`ParameterError` unless each is
+    an integer of at least 0 that fits int64."""
+    arr = _numbers("attempt_indices", values, None)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ParameterError(f"attempt_indices must be numbers: integers, got {arr.dtype}")
+    indices = arr.astype(np.int64)  # a uint64 above the int64 range wraps negative
+    if indices.size and indices.min() < 0:
+        raise ParameterError("attempt_indices must be numbers: at least 0 and within int64")
+    return indices
+
+
 class SetDrawBatch:
     """A batch of interval draws from one source, with skip accounting.
 
@@ -72,15 +85,19 @@ class SetDrawBatch:
             raise ParameterError("NaN endpoints and inverted draws must be skipped, not stored")
         if source not in ("prior", "posterior"):
             raise ParameterError(f"source must be 'prior' or 'posterior', got {source!r}")
+        try:
+            skipped = operator.index(skipped)
+        except TypeError:
+            raise ParameterError(f"skipped must be an integer count, got {skipped!r}") from None
         if skipped < 0:
             raise ParameterError("skipped count cannot be negative")
         self.lo = lo
         self.hi = hi
         self.source = source
         self.scenario_id = scenario_id
-        self.skipped = int(skipped)
+        self.skipped = skipped
         if attempt_indices is not None:
-            attempt_indices = _numbers("attempt_indices", attempt_indices, int)
+            attempt_indices = _attempt_indices(attempt_indices)
             if attempt_indices.shape != lo.shape:
                 raise ParameterError("attempt_indices must align with the draws")
         self.attempt_indices = attempt_indices

@@ -21,16 +21,24 @@ def normal_base(mu, var):
     return lambda rng, size: sample_normal(mu, var, rng, size=size)
 
 
+#: concentrations for the exact check of K, fixed before its first run: 200
+#: log-spaced over [0.01, 500] and the scenarios' and tests' own levels
+DEFINITION_GRID = (*np.logspace(np.log10(0.01), np.log10(500.0), 200),
+                   1.0, 5.0, 10.0, 20.0, 40.0)
+
+
 class TestChooseTruncationLevel:
     def test_frozen_levels(self):
-        # frozen from the Gamma-quantile bisection; cross-checked by simulation below
-        assert choose_truncation_level(20.0, 1e-3, 0.01) == 167
-        assert choose_truncation_level(1.0, 1e-3, 0.01) == 15
+        # frozen from the Gamma-quantile bisection the closed form replaced;
+        # cross-checked by simulation and against the definition below
+        assert choose_truncation_level(20.0) == 167
+        assert choose_truncation_level(10.0) == 90
+        assert choose_truncation_level(1.0) == 15
 
     def test_simulated_exceedance_rate(self):
         # independent oracle: simulate tail masses with numpy's own Beta sampler
-        n0, eps, delta = 20.0, 1e-3, 0.01
-        k = choose_truncation_level(n0, eps, delta)
+        n0, eps, delta = 20.0, TRUNCATION_EPS, TRUNCATION_DELTA
+        k = choose_truncation_level(n0)
         gen = np.random.default_rng(0)
         tails = np.prod(1.0 - gen.beta(1.0, n0, size=(100_000, k)), axis=1)
         rate = np.mean(tails > eps)
@@ -40,17 +48,36 @@ class TestChooseTruncationLevel:
         tails_short = np.prod(1.0 - gen.beta(1.0, n0, size=(100_000, k - 1)), axis=1)
         assert np.mean(tails_short > eps) > delta
 
+    def test_level_meets_its_definition(self):
+        # P(tail > eps) = P(Gamma(K, rate n0) < -ln eps), the regularized lower
+        # incomplete gamma P(K, n0 x), in 40-digit arithmetic: at most delta at
+        # K and above it at K - 1
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        x = -mpmath.log(mpmath.mpf(TRUNCATION_EPS))
+        delta = mpmath.mpf(TRUNCATION_DELTA)
+        for n0 in DEFINITION_GRID:
+            k = choose_truncation_level(n0)
+            nx = mpmath.mpf(float(n0)) * x
+            assert mpmath.gammainc(k, 0, nx, regularized=True) <= delta, n0
+            if k > 1:
+                assert mpmath.gammainc(k - 1, 0, nx, regularized=True) > delta, n0
+
     def test_monotone_in_concentration(self):
-        levels = [choose_truncation_level(n0, 1e-3, 0.01) for n0 in (1, 5, 10, 20, 40)]
+        levels = [choose_truncation_level(n0) for n0 in (1, 5, 10, 20, 40)]
         assert levels == sorted(levels)
 
     def test_domain_errors(self):
-        with pytest.raises(ParameterError):
-            choose_truncation_level(0.0, 1e-3, 0.01)
-        with pytest.raises(ParameterError):
-            choose_truncation_level(10.0, 0.0, 0.01)
-        with pytest.raises(ParameterError):
-            choose_truncation_level(10.0, 1e-3, 1.0)
+        for n0 in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                choose_truncation_level(n0)
+
+
+class TestDirichletProcessSpec:
+    @pytest.mark.parametrize("n0", [0.0, -1.0, np.nan, np.inf])
+    def test_concentration_must_be_positive_and_finite(self, n0):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            DirichletProcessSpec(n0, normal_base(0.0, 1.0))
 
 
 class TestStickWeights:
@@ -78,10 +105,6 @@ class TestStickWeights:
         se = np.sqrt(k / n0**2 / runs)
         assert abs(neglog.mean() - k / n0) < 3 * se
         assert abs(neglog.var() - k / n0**2) < 0.2 * k / n0**2
-
-
-def default_level(n0):
-    return choose_truncation_level(n0, TRUNCATION_EPS, TRUNCATION_DELTA)
 
 
 def atom(a):
@@ -129,7 +152,7 @@ class TestProcessMeansPrior:
         spec = DirichletProcessSpec(5.0, base)
         features = lambda a: np.stack((a[..., 0], a[..., 0] * a[..., 1]), axis=-2)
         means = process_means(spec, substream(2, 3), features)
-        k = default_level(5.0)
+        k = choose_truncation_level(5.0)
         rng = substream(2, 3)
         w, _ = stick_weights(5.0, k, rng)
         atoms = base(rng, k)
@@ -152,7 +175,7 @@ class TestProcessMeansPrior:
         spec = DirichletProcessSpec(5.0, ScalarNormal(2.0, 0.25))
         means = process_means(spec, substream(2, 5))
         rng = substream(2, 5)
-        w, _ = stick_weights(5.0, default_level(5.0), rng)
+        w, _ = stick_weights(5.0, choose_truncation_level(5.0), rng)
         z = special.ndtri(rng.uniform())
         assert means.shape == (1,)
         assert np.isclose(means[0], 2.0 + np.sqrt(0.25 * np.sum(w * w)) / w.sum() * z,
@@ -205,7 +228,7 @@ class TestProcessMeansPosterior:
         # n0 -> 0 limit: virtually all mass sits on the data atoms
         n0 = 1e-6
         spec = DirichletProcessSpec(n0, normal_base(0.0, 1.0))
-        assert default_level(n0) == 1
+        assert choose_truncation_level(n0) == 1
         zeros = lambda a: np.zeros_like(a)[..., None, :]
         rng = substream(3, 7)
         mass = np.array([process_means(spec, rng, zeros, np.ones((1, 50)))[0]
@@ -218,7 +241,7 @@ class TestProcessMeansPosterior:
         spec = DirichletProcessSpec(10.0, normal_base(0.0, 1.0))
         rows = UniformRows(np.random.default_rng(n).random((3, 400)))
         process_means(spec, rows, atom, np.ones((1, n)) if n else None)
-        assert rows.at == 2 * default_level(10.0) + (n > 0) + (n if n > 1 else 0)
+        assert rows.at == 2 * choose_truncation_level(10.0) + (n > 0) + (n if n > 1 else 0)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 30])
     def test_scalar_normal_uniforms_taken(self, n):
@@ -226,12 +249,12 @@ class TestProcessMeansPosterior:
         spec = DirichletProcessSpec(10.0, ScalarNormal(0.0, 1.0))
         rows = UniformRows(np.random.default_rng(n).random((3, 400)))
         process_means(spec, rows, None, np.ones((1, n)) if n else None)
-        assert rows.at == default_level(10.0) + 1 + (n > 0) + (n if n > 1 else 0)
+        assert rows.at == choose_truncation_level(10.0) + 1 + (n > 0) + (n if n > 1 else 0)
 
     def test_one_data_point(self):
         # rho on the point, 1 - rho on the prior mean
         spec = DirichletProcessSpec(10.0, normal_base(0.0, 1.0))
-        u = np.random.default_rng(1).random((2, 2 * default_level(10.0) + 1))
+        u = np.random.default_rng(1).random((2, 2 * choose_truncation_level(10.0) + 1))
         prior_means = process_means(spec, UniformRows(u), atom)
         means = process_means(spec, UniformRows(u), atom, np.array([[3.0]]))
         rho = -np.expm1(np.log1p(-u[:, -1:]) / 10.0)  # Beta(1, n0) by inverse CDF

@@ -15,7 +15,6 @@ import partialid
 from partialid import (
     ParameterError,
     beta_cdf,
-    gamma_quantile,
     psd_repair,
     sample_beta,
     sample_dirichlet,
@@ -209,65 +208,6 @@ class TestBetaCdf:
             beta_cdf(1.1, 1.0, 1.0)
         with pytest.raises(ParameterError):
             beta_cdf(0.5, 0.0, 1.0)
-
-
-class TestGammaQuantile:
-    def test_exponential_case(self):
-        p = 1.0 - np.exp(-1.0)
-        assert gamma_quantile(p, 1.0, 1.0) == pytest.approx(1.0, abs=1e-6)
-
-    def test_matches_bisection_on_cdf(self):
-        # independent route: bisect the CDF directly
-        shape, rate, p = 2.0, 1.0, 0.5
-        lo, hi = 0.0, 100.0
-        for _ in range(200):
-            mid = (lo + hi) / 2.0
-            if special.gammainc(shape, rate * mid) < p:
-                lo = mid
-            else:
-                hi = mid
-        assert abs(gamma_quantile(p, shape, rate) - (lo + hi) / 2.0) < 1e-8
-
-    def test_quantile_of_cdf_is_identity(self):
-        rng = np.random.default_rng(3)
-        x = rng.uniform(0.01, 20.0, size=1000)
-        shape = rng.uniform(0.5, 30.0, size=1000)
-        rate = rng.uniform(0.1, 10.0, size=1000)
-        checked = 0
-        for xi, si, ri in zip(x, shape, rate):
-            p = special.gammainc(si, ri * xi)
-            # near 0 or 1 the CDF value no longer carries enough bits to recover x
-            if 1e-9 < p < 1.0 - 1e-9:
-                assert abs(gamma_quantile(p, si, ri) - xi) < 1e-6 * max(1.0, xi)
-                checked += 1
-        assert checked > 400
-
-    def test_cdf_of_quantile_is_identity(self):
-        rng = np.random.default_rng(4)
-        p = rng.uniform(0.001, 0.999, size=1000)
-        shape = rng.uniform(0.5, 30.0, size=1000)
-        rate = rng.uniform(0.1, 10.0, size=1000)
-        for pi, si, ri in zip(p, shape, rate):
-            assert abs(special.gammainc(si, ri * gamma_quantile(pi, si, ri)) - pi) < 1e-9
-
-    def test_domain_errors(self):
-        with pytest.raises(ParameterError):
-            gamma_quantile(0.0, 1.0, 1.0)
-        with pytest.raises(ParameterError):
-            gamma_quantile(1.0, 1.0, 1.0)
-        with pytest.raises(ParameterError):
-            gamma_quantile(0.5, -1.0, 1.0)
-
-    def test_quantile_accuracy_against_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            shape = rng.uniform(0.2, 20.0)
-            rate = rng.uniform(0.1, 5.0)
-            p = rng.uniform(0.001, 0.999)
-            q = gamma_quantile(p, shape, rate)
-            assert abs(float(mpmath.gammainc(shape, 0, rate * q, regularized=True)) - p) < 1e-10
 
 
 class TestTruncatedNormal:

@@ -18,12 +18,7 @@ from scipy import special
 
 from partialid import DirichletProcessSpec, generate_data, make_config, prepare_draw, process_means
 from partialid import scenarios
-from partialid.dirichlet import (
-    TRUNCATION_DELTA,
-    TRUNCATION_EPS,
-    choose_truncation_level,
-    stick_weights,
-)
+from partialid.dirichlet import choose_truncation_level, stick_weights
 from partialid.distributions import (
     DirichletParams,
     cholesky_factor,
@@ -42,7 +37,7 @@ DP_SCENARIOS = ("interval_censored", "errors_in_variables", "interval_regression
 def concatenated_draw(spec, source, data=None):
     """Normalized weights and atoms of one draw per row, the data as the last n atoms."""
     n0 = spec.concentration
-    k = choose_truncation_level(n0, TRUNCATION_EPS, TRUNCATION_DELTA)
+    k = choose_truncation_level(n0)
     weights, _ = stick_weights(n0, k, source)
     atoms = np.asarray(spec.base_sampler(source, k), dtype=float)
     lead = weights.shape[:-1]
@@ -123,7 +118,7 @@ def process_calls(draw):
         spec1, spec2, t1, t2 = draw.args
         n = 0 if t1 is None else t1.shape[1]
         # k sticks and the one variate of the atoms' mean, then rho and n data weights
-        k = choose_truncation_level(spec1.concentration, TRUNCATION_EPS, TRUNCATION_DELTA)
+        k = choose_truncation_level(spec1.concentration)
         return [(0, spec1, None, t1), (k + 1 + (n > 0) + (n if n > 1 else 0), spec2, None, t2)]
     features, _, spec, table = draw.args
     return [(0, spec, features, table)]
@@ -191,7 +186,7 @@ def test_censored_prior_side_follows_its_exact_law(mode):
     bound = np.sqrt(np.log(2 / LAW_ALPHA) / (2 * LAW_DRAWS))
     for (offset, spec, _, table), column in zip(process_calls(draw), ("y1", "y2")):
         base = spec.base_sampler
-        k = choose_truncation_level(spec.concentration, TRUNCATION_EPS, TRUNCATION_DELTA)
+        k = choose_truncation_level(spec.concentration)
         rows = u[:, offset:]  # k sticks, the one variate, then rho and the data weights
         oracle_rows = np.concatenate(
             (rows[:, :k], fresh.uniforms(k, range(LAW_DRAWS)), rows[:, k + 1:]), axis=1)
@@ -241,7 +236,7 @@ Z_MAX = 4.0
 
 
 def truncation_tail_mean(n0):
-    return (n0 / (n0 + 1.0)) ** choose_truncation_level(n0, TRUNCATION_EPS, TRUNCATION_DELTA)
+    return (n0 / (n0 + 1.0)) ** choose_truncation_level(n0)
 
 
 def draw_means(draw, calls):

@@ -79,12 +79,21 @@ class TestSetDrawBatch:
         with pytest.raises(ParameterError):
             SetDrawBatch(lo, hi, "prior", "synthetic")
 
-    @pytest.mark.parametrize("lo, hi, extra", [
-        (["a"], ["b"], {}), ([0.0], [[1.0], [1.0, 2.0]], {}),
-        ([0.0], [1.0], {"gamma_uniforms": ["a"]}), ([0.0], [1.0], {"attempt_indices": ["a"]}),
-    ], ids=["lo0-hi0", "lo1-hi1", "gamma_uniforms", "attempt_indices"])
-    def test_endpoints_that_are_not_numbers_rejected(self, lo, hi, extra):
-        with pytest.raises(ParameterError, match="must be numbers"):
+    @pytest.mark.parametrize("lo, hi, extra, match", [
+        (["a"], ["b"], {}, "must be numbers"), ([0.0], [[1.0], [1.0, 2.0]], {}, "must be numbers"),
+        ([0.0], [1.0], {"gamma_uniforms": ["a"]}, "must be numbers"),
+        ([0.0], [1.0], {"attempt_indices": ["a"]}, "must be numbers"),
+        ([0.0], [1.0], {"attempt_indices": [1.5]}, "must be numbers: integers"),
+        ([0.0], [1.0], {"attempt_indices": [-3]}, "must be numbers: at least 0"),
+        ([0.0], [1.0], {"attempt_indices": [2**70]}, "must be numbers: integers"),
+        ([0.0], [1.0], {"attempt_indices": [2**64 - 1]}, "must be numbers: at least 0"),
+        ([0.0], [1.0], {"skipped": 1.5}, "skipped must be an integer"),
+        ([0.0], [1.0], {"skipped": "a"}, "skipped must be an integer"),
+    ], ids=["lo0-hi0", "lo1-hi1", "gamma_uniforms", "attempt_indices", "fractional-index",
+            "negative-index", "index-beyond-uint64", "index-beyond-int64", "fractional-skipped",
+            "text-skipped"])
+    def test_endpoints_that_are_not_numbers_rejected(self, lo, hi, extra, match):
+        with pytest.raises(ParameterError, match=match):
             SetDrawBatch(lo, hi, "prior", "toy_analytic", **extra)
 
     def test_high_skip_rate_warns(self):

@@ -27,7 +27,7 @@ from partialid import (
 )
 from partialid import DirichletProcessSpec, process_means, scenarios
 from partialid.cli import RunConfig, run_scenario
-from partialid.dirichlet import TRUNCATION_DELTA, TRUNCATION_EPS, choose_truncation_level
+from partialid.dirichlet import choose_truncation_level
 from partialid.distributions import ScalarNormal
 from partialid.priors import ConditionalPriorSpec, marginal_sample
 from partialid.rng import SeedBlock, UniformRows
@@ -553,7 +553,7 @@ class TestBlockEquivalence:
             spec = DirichletProcessSpec(n0, ScalarNormal(mu, var))
             table = np.ascontiguousarray(data.column(column)[None]) if n else None
             # k sticks and the one variate of the atoms' mean, then rho and n data weights
-            k = choose_truncation_level(n0, TRUNCATION_EPS, TRUNCATION_DELTA)
+            k = choose_truncation_level(n0)
             calls.append((spec, table, k + 1 + (n > 0) + (n if n > 1 else 0)))
         (spec1, t1, m1), (spec2, t2, m2) = calls
         for r, j in enumerate(batch.attempt_indices):

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Worker invariance at study size: runs each data scenario at workers 1, 2 and,
 # on more CPUs, nproc (where more than one pool process draws), and compares
-# every CSV byte for byte with the workers-1 run.  The golden runs use 100
+# every CSV byte for byte with the workers-1 run; last, one process runs three
+# scenarios at workers 2 through one shared pool.  The golden runs use 100
 # draws, which never fill more than one chunk.  Process means are stacked
 # matmuls, one BLAS call per row, which every numpy must dispatch per row
 # whatever the chunk a row is in, and row-wise sums; binary_missing's short
@@ -31,12 +32,31 @@ for w in $counts; do
     cmp "$out/g1/interval_censored_seed7/$f" "$out/g$w/interval_censored_seed7/$f"
   done
 done
-# several chunks of short stream rows, through the pool
+# several chunks of short stream rows, through the pool: 70000 attempts of 4
+# uniforms cross scenarios.POOL_UNIFORMS
 for w in $counts; do
   python -m partialid.cli run --scenario binary_missing --n 1000 \
-    --prior-family II --n-draws 20000 --seed 7 --workers "$w" \
+    --prior-family II --n-draws 70000 --seed 7 --workers "$w" \
     --out-dir "$out/s$w" > /dev/null
   for f in coverage.csv intervals.csv gamma_hist.csv; do
     cmp "$out/s1/binary_missing_seed7/$f" "$out/s$w/binary_missing_seed7/$f"
+  done
+done
+# one process runs the three Dirichlet-process scenarios back to back at
+# workers 2, and its one attempt pool serves them all
+python - "$out/shared" <<'EOF'
+import sys
+from partialid import scenarios
+from partialid.cli import RunConfig, run_scenario
+pools = []
+for sid in ("interval_censored", "errors_in_variables", "interval_regression"):
+    run_scenario(RunConfig(scenario=sid, n=1000, n_draws=1000, seed=7, workers=2,
+                           out_dir=sys.argv[1]))
+    pools.append(scenarios._pool)
+assert pools[0] is not None and all(p is pools[0] for p in pools), pools
+EOF
+for sid in interval_censored errors_in_variables interval_regression; do
+  for f in coverage.csv intervals.csv; do
+    cmp "$out/w1/${sid}_seed7/$f" "$out/shared/${sid}_seed7/$f"
   done
 done

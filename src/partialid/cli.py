@@ -216,15 +216,13 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
         modes = ("prior", "posterior")
 
     batches, coverage, hists = {}, {}, {}
-    with sc.attempt_pool(run_cfg.workers) as pool:  # one pool for every batch, or none
-        for mode in modes:
-            batch = batches[f"{mode}_sets"] = sc.draw_set_batch(
-                cfg, mode, run_cfg.n_draws, seed, dataset=dataset, workers=run_cfg.workers,
-                pool=pool)
-            coverage[f"{mode}_coverage"] = estimate_coverage(batch, cfg.grid).values
-            if spec is not None:
-                marginal = batches[f"{mode}_gamma"] = draw_gammas(spec, batch)
-                hists[mode] = histogram(marginal.gammas, GAMMA_HIST_BINS, cfg.grid[[0, -1]])
+    for mode in modes:
+        batch = batches[f"{mode}_sets"] = sc.draw_set_batch(
+            cfg, mode, run_cfg.n_draws, seed, dataset=dataset, workers=run_cfg.workers)
+        coverage[f"{mode}_coverage"] = estimate_coverage(batch, cfg.grid).values
+        if spec is not None:
+            marginal = batches[f"{mode}_gamma"] = draw_gammas(spec, batch)
+            hists[mode] = histogram(marginal.gammas, GAMMA_HIST_BINS, cfg.grid[[0, -1]])
 
     diagnostics = {
         "versions": {

@@ -45,6 +45,10 @@ from .rng import RngStream
 TRUNCATION_EPS = 1e-3
 TRUNCATION_DELTA = 0.01
 
+#: Most sticks a truncated draw keeps: K grows linearly in the concentration,
+#: and this admits n0 up to about 9401.3, where one row of sticks is 512 KB.
+MAX_TRUNCATION_LEVEL = 2**16
+
 
 @lru_cache(maxsize=None)
 def choose_truncation_level(n0: float) -> int:
@@ -53,11 +57,16 @@ def choose_truncation_level(n0: float) -> int:
     The tail mass after keeping K sticks satisfies -ln(tail) ~ Gamma(K, rate
     n0), whose CDF at -ln(eps), P(tail > eps), falls as K grows;
     ``scipy.special.gdtrib`` inverts that CDF in the shape, and K is the
-    ceiling of the shape at which it equals delta.
+    ceiling of the shape at which it equals delta.  Raises
+    :class:`ParameterError` when K would exceed :data:`MAX_TRUNCATION_LEVEL`
+    or the shape is not finite.
     """
     if not 0 < n0 < math.inf:
         raise ParameterError(f"concentration must be positive and finite, got {n0}")
     shape = special.gdtrib(n0, TRUNCATION_DELTA, -math.log(TRUNCATION_EPS))
+    if not shape <= MAX_TRUNCATION_LEVEL:  # also a shape that is inf or nan
+        raise ParameterError(f"concentration {n0} needs {shape} sticks, more than "
+                             f"the {MAX_TRUNCATION_LEVEL} a draw may keep")
     return max(1, math.ceil(shape))
 
 
@@ -74,10 +83,7 @@ class DirichletProcessSpec:
     base_sampler: Callable[[RngStream, int], np.ndarray]
 
     def __post_init__(self):
-        if not 0 < self.concentration < math.inf:
-            raise ParameterError(
-                f"concentration must be positive and finite, got {self.concentration}"
-            )
+        choose_truncation_level(self.concentration)  # raises for a bad concentration
 
 
 def stick_weights(n0: float, k: int, rng: RngStream) -> tuple[np.ndarray, float]:

@@ -23,7 +23,9 @@ are reported as skips, never reordered or hidden.
 Attempts run in blocks.  A scenario's prepared draw maps a source of
 uniforms, one attempt per row, to interval endpoints and an accept mask; one
 draw from one stream (:func:`draw_set`) is a block of one.
-:func:`run_attempts` counts the uniforms an attempt reads on one row.
+:func:`run_attempts` counts the uniforms an attempt reads on one row, and
+splits a block of at least :data:`POOL_UNIFORMS` uniforms with the process's
+one attempt pool.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from types import MappingProxyType
@@ -471,6 +473,47 @@ def draw_set(
 #: memory does not grow with its size or its data.
 CHUNK_UNIFORMS = 2**15
 
+#: Fewest uniforms, attempts times uniforms per attempt, of a block that is
+#: split among the attempt pool's processes; a smaller block is one share,
+#: run here.  Through a warm pool of one process on 2 CPUs, a block of 1000
+#: interval_censored prior attempts (260000 uniforms) ran slower split than
+#: whole, and 1000 errors_in_variables prior attempts (502000) about 1.4x
+#: faster; blocks of 3000 to 66000 uniforms lost 0.6 to 1.3 ms each.
+POOL_UNIFORMS = 2**18
+
+_pool = None  # (processes, executor): the attempt pool this process's runs share
+
+
+def _attempt_pool(processes: int) -> ProcessPoolExecutor:
+    """This process's attempt pool of ``processes`` processes: started by the
+    first block that needs it, kept for later runs, and replaced only for
+    another size."""
+    global _pool
+    if _pool is not None and _pool[0] != processes:
+        shutdown_attempt_pool()
+    if _pool is None:
+        _pool = (processes, ProcessPoolExecutor(max_workers=processes))
+    return _pool[1]
+
+
+def shutdown_attempt_pool() -> None:
+    """Shut down this process's attempt pool, if it has one, and wait for its
+    processes; the next block over :data:`POOL_UNIFORMS` starts another.  An
+    interpreter's exit shuts it down too."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        pool[1].shutdown(cancel_futures=True)
+
+
+def _forget_attempt_pool() -> None:
+    global _pool
+    _pool = None  # a forked child does not own its parent's pool
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_attempt_pool)
+
 
 def _task(draw: Callable, m: int, master_seed: int, streams: range):
     """``(lo, hi, accept, gamma_uniforms)`` of the attempt streams ``streams``,
@@ -517,16 +560,8 @@ def check_attempts(n_draws: int, workers: int) -> None:
         raise ParameterError(f"workers must be >= 1, got {workers}")
 
 
-def attempt_pool(workers: int):
-    """A process pool of ``min(workers, max_workers()) - 1`` processes to share
-    among the batches of a run, as a context manager: the caller is the other
-    worker.  None when that is no process."""
-    workers = min(workers, max_workers())
-    return ProcessPoolExecutor(max_workers=workers - 1) if workers > 1 else nullcontext()
-
-
 def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
-                 workers: int, label: str, pool=None):
+                 workers: int, label: str):
     """Run attempts of ``draw`` (:func:`prepare_draw`) 0, 1, 2, ... in index
     order until ``n_draws`` are accepted.
 
@@ -536,26 +571,28 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
     with no rejection, so a row reads m whatever its uniforms.
     The first block holds ``n_draws`` attempts, each top-up block as many as
     the acceptance rate so far asks.
-    A block is shares of ``ceil(len(block) / workers)`` attempts, one share at
-    ``workers`` 1.  A share (:func:`_task`) carries only the draw, m and its
-    attempt range, seeds its own streams and runs them in chunks: attempt j's
-    m uniforms are row j of the chunk's array (at most :data:`CHUNK_UNIFORMS`),
-    the gamma uniform last.  The caller computes the first share of every
-    block while ``pool`` (:func:`attempt_pool`) runs the others; without one,
-    ``workers > 1`` starts a pool for this call.  Shares are consumed in
-    attempt order, and those not started when the block's acceptances are in
-    are cancelled.  Attempts past the ``n_draws``-th acceptance are never
-    counted and their errors never raised; a consumed, accepted one without
-    ``lo <= hi`` raises :class:`ParameterError`.  Returns
+    A block of at least :data:`POOL_UNIFORMS` uniforms (attempts times
+    ``m + 1``) is shares of ``ceil(len(block) / workers)`` attempts; a smaller
+    one, or any at ``workers`` 1, is one share.  A share (:func:`_task`)
+    carries only the draw, m and its attempt range, seeds its own streams and
+    runs them in chunks: attempt j's m uniforms are row j of the chunk's array
+    (at most :data:`CHUNK_UNIFORMS`), the gamma uniform last.  This process
+    computes the first share of every block while its attempt pool of
+    ``workers - 1`` processes runs the others: the first split block starts
+    the pool, later runs reuse it, and it ends at exit
+    (:func:`shutdown_attempt_pool`).  A pool broken by a dead process raises
+    ``BrokenProcessPool`` and is dropped, so the next block starts a new one.
+    Shares are consumed in attempt order, and those not started when the
+    block's acceptances are in are cancelled.  Attempts past the
+    ``n_draws``-th acceptance are never counted and their errors never raised;
+    a consumed, accepted one without ``lo <= hi`` raises
+    :class:`ParameterError`.  Returns
     ``(attempt_indices, lo, hi, gamma_uniforms, skipped)``.  Raises
     :class:`SkipBudgetError`, its message opened by ``label``, when skips
     exhaust ``50 * n_draws + 1000`` attempts.
     """
     check_attempts(n_draws, workers)
     workers = min(workers, max_workers())
-    if pool is None and workers > 1:
-        with attempt_pool(workers) as pool:
-            return run_attempts(draw, n_draws, master_seed, role, workers, label, pool)
     probe = UniformRows(np.broadcast_to(0.5, (1, 2**40)))  # read-only: allocates nothing
     draw(probe)
     m = probe.at
@@ -572,13 +609,16 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
         size = max(need, need * next_index // max(n_draws - need, 1))
         streams = range(base + next_index, base + min(next_index + size, attempt_cap))
         next_index = streams.stop - base
-        step = -(-len(streams) // workers)
+        split = workers if len(streams) * (m + 1) >= POOL_UNIFORMS else 1
+        step = -(-len(streams) // split)
         shares = [streams[i:i + step] for i in range(0, len(streams), step)]
-        # the pool runs the later shares while this process computes the first
-        futures = [pool.submit(_task, draw, m, master_seed, share) for share in shares[1:]]
-        outcomes = [partial(_task, draw, m, master_seed, shares[0]),
-                    *(future.result for future in futures)]
+        futures = []
         try:
+            if len(shares) > 1:  # the pool runs the later shares, this process the first
+                pool = _attempt_pool(workers - 1)
+                futures = [pool.submit(_task, draw, m, master_seed, share) for share in shares[1:]]
+            outcomes = [partial(_task, draw, m, master_seed, shares[0]),
+                        *(future.result for future in futures)]
             for share, outcome in zip(shares, outcomes):
                 lo, hi, accept, u = outcome()
                 rows = np.flatnonzero(accept)[:need]
@@ -592,6 +632,9 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
                 need -= len(rows)
                 if not need:
                     break
+        except BrokenProcessPool:
+            shutdown_attempt_pool()
+            raise
         finally:  # a share past the last acceptance is not started, or not read
             for future in futures:
                 future.cancel()
@@ -606,7 +649,6 @@ def draw_set_batch(
     dataset: Dataset | None = None,
     workers: int = 1,
     role: int | None = None,
-    pool=None,
 ) -> SetDrawBatch:
     """Collect ``n_draws`` accepted interval draws, skipping guard violations.
 
@@ -615,14 +657,16 @@ def draw_set_batch(
     :func:`~partialid.priors.draw_gammas`, that stream's next uniform: an
     attempt reads one stream, in order.  Every block of attempts is shares
     that seed their own streams (:func:`run_attempts`), so the batch is
-    byte-identical for any worker count; ``pool`` shares an
-    :func:`attempt_pool` among a run's batches.
+    byte-identical for any worker count.  At ``workers`` 2 or more, the
+    blocks of at least :data:`POOL_UNIFORMS` uniforms are split with the
+    process's one attempt pool, which the first such block starts and an exit
+    ends.
     """
     if role is None:
         role = ROLE_PRIOR_SETS if mode == "prior" else ROLE_POSTERIOR_SETS
     indices, lo, hi, gamma_uniforms, skipped = run_attempts(
         prepare_draw(cfg, mode, dataset), n_draws, master_seed, role, workers,
-        f"{cfg.scenario_id} {mode}", pool)
+        f"{cfg.scenario_id} {mode}")
     return SetDrawBatch(lo, hi, mode, cfg.scenario_id, skipped=skipped,
                         attempt_indices=indices, gamma_uniforms=gamma_uniforms)
 

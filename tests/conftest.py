@@ -1,3 +1,4 @@
+import threading
 from concurrent.futures import Future
 from types import SimpleNamespace
 
@@ -10,20 +11,34 @@ from partialid import scenarios
 settings.register_profile("ci", derandomize=True)
 
 
+@pytest.fixture(autouse=True)
+def no_pool_left():
+    """Shut down any attempt pool a test started, and check that its threads
+    are gone: a live pool keeps a manager thread, and ``os.fork`` in a process
+    with other threads warns on Python 3.12."""
+    threads = threading.active_count()
+    yield
+    scenarios.shutdown_attempt_pool()
+    assert threading.active_count() == threads
+
+
 @pytest.fixture
 def in_process_pool(monkeypatch):
     """Stand in for ProcessPoolExecutor, running tasks here.
 
-    Returns the pool sizes asked for (``.sizes``) and the argument tuples of
-    the tasks submitted (``.submitted``).  Like a pool with a free process per
-    task, it runs every task when it is submitted and raises a task's error
-    only when that task's result is read.
+    Returns the pool sizes asked for (``.sizes``), the pools (``.pools``), the
+    argument tuples of the tasks submitted (``.submitted``) and the pools shut
+    down (``.shut``).
+    Like a pool with a free process per task, it runs every task when it is
+    submitted and raises a task's error only when that task's result is read.
+    The process's shared attempt pool is cleared before and after the test.
     """
-    record = SimpleNamespace(sizes=[], submitted=[])
+    record = SimpleNamespace(sizes=[], submitted=[], shut=[], pools=[])
 
     class InProcessPool:
         def __init__(self, max_workers):
             record.sizes.append(max_workers)
+            record.pools.append(self)
 
         def submit(self, fn, *args):
             record.submitted.append(args)
@@ -34,14 +49,13 @@ def in_process_pool(monkeypatch):
                 future.set_exception(exc)
             return future
 
-        def __enter__(self):
-            return self
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            record.shut.append(self)
 
-        def __exit__(self, *exc):
-            pass
-
+    scenarios.shutdown_attempt_pool()
     monkeypatch.setattr(scenarios, "ProcessPoolExecutor", InProcessPool)
-    return record
+    yield record
+    scenarios.shutdown_attempt_pool()
 
 
 @pytest.fixture

@@ -183,7 +183,7 @@ class TestRunScenario:
         def no_work(*args, **kwargs):
             raise AssertionError("work started on a bad option")
 
-        for name in ("generate_data", "attempt_pool", "draw_set_batch"):
+        for name in ("generate_data", "ProcessPoolExecutor", "draw_set_batch"):
             monkeypatch.setattr(scenarios, name, no_work)
         run = RunConfig(scenario=scenario, n=None, out_dir=str(tmp_path), **option)
         with pytest.raises(ParameterError, match=match):
@@ -342,20 +342,6 @@ class TestRunScenario:
         assert summary["true_set"] is None
         assert summary["point_estimate"] is None
 
-    def test_a_run_shares_one_pool_among_its_batches(self, tmp_path, monkeypatch,
-                                                      pool_sizes):
-        from partialid import scenarios
-
-        monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
-        base = dict(scenario="interval_censored", n=40, n_draws=60, seed=4,
-                    prior_family="III")
-        r1 = run_scenario(RunConfig(out_dir=str(tmp_path / "w1"), **base))
-        assert pool_sizes == []
-        r2 = run_scenario(RunConfig(out_dir=str(tmp_path / "w2"), workers=2, **base))
-        assert pool_sizes == [1]
-        for name in ("coverage.csv", "intervals.csv", "gamma_hist.csv"):
-            assert r1.files[name] == r2.files[name]
-
     def test_repeat_runs_byte_identical(self, tmp_path):
         base = dict(scenario="binary_missing", n=150, n_draws=80, seed=4,
                     prior_family="II")
@@ -372,6 +358,74 @@ class TestRunScenario:
 
 EDGE_FLOATS = [np.inf, -np.inf, -0.0, 0.0, np.nan, 5e-324, 1e-300, 1e300, 1e12, 1e12 + 1,
                999999999999.0, 123456789012345.0, 2.0**53, 1e22, 0.1, -2.5, 1 / 3]
+
+
+class TestPoolLifetime:
+    """One attempt pool per process, kept across runs (:mod:`partialid.scenarios`)."""
+
+    BASE = dict(scenario="interval_censored", n=40, n_draws=60, seed=4, prior_family="III")
+    FILES = ("coverage.csv", "intervals.csv", "gamma_hist.csv")
+
+    @pytest.fixture
+    def split_all(self, monkeypatch):
+        """Three CPUs, and every block split among the workers."""
+        from partialid import scenarios
+
+        monkeypatch.setattr(scenarios, "max_workers", lambda: 3)
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
+
+    def _run(self, tmp_path, name, workers):
+        report = run_scenario(RunConfig(out_dir=str(tmp_path / name), workers=workers,
+                                        **self.BASE))
+        return {name: report.files[name] for name in self.FILES}
+
+    def test_runs_in_one_process_share_one_pool(self, tmp_path, split_all, in_process_pool):
+        serial = self._run(tmp_path, "w1", 1)
+        assert in_process_pool.sizes == []
+        assert self._run(tmp_path, "a", 2) == serial
+        assert self._run(tmp_path, "b", 2) == serial
+        assert in_process_pool.sizes == [1] and in_process_pool.shut == []
+        assert len(in_process_pool.submitted) >= 4  # both modes of both runs
+
+    @pytest.mark.parametrize("scenario", ["toy_analytic", "binary_missing"])
+    def test_a_run_below_the_threshold_starts_no_pool(self, tmp_path, monkeypatch,
+                                                      in_process_pool, scenario):
+        from partialid import scenarios
+
+        monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
+        n = None if scenario == "toy_analytic" else 1000
+        run_scenario(RunConfig(scenario=scenario, n=n, n_draws=1000, seed=4, workers=2,
+                               out_dir=str(tmp_path)))
+        assert 1000 * 4 < scenarios.POOL_UNIFORMS  # 3 or 4 uniforms an attempt
+        assert in_process_pool.sizes == [] and in_process_pool.submitted == []
+
+    def test_another_worker_count_replaces_the_pool(self, tmp_path, split_all,
+                                                    in_process_pool):
+        serial = self._run(tmp_path, "w1", 1)
+        for name, workers in (("a", 2), ("b", 3), ("c", 3), ("d", 2)):
+            assert self._run(tmp_path, name, workers) == serial
+        assert in_process_pool.sizes == [1, 2, 1]
+        assert len(in_process_pool.shut) == 2
+
+    def test_a_broken_pool_is_dropped(self, tmp_path, split_all, in_process_pool, monkeypatch):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        serial = self._run(tmp_path, "w1", 1)
+        assert self._run(tmp_path, "a", 2) == serial
+        (pool,) = in_process_pool.pools
+
+        def dead(fn, *args):  # what a pool whose process died returns
+            future = Future()
+            future.set_exception(BrokenProcessPool("a process of the pool died"))
+            return future
+
+        monkeypatch.setattr(pool, "submit", dead)
+        with pytest.raises(BrokenProcessPool):
+            self._run(tmp_path, "b", 2)
+        assert in_process_pool.shut == [pool]
+        assert self._run(tmp_path, "c", 2) == serial
+        assert in_process_pool.sizes == [1, 1]
 
 
 def _per_value_rows(indices, lo, hi):

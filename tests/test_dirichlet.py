@@ -13,7 +13,7 @@ from partialid import (
     stick_weights,
     substream,
 )
-from partialid.dirichlet import TRUNCATION_DELTA, TRUNCATION_EPS
+from partialid.dirichlet import MAX_TRUNCATION_LEVEL, TRUNCATION_DELTA, TRUNCATION_EPS
 from partialid.rng import UniformRows
 
 
@@ -71,6 +71,36 @@ class TestChooseTruncationLevel:
         for n0 in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ParameterError):
                 choose_truncation_level(n0)
+
+    def test_level_is_bounded(self):
+        assert MAX_TRUNCATION_LEVEL == 2**16
+        # gdtrib's shape is 65536.0 at n0 = 9401.306698302345
+        assert choose_truncation_level(9401.0) == 65534
+        assert choose_truncation_level(9401.3066983 * (1 - 1e-9)) == 2**16
+        for n0 in (9401.3066983 * (1 + 1e-9), 9402.0, 1e6, 1.7e308):  # gdtrib: inf at 1.7e308
+            with pytest.raises(ParameterError, match="more than the 65536"):
+                choose_truncation_level(n0)
+            with pytest.raises(ParameterError, match="more than the 65536"):
+                DirichletProcessSpec(n0, normal_base(0.0, 1.0))
+
+    def test_bound_is_where_the_level_exceeds_it(self):
+        # the largest admitted float concentration has exactly the maximum
+        # level, and the next float up is rejected
+        def admitted(n0):
+            try:
+                return choose_truncation_level(n0) <= MAX_TRUNCATION_LEVEL
+            except ParameterError:
+                return False
+
+        lo, hi = 9000.0, 10000.0
+        assert admitted(lo) and not admitted(hi)
+        while np.nextafter(lo, hi) < hi:
+            mid = lo + (hi - lo) / 2
+            lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+        assert choose_truncation_level(lo) == MAX_TRUNCATION_LEVEL
+        assert DirichletProcessSpec(lo, normal_base(0.0, 1.0)).concentration == lo
+        with pytest.raises(ParameterError, match="sticks"):
+            choose_truncation_level(hi)
 
 
 class TestDirichletProcessSpec:

@@ -20,6 +20,7 @@ from partialid import (
     sample_truncated_normal,
     substream,
 )
+from partialid import scenarios
 from partialid.priors import draw_gammas
 from partialid.scenarios import (
     ROLE_DATA,
@@ -202,7 +203,8 @@ class TestMarginalSample:
         assert np.array_equal(other.gammas, draw_gammas(spec, resets).gammas)
         assert not np.array_equal(other.gammas, batch.gammas)
 
-    def test_worker_invariance(self):
+    def test_worker_invariance(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)  # a real pool, at any size
         cfg = make_config("binary_missing", n=200)
         data = generate_data(cfg, attempt_stream(34, ROLE_DATA, 0))
         spec = default_prior_spec("binary_missing", "III")
@@ -211,7 +213,8 @@ class TestMarginalSample:
         assert np.array_equal(seq.gammas, par.gammas)
         assert np.array_equal(seq.lo, par.lo)
 
-    def test_worker_invariance_with_skips(self):
+    def test_worker_invariance_with_skips(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
         # binary_missing intervals never skip; an identity base covariance makes
         # about half of these attempts skip
         cfg = make_config("errors_in_variables", n=10)

@@ -1,10 +1,15 @@
+import contextlib
 import dataclasses
-import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from concurrent.futures import Future
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,7 +395,8 @@ class TestDrawSetBatch:
         last = batch.attempt_indices[-1]
         assert last + 1 == len(batch) + batch.skipped
 
-    def test_worker_invariance(self):
+    def test_worker_invariance(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)  # a real pool, at any size
         cfg = make_config("toy_analytic")
         seq = draw_set_batch(cfg, "prior", 60, master_seed=12, workers=1)
         par = draw_set_batch(cfg, "prior", 60, master_seed=12, workers=2)
@@ -451,6 +457,7 @@ class TestDrawSetBatch:
         last = attempt_stream(21, 1, indices[-1]).uniform()
         late = attempt_stream(21, 1, indices[-1] + 1).uniform()
         monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)  # split every block
         monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", 2)  # one attempt per chunk
         for workers in (1, 2):
             # a bad row is masked in its chunk; only a consumed one raises
@@ -465,7 +472,7 @@ class TestDrawSetBatch:
         assert np.array_equal(run_attempts(late_raise, 10, 21, 1, 2, "synthetic")[0], indices)
         with pytest.raises(RuntimeError, match="past the last acceptance"):
             run_attempts(late_raise, 11, 21, 1, 2, "synthetic")
-        assert pool_sizes == [1, 1, 1, 1]
+        assert pool_sizes == [1]  # one pool for the process
 
     def test_posterior_batch_concentrates(self):
         cfg = make_config("interval_censored", n=400)
@@ -661,7 +668,8 @@ def _cpu_limit():
 
 
 class TestWorkerBound:
-    def test_run_attempts_caps_the_pool_at_the_cpu_count(self, pool_sizes):
+    def test_run_attempts_caps_the_pool_at_the_cpu_count(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
         sizes = pool_sizes
         cfg = make_config("toy_analytic")
         want = draw_set_batch(cfg, "prior", 40, 6)
@@ -707,6 +715,7 @@ class TestPool:
     def test_the_parent_computes_the_first_share_of_each_block(self, monkeypatch, shares,
                                                                in_process_pool):
         monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
         run_attempts(_skip_most, 40, 21, 1, 2, "synthetic")
         submitted = [streams for *_, streams in in_process_pool.submitted]
         parent = [streams for streams in shares if streams not in submitted]
@@ -735,6 +744,7 @@ class TestPool:
         """Share boundaries move with the worker count; the output does not.  A
         share runs its attempts in chunks."""
         monkeypatch.setattr(scenarios, "max_workers", lambda: 4)
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
         cfg = make_config("interval_censored", n=1000)
         data = generate_data(cfg, attempt_stream(5, ROLE_DATA, 0))
         # 14 rows a chunk against shares of 50 to 100 attempts; _skip_most tops
@@ -761,6 +771,7 @@ class TestPool:
         # every toy attempt is accepted, so a batch is one block, and at
         # workers 2 it submits one share of half the block: 40 or 4000 attempts
         monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
         draw = prepare_draw(make_config("toy_analytic"), "prior")
         sizes = []
         for n_draws in (80, 8000):
@@ -788,9 +799,34 @@ class TestPool:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
+    def test_a_block_is_split_from_the_threshold_up(self, monkeypatch, in_process_pool):
+        # toy attempts read 3 uniforms, the gamma uniform included, and none skips
+        monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 300)
+        draw = prepare_draw(make_config("toy_analytic"), "prior")
+        run_attempts(draw, 99, 4, ROLE_PRIOR_SETS, 2, "toy")
+        assert in_process_pool.sizes == [] and in_process_pool.submitted == []
+        run_attempts(draw, 100, 4, ROLE_PRIOR_SETS, 2, "toy")
+        (args,) = in_process_pool.submitted
+        base = ROLE_PRIOR_SETS << 32
+        assert args[-1] == range(base + 50, base + 100) and in_process_pool.sizes == [1]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_does_not_inherit_the_pool(self, monkeypatch, in_process_pool):
+        monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
+        run_attempts(_skip_most, 10, 21, 1, 2, "synthetic")
+        assert scenarios._pool is not None
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if scenarios._pool is None else 1)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert scenarios._pool is not None and in_process_pool.sizes == [1]
+
     @pytest.mark.skipif(scenarios.max_workers() < 2, reason="needs two CPUs")
-    def test_no_process_outlives_a_run(self, tmp_path, monkeypatch):
-        """With a real pool, including a block whose last share is left unread."""
+    def test_no_process_outlives_the_interpreter(self, tmp_path, monkeypatch):
+        """A real pool, including a block whose last share is left unread,
+        lives until its interpreter exits, and no process outlives that."""
         read, cancelled = [], []
         result, cancel = Future.result, Future.cancel
 
@@ -804,13 +840,38 @@ class TestPool:
 
         monkeypatch.setattr(Future, "result", reading)
         monkeypatch.setattr(Future, "cancel", cancelling)
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
         monkeypatch.setattr(scenarios, "prepare_draw", lambda *args: _skip_most)
         with pytest.warns(UserWarning, match="skipped"):
             report = run_scenario(RunConfig(scenario="toy_analytic", n=None, n_draws=10,
                                             seed=21, workers=2, out_dir=str(tmp_path)))
         assert report.skips["prior_sets"] > 0
         assert [future for future in cancelled if future not in read]
-        assert multiprocessing.active_children() == []
+
+        # two runs share the pool the first one starts; it is still up at exit
+        code = textwrap.dedent(f"""
+            from partialid import scenarios
+            from partialid.cli import RunConfig, run_scenario
+            pools = []
+            for sid in ("interval_censored", "errors_in_variables"):
+                run_scenario(RunConfig(scenario=sid, n=1000, n_draws=200, seed=3,
+                                       workers=2, out_dir={str(tmp_path)!r}))
+                pools.append(scenarios._pool)
+            assert pools[0] is not None and pools[1] is pools[0], pools
+        """)
+        src = str(Path(scenarios.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        child = subprocess.Popen([sys.executable, "-c", code], env=env, stderr=subprocess.PIPE,
+                                 text=True, start_new_session=True)
+        try:
+            _, stderr = child.communicate(timeout=120)
+            assert child.returncode == 0, stderr
+            with pytest.raises(ProcessLookupError):
+                os.killpg(child.pid, 0)  # the child's session holds no process
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
 
 
 class TestToyOracles:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
@@ -506,6 +506,31 @@ def shutdown_attempt_pool() -> None:
         pool[1].shutdown(cancel_futures=True)
 
 
+def _submit(processes: int, draw: Callable, m: int, master_seed: int, share: range):
+    """A future of :func:`_task` on ``share`` from this process's attempt pool
+    of ``processes`` processes, replaced first if one of its processes died
+    since its last block."""
+    try:
+        return _attempt_pool(processes).submit(_task, draw, m, master_seed, share)
+    except BrokenProcessPool:
+        shutdown_attempt_pool()
+        return _attempt_pool(processes).submit(_task, draw, m, master_seed, share)
+
+
+def _result(future, draw: Callable, m: int, master_seed: int, share: range):
+    """The outcome of a share the pool ran, or, if a process of the pool died
+    on the way, of the same share run here: it seeds its own streams, so the
+    two are equal."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        first = share.start % 2**_ROLE_SHIFT
+        log.warning("the attempt pool broke (%s); attempts %d to %d run here",
+                    exc, first, first + len(share) - 1)
+        shutdown_attempt_pool()
+        return _task(draw, m, master_seed, share)
+
+
 def _forget_attempt_pool() -> None:
     global _pool
     _pool = None  # a forked child does not own its parent's pool
@@ -580,13 +605,13 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
     computes the first share of every block while its attempt pool of
     ``workers - 1`` processes runs the others: the first split block starts
     the pool, later runs reuse it, and it ends at exit
-    (:func:`shutdown_attempt_pool`).  A pool broken by a dead process raises
-    ``BrokenProcessPool`` and is dropped, so the next block starts a new one.
-    Shares are consumed in attempt order, and those not started when the
-    block's acceptances are in are cancelled.  Attempts past the
-    ``n_draws``-th acceptance are never counted and their errors never raised;
-    a consumed, accepted one without ``lo <= hi`` raises
-    :class:`ParameterError`.  Returns
+    (:func:`shutdown_attempt_pool`).  A pool one of whose processes died is
+    dropped: a block that finds it so starts a new one, and a share it was
+    running runs here.  Shares are consumed in attempt order; those not
+    started when the block's acceptances are in are cancelled, and the block
+    waits for those running.  Attempts past the ``n_draws``-th acceptance
+    are never counted and their errors never raised; a consumed, accepted one
+    without ``lo <= hi`` raises :class:`ParameterError`.  Returns
     ``(attempt_indices, lo, hi, gamma_uniforms, skipped)``.  Raises
     :class:`SkipBudgetError`, its message opened by ``label``, when skips
     exhaust ``50 * n_draws + 1000`` attempts.
@@ -612,13 +637,12 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
         split = workers if len(streams) * (m + 1) >= POOL_UNIFORMS else 1
         step = -(-len(streams) // split)
         shares = [streams[i:i + step] for i in range(0, len(streams), step)]
-        futures = []
+        # the pool runs the later shares while this process computes the first
+        futures = [_submit(workers - 1, draw, m, master_seed, share) for share in shares[1:]]
+        outcomes = [partial(_task, draw, m, master_seed, shares[0]),
+                    *(partial(_result, future, draw, m, master_seed, share)
+                      for future, share in zip(futures, shares[1:]))]
         try:
-            if len(shares) > 1:  # the pool runs the later shares, this process the first
-                pool = _attempt_pool(workers - 1)
-                futures = [pool.submit(_task, draw, m, master_seed, share) for share in shares[1:]]
-            outcomes = [partial(_task, draw, m, master_seed, shares[0]),
-                        *(future.result for future in futures)]
             for share, outcome in zip(shares, outcomes):
                 lo, hi, accept, u = outcome()
                 rows = np.flatnonzero(accept)[:need]
@@ -632,12 +656,10 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
                 need -= len(rows)
                 if not need:
                     break
-        except BrokenProcessPool:
-            shutdown_attempt_pool()
-            raise
         finally:  # a share past the last acceptance is not started, or not read
             for future in futures:
                 future.cancel()
+            wait(futures)  # and none outlives its block
     return (*(np.concatenate(part) for part in zip(*taken)), skipped)
 
 

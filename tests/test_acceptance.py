@@ -292,7 +292,9 @@ def test_10_flat_family_ks_decreases_with_sample_size():
     )
 
 
-def test_11_runs_are_deterministic(tmp_path):
+def test_11_runs_are_deterministic(tmp_path, monkeypatch):
+    # every block of the workers-8 run is split, small as it is
+    monkeypatch.setattr(sc, "POOL_UNIFORMS", 0)
     base = dict(
         scenario="interval_censored", n=200, n_draws=120, seed=21,
         prior_family="III",

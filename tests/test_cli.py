@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from partialid import ParameterError
+from partialid import ParameterError, scenarios
 from partialid.cli import _fmt, _rows, build_parser, main, parse_config, run_scenario, RunConfig
+from test_golden import GOLDEN, _run as golden_run
 
 
 def parse_run(argv):
@@ -369,8 +370,6 @@ class TestPoolLifetime:
     @pytest.fixture
     def split_all(self, monkeypatch):
         """Three CPUs, and every block split among the workers."""
-        from partialid import scenarios
-
         monkeypatch.setattr(scenarios, "max_workers", lambda: 3)
         monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
 
@@ -387,11 +386,17 @@ class TestPoolLifetime:
         assert in_process_pool.sizes == [1] and in_process_pool.shut == []
         assert len(in_process_pool.submitted) >= 4  # both modes of both runs
 
+    @pytest.mark.parametrize("case", [case for case, _ in GOLDEN if case[2] > 1],
+                             ids=lambda case: "-".join(map(str, case)))
+    def test_golden_worker_runs_hold_with_every_block_split(self, tmp_path, monkeypatch, case):
+        # the golden runs' blocks stay below the threshold, so their worker
+        # count moves nothing; here the pool takes a share of every block
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
+        assert golden_run(case, tmp_path).files == dict(GOLDEN)[case]
+
     @pytest.mark.parametrize("scenario", ["toy_analytic", "binary_missing"])
     def test_a_run_below_the_threshold_starts_no_pool(self, tmp_path, monkeypatch,
                                                       in_process_pool, scenario):
-        from partialid import scenarios
-
         monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
         n = None if scenario == "toy_analytic" else 1000
         run_scenario(RunConfig(scenario=scenario, n=n, n_draws=1000, seed=4, workers=2,
@@ -407,7 +412,10 @@ class TestPoolLifetime:
         assert in_process_pool.sizes == [1, 2, 1]
         assert len(in_process_pool.shut) == 2
 
-    def test_a_broken_pool_is_dropped(self, tmp_path, split_all, in_process_pool, monkeypatch):
+    @pytest.mark.parametrize("when", ["idle", "running"])
+    def test_a_broken_pool_is_replaced_and_its_run_succeeds(self, tmp_path, split_all,
+                                                            in_process_pool, monkeypatch,
+                                                            caplog, when):
         from concurrent.futures import Future
         from concurrent.futures.process import BrokenProcessPool
 
@@ -415,17 +423,33 @@ class TestPoolLifetime:
         assert self._run(tmp_path, "a", 2) == serial
         (pool,) = in_process_pool.pools
 
-        def dead(fn, *args):  # what a pool whose process died returns
+        def dead(fn, *args):  # a process of the pool died before or during the block
+            error = BrokenProcessPool("a process of the pool died")
+            if when == "idle":
+                raise error
             future = Future()
-            future.set_exception(BrokenProcessPool("a process of the pool died"))
+            future.set_exception(error)
             return future
 
         monkeypatch.setattr(pool, "submit", dead)
-        with pytest.raises(BrokenProcessPool):
-            self._run(tmp_path, "b", 2)
-        assert in_process_pool.shut == [pool]
+        assert self._run(tmp_path, "b", 2) == serial
+        assert in_process_pool.shut == [pool] and in_process_pool.sizes == [1, 1]
+        assert ("the attempt pool broke" in caplog.text) == (when == "running")
         assert self._run(tmp_path, "c", 2) == serial
         assert in_process_pool.sizes == [1, 1]
+
+    @pytest.mark.skipif(scenarios.max_workers() < 2, reason="needs two CPUs")
+    def test_a_run_after_a_pool_process_is_killed_succeeds(self, tmp_path, monkeypatch):
+        import multiprocessing
+        import signal
+
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
+        serial = self._run(tmp_path, "w1", 1)
+        assert self._run(tmp_path, "a", 2) == serial
+        (process,) = multiprocessing.active_children()  # the pool's one process
+        os.kill(process.pid, signal.SIGKILL)
+        assert self._run(tmp_path, "b", 2) == serial
+        assert len(multiprocessing.active_children()) == 1
 
 
 def _per_value_rows(indices, lo, hi):

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from concurrent.futures import Future
 from functools import partial
@@ -385,6 +386,13 @@ def _raise_at(poison, source):
     if np.any(lo == poison):
         raise RuntimeError("a chunk past the last acceptance")
     return lo, hi, accept
+
+
+def _slow_elsewhere(here, poison, source):
+    """:func:`_nan_at`, a second slower in any process but ``here``."""
+    if os.getpid() != here:
+        time.sleep(1.0)
+    return _nan_at(poison, source)
 
 
 class TestDrawSetBatch:
@@ -822,6 +830,18 @@ class TestPool:
             os._exit(0 if scenarios._pool is None else 1)
         assert os.waitpid(pid, 0)[1] == 0
         assert scenarios._pool is not None and in_process_pool.sizes == [1]
+
+    @pytest.mark.skipif(scenarios.max_workers() < 2, reason="needs two CPUs")
+    def test_a_failed_block_leaves_no_share_running(self, monkeypatch):
+        # attempt 0, in this process's share, fails while the pool runs 20 to 39
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
+        futures, submit = [], scenarios._submit
+        monkeypatch.setattr(scenarios, "_submit", lambda *args: futures.append(submit(*args))
+                            or futures[-1])
+        draw = partial(_slow_elsewhere, os.getpid(), attempt_stream(21, 1, 0).uniform())
+        with pytest.raises(ParameterError, match="attempt 0 drew"):
+            run_attempts(draw, 40, 21, 1, 2, "synthetic")
+        assert len(futures) == 1 and futures[0].done()
 
     @pytest.mark.skipif(scenarios.max_workers() < 2, reason="needs two CPUs")
     def test_no_process_outlives_the_interpreter(self, tmp_path, monkeypatch):

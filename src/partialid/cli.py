@@ -105,7 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> dict:
     values: dict = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParameterError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParameterError(f"config file {path} is not UTF-8 text") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -8,20 +8,19 @@ Monte Carlo loops assign one stream per draw index, which makes results
 invariant to the worker count; a draw that needs several independent parts
 reads them from its one stream in turn.
 
-Building a ``SeedSequence`` costs far more than most draws it feeds, so a run
-of consecutive indices can be seeded at once by a :class:`SeedBlock`.  It
-computes the ``SeedSequence`` hash of every key of the block in one vectorized
-pass (:func:`seed_words`) and reproduces ``generate_state(4, np.uint64)`` word
-for word; :meth:`SeedBlock.uniforms` fills one row per stream with the same
-uniforms as ``RngStream(key)`` draws, without building the streams.  Short rows
-come from PCG64 itself, computed in uint64 limbs for all rows at once
-(:func:`pcg64_uniforms`); longer rows from one generator per row.
+Building a ``SeedSequence`` costs far more than most draws it feeds, so many
+streams can be seeded at once: :func:`seed_words` computes the
+``SeedSequence`` hash of every key in one vectorized pass and reproduces
+``generate_state(4, np.uint64)`` word for word, and :func:`stream_uniforms`
+fills one row per stream with the same uniforms as ``RngStream(key)`` draws,
+without building the streams.  Short rows come from PCG64 itself, computed in
+uint64 limbs for all rows at once (:func:`pcg64_uniforms`); longer rows from
+one generator per row.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -244,45 +243,18 @@ def pcg64_uniforms(words: np.ndarray, m: int) -> np.ndarray:
     return np.ascontiguousarray((out >> _U11).T * 2.0**-53)
 
 
-class SeedBlock:
-    """The streams ``(master_seed, index)`` for a range of indices.
+def stream_uniforms(words: np.ndarray, m: int) -> np.ndarray:
+    """The first ``m`` uniforms of the stream of each row of seed words.
 
-    Seed words for the whole range are computed on construction, so each
-    stream costs only its draws.
+    ``words`` is ``(n, 4)`` uint64, row r the :func:`seed_words` of a stream;
+    row r of the result is that stream's ``uniform(m)``, drawn without
+    building the stream.  Up to :data:`SHORT_ROW` uniforms, all rows are
+    computed at once (:func:`pcg64_uniforms`), longer rows by one generator
+    each.
     """
-
-    __slots__ = ("master_seed", "start", "stop", "words")
-
-    def __init__(self, master_seed: int, indices: range):
-        if indices.step != 1 or indices.start < 0 or indices.stop > _SEED_MOD:
-            raise ParameterError(f"a seed block needs a contiguous range in [0, 2**64), "
-                                 f"got {indices}")
-        self.master_seed = int(master_seed) % _SEED_MOD
-        self.start = indices.start
-        self.stop = indices.stop
-        self.words = seed_words(self.master_seed,
-                                np.arange(self.start, self.stop, dtype=np.uint64))
-
-    def _rows(self, indices: range) -> slice:
-        if not self.start <= indices.start <= indices.stop <= self.stop:
-            raise ParameterError(f"{indices} is not within [{self.start}, {self.stop})")
-        return slice(indices.start - self.start, indices.stop - self.start)
-
-    def uniforms(self, m: int, indices: range) -> np.ndarray:
-        """The first ``m`` uniforms of the streams of ``indices``, a subrange of
-        the block, one row per index: row r is ``RngStream(master_seed,
-        indices[r]).uniform(m)``, drawn without building the stream.  Up to
-        :data:`SHORT_ROW` uniforms, all rows are computed at once."""
-        try:
-            m = operator.index(m)
-        except TypeError:
-            raise ParameterError(f"m must be an integer, got {m!r}") from None
-        if m < 0:
-            raise ParameterError(f"m must be >= 0, got {m}")
-        words = self.words[self._rows(indices)]
-        if m <= SHORT_ROW:
-            return pcg64_uniforms(words, m)
-        out = np.empty((len(indices), m))
-        for row, seed in zip(out, words):
-            np.random.Generator(np.random.PCG64(_SeedRow(seed))).random(out=row)
-        return out
+    if m <= SHORT_ROW:
+        return pcg64_uniforms(words, m)
+    out = np.empty((len(words), m))
+    for row, seed in zip(out, words):
+        np.random.Generator(np.random.PCG64(_SeedRow(seed))).random(out=row)
+    return out

@@ -54,7 +54,7 @@ from .distributions import (
 )
 from .errors import ParameterError, SkipBudgetError
 from .random_sets import IntervalSet, SetDrawBatch
-from .rng import RngStream, SeedBlock, UniformRows, substream
+from .rng import RngStream, UniformRows, seed_words, stream_uniforms, substream
 
 log = logging.getLogger(__name__)
 
@@ -68,11 +68,20 @@ ROLE_HELDOUT_SETS = 5
 _ROLE_SHIFT = 32
 
 
+def _role_base(role: int) -> int:
+    """The stream index of attempt 0 of ``role``; a role lies in ``[0, 2**32)``,
+    so that every attempt's index lies in ``[0, 2**64)``."""
+    if not 0 <= role < 2**_ROLE_SHIFT:
+        raise ParameterError(f"role must lie in [0, 2**{_ROLE_SHIFT}), got {role}")
+    return int(role) << _ROLE_SHIFT  # a numpy integer would wrap
+
+
 def attempt_stream(master_seed: int, role: int, attempt: int) -> RngStream:
     """The stream owned by one attempt of one workflow stage."""
+    base = _role_base(role)
     if attempt < 0 or attempt >= 2**_ROLE_SHIFT:
         raise ParameterError(f"attempt index out of range: {attempt}")
-    return substream(master_seed, (role << _ROLE_SHIFT) + attempt)
+    return substream(master_seed, base + int(attempt))  # a numpy integer overflows past 2**63
 
 
 _GRID_STEP = 0.05
@@ -543,13 +552,14 @@ if hasattr(os, "register_at_fork"):
 def _task(draw: Callable, m: int, master_seed: int, streams: range):
     """``(lo, hi, accept, gamma_uniforms)`` of the attempt streams ``streams``,
     one row each: one share of a block, whose attempts read ``m`` uniforms
-    each.  It seeds its own streams in one :class:`~partialid.rng.SeedBlock`
-    and runs them in chunks of at most :data:`CHUNK_UNIFORMS` uniforms, each
-    row the interval's ``m`` uniforms and the gamma uniform last."""
-    seeds = SeedBlock(master_seed, streams)
+    each.  It computes the seed words of its streams at once
+    (:func:`~partialid.rng.seed_words`) and runs them in chunks of at most
+    :data:`CHUNK_UNIFORMS` uniforms (:func:`~partialid.rng.stream_uniforms`),
+    each row the interval's ``m`` uniforms and the gamma uniform last."""
+    words = seed_words(master_seed, np.arange(streams.start, streams.stop, dtype=np.uint64))
     step, parts = max(1, CHUNK_UNIFORMS // (m + 1)), []
     for i in range(0, len(streams), step):
-        u = seeds.uniforms(m + 1, streams[i:i + step])
+        u = stream_uniforms(words[i:i + step], m + 1)
         # a copy, so a chunk's array is freed before the outputs are joined
         parts.append((*draw(UniformRows(u)), u[:, -1].copy()))
     return tuple(np.concatenate(out) for out in zip(*parts))
@@ -613,9 +623,11 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
     are never counted and their errors never raised; a consumed, accepted one
     without ``lo <= hi`` raises :class:`ParameterError`.  Returns
     ``(attempt_indices, lo, hi, gamma_uniforms, skipped)``.  Raises
+    :class:`ParameterError` for a role outside ``[0, 2**32)``, and
     :class:`SkipBudgetError`, its message opened by ``label``, when skips
     exhaust ``50 * n_draws + 1000`` attempts.
     """
+    base = _role_base(role)
     check_attempts(n_draws, workers)
     workers = min(workers, max_workers())
     probe = UniformRows(np.broadcast_to(0.5, (1, 2**40)))  # read-only: allocates nothing
@@ -624,7 +636,6 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
     taken = []  # (indices, lo, hi, gamma uniforms) of each share's acceptances
     need, skipped, next_index = n_draws, 0, 0
     attempt_cap = min(50 * n_draws + 1000, 2**_ROLE_SHIFT)
-    base = role << _ROLE_SHIFT
     while need:
         if next_index + need > attempt_cap:
             raise SkipBudgetError(

@@ -80,6 +80,20 @@ class TestParseConfig:
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_file_is_an_error_not_a_traceback(self, tmp_path, capsys,
+                                                                 case):
+        path = tmp_path / "run.cfg"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not_utf8":
+            path.write_bytes(b"scenario = binary_missing\n# \xff\xfe\n")
+        with pytest.raises(ParameterError, match="run.cfg"):
+            parse_run(["--config", str(path)])
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
     def test_grid_override(self):
         cfg = parse_run(["--scenario", "binary_missing", "--grid", "0", "1", "0.01"])
         assert cfg.grid.size == 101

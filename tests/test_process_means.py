@@ -26,7 +26,7 @@ from partialid.distributions import (
     sample_dirichlet,
     sample_mvnormal,
 )
-from partialid.rng import SeedBlock, UniformRows
+from partialid.rng import UniformRows, seed_words, stream_uniforms
 from partialid.scenarios import ROLE_DATA, attempt_stream
 
 DP_SCENARIOS = ("interval_censored", "errors_in_variables", "interval_regression")
@@ -105,10 +105,15 @@ def chunk_rows(draw):
     return max(1, scenarios.CHUNK_UNIFORMS // (1 + attempt_uniforms(draw)))
 
 
+def stream_rows(master_seed, rows, m):
+    """The first ``m`` uniforms of the streams ``rows``, one row each."""
+    return stream_uniforms(seed_words(master_seed, np.arange(rows.start, rows.stop)), m)
+
+
 def block_uniforms(draw, master_seed, rows):
-    """The uniforms of the attempt rows ``rows``, one seed block, as a chunk
-    takes them less the gamma uniform."""
-    return SeedBlock(master_seed, rows).uniforms(attempt_uniforms(draw), rows)
+    """The uniforms of the attempt rows ``rows``, as a chunk takes them less
+    the gamma uniform."""
+    return stream_rows(master_seed, rows, attempt_uniforms(draw))
 
 
 def process_calls(draw):
@@ -182,14 +187,13 @@ def test_censored_prior_side_follows_its_exact_law(mode):
     dataset = generate_data(cfg, attempt_stream(LAW_SEED, ROLE_DATA, 0))
     draw = prepare_draw(cfg, mode, dataset)
     u = block_uniforms(draw, LAW_SEED, range(LAW_DRAWS))
-    fresh = SeedBlock(LAW_SEED + 1, range(LAW_DRAWS))
     bound = np.sqrt(np.log(2 / LAW_ALPHA) / (2 * LAW_DRAWS))
     for (offset, spec, _, table), column in zip(process_calls(draw), ("y1", "y2")):
         base = spec.base_sampler
         k = choose_truncation_level(spec.concentration)
         rows = u[:, offset:]  # k sticks, the one variate, then rho and the data weights
-        oracle_rows = np.concatenate(
-            (rows[:, :k], fresh.uniforms(k, range(LAW_DRAWS)), rows[:, k + 1:]), axis=1)
+        fresh = stream_rows(LAW_SEED + 1, range(LAW_DRAWS), k)
+        oracle_rows = np.concatenate((rows[:, :k], fresh, rows[:, k + 1:]), axis=1)
         data = None if table is None else dataset.column(column)
         weights, atoms = concatenated_draw(spec, UniformRows(oracle_rows), data)
         w = weights[:, :k]

@@ -46,7 +46,8 @@ def test_independence_of_other_streams():
 
 # --- seeding a block of streams at once -------------------------------------
 
-from partialid.rng import SHORT_ROW, RngStream, SeedBlock, pcg64_uniforms, seed_words  # noqa: E402
+from partialid.rng import (  # noqa: E402
+    SHORT_ROW, RngStream, pcg64_uniforms, seed_words, stream_uniforms)
 from partialid.scenarios import attempt_stream  # noqa: E402
 
 MASTER_SEEDS = (0, 7, 2**32 - 1, 2**32, 2**64 - 1)
@@ -72,35 +73,22 @@ def test_seed_words_reproduce_seed_sequence(master_seed, dtype, order):
         assert np.array_equal(row, expected), (master_seed, index)
 
 
+def indices_of(streams):
+    return np.arange(streams.start, streams.stop, dtype=np.uint64)
+
+
 @pytest.mark.parametrize("master_seed", (0, 2**32, 2**64 - 1))
 @pytest.mark.parametrize("role", ROLES)
-def test_block_streams_match_attempt_streams(master_seed, role):
+def test_seeded_rows_match_attempt_streams(master_seed, role):
     attempts = range(2**32 - 4, 2**32) if role == 5 else range(995, 1001)
     base = role << 32
-    streams = range(base + attempts.start, base + attempts.stop)
-    block = SeedBlock(master_seed, streams)
+    words = seed_words(master_seed, indices_of(range(base + attempts.start,
+                                                     base + attempts.stop)))
     # rows of uniforms, read without building the streams; a subrange too
-    rows = block.uniforms(7, streams)
-    assert np.array_equal(block.uniforms(7, streams[2:4]), rows[2:4])
+    rows = stream_uniforms(words, 7)
+    assert np.array_equal(stream_uniforms(words[2:4], 7), rows[2:4])
     for r, j in enumerate(attempts):
         assert np.array_equal(rows[r], attempt_stream(master_seed, role, j).uniform(size=7))
-
-
-def test_seed_block_rejects_bad_ranges():
-    with pytest.raises(ParameterError):
-        SeedBlock(3, range(-1, 4))
-    with pytest.raises(ParameterError):
-        SeedBlock(3, range(0, 10, 2))
-    with pytest.raises(ParameterError):
-        SeedBlock(3, range(10, 20)).uniforms(1, range(15, 21))
-    with pytest.raises(ParameterError):
-        attempt_stream(3, 1, 2**32)
-
-
-@pytest.mark.parametrize("bad", (-1, 2.0, 2.5, "3"))
-def test_seed_block_uniforms_rejects_a_bad_count(bad):
-    with pytest.raises(ParameterError):
-        SeedBlock(3, range(10, 20)).uniforms(bad, range(10, 20))
 
 
 # --- PCG64 in limbs ------------------------------------------------------------
@@ -110,21 +98,22 @@ def test_seed_block_uniforms_rejects_a_bad_count(bad):
 @pytest.mark.parametrize("m", (0, 1, SHORT_ROW, SHORT_ROW + 1))
 def test_short_and_long_rows_match_streams(master_seed, start, m):
     # indices below and at or above 2**32 take one and two entropy words; the
-    # top block ends at the last index, 2**64 - 1
-    block = SeedBlock(master_seed, range(start, start + 6))
-    for indices in (range(start, start + 6), range(start + 2, start + 5)):
-        rows = block.uniforms(m, indices)
-        assert rows.shape == (len(indices), m) and rows.flags.c_contiguous
-        for row, index in zip(rows, indices):
+    # top rows end at the last index, 2**64 - 1
+    words = seed_words(master_seed, indices_of(range(start, start + 6)))
+    for rows in (slice(0, 6), slice(2, 5)):
+        indices = range(start, start + 6)[rows]
+        out = stream_uniforms(words[rows], m)
+        assert out.shape == (len(indices), m) and out.flags.c_contiguous
+        for row, index in zip(out, indices):
             assert np.array_equal(row, RngStream(master_seed, index).uniform(m))
 
 
 def test_only_long_rows_build_a_generator_per_row(monkeypatch):
-    block = SeedBlock(3, range(10, 20))
+    words = seed_words(3, indices_of(range(10, 20)))
     monkeypatch.setattr(rng, "_SeedRow", None)
-    assert block.uniforms(SHORT_ROW, range(10, 20)).shape == (10, SHORT_ROW)
+    assert stream_uniforms(words, SHORT_ROW).shape == (10, SHORT_ROW)
     with pytest.raises(TypeError):
-        block.uniforms(SHORT_ROW + 1, range(10, 20))
+        stream_uniforms(words, SHORT_ROW + 1)
 
 
 PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645

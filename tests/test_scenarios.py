@@ -36,7 +36,7 @@ from partialid.cli import RunConfig, run_scenario
 from partialid.dirichlet import choose_truncation_level
 from partialid.distributions import ScalarNormal
 from partialid.priors import ConditionalPriorSpec, marginal_sample
-from partialid.rng import SeedBlock, UniformRows
+from partialid.rng import UniformRows, seed_words, stream_uniforms
 from partialid.scenarios import (
     ROLE_DATA,
     ROLE_POSTERIOR_SETS,
@@ -425,16 +425,12 @@ class TestDrawSetBatch:
         with pytest.raises(SkipBudgetError):
             marginal_sample(cfg, ConditionalPriorSpec("III"), "prior", 1, 3)
 
-    def test_all_skip_batch_builds_few_seed_blocks(self, monkeypatch):
-        # top-up blocks grow with the skip rate instead of one block per attempt
+    def test_all_skip_batch_seeds_few_shares(self, monkeypatch):
+        # top-up blocks grow with the skip rate instead of one block per attempt;
+        # a share computes its seed words once
         built = []
-
-        class CountingSeedBlock(scenarios.SeedBlock):
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(scenarios, "SeedBlock", CountingSeedBlock)
+        monkeypatch.setattr(scenarios, "seed_words",
+                            lambda *args: built.append(args) or seed_words(*args))
         cfg = make_config("errors_in_variables", n=10)
         cov = np.array([[2.0, -1.998], [-1.998, 2.0]])
         cfg = dataclasses.replace(cfg, hyper={**cfg.hyper, "base_cov": cov})
@@ -535,6 +531,31 @@ class TestBlockEquivalence:
             assert rng.uniform() == batch.gamma_uniforms[r]
         assert batch.skipped == batch.attempt_indices[-1] + 1 - len(batch)
 
+    @pytest.mark.parametrize("role", [-1, 2**32])
+    def test_a_role_outside_32_bits_is_rejected(self, role):
+        # role 2**32 would key attempt 0 to stream 2**64, past the last index
+        with pytest.raises(ParameterError, match=rf"role .*got {role}$"):
+            attempt_stream(3, role, 0)
+        with pytest.raises(ParameterError, match=rf"role .*got {role}$"):
+            draw_set_batch(make_config("toy_analytic"), "prior", 5, 3, role=role)
+        with pytest.raises(ParameterError, match="attempt index"):
+            attempt_stream(3, 1, 2**32)
+
+    @pytest.mark.parametrize("role", [2**32 - 1, np.int64(2**32 - 1)], ids=["int", "int64"])
+    def test_the_top_role_reaches_the_last_stream_index(self, role):
+        cfg = make_config("toy_analytic")
+        draw = prepare_draw(cfg, "prior")
+        batch = draw_set_batch(cfg, "prior", 5, 3, role=role)
+        # the share of the top attempts, its last one at stream index 2**64 - 1
+        lo, hi, _, gammas = scenarios._task(draw, attempt_uniforms(draw), 3,
+                                            range(2**64 - 3, 2**64))
+        for attempts, rows in ((batch.attempt_indices, (batch.lo, batch.hi, batch.gamma_uniforms)),
+                               (range(2**32 - 3, 2**32), (lo, hi, gammas))):
+            for j, row in zip(attempts, zip(*rows)):
+                rng = attempt_stream(3, role, j)
+                interval = draw_set(cfg, "prior", rng)
+                assert (interval.lo, interval.hi, rng.uniform()) == row
+
     @pytest.mark.parametrize("sid,mode,n", [
         ("toy_analytic", "prior", None),
         *((sid, mode, n) for sid in DATA_SCENARIOS for mode in _modes(sid) for n in (1, 2, 1000)),
@@ -551,7 +572,7 @@ class TestBlockEquivalence:
                             lambda draw, m, *args: counts.append(m) or task(draw, m, *args))
         run_attempts(draw, 1, 8, ROLE_PRIOR_SETS, 1, "count")
         (m,) = set(counts)
-        rows = UniformRows(SeedBlock(8, range(3)).uniforms(m + 20, range(3)))
+        rows = UniformRows(stream_uniforms(seed_words(8, np.arange(3)), m + 20))
         draw(rows)
         assert rows.at == m
 

@@ -37,44 +37,32 @@ def sample_beta(a: float, b: float, rng: RngStream, size=None):
     return special.betaincinv(a, b, u)
 
 
-class DirichletParams:
-    """A Dirichlet parameter vector, copied, frozen and checked once for many draws.
-
-    ``shaped`` indexes the parameters not equal to 1, whose gamma variates
-    need the incomplete-gamma inverse.
-    """
-
-    __slots__ = ("alpha", "shaped")
-
-    def __init__(self, alpha):
-        alpha = np.array(alpha, dtype=float)
-        if alpha.ndim != 1 or alpha.size == 0:
-            raise ParameterError("alpha must be a nonempty 1-d vector")
-        if np.any(alpha <= 0):
-            raise ParameterError("all Dirichlet parameters must be positive")
-        alpha.setflags(write=False)
-        self.alpha = alpha
-        self.shaped = np.flatnonzero(alpha != 1.0)
-
-
 def sample_dirichlet(alpha, rng: RngStream) -> np.ndarray:
     """One draw from a Dirichlet distribution on the simplex, or one per row of
     a :class:`~partialid.rng.UniformRows` (shaped ``(rows, K)``).
 
     Uses the normalized-gamma construction.  A component with parameter 1 is
     an Exp(1) variate, ``-log1p(-u)``; the others invert the regularized
-    incomplete gamma function.  ``alpha`` is a parameter vector, checked on
-    every call, or a :class:`DirichletParams` checked when it was built.  One
-    component takes no uniform.  A draw whose K uniforms are all zero, which
-    does not happen in practice, gives NaN weights rather than an error.
+    incomplete gamma function.  ``alpha`` is a nonempty 1-d vector of finite
+    positive numbers, checked on every call.  One component takes no uniform.
+    A draw whose K uniforms are all zero, which does not happen in practice,
+    gives NaN weights rather than an error.
     """
-    if not isinstance(alpha, DirichletParams):
-        alpha = DirichletParams(alpha)
-    shaped, alpha = alpha.shaped, alpha.alpha
+    try:
+        alpha = np.asarray(alpha, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError(f"Dirichlet parameters must be numbers, got {alpha!r}") from None
+    if alpha.ndim != 1 or alpha.size == 0:
+        raise ParameterError("alpha must be a nonempty 1-d vector")
+    ok = (0 < alpha) & (alpha < np.inf)  # NaN fails both
+    if not ok.all():
+        raise ParameterError(f"Dirichlet parameters must be finite and positive, "
+                             f"got {alpha[~ok][0]}")
     u = rng.uniform(size=alpha.size if alpha.size > 1 else 0)
     if alpha.size == 1:
         return np.ones(u.shape[:-1] + (1,))
     g = -np.log1p(-u)
+    shaped = np.flatnonzero(alpha != 1.0)
     if shaped.size:
         g[..., shaped] = special.gammaincinv(alpha[shaped], u[..., shaped])
     return g / g.sum(axis=-1, keepdims=True)

@@ -43,7 +43,6 @@ import numpy as np
 
 from .dirichlet import DirichletProcessSpec, process_means
 from .distributions import (
-    DirichletParams,
     ScalarNormal,
     beta_cdf,
     cholesky_factor,
@@ -367,7 +366,7 @@ def _prepare_binary(cfg, mode, dataset):
     alpha = cfg.hyper["alpha"]
     if mode == "posterior":
         alpha = binary_posterior_params(alpha, count_binary(dataset))
-    return partial(_binary_draw, DirichletParams(alpha))
+    return partial(_binary_draw, np.array(alpha, dtype=float))  # a copy
 
 
 # --- the scenario table --------------------------------------------------------

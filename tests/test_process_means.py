@@ -20,7 +20,6 @@ from partialid import DirichletProcessSpec, generate_data, make_config, prepare_
 from partialid import scenarios
 from partialid.dirichlet import choose_truncation_level, stick_weights
 from partialid.distributions import (
-    DirichletParams,
     cholesky_factor,
     sample_beta,
     sample_dirichlet,
@@ -44,7 +43,7 @@ def concatenated_draw(spec, source, data=None):
     if data is not None:
         n = len(data)
         rho = sample_beta(float(n), n0, source, size=1)
-        data_w = sample_dirichlet(DirichletParams(np.ones(n)), source)
+        data_w = sample_dirichlet(np.ones(n), source)
         weights = np.concatenate(((1.0 - rho) * weights / weights.sum(axis=-1, keepdims=True),
                                   rho * data_w), axis=-1)
         atoms = np.concatenate((atoms, np.broadcast_to(data, lead + data.shape)),

@@ -650,24 +650,8 @@ class TestPreparedDraws:
         marginal_sample(cfg, ConditionalPriorSpec("III"), "posterior", 300, 4, dataset=data)
         assert len(calls) == 2
 
-    def test_dirichlet_parameters_are_checked_once_per_batch(self, monkeypatch):
-        from partialid import distributions
-
-        built = []
-
-        class CountingParams(distributions.DirichletParams):
-            def __init__(self, alpha):
-                built.append(len(alpha))
-                super().__init__(alpha)
-
-        for module in (distributions, scenarios):
-            monkeypatch.setattr(module, "DirichletParams", CountingParams)
-        cfg = make_config("binary_missing", n=100)
-        data = generate_data(cfg, attempt_stream(4, ROLE_DATA, 0))
-        draw_set_batch(cfg, "posterior", 300, master_seed=4, dataset=data)
-        assert built == [3]
-        # the data weights are Exp(1) variates, with no parameters; each data
-        # table (a column as one row) is built once per batch, not per chunk
+    def test_data_tables_are_built_once_per_batch(self, monkeypatch):
+        # each data table (a column as one row) is built once per batch, not per chunk
         tables = []
         means = scenarios.process_means
         monkeypatch.setattr(scenarios, "process_means",
@@ -676,8 +660,15 @@ class TestPreparedDraws:
         cfg = make_config("interval_censored", n=50)
         data = generate_data(cfg, attempt_stream(4, ROLE_DATA, 0))
         draw_set_batch(cfg, "posterior", 300, master_seed=4, dataset=data)
-        assert built == [3]
         assert len(tables) > 2 and len({id(t) for t in tables}) == 2
+
+    def test_prepared_binary_draw_keeps_its_parameters(self):
+        cfg = make_config("binary_missing")
+        draw = prepare_draw(cfg, "prior")
+        want = scenarios._interval(*draw(attempt_stream(6, 1, 0)))
+        cfg.hyper["alpha"][:] = [50.0, 1.0, 0.5]
+        assert scenarios._interval(*draw(attempt_stream(6, 1, 0))) == want
+        assert scenarios._interval(*prepare_draw(cfg, "prior")(attempt_stream(6, 1, 0))) != want
 
     def test_prepare_raises_draw_set_errors(self):
         with pytest.raises(ParameterError, match="mode"):

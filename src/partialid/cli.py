@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import numbers
 import platform
 import sys
 import time
@@ -23,7 +24,7 @@ import scipy
 
 from . import __version__
 from . import scenarios as sc
-from .errors import ParameterError, SkipBudgetError
+from .errors import ParameterError, SkipBudgetError, as_int
 from .priors import default_prior_spec, draw_gammas, histogram
 from .random_sets import credible_region, estimate_coverage, point_estimate_set
 
@@ -38,7 +39,7 @@ class RunConfig:
     """The options of one `run` invocation; :func:`run_scenario` checks them."""
 
     scenario: str
-    n: int | None
+    n: int | None = None
     n_draws: int = 1000
     seed: int = 0
     grid: np.ndarray | None = None
@@ -160,7 +161,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
             values[key] = flag
     if values.get("scenario") is None:
         raise ParameterError("missing required option: scenario")
-    run = RunConfig(**{"n": None, **{k: _coerce(k, v) for k, v in values.items()}})
+    run = RunConfig(**{k: _coerce(k, v) for k, v in values.items()})
     sc.check_workers(run.workers)
     if run.grid is not None:
         lo, hi, step = run.grid
@@ -209,10 +210,11 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
     spec = None
     if run_cfg.prior_family is not None:
         spec = default_prior_spec(run_cfg.scenario, run_cfg.prior_family)
-    if not 0 < run_cfg.alpha <= 1:
-        raise ParameterError(f"alpha must lie in (0, 1], got {run_cfg.alpha}")
-    sc.check_attempts(run_cfg.n_draws, run_cfg.workers)
-    seed = run_cfg.seed
+    if not (isinstance(run_cfg.alpha, numbers.Real) and 0 < run_cfg.alpha <= 1):
+        raise ParameterError(f"alpha must lie in (0, 1], got {run_cfg.alpha!r}")
+    alpha = float(run_cfg.alpha)
+    n_draws, workers = sc.check_attempts(run_cfg.n_draws, run_cfg.workers)
+    seed = as_int("seed", run_cfg.seed)
 
     dataset = None
     modes = ("prior",)
@@ -223,7 +225,7 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
     batches, coverage, hists = {}, {}, {}
     for mode in modes:
         batch = batches[f"{mode}_sets"] = sc.draw_set_batch(
-            cfg, mode, run_cfg.n_draws, seed, dataset=dataset, workers=run_cfg.workers)
+            cfg, mode, n_draws, seed, dataset=dataset, workers=workers)
         coverage[f"{mode}_coverage"] = estimate_coverage(batch, cfg.grid).values
         if spec is not None:
             marginal = batches[f"{mode}_gamma"] = draw_gammas(spec, batch)
@@ -247,8 +249,8 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
         coverage["analytic_coverage"] = sc.analytic_coverage_toy(cfg.grid)
     else:
         point_est = point_estimate_set(posterior)
-        cred = credible_region(posterior, run_cfg.alpha)
-        if run_cfg.alpha >= 0.5:
+        cred = credible_region(posterior, alpha)
+        if alpha >= 0.5:
             # expected to hold; a violation is reported, never raised
             diagnostics["credible_region_contains_point_estimate"] = bool(
                 cred.region.lo <= point_est.lo and point_est.hi <= cred.region.hi
@@ -285,10 +287,10 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
         files[name] = hashlib.sha256(data).hexdigest()
 
     report = RunReport(
-        # every option but the output directory, which the report has already
+        # every option as checked but the output directory, which the report has already
         config={
-            **{key: getattr(run_cfg, key) for key in _CONFIG_KEYS if key != "out_dir"},
-            "n": cfg.n,
+            "scenario": run_cfg.scenario, "prior_family": run_cfg.prior_family,
+            "n": cfg.n, "n_draws": n_draws, "seed": seed, "alpha": alpha, "workers": workers,
             "grid": {"lo": _round12(cfg.grid[0]), "hi": _round12(cfg.grid[-1]),
                      "points": int(cfg.grid.size)},
         },

@@ -10,14 +10,13 @@ O((G + N) log N) time and O(G + N) memory for G grid points over N draws.
 
 from __future__ import annotations
 
-import operator
 import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, as_int
 
 #: Skip fraction above which a batch carries a data-quality warning.
 HIGH_SKIP_RATE = 0.05
@@ -85,10 +84,7 @@ class SetDrawBatch:
             raise ParameterError("NaN endpoints and inverted draws must be skipped, not stored")
         if source not in ("prior", "posterior"):
             raise ParameterError(f"source must be 'prior' or 'posterior', got {source!r}")
-        try:
-            skipped = operator.index(skipped)
-        except TypeError:
-            raise ParameterError(f"skipped must be an integer count, got {skipped!r}") from None
+        skipped = as_int("skipped", skipped)
         if skipped < 0:
             raise ParameterError("skipped count cannot be negative")
         self.lo = lo

@@ -25,7 +25,7 @@ import math
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ParameterError
+from .errors import ParameterError, as_int
 
 _SEED_MOD = 2**64
 
@@ -43,7 +43,7 @@ class RngStream:
     def __init__(self, master_seed: int, stream_index: int):
         if stream_index < 0:
             raise ParameterError(f"stream_index must be >= 0, got {stream_index}")
-        self.master_seed = int(master_seed) % _SEED_MOD
+        self.master_seed = as_int("master_seed", master_seed) % _SEED_MOD
         self.stream_index = int(stream_index)
         entropy = (self.master_seed, self.stream_index)
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
@@ -169,7 +169,7 @@ def seed_words(master_seed: int, indices) -> np.ndarray:
         raise ParameterError("stream indices must be >= 0")
     indices = indices.astype(np.uint64)
     # SeedSequence takes an integer as its uint32 words, least significant first
-    seed = int(master_seed) % _SEED_MOD
+    seed = as_int("master_seed", master_seed) % _SEED_MOD
     head = [seed & _MASK32, seed >> 32] if seed > _MASK32 else [seed]
     out = np.empty((indices.size, 4), dtype=np.uint64)
     # an index below 2**32 is one entropy word, a larger one two

@@ -51,7 +51,7 @@ from .distributions import (
     sample_mvnormal,
     sample_normal,
 )
-from .errors import ParameterError, SkipBudgetError
+from .errors import ParameterError, SkipBudgetError, as_int
 from .random_sets import IntervalSet, SetDrawBatch
 from .rng import RngStream, UniformRows, seed_words, stream_uniforms, substream
 
@@ -129,7 +129,7 @@ def make_config(scenario_id: str, n: int | None = None, grid=None) -> ScenarioCo
             raise ParameterError(f"{scenario_id} has no data-generating process")
         n = 0
     else:
-        n = DEFAULT_SAMPLE_SIZE if n is None else int(n)
+        n = DEFAULT_SAMPLE_SIZE if n is None else as_int("n", n)
         if n < 1:
             raise ParameterError(f"sample size must be >= 1, got {n}")
     if grid is None:
@@ -343,12 +343,20 @@ def count_binary(dataset: Dataset) -> BinaryCounts:
     return BinaryCounts(n1, n0_obs, m)
 
 
+def _cell_params(alpha) -> np.ndarray:
+    """The three Dirichlet cell parameters as floats, each finite and positive."""
+    try:
+        cells = np.asarray(alpha, dtype=float)
+    except (TypeError, ValueError):
+        cells = None
+    if cells is None or cells.shape != (3,) or not ((0 < cells) & (cells < np.inf)).all():
+        raise ParameterError(f"alpha must be three finite positive numbers, got {alpha!r}")
+    return cells
+
+
 def binary_posterior_params(alpha, counts: BinaryCounts) -> np.ndarray:
     """Conjugate update of the three-cell Dirichlet parameters (exact sums)."""
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (3,) or np.any(alpha <= 0):
-        raise ParameterError("alpha must be three positive numbers")
-    return alpha + np.array([counts.n1, counts.n0_obs, counts.m], dtype=float)
+    return _cell_params(alpha) + np.array([counts.n1, counts.n0_obs, counts.m], dtype=float)
 
 
 def _generate_binary(n, rng):
@@ -576,6 +584,7 @@ def check_workers(workers: int) -> int:
 
     Starts no process, so a bad count fails before any pool exists.
     """
+    workers = as_int("workers", workers)
     limit = max_workers()
     if not 1 <= workers <= limit:
         raise ParameterError(f"workers must lie in [1, {limit}] on this machine, "
@@ -583,15 +592,18 @@ def check_workers(workers: int) -> int:
     return workers
 
 
-def check_attempts(n_draws: int, workers: int) -> None:
-    """Raise unless ``n_draws`` and ``workers`` are each at least 1.
+def check_attempts(n_draws: int, workers: int) -> tuple[int, int]:
+    """Return ``n_draws`` and ``workers`` as ints; raise unless each is an
+    integer of at least 1.
 
     A count above the CPUs is capped where it is used, not rejected here.
     """
+    n_draws, workers = as_int("n_draws", n_draws), as_int("workers", workers)
     if n_draws < 1:
         raise ParameterError("n_draws must be >= 1")
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
+    return n_draws, workers
 
 
 def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
@@ -622,12 +634,13 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
     are never counted and their errors never raised; a consumed, accepted one
     without ``lo <= hi`` raises :class:`ParameterError`.  Returns
     ``(attempt_indices, lo, hi, gamma_uniforms, skipped)``.  Raises
-    :class:`ParameterError` for a role outside ``[0, 2**32)``, and
-    :class:`SkipBudgetError`, its message opened by ``label``, when skips
-    exhaust ``50 * n_draws + 1000`` attempts.
+    :class:`ParameterError` for a role outside ``[0, 2**32)`` or a count or
+    seed that is not an integer, and :class:`SkipBudgetError`, its message
+    opened by ``label``, when skips exhaust ``50 * n_draws + 1000`` attempts.
     """
     base = _role_base(role)
-    check_attempts(n_draws, workers)
+    n_draws, workers = check_attempts(n_draws, workers)
+    master_seed = as_int("master_seed", master_seed)  # before any pool or draw
     workers = min(workers, max_workers())
     probe = UniformRows(np.broadcast_to(0.5, (1, 2**40)))  # read-only: allocates nothing
     draw(probe)
@@ -732,9 +745,7 @@ def analytic_coverage_binary(gamma, alpha):
     and since lower <= upper almost surely the coverage at gamma is the
     difference of their CDFs.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (3,) or np.any(alpha <= 0):
-        raise ParameterError("alpha must be three positive numbers")
+    alpha = _cell_params(alpha)
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0) or np.any(g > 1):
         raise ParameterError("gamma must lie in [0, 1]")

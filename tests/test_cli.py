@@ -41,6 +41,9 @@ class TestParseConfig:
         assert sc_cfg.hyper["n0"] == (10.0, 20.0)
         assert sc_cfg.grid[0] == -3.0 and sc_cfg.grid[-1] == 12.0
 
+    def test_sample_size_defaults_to_none(self):
+        assert RunConfig(scenario="toy_analytic").n is None
+
     def test_unknown_scenario_names_token(self, capsys):
         rc = main(["run", "--scenario", "nosuch"])
         assert rc == 2
@@ -190,7 +193,16 @@ class TestRunScenario:
         ("binary_missing", {"alpha": 0.0}, r"alpha .*0\.0"),
         ("interval_censored", {"n_draws": 0}, r"n_draws .*>= 1"),
         ("interval_censored", {"workers": 0}, r"workers .*>= 1, got 0"),
-    ], ids=["alpha_above_one", "unknown_family", "alpha_zero", "no_draws", "no_workers"])
+        ("interval_censored", {"n": 2.5}, r"n must be an integer, got 2\.5"),
+        ("interval_censored", {"n_draws": 2.5}, r"n_draws must be an integer, got 2\.5"),
+        ("interval_censored", {"n_draws": "3"}, r"n_draws must be an integer, got '3'"),
+        ("interval_censored", {"workers": 1.5}, r"workers must be an integer, got 1\.5"),
+        ("interval_censored", {"alpha": "x"}, r"alpha .*'x'"),
+        ("interval_censored", {"seed": 1.5}, r"seed must be an integer, got 1\.5"),
+        ("toy_analytic", {"seed": "7"}, r"seed must be an integer, got '7'"),
+    ], ids=["alpha_above_one", "unknown_family", "alpha_zero", "no_draws", "no_workers",
+            "fractional_n", "fractional_draws", "text_draws", "fractional_workers",
+            "text_alpha", "fractional_seed", "text_seed"])
     def test_bad_option_fails_before_any_data_pool_or_draw(
             self, tmp_path, monkeypatch, scenario, option, match):
         from partialid import scenarios
@@ -200,7 +212,7 @@ class TestRunScenario:
 
         for name in ("generate_data", "ProcessPoolExecutor", "draw_set_batch"):
             monkeypatch.setattr(scenarios, name, no_work)
-        run = RunConfig(scenario=scenario, n=None, out_dir=str(tmp_path), **option)
+        run = RunConfig(scenario=scenario, out_dir=str(tmp_path), **option)
         with pytest.raises(ParameterError, match=match):
             run_scenario(run)
         assert list(tmp_path.iterdir()) == []
@@ -212,6 +224,17 @@ class TestRunScenario:
         out = Path(report.out_dir)
         for name in ("coverage.csv", "intervals.csv", "gamma_hist.csv", "summary.json"):
             assert (out / name).exists()
+
+    def test_numpy_options_run_as_python_numbers(self, tmp_path):
+        plain = run_scenario(RunConfig(scenario="binary_missing", n=50, n_draws=20, seed=4,
+                                       alpha=0.5, out_dir=str(tmp_path / "plain")))
+        typed = run_scenario(RunConfig(scenario="binary_missing", n=np.int16(50),
+                                       n_draws=np.int64(20), seed=np.uint8(4),
+                                       alpha=np.float64(0.5), workers=np.int32(1),
+                                       out_dir=str(tmp_path / "typed")))
+        assert typed.files == plain.files
+        assert typed.config == plain.config
+        assert all(type(typed.config[k]) is type(plain.config[k]) for k in plain.config)
 
     def test_summary_contents(self, binary_run):
         cfg, report = binary_run
@@ -518,6 +541,12 @@ class TestOtherCommands:
 
         expected = analytic_coverage_binary(0.4, (2.0, 3.0, 1.0))
         assert f"value={expected:.12g}" in out
+
+    @pytest.mark.parametrize("alpha", [["inf", "1", "1"], ["nan", "1", "1"], ["1", "0", "1"]])
+    def test_oracle_binary_rejects_bad_alpha(self, capsys, alpha):
+        assert main(["oracle", "binary", "--alpha", *alpha, "--gamma", "0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: alpha must be three finite positive")
 
     def test_oracle_binary_needs_alpha(self, capsys):
         assert main(["oracle", "binary", "--gamma", "0.4"]) == 2

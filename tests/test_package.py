@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,14 @@ def test_every_export_resolves():
     # deleting a function must not leave its name behind in __all__
     for name in partialid.__all__:
         getattr(partialid, name)
+
+
+def test_package_version_is_the_projects():
+    # summary.json reports partialid.__version__; pyproject.toml states it too
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    stated = re.findall(r'^version\s*=\s*"([^"]+)"\s*$', project, re.M)
+    assert stated == [partialid.__version__]
 
 
 # --- modules do not reach into each other's private names ----------------------

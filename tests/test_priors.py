@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from partialid import (
     ConditionalPriorSpec,
@@ -21,12 +21,14 @@ from partialid import (
     substream,
 )
 from partialid import scenarios
-from partialid.priors import draw_gammas
+from partialid.priors import FAMILIES, draw_gammas
 from partialid.scenarios import (
     ROLE_DATA,
     ROLE_POSTERIOR_SETS,
     ROLE_PRIOR_SETS,
     attempt_stream,
+    binary_posterior_params,
+    count_binary,
 )
 
 UNIT_05 = IntervalSet(0.0, 5.0)
@@ -268,6 +270,75 @@ class TestMarginalSample:
 
         with pytest.raises(ParameterError):
             MarginalSampleBatch([0.5], [1.0], [2.0], "prior", "synthetic")
+
+
+# --- the exact marginal law of binary_missing ------------------------------------
+# With cells p ~ Dirichlet(a1, a2, a3), s = p1 + p3 ~ Beta(a1 + a3, a2) and
+# B = p1 / s ~ Beta(a1, a3), independent of s, and the random interval is
+# [sB, s].  So gamma's marginal CDF is F(g) = E[C(g | sB, s)], C the family's
+# conditional CDF, here a mean over a grid of Beta-quantile midpoints.
+
+EXACT_DRAWS = 20_000  # gammas per family and mode
+EXACT_SEED = 2023  # the master seed of the draws and of the posterior's dataset
+EXACT_DELTA = 1e-6  # the DKW failure probability of one case
+# the largest |F(500 x 500) - F(1000 x 1000)| over the cases below was 2.5e-4
+EXACT_QUADRATURE = 1e-3
+
+
+def conditional_cdf(family, lo, hi):
+    """g -> C(g | lo, hi) of the study's binary_missing priors, from their laws.
+
+    The intervals lie in [0, 1] and the normals have standard deviation 1 or
+    sqrt(2), so the plain truncated-normal CDF ratio loses no precision.
+    """
+    def rescaled(g):
+        return np.clip((g - lo) / (hi - lo), 0.0, 1.0)
+
+    if family == "III":
+        return rescaled
+    if family == "IV":  # Beta(1, 0.5), whose CDF is 1 - (1 - x)**0.5
+        return lambda g: 1.0 - (1.0 - rescaled(g)) ** 0.5
+    mu, sd = ((lo + hi) / 2, 1.0) if family == "I" else (0.0, np.sqrt(2.0))
+    below = special.ndtr((lo - mu) / sd)
+    mass = special.ndtr((hi - mu) / sd) - below
+    return lambda g: (special.ndtr((np.clip(g, lo, hi) - mu) / sd) - below) / mass
+
+
+def exact_marginal_cdf(family, alpha, points, size=500):
+    a1, a2, a3 = alpha
+    u = (np.arange(size) + 0.5) / size
+    s = special.betaincinv(a1 + a3, a2, u)[:, None]
+    lo = s * special.betaincinv(a1, a3, u)
+    cdf = conditional_cdf(family, lo, np.broadcast_to(s, lo.shape))
+    return np.array([cdf(g).mean() for g in points])
+
+
+@pytest.fixture(scope="module")
+def binary_laws():
+    cfg = make_config("binary_missing", n=200)
+    data = generate_data(cfg, attempt_stream(EXACT_SEED, ROLE_DATA, 0))
+    alpha = {"prior": cfg.hyper["alpha"],
+             "posterior": binary_posterior_params(cfg.hyper["alpha"], count_binary(data))}
+    return cfg, data, alpha
+
+
+@pytest.mark.parametrize("mode", ["prior", "posterior"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_binary_marginal_matches_its_exact_law(binary_laws, family, mode):
+    cfg, data, alpha = binary_laws
+    spec = default_prior_spec("binary_missing", family)
+    assert (spec.tau0_sq, spec.sigma0_sq, spec.p, spec.q) == (1.0, 2.0, 1.0, 0.5)
+    a1, a2, a3 = alpha[mode]
+    # 41 points from the 0.001 quantile of lo ~ Beta(a1, a2 + a3) to the 0.999 of hi
+    points = np.linspace(special.betaincinv(a1, a2 + a3, 1e-3),
+                         special.betaincinv(a1 + a3, a2, 1 - 1e-3), 41)
+    gammas = np.sort(marginal_sample(cfg, spec, mode, EXACT_DRAWS, EXACT_SEED,
+                                     dataset=data).gammas)
+    empirical = np.searchsorted(gammas, points, side="right") / EXACT_DRAWS
+    # Dvoretzky-Kiefer-Wolfowitz with Massart's (1990) constant
+    bound = np.sqrt(np.log(2 / EXACT_DELTA) / (2 * EXACT_DRAWS)) + EXACT_QUADRATURE
+    distance = np.abs(empirical - exact_marginal_cdf(family, alpha[mode], points)).max()
+    assert distance <= bound
 
 
 class TestHistogram:

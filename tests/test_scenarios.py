@@ -60,6 +60,15 @@ class TestMakeConfig:
                 make_config("toy_analytic", n=n)
         assert make_config("toy_analytic").n == 0
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", np.float64(4.0)])
+    def test_sample_size_must_be_an_integer(self, n):
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            make_config("interval_censored", n=n)
+
+    def test_numpy_integer_sample_size_is_an_int(self):
+        n = make_config("interval_censored", n=np.int64(50)).n
+        assert n == 50 and type(n) is int
+
     def test_data_scenarios_default_to_n_1000(self):
         for sid in ("interval_censored", "errors_in_variables",
                     "interval_regression", "binary_missing"):
@@ -258,6 +267,11 @@ class TestCountBinary:
             count_binary(data)
 
 
+# three-cell Dirichlet parameters that are not three finite positive numbers
+BAD_CELLS = [[2.0, -3.0, 1.0], [0.0, 1.0, 1.0], [np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0],
+             [1.0, 1.0, -np.inf], [2.0, 3.0], [[2.0, 3.0, 1.0]], "abc", ["a", 1.0, 1.0]]
+
+
 class TestBinaryPosteriorParams:
     def test_stated_update(self):
         out = binary_posterior_params([2.0, 3.0, 1.0], BinaryCounts(10, 5, 5))
@@ -272,9 +286,10 @@ class TestBinaryPosteriorParams:
         out = binary_posterior_params([2.0, 3.0, 1.0], counts)
         assert out.sum() == 6.0 + 100.0
 
-    def test_bad_alpha(self):
-        with pytest.raises(ParameterError):
-            binary_posterior_params([2.0, -3.0, 1.0], BinaryCounts(0, 0, 0))
+    @pytest.mark.parametrize("alpha", BAD_CELLS)
+    def test_bad_alpha(self, alpha):
+        with pytest.raises(ParameterError, match="three finite positive"):
+            binary_posterior_params(alpha, BinaryCounts(1, 2, 3))
 
 
 def _means(features, *pairs):
@@ -402,6 +417,25 @@ class TestDrawSetBatch:
         assert len(batch) == 300
         last = batch.attempt_indices[-1]
         assert last + 1 == len(batch) + batch.skipped
+
+    @pytest.mark.parametrize("option, match", [
+        ({"n_draws": 3.0}, "n_draws must be an integer"),
+        ({"n_draws": "3"}, "n_draws must be an integer"),
+        ({"workers": 1.5}, "workers must be an integer"),
+        ({"master_seed": 1.5}, "master_seed must be an integer"),
+        ({"master_seed": "7"}, "master_seed must be an integer"),
+    ])
+    def test_counts_and_seed_must_be_integers(self, monkeypatch, option, match):
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)  # every block pool-sized
+        args = {"n_draws": 5, "master_seed": 3, "workers": 2, **option}
+        with pytest.raises(ParameterError, match=match):
+            draw_set_batch(make_config("binary_missing"), "prior", **args)
+
+    def test_numpy_integer_counts_and_seed_are_accepted(self):
+        cfg = make_config("binary_missing")
+        want = draw_set_batch(cfg, "prior", 5, 3)
+        got = draw_set_batch(cfg, "prior", np.int64(5), np.uint32(3), workers=np.int8(1))
+        assert np.array_equal(got.lo, want.lo) and np.array_equal(got.hi, want.hi)
 
     def test_worker_invariance(self, monkeypatch):
         monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)  # a real pool, at any size
@@ -976,3 +1010,8 @@ class TestBinaryCoverageOracle:
             analytic_coverage_binary(1.5, (2.0, 3.0, 1.0))
         with pytest.raises(ParameterError):
             analytic_coverage_binary(0.5, (2.0, 3.0))
+
+    @pytest.mark.parametrize("alpha", BAD_CELLS)
+    def test_bad_alpha(self, alpha):
+        with pytest.raises(ParameterError, match="three finite positive"):
+            analytic_coverage_binary(0.5, alpha)

@@ -37,17 +37,9 @@ def sample_beta(a: float, b: float, rng: RngStream, size=None):
     return special.betaincinv(a, b, u)
 
 
-def sample_dirichlet(alpha, rng: RngStream) -> np.ndarray:
-    """One draw from a Dirichlet distribution on the simplex, or one per row of
-    a :class:`~partialid.rng.UniformRows` (shaped ``(rows, K)``).
-
-    Uses the normalized-gamma construction.  A component with parameter 1 is
-    an Exp(1) variate, ``-log1p(-u)``; the others invert the regularized
-    incomplete gamma function.  ``alpha`` is a nonempty 1-d vector of finite
-    positive numbers, checked on every call.  One component takes no uniform.
-    A draw whose K uniforms are all zero, which does not happen in practice,
-    gives NaN weights rather than an error.
-    """
+def check_dirichlet(alpha) -> np.ndarray:
+    """``alpha`` as a float array; :class:`ParameterError` unless it is a
+    nonempty 1-d vector of finite positive numbers."""
     try:
         alpha = np.asarray(alpha, dtype=float)
     except (TypeError, ValueError):
@@ -58,6 +50,21 @@ def sample_dirichlet(alpha, rng: RngStream) -> np.ndarray:
     if not ok.all():
         raise ParameterError(f"Dirichlet parameters must be finite and positive, "
                              f"got {alpha[~ok][0]}")
+    return alpha
+
+
+def sample_dirichlet(alpha, rng: RngStream) -> np.ndarray:
+    """One draw from a Dirichlet distribution on the simplex, or one per row of
+    a :class:`~partialid.rng.UniformRows` (shaped ``(rows, K)``).
+
+    Uses the normalized-gamma construction.  A component with parameter 1 is
+    an Exp(1) variate, ``-log1p(-u)``; the others invert the regularized
+    incomplete gamma function.  ``alpha`` is checked on every call
+    (:func:`check_dirichlet`).  One component takes no uniform.
+    A draw whose K uniforms are all zero, which does not happen in practice,
+    gives NaN weights rather than an error.
+    """
+    alpha = check_dirichlet(alpha)
     u = rng.uniform(size=alpha.size if alpha.size > 1 else 0)
     if alpha.size == 1:
         return np.ones(u.shape[:-1] + (1,))

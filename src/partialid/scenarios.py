@@ -45,6 +45,7 @@ from .dirichlet import DirichletProcessSpec, process_means
 from .distributions import (
     ScalarNormal,
     beta_cdf,
+    check_dirichlet,
     cholesky_factor,
     psd_repair,
     sample_dirichlet,
@@ -345,12 +346,9 @@ def count_binary(dataset: Dataset) -> BinaryCounts:
 
 def _cell_params(alpha) -> np.ndarray:
     """The three Dirichlet cell parameters as floats, each finite and positive."""
-    try:
-        cells = np.asarray(alpha, dtype=float)
-    except (TypeError, ValueError):
-        cells = None
-    if cells is None or cells.shape != (3,) or not ((0 < cells) & (cells < np.inf)).all():
-        raise ParameterError(f"alpha must be three finite positive numbers, got {alpha!r}")
+    cells = check_dirichlet(alpha)
+    if cells.size != 3:
+        raise ParameterError(f"alpha must be three numbers, got {cells.size}")
     return cells
 
 

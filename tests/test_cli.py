@@ -546,7 +546,8 @@ class TestOtherCommands:
     def test_oracle_binary_rejects_bad_alpha(self, capsys, alpha):
         assert main(["oracle", "binary", "--alpha", *alpha, "--gamma", "0.5"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: alpha must be three finite positive")
+        assert out == "" and err.startswith("error: Dirichlet parameters must be finite and "
+                                            "positive")
 
     def test_oracle_binary_needs_alpha(self, capsys):
         assert main(["oracle", "binary", "--gamma", "0.4"]) == 2

@@ -35,7 +35,7 @@ import numpy as np
 from scipy import special
 
 from .distributions import ScalarNormal, sample_beta, sample_normal
-from .errors import ParameterError
+from .errors import ParameterError, check_positive
 from .rng import RngStream
 
 
@@ -61,8 +61,7 @@ def choose_truncation_level(n0: float) -> int:
     :class:`ParameterError` when K would exceed :data:`MAX_TRUNCATION_LEVEL`
     or the shape is not finite.
     """
-    if not 0 < n0 < math.inf:
-        raise ParameterError(f"concentration must be positive and finite, got {n0}")
+    check_positive(concentration=n0)
     shape = special.gdtrib(n0, TRUNCATION_DELTA, -math.log(TRUNCATION_EPS))
     if not shape <= MAX_TRUNCATION_LEVEL:  # also a shape that is inf or nan
         raise ParameterError(f"concentration {n0} needs {shape} sticks, more than "

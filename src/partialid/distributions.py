@@ -22,14 +22,13 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .errors import ParameterError
+from .errors import ParameterError, check_positive
 from .rng import RngStream
 
 
 def sample_beta(a: float, b: float, rng: RngStream, size=None):
     """Beta(a, b) draws by inverse CDF, in closed form when ``a == 1``."""
-    if not (a > 0 and b > 0):
-        raise ParameterError(f"beta shapes must be positive, got a={a}, b={b}")
+    check_positive(a=a, b=b)
     u = rng.uniform(size)
     if a == 1:
         # I_x(1, b) = 1 - (1 - x)**b inverts exactly
@@ -77,8 +76,7 @@ def sample_dirichlet(alpha, rng: RngStream) -> np.ndarray:
 
 def sample_normal(mu: float, sigma2: float, rng: RngStream, size=None):
     """N(mu, sigma2) draws via the normal quantile transform (sigma2 is a variance)."""
-    if not sigma2 > 0:
-        raise ParameterError(f"variance must be positive, got {sigma2}")
+    check_positive(sigma2=sigma2)
     z = special.ndtri(rng.uniform(size))
     return mu + np.sqrt(sigma2) * z
 
@@ -94,8 +92,7 @@ class ScalarNormal:
     var: float
 
     def __post_init__(self):
-        if not self.var > 0:
-            raise ParameterError(f"variance must be positive, got {self.var}")
+        check_positive(variance=self.var)
 
     def __call__(self, rng: RngStream, size=None):
         return sample_normal(self.mu, self.var, rng, size)
@@ -156,8 +153,7 @@ def sample_truncated_normal(mu, sigma2, lo, hi, rng: RngStream, size=None):
         lo, hi = np.broadcast_arrays(lo, hi)
         k = np.flatnonzero(~(lo < hi))[0]
         raise ParameterError(f"need lo < hi, got [{lo.flat[k]}, {hi.flat[k]}]")
-    if not sigma2 > 0:
-        raise ParameterError(f"variance must be positive, got {sigma2}")
+    check_positive(sigma2=sigma2)
     sigma = math.sqrt(sigma2)
     a = (lo - mu) / sigma
     b = (hi - mu) / sigma
@@ -179,8 +175,7 @@ def sample_truncated_normal(mu, sigma2, lo, hi, rng: RngStream, size=None):
 
 def beta_cdf(x, a: float, b: float):
     """Regularized incomplete beta function I_x(a, b) on [0, 1]."""
-    if not (a > 0 and b > 0):
-        raise ParameterError(f"beta shapes must be positive, got a={a}, b={b}")
+    check_positive(a=a, b=b)
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0) or np.any(arr > 1):
         raise ParameterError("beta_cdf argument must lie in [0, 1]")
@@ -205,8 +200,7 @@ def psd_repair(m, eigen_floor: float = 1e-6) -> PsdRepair:
         raise ParameterError(f"expected a square matrix, got shape {m.shape}")
     if not np.array_equal(m, m.T):
         raise ParameterError("matrix must be symmetric")
-    if not eigen_floor > 0:
-        raise ParameterError("eigen_floor must be positive")
+    check_positive(eigen_floor=eigen_floor)
     w, v = np.linalg.eigh(m)
     if w.min() >= eigen_floor:
         return PsdRepair(m.copy(), False)

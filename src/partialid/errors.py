@@ -1,5 +1,6 @@
-"""Exception types, and the integer check, shared across the package."""
+"""Exception types, and the number checks, shared across the package."""
 
+import math
 import operator
 
 
@@ -16,10 +17,26 @@ class SkipBudgetError(RuntimeError):
         self.attempts = attempts
 
 
-def as_int(name: str, value) -> int:
+def as_int(name: str, value, least: int | None = None) -> int:
     """``value`` as a Python int if it is an integer of any type (a numpy
-    integer too); :class:`ParameterError` naming ``name`` otherwise."""
+    integer too) of at least ``least``; :class:`ParameterError` naming
+    ``name`` otherwise."""
     try:
-        return operator.index(value)
+        number = operator.index(value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and number < least:
+        raise ParameterError(f"{name} must be >= {least}, got {number}")
+    return number
+
+
+def check_positive(**values) -> None:
+    """:class:`ParameterError` naming the first of ``values`` that is not a
+    positive and finite real number; NaN, infinities and text fail."""
+    for name, value in values.items():
+        try:
+            if 0 < value < math.inf:  # NaN fails both comparisons
+                continue
+        except (TypeError, ValueError):  # text; an array of several numbers
+            pass
+        raise ParameterError(f"{name} must be positive and finite, got {value!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import sample_beta, sample_truncated_normal
-from .errors import ParameterError
+from .errors import ParameterError, as_int, check_positive
 from .random_sets import SetDrawBatch
 from .rng import UniformRows
 from .scenarios import SCENARIOS, Dataset, ScenarioConfig, draw_set_batch
@@ -46,10 +46,7 @@ class ConditionalPriorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ParameterError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if not (self.tau0_sq > 0 and self.sigma0_sq > 0):
-            raise ParameterError("prior variances must be positive")
-        if not (self.p > 0 and self.q > 0):
-            raise ParameterError("Beta shapes must be positive")
+        check_positive(tau0_sq=self.tau0_sq, sigma0_sq=self.sigma0_sq, p=self.p, q=self.q)
 
 
 def default_prior_spec(scenario_id: str, family: str) -> ConditionalPriorSpec:
@@ -145,9 +142,8 @@ class Histogram:
 
 def histogram(values, bins: int, value_range) -> Histogram:
     """Bin counts on [lo, hi]; values outside land in the overflow tallies."""
+    bins = as_int("bins", bins, 1)
     lo, hi = float(value_range[0]), float(value_range[1])
-    if bins < 1:
-        raise ParameterError("bins must be >= 1")
     if not lo < hi:
         raise ParameterError(f"need lo < hi, got [{lo}, {hi}]")
     values = np.asarray(values, dtype=float)

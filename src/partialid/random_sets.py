@@ -84,9 +84,7 @@ class SetDrawBatch:
             raise ParameterError("NaN endpoints and inverted draws must be skipped, not stored")
         if source not in ("prior", "posterior"):
             raise ParameterError(f"source must be 'prior' or 'posterior', got {source!r}")
-        skipped = as_int("skipped", skipped)
-        if skipped < 0:
-            raise ParameterError("skipped count cannot be negative")
+        skipped = as_int("skipped", skipped, 0)
         self.lo = lo
         self.hi = hi
         self.source = source

@@ -130,9 +130,7 @@ def make_config(scenario_id: str, n: int | None = None, grid=None) -> ScenarioCo
             raise ParameterError(f"{scenario_id} has no data-generating process")
         n = 0
     else:
-        n = DEFAULT_SAMPLE_SIZE if n is None else as_int("n", n)
-        if n < 1:
-            raise ParameterError(f"sample size must be >= 1, got {n}")
+        n = DEFAULT_SAMPLE_SIZE if n is None else as_int("n", n, 1)
     if grid is None:
         grid = default_grid(scenario_id)
     else:
@@ -596,12 +594,7 @@ def check_attempts(n_draws: int, workers: int) -> tuple[int, int]:
 
     A count above the CPUs is capped where it is used, not rejected here.
     """
-    n_draws, workers = as_int("n_draws", n_draws), as_int("workers", workers)
-    if n_draws < 1:
-        raise ParameterError("n_draws must be >= 1")
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
-    return n_draws, workers
+    return as_int("n_draws", n_draws, 1), as_int("workers", workers, 1)
 
 
 def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,

@@ -26,7 +26,7 @@ from . import __version__
 from . import scenarios as sc
 from .errors import ParameterError, SkipBudgetError, as_int
 from .priors import default_prior_spec, draw_gammas, histogram
-from .random_sets import credible_region, estimate_coverage, point_estimate_set
+from .random_sets import IntervalSet, credible_region, estimate_coverage, point_estimate_set
 
 _FMT = "{:.12g}"
 
@@ -316,31 +316,25 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
     return report
 
 
-def _cmd_list_scenarios(out=None):
-    out = out if out is not None else sys.stdout
+def _cmd_list_scenarios():
     for sid, record in sc.SCENARIOS.items():
         truth = record.true_set
         truth_txt = "-" if truth is None else f"[{_fmt(truth.lo)}, {_fmt(truth.hi)}]"
         lo, hi = record.grid_range
         n_txt = str(sc.DEFAULT_SAMPLE_SIZE) if record.columns else "-"
-        print(f"{sid:22s} n={n_txt:>5s}  truth={truth_txt:12s}  grid=[{lo}, {hi}]",
-              file=out)
+        print(f"{sid:22s} n={n_txt:>5s}  truth={truth_txt:12s}  grid=[{lo}, {hi}]")
     return 0
 
 
-def _cmd_oracle(args, out=None):
-    out = out if out is not None else sys.stdout
+def _cmd_oracle(args):
     if args.which == "toy":
         for g in args.gamma:
             print(f"toy coverage gamma={_fmt(g)} value="
-                  f"{_fmt(sc.analytic_coverage_toy(g))}", file=out)
+                  f"{_fmt(sc.analytic_coverage_toy(g))}")
         if args.probe is not None:
             lo, hi = args.probe
-            from .random_sets import IntervalSet
-
             value = sc.analytic_capacity_toy(IntervalSet(lo, hi))
-            print(f"toy capacity probe=[{_fmt(lo)},{_fmt(hi)}] value={_fmt(value)}",
-                  file=out)
+            print(f"toy capacity probe=[{_fmt(lo)},{_fmt(hi)}] value={_fmt(value)}")
         if not args.gamma and args.probe is None:
             raise ParameterError("oracle toy needs --gamma and/or --probe")
     else:
@@ -354,8 +348,7 @@ def _cmd_oracle(args, out=None):
             print(
                 f"binary coverage gamma={_fmt(g)} "
                 f"alpha=({_fmt(alpha[0])},{_fmt(alpha[1])},{_fmt(alpha[2])}) "
-                f"value={_fmt(value)}",
-                file=out,
+                f"value={_fmt(value)}"
             )
     return 0
 

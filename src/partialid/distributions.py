@@ -177,7 +177,7 @@ def beta_cdf(x, a: float, b: float):
     """Regularized incomplete beta function I_x(a, b) on [0, 1]."""
     check_positive(a=a, b=b)
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not np.all((0 <= arr) & (arr <= 1)):  # NaN fails both
         raise ParameterError("beta_cdf argument must lie in [0, 1]")
     out = special.betainc(a, b, arr)
     return float(out) if np.isscalar(x) else out
@@ -188,8 +188,12 @@ class PsdRepair(NamedTuple):
     clipped: bool
 
 
-def psd_repair(m, eigen_floor: float = 1e-6) -> PsdRepair:
-    """Clip the spectrum of a symmetric matrix from below at ``eigen_floor``.
+#: Smallest eigenvalue :func:`psd_repair` leaves in a matrix.
+EIGEN_FLOOR = 1e-6
+
+
+def psd_repair(m) -> PsdRepair:
+    """Clip the spectrum of a symmetric matrix from below at :data:`EIGEN_FLOOR`.
 
     Returns the repaired matrix together with a flag telling whether any
     eigenvalue actually had to be raised.  Inputs whose smallest eigenvalue
@@ -200,10 +204,9 @@ def psd_repair(m, eigen_floor: float = 1e-6) -> PsdRepair:
         raise ParameterError(f"expected a square matrix, got shape {m.shape}")
     if not np.array_equal(m, m.T):
         raise ParameterError("matrix must be symmetric")
-    check_positive(eigen_floor=eigen_floor)
     w, v = np.linalg.eigh(m)
-    if w.min() >= eigen_floor:
+    if w.min() >= EIGEN_FLOOR:
         return PsdRepair(m.copy(), False)
-    repaired = (v * np.maximum(w, eigen_floor)) @ v.T
+    repaired = (v * np.maximum(w, EIGEN_FLOOR)) @ v.T
     repaired = (repaired + repaired.T) / 2.0
     return PsdRepair(repaired, True)

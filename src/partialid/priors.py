@@ -74,7 +74,7 @@ class MarginalSampleBatch(SetDrawBatch):
         gammas = np.array(gammas, dtype=float)
         if gammas.shape != self.lo.shape:
             raise ParameterError("gammas, lo, hi must be aligned 1-d arrays")
-        if np.any(gammas < self.lo) or np.any(gammas > self.hi):
+        if not np.all((self.lo <= gammas) & (gammas <= self.hi)):  # NaN fails both
             raise ParameterError("every gamma must lie in its paired interval")
         gammas.setflags(write=False)
         self.gammas = gammas
@@ -141,12 +141,17 @@ class Histogram:
 
 
 def histogram(values, bins: int, value_range) -> Histogram:
-    """Bin counts on [lo, hi]; values outside land in the overflow tallies."""
+    """Bin counts on [lo, hi]; values outside land in the overflow tallies.
+
+    The values and both range ends must be finite.
+    """
     bins = as_int("bins", bins, 1)
     lo, hi = float(value_range[0]), float(value_range[1])
-    if not lo < hi:
-        raise ParameterError(f"need lo < hi, got [{lo}, {hi}]")
+    if not -np.inf < lo < hi < np.inf:
+        raise ParameterError(f"need finite lo < hi, got [{lo}, {hi}]")
     values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ParameterError(f"values must be finite, got {values[~np.isfinite(values)][0]}")
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
     return Histogram(
         edges=edges,

@@ -43,6 +43,7 @@ import numpy as np
 
 from .dirichlet import DirichletProcessSpec, process_means
 from .distributions import (
+    EIGEN_FLOOR,
     ScalarNormal,
     beta_cdf,
     check_dirichlet,
@@ -300,12 +301,10 @@ def _generate_errors_in_variables(n, rng):
 
 
 def _interval_regression_hyper() -> dict:
-    repair = psd_repair(INTERVAL_REGRESSION_RAW_COV, eigen_floor=1e-6)
+    repair = psd_repair(INTERVAL_REGRESSION_RAW_COV)
     if repair.clipped:
-        log.info(
-            "interval_regression base covariance was not PSD; "
-            "eigenvalues clipped at 1e-6"
-        )
+        log.info("interval_regression base covariance was not PSD; "
+                 "eigenvalues clipped at %g", EIGEN_FLOOR)
     return {"n0": 20.0, "base_mean": np.array([0.0, 4.0, 0.0, 0.5]),
             "base_cov": repair.matrix, "base_cov_clipped": repair.clipped}
 
@@ -712,6 +711,8 @@ def draw_set_batch(
 def analytic_coverage_toy(gamma):
     """Closed-form prior coverage of the toy random interval."""
     g = np.asarray(gamma, dtype=float)
+    if np.isnan(g).any():
+        raise ParameterError("gamma must not be NaN")
     out = np.where(
         (0.0 <= g) & (g <= 1.0), g, np.where((1.0 < g) & (g <= 2.0), 2.0 - g, 0.0)
     )
@@ -738,7 +739,7 @@ def analytic_coverage_binary(gamma, alpha):
     """
     alpha = _cell_params(alpha)
     g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0) or np.any(g > 1):
+    if not np.all((0 <= g) & (g <= 1)):  # NaN fails both
         raise ParameterError("gamma must lie in [0, 1]")
     lower_cdf = beta_cdf(g, alpha[0], alpha[1] + alpha[2])
     upper_cdf = beta_cdf(g, alpha[0] + alpha[2], alpha[1])

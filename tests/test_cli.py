@@ -549,6 +549,20 @@ class TestOtherCommands:
         assert out == "" and err.startswith("error: Dirichlet parameters must be finite and "
                                             "positive")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["toy", "--gamma", "0.5", "nan"], "gamma must not be NaN"),
+        (["binary", "--alpha", "2", "3", "1", "--gamma", "nan"], "gamma must lie in [0, 1]"),
+    ], ids=["toy", "binary"])
+    def test_oracle_rejects_nan_gamma(self, capsys, argv, message):
+        assert main(["oracle", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("gamma", ["inf", "-inf"])
+    def test_oracle_toy_takes_infinite_gamma(self, capsys, gamma):
+        assert main(["oracle", "toy", f"--gamma={gamma}"]) == 0
+        assert capsys.readouterr().out == f"toy coverage gamma={gamma} value=0\n"
+
     def test_oracle_binary_needs_alpha(self, capsys):
         assert main(["oracle", "binary", "--gamma", "0.4"]) == 2
         capsys.readouterr()

@@ -121,7 +121,7 @@ class TestSampleMvnormal:
 
 class TestPsdRepair:
     def test_identity_untouched(self):
-        out = psd_repair(np.eye(3), eigen_floor=1e-6)
+        out = psd_repair(np.eye(3), )
         assert not out.clipped
         assert np.array_equal(out.matrix, np.eye(3))
 
@@ -129,7 +129,7 @@ class TestPsdRepair:
         # the raw 4x4 has negative eigenvalues; the repair must floor them
         raw_eigs = scipy_eigvalsh(INTERVAL_REGRESSION_RAW_COV)
         assert raw_eigs.min() < 0
-        out = psd_repair(INTERVAL_REGRESSION_RAW_COV, eigen_floor=1e-6)
+        out = psd_repair(INTERVAL_REGRESSION_RAW_COV, )
         assert out.clipped
         repaired_eigs = scipy_eigvalsh(out.matrix)
         assert abs(repaired_eigs.min() - 1e-6) < 1e-12
@@ -140,7 +140,7 @@ class TestPsdRepair:
         for _ in range(20):
             a = rng.normal(size=(4, 4))
             m = a @ a.T + 0.1 * np.eye(4)  # eigenvalues well above the floor
-            out = psd_repair(m, eigen_floor=1e-6)
+            out = psd_repair(m, )
             assert not out.clipped
             assert np.all(np.abs(out.matrix - m) < 1e-10)
 
@@ -149,7 +149,7 @@ class TestPsdRepair:
         for _ in range(50):
             a = rng.normal(size=(5, 5))
             m = (a + a.T) / 2.0
-            out = psd_repair(m, eigen_floor=1e-6)
+            out = psd_repair(m, )
             assert scipy_eigvalsh(out.matrix).min() >= 1e-6 - 1e-12
 
     def test_asymmetric_rejected(self):
@@ -199,6 +199,8 @@ class TestBetaCdf:
             beta_cdf(1.1, 1.0, 1.0)
         with pytest.raises(ParameterError):
             beta_cdf(0.5, 0.0, 1.0)
+        with pytest.raises(ParameterError):
+            beta_cdf(np.nan, 1.0, 1.0)
 
 
 class TestTruncatedNormal:

@@ -271,6 +271,12 @@ class TestMarginalSample:
         with pytest.raises(ParameterError):
             MarginalSampleBatch([0.5], [1.0], [2.0], "prior", "synthetic")
 
+    def test_nan_gamma_rejected(self):
+        from partialid import MarginalSampleBatch
+
+        with pytest.raises(ParameterError, match="paired interval"):
+            MarginalSampleBatch([np.nan], [0.0], [1.0], "prior", "synthetic")
+
 
 # --- the exact marginal law of binary_missing ------------------------------------
 # With cells p ~ Dirichlet(a1, a2, a3), s = p1 + p3 ~ Beta(a1 + a3, a2) and
@@ -368,3 +374,12 @@ class TestHistogram:
             histogram([0.5], 0, (0.0, 1.0))
         with pytest.raises(ParameterError):
             histogram([0.5], 3, (1.0, 1.0))
+
+    def test_nan_value_rejected(self):
+        # it would fall in no bin and neither tally
+        with pytest.raises(ParameterError, match="values must be finite, got nan"):
+            histogram([0.5, np.nan], 3, (0.0, 1.0))
+
+    def test_infinite_range_end_rejected(self):
+        with pytest.raises(ParameterError, match="need finite lo < hi"):
+            histogram([0.5], 3, (0.0, np.inf))

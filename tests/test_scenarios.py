@@ -947,6 +947,14 @@ class TestToyOracles:
         assert analytic_coverage_toy(2.5) == 0.0
         assert analytic_coverage_toy(-0.5) == 0.0
 
+    def test_coverage_is_zero_at_infinity_and_rejects_nan(self):
+        # the coverage is 0 outside [0, 2], so only NaN has no value
+        assert analytic_coverage_toy(np.inf) == 0.0
+        assert analytic_coverage_toy(-np.inf) == 0.0
+        for gamma in (np.nan, [0.5, np.nan]):
+            with pytest.raises(ParameterError, match="gamma must not be NaN"):
+                analytic_coverage_toy(gamma)
+
     def test_coverage_vectorized(self):
         grid = np.array([-1.0, 0.25, 1.0, 1.75, 2.0, 3.0])
         np.testing.assert_allclose(
@@ -1010,6 +1018,11 @@ class TestBinaryCoverageOracle:
             analytic_coverage_binary(1.5, (2.0, 3.0, 1.0))
         with pytest.raises(ParameterError):
             analytic_coverage_binary(0.5, (2.0, 3.0))
+
+    @pytest.mark.parametrize("gamma", [np.nan, [0.5, np.nan]])
+    def test_nan_gamma_rejected(self, gamma):
+        with pytest.raises(ParameterError, match=r"gamma must lie in \[0, 1\]"):
+            analytic_coverage_binary(gamma, (2.0, 3.0, 1.0))
 
     @pytest.mark.parametrize("alpha", BAD_CELLS)
     def test_bad_alpha(self, alpha):

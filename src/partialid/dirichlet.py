@@ -35,7 +35,7 @@ import numpy as np
 from scipy import special
 
 from .distributions import ScalarNormal, sample_beta, sample_normal
-from .errors import ParameterError, check_positive
+from .errors import ParameterError, as_int, check_positive
 from .rng import RngStream
 
 
@@ -92,9 +92,7 @@ def stick_weights(n0: float, k: int, rng: RngStream) -> tuple[np.ndarray, float]
     tail is prod_{i<=k}(1 - v_i), the mass the truncation discards.  A
     :class:`~partialid.rng.UniformRows` gives one draw, and one tail, per row.
     """
-    if k < 1:
-        raise ParameterError("need at least one stick")
-    v = sample_beta(1.0, n0, rng, size=k)
+    v = sample_beta(1.0, n0, rng, size=as_int("k", k, 1))
     remaining = np.cumprod(1.0 - v, axis=-1)
     weights = v * np.concatenate((np.ones_like(remaining[..., :1]), remaining[..., :-1]),
                                  axis=-1)

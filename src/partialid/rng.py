@@ -41,10 +41,8 @@ class RngStream:
     __slots__ = ("master_seed", "stream_index", "_gen")
 
     def __init__(self, master_seed: int, stream_index: int):
-        if stream_index < 0:
-            raise ParameterError(f"stream_index must be >= 0, got {stream_index}")
         self.master_seed = as_int("master_seed", master_seed) % _SEED_MOD
-        self.stream_index = int(stream_index)
+        self.stream_index = as_int("stream_index", stream_index, 0)
         entropy = (self.master_seed, self.stream_index)
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 

@@ -17,6 +17,7 @@ from partialid import (
     sample_beta,
     sample_normal,
     sample_truncated_normal,
+    stick_weights,
     substream,
 )
 from partialid.errors import check_positive
@@ -49,6 +50,7 @@ COUNTS = {
         lambda v: draw_set_batch(make_config("toy_analytic"), "prior", 5, 0, workers=v),
         "workers"),
     "histogram(bins)": (lambda v: histogram([0.5], v, (0.0, 1.0)), "bins"),
+    "stick_weights(k)": (lambda v: stick_weights(5.0, v, substream(1, 0)), "k"),
 }
 
 

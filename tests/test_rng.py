@@ -28,6 +28,13 @@ def test_negative_index_rejected():
         substream(42, -1)
 
 
+@pytest.mark.parametrize("index", [1.5, "3"])
+def test_index_must_be_an_integer(index):
+    # int(1.5) would have keyed stream 1
+    with pytest.raises(ParameterError, match="^stream_index must be an integer"):
+        substream(42, index)
+
+
 def test_scalar_and_vector_draws_agree():
     s1 = substream(7, 3)
     s2 = substream(7, 3)

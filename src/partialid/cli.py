@@ -188,9 +188,14 @@ def _rows(row_fmt: str, *columns) -> str:
     """``row_fmt % row`` for each row of ``columns``, arrays of one length, joined.
 
     The values are Python numbers (``.tolist()``), so ``%.12g`` writes what
-    :func:`_fmt` writes and ``%d`` what ``str`` writes for an integer.
+    :func:`_fmt` writes and ``%d`` what ``str`` writes for an integer.  They
+    are interleaved row by row into one tuple, formatted by one ``%``.
     """
-    return "".join([row_fmt % row for row in zip(*(c.tolist() for c in columns))])
+    n = len(columns[0])
+    flat = [None] * (n * len(columns))
+    for k, c in enumerate(columns):
+        flat[k::len(columns)] = c.tolist()
+    return (row_fmt * n) % tuple(flat)
 
 
 def run_scenario(run_cfg: RunConfig) -> RunReport:

@@ -32,11 +32,11 @@ for w in $counts; do
     cmp "$out/g1/interval_censored_seed7/$f" "$out/g$w/interval_censored_seed7/$f"
   done
 done
-# several chunks of short stream rows, through the pool: 70000 attempts of 4
-# uniforms cross scenarios.POOL_UNIFORMS
+# several chunks of short stream rows, through the pool: 90000 attempts of 3
+# uniforms (two Betas and the gamma uniform) cross scenarios.POOL_UNIFORMS
 for w in $counts; do
   python -m partialid.cli run --scenario binary_missing --n 1000 \
-    --prior-family II --n-draws 70000 --seed 7 --workers "$w" \
+    --prior-family II --n-draws 90000 --seed 7 --workers "$w" \
     --out-dir "$out/s$w" > /dev/null
   for f in coverage.csv intervals.csv gamma_hist.csv; do
     cmp "$out/s1/binary_missing_seed7/$f" "$out/s$w/binary_missing_seed7/$f"

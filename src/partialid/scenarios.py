@@ -14,8 +14,9 @@ posterior to one realization of the random identified interval:
 * ``interval_regression``— slope bracketed by instrumented cross-moment ratios
                            of a four-dimensional process draw.
 * ``binary_missing``     — success probability of a partially observed binary
-                           outcome; conjugate three-cell Dirichlet, closed-form
-                           coverage available.
+                           outcome; conjugate three-cell Dirichlet, whose
+                           interval [p1, p1 + p3] is drawn as two Betas;
+                           closed-form coverage available.
 
 Draws violating a scenario guard (inverted bounds, nonpositive denominators)
 are reported as skips, never reordered or hidden.
@@ -49,7 +50,7 @@ from .distributions import (
     check_dirichlet,
     cholesky_factor,
     psd_repair,
-    sample_dirichlet,
+    sample_beta,
     sample_mvnormal,
     sample_normal,
 )
@@ -360,16 +361,20 @@ def _generate_binary(n, rng):
     return np.column_stack((y * d, d))
 
 
-def _binary_draw(alpha, source):
-    cells = sample_dirichlet(alpha, source)
-    return cells[..., 0], cells[..., 0] + cells[..., 2], np.ones(cells.shape[:-1], dtype=bool)
+def _binary_draw(a1, a2, a3, source):
+    # [p1, p1 + p3] of a Dirichlet(a1, a2, a3) draw p, from two Betas: by
+    # aggregation p1 + p3 ~ Beta(a1 + a3, a2), and by neutrality
+    # p1 / (p1 + p3) ~ Beta(a1, a3), independent of it
+    hi = sample_beta(a1 + a3, a2, source)
+    lo = hi * sample_beta(a1, a3, source)
+    return lo, hi, np.ones(np.shape(hi), dtype=bool)
 
 
 def _prepare_binary(cfg, mode, dataset):
     alpha = cfg.hyper["alpha"]
     if mode == "posterior":
         alpha = binary_posterior_params(alpha, count_binary(dataset))
-    return partial(_binary_draw, np.array(alpha, dtype=float))  # a copy
+    return partial(_binary_draw, *_cell_params(alpha).tolist())
 
 
 # --- the scenario table --------------------------------------------------------

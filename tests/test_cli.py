@@ -291,14 +291,23 @@ class TestRunScenario:
 
     def test_family_one_run_that_exhausted_the_rejection_budget(self, tmp_path, capsys):
         # family I once drew by proposals from N(midpoint, 1), at most 100000 per
-        # gamma; this run's prior batch holds an interval 5.6e-6 wide, which
-        # catches about one proposal in 500000
+        # gamma; an interval 5.6e-6 wide catches about one proposal in 500000
+        from partialid import SetDrawBatch
+        from partialid.priors import default_prior_spec, draw_gammas
+
+        lo = np.array([0.1, 0.45, 0.8])
+        hi = lo + np.array([0.3, 5.6e-6, 0.15])
+        batch = SetDrawBatch(lo, hi, "prior", "binary_missing",
+                             gamma_uniforms=[0.5, 0.999, 1e-9])
+        marginal = draw_gammas(default_prior_spec("binary_missing", "I"), batch)
+        assert np.all((lo <= marginal.gammas) & (marginal.gammas <= hi))
+        assert marginal.gammas[1] > lo[1] + 5.5e-6  # near the top, as its uniform is
+        assert marginal.skip_rate == 0.0
+        # and a whole family-I run, as a smoke check
         rc = main(["run", "--scenario", "binary_missing", "--n-draws", "2000",
                    "--prior-family", "I", "--seed", "101", "--out-dir", str(tmp_path)])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
-        _, rows = read_csv(os.path.join(report["out_dir"], "intervals.csv"))
-        assert min(float(r[3]) - float(r[2]) for r in rows if r[1] == "prior") < 6e-6
         for mode in ("prior", "posterior"):
             assert report["diagnostics"]["gamma_hist_tallies"][mode]["in_range"] == 2000
             assert report["diagnostics"]["batches"][f"{mode}_gamma"] == {
@@ -506,6 +515,10 @@ class TestTableText:
         assert text == _per_value_rows(indices, lo, lo[::-1])
         assert text.splitlines()[:3] == ["0,prior,inf,0.333333333333",
                                          "1,prior,-inf,-2.5", "7,prior,-0,0.1"]
+
+    def test_empty_table(self):
+        empty = np.array([])
+        assert _rows("%d,prior,%.12g,%.12g\n", empty.astype(np.int64), empty, empty) == ""
 
     @given(st.lists(st.floats(width=64), min_size=1, max_size=50),
            st.integers(0, 2**63 - 1))

@@ -11,7 +11,9 @@ gammas became one step on the run's interval batch, and every digest of the
 six ``interval_censored`` runs when its two processes moved from two split
 streams to consecutive uniforms of the attempt stream, and again when each
 process drew its prior-side mean as one normal variate from its exact law in
-place of K atoms (all deliberate numeric changes); every other digest is as
+place of K atoms, and every digest of the four ``binary_missing`` runs when
+its interval [p1, p1 + p3] became two Beta draws in place of a three-cell
+Dirichlet draw (all deliberate numeric changes); every other digest is as
 first recorded.  A change that
 moves them on purpose must say so in CHANGES.md.
 """
@@ -43,8 +45,8 @@ GOLDEN = [
         'intervals.csv': '11bd3fc128c0b40a047731c20c90572610c37413161f16a31ab3453986632519',
     }),
     (('binary_missing', None, 1), {
-        'coverage.csv': '8d5844c4cc2f29dd84459da42835a664f5bc0461ca746ab390c883230ea05bb8',
-        'intervals.csv': '90e49df43c4b8fabf4c5990f1fe28d8b1b5c4c2ffb7a2c4dfd735f1f23422af0',
+        'coverage.csv': '926f4c6b2c984d7389ab7a8319abe17db9fd7869d078aeb94151cf7886f698e2',
+        'intervals.csv': '71e6f22f16405f0f8679d4dfd1d9ca792b91f29f78991797f90a9a078136d42b',
     }),
     (('interval_censored', 'I', 1), {
         'coverage.csv': '829a1dabe13b5237c710e876a6b2c8c2f8b59c998c6682d2ca5d9dd35fa80f4d',
@@ -67,19 +69,19 @@ GOLDEN = [
         'intervals.csv': '01cb1d0dfd3bd2e2c432a3bd43aaab6e129946489994c2188ee526eca8318a8e',
     }),
     (('binary_missing', 'II', 1), {
-        'coverage.csv': '8d5844c4cc2f29dd84459da42835a664f5bc0461ca746ab390c883230ea05bb8',
-        'gamma_hist.csv': '2b071cdfc6fb9b32ac18532a42da26337166892bb0973d6a8feab3d5efdb4ef2',
-        'intervals.csv': '90e49df43c4b8fabf4c5990f1fe28d8b1b5c4c2ffb7a2c4dfd735f1f23422af0',
+        'coverage.csv': '926f4c6b2c984d7389ab7a8319abe17db9fd7869d078aeb94151cf7886f698e2',
+        'gamma_hist.csv': '296c95756434ae8b8cc271228aee4a7c3fc40d9c5bb6cbb1cec1a72b1dbdcbd0',
+        'intervals.csv': '71e6f22f16405f0f8679d4dfd1d9ca792b91f29f78991797f90a9a078136d42b',
     }),
     (('binary_missing', 'III', 1), {
-        'coverage.csv': '8d5844c4cc2f29dd84459da42835a664f5bc0461ca746ab390c883230ea05bb8',
-        'gamma_hist.csv': '6d07318d14ee6674b9c1e67680f1ed52f35a90d896c3154589a15829c8bd60d1',
-        'intervals.csv': '90e49df43c4b8fabf4c5990f1fe28d8b1b5c4c2ffb7a2c4dfd735f1f23422af0',
+        'coverage.csv': '926f4c6b2c984d7389ab7a8319abe17db9fd7869d078aeb94151cf7886f698e2',
+        'gamma_hist.csv': '884804b5eb46ba1d9e13ad8f3149e07dcd3cbcb90974599a3b759a9255a2d418',
+        'intervals.csv': '71e6f22f16405f0f8679d4dfd1d9ca792b91f29f78991797f90a9a078136d42b',
     }),
     (('binary_missing', 'IV', 1), {
-        'coverage.csv': '8d5844c4cc2f29dd84459da42835a664f5bc0461ca746ab390c883230ea05bb8',
-        'gamma_hist.csv': 'dab39ed88a398623cf7779d4f664ba44233df495cda0563cb0729bd05b3fc8e6',
-        'intervals.csv': '90e49df43c4b8fabf4c5990f1fe28d8b1b5c4c2ffb7a2c4dfd735f1f23422af0',
+        'coverage.csv': '926f4c6b2c984d7389ab7a8319abe17db9fd7869d078aeb94151cf7886f698e2',
+        'gamma_hist.csv': 'b492187d392a0235fbf2898357cd7e228e36ec25f25d6faf227652210ddb81de',
+        'intervals.csv': '71e6f22f16405f0f8679d4dfd1d9ca792b91f29f78991797f90a9a078136d42b',
     }),
     (('interval_censored', None, 2), {
         'coverage.csv': '829a1dabe13b5237c710e876a6b2c8c2f8b59c998c6682d2ca5d9dd35fa80f4d',
@@ -109,7 +111,7 @@ SUMMARY_GOLDEN = {
     ('interval_regression', None, 1):
         '206ee5e2bf16dc4e5b55ac799381aba688946e6e0a8c62a2ba4311d2577bc802',
     ('binary_missing', None, 1):
-        '706ace7d1fc8df681b33a65c43b6afdb1b2fa7e43cb2e38f91bba77e5bd30908',
+        '09de0196d41c72102fe4f609b0b1f6723f6c58b91c984747f9ec76acf58bb9d2',
     ('interval_censored', 'I', 1):
         '3340b30a5242141f31060bc66ae69802b38b6b9b4221830ef6b5ff9deaeca7cf',
     ('interval_censored', 'II', 1):
@@ -119,11 +121,11 @@ SUMMARY_GOLDEN = {
     ('interval_censored', 'IV', 1):
         '551880f1f9f85715fc5f9dcea304c29924b025dcc7271db2015b9c1c6038e386',
     ('binary_missing', 'II', 1):
-        '00f6c9c7f6581e920cbae498cb7c890d6542add24314a11cfa7d36b0b91a701e',
+        'de0246bd59ca4b6948a442c0a0942ce3f73d5e2a2915a22f7530f7466050a85e',
     ('binary_missing', 'III', 1):
-        '4582f451ba32814def027da3203d7477e97a6df5aaa482f8da263cbe2f3ee212',
+        '4e379cd875c70480d98aecd751c6a8b89d0fc07b7e4c98d5242c93b8270e0652',
     ('binary_missing', 'IV', 1):
-        '643a626a8eb4a05dd013d06fcc66e687e7ee7fd8f98c8f1a4f88a8b5952f3231',
+        '2a4f0c2402ed8f85d6d2095b61c558786f776c21ada4ebf9c46d6cfdaab91fa2',
     ('interval_censored', None, 2):
         '5f6f85acdf967323a35d41ed2f4b6ceed82104324e68c6ef528c521338246639',
     ('interval_regression', None, 2):

@@ -1028,3 +1028,57 @@ class TestBinaryCoverageOracle:
     def test_bad_alpha(self, alpha):
         with pytest.raises(ParameterError, match="alpha|Dirichlet parameters"):
             analytic_coverage_binary(0.5, alpha)
+
+
+def _dkw_sup(x, cdf):
+    """sup |F_n - F| of the sample ``x`` against the continuous CDF ``cdf``."""
+    f = cdf(np.sort(x))
+    n = len(x)
+    return max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(n) / n).max())
+
+
+class TestBinaryTwoBetaDraw:
+    """[p1, p1 + p3] of a Dirichlet(a1, a2, a3) draw, as ``hi`` ~ Beta(a1 + a3,
+    a2) times an independent Beta(a1, a3)."""
+
+    N, DELTA = 20000, 1e-6
+
+    @pytest.mark.parametrize("mode", ["prior", "posterior"])
+    def test_endpoints_and_ratio_follow_their_beta_laws(self, mode):
+        from partialid.distributions import beta_cdf
+
+        cfg = make_config("binary_missing", n=300)
+        data = generate_data(cfg, attempt_stream(12, ROLE_DATA, 0))
+        a1, a2, a3 = (cfg.hyper["alpha"] if mode == "prior" else
+                      binary_posterior_params(cfg.hyper["alpha"], count_binary(data)))
+        batch = draw_set_batch(cfg, mode, self.N, 12, dataset=data)
+        # Dvoretzky-Kiefer-Wolfowitz: P(sup |F_n - F| > eps) <= 2 exp(-2 N eps^2)
+        eps = np.sqrt(np.log(2 / self.DELTA) / (2 * self.N))
+        for x, a, b in ((batch.lo, a1, a2 + a3), (batch.hi, a1 + a3, a2),
+                        (batch.lo / batch.hi, a1, a3)):
+            assert _dkw_sup(x, lambda t: beta_cdf(t, a, b)) < eps
+
+    def test_a_row_is_two_betas_then_the_gamma_uniform(self):
+        from scipy import special
+
+        cfg = make_config("binary_missing")
+        a1, a2, a3 = cfg.hyper["alpha"]
+        batch = draw_set_batch(cfg, "prior", 20, 13)
+        for r, j in enumerate(batch.attempt_indices):
+            rng = attempt_stream(13, ROLE_PRIOR_SETS, j)
+            interval = draw_set(cfg, "prior", rng)
+            assert (interval.lo, interval.hi) == (batch.lo[r], batch.hi[r])
+            assert rng.uniform() == batch.gamma_uniforms[r]
+            u = attempt_stream(13, ROLE_PRIOR_SETS, j).uniform(3)
+            hi = special.betaincinv(a1 + a3, a2, u[0])
+            assert (batch.lo[r], batch.hi[r], batch.gamma_uniforms[r]) == (
+                hi * special.betaincinv(a1, a3, u[1]), hi, u[2])
+
+    @pytest.mark.parametrize("mode", ["prior", "posterior"])
+    @pytest.mark.parametrize("alpha", [*BAD_CELLS, [2.0, 3.0, 1.0, 4.0]])
+    def test_alpha_is_checked_in_both_modes(self, mode, alpha):
+        cfg = make_config("binary_missing", n=20)
+        data = generate_data(cfg, attempt_stream(3, ROLE_DATA, 0))
+        cfg = dataclasses.replace(cfg, hyper={"alpha": alpha})
+        with pytest.raises(ParameterError, match="alpha|Dirichlet parameters"):
+            prepare_draw(cfg, mode, data)

@@ -50,7 +50,6 @@ TRUNCATION_DELTA = 0.01
 MAX_TRUNCATION_LEVEL = 2**16
 
 
-@lru_cache(maxsize=None)
 def choose_truncation_level(n0: float) -> int:
     """Smallest K with P(truncation tail mass > TRUNCATION_EPS) <= TRUNCATION_DELTA.
 
@@ -58,10 +57,16 @@ def choose_truncation_level(n0: float) -> int:
     n0), whose CDF at -ln(eps), P(tail > eps), falls as K grows;
     ``scipy.special.gdtrib`` inverts that CDF in the shape, and K is the
     ceiling of the shape at which it equals delta.  Raises
-    :class:`ParameterError` when K would exceed :data:`MAX_TRUNCATION_LEVEL`
-    or the shape is not finite.
+    :class:`ParameterError` for a concentration that is not a positive real
+    number, which is checked before the cache of levels sees it, and when K
+    would exceed :data:`MAX_TRUNCATION_LEVEL` or the shape is not finite.
     """
     check_positive(concentration=n0)
+    return _truncation_level(n0)
+
+
+@lru_cache(maxsize=None)
+def _truncation_level(n0: float) -> int:
     shape = special.gdtrib(n0, TRUNCATION_DELTA, -math.log(TRUNCATION_EPS))
     if not shape <= MAX_TRUNCATION_LEVEL:  # also a shape that is inf or nan
         raise ParameterError(f"concentration {n0} needs {shape} sticks, more than "

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .errors import ParameterError, check_positive
+from .errors import ParameterError, check_finite, check_positive
 from .rng import RngStream
 
 
@@ -76,6 +76,7 @@ def sample_dirichlet(alpha, rng: RngStream) -> np.ndarray:
 
 def sample_normal(mu: float, sigma2: float, rng: RngStream, size=None):
     """N(mu, sigma2) draws via the normal quantile transform (sigma2 is a variance)."""
+    check_finite(mu=mu)
     check_positive(sigma2=sigma2)
     z = special.ndtri(rng.uniform(size))
     return mu + np.sqrt(sigma2) * z
@@ -92,6 +93,7 @@ class ScalarNormal:
     var: float
 
     def __post_init__(self):
+        check_finite(mu=self.mu)
         check_positive(variance=self.var)
 
     def __call__(self, rng: RngStream, size=None):
@@ -103,6 +105,7 @@ def cholesky_factor(cov) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ParameterError(f"expected a square covariance matrix, got shape {cov.shape}")
+    check_finite(covariance=cov)
     if not np.array_equal(cov, cov.T):
         raise ParameterError("covariance matrix must be symmetric")
     try:
@@ -121,6 +124,7 @@ def sample_mvnormal(mean, cov, rng: RngStream, size=None, *, chol=None):
     ``chol=cholesky_factor(cov)`` to skip the per-call check and factorization.
     Returns shape ``(d,)`` for ``size=None``, else ``(size, d)``.
     """
+    check_finite(mean=mean)
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
@@ -153,6 +157,7 @@ def sample_truncated_normal(mu, sigma2, lo, hi, rng: RngStream, size=None):
         lo, hi = np.broadcast_arrays(lo, hi)
         k = np.flatnonzero(~(lo < hi))[0]
         raise ParameterError(f"need lo < hi, got [{lo.flat[k]}, {hi.flat[k]}]")
+    check_finite(mu=mu)
     check_positive(sigma2=sigma2)
     sigma = math.sqrt(sigma2)
     a = (lo - mu) / sigma
@@ -202,6 +207,7 @@ def psd_repair(m) -> PsdRepair:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {m.shape}")
+    check_finite(matrix=m)
     if not np.array_equal(m, m.T):
         raise ParameterError("matrix must be symmetric")
     w, v = np.linalg.eigh(m)

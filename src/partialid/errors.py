@@ -1,7 +1,10 @@
 """Exception types, and the number checks, shared across the package."""
 
 import math
+import numbers
 import operator
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -32,11 +35,20 @@ def as_int(name: str, value, least: int | None = None) -> int:
 
 def check_positive(**values) -> None:
     """:class:`ParameterError` naming the first of ``values`` that is not a
-    positive and finite real number; NaN, infinities and text fail."""
+    positive and finite real number; NaN, infinities, text and arrays fail."""
+    for name, value in values.items():
+        # NaN fails both comparisons; numpy numbers are Real, arrays are not
+        if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+            raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_finite(**values) -> None:
+    """:class:`ParameterError` naming the first of ``values`` that is not a
+    finite real number or an array of them; NaN, infinities and text fail."""
     for name, value in values.items():
         try:
-            if 0 < value < math.inf:  # NaN fails both comparisons
-                continue
-        except (TypeError, ValueError):  # text; an array of several numbers
-            pass
-        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+            a = np.asarray(value)
+        except ValueError:  # a ragged nesting of lists
+            a = None
+        if a is None or a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+            raise ParameterError(f"{name} must be finite, got {value!r}")

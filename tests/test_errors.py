@@ -1,4 +1,4 @@
-"""The two number rules of ``partialid.errors`` at every entry point that uses them."""
+"""The three number rules of ``partialid.errors`` at every entry point that uses them."""
 
 import numpy as np
 import pytest
@@ -14,13 +14,16 @@ from partialid import (
     histogram,
     make_config,
     marginal_sample,
+    psd_repair,
     sample_beta,
+    sample_mvnormal,
     sample_normal,
     sample_truncated_normal,
     stick_weights,
     substream,
 )
-from partialid.errors import check_positive
+from partialid.distributions import cholesky_factor
+from partialid.errors import check_finite, check_positive
 
 # each entry point with one real parameter set to the value, and that
 # parameter's name as its ParameterError states it
@@ -39,6 +42,20 @@ POSITIVE = {
     **{f"ConditionalPriorSpec({name})": (
         lambda v, name=name: ConditionalPriorSpec("IV", **{name: v}), name)
        for name in ("tau0_sq", "sigma0_sq", "p", "q")},
+}
+
+# each entry point with one location (a real number or an array of them) set
+# to the value, and that location's name as its ParameterError states it
+FINITE = {
+    "sample_normal": (lambda v: sample_normal(v, 1.0, substream(1, 0)), "mu"),
+    "ScalarNormal": (lambda v: ScalarNormal(v, 1.0), "mu"),
+    "sample_mvnormal": (lambda v: sample_mvnormal([v, 0.0], np.eye(2), substream(1, 0)),
+                        "mean"),
+    "sample_truncated_normal": (
+        lambda v: sample_truncated_normal(v, 1.0, -1.0, 1.0, substream(1, 0)), "mu"),
+    "sample_truncated_normal(array)": (
+        lambda v: sample_truncated_normal(np.array([0.0, v]), 1.0, -1.0, 1.0,
+                                          substream(1, 0), size=2), "mu"),
 }
 
 # each count with the value in its place
@@ -69,9 +86,47 @@ def test_real_parameter_takes_numpy_numbers(entry, value):
     POSITIVE[entry][0](value)
 
 
-def test_an_array_of_several_numbers_is_not_a_parameter():
+@pytest.mark.parametrize("value", [np.array([1.0, 2.0]), np.array([10.0]), np.array(10.0)],
+                         ids=["several", "one", "0-d"])
+def test_an_array_is_not_a_parameter(value):
     with pytest.raises(ParameterError, match="^sigma2 must be positive and finite"):
-        check_positive(sigma2=np.array([1.0, 2.0]))
+        check_positive(sigma2=value)
+    # the concentration is checked before the cache of truncation levels,
+    # which cannot hash an array
+    with pytest.raises(ParameterError, match="^concentration must be positive and finite"):
+        choose_truncation_level(value)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, "x"],
+                         ids=["inf", "-inf", "nan", "text"])
+@pytest.mark.parametrize("entry", FINITE)
+def test_location_must_be_finite(entry, value):
+    call, name = FINITE[entry]
+    with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [np.float64(-2.0), np.int64(2), 0, -3.5],
+                         ids=["float64", "int64", "zero", "negative"])
+@pytest.mark.parametrize("entry", FINITE)
+def test_location_takes_any_finite_number(entry, value):
+    FINITE[entry][0](value)
+
+
+@pytest.mark.parametrize("value", [[1.0, "x"], [[1.0], [1.0, 2.0]], None, 1 + 2j],
+                         ids=["mixed", "ragged", "none", "complex"])
+def test_a_location_is_real(value):
+    with pytest.raises(ParameterError, match="^mean must be finite"):
+        check_finite(mean=value)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("call, name", [(psd_repair, "matrix"), (cholesky_factor, "covariance")],
+                         ids=["psd_repair", "cholesky_factor"])
+def test_matrix_entries_must_be_finite(call, name, value):
+    # psd_repair once returned a NaN matrix, flagged clipped, for an infinite entry
+    with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+        call([[value, 0.0], [0.0, 1.0]])
 
 
 @pytest.mark.parametrize("value, message", [

@@ -48,7 +48,8 @@ def check_finite(**values) -> None:
     for name, value in values.items():
         try:
             a = np.asarray(value)
+            if a.dtype.kind in "iuf" and np.isfinite(a).all():
+                continue
         except ValueError:  # a ragged nesting of lists
-            a = None
-        if a is None or a.dtype.kind not in "iuf" or not np.isfinite(a).all():
-            raise ParameterError(f"{name} must be finite, got {value!r}")
+            pass
+        raise ParameterError(f"{name} must be finite, got {value!r}")

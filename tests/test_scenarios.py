@@ -1059,16 +1059,13 @@ class TestBinaryTwoBetaDraw:
             assert _dkw_sup(x, lambda t: beta_cdf(t, a, b)) < eps
 
     def test_a_row_is_two_betas_then_the_gamma_uniform(self):
+        # TestBlockEquivalence checks that each row is its own draw_set
         from scipy import special
 
         cfg = make_config("binary_missing")
         a1, a2, a3 = cfg.hyper["alpha"]
         batch = draw_set_batch(cfg, "prior", 20, 13)
         for r, j in enumerate(batch.attempt_indices):
-            rng = attempt_stream(13, ROLE_PRIOR_SETS, j)
-            interval = draw_set(cfg, "prior", rng)
-            assert (interval.lo, interval.hi) == (batch.lo[r], batch.hi[r])
-            assert rng.uniform() == batch.gamma_uniforms[r]
             u = attempt_stream(13, ROLE_PRIOR_SETS, j).uniform(3)
             hi = special.betaincinv(a1 + a3, a2, u[0])
             assert (batch.lo[r], batch.hi[r], batch.gamma_uniforms[r]) == (

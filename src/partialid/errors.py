@@ -1,7 +1,6 @@
 """Exception types, and the number checks, shared across the package."""
 
 import math
-import numbers
 import operator
 
 import numpy as np
@@ -37,9 +36,13 @@ def check_positive(**values) -> None:
     """:class:`ParameterError` naming the first of ``values`` that is not a
     positive and finite real number; NaN, infinities, text and arrays fail."""
     for name, value in values.items():
-        # NaN fails both comparisons; numpy numbers are Real, arrays are not
-        if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
-            raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+        try:
+            # NaN fails both comparisons; a one-number array passes them
+            if 0 < value < math.inf and not isinstance(value, np.ndarray):
+                continue
+        except (TypeError, ValueError):  # text; an array of several numbers
+            pass
+        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
 def check_finite(**values) -> None:

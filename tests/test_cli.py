@@ -447,7 +447,7 @@ class TestPoolLifetime:
         n = None if scenario == "toy_analytic" else 1000
         run_scenario(RunConfig(scenario=scenario, n=n, n_draws=1000, seed=4, workers=2,
                                out_dir=str(tmp_path)))
-        assert 1000 * 4 < scenarios.POOL_UNIFORMS  # 3 or 4 uniforms an attempt
+        assert 1000 * 4 < scenarios.POOL_UNIFORMS  # both read 3 uniforms an attempt
         assert in_process_pool.sizes == [] and in_process_pool.submitted == []
 
     def test_another_worker_count_replaces_the_pool(self, tmp_path, split_all,

@@ -102,10 +102,10 @@ class ScalarNormal:
 
 def cholesky_factor(cov) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite covariance matrix."""
+    check_finite(covariance=cov)
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ParameterError(f"expected a square covariance matrix, got shape {cov.shape}")
-    check_finite(covariance=cov)
     if not np.array_equal(cov, cov.T):
         raise ParameterError("covariance matrix must be symmetric")
     try:
@@ -204,10 +204,10 @@ def psd_repair(m) -> PsdRepair:
     eigenvalue actually had to be raised.  Inputs whose smallest eigenvalue
     already meets the floor are returned unchanged.
     """
+    check_finite(matrix=m)
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {m.shape}")
-    check_finite(matrix=m)
     if not np.array_equal(m, m.T):
         raise ParameterError("matrix must be symmetric")
     w, v = np.linalg.eigh(m)

@@ -120,7 +120,8 @@ def test_a_location_is_real(value):
         check_finite(mean=value)
 
 
-@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, "x"],
+                         ids=["inf", "-inf", "nan", "text"])
 @pytest.mark.parametrize("call, name", [(psd_repair, "matrix"), (cholesky_factor, "covariance")],
                          ids=["psd_repair", "cholesky_factor"])
 def test_matrix_entries_must_be_finite(call, name, value):

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .errors import ParameterError, check_finite, check_positive
+from .errors import ParameterError, as_reals, check_finite, check_positive
 from .rng import RngStream
 
 
@@ -126,7 +126,7 @@ def sample_mvnormal(mean, cov, rng: RngStream, size=None, *, chol=None):
     """
     check_finite(mean=mean)
     mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
+    cov = as_reals("covariance", cov)
     if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
         raise ParameterError(
             f"dimension mismatch: mean has shape {mean.shape}, cov has shape {cov.shape}"
@@ -151,8 +151,7 @@ def sample_truncated_normal(mu, sigma2, lo, hi, rng: RngStream, size=None):
     both bounds 60 standard deviations out.  ``mu``, ``lo`` and ``hi`` may be
     arrays of ``size`` elements, one truncated normal each, drawn elementwise.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    lo, hi = as_reals("lo", lo), as_reals("hi", hi)  # either may be infinite
     if not (lo < hi).all():
         lo, hi = np.broadcast_arrays(lo, hi)
         k = np.flatnonzero(~(lo < hi))[0]

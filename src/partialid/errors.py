@@ -45,14 +45,27 @@ def check_positive(**values) -> None:
         raise ParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
+def as_reals(name: str, value) -> np.ndarray:
+    """``value`` as a float array if it is a real number or an array of them,
+    infinities and NaN included; :class:`ParameterError` naming ``name`` for
+    text, complex numbers or a ragged nesting of lists."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged nesting of lists
+        a = None
+    if a is None or a.dtype.kind not in "iuf":
+        raise ParameterError(f"{name} must be real numbers, got {value!r}")
+    return a.astype(float, copy=False)
+
+
 def check_finite(**values) -> None:
     """:class:`ParameterError` naming the first of ``values`` that is not a
-    finite real number or an array of them; NaN, infinities and text fail."""
+    finite real number or an array of them (:func:`as_reals`); NaN,
+    infinities and text fail."""
     for name, value in values.items():
         try:
-            a = np.asarray(value)
-            if a.dtype.kind in "iuf" and np.isfinite(a).all():
+            if np.isfinite(as_reals(name, value)).all():
                 continue
-        except ValueError:  # a ragged nesting of lists
+        except ParameterError:
             pass
         raise ParameterError(f"{name} must be finite, got {value!r}")

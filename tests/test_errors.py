@@ -58,6 +58,18 @@ FINITE = {
                                           substream(1, 0), size=2), "mu"),
 }
 
+# each entry point with one bound or matrix entry (a real number, infinite or
+# not) set to the value, and that value's name as its ParameterError states it
+REAL = {
+    "sample_truncated_normal(lo)": (
+        lambda v: sample_truncated_normal(0.0, 1.0, v, 1.0, substream(1, 0)), "lo"),
+    "sample_truncated_normal(hi)": (
+        lambda v: sample_truncated_normal(0.0, 1.0, -1.0, v, substream(1, 0)), "hi"),
+    "sample_mvnormal(cov)": (
+        lambda v: sample_mvnormal([0.0, 0.0], [[v, 0.0], [0.0, 1.0]], substream(1, 0)),
+        "covariance"),
+}
+
 # each count with the value in its place
 COUNTS = {
     "make_config(n)": (lambda v: make_config("binary_missing", n=v), "n"),
@@ -128,6 +140,21 @@ def test_matrix_entries_must_be_finite(call, name, value):
     # psd_repair once returned a NaN matrix, flagged clipped, for an infinite entry
     with pytest.raises(ParameterError, match=f"^{name} must be finite"):
         call([[value, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("value", ["a", None, 1 + 2j], ids=["text", "none", "complex"])
+@pytest.mark.parametrize("entry", REAL)
+def test_a_bound_or_matrix_entry_must_be_a_real_number(entry, value):
+    # text raised numpy's untyped ValueError from the float conversion
+    call, name = REAL[entry]
+    with pytest.raises(ParameterError, match=f"^{name} must be real numbers"):
+        call(value)
+
+
+@pytest.mark.parametrize("lo, hi", [(-np.inf, 1.0), (0.0, np.inf)], ids=["below", "above"])
+def test_a_truncation_bound_may_be_infinite(lo, hi):
+    x = sample_truncated_normal(0.0, 1.0, lo, hi, substream(1, 0), size=100)
+    assert np.all((lo <= x) & (x <= hi)) and np.isfinite(x).all()
 
 
 @pytest.mark.parametrize("value, message", [

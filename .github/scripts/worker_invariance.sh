@@ -6,7 +6,9 @@
 # draws, which never fill more than one chunk.  Process means are stacked
 # matmuls, one BLAS call per row, which every numpy must dispatch per row
 # whatever the chunk a row is in, and row-wise sums; binary_missing's short
-# rows come from rng.pcg64_uniforms, in every chunk.
+# rows come from rng.pcg64_uniforms, in every chunk.  Each python command runs
+# under `timeout 300`, so a pool that cannot shut down fails the step rather
+# than hanging the job.
 #
 # Usage: PYTHONPATH=src .github/scripts/worker_invariance.sh OUT_DIR
 set -euo pipefail
@@ -15,7 +17,7 @@ out="${1:?usage: worker_invariance.sh OUT_DIR}"
 counts="1 2"; if [ "$(nproc)" -gt 2 ]; then counts="$counts $(nproc)"; fi
 for sid in interval_censored errors_in_variables interval_regression binary_missing; do
   for w in $counts; do
-    python -m partialid.cli run --scenario "$sid" --n 1000 \
+    timeout 300 python -m partialid.cli run --scenario "$sid" --n 1000 \
       --n-draws 1000 --seed 7 --workers "$w" --out-dir "$out/w$w" > /dev/null
     for f in coverage.csv intervals.csv; do
       cmp "$out/w1/${sid}_seed7/$f" "$out/w$w/${sid}_seed7/$f"
@@ -25,7 +27,7 @@ done
 # interval_censored's gamma uniform, the last column of each attempt row after
 # the two processes' sticks and one variate each: 126 prior rows a chunk
 for w in $counts; do
-  python -m partialid.cli run --scenario interval_censored --n 1000 \
+  timeout 300 python -m partialid.cli run --scenario interval_censored --n 1000 \
     --prior-family II --n-draws 1000 --seed 7 --workers "$w" \
     --out-dir "$out/g$w" > /dev/null
   for f in coverage.csv intervals.csv gamma_hist.csv; do
@@ -35,7 +37,7 @@ done
 # several chunks of short stream rows, through the pool: 90000 attempts of 3
 # uniforms (two Betas and the gamma uniform) cross scenarios.POOL_UNIFORMS
 for w in $counts; do
-  python -m partialid.cli run --scenario binary_missing --n 1000 \
+  timeout 300 python -m partialid.cli run --scenario binary_missing --n 1000 \
     --prior-family II --n-draws 90000 --seed 7 --workers "$w" \
     --out-dir "$out/s$w" > /dev/null
   for f in coverage.csv intervals.csv gamma_hist.csv; do
@@ -44,7 +46,7 @@ for w in $counts; do
 done
 # one process runs the three Dirichlet-process scenarios back to back at
 # workers 2, and its one attempt pool serves them all
-python - "$out/shared" <<'EOF'
+timeout 300 python - "$out/shared" <<'EOF'
 import sys
 from partialid import scenarios
 from partialid.cli import RunConfig, run_scenario
@@ -53,7 +55,7 @@ for sid in ("interval_censored", "errors_in_variables", "interval_regression"):
     run_scenario(RunConfig(scenario=sid, n=1000, n_draws=1000, seed=7, workers=2,
                            out_dir=sys.argv[1]))
     pools.append(scenarios._pool)
-assert pools[0] is not None and all(p is pools[0] for p in pools), pools
+assert pools[0] and all(p is pools[0] for p in pools), pools
 EOF
 for sid in interval_censored errors_in_variables interval_regression; do
   for f in coverage.csv intervals.csv; do

@@ -26,15 +26,17 @@ uniforms, one attempt per row, to interval endpoints and an accept mask; one
 draw from one stream (:func:`draw_set`) is a block of one.
 :func:`run_attempts` counts the uniforms an attempt reads on one row, and
 splits a block of at least :data:`POOL_UNIFORMS` uniforms with the process's
-one attempt pool.
+one attempt pool: ``workers - 1`` processes, each handed its share down its
+own pipe by the main thread, with no thread, queue or future between.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import logging
+import multiprocessing.connection
 import os
-from concurrent.futures import ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from types import MappingProxyType
@@ -491,69 +493,64 @@ CHUNK_UNIFORMS = 2**15
 
 #: Fewest uniforms, attempts times uniforms per attempt, of a block that is
 #: split among the attempt pool's processes; a smaller block is one share,
-#: run here.  Through a warm pool of one process on 2 CPUs, a block of 1000
-#: interval_censored prior attempts (260000 uniforms) ran slower split than
-#: whole, and 1000 errors_in_variables prior attempts (502000) about 1.4x
-#: faster; blocks of 3000 to 66000 uniforms lost 0.6 to 1.3 ms each.
-POOL_UNIFORMS = 2**18
+#: run here.  Through a warm pool of one process on 2 CPUs, blocks of 133760
+#: to 251000 uniforms of the other scenarios ran 0.51x to 0.93x as long split
+#: as whole, interval_censored's 1000 prior attempts (260000) 1.12x to 1.17x,
+#: and 4095 toy uniforms 1.3x to 2.1x; end to end, 2**17 beat 2**18.
+POOL_UNIFORMS = 2**17
 
-_pool = None  # (processes, executor): the attempt pool this process's runs share
+_pool = []  # [(parent's end of a pipe, pool process)]: the pool this process's runs share
 
 
-def _attempt_pool(processes: int) -> ProcessPoolExecutor:
-    """This process's attempt pool of ``processes`` processes: started by the
-    first block that needs it, kept for later runs, and replaced only for
-    another size."""
-    global _pool
-    if _pool is not None and _pool[0] != processes:
+def _attempt_pool(processes: int) -> list:
+    """This process's pool of ``processes`` processes: kept across runs, replaced if resized."""
+    if len(_pool) != processes:
         shutdown_attempt_pool()
-    if _pool is None:
-        _pool = (processes, ProcessPoolExecutor(max_workers=processes))
-    return _pool[1]
+        for _ in range(processes):
+            here, there = multiprocessing.Pipe()
+            process = multiprocessing.Process(target=_serve, args=(there, here))
+            process.start()  # the fork closes the earlier ends in its copy of _pool
+            there.close()
+            _pool.append((here, process))
+    return _pool
 
 
 def shutdown_attempt_pool() -> None:
     """Shut down this process's attempt pool, if it has one, and wait for its
-    processes; the next block over :data:`POOL_UNIFORMS` starts another.  An
-    interpreter's exit shuts it down too."""
+    processes; the next split block starts another.  An exit ends it too."""
     global _pool
-    pool, _pool = _pool, None
-    if pool is not None:
-        pool[1].shutdown(cancel_futures=True)
+    pool, _pool = _pool, []
+    for here, _ in pool:  # every end first: a process ends when its pipe does
+        here.close()
+    for _, process in pool:
+        process.join()
 
 
-def _submit(processes: int, draw: Callable, m: int, master_seed: int, share: range):
-    """A future of :func:`_task` on ``share`` from this process's attempt pool
-    of ``processes`` processes, replaced first if one of its processes died
-    since its last block."""
-    try:
-        return _attempt_pool(processes).submit(_task, draw, m, master_seed, share)
-    except BrokenProcessPool:
-        shutdown_attempt_pool()
-        return _attempt_pool(processes).submit(_task, draw, m, master_seed, share)
-
-
-def _result(future, draw: Callable, m: int, master_seed: int, share: range):
-    """The outcome of a share the pool ran, or, if a process of the pool died
-    on the way, of the same share run here: it seeds its own streams, so the
-    two are equal."""
-    try:
-        return future.result()
-    except BrokenProcessPool as exc:
-        first = share.start % 2**_ROLE_SHIFT
-        log.warning("the attempt pool broke (%s); attempts %d to %d run here",
-                    exc, first, first + len(share) - 1)
-        shutdown_attempt_pool()
-        return _task(draw, m, master_seed, share)
+def _serve(there, here) -> None:
+    """A pool process: sends back each share's outcome, or error, until its pipe ends."""
+    here.close()  # its copy of the parent's end, which would keep the pipe open
+    with contextlib.suppress(EOFError, OSError):
+        while True:
+            task, share = there.recv()
+            try:
+                reply = task(share)
+            except Exception as exc:  # raised by the parent, if it reads this share
+                reply = exc
+            there.send(reply)
 
 
 def _forget_attempt_pool() -> None:
     global _pool
-    _pool = None  # a forked child does not own its parent's pool
+    for here, _ in _pool:  # a forked child does not own its parent's pool
+        here.close()
+    _pool = []
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_attempt_pool)
+# multiprocessing's exit hook, registered when multiprocessing.connection was
+# imported, joins the pool's processes; this one runs first and ends them
+atexit.register(shutdown_attempt_pool)
 
 
 def _task(draw: Callable, m: int, master_seed: int, streams: range):
@@ -617,15 +614,17 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
     one, or any at ``workers`` 1, is one share.  A share (:func:`_task`)
     carries only the draw, m and its attempt range, seeds its own streams and
     runs them in chunks: attempt j's m uniforms are row j of the chunk's array
-    (at most :data:`CHUNK_UNIFORMS`), the gamma uniform last.  This process
-    computes the first share of every block while its attempt pool of
-    ``workers - 1`` processes runs the others: the first split block starts
-    the pool, later runs reuse it, and it ends at exit
-    (:func:`shutdown_attempt_pool`).  A pool one of whose processes died is
-    dropped: a block that finds it so starts a new one, and a share it was
-    running runs here.  Shares are consumed in attempt order; those not
-    started when the block's acceptances are in are cancelled, and the block
-    waits for those running.  Attempts past the ``n_draws``-th acceptance
+    (at most :data:`CHUNK_UNIFORMS`), the gamma uniform last.  This process's
+    attempt pool is ``workers - 1`` processes, each with a pipe: the first
+    split block starts it, later runs reuse it, and it ends at exit
+    (:func:`shutdown_attempt_pool`).  The main thread sends each pool process
+    one later share of the block, computes the first share itself, and then
+    reads the replies in share order: an outcome, or the error the share
+    raised there.  A process found dead has its share run here, which gives
+    the same bytes, and the pool is dropped; the next block starts another.
+    Shares are consumed in attempt order, and every reply of a block is read
+    before the next block starts, those past the block's last acceptance, or
+    after its error, unopened.  Attempts past the ``n_draws``-th acceptance
     are never counted and their errors never raised; a consumed, accepted one
     without ``lo <= hi`` raises :class:`ParameterError`.  Returns
     ``(attempt_indices, lo, hi, gamma_uniforms, skipped)``.  Raises
@@ -636,10 +635,11 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
     base = _role_base(role)
     n_draws, workers = check_attempts(n_draws, workers)
     master_seed = as_int("master_seed", master_seed)  # before any pool or draw
-    workers = min(workers, max_workers())
+    others = min(workers, max_workers()) - 1  # the pool's processes; this one draws too
     probe = UniformRows(np.broadcast_to(0.5, (1, 2**40)))  # read-only: allocates nothing
     draw(probe)
     m = probe.at
+    task = partial(_task, draw, m, master_seed)  # the outcome of a share, here or in the pool
     taken = []  # (indices, lo, hi, gamma uniforms) of each share's acceptances
     need, skipped, next_index = n_draws, 0, 0
     attempt_cap = min(50 * n_draws + 1000, 2**_ROLE_SHIFT)
@@ -652,17 +652,25 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
         size = max(need, need * next_index // max(n_draws - need, 1))
         streams = range(base + next_index, base + min(next_index + size, attempt_cap))
         next_index = streams.stop - base
-        split = workers if len(streams) * (m + 1) >= POOL_UNIFORMS else 1
-        step = -(-len(streams) // split)
+        pool = _attempt_pool(others) if others and len(streams) * (m + 1) >= POOL_UNIFORMS else []
+        step = -(-len(streams) // (len(pool) + 1))
         shares = [streams[i:i + step] for i in range(0, len(streams), step)]
-        # the pool runs the later shares while this process computes the first
-        futures = [_submit(workers - 1, draw, m, master_seed, share) for share in shares[1:]]
-        outcomes = [partial(_task, draw, m, master_seed, shares[0]),
-                    *(partial(_result, future, draw, m, master_seed, share)
-                      for future, share in zip(futures, shares[1:]))]
+        sent = []  # the ends of the pool processes given the later shares, unread
         try:
-            for share, outcome in zip(shares, outcomes):
-                lo, hi, accept, u = outcome()
+            for (here, _), share in zip(pool, shares[1:]):
+                with contextlib.suppress(OSError):  # a dead process: reading its reply fails
+                    here.send((task, share))
+                sent.append(here)
+            for k, share in enumerate(shares):  # the first runs here, the others there
+                try:
+                    outcome = sent.pop(0).recv() if k else task(share)
+                except (EOFError, OSError) as exc:  # its process died: it runs here
+                    log.warning("the attempt pool lost a share (%r); it runs here", exc)
+                    shutdown_attempt_pool()  # the next block starts another
+                    outcome = task(share)  # it seeds its own streams: the same outcome
+                if isinstance(outcome, Exception):  # the error of a pool process's share
+                    raise outcome
+                lo, hi, accept, u = outcome
                 rows = np.flatnonzero(accept)[:need]
                 skipped += int(rows[-1] + 1 if len(rows) == need else len(share)) - len(rows)
                 first = share.start - base  # the attempt of row 0
@@ -674,10 +682,10 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
                 need -= len(rows)
                 if not need:
                     break
-        finally:  # a share past the last acceptance is not started, or not read
-            for future in futures:
-                future.cancel()
-            wait(futures)  # and none outlives its block
+        finally:  # the replies past the last acceptance, or an error, are read unopened
+            for here in sent:  # a process found dead here is found so by the next block
+                with contextlib.suppress(EOFError, OSError):
+                    here.recv_bytes()
     return (*(np.concatenate(part) for part in zip(*taken)), skipped)
 
 
@@ -699,8 +707,8 @@ def draw_set_batch(
     that seed their own streams (:func:`run_attempts`), so the batch is
     byte-identical for any worker count.  At ``workers`` 2 or more, the
     blocks of at least :data:`POOL_UNIFORMS` uniforms are split with the
-    process's one attempt pool, which the first such block starts and an exit
-    ends.
+    process's one attempt pool of processes fed through pipes, which the
+    first such block starts and an exit ends.
     """
     if role is None:
         role = ROLE_PRIOR_SETS if mode == "prior" else ROLE_POSTERIOR_SETS

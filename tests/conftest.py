@@ -1,5 +1,5 @@
+import multiprocessing
 import threading
-from concurrent.futures import Future
 from types import SimpleNamespace
 
 import pytest
@@ -13,47 +13,69 @@ settings.register_profile("ci", derandomize=True)
 
 @pytest.fixture(autouse=True)
 def no_pool_left():
-    """Shut down any attempt pool a test started, and check that its threads
-    are gone: a live pool keeps a manager thread, and ``os.fork`` in a process
-    with other threads warns on Python 3.12."""
+    """Shut down any attempt pool a test started, and check that its processes
+    are gone and that no thread was left: ``os.fork`` in a process with other
+    threads warns on Python 3.12."""
     threads = threading.active_count()
     yield
     scenarios.shutdown_attempt_pool()
+    assert multiprocessing.active_children() == []
     assert threading.active_count() == threads
 
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """Stand in for ProcessPoolExecutor, running tasks here.
+    """Stand in for the processes and pipes of the attempt pool, running shares here.
 
-    Returns the pool sizes asked for (``.sizes``), the pools (``.pools``), the
-    argument tuples of the tasks submitted (``.submitted``) and the pools shut
+    Returns the pools started (``.pools``, each the list of (end, process)
+    pairs :data:`scenarios._pool` holds) and their sizes (``.sizes``), the
+    ``(task, attempt range)`` pairs sent (``.submitted``) and the pools shut
     down (``.shut``).
-    Like a pool with a free process per task, it runs every task when it is
-    submitted and raises a task's error only when that task's result is read.
+    Like a pool with a free process per share, it runs a share when it is
+    sent, and hands back its outcome or its error when its reply is read.
     The process's shared attempt pool is cleared before and after the test.
     """
     record = SimpleNamespace(sizes=[], submitted=[], shut=[], pools=[])
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            record.sizes.append(max_workers)
-            record.pools.append(self)
+    class End:  # the parent's end of a pool process's pipe
+        def __init__(self):
+            self.replies = []
 
-        def submit(self, fn, *args):
+        def send(self, args):
             record.submitted.append(args)
-            future = Future()
+            task, share = args
             try:
-                future.set_result(fn(*args))
+                self.replies.append(task(share))
             except Exception as exc:
-                future.set_exception(exc)
-            return future
+                self.replies.append(exc)
 
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            record.shut.append(self)
+        def recv(self):
+            return self.replies.pop(0)
+
+        recv_bytes = recv
+
+        def close(self):
+            pass
+
+    class Process:
+        def __init__(self, target, args):
+            pass
+
+        def start(self):  # _attempt_pool builds the pool in _pool, one process at a time
+            self.pool = scenarios._pool
+            if record.pools and record.pools[-1] is self.pool:
+                record.sizes[-1] += 1
+            else:
+                record.pools.append(self.pool)
+                record.sizes.append(1)
+
+        def join(self):
+            if not any(pool is self.pool for pool in record.shut):
+                record.shut.append(self.pool)
 
     scenarios.shutdown_attempt_pool()
-    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(scenarios, "multiprocessing",
+                        SimpleNamespace(Pipe=lambda: (End(), End()), Process=Process))
     yield record
     scenarios.shutdown_attempt_pool()
 

@@ -124,7 +124,7 @@ class TestParseConfig:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(scenarios, "_attempt_pool", no_pool)
         if hasattr(os, "sched_getaffinity"):
             limit = len(os.sched_getaffinity(0))
         else:
@@ -210,7 +210,7 @@ class TestRunScenario:
         def no_work(*args, **kwargs):
             raise AssertionError("work started on a bad option")
 
-        for name in ("generate_data", "ProcessPoolExecutor", "draw_set_batch"):
+        for name in ("generate_data", "_attempt_pool", "draw_set_batch"):
             monkeypatch.setattr(scenarios, name, no_work)
         run = RunConfig(scenario=scenario, out_dir=str(tmp_path), **option)
         with pytest.raises(ParameterError, match=match):
@@ -462,30 +462,30 @@ class TestPoolLifetime:
     def test_a_broken_pool_is_replaced_and_its_run_succeeds(self, tmp_path, split_all,
                                                             in_process_pool, monkeypatch,
                                                             caplog, when):
-        from concurrent.futures import Future
-        from concurrent.futures.process import BrokenProcessPool
-
         serial = self._run(tmp_path, "w1", 1)
         assert self._run(tmp_path, "a", 2) == serial
         (pool,) = in_process_pool.pools
+        ((end, _),) = pool
 
-        def dead(fn, *args):  # a process of the pool died before or during the block
-            error = BrokenProcessPool("a process of the pool died")
-            if when == "idle":
-                raise error
-            future = Future()
-            future.set_exception(error)
-            return future
+        def dead(error):
+            def call(*args):
+                raise error("the pool's process died")
+            return call
 
-        monkeypatch.setattr(pool, "submit", dead)
+        # a process that died before the block leaves its share no reader; one
+        # that died before or during it, no reply
+        for name, error in (("send", BrokenPipeError), ("recv", EOFError),
+                            ("recv_bytes", EOFError)):
+            if name != "send" or when == "idle":
+                monkeypatch.setattr(end, name, dead(error))
         assert self._run(tmp_path, "b", 2) == serial
         assert in_process_pool.shut == [pool] and in_process_pool.sizes == [1, 1]
-        assert ("the attempt pool broke" in caplog.text) == (when == "running")
+        assert "the attempt pool lost a share" in caplog.text
         assert self._run(tmp_path, "c", 2) == serial
         assert in_process_pool.sizes == [1, 1]
 
     @pytest.mark.skipif(scenarios.max_workers() < 2, reason="needs two CPUs")
-    def test_a_run_after_a_pool_process_is_killed_succeeds(self, tmp_path, monkeypatch):
+    def test_a_run_after_a_pool_process_is_killed_succeeds(self, tmp_path, monkeypatch, caplog):
         import multiprocessing
         import signal
 
@@ -495,6 +495,7 @@ class TestPoolLifetime:
         (process,) = multiprocessing.active_children()  # the pool's one process
         os.kill(process.pid, signal.SIGKILL)
         assert self._run(tmp_path, "b", 2) == serial
+        assert "the attempt pool lost a share" in caplog.text  # and ran it here
         assert len(multiprocessing.active_children()) == 1
 
 

@@ -6,10 +6,11 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import tracemalloc
-from concurrent.futures import Future
 from functools import partial
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 import numpy as np
@@ -870,52 +871,111 @@ class TestPool:
         monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
         monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
         run_attempts(_skip_most, 10, 21, 1, 2, "synthetic")
-        assert scenarios._pool is not None
+        assert scenarios._pool
         pid = os.fork()
         if pid == 0:
-            os._exit(0 if scenarios._pool is None else 1)
+            os._exit(0 if scenarios._pool == [] else 1)
         assert os.waitpid(pid, 0)[1] == 0
-        assert scenarios._pool is not None and in_process_pool.sizes == [1]
+        assert scenarios._pool and in_process_pool.sizes == [1]
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or scenarios.max_workers() < 2,
+                        reason="needs os.fork and two CPUs")
+    def test_a_forked_child_does_not_hold_the_pool_open(self, monkeypatch):
+        # the child's copies of the pipes' parent ends would keep the pool
+        # processes from their EOF, and so the shutdown, while the child lives
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
+        run_attempts(_skip_most, 10, 21, 1, 2, "synthetic")
+        pool = scenarios._pool  # held here, so that the child's copy is not collected
+        pid = os.fork()
+        if pid == 0:
+            time.sleep(30)
+            os._exit(0)
+        try:
+            start = time.monotonic()
+            scenarios.shutdown_attempt_pool()
+            assert time.monotonic() - start < 10 and not pool[0][1].is_alive()
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or scenarios.max_workers() < 2,
+                        reason="needs os.fork and two CPUs")
+    def test_a_forked_child_leaves_the_pool_running_at_its_exit(self, tmp_path):
+        # the child's exit runs multiprocessing's exit hook, which would end
+        # the parent's pool processes if they were daemons
+        _run_child(f"""
+            import os, sys
+            from partialid import scenarios
+            from partialid.cli import RunConfig, run_scenario
+            run_scenario(RunConfig(scenario="interval_censored", n=1000, n_draws=300,
+                                   seed=3, workers=2, out_dir={str(tmp_path)!r}))
+            pid = os.fork()
+            if pid == 0:
+                sys.exit()
+            os.waitpid(pid, 0)
+            ((_, process),) = scenarios._pool
+            assert process.is_alive()
+        """, timeout=60)
 
     @pytest.mark.skipif(scenarios.max_workers() < 2, reason="needs two CPUs")
-    def test_a_failed_block_leaves_no_share_running(self, monkeypatch):
+    def test_a_failed_block_leaves_no_reply_unread(self, monkeypatch):
         # attempt 0, in this process's share, fails while the pool runs 20 to 39
         monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
-        futures, submit = [], scenarios._submit
-        monkeypatch.setattr(scenarios, "_submit", lambda *args: futures.append(submit(*args))
-                            or futures[-1])
         draw = partial(_slow_elsewhere, os.getpid(), attempt_stream(21, 1, 0).uniform())
         with pytest.raises(ParameterError, match="attempt 0 drew"):
             run_attempts(draw, 40, 21, 1, 2, "synthetic")
-        assert len(futures) == 1 and futures[0].done()
+        ((end, process),) = pool = scenarios._pool
+        assert process.is_alive() and not end.poll()
+        # a reply left unread would stand in for the next block's share
+        serial = run_attempts(_skip_most, 40, 22, 1, 1, "synthetic")
+        pooled = run_attempts(_skip_most, 40, 22, 1, 2, "synthetic")
+        for a, b in zip(serial[:4], pooled[:4]):
+            assert a.tobytes() == b.tobytes()
+        assert serial[4] == pooled[4] and scenarios._pool is pool
+
+    @pytest.mark.skipif(scenarios.max_workers() < 2, reason="needs two CPUs")
+    def test_a_live_pool_runs_no_thread(self, monkeypatch):
+        # so Python 3.12's warning about forking a process with threads cannot
+        # come from the pool
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
+        threads = threading.active_count()
+        run_attempts(_skip_most, 40, 21, 1, 2, "synthetic")
+        ((_, process),) = scenarios._pool
+        assert process.is_alive() and threading.active_count() == threads
+
+    @pytest.mark.skipif(scenarios.max_workers() < 2, reason="needs two CPUs")
+    def test_a_pool_of_two_processes_shuts_down(self, tmp_path):
+        # a pool process that kept a copy of the parent's end of its own pipe,
+        # or of an earlier sibling's, would wait for its EOF at shutdown forever
+        _run_child(f"""
+            from partialid import scenarios
+            from partialid.cli import RunConfig, run_scenario
+            scenarios.max_workers = lambda: 3
+            run_scenario(RunConfig(scenario="interval_censored", n=1000, n_draws=300,
+                                   seed=3, workers=3, out_dir={str(tmp_path)!r}))
+            assert len(scenarios._pool) == 2, scenarios._pool
+            scenarios.shutdown_attempt_pool()
+        """, timeout=60)
 
     @pytest.mark.skipif(scenarios.max_workers() < 2, reason="needs two CPUs")
     def test_no_process_outlives_the_interpreter(self, tmp_path, monkeypatch):
-        """A real pool, including a block whose last share is left unread,
-        lives until its interpreter exits, and no process outlives that."""
-        read, cancelled = [], []
-        result, cancel = Future.result, Future.cancel
-
-        def reading(future, timeout=None):
-            read.append(future)
-            return result(future, timeout)
-
-        def cancelling(future):
-            cancelled.append(future)
-            return cancel(future)
-
-        monkeypatch.setattr(Future, "result", reading)
-        monkeypatch.setattr(Future, "cancel", cancelling)
+        """A real pool, including a block whose pool share is past the last
+        acceptance, lives until its interpreter exits, and no process
+        outlives that."""
+        dropped, recv_bytes = [], Connection.recv_bytes  # recv reads a consumed reply
+        monkeypatch.setattr(Connection, "recv_bytes",
+                            lambda end: dropped.append(end) or recv_bytes(end))
         monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
         monkeypatch.setattr(scenarios, "prepare_draw", lambda *args: _skip_most)
         with pytest.warns(UserWarning, match="skipped"):
             report = run_scenario(RunConfig(scenario="toy_analytic", n=None, n_draws=10,
                                             seed=21, workers=2, out_dir=str(tmp_path)))
         assert report.skips["prior_sets"] > 0
-        assert [future for future in cancelled if future not in read]
+        assert dropped  # a share the run did not consume,
+        assert not any(end.poll() for end, _ in scenarios._pool)  # whose reply was read
 
         # two runs share the pool the first one starts; it is still up at exit
-        code = textwrap.dedent(f"""
+        _run_child(f"""
             from partialid import scenarios
             from partialid.cli import RunConfig, run_scenario
             pools = []
@@ -923,21 +983,26 @@ class TestPool:
                 run_scenario(RunConfig(scenario=sid, n=1000, n_draws=200, seed=3,
                                        workers=2, out_dir={str(tmp_path)!r}))
                 pools.append(scenarios._pool)
-            assert pools[0] is not None and pools[1] is pools[0], pools
-        """)
-        src = str(Path(scenarios.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        child = subprocess.Popen([sys.executable, "-c", code], env=env, stderr=subprocess.PIPE,
-                                 text=True, start_new_session=True)
-        try:
-            _, stderr = child.communicate(timeout=120)
-            assert child.returncode == 0, stderr
-            with pytest.raises(ProcessLookupError):
-                os.killpg(child.pid, 0)  # the child's session holds no process
-        finally:
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(child.pid, signal.SIGKILL)
+            assert pools[0] and pools[1] is pools[0], pools
+        """, timeout=120)
+
+
+def _run_child(code: str, timeout: float) -> None:
+    """Run ``code`` in a new interpreter within ``timeout`` seconds, and check
+    that it succeeds and that no process of its session outlives it."""
+    src = str(Path(scenarios.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    child = subprocess.Popen([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                             stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        _, stderr = child.communicate(timeout=timeout)
+        assert child.returncode == 0, stderr
+        with pytest.raises(ProcessLookupError):
+            os.killpg(child.pid, 0)  # the child's session holds no process
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
 
 
 class TestToyOracles:

@@ -496,7 +496,8 @@ CHUNK_UNIFORMS = 2**15
 #: run here.  Through a warm pool of one process on 2 CPUs, blocks of 133760
 #: to 251000 uniforms of the other scenarios ran 0.51x to 0.93x as long split
 #: as whole, interval_censored's 1000 prior attempts (260000) 1.12x to 1.17x,
-#: and 4095 toy uniforms 1.3x to 2.1x; end to end, 2**17 beat 2**18.
+#: and 4095 toy uniforms 1.3x to 2.1x; end to end, 2**17 beat 2**18 in 10 of 10
+#: alternating parallel_posterior pairs.
 POOL_UNIFORMS = 2**17
 
 _pool = []  # [(parent's end of a pipe, pool process)]: the pool this process's runs share
@@ -516,8 +517,7 @@ def _attempt_pool(processes: int) -> list:
 
 
 def shutdown_attempt_pool() -> None:
-    """Shut down this process's attempt pool, if it has one, and wait for its
-    processes; the next split block starts another.  An exit ends it too."""
+    """Shut down this process's attempt pool, if any, and join its processes; an exit does too."""
     global _pool
     pool, _pool = _pool, []
     for here, _ in pool:  # every end first: a process ends when its pipe does
@@ -532,18 +532,13 @@ def _serve(there, here) -> None:
     with contextlib.suppress(EOFError, OSError):
         while True:
             task, share = there.recv()
-            try:
-                reply = task(share)
-            except Exception as exc:  # raised by the parent, if it reads this share
-                reply = exc
-            there.send(reply)
+            there.send(task(share))
 
 
 def _forget_attempt_pool() -> None:
-    global _pool
     for here, _ in _pool:  # a forked child does not own its parent's pool
         here.close()
-    _pool = []
+    _pool.clear()
 
 
 if hasattr(os, "register_at_fork"):
@@ -555,18 +550,22 @@ atexit.register(shutdown_attempt_pool)
 
 def _task(draw: Callable, m: int, master_seed: int, streams: range):
     """``(lo, hi, accept, gamma_uniforms)`` of the attempt streams ``streams``,
-    one row each: one share of a block, whose attempts read ``m`` uniforms
-    each.  It computes the seed words of its streams at once
-    (:func:`~partialid.rng.seed_words`) and runs them in chunks of at most
-    :data:`CHUNK_UNIFORMS` uniforms (:func:`~partialid.rng.stream_uniforms`),
-    each row the interval's ``m`` uniforms and the gamma uniform last."""
-    words = seed_words(master_seed, np.arange(streams.start, streams.stop, dtype=np.uint64))
-    step, parts = max(1, CHUNK_UNIFORMS // (m + 1)), []
-    for i in range(0, len(streams), step):
-        u = stream_uniforms(words[i:i + step], m + 1)
-        # a copy, so a chunk's array is freed before the outputs are joined
-        parts.append((*draw(UniformRows(u)), u[:, -1].copy()))
-    return tuple(np.concatenate(out) for out in zip(*parts))
+    one row each, or the error they raised: one share of a block, whose
+    attempts read ``m`` uniforms each.  It computes the seed words of its
+    streams at once (:func:`~partialid.rng.seed_words`) and runs them in chunks
+    of at most :data:`CHUNK_UNIFORMS` uniforms
+    (:func:`~partialid.rng.stream_uniforms`), each row the interval's ``m``
+    uniforms and the gamma uniform last."""
+    try:
+        words = seed_words(master_seed, np.arange(streams.start, streams.stop, dtype=np.uint64))
+        step, parts = max(1, CHUNK_UNIFORMS // (m + 1)), []
+        for i in range(0, len(streams), step):
+            u = stream_uniforms(words[i:i + step], m + 1)
+            # a copy, so a chunk's array is freed before the outputs are joined
+            parts.append((*draw(UniformRows(u)), u[:, -1].copy()))
+        return tuple(np.concatenate(out) for out in zip(*parts))
+    except Exception as exc:  # run_attempts raises it if it consumes the share
+        return exc
 
 
 def max_workers() -> int:
@@ -617,16 +616,21 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
     (at most :data:`CHUNK_UNIFORMS`), the gamma uniform last.  This process's
     attempt pool is ``workers - 1`` processes, each with a pipe: the first
     split block starts it, later runs reuse it, and it ends at exit
-    (:func:`shutdown_attempt_pool`).  The main thread sends each pool process
-    one later share of the block, computes the first share itself, and then
-    reads the replies in share order: an outcome, or the error the share
-    raised there.  A process found dead has its share run here, which gives
-    the same bytes, and the pool is dropped; the next block starts another.
-    Shares are consumed in attempt order, and every reply of a block is read
-    before the next block starts, those past the block's last acceptance, or
-    after its error, unopened.  Attempts past the ``n_draws``-th acceptance
-    are never counted and their errors never raised; a consumed, accepted one
-    without ``lo <= hi`` raises :class:`ParameterError`.  Returns
+    (:func:`shutdown_attempt_pool`).  The pool serves one thread at a time:
+    runs in two threads at once at ``workers`` 2 or more would read each
+    other's replies.  The main thread sends each pool process one later share
+    of the block, computes the first share itself, and then reads the
+    replies in share order: an outcome, or the error the share raised.  A
+    process found dead has its share run here, which gives the same bytes,
+    and the pool is dropped; the next block starts another.  Shares are
+    consumed in attempt order, and every reply of a block is read before the
+    next block starts, those past the block's last acceptance, or after its
+    error, unopened; only then is that error raised.  A block left by any
+    other exception, such as an interrupt in the middle of a reply, drops
+    the pool instead, so no reply is left for a later block to read as its
+    own.  Attempts past the ``n_draws``-th acceptance are never counted and
+    their errors never raised; a consumed, accepted one without ``lo <= hi``
+    raises :class:`ParameterError`.  Returns
     ``(attempt_indices, lo, hi, gamma_uniforms, skipped)``.  Raises
     :class:`ParameterError` for a role outside ``[0, 2**32)`` or a count or
     seed that is not an integer, and :class:`SkipBudgetError`, its message
@@ -655,7 +659,7 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
         pool = _attempt_pool(others) if others and len(streams) * (m + 1) >= POOL_UNIFORMS else []
         step = -(-len(streams) // (len(pool) + 1))
         shares = [streams[i:i + step] for i in range(0, len(streams), step)]
-        sent = []  # the ends of the pool processes given the later shares, unread
+        sent, error = [], None  # the ends given the later shares, their replies unread
         try:
             for (here, _), share in zip(pool, shares[1:]):
                 with contextlib.suppress(OSError):  # a dead process: reading its reply fails
@@ -668,24 +672,30 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
                     log.warning("the attempt pool lost a share (%r); it runs here", exc)
                     shutdown_attempt_pool()  # the next block starts another
                     outcome = task(share)  # it seeds its own streams: the same outcome
-                if isinstance(outcome, Exception):  # the error of a pool process's share
-                    raise outcome
+                if isinstance(outcome, Exception):  # a share's error, raised below
+                    error = outcome
+                    break
                 lo, hi, accept, u = outcome
                 rows = np.flatnonzero(accept)[:need]
                 skipped += int(rows[-1] + 1 if len(rows) == need else len(share)) - len(rows)
                 first = share.start - base  # the attempt of row 0
                 bad = rows[~(lo[rows] <= hi[rows])]
                 if bad.size:
-                    raise ParameterError(f"{label}: attempt {first + bad[0]} drew the "
-                                         f"invalid interval [{lo[bad[0]]}, {hi[bad[0]]}]")
+                    error = ParameterError(f"{label}: attempt {first + bad[0]} drew the "
+                                           f"invalid interval [{lo[bad[0]]}, {hi[bad[0]]}]")
+                    break
                 taken.append((first + rows, lo[rows], hi[rows], u[rows]))
                 need -= len(rows)
                 if not need:
                     break
-        finally:  # the replies past the last acceptance, or an error, are read unopened
-            for here in sent:  # a process found dead here is found so by the next block
-                with contextlib.suppress(EOFError, OSError):
+            for here in sent:  # replies past the last acceptance, or an error: read unopened
+                with contextlib.suppress(EOFError, OSError):  # a dead process: the next block
                     here.recv_bytes()
+        except BaseException:  # interrupted, maybe mid-message: the next block starts another
+            shutdown_attempt_pool()
+            raise
+        if error is not None:
+            raise error
     return (*(np.concatenate(part) for part in zip(*taken)), skipped)
 
 

@@ -396,11 +396,11 @@ def _nan_at(poison, source):
     return np.where(hit, np.nan, lo), hi, accept | hit
 
 
-def _raise_at(poison, source):
-    """:func:`_skip_most`, raising for a chunk that holds the attempt that draws ``poison``."""
+def _raise_at(poison, source, error=RuntimeError):
+    """:func:`_skip_most`, raising ``error`` for a chunk that holds the attempt that draws ``poison``."""
     lo, hi, accept = _skip_most(source)
     if np.any(lo == poison):
-        raise RuntimeError("a chunk past the last acceptance")
+        raise error("a chunk past the last acceptance")
     return lo, hi, accept
 
 
@@ -932,6 +932,59 @@ class TestPool:
         for a, b in zip(serial[:4], pooled[:4]):
             assert a.tobytes() == b.tobytes()
         assert serial[4] == pooled[4] and scenarios._pool is pool
+
+    def test_an_interrupted_read_drops_the_pool(self, monkeypatch, in_process_pool):
+        # the unread reply would stand in for the next block's share
+        monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
+        run_attempts(_skip_most, 40, 21, 1, 2, "synthetic")
+        ((end, _),) = pool = scenarios._pool
+
+        def interrupted():
+            del end.recv  # the next read is the end's own
+            raise KeyboardInterrupt
+
+        end.recv = interrupted
+        with pytest.raises(KeyboardInterrupt):
+            run_attempts(_skip_most, 40, 21, 1, 2, "synthetic")
+        assert scenarios._pool == [] and in_process_pool.shut == [pool]
+        serial = run_attempts(_skip_most, 40, 22, 1, 1, "synthetic")
+        pooled = run_attempts(_skip_most, 40, 22, 1, 2, "synthetic")
+        for a, b in zip(serial[:4], pooled[:4]):
+            assert a.tobytes() == b.tobytes()
+        assert serial[4] == pooled[4] and in_process_pool.sizes == [1, 1]
+
+    @pytest.mark.skipif(scenarios.max_workers() < 2, reason="needs two CPUs")
+    def test_an_interrupted_read_leaves_no_reply_for_the_next_block(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
+        run_attempts(_skip_most, 40, 21, 1, 2, "synthetic")  # the pool is forked unpatched
+        recv = Connection.recv
+
+        def interrupted(end):
+            monkeypatch.setattr(Connection, "recv", recv)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Connection, "recv", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_attempts(_skip_most, 40, 21, 1, 2, "synthetic")
+        serial = run_attempts(_skip_most, 40, 22, 1, 1, "synthetic")
+        pooled = run_attempts(_skip_most, 40, 22, 1, 2, "synthetic")
+        for a, b in zip(serial[:4], pooled[:4]):
+            assert a.tobytes() == b.tobytes()
+        assert serial[4] == pooled[4]
+
+    def test_an_os_error_of_the_parents_share_is_not_a_lost_share(self, monkeypatch, caplog,
+                                                                  in_process_pool):
+        # attempt 0, in this process's share, raises the error a dead pool process would
+        monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
+        draw = partial(_raise_at, attempt_stream(21, 1, 0).uniform(), error=OSError)
+        with pytest.raises(OSError, match="past the last acceptance"):
+            run_attempts(draw, 40, 21, 1, 2, "synthetic")
+        assert "lost a share" not in caplog.text
+        assert scenarios._pool and in_process_pool.shut == []
+        (args,) = in_process_pool.submitted  # the pool's share ran once, and was read
+        assert not any(end.replies for end, _ in scenarios._pool)
 
     @pytest.mark.skipif(scenarios.max_workers() < 2, reason="needs two CPUs")
     def test_a_live_pool_runs_no_thread(self, monkeypatch):

@@ -20,7 +20,6 @@ from .distributions import (
     cholesky_factor,
     psd_repair,
     sample_beta,
-    sample_dirichlet,
     sample_mvnormal,
     sample_normal,
     sample_truncated_normal,
@@ -105,7 +104,6 @@ __all__ = [
     "process_means",
     "psd_repair",
     "sample_beta",
-    "sample_dirichlet",
     "sample_mvnormal",
     "sample_normal",
     "sample_truncated_normal",

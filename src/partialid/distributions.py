@@ -4,13 +4,12 @@ All samplers are deterministic transforms of uniforms taken from an
 :class:`~partialid.rng.RngStream` — inverse-CDF wherever a quantile function
 exists, never unbounded rejection — so a stream's uniform sequence maps to the
 same variates on every platform; each variate takes one uniform.  The hot
-paths use closed-form quantiles: Exp(1), ``-log1p(-u)``, for Dirichlet
-parameters equal to 1 (the Bayesian-bootstrap weights of a posterior draw,
-Rubin 1981); Beta(1, b), ``-expm1(log1p(-u) / b)``, for stick-breaking
-fractions; and a log-space truncated-normal quantile built from ``log_ndtr``
-and ``ndtri_exp``.  Other shapes invert the regularized incomplete gamma and
-beta functions of ``scipy.special``, which meets the 1e-10 absolute-accuracy
-requirement on the unit interval; ``scipy.stats`` is not imported.
+paths use closed-form quantiles: Beta(1, b), ``-expm1(log1p(-u) / b)``, for
+stick-breaking fractions, and a log-space truncated-normal quantile built from
+``log_ndtr`` and ``ndtri_exp``.  Other Beta shapes invert the regularized
+incomplete beta function of ``scipy.special``, which meets the 1e-10
+absolute-accuracy requirement on the unit interval; ``scipy.stats`` is not
+imported.
 """
 
 from __future__ import annotations
@@ -34,44 +33,6 @@ def sample_beta(a: float, b: float, rng: RngStream, size=None):
         # I_x(1, b) = 1 - (1 - x)**b inverts exactly
         return -np.expm1(np.log1p(-u) / b)
     return special.betaincinv(a, b, u)
-
-
-def check_dirichlet(alpha) -> np.ndarray:
-    """``alpha`` as a float array; :class:`ParameterError` unless it is a
-    nonempty 1-d vector of finite positive numbers."""
-    try:
-        alpha = np.asarray(alpha, dtype=float)
-    except (TypeError, ValueError):
-        raise ParameterError(f"Dirichlet parameters must be numbers, got {alpha!r}") from None
-    if alpha.ndim != 1 or alpha.size == 0:
-        raise ParameterError("alpha must be a nonempty 1-d vector")
-    ok = (0 < alpha) & (alpha < np.inf)  # NaN fails both
-    if not ok.all():
-        raise ParameterError(f"Dirichlet parameters must be finite and positive, "
-                             f"got {alpha[~ok][0]}")
-    return alpha
-
-
-def sample_dirichlet(alpha, rng: RngStream) -> np.ndarray:
-    """One draw from a Dirichlet distribution on the simplex, or one per row of
-    a :class:`~partialid.rng.UniformRows` (shaped ``(rows, K)``).
-
-    Uses the normalized-gamma construction.  A component with parameter 1 is
-    an Exp(1) variate, ``-log1p(-u)``; the others invert the regularized
-    incomplete gamma function.  ``alpha`` is checked on every call
-    (:func:`check_dirichlet`).  One component takes no uniform.
-    A draw whose K uniforms are all zero, which does not happen in practice,
-    gives NaN weights rather than an error.
-    """
-    alpha = check_dirichlet(alpha)
-    u = rng.uniform(size=alpha.size if alpha.size > 1 else 0)
-    if alpha.size == 1:
-        return np.ones(u.shape[:-1] + (1,))
-    g = -np.log1p(-u)
-    shaped = np.flatnonzero(alpha != 1.0)
-    if shaped.size:
-        g[..., shaped] = special.gammaincinv(alpha[shaped], u[..., shaped])
-    return g / g.sum(axis=-1, keepdims=True)
 
 
 def sample_normal(mu: float, sigma2: float, rng: RngStream, size=None):
@@ -103,7 +64,7 @@ class ScalarNormal:
 def cholesky_factor(cov) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite covariance matrix."""
     check_finite(covariance=cov)
-    cov = np.asarray(cov, dtype=float)
+    cov = as_reals("covariance", cov)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ParameterError(f"expected a square covariance matrix, got shape {cov.shape}")
     if not np.array_equal(cov, cov.T):
@@ -125,7 +86,7 @@ def sample_mvnormal(mean, cov, rng: RngStream, size=None, *, chol=None):
     Returns shape ``(d,)`` for ``size=None``, else ``(size, d)``.
     """
     check_finite(mean=mean)
-    mean = np.asarray(mean, dtype=float)
+    mean = as_reals("mean", mean)
     cov = as_reals("covariance", cov)
     if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
         raise ParameterError(
@@ -180,7 +141,7 @@ def sample_truncated_normal(mu, sigma2, lo, hi, rng: RngStream, size=None):
 def beta_cdf(x, a: float, b: float):
     """Regularized incomplete beta function I_x(a, b) on [0, 1]."""
     check_positive(a=a, b=b)
-    arr = np.asarray(x, dtype=float)
+    arr = as_reals("x", x)
     if not np.all((0 <= arr) & (arr <= 1)):  # NaN fails both
         raise ParameterError("beta_cdf argument must lie in [0, 1]")
     out = special.betainc(a, b, arr)
@@ -204,7 +165,7 @@ def psd_repair(m) -> PsdRepair:
     already meets the floor are returned unchanged.
     """
     check_finite(matrix=m)
-    m = np.asarray(m, dtype=float)
+    m = as_reals("matrix", m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {m.shape}")
     if not np.array_equal(m, m.T):

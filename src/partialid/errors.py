@@ -47,13 +47,14 @@ def check_positive(**values) -> None:
 
 def as_reals(name: str, value) -> np.ndarray:
     """``value`` as a float array if it is a real number or an array of them,
-    infinities and NaN included; :class:`ParameterError` naming ``name`` for
-    text, complex numbers or a ragged nesting of lists."""
+    infinities and NaN included (booleans count as 0 and 1); :class:`ParameterError`
+    naming ``name`` for text, ``None``, complex numbers or a ragged nesting of
+    lists.  A float64 array comes back as it is, not copied."""
     try:
         a = np.asarray(value)
     except ValueError:  # a ragged nesting of lists
         a = None
-    if a is None or a.dtype.kind not in "iuf":
+    if a is None or a.dtype.kind not in "biuf":
         raise ParameterError(f"{name} must be real numbers, got {value!r}")
     return a.astype(float, copy=False)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import sample_beta, sample_truncated_normal
-from .errors import ParameterError, as_int, check_positive
+from .errors import ParameterError, as_int, as_reals, check_positive
 from .random_sets import SetDrawBatch
 from .rng import UniformRows
 from .scenarios import SCENARIOS, Dataset, ScenarioConfig, draw_set_batch
@@ -71,7 +71,7 @@ class MarginalSampleBatch(SetDrawBatch):
     def __init__(self, gammas, lo, hi, source, scenario_id, skipped=0,
                  attempt_indices=None, *, warn: bool = True):
         super().__init__(lo, hi, source, scenario_id, skipped, attempt_indices, warn=warn)
-        gammas = np.array(gammas, dtype=float)
+        gammas = as_reals("gammas", gammas).copy()
         if gammas.shape != self.lo.shape:
             raise ParameterError("gammas, lo, hi must be aligned 1-d arrays")
         if not np.all((self.lo <= gammas) & (gammas <= self.hi)):  # NaN fails both
@@ -146,10 +146,11 @@ def histogram(values, bins: int, value_range) -> Histogram:
     The values and both range ends must be finite.
     """
     bins = as_int("bins", bins, 1)
-    lo, hi = float(value_range[0]), float(value_range[1])
+    ends = as_reals("value_range", value_range)
+    lo, hi = float(ends[0]), float(ends[1])
     if not -np.inf < lo < hi < np.inf:
         raise ParameterError(f"need finite lo < hi, got [{lo}, {hi}]")
-    values = np.asarray(values, dtype=float)
+    values = as_reals("values", values)
     if not np.isfinite(values).all():
         raise ParameterError(f"values must be finite, got {values[~np.isfinite(values)][0]}")
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))

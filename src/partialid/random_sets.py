@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, as_int
+from .errors import ParameterError, as_int, as_reals
 
 #: Skip fraction above which a batch carries a data-quality warning.
 HIGH_SKIP_RATE = 0.05
@@ -32,22 +32,20 @@ class IntervalSet:
     hi: float
 
     def __post_init__(self):
-        if not self.lo <= self.hi:
+        lo, hi = as_reals("lo", self.lo), as_reals("hi", self.hi)  # either may be infinite
+        if lo.size != 1 or hi.size != 1:
+            raise ParameterError(f"lo and hi must be one number each, got [{self.lo}, {self.hi}]")
+        if not lo <= hi:  # NaN fails
             raise ParameterError(f"inverted interval [{self.lo}, {self.hi}]")
-
-
-def _numbers(name: str, values, dtype=float) -> np.ndarray:
-    """A new ``dtype`` array of ``values``; :class:`ParameterError` if they are not numbers."""
-    try:
-        return np.array(values, dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{name} must be numbers: {exc}") from None
 
 
 def _attempt_indices(values) -> np.ndarray:
     """A new int64 array of ``values``; :class:`ParameterError` unless each is
     an integer of at least 0 that fits int64."""
-    arr = _numbers("attempt_indices", values, None)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting of lists
+        arr = np.asarray(None)
     if arr.size and arr.dtype.kind not in "iu":
         raise ParameterError(f"attempt_indices must be numbers: integers, got {arr.dtype}")
     indices = arr.astype(np.int64)  # a uint64 above the int64 range wraps negative
@@ -77,7 +75,7 @@ class SetDrawBatch:
 
     def __init__(self, lo, hi, source: str, scenario_id: str, skipped: int = 0,
                  attempt_indices=None, gamma_uniforms=None, *, warn: bool = True):
-        lo, hi = _numbers("lo and hi", lo), _numbers("lo and hi", hi)
+        lo, hi = as_reals("lo", lo).copy(), as_reals("hi", hi).copy()
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ParameterError("lo and hi must be 1-d arrays of equal length")
         if not np.all(lo <= hi):
@@ -96,7 +94,7 @@ class SetDrawBatch:
                 raise ParameterError("attempt_indices must align with the draws")
         self.attempt_indices = attempt_indices
         if gamma_uniforms is not None:
-            gamma_uniforms = _numbers("gamma_uniforms", gamma_uniforms)
+            gamma_uniforms = as_reals("gamma_uniforms", gamma_uniforms).copy()
             if gamma_uniforms.shape != lo.shape or not np.all(
                     (0 <= gamma_uniforms) & (gamma_uniforms < 1)):
                 raise ParameterError("gamma_uniforms must be aligned uniforms in [0, 1)")
@@ -158,7 +156,7 @@ def estimate_coverage(batch: SetDrawBatch, grid) -> CoverageCurve:
     Counted by binary search in the batch's sorted endpoints; O(G + N) memory.
     """
     _require_nonempty(batch)
-    grid = np.asarray(grid, dtype=float)
+    grid = as_reals("grid", grid)
     if grid.ndim != 1 or grid.size == 0:
         raise ParameterError("grid must be a nonempty 1-d array")
     if np.any(np.isnan(grid)) or np.any(np.diff(grid) <= 0):
@@ -191,7 +189,7 @@ def credible_region(batch: SetDrawBatch, alpha: float) -> CredibleRegion:
     inside reaches alpha.  Monotone in alpha by construction; alpha = 1 gives
     the hull of all draws.
     """
-    if not 0 < alpha <= 1:
+    if not 0 < as_reals("alpha", alpha) <= 1:  # NaN fails
         raise ParameterError(f"alpha must lie in (0, 1], got {alpha}")
     if batch.source != "posterior":
         raise ParameterError("credible regions are defined for posterior batches")

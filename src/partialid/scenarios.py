@@ -49,14 +49,13 @@ from .distributions import (
     EIGEN_FLOOR,
     ScalarNormal,
     beta_cdf,
-    check_dirichlet,
     cholesky_factor,
     psd_repair,
     sample_beta,
     sample_mvnormal,
     sample_normal,
 )
-from .errors import ParameterError, SkipBudgetError, as_int
+from .errors import ParameterError, SkipBudgetError, as_int, as_reals
 from .random_sets import IntervalSet, SetDrawBatch
 from .rng import RngStream, UniformRows, seed_words, stream_uniforms, substream
 
@@ -138,7 +137,7 @@ def make_config(scenario_id: str, n: int | None = None, grid=None) -> ScenarioCo
     if grid is None:
         grid = default_grid(scenario_id)
     else:
-        grid = np.asarray(grid, dtype=float)
+        grid = as_reals("grid", grid)
         if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
             raise ParameterError("grid must be strictly increasing with >= 2 points")
         if not np.isfinite(grid).all():
@@ -160,10 +159,7 @@ class Dataset:
         columns = _scenario(self.scenario_id).columns
         if not columns:
             raise ParameterError(f"{self.scenario_id} has no data-generating process")
-        try:
-            values = np.array(self.values, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"values must be numbers: {exc}") from None
+        values = as_reals("values", self.values).copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if self.values.shape[1:] != (len(columns),) or self.n < 1:
@@ -346,9 +342,11 @@ def count_binary(dataset: Dataset) -> BinaryCounts:
 
 def _cell_params(alpha) -> np.ndarray:
     """The three Dirichlet cell parameters as floats, each finite and positive."""
-    cells = check_dirichlet(alpha)
-    if cells.size != 3:
-        raise ParameterError(f"alpha must be three numbers, got {cells.size}")
+    cells = as_reals("alpha", alpha)
+    if cells.shape != (3,):
+        raise ParameterError(f"alpha must be three numbers, got {alpha!r}")
+    if not ((0 < cells) & (cells < np.inf)).all():  # NaN fails both
+        raise ParameterError(f"alpha must be finite and positive, got {alpha!r}")
     return cells
 
 
@@ -733,7 +731,7 @@ def draw_set_batch(
 
 def analytic_coverage_toy(gamma):
     """Closed-form prior coverage of the toy random interval."""
-    g = np.asarray(gamma, dtype=float)
+    g = as_reals("gamma", gamma)
     if np.isnan(g).any():
         raise ParameterError("gamma must not be NaN")
     out = np.where(
@@ -761,7 +759,7 @@ def analytic_coverage_binary(gamma, alpha):
     difference of their CDFs.
     """
     alpha = _cell_params(alpha)
-    g = np.asarray(gamma, dtype=float)
+    g = as_reals("gamma", gamma)
     if not np.all((0 <= g) & (g <= 1)):  # NaN fails both
         raise ParameterError("gamma must lie in [0, 1]")
     lower_cdf = beta_cdf(g, alpha[0], alpha[1] + alpha[2])

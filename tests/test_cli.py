@@ -560,8 +560,7 @@ class TestOtherCommands:
     def test_oracle_binary_rejects_bad_alpha(self, capsys, alpha):
         assert main(["oracle", "binary", "--alpha", *alpha, "--gamma", "0.5"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: Dirichlet parameters must be finite and "
-                                            "positive")
+        assert out == "" and err.startswith("error: alpha must be finite and positive")
 
     @pytest.mark.parametrize("argv, message", [
         (["toy", "--gamma", "0.5", "nan"], "gamma must not be NaN"),

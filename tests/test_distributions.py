@@ -6,8 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate, special, stats
 from scipy.linalg import eigvalsh as scipy_eigvalsh
 
@@ -17,7 +15,6 @@ from partialid import (
     beta_cdf,
     psd_repair,
     sample_beta,
-    sample_dirichlet,
     sample_mvnormal,
     sample_normal,
     sample_truncated_normal,
@@ -52,45 +49,6 @@ class TestSampleBeta:
         a = sample_beta(2.0, 3.0, substream(5, 0), size=100)
         b = sample_beta(2.0, 3.0, substream(5, 0), size=100)
         assert np.array_equal(a, b)
-
-
-class TestSampleDirichlet:
-    def test_single_component_degenerate(self):
-        assert np.array_equal(sample_dirichlet([1.0], substream(2, 0)), [1.0])
-
-    def test_symmetric_means(self):
-        rng = substream(2, 1)
-        draws = np.array([sample_dirichlet([1.0, 1.0, 1.0], rng) for _ in range(30_000)])
-        assert np.all(np.abs(draws.mean(axis=0) - 1.0 / 3.0) < 0.01)
-
-    def test_asymmetric_first_component_mean(self):
-        # Dirichlet mean of component i is alpha_i / sum(alpha)
-        rng = substream(2, 2)
-        draws = np.array([sample_dirichlet([2.0, 3.0, 1.0], rng)[0] for _ in range(30_000)])
-        assert abs(draws.mean() - 2.0 / 6.0) < 0.01
-
-    def test_invalid_alpha_rejected(self):
-        with pytest.raises(ParameterError):
-            sample_dirichlet([], substream(2, 3))
-        with pytest.raises(ParameterError):
-            sample_dirichlet([1.0, 0.0], substream(2, 3))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(min_value=0.05, max_value=50.0), min_size=1, max_size=8),
-           st.integers(min_value=0, max_value=1000))
-    def test_simplex_invariant(self, alpha, idx):
-        w = sample_dirichlet(alpha, substream(99, idx))
-        assert np.all(w >= 0.0)
-        assert abs(w.sum() - 1.0) <= 1e-12
-
-    @pytest.mark.parametrize("alpha", [
-        [1.0, 0.0], [2.0, -1.0], np.ones((2, 2)), [[1.0]], 3.0,
-        [np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [1.0, -np.inf],
-        "abc", ["a", "b", "c"], [1.0, "x"],
-    ])
-    def test_parameters_are_checked_on_each_call(self, alpha):
-        with pytest.raises(ParameterError):
-            sample_dirichlet(alpha, substream(2, 4))
 
 
 class TestSampleMvnormal:
@@ -319,16 +277,6 @@ class TestTruncatedNormalQuantile:
 
 
 class TestClosedFormQuantiles:
-    @pytest.mark.parametrize(
-        "alpha", [np.ones(1000), [1.0, 2.5, 1.0, 0.3], [0.5, 1.0], [3.0, 4.0]]
-    )
-    def test_dirichlet_matches_incomplete_gamma_inverse(self, alpha):
-        alpha = np.asarray(alpha, dtype=float)
-        u = substream(42, 0).uniform(size=alpha.size)
-        g = special.gammaincinv(alpha, u)
-        w = sample_dirichlet(alpha, substream(42, 0))
-        np.testing.assert_allclose(w, g / g.sum(), rtol=1e-13, atol=0)
-
     @pytest.mark.parametrize("b", [0.5, 1.0, 3.0, 20.0, 1000.0])
     def test_beta_one_b_matches_incomplete_beta_inverse(self, b):
         u = substream(43, 0).uniform(size=5000)
@@ -362,7 +310,6 @@ def test_sample_normal_bad_variance():
 def test_operations_are_deterministic():
     pairs = [
         lambda r: sample_beta(2.0, 5.0, r, size=10),
-        lambda r: sample_dirichlet([1.0, 2.0, 3.0], r),
         lambda r: sample_mvnormal([0.0, 0.0], np.eye(2), r, size=5),
         lambda r: sample_truncated_normal(0.0, 1.0, -1.0, 1.0, r, size=10),
         lambda r: sample_normal(0.0, 1.0, r, size=10),

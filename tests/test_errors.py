@@ -1,16 +1,27 @@
-"""The three number rules of ``partialid.errors`` at every entry point that uses them."""
+"""The four number rules of ``partialid.errors`` at every entry point that uses them."""
 
 import numpy as np
 import pytest
 
 from partialid import (
+    BinaryCounts,
     ConditionalPriorSpec,
+    Dataset,
     DirichletProcessSpec,
+    IntervalSet,
+    MarginalSampleBatch,
     ParameterError,
     ScalarNormal,
+    SetDrawBatch,
+    analytic_coverage_binary,
+    analytic_coverage_toy,
     beta_cdf,
+    binary_posterior_params,
     choose_truncation_level,
+    count_binary,
+    credible_region,
     draw_set_batch,
+    estimate_coverage,
     histogram,
     make_config,
     marginal_sample,
@@ -58,8 +69,11 @@ FINITE = {
                                           substream(1, 0), size=2), "mu"),
 }
 
-# each entry point with one bound or matrix entry (a real number, infinite or
-# not) set to the value, and that value's name as its ParameterError states it
+_POSTERIOR = SetDrawBatch([0.0, 0.5], [1.0, 2.0], "posterior", "synthetic")
+
+# each entry point with one real number (a bound, a matrix entry, a grid point,
+# a datum, a draw; infinite or not) set to the value, and that number's name
+# as its ParameterError states it
 REAL = {
     "sample_truncated_normal(lo)": (
         lambda v: sample_truncated_normal(0.0, 1.0, v, 1.0, substream(1, 0)), "lo"),
@@ -68,6 +82,29 @@ REAL = {
     "sample_mvnormal(cov)": (
         lambda v: sample_mvnormal([0.0, 0.0], [[v, 0.0], [0.0, 1.0]], substream(1, 0)),
         "covariance"),
+    "beta_cdf(x)": (lambda v: beta_cdf(v, 1.0, 1.0), "x"),
+    "make_config(grid)": (lambda v: make_config("toy_analytic", grid=[0.0, v]), "grid"),
+    "Dataset(values)": (lambda v: Dataset("interval_censored", [[0.0, v]]), "values"),
+    "binary_posterior_params(alpha)": (
+        lambda v: binary_posterior_params([2.0, v, 1.0], BinaryCounts(1, 1, 1)), "alpha"),
+    "analytic_coverage_toy": (analytic_coverage_toy, "gamma"),
+    "analytic_coverage_binary(gamma)": (
+        lambda v: analytic_coverage_binary(v, (2.0, 3.0, 1.0)), "gamma"),
+    "analytic_coverage_binary(alpha)": (
+        lambda v: analytic_coverage_binary(0.5, (2.0, v, 1.0)), "alpha"),
+    "IntervalSet(lo)": (lambda v: IntervalSet(v, 1.0), "lo"),
+    "IntervalSet(hi)": (lambda v: IntervalSet(0.0, v), "hi"),
+    "SetDrawBatch(lo)": (lambda v: SetDrawBatch([v], [1.0], "prior", "synthetic"), "lo"),
+    "SetDrawBatch(hi)": (lambda v: SetDrawBatch([0.0], [v], "prior", "synthetic"), "hi"),
+    "SetDrawBatch(gamma_uniforms)": (
+        lambda v: SetDrawBatch([0.0], [1.0], "prior", "synthetic", gamma_uniforms=[v]),
+        "gamma_uniforms"),
+    "MarginalSampleBatch(gammas)": (
+        lambda v: MarginalSampleBatch([v], [0.0], [1.0], "prior", "synthetic"), "gammas"),
+    "estimate_coverage(grid)": (lambda v: estimate_coverage(_POSTERIOR, [0.0, v]), "grid"),
+    "credible_region(alpha)": (lambda v: credible_region(_POSTERIOR, v), "alpha"),
+    "histogram(values)": (lambda v: histogram([0.5, v], 5, (0.0, 1.0)), "values"),
+    "histogram(value_range)": (lambda v: histogram([0.5], 5, (v, 1.0)), "value_range"),
 }
 
 # each count with the value in its place
@@ -149,6 +186,30 @@ def test_a_bound_or_matrix_entry_must_be_a_real_number(entry, value):
     call, name = REAL[entry]
     with pytest.raises(ParameterError, match=f"^{name} must be real numbers"):
         call(value)
+
+
+def test_booleans_convert_as_zero_and_one():
+    # booleans were converted by np.array(..., dtype=float) before as_reals
+    # took them; the values, and so the counts, stay those of that conversion
+    rows = np.array([[True, True], [False, True], [False, False]])
+    data = Dataset("binary_missing", rows)
+    assert data.values.dtype == float and data.values.tolist() == [[1, 1], [0, 1], [0, 0]]
+    assert count_binary(data) == BinaryCounts(1, 1, 1)
+    batch = SetDrawBatch(np.array([False, True]), np.array([True, True]), "prior", "synthetic",
+                         gamma_uniforms=np.array([False, False]))
+    assert [batch.lo.tolist(), batch.hi.tolist(), batch.gamma_uniforms.tolist()] == [
+        [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]]
+    assert batch.lo.dtype == batch.gamma_uniforms.dtype == float
+
+
+def test_a_batch_or_dataset_holds_its_own_copy():
+    lo, hi, u, values = np.zeros(3), np.ones(3), np.full(3, 0.5), np.zeros((3, 2))
+    batch = SetDrawBatch(lo, hi, "prior", "synthetic", gamma_uniforms=u)
+    marginal = MarginalSampleBatch(u, lo, hi, "prior", "synthetic")
+    data = Dataset("interval_censored", values)
+    for given, held in [(lo, batch.lo), (hi, batch.hi), (u, batch.gamma_uniforms),
+                        (u, marginal.gammas), (values, data.values)]:
+        assert not np.shares_memory(given, held)
 
 
 @pytest.mark.parametrize("lo, hi", [(-np.inf, 1.0), (0.0, np.inf)], ids=["below", "above"])

@@ -88,3 +88,51 @@ def test_the_private_name_check_sees_each_form(line):
 def test_the_private_name_check_allows_public_and_dunder_names():
     assert private_reaches("from . import __version__\nfrom .rng import seed_words\n"
                            "from . import rng\nrng.SHORT_ROW\nself._own\n") == []
+
+
+# --- caller-given numbers are converted by one rule ------------------------------
+
+def guarded_conversions(source):
+    """Lines where ``source`` converts with an explicit ``dtype`` inside a
+    ``try`` that names ValueError or TypeError in an except clause: a number
+    rule of its own beside ``partialid.errors.as_reals``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Try):
+            continue
+        caught = set()
+        for handler in node.handlers:
+            kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            caught.update((_dotted(kind) or "").rpartition(".")[2] for kind in kinds if kind)
+        if caught & {"ValueError", "TypeError"}:
+            found += [sub.lineno for stmt in node.body for sub in ast.walk(stmt)
+                      if isinstance(sub, ast.keyword) and sub.arg == "dtype"]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "errors.py"}),
+                         ids=lambda p: p.name)
+def test_numbers_are_converted_only_by_as_reals(path):
+    assert guarded_conversions(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("handler", [
+    "except (TypeError, ValueError) as exc:", "except ValueError:", "except TypeError:",
+    "except (KeyError, builtins.ValueError):",
+])
+@pytest.mark.parametrize("call", ["np.array(v, dtype=float)", "np.asarray(v, dtype=dtype)",
+                                  "v.astype(dtype=np.float64)"])
+def test_the_conversion_check_sees_each_form(handler, call):
+    assert guarded_conversions(f"try:\n    x = f({call})\n{handler}\n    pass\n")
+
+
+@pytest.mark.parametrize("source", [
+    "x = np.asarray(v, dtype=float)",
+    "try:\n    x = np.asarray(v)\nexcept ValueError:\n    x = None",
+    "try:\n    x = np.asarray(v, dtype=float)\nexcept KeyError:\n    pass",
+    "try:\n    x = int(v)\nexcept ValueError:\n    x = np.zeros(1, dtype=float)",
+    # a share's error travels back to the caller as a value
+    "try:\n    x = np.arange(3, dtype=np.uint64)\nexcept Exception as exc:\n    x = exc",
+])
+def test_the_conversion_check_allows_unguarded_and_dtype_free_conversions(source):
+    assert guarded_conversions(source) == []

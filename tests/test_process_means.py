@@ -22,7 +22,6 @@ from partialid.dirichlet import choose_truncation_level, stick_weights
 from partialid.distributions import (
     cholesky_factor,
     sample_beta,
-    sample_dirichlet,
     sample_mvnormal,
 )
 from partialid.rng import UniformRows, seed_words, stream_uniforms
@@ -43,7 +42,12 @@ def concatenated_draw(spec, source, data=None):
     if data is not None:
         n = len(data)
         rho = sample_beta(float(n), n0, source, size=1)
-        data_w = sample_dirichlet(np.ones(n), source)
+        # Dirichlet(1, ..., 1) weights as normalised Exp(1) variates, -log1p(-u)
+        # (the Bayesian bootstrap, Rubin 1981); one point takes no uniform
+        data_w = np.ones(lead + (1,))
+        if n > 1:
+            g = -np.log1p(-source.uniform(size=n))
+            data_w = g / g.sum(axis=-1, keepdims=True)
         weights = np.concatenate(((1.0 - rho) * weights / weights.sum(axis=-1, keepdims=True),
                                   rho * data_w), axis=-1)
         atoms = np.concatenate((atoms, np.broadcast_to(data, lead + data.shape)),

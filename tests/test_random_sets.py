@@ -62,6 +62,23 @@ class TestIntervalSet:
         assert (iv.lo, iv.hi) == (1.0, 1.0)
         assert IntervalSet(0.0, 1.0).hi >= IntervalSet(1.0, 2.0).lo
 
+    @pytest.mark.parametrize("lo, hi", [("a", "b"), ("a", 1.0), (0.0, "b"), (None, 1.0)],
+                             ids=["text", "text-lo", "text-hi", "none"])
+    def test_endpoints_are_real_numbers(self, toy_batch, lo, hi):
+        # ("a", "b") passed as ordered text, and the capacity read 0.0
+        with pytest.raises(ParameterError, match="^(lo|hi) must be real numbers"):
+            estimate_capacity(toy_batch, IntervalSet(lo, hi))
+
+    def test_infinite_ends_allowed_and_nan_inverted(self):
+        assert IntervalSet(-np.inf, np.inf).hi == np.inf
+        for lo, hi in [(np.nan, 1.0), (0.0, np.nan)]:
+            with pytest.raises(ParameterError, match="^inverted interval"):
+                IntervalSet(lo, hi)
+
+    def test_an_array_of_ends_is_not_an_endpoint(self):
+        with pytest.raises(ParameterError, match="^lo and hi must be one number each"):
+            IntervalSet(np.zeros(2), np.ones(2))
+
 
 class TestSetDrawBatch:
     def test_inverted_draw_rejected(self):
@@ -80,8 +97,9 @@ class TestSetDrawBatch:
             SetDrawBatch(lo, hi, "prior", "synthetic")
 
     @pytest.mark.parametrize("lo, hi, extra, match", [
-        (["a"], ["b"], {}, "must be numbers"), ([0.0], [[1.0], [1.0, 2.0]], {}, "must be numbers"),
-        ([0.0], [1.0], {"gamma_uniforms": ["a"]}, "must be numbers"),
+        (["a"], ["b"], {}, "^lo must be real numbers"),
+        ([0.0], [[1.0], [1.0, 2.0]], {}, "^hi must be real numbers"),
+        ([0.0], [1.0], {"gamma_uniforms": ["a"]}, "^gamma_uniforms must be real numbers"),
         ([0.0], [1.0], {"attempt_indices": ["a"]}, "must be numbers"),
         ([0.0], [1.0], {"attempt_indices": [1.5]}, "must be numbers: integers"),
         ([0.0], [1.0], {"attempt_indices": [-3]}, "must be numbers: at least 0"),

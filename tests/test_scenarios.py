@@ -225,7 +225,7 @@ class TestDataset:
     @pytest.mark.parametrize("values", [np.array([["a", "b"]]), [[1.0, 2.0], [3.0]]],
                              ids=["strings", "ragged"])
     def test_values_that_are_not_numbers_rejected(self, values):
-        with pytest.raises(ParameterError, match="values must be numbers"):
+        with pytest.raises(ParameterError, match="^values must be real numbers"):
             Dataset("interval_censored", values)
 
 

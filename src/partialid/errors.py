@@ -2,6 +2,7 @@
 
 import math
 import operator
+import reprlib
 
 import numpy as np
 
@@ -26,7 +27,7 @@ def as_int(name: str, value, least: int | None = None) -> int:
     try:
         number = operator.index(value)
     except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+        raise ParameterError(f"{name} must be an integer, got {reprlib.repr(value)}") from None
     if least is not None and number < least:
         raise ParameterError(f"{name} must be >= {least}, got {number}")
     return number
@@ -42,7 +43,7 @@ def check_positive(**values) -> None:
                 continue
         except (TypeError, ValueError):  # text; an array of several numbers
             pass
-        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+        raise ParameterError(f"{name} must be positive and finite, got {reprlib.repr(value)}")
 
 
 def as_reals(name: str, value) -> np.ndarray:
@@ -55,7 +56,7 @@ def as_reals(name: str, value) -> np.ndarray:
     except ValueError:  # a ragged nesting of lists
         a = None
     if a is None or a.dtype.kind not in "biuf":
-        raise ParameterError(f"{name} must be real numbers, got {value!r}")
+        raise ParameterError(f"{name} must be real numbers, got {reprlib.repr(value)}")
     return a.astype(float, copy=False)
 
 
@@ -69,4 +70,4 @@ def check_finite(**values) -> None:
                 continue
         except ParameterError:
             pass
-        raise ParameterError(f"{name} must be finite, got {value!r}")
+        raise ParameterError(f"{name} must be finite, got {reprlib.repr(value)}")

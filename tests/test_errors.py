@@ -188,6 +188,18 @@ def test_a_bound_or_matrix_entry_must_be_a_real_number(entry, value):
         call(value)
 
 
+@pytest.mark.parametrize("call", [
+    lambda v: Dataset("interval_censored", v), lambda v: check_finite(mean=v),
+    lambda v: check_positive(sigma2=v), lambda v: histogram([0.5], v, (0.0, 1.0)),
+], ids=["as_reals", "check_finite", "check_positive", "as_int"])
+def test_a_long_value_is_shown_in_short(call):
+    # each rule printed the whole value: 100000 rows of text made a message of
+    # 1.2 million characters
+    with pytest.raises(ParameterError, match=r"got \[\['a', 'b'\], .*, \.\.\.\]$") as info:
+        call([["a", "b"]] * 100_000)
+    assert len(str(info.value)) < 200
+
+
 def test_booleans_convert_as_zero_and_one():
     # booleans were converted by np.array(..., dtype=float) before as_reals
     # took them; the values, and so the counts, stay those of that conversion

@@ -1,6 +1,7 @@
 """Exception types, and the number checks, shared across the package."""
 
 import math
+import numbers
 import operator
 import reprlib
 
@@ -53,7 +54,9 @@ def as_reals(name: str, value) -> np.ndarray:
     lists.  A float64 array comes back as it is, not copied."""
     try:
         a = np.asarray(value)
-    except ValueError:  # a ragged nesting of lists
+        if a.dtype.kind == "O" and all(isinstance(x, numbers.Real) for x in a.flat):
+            a = a.astype(float)  # Python ints beyond int64, fractions
+    except (ValueError, OverflowError):  # a ragged nesting of lists; an int beyond float
         a = None
     if a is None or a.dtype.kind not in "biuf":
         raise ParameterError(f"{name} must be real numbers, got {reprlib.repr(value)}")

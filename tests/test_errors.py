@@ -1,5 +1,7 @@
 """The four number rules of ``partialid.errors`` at every entry point that uses them."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ from partialid import (
     substream,
 )
 from partialid.distributions import cholesky_factor
-from partialid.errors import check_finite, check_positive
+from partialid.errors import as_reals, check_finite, check_positive
 
 # each entry point with one real parameter set to the value, and that
 # parameter's name as its ParameterError states it
@@ -198,6 +200,15 @@ def test_a_long_value_is_shown_in_short(call):
     with pytest.raises(ParameterError, match=r"got \[\['a', 'b'\], .*, \.\.\.\]$") as info:
         call([["a", "b"]] * 100_000)
     assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("value", [
+    [1, 2.5], (1, 2.5), np.array([1, 2]), np.array([True, False]),
+    np.array([0.1], dtype=np.float32), [Fraction(1, 3), 2**70, True], -np.inf, 3,
+], ids=["list", "tuple", "int", "bool", "float32", "objects", "inf", "scalar"])
+def test_numbers_convert_as_numpy_converts_them(value):
+    # the values np.array(value, dtype=float) gave where as_reals now converts
+    np.testing.assert_array_equal(as_reals("x", value), np.array(value, dtype=float))
 
 
 def test_booleans_convert_as_zero_and_one():

@@ -14,6 +14,7 @@ from .dirichlet import (
     stick_weights,
 )
 from .distributions import (
+    BetaQuantile,
     PsdRepair,
     ScalarNormal,
     beta_cdf,
@@ -64,6 +65,7 @@ from .scenarios import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BetaQuantile",
     "BinaryCounts",
     "ConditionalPriorSpec",
     "CoverageCurve",

@@ -17,6 +17,7 @@ The second stage is one vectorised step on a batch of interval draws.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,11 +144,13 @@ class Histogram:
 def histogram(values, bins: int, value_range) -> Histogram:
     """Bin counts on [lo, hi]; values outside land in the overflow tallies.
 
-    The values and both range ends must be finite.
+    ``value_range`` is two numbers; the values and both range ends must be finite.
     """
     bins = as_int("bins", bins, 1)
     ends = as_reals("value_range", value_range)
-    lo, hi = float(ends[0]), float(ends[1])
+    if ends.shape != (2,):
+        raise ParameterError(f"value_range must be two numbers, got {reprlib.repr(value_range)}")
+    lo, hi = ends.tolist()
     if not -np.inf < lo < hi < np.inf:
         raise ParameterError(f"need finite lo < hi, got [{lo}, {hi}]")
     values = as_reals("values", values)

@@ -47,11 +47,11 @@ import numpy as np
 from .dirichlet import DirichletProcessSpec, process_means
 from .distributions import (
     EIGEN_FLOOR,
+    BetaQuantile,
     ScalarNormal,
     beta_cdf,
     cholesky_factor,
     psd_repair,
-    sample_beta,
     sample_mvnormal,
     sample_normal,
 )
@@ -361,12 +361,12 @@ def _generate_binary(n, rng):
     return np.column_stack((y * d, d))
 
 
-def _binary_draw(a1, a2, a3, source):
+def _binary_draw(hi_quantile, ratio_quantile, source):
     # [p1, p1 + p3] of a Dirichlet(a1, a2, a3) draw p, from two Betas: by
     # aggregation p1 + p3 ~ Beta(a1 + a3, a2), and by neutrality
     # p1 / (p1 + p3) ~ Beta(a1, a3), independent of it
-    hi = sample_beta(a1 + a3, a2, source)
-    lo = hi * sample_beta(a1, a3, source)
+    hi = hi_quantile(source.uniform())
+    lo = hi * ratio_quantile(source.uniform())
     return lo, hi, np.ones(np.shape(hi), dtype=bool)
 
 
@@ -374,7 +374,8 @@ def _prepare_binary(cfg, mode, dataset):
     alpha = cfg.hyper["alpha"]
     if mode == "posterior":
         alpha = binary_posterior_params(alpha, count_binary(dataset))
-    return partial(_binary_draw, *_cell_params(alpha).tolist())
+    a1, a2, a3 = _cell_params(alpha).tolist()
+    return partial(_binary_draw, BetaQuantile(a1 + a3, a2), BetaQuantile(a1, a3))
 
 
 # --- the scenario table --------------------------------------------------------

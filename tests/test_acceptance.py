@@ -9,13 +9,14 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 import partialid as pid
 from partialid import scenarios as sc
 from partialid.cli import RunConfig, run_scenario
 from partialid.priors import default_prior_spec, marginal_sample
 from partialid.scenarios import ROLE_DATA, ROLE_HELDOUT_SETS, attempt_stream
+from test_priors import EXACT_DELTA, EXACT_QUADRATURE, exact_marginal_cdf
 
 DATA_SCENARIOS = (
     "interval_censored",
@@ -270,25 +271,37 @@ def test_09_marginal_support_and_contraction():
 
 
 def test_10_flat_family_ks_decreases_with_sample_size():
-    seed = 5
-    ks_values = []
+    # The flat family's marginal posterior approaches the uniform on the
+    # posterior-mean interval as n grows.  The order is asserted on the exact
+    # KS distances on a grid, from the marginal law's quadrature, each gap
+    # wider than twice its allowance; Monte Carlo distances of 2000 draws each
+    # ordered themselves close to a coin flip.  Each sample is checked against
+    # its exact CDF instead: DKW with Massart's constant plus that allowance.
+    seed, draws = 5, 2000
+    bound = np.sqrt(np.log(2 / EXACT_DELTA) / (2 * draws)) + EXACT_QUADRATURE
+    exact_ks, sample_gaps = [], []
     for n in (100, 1000, 10_000):
         cfg = pid.make_config("binary_missing", n=n)
         data = pid.generate_data(cfg, attempt_stream(seed, ROLE_DATA, 0))
-        astar = pid.binary_posterior_params(cfg.hyper["alpha"], pid.count_binary(data))
-        total = astar.sum()
-        lo, hi = astar[0] / total, (astar[0] + astar[2]) / total
+        a1, a2, a3 = astar = pid.binary_posterior_params(cfg.hyper["alpha"],
+                                                        pid.count_binary(data))
+        lo, hi = a1 / astar.sum(), (a1 + a3) / astar.sum()
+        points = np.linspace(special.betaincinv(a1, a2 + a3, 1e-3),
+                             special.betaincinv(a1 + a3, a2, 1 - 1e-3), 101)
+        exact = exact_marginal_cdf("III", astar, points)
+        exact_ks.append(float(np.abs(exact - np.clip((points - lo) / (hi - lo), 0, 1)).max()))
         spec = default_prior_spec("binary_missing", "III")
-        batch = marginal_sample(cfg, spec, "posterior", 2000, seed, dataset=data)
-        ks = stats.kstest(
-            batch.gammas, stats.uniform(loc=lo, scale=hi - lo).cdf
-        ).statistic
-        ks_values.append(float(ks))
-    ok = ks_values[0] > ks_values[1] > ks_values[2]
+        gammas = np.sort(marginal_sample(cfg, spec, "posterior", draws, seed, dataset=data).gammas)
+        empirical = np.searchsorted(gammas, points, side="right") / draws
+        sample_gaps.append(float(np.abs(empirical - exact).max()))
+    ordered = all(far - near > 2 * EXACT_QUADRATURE
+                  for far, near in zip(exact_ks, exact_ks[1:]))
     report(
         "10 large-sample uniformity",
-        ok,
-        "KS at n=100,1000,10000: " + " > ".join(f"{k:.4f}" for k in ks_values),
+        ordered and max(sample_gaps) <= bound,
+        "exact KS at n=100,1000,10000: " + " > ".join(f"{k:.4f}" for k in exact_ks)
+        + "; samples' distance from their exact CDFs: "
+        + ", ".join(f"{g:.4f}" for g in sample_gaps) + f" (bound {bound:.4f})",
     )
 
 

@@ -1,5 +1,7 @@
 import itertools
 import os
+import pickle
+import warnings
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from scipy.linalg import eigvalsh as scipy_eigvalsh
 
 import partialid
 from partialid import (
+    BetaQuantile,
     ParameterError,
     beta_cdf,
     psd_repair,
@@ -282,6 +285,65 @@ class TestClosedFormQuantiles:
         u = substream(43, 0).uniform(size=5000)
         x = sample_beta(1.0, b, substream(43, 0), size=5000)
         np.testing.assert_allclose(x, special.betaincinv(1.0, b, u), rtol=1e-13, atol=0)
+
+
+# the quantile table's largest error allowed here, inside its documented 1e-10
+TABLE_ERROR = 1e-11
+# the prior's two shapes, binary_missing's two posterior shapes at n = 1000 and
+# seed 5, and a grid of the tabulated square
+TABLE_SHAPES = [(3.0, 3.0), (2.0, 1.0), (911.0, 95.0), (423.0, 488.0),
+                *itertools.product([1.0001, 1.5, 37.0, 1e4], [1.0, 1.0001, 6.0, 1e4])]
+
+
+def lattice_points(seed):
+    """0, 2**-53, 1 - 2**-53 and random uniforms, some near each end, all on the 2**-53 lattice."""
+    u = substream(seed, 0).uniform(size=3000)
+    tails = np.ldexp(np.floor(np.ldexp(2.0 ** (-53 * u[:1000]), 53)), -53)
+    return np.concatenate([[0.0, 2.0**-53, 1 - 2.0**-53], u[1000:], tails, 1 - tails])
+
+
+class TestBetaQuantile:
+    @pytest.mark.parametrize("a, b", TABLE_SHAPES)
+    def test_table_is_within_its_bound_of_the_incomplete_beta_inverse(self, a, b):
+        quantile, u = BetaQuantile(a, b), lattice_points(44)
+        assert quantile.coef is not None
+        assert np.abs(quantile(u) - special.betaincinv(a, b, u)).max() <= TABLE_ERROR
+
+    @pytest.mark.parametrize("a, b", [(3.0, 3.0), (1e4, 1.0), (1.0001, 1e4), (1e4, 1e4)])
+    def test_table_is_built_without_warnings_and_stays_in_the_unit_interval(self, a, b):
+        u = lattice_points(45)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no inf or NaN arithmetic in the build
+            x = BetaQuantile(a, b)(u)
+        assert x[0] == 0.0 and np.all((0 <= x) & (x <= 1))
+        assert BetaQuantile(a, b)(0.0) == 0.0
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (2.0, 0.9), (0.9, 2.0), (2e4, 3.0)])
+    def test_a_shape_outside_the_table_inverts_exactly(self, a, b):
+        u = lattice_points(46)
+        assert BetaQuantile(a, b).coef is None
+        assert np.array_equal(BetaQuantile(a, b)(u), special.betaincinv(a, b, u))
+
+    @pytest.mark.parametrize("b", [0.5, 3.0, 1e4])
+    def test_a_equal_to_one_keeps_the_closed_form(self, b):
+        quantile = BetaQuantile(1.0, b)
+        assert quantile.coef is None
+        assert np.array_equal(quantile(substream(47, 0).uniform(size=100)),
+                              sample_beta(1.0, b, substream(47, 0), size=100))
+
+    def test_a_scalar_gives_the_bits_of_its_array_element(self):
+        quantile, u = BetaQuantile(3.0, 3.0), lattice_points(48)[:50]
+        x = quantile(u)
+        for i in range(len(u)):
+            assert isinstance(quantile(float(u[i])), float) and quantile(float(u[i])) == x[i]
+
+    def test_a_pickled_table_gives_the_same_bits(self):
+        quantile, u = BetaQuantile(911.0, 95.0), lattice_points(49)
+        assert np.array_equal(pickle.loads(pickle.dumps(quantile))(u), quantile(u))
+
+    def test_shapes_are_checked(self):
+        with pytest.raises(ParameterError, match="^b must be positive and finite"):
+            BetaQuantile(2.0, 0.0)
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -190,6 +190,15 @@ def test_a_bound_or_matrix_entry_must_be_a_real_number(entry, value):
         call(value)
 
 
+@pytest.mark.parametrize("value_range", [(0.0, 1.0, 5.0), (1.0,), 5.0, [[0.0], [1.0]], []],
+                         ids=["three", "one", "scalar", "nested", "empty"])
+def test_a_histogram_range_is_two_numbers(value_range):
+    # three numbers binned on the first two; the others raised numpy's
+    # untyped IndexError or TypeError
+    with pytest.raises(ParameterError, match="^value_range must be two numbers, got "):
+        histogram([0.5, 3.0], 2, value_range)
+
+
 @pytest.mark.parametrize("call", [
     lambda v: Dataset("interval_censored", v), lambda v: check_finite(mean=v),
     lambda v: check_positive(sigma2=v), lambda v: histogram([0.5], v, (0.0, 1.0)),

@@ -13,8 +13,10 @@ streams to consecutive uniforms of the attempt stream, and again when each
 process drew its prior-side mean as one normal variate from its exact law in
 place of K atoms, and every digest of the four ``binary_missing`` runs when
 its interval [p1, p1 + p3] became two Beta draws in place of a three-cell
-Dirichlet draw (all deliberate numeric changes); every other digest is as
-first recorded.  A change that
+Dirichlet draw, and its ``intervals.csv`` and ``summary.json`` digests again
+when those two Betas were drawn through a quantile table
+(``distributions.BetaQuantile``) in place of ``betaincinv`` (all deliberate
+numeric changes); every other digest is as first recorded.  A change that
 moves them on purpose must say so in CHANGES.md.
 """
 
@@ -46,7 +48,7 @@ GOLDEN = [
     }),
     (('binary_missing', None, 1), {
         'coverage.csv': '926f4c6b2c984d7389ab7a8319abe17db9fd7869d078aeb94151cf7886f698e2',
-        'intervals.csv': '71e6f22f16405f0f8679d4dfd1d9ca792b91f29f78991797f90a9a078136d42b',
+        'intervals.csv': 'be8a44663212262d847dac7f0804e42f15a22968a15d896db5f899b74b44dabc',
     }),
     (('interval_censored', 'I', 1), {
         'coverage.csv': '829a1dabe13b5237c710e876a6b2c8c2f8b59c998c6682d2ca5d9dd35fa80f4d',
@@ -71,17 +73,17 @@ GOLDEN = [
     (('binary_missing', 'II', 1), {
         'coverage.csv': '926f4c6b2c984d7389ab7a8319abe17db9fd7869d078aeb94151cf7886f698e2',
         'gamma_hist.csv': '296c95756434ae8b8cc271228aee4a7c3fc40d9c5bb6cbb1cec1a72b1dbdcbd0',
-        'intervals.csv': '71e6f22f16405f0f8679d4dfd1d9ca792b91f29f78991797f90a9a078136d42b',
+        'intervals.csv': 'be8a44663212262d847dac7f0804e42f15a22968a15d896db5f899b74b44dabc',
     }),
     (('binary_missing', 'III', 1), {
         'coverage.csv': '926f4c6b2c984d7389ab7a8319abe17db9fd7869d078aeb94151cf7886f698e2',
         'gamma_hist.csv': '884804b5eb46ba1d9e13ad8f3149e07dcd3cbcb90974599a3b759a9255a2d418',
-        'intervals.csv': '71e6f22f16405f0f8679d4dfd1d9ca792b91f29f78991797f90a9a078136d42b',
+        'intervals.csv': 'be8a44663212262d847dac7f0804e42f15a22968a15d896db5f899b74b44dabc',
     }),
     (('binary_missing', 'IV', 1), {
         'coverage.csv': '926f4c6b2c984d7389ab7a8319abe17db9fd7869d078aeb94151cf7886f698e2',
         'gamma_hist.csv': 'b492187d392a0235fbf2898357cd7e228e36ec25f25d6faf227652210ddb81de',
-        'intervals.csv': '71e6f22f16405f0f8679d4dfd1d9ca792b91f29f78991797f90a9a078136d42b',
+        'intervals.csv': 'be8a44663212262d847dac7f0804e42f15a22968a15d896db5f899b74b44dabc',
     }),
     (('interval_censored', None, 2), {
         'coverage.csv': '829a1dabe13b5237c710e876a6b2c8c2f8b59c998c6682d2ca5d9dd35fa80f4d',
@@ -111,7 +113,7 @@ SUMMARY_GOLDEN = {
     ('interval_regression', None, 1):
         '206ee5e2bf16dc4e5b55ac799381aba688946e6e0a8c62a2ba4311d2577bc802',
     ('binary_missing', None, 1):
-        '09de0196d41c72102fe4f609b0b1f6723f6c58b91c984747f9ec76acf58bb9d2',
+        'd397b54f213fd24a15dd940066ed55a2994d96badcd3c9ef59905f13b661295d',
     ('interval_censored', 'I', 1):
         '3340b30a5242141f31060bc66ae69802b38b6b9b4221830ef6b5ff9deaeca7cf',
     ('interval_censored', 'II', 1):
@@ -121,11 +123,11 @@ SUMMARY_GOLDEN = {
     ('interval_censored', 'IV', 1):
         '551880f1f9f85715fc5f9dcea304c29924b025dcc7271db2015b9c1c6038e386',
     ('binary_missing', 'II', 1):
-        'de0246bd59ca4b6948a442c0a0942ce3f73d5e2a2915a22f7530f7466050a85e',
+        '4ede31a26a7f82ee6603e431ea6ee7008e4df4b74d4f7ab3ee6c851a2de2cace',
     ('binary_missing', 'III', 1):
-        '4e379cd875c70480d98aecd751c6a8b89d0fc07b7e4c98d5242c93b8270e0652',
+        'ed3562e37f47f127e7a4c4f22394c591c2f66ec70de7987f5507bb81fe795107',
     ('binary_missing', 'IV', 1):
-        '2a4f0c2402ed8f85d6d2095b61c558786f776c21ada4ebf9c46d6cfdaab91fa2',
+        '9bb44d8258d821d14b0e484c50e05988c4e50150f9a7228c50c963a5f949fd2f',
     ('interval_censored', None, 2):
         '5f6f85acdf967323a35d41ed2f4b6ceed82104324e68c6ef528c521338246639',
     ('interval_regression', None, 2):

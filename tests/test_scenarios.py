@@ -1178,16 +1178,17 @@ class TestBinaryTwoBetaDraw:
 
     def test_a_row_is_two_betas_then_the_gamma_uniform(self):
         # TestBlockEquivalence checks that each row is its own draw_set
-        from scipy import special
+        from partialid.distributions import BetaQuantile
 
         cfg = make_config("binary_missing")
         a1, a2, a3 = cfg.hyper["alpha"]
+        hi_quantile, ratio_quantile = BetaQuantile(a1 + a3, a2), BetaQuantile(a1, a3)
         batch = draw_set_batch(cfg, "prior", 20, 13)
         for r, j in enumerate(batch.attempt_indices):
             u = attempt_stream(13, ROLE_PRIOR_SETS, j).uniform(3)
-            hi = special.betaincinv(a1 + a3, a2, u[0])
+            hi = hi_quantile(u[0])
             assert (batch.lo[r], batch.hi[r], batch.gamma_uniforms[r]) == (
-                hi * special.betaincinv(a1, a3, u[1]), hi, u[2])
+                hi * ratio_quantile(u[1]), hi, u[2])
 
     @pytest.mark.parametrize("mode", ["prior", "posterior"])
     @pytest.mark.parametrize("alpha", [*BAD_CELLS, [2.0, 3.0, 1.0, 4.0]])

@@ -8,12 +8,10 @@ paths use closed-form quantiles: Beta(1, b), ``-expm1(log1p(-u) / b)``, for
 stick-breaking fractions, and a log-space truncated-normal quantile built from
 ``log_ndtr`` and ``ndtri_exp``.  Other Beta shapes invert the regularized
 incomplete beta function of ``scipy.special``, which meets the 1e-10
-absolute-accuracy requirement on the unit interval.  A shape sampled many
-times, with both parameters in :data:`BETA_TABLE_SHAPES` and ``a != 1``, is
-drawn through :class:`BetaQuantile`'s table instead: a quintic Hermite
-interpolant of that inverse, within 1e-10 of it on every uniform (its tests
-and CI's sweep check 1e-11 and 1e-10); other shapes keep the closed form or
-the inverse.  ``scipy.stats`` is not imported.
+absolute-accuracy requirement on the unit interval; a shape drawn many times
+may instead take :class:`BetaQuantile`, a table within 1e-10 of that inverse
+whose values lie in [0, 1], as the inverse's do.  ``scipy.stats`` is not
+imported.
 """
 
 from __future__ import annotations

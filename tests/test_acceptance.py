@@ -274,9 +274,9 @@ def test_10_flat_family_ks_decreases_with_sample_size():
     # The flat family's marginal posterior approaches the uniform on the
     # posterior-mean interval as n grows.  The order is asserted on the exact
     # KS distances on a grid, from the marginal law's quadrature, each gap
-    # wider than twice its allowance; Monte Carlo distances of 2000 draws each
-    # ordered themselves close to a coin flip.  Each sample is checked against
-    # its exact CDF instead: DKW with Massart's constant plus that allowance.
+    # wider than twice its allowance: Monte Carlo distances at 2000 draws
+    # order close to a coin flip.  Each sample is checked against its exact
+    # CDF instead, within DKW with Massart's constant plus that allowance.
     seed, draws = 5, 2000
     bound = np.sqrt(np.log(2 / EXACT_DELTA) / (2 * draws)) + EXACT_QUADRATURE
     exact_ks, sample_gaps = [], []

@@ -1,9 +1,9 @@
 import itertools
 import os
 import pickle
-import warnings
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np

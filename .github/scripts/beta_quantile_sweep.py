@@ -1,9 +1,10 @@
-"""Accuracy sweep of distributions.BetaQuantile against scipy's betaincinv.
+"""Accuracy sweep of distributions.beta_quantile against scipy's betaincinv.
 
 On a 14 x 14 grid of shapes (a, b), log-spaced over the square the table
-covers (distributions.BETA_TABLE_SHAPES), it takes the largest absolute
-difference between the quantile and ``betaincinv`` at 40,000 uniforms on the
-2**-53 lattice: 0, 2**-53, 1 - 2**-53, uniforms spread over [0, 1) and
+covers (distributions.BETA_TABLE_SHAPES), and at the posterior's rho ~
+Beta(n, n0) for n in {2, 200, 1000, 10000} and n0 in {10, 20}, it takes the
+largest absolute difference between the quantile and ``betaincinv`` at
+40,000 uniforms on the 2**-53 lattice: 0, 2**-53, 1 - 2**-53, uniforms spread over [0, 1) and
 uniforms log-spaced into each tail.  Every shape with a != 1 must have a
 table, built without a RuntimeWarning; the sweep fails if one does not, or if
 any difference exceeds the documented bound of 1e-10.  The table's nodes come
@@ -19,10 +20,13 @@ import warnings
 import numpy as np
 from scipy import special
 
-from partialid.distributions import BETA_TABLE_SHAPES, BetaQuantile
+from partialid import distributions
+from partialid.distributions import BETA_TABLE_SHAPES, beta_quantile
 
 BOUND = 1e-10
-SHAPES = np.geomspace(*BETA_TABLE_SHAPES, 14)
+GRID = np.geomspace(*BETA_TABLE_SHAPES, 14)
+SHAPES = [(a, b) for a in GRID for b in GRID] + [
+    (n, n0) for n in (2.0, 200.0, 1000.0, 1e4) for n0 in (10.0, 20.0)]
 POINTS = 40_000
 
 
@@ -38,17 +42,16 @@ def main() -> int:
     warnings.simplefilter("error", RuntimeWarning)
     u = lattice_points(POINTS)
     errors, failures = {}, []
-    for a in SHAPES:
-        for b in SHAPES:
-            quantile = BetaQuantile(a, b)
-            if a != 1 and quantile.coef is None:
-                failures.append(f"({a:.6g}, {b:.6g}): no table")
-                continue
-            errors[a, b] = float(np.abs(quantile(u) - special.betaincinv(a, b, u)).max())
-            if not errors[a, b] <= BOUND:
-                failures.append(f"({a:.6g}, {b:.6g}): error {errors[a, b]:.3g}")
+    for a, b in SHAPES:
+        quantile = beta_quantile(a, b, u)
+        if a != 1 and distributions._beta_table(a, b) is None:
+            failures.append(f"({a:.6g}, {b:.6g}): no table")
+            continue
+        errors[a, b] = float(np.abs(quantile - special.betaincinv(a, b, u)).max())
+        if not errors[a, b] <= BOUND:
+            failures.append(f"({a:.6g}, {b:.6g}): error {errors[a, b]:.3g}")
     a, b = max(errors, key=errors.get)
-    print(f"{len(errors)} of {len(SHAPES)**2} shapes x {len(u)} uniforms: largest error "
+    print(f"{len(errors)} of {len(SHAPES)} shapes x {len(u)} uniforms: largest error "
           f"{errors[a, b]:.3g} at ({a:.6g}, {b:.6g}); bound {BOUND:g}")
     for line in failures:
         print("FAIL", line)

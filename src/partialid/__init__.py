@@ -14,10 +14,10 @@ from .dirichlet import (
     stick_weights,
 )
 from .distributions import (
-    BetaQuantile,
     PsdRepair,
     ScalarNormal,
     beta_cdf,
+    beta_quantile,
     cholesky_factor,
     psd_repair,
     sample_beta,
@@ -65,7 +65,6 @@ from .scenarios import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetaQuantile",
     "BinaryCounts",
     "ConditionalPriorSpec",
     "CoverageCurve",
@@ -87,6 +86,7 @@ __all__ = [
     "analytic_coverage_binary",
     "analytic_coverage_toy",
     "beta_cdf",
+    "beta_quantile",
     "binary_posterior_params",
     "cholesky_factor",
     "choose_truncation_level",

@@ -3,21 +3,21 @@
 All samplers are deterministic transforms of uniforms taken from an
 :class:`~partialid.rng.RngStream` — inverse-CDF wherever a quantile function
 exists, never unbounded rejection — so a stream's uniform sequence maps to the
-same variates on every platform; each variate takes one uniform.  The hot
-paths use closed-form quantiles: Beta(1, b), ``-expm1(log1p(-u) / b)``, for
-stick-breaking fractions, and a log-space truncated-normal quantile built from
-``log_ndtr`` and ``ndtri_exp``.  Other Beta shapes invert the regularized
-incomplete beta function of ``scipy.special``, which meets the 1e-10
-absolute-accuracy requirement on the unit interval; a shape drawn many times
-may instead take :class:`BetaQuantile`, a table within 1e-10 of that inverse
-whose values lie in [0, 1], as the inverse's do.  ``scipy.stats`` is not
-imported.
+same variates on every platform; each variate takes one uniform.  Every Beta
+variate goes through :func:`beta_quantile`: the closed form
+``-expm1(log1p(-u) / b)`` for Beta(1, b), every stick-breaking fraction; for
+other shapes in [1, 1e4]^2 a table built once per shape per process, within
+1e-10 of the inverse regularized incomplete beta function and in [0, 1], as
+the inverse is; and that inverse, ``betaincinv``, for the rest.  The
+truncated normal has a log-space quantile built from ``log_ndtr`` and
+``ndtri_exp``.  ``scipy.stats`` is not imported.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -27,21 +27,7 @@ from .errors import ParameterError, as_reals, check_finite, check_positive
 from .rng import RngStream
 
 
-def _beta_quantile(a: float, b: float, u):
-    """Beta(a, b) quantiles of ``u``, in closed form when ``a == 1``."""
-    if a == 1:
-        # I_x(1, b) = 1 - (1 - x)**b inverts exactly
-        return -np.expm1(np.log1p(-u) / b)
-    return special.betaincinv(a, b, u)
-
-
-def sample_beta(a: float, b: float, rng: RngStream, size=None):
-    """Beta(a, b) draws by inverse CDF, in closed form when ``a == 1``."""
-    check_positive(a=a, b=b)
-    return _beta_quantile(a, b, rng.uniform(size))
-
-
-#: Least and greatest Beta shape parameter :class:`BetaQuantile` tabulates,
+#: Least and greatest Beta shape parameter :func:`beta_quantile` tabulates,
 #: the square CI's accuracy sweep covers (``.github/scripts/beta_quantile_sweep.py``).
 BETA_TABLE_SHAPES = (1.0, 1e4)
 
@@ -51,70 +37,74 @@ _T_END, _NODES = 8.3, 256
 _STEP = 2 * _T_END / (_NODES - 1)
 
 
-class BetaQuantile:
-    """The Beta(a, b) quantile function on uniforms, for a shape drawn many times.
+def beta_quantile(a: float, b: float, u):
+    """The Beta(a, b) quantile of each uniform in ``u``, the path of every Beta variate.
 
-    With both shapes in :data:`BETA_TABLE_SHAPES` and ``a != 1`` it is a
-    table built once: the quintic Hermite interpolant of x(t) = F^-1(Phi(t))
-    on 256 evenly spaced t in [-8.3, 8.3], evaluated at t =
-    ``ndtri(u)`` (numerical inversion, Hörmann and Leydold 2003).  Node values
-    are ``betaincinv``'s, the upper half by the reflection 1 - I^-1(b, a,
-    Phi(-t)); the derivatives come from the density, x' = phi(t) / f(x) and
-    x'' = x' (-t - x' (log f)'(x)).  Its values lie within 1e-10 of
-    ``betaincinv``'s, u = 0 gives exactly 0, and every value is clipped to
-    [0, 1].  Otherwise it is :func:`sample_beta`'s quantile: the closed form
-    at ``a == 1``, ``betaincinv`` for any other shape, or for a table with a
-    coefficient that is not finite.  The path is fixed by (a, b) alone, so a
-    uniform gives the same bits in every batch, chunk and process.
+    It is the closed form at ``a == 1``.  With both shapes in
+    :data:`BETA_TABLE_SHAPES` it is a table built once per shape per process
+    (:func:`_beta_table`) and evaluated at t = ``ndtri(u)``: within 1e-10 of
+    ``betaincinv``, exactly 0 at u = 0 and clipped to [0, 1].  Any other
+    shape, or a table with a coefficient that is not finite, inverts by
+    ``betaincinv``.  The path is fixed by (a, b) alone, so a uniform gives the
+    same bits in every batch, chunk and process.
     """
+    check_positive(a=a, b=b)  # before the cache: NaN and arrays raise here
+    if a == 1:
+        # I_x(1, b) = 1 - (1 - x)**b inverts exactly
+        return -np.expm1(np.log1p(-u) / b)
+    least, greatest = BETA_TABLE_SHAPES
+    inside = least <= min(a, b) and max(a, b) <= greatest
+    coef = _beta_table(float(a), float(b)) if inside else None
+    if coef is None:
+        return special.betaincinv(a, b, u)
+    u = np.asarray(u, dtype=float)
+    # ndtri(0) is -inf: clip before the step index is taken
+    s = (np.clip(special.ndtri(u), -_T_END, _T_END) + _T_END) / _STEP
+    k = np.minimum(s.astype(np.intp), _NODES - 2)
+    s -= k
+    x = coef[5][k]
+    for c in coef[4::-1]:
+        x *= s
+        x += c[k]
+    return np.where(u > 0, np.clip(x, 0.0, 1.0), 0.0)[()]  # a scalar for a scalar u
 
-    def __init__(self, a: float, b: float):
-        check_positive(a=a, b=b)
-        self.a, self.b = float(a), float(b)
-        least, greatest = BETA_TABLE_SHAPES
-        self.coef = None  # (6, _NODES - 1) polynomial coefficients, lowest power first
-        if a != 1 and least <= min(a, b) and max(a, b) <= greatest:
-            coef = self._table()
-            if np.isfinite(coef).all():
-                self.coef = coef
 
-    def _table(self) -> np.ndarray:
-        a, b = self.a, self.b
-        t = np.linspace(-_T_END, _T_END, _NODES)
-        low = t < 0
-        # below the median x is inverted, above it 1 - x (by reflection), so
-        # each tail keeps the value near 0 to full relative precision and
-        # log(1 - x) stays finite where x rounds to 1
-        x, xc = np.empty(_NODES), np.empty(_NODES)
-        x[low] = special.betaincinv(a, b, special.ndtr(t[low]))
-        xc[~low] = special.betaincinv(b, a, special.ndtr(-t[~low]))
-        xc[low], x[~low] = 1 - x[low], 1 - xc[~low]
-        log_density = (a - 1) * np.log(x) + (b - 1) * np.log(xc) - special.betaln(a, b)
-        dx = np.exp(-0.5 * t * t - 0.5 * math.log(2 * math.pi) - log_density)
-        d2x = dx * (-t - dx * ((a - 1) / x - (b - 1) / xc))
-        # one quintic per step in s = (t - t_k) / _STEP on [0, 1]
-        d, s2 = _STEP * dx, _STEP**2 * d2x
-        rise, d0, d1, s0, s1 = np.diff(x), d[:-1], d[1:], s2[:-1], s2[1:]
-        return np.array([
-            x[:-1], d0, s0 / 2,
-            10 * rise - 6 * d0 - 4 * d1 - 1.5 * s0 + 0.5 * s1,
-            -15 * rise + 8 * d0 + 7 * d1 + 1.5 * s0 - s1,
-            6 * rise - 3 * (d0 + d1) - 0.5 * (s0 - s1),
-        ])
+@lru_cache(maxsize=128)  # about 12 KB a shape
+def _beta_table(a: float, b: float) -> np.ndarray | None:
+    """The (6, _NODES - 1) coefficients, lowest power first, of the quintic
+    Hermite interpolant of the Beta(a, b) quantile x(t) = F^-1(Phi(t)) on 256
+    evenly spaced t in [-8.3, 8.3] (numerical inversion, Hörmann and Leydold
+    2003), or None if one is not finite.  Node values are ``betaincinv``'s,
+    the upper half by the reflection 1 - I^-1(b, a, Phi(-t)); the derivatives
+    come from the density, x' = phi(t) / f(x) and x'' = x' (-t - x' (log f)'(x)).
+    """
+    t = np.linspace(-_T_END, _T_END, _NODES)
+    low = t < 0
+    # below the median x is inverted, above it 1 - x (by reflection), so
+    # each tail keeps the value near 0 to full relative precision and
+    # log(1 - x) stays finite where x rounds to 1
+    x, xc = np.empty(_NODES), np.empty(_NODES)
+    x[low] = special.betaincinv(a, b, special.ndtr(t[low]))
+    xc[~low] = special.betaincinv(b, a, special.ndtr(-t[~low]))
+    xc[low], x[~low] = 1 - x[low], 1 - xc[~low]
+    log_density = (a - 1) * np.log(x) + (b - 1) * np.log(xc) - special.betaln(a, b)
+    dx = np.exp(-0.5 * t * t - 0.5 * math.log(2 * math.pi) - log_density)
+    d2x = dx * (-t - dx * ((a - 1) / x - (b - 1) / xc))
+    # one quintic per step in s = (t - t_k) / _STEP on [0, 1]
+    d, s2 = _STEP * dx, _STEP**2 * d2x
+    rise, d0, d1, s0, s1 = np.diff(x), d[:-1], d[1:], s2[:-1], s2[1:]
+    coef = np.array([
+        x[:-1], d0, s0 / 2,
+        10 * rise - 6 * d0 - 4 * d1 - 1.5 * s0 + 0.5 * s1,
+        -15 * rise + 8 * d0 + 7 * d1 + 1.5 * s0 - s1,
+        6 * rise - 3 * (d0 + d1) - 0.5 * (s0 - s1),
+    ])
+    return coef if np.isfinite(coef).all() else None
 
-    def __call__(self, u):
-        if self.coef is None:
-            return _beta_quantile(self.a, self.b, u)
-        u = np.asarray(u, dtype=float)
-        # ndtri(0) is -inf: clip before the step index is taken
-        s = (np.clip(special.ndtri(u), -_T_END, _T_END) + _T_END) / _STEP
-        k = np.minimum(s.astype(np.intp), _NODES - 2)
-        s -= k
-        x = self.coef[5][k]
-        for c in self.coef[4::-1]:
-            x *= s
-            x += c[k]
-        return np.where(u > 0, np.clip(x, 0.0, 1.0), 0.0)[()]  # a scalar for a scalar u
+
+def sample_beta(a: float, b: float, rng: RngStream, size=None):
+    """Beta(a, b) draws: :func:`beta_quantile` of ``size`` uniforms."""
+    return beta_quantile(a, b, rng.uniform(size))
 
 
 def sample_normal(mu: float, sigma2: float, rng: RngStream, size=None):

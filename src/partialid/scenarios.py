@@ -37,8 +37,10 @@ import contextlib
 import logging
 import multiprocessing.connection
 import os
+import sys
 from dataclasses import dataclass
 from functools import partial
+from multiprocessing import process as mp_process
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -47,9 +49,9 @@ import numpy as np
 from .dirichlet import DirichletProcessSpec, process_means
 from .distributions import (
     EIGEN_FLOOR,
-    BetaQuantile,
     ScalarNormal,
     beta_cdf,
+    beta_quantile,
     cholesky_factor,
     psd_repair,
     sample_mvnormal,
@@ -361,12 +363,12 @@ def _generate_binary(n, rng):
     return np.column_stack((y * d, d))
 
 
-def _binary_draw(hi_quantile, ratio_quantile, source):
+def _binary_draw(a1, a2, a3, source):
     # [p1, p1 + p3] of a Dirichlet(a1, a2, a3) draw p, from two Betas: by
     # aggregation p1 + p3 ~ Beta(a1 + a3, a2), and by neutrality
     # p1 / (p1 + p3) ~ Beta(a1, a3), independent of it
-    hi = hi_quantile(source.uniform())
-    lo = hi * ratio_quantile(source.uniform())
+    hi = beta_quantile(a1 + a3, a2, source.uniform())
+    lo = hi * beta_quantile(a1, a3, source.uniform())
     return lo, hi, np.ones(np.shape(hi), dtype=bool)
 
 
@@ -375,7 +377,7 @@ def _prepare_binary(cfg, mode, dataset):
     if mode == "posterior":
         alpha = binary_posterior_params(alpha, count_binary(dataset))
     a1, a2, a3 = _cell_params(alpha).tolist()
-    return partial(_binary_draw, BetaQuantile(a1 + a3, a2), BetaQuantile(a1, a3))
+    return partial(_binary_draw, a1, a2, a3)
 
 
 # --- the scenario table --------------------------------------------------------
@@ -506,9 +508,12 @@ def _attempt_pool(processes: int) -> list:
     """This process's pool of ``processes`` processes: kept across runs, replaced if resized."""
     if len(_pool) != processes:
         shutdown_attempt_pool()
+        # by fork on Linux, as the pool was measured (Python 3.14 makes
+        # forkserver the default there), elsewhere by the platform's default
+        context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
         for _ in range(processes):
-            here, there = multiprocessing.Pipe()
-            process = multiprocessing.Process(target=_serve, args=(there, here))
+            here, there = context.Pipe()
+            process = context.Process(target=_serve, args=(there, here))
             process.start()  # the fork closes the earlier ends in its copy of _pool
             there.close()
             _pool.append((here, process))
@@ -535,8 +540,10 @@ def _serve(there, here) -> None:
 
 
 def _forget_attempt_pool() -> None:
-    for here, _ in _pool:  # a forked child does not own its parent's pool
+    for here, process in _pool:  # a forked child does not own its parent's pool
         here.close()
+        # nor join its processes, as multiprocessing's exit hook would
+        mp_process._children.discard(process)
     _pool.clear()
 
 

@@ -74,8 +74,9 @@ def in_process_pool(monkeypatch):
                 record.shut.append(self.pool)
 
     scenarios.shutdown_attempt_pool()
+    context = SimpleNamespace(Pipe=lambda: (End(), End()), Process=Process)
     monkeypatch.setattr(scenarios, "multiprocessing",
-                        SimpleNamespace(Pipe=lambda: (End(), End()), Process=Process))
+                        SimpleNamespace(get_context=lambda method: context))
     yield record
     scenarios.shutdown_attempt_pool()
 

@@ -1,6 +1,5 @@
 import itertools
 import os
-import pickle
 import subprocess
 import sys
 import warnings
@@ -13,9 +12,9 @@ from scipy.linalg import eigvalsh as scipy_eigvalsh
 
 import partialid
 from partialid import (
-    BetaQuantile,
     ParameterError,
     beta_cdf,
+    beta_quantile,
     psd_repair,
     sample_beta,
     sample_mvnormal,
@@ -23,6 +22,7 @@ from partialid import (
     sample_truncated_normal,
     substream,
 )
+from partialid import distributions
 from partialid.scenarios import INTERVAL_REGRESSION_RAW_COV
 
 
@@ -290,9 +290,11 @@ class TestClosedFormQuantiles:
 # the quantile table's largest error allowed here, inside its documented 1e-10
 TABLE_ERROR = 1e-11
 # the prior's two shapes, binary_missing's two posterior shapes at n = 1000 and
-# seed 5, and a grid of the tabulated square
+# seed 5, a grid of the tabulated square, and the posterior's rho ~ Beta(n, n0)
+# at n0 = 10 and 20
 TABLE_SHAPES = [(3.0, 3.0), (2.0, 1.0), (911.0, 95.0), (423.0, 488.0),
-                *itertools.product([1.0001, 1.5, 37.0, 1e4], [1.0, 1.0001, 6.0, 1e4])]
+                *itertools.product([1.0001, 1.5, 37.0, 1e4], [1.0, 1.0001, 6.0, 1e4]),
+                *itertools.product([2.0, 200.0, 1000.0, 1e4], [10.0, 20.0])]
 
 
 def lattice_points(seed):
@@ -305,45 +307,53 @@ def lattice_points(seed):
 class TestBetaQuantile:
     @pytest.mark.parametrize("a, b", TABLE_SHAPES)
     def test_table_is_within_its_bound_of_the_incomplete_beta_inverse(self, a, b):
-        quantile, u = BetaQuantile(a, b), lattice_points(44)
-        assert quantile.coef is not None
-        assert np.abs(quantile(u) - special.betaincinv(a, b, u)).max() <= TABLE_ERROR
+        u = lattice_points(44)
+        assert distributions._beta_table(a, b) is not None
+        assert np.abs(beta_quantile(a, b, u) - special.betaincinv(a, b, u)).max() <= TABLE_ERROR
 
     @pytest.mark.parametrize("a, b", [(3.0, 3.0), (1e4, 1.0), (1.0001, 1e4), (1e4, 1e4)])
     def test_table_is_built_without_warnings_and_stays_in_the_unit_interval(self, a, b):
         u = lattice_points(45)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no inf or NaN arithmetic in the build
-            x = BetaQuantile(a, b)(u)
+            distributions._beta_table.cache_clear()
+            x = beta_quantile(a, b, u)
         assert x[0] == 0.0 and np.all((0 <= x) & (x <= 1))
-        assert BetaQuantile(a, b)(0.0) == 0.0
+        assert beta_quantile(a, b, 0.0) == 0.0
 
-    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (2.0, 0.9), (0.9, 2.0), (2e4, 3.0)])
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (2.0, 0.9), (0.9, 2.0), (2e4, 3.0),
+                                      (2e4, 10.0), (2e4, 20.0)])
     def test_a_shape_outside_the_table_inverts_exactly(self, a, b):
         u = lattice_points(46)
-        assert BetaQuantile(a, b).coef is None
-        assert np.array_equal(BetaQuantile(a, b)(u), special.betaincinv(a, b, u))
+        assert np.array_equal(beta_quantile(a, b, u), special.betaincinv(a, b, u))
 
     @pytest.mark.parametrize("b", [0.5, 3.0, 1e4])
     def test_a_equal_to_one_keeps_the_closed_form(self, b):
-        quantile = BetaQuantile(1.0, b)
-        assert quantile.coef is None
-        assert np.array_equal(quantile(substream(47, 0).uniform(size=100)),
+        u = substream(47, 0).uniform(size=100)
+        assert np.array_equal(beta_quantile(1.0, b, u), -np.expm1(np.log1p(-u) / b))
+        assert np.array_equal(beta_quantile(1.0, b, u),
                               sample_beta(1.0, b, substream(47, 0), size=100))
 
     def test_a_scalar_gives_the_bits_of_its_array_element(self):
-        quantile, u = BetaQuantile(3.0, 3.0), lattice_points(48)[:50]
-        x = quantile(u)
+        u = lattice_points(48)[:50]
+        x = beta_quantile(3.0, 3.0, u)
         for i in range(len(u)):
-            assert isinstance(quantile(float(u[i])), float) and quantile(float(u[i])) == x[i]
+            value = beta_quantile(3.0, 3.0, float(u[i]))
+            assert isinstance(value, float) and value == x[i]
 
-    def test_a_pickled_table_gives_the_same_bits(self):
-        quantile, u = BetaQuantile(911.0, 95.0), lattice_points(49)
-        assert np.array_equal(pickle.loads(pickle.dumps(quantile))(u), quantile(u))
+    def test_a_shape_is_tabulated_once(self, monkeypatch):
+        u = lattice_points(49)
+        x = beta_quantile(911.0, 95.0, u)
+        calls, betaincinv = [], special.betaincinv
+        monkeypatch.setattr(special, "betaincinv",
+                            lambda *args: calls.append(args) or betaincinv(*args))
+        assert np.array_equal(beta_quantile(911, 95, u), x) and calls == []
 
-    def test_shapes_are_checked(self):
-        with pytest.raises(ParameterError, match="^b must be positive and finite"):
-            BetaQuantile(2.0, 0.0)
+    @pytest.mark.parametrize("a, b, name", [(2.0, 0.0, "b"), (np.nan, 2.0, "a"),
+                                            (np.array([2.0, 3.0]), 2.0, "a")])
+    def test_shapes_are_checked(self, a, b, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be positive and finite"):
+            beta_quantile(a, b, 0.5)
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -705,6 +705,11 @@ class TestPreparedDraws:
         assert scenarios._interval(*draw(attempt_stream(6, 1, 0))) == want
         assert scenarios._interval(*prepare_draw(cfg, "prior")(attempt_stream(6, 1, 0))) != want
 
+    def test_a_prepared_binary_draw_pickles_as_its_cell_parameters(self):
+        # no quantile table travels with a share: each process keeps its own
+        draw = prepare_draw(make_config("binary_missing"), "prior")
+        assert len(pickle.dumps(draw)) < 200
+
     def test_prepare_raises_draw_set_errors(self):
         with pytest.raises(ParameterError, match="mode"):
             prepare_draw(make_config("binary_missing"), "sideways")
@@ -903,7 +908,8 @@ class TestPool:
     def test_a_forked_child_leaves_the_pool_running_at_its_exit(self, tmp_path):
         # the child's exit runs multiprocessing's exit hook, which would end
         # the parent's pool processes if they were daemons
-        _run_child(f"""
+        # and, as the child's own, join them, which fails with a traceback
+        stderr = _run_child(f"""
             import os, sys
             from partialid import scenarios
             from partialid.cli import RunConfig, run_scenario
@@ -915,6 +921,24 @@ class TestPool:
             os.waitpid(pid, 0)
             ((_, process),) = scenarios._pool
             assert process.is_alive()
+        """, timeout=60)
+        assert "Traceback" not in stderr, stderr
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or scenarios.max_workers() < 2,
+                        reason="reads /proc; needs two CPUs")
+    def test_the_pool_is_forked_whatever_the_default_start_method(self):
+        # a pool process started by a fork server would be that server's child
+        _run_child("""
+            import multiprocessing, os
+            from partialid import make_config, prepare_draw, scenarios
+            multiprocessing.set_start_method("forkserver")
+            scenarios.POOL_UNIFORMS = 0
+            draw = prepare_draw(make_config("binary_missing"), "prior")
+            scenarios.run_attempts(draw, 20, 3, 1, 2, "prior")
+            ((_, process),) = scenarios._pool
+            with open(f"/proc/{process.pid}/stat") as stat:
+                parent = int(stat.read().rsplit(")", 1)[1].split()[1])
+            assert parent == os.getpid(), (parent, os.getpid())
         """, timeout=60)
 
     @pytest.mark.skipif(scenarios.max_workers() < 2, reason="needs two CPUs")
@@ -1040,9 +1064,10 @@ class TestPool:
         """, timeout=120)
 
 
-def _run_child(code: str, timeout: float) -> None:
-    """Run ``code`` in a new interpreter within ``timeout`` seconds, and check
-    that it succeeds and that no process of its session outlives it."""
+def _run_child(code: str, timeout: float) -> str:
+    """Run ``code`` in a new interpreter within ``timeout`` seconds, check
+    that it succeeds and that no process of its session outlives it, and
+    return what it wrote to stderr."""
     src = str(Path(scenarios.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -1056,6 +1081,7 @@ def _run_child(code: str, timeout: float) -> None:
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.killpg(child.pid, signal.SIGKILL)
+    return stderr
 
 
 class TestToyOracles:
@@ -1178,17 +1204,30 @@ class TestBinaryTwoBetaDraw:
 
     def test_a_row_is_two_betas_then_the_gamma_uniform(self):
         # TestBlockEquivalence checks that each row is its own draw_set
-        from partialid.distributions import BetaQuantile
+        from partialid.distributions import beta_quantile
 
         cfg = make_config("binary_missing")
         a1, a2, a3 = cfg.hyper["alpha"]
-        hi_quantile, ratio_quantile = BetaQuantile(a1 + a3, a2), BetaQuantile(a1, a3)
         batch = draw_set_batch(cfg, "prior", 20, 13)
         for r, j in enumerate(batch.attempt_indices):
             u = attempt_stream(13, ROLE_PRIOR_SETS, j).uniform(3)
-            hi = hi_quantile(u[0])
+            hi = beta_quantile(a1 + a3, a2, u[0])
             assert (batch.lo[r], batch.hi[r], batch.gamma_uniforms[r]) == (
-                hi * ratio_quantile(u[1]), hi, u[2])
+                hi * beta_quantile(a1, a3, u[1]), hi, u[2])
+
+    @pytest.mark.parametrize("mode", ["prior", "posterior"])
+    def test_a_second_batch_of_the_same_shapes_builds_no_table(self, mode, monkeypatch):
+        from scipy import special
+
+        cfg = make_config("binary_missing", n=300)
+        data = generate_data(cfg, attempt_stream(14, ROLE_DATA, 0))
+        first = draw_set_batch(cfg, mode, 500, 14, dataset=data)
+        calls, betaincinv = [], special.betaincinv
+        monkeypatch.setattr(special, "betaincinv",
+                            lambda *args: calls.append(args) or betaincinv(*args))
+        second = draw_set_batch(cfg, mode, 500, 15, dataset=data)
+        assert calls == [] and np.all((0 <= second.lo) & (second.lo <= second.hi))
+        assert len(first) == len(second) == 500
 
     @pytest.mark.parametrize("mode", ["prior", "posterior"])
     @pytest.mark.parametrize("alpha", [*BAD_CELLS, [2.0, 3.0, 1.0, 4.0]])

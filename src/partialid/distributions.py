@@ -58,15 +58,16 @@ def beta_quantile(a: float, b: float, u):
     if coef is None:
         return special.betaincinv(a, b, u)
     u = np.asarray(u, dtype=float)
-    # ndtri(0) is -inf: clip before the step index is taken
-    s = (np.clip(special.ndtri(u), -_T_END, _T_END) + _T_END) / _STEP
+    # ndtri(0) is -inf: clip before the step index is taken (minimum and
+    # maximum, as np.clip's dispatch costs more than a chunk's few rho values)
+    s = (np.minimum(np.maximum(special.ndtri(u), -_T_END), _T_END) + _T_END) / _STEP
     k = np.minimum(s.astype(np.intp), _NODES - 2)
     s -= k
     x = coef[5][k]
     for c in coef[4::-1]:
         x *= s
         x += c[k]
-    return np.where(u > 0, np.clip(x, 0.0, 1.0), 0.0)[()]  # a scalar for a scalar u
+    return np.where(u > 0, np.minimum(np.maximum(x, 0.0), 1.0), 0.0)[()]  # a scalar for a scalar u
 
 
 @lru_cache(maxsize=128)  # about 12 KB a shape

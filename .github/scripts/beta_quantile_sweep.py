@@ -6,8 +6,9 @@ Beta(n, n0) for n in {2, 200, 1000, 10000} and n0 in {10, 20}, it takes the
 largest absolute difference between the quantile and ``betaincinv`` at
 40,000 uniforms on the 2**-53 lattice: 0, 2**-53, 1 - 2**-53, uniforms spread over [0, 1) and
 uniforms log-spaced into each tail.  Every shape with a != 1 must have a
-table, built without a RuntimeWarning; the sweep fails if one does not, or if
-any difference exceeds the documented bound of 1e-10.  The table's nodes come
+table, built without a RuntimeWarning, which then draws without one call to
+``betaincinv``; the sweep fails if one does not, or if any difference exceeds
+the documented bound of 1e-10.  The table's nodes come
 from the installed ``betaincinv``, so the sweep runs on each SciPy the tests
 run on.
 
@@ -20,7 +21,6 @@ import warnings
 import numpy as np
 from scipy import special
 
-from partialid import distributions
 from partialid.distributions import BETA_TABLE_SHAPES, beta_quantile
 
 BOUND = 1e-10
@@ -42,12 +42,16 @@ def main() -> int:
     warnings.simplefilter("error", RuntimeWarning)
     u = lattice_points(POINTS)
     errors, failures = {}, []
+    betaincinv, calls = special.betaincinv, []
+    special.betaincinv = lambda *args: calls.append(args) or betaincinv(*args)
     for a, b in SHAPES:
+        beta_quantile(a, b, 0.5)  # builds the shape's table
+        calls.clear()
         quantile = beta_quantile(a, b, u)
-        if a != 1 and distributions._beta_table(a, b) is None:
+        if a != 1 and calls:  # drawn by the fallback
             failures.append(f"({a:.6g}, {b:.6g}): no table")
             continue
-        errors[a, b] = float(np.abs(quantile - special.betaincinv(a, b, u)).max())
+        errors[a, b] = float(np.abs(quantile - betaincinv(a, b, u)).max())
         if not errors[a, b] <= BOUND:
             failures.append(f"({a:.6g}, {b:.6g}): error {errors[a, b]:.3g}")
     a, b = max(errors, key=errors.get)

@@ -508,8 +508,7 @@ def _attempt_pool(processes: int) -> list:
     """This process's pool of ``processes`` processes: kept across runs, replaced if resized."""
     if len(_pool) != processes:
         shutdown_attempt_pool()
-        # by fork on Linux, as the pool was measured (Python 3.14 makes
-        # forkserver the default there), elsewhere by the platform's default
+        # fork on Linux, as measured, whatever the start method (run_attempts)
         context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
         for _ in range(processes):
             here, there = context.Pipe()
@@ -622,7 +621,9 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
     (at most :data:`CHUNK_UNIFORMS`), the gamma uniform last.  This process's
     attempt pool is ``workers - 1`` processes, each with a pipe: the first
     split block starts it, later runs reuse it, and it ends at exit
-    (:func:`shutdown_attempt_pool`).  The pool serves one thread at a time:
+    (:func:`shutdown_attempt_pool`).  On Linux it forks them whatever start
+    method is set, so a process that runs threads should run at ``workers``
+    1.  The pool serves one thread at a time:
     runs in two threads at once at ``workers`` 2 or more would read each
     other's replies.  The main thread sends each pool process one later share
     of the block, computes the first share itself, and then reads the

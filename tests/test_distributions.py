@@ -304,12 +304,26 @@ def lattice_points(seed):
     return np.concatenate([[0.0, 2.0**-53, 1 - 2.0**-53], u[1000:], tails, 1 - tails])
 
 
+@pytest.fixture
+def betaincinv_calls(monkeypatch):
+    """The arguments of each call to ``special.betaincinv`` from here on."""
+    calls, betaincinv = [], special.betaincinv
+    monkeypatch.setattr(special, "betaincinv",
+                        lambda *args: calls.append(args) or betaincinv(*args))
+    return calls
+
+
 class TestBetaQuantile:
     @pytest.mark.parametrize("a, b", TABLE_SHAPES)
-    def test_table_is_within_its_bound_of_the_incomplete_beta_inverse(self, a, b):
+    def test_table_is_within_its_bound_of_the_incomplete_beta_inverse(self, a, b,
+                                                                       betaincinv_calls):
         u = lattice_points(44)
-        assert distributions._beta_table(a, b) is not None
-        assert np.abs(beta_quantile(a, b, u) - special.betaincinv(a, b, u)).max() <= TABLE_ERROR
+        exact = special.betaincinv(a, b, u)
+        beta_quantile(a, b, 0.5)  # builds the shape's table
+        betaincinv_calls.clear()
+        x = beta_quantile(a, b, u)
+        assert betaincinv_calls == []  # the table drew, not the fallback
+        assert np.abs(x - exact).max() <= TABLE_ERROR
 
     @pytest.mark.parametrize("a, b", [(3.0, 3.0), (1e4, 1.0), (1.0001, 1e4), (1e4, 1e4)])
     def test_table_is_built_without_warnings_and_stays_in_the_unit_interval(self, a, b):
@@ -341,13 +355,11 @@ class TestBetaQuantile:
             value = beta_quantile(3.0, 3.0, float(u[i]))
             assert isinstance(value, float) and value == x[i]
 
-    def test_a_shape_is_tabulated_once(self, monkeypatch):
+    def test_a_shape_is_tabulated_once(self, betaincinv_calls):
         u = lattice_points(49)
         x = beta_quantile(911.0, 95.0, u)
-        calls, betaincinv = [], special.betaincinv
-        monkeypatch.setattr(special, "betaincinv",
-                            lambda *args: calls.append(args) or betaincinv(*args))
-        assert np.array_equal(beta_quantile(911, 95, u), x) and calls == []
+        betaincinv_calls.clear()
+        assert np.array_equal(beta_quantile(911, 95, u), x) and betaincinv_calls == []
 
     @pytest.mark.parametrize("a, b, name", [(2.0, 0.0, "b"), (np.nan, 2.0, "a"),
                                             (np.array([2.0, 3.0]), 2.0, "a")])

@@ -553,21 +553,23 @@ if hasattr(os, "register_at_fork"):
 atexit.register(shutdown_attempt_pool)
 
 
+def _with_gamma_uniform(draw: Callable, source):
+    """``draw(source)``'s arrays, then each row's next uniform, the gamma uniform
+    of :func:`~partialid.priors.draw_gammas`: a copy, which pins no chunk's array."""
+    return (*draw(source), source.uniform().copy())
+
+
 def _task(draw: Callable, m: int, master_seed: int, streams: range):
-    """``(lo, hi, accept, gamma_uniforms)`` of the attempt streams ``streams``,
-    one row each, or the error they raised: one share of a block, whose
-    attempts read ``m`` uniforms each.  It computes the seed words of its
-    streams at once (:func:`~partialid.rng.seed_words`) and runs them in chunks
-    of at most :data:`CHUNK_UNIFORMS` uniforms
-    (:func:`~partialid.rng.stream_uniforms`), each row the interval's ``m``
-    uniforms and the gamma uniform last."""
+    """Each array ``draw`` returns for the attempt streams ``streams``, one row
+    each, or the error they raised: one share of a block, whose attempts read
+    ``m`` uniforms each.  It computes the seed words of its streams at once
+    (:func:`~partialid.rng.seed_words`) and runs them in chunks of at most
+    :data:`CHUNK_UNIFORMS` uniforms (:func:`~partialid.rng.stream_uniforms`)."""
     try:
         words = seed_words(master_seed, np.arange(streams.start, streams.stop, dtype=np.uint64))
-        step, parts = max(1, CHUNK_UNIFORMS // (m + 1)), []
-        for i in range(0, len(streams), step):
-            u = stream_uniforms(words[i:i + step], m + 1)
-            # a copy, so a chunk's array is freed before the outputs are joined
-            parts.append((*draw(UniformRows(u)), u[:, -1].copy()))
+        step = max(1, CHUNK_UNIFORMS // m)
+        parts = [draw(UniformRows(stream_uniforms(words[i:i + step], m)))
+                 for i in range(0, len(streams), step)]
         return tuple(np.concatenate(out) for out in zip(*parts))
     except Exception as exc:  # run_attempts raises it if it consumes the share
         return exc
@@ -608,50 +610,50 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
     order until ``n_draws`` are accepted.
 
     Attempt j uses the stream keyed by (master_seed, role, j), whatever the
-    worker count.  The uniforms m an attempt reads are counted once, here, by
-    one draw from a row of 0.5s: every variate is one uniform by inverse CDF,
-    with no rejection, so a row reads m whatever its uniforms.
-    The first block holds ``n_draws`` attempts, each top-up block as many as
-    the acceptance rate so far asks.
-    A block of at least :data:`POOL_UNIFORMS` uniforms (attempts times
-    ``m + 1``) is shares of ``ceil(len(block) / workers)`` attempts; a smaller
-    one, or any at ``workers`` 1, is one share.  A share (:func:`_task`)
-    carries only the draw, m and its attempt range, seeds its own streams and
-    runs them in chunks: attempt j's m uniforms are row j of the chunk's array
-    (at most :data:`CHUNK_UNIFORMS`), the gamma uniform last.  This process's
-    attempt pool is ``workers - 1`` processes, each with a pipe: the first
-    split block starts it, later runs reuse it, and it ends at exit
+    worker count.  The draw is wrapped once in :func:`_with_gamma_uniform`,
+    and the uniforms m an attempt of it reads are counted once, here, by one
+    draw from a row of 0.5s: every variate is one uniform by inverse CDF, with
+    no rejection, so a row reads m whatever its uniforms.  The first block
+    holds ``n_draws`` attempts, each top-up block as many as the acceptance
+    rate so far asks.  A block of at least :data:`POOL_UNIFORMS` uniforms
+    (attempts times m) is shares of ``ceil(len(block) / workers)`` attempts; a
+    smaller one, or any at ``workers`` 1, is one share (:func:`_task`), which
+    carries only the draw, m and its attempt range.  This process's attempt
+    pool is ``workers - 1`` processes, each with a pipe: the first split block
+    starts it, later runs reuse it, and it ends at exit
     (:func:`shutdown_attempt_pool`).  On Linux it forks them whatever start
     method is set, so a process that runs threads should run at ``workers``
-    1.  The pool serves one thread at a time:
-    runs in two threads at once at ``workers`` 2 or more would read each
-    other's replies.  The main thread sends each pool process one later share
-    of the block, computes the first share itself, and then reads the
-    replies in share order: an outcome, or the error the share raised.  A
-    process found dead has its share run here, which gives the same bytes,
-    and the pool is dropped; the next block starts another.  Shares are
-    consumed in attempt order, and every reply of a block is read before the
-    next block starts, those past the block's last acceptance, or after its
-    error, unopened; only then is that error raised.  A block left by any
-    other exception, such as an interrupt in the middle of a reply, drops
-    the pool instead, so no reply is left for a later block to read as its
-    own.  Attempts past the ``n_draws``-th acceptance are never counted and
-    their errors never raised; a consumed, accepted one without ``lo <= hi``
-    raises :class:`ParameterError`.  Returns
-    ``(attempt_indices, lo, hi, gamma_uniforms, skipped)``.  Raises
-    :class:`ParameterError` for a role outside ``[0, 2**32)`` or a count or
-    seed that is not an integer, and :class:`SkipBudgetError`, its message
-    opened by ``label``, when skips exhaust ``50 * n_draws + 1000`` attempts.
+    1.  The pool serves one thread at a time: runs in two threads at once at
+    ``workers`` 2 or more would read each other's replies.  The main thread
+    sends each pool process one later share of the block, computes the first
+    share itself, and then reads the replies in share order: an outcome, or
+    the error the share raised.  A process found dead has its share run here,
+    which gives the same bytes, and the pool is dropped; the next block
+    starts another.  Shares are consumed in attempt order, and every reply of
+    a block is read before the next block starts, those past the block's last
+    acceptance, or after its error, unopened; only then is that error raised.
+    A block left by any other exception, such as an interrupt in the middle
+    of a reply, drops the pool instead, so no reply is left for a later block
+    to read as its own.  Attempts past the ``n_draws``-th acceptance are
+    never counted and their errors never raised; a consumed, accepted one
+    without ``lo <= hi`` raises :class:`ParameterError`.  Returns
+    ``(attempt_indices, lo, hi, *columns, skipped)``: ``columns`` are the
+    accepted rows of each further array of the wrapped draw, the gamma
+    uniforms last.  Raises :class:`ParameterError` for a role outside
+    ``[0, 2**32)`` or a count or seed that is not an integer, and
+    :class:`SkipBudgetError`, its message opened by ``label``, when skips
+    exhaust ``50 * n_draws + 1000`` attempts.
     """
     base = _role_base(role)
     n_draws, workers = check_attempts(n_draws, workers)
     master_seed = as_int("master_seed", master_seed)  # before any pool or draw
     others = min(workers, max_workers()) - 1  # the pool's processes; this one draws too
+    draw = partial(_with_gamma_uniform, draw)
     probe = UniformRows(np.broadcast_to(0.5, (1, 2**40)))  # read-only: allocates nothing
     draw(probe)
     m = probe.at
     task = partial(_task, draw, m, master_seed)  # the outcome of a share, here or in the pool
-    taken = []  # (indices, lo, hi, gamma uniforms) of each share's acceptances
+    taken = []  # (indices, lo, hi, *columns) of each share's acceptances
     need, skipped, next_index = n_draws, 0, 0
     attempt_cap = min(50 * n_draws + 1000, 2**_ROLE_SHIFT)
     while need:
@@ -663,7 +665,7 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
         size = max(need, need * next_index // max(n_draws - need, 1))
         streams = range(base + next_index, base + min(next_index + size, attempt_cap))
         next_index = streams.stop - base
-        pool = _attempt_pool(others) if others and len(streams) * (m + 1) >= POOL_UNIFORMS else []
+        pool = _attempt_pool(others) if others and len(streams) * m >= POOL_UNIFORMS else []
         step = -(-len(streams) // (len(pool) + 1))
         shares = [streams[i:i + step] for i in range(0, len(streams), step)]
         sent, error = [], None  # the ends given the later shares, their replies unread
@@ -682,7 +684,7 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
                 if isinstance(outcome, Exception):  # a share's error, raised below
                     error = outcome
                     break
-                lo, hi, accept, u = outcome
+                lo, hi, accept, *columns = outcome
                 rows = np.flatnonzero(accept)[:need]
                 skipped += int(rows[-1] + 1 if len(rows) == need else len(share)) - len(rows)
                 first = share.start - base  # the attempt of row 0
@@ -691,7 +693,7 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
                     error = ParameterError(f"{label}: attempt {first + bad[0]} drew the "
                                            f"invalid interval [{lo[bad[0]]}, {hi[bad[0]]}]")
                     break
-                taken.append((first + rows, lo[rows], hi[rows], u[rows]))
+                taken.append((first + rows, lo[rows], hi[rows], *(c[rows] for c in columns)))
                 need -= len(rows)
                 if not need:
                     break
@@ -718,14 +720,12 @@ def draw_set_batch(
     """Collect ``n_draws`` accepted interval draws, skipping guard violations.
 
     Attempt j's interval is ``draw_set(cfg, mode, attempt_stream(master_seed,
-    role, j), dataset)`` and its ``gamma_uniforms`` entry, for
-    :func:`~partialid.priors.draw_gammas`, that stream's next uniform: an
-    attempt reads one stream, in order.  Every block of attempts is shares
-    that seed their own streams (:func:`run_attempts`), so the batch is
-    byte-identical for any worker count.  At ``workers`` 2 or more, the
-    blocks of at least :data:`POOL_UNIFORMS` uniforms are split with the
-    process's one attempt pool of processes fed through pipes, which the
-    first such block starts and an exit ends.
+    role, j), dataset)``.  :func:`run_attempts` keeps the accepted rows of
+    every array the draw returns, with that stream's next uniform appended
+    by its one wrapper: the ``gamma_uniforms`` entry, for
+    :func:`~partialid.priors.draw_gammas`.  Its shares seed their own streams,
+    so the batch is byte-identical for any worker count; at ``workers`` 2 or
+    more, large blocks are split with the process's one attempt pool.
     """
     if role is None:
         role = ROLE_PRIOR_SETS if mode == "prior" else ROLE_POSTERIOR_SETS

@@ -389,6 +389,12 @@ def _skip_most(source):
     return x, x, x >= 0.8
 
 
+def _skip_most_with_extra(source):
+    """:func:`_skip_most` with a fourth array per row: the attempt's next uniform."""
+    x = source.uniform()
+    return x, x, x >= 0.8, source.uniform()
+
+
 def _nan_at(poison, source):
     """:func:`_skip_most` with the attempt that draws ``poison`` accepted as a NaN interval."""
     lo, hi, accept = _skip_most(source)
@@ -579,7 +585,7 @@ class TestBlockEquivalence:
     @pytest.mark.parametrize("role", [2**32 - 1, np.int64(2**32 - 1)], ids=["int", "int64"])
     def test_the_top_role_reaches_the_last_stream_index(self, role):
         cfg = make_config("toy_analytic")
-        draw = prepare_draw(cfg, "prior")
+        draw = partial(scenarios._with_gamma_uniform, prepare_draw(cfg, "prior"))
         batch = draw_set_batch(cfg, "prior", 5, 3, role=role)
         # the share of the top attempts, its last one at stream index 2**64 - 1
         lo, hi, _, gammas = scenarios._task(draw, attempt_uniforms(draw), 3,
@@ -597,8 +603,9 @@ class TestBlockEquivalence:
     ])
     def test_an_attempt_reads_as_many_uniforms_whatever_they_are(self, monkeypatch, sid, mode,
                                                                   n):
-        # run_attempts counts the uniforms m of an attempt on a row of 0.5s; a
-        # stream's row must read m as well, as inverse-CDF variates do
+        # run_attempts counts the uniforms m of an attempt, its gamma uniform
+        # included, on a row of 0.5s; a stream's row must read m as well, as
+        # inverse-CDF variates do
         cfg = make_config(sid, n=n)
         data = generate_data(cfg, attempt_stream(8, ROLE_DATA, 0)) if n else None
         draw = prepare_draw(cfg, mode, data)
@@ -608,7 +615,7 @@ class TestBlockEquivalence:
         run_attempts(draw, 1, 8, ROLE_PRIOR_SETS, 1, "count")
         (m,) = set(counts)
         rows = UniformRows(stream_uniforms(seed_words(8, np.arange(3)), m + 20))
-        draw(rows)
+        scenarios._with_gamma_uniform(draw, rows)
         assert rows.at == m
 
     @pytest.mark.parametrize("mode", ["prior", "posterior"])
@@ -826,6 +833,24 @@ class TestPool:
         assert serial[4] > 0 and len(set(rows)) > 1  # topped up
         assert in_process_pool.sizes == [1, 2, 3, 1, 2, 3]
 
+    def test_every_array_a_draw_returns_is_kept_at_its_accepted_rows(self, monkeypatch,
+                                                                      in_process_pool):
+        # a fourth array rides through shares and 2-row chunks, the gamma uniform after it
+        monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
+        monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", 6)
+        serial = run_attempts(_skip_most_with_extra, 40, 21, 1, 1, "synthetic")
+        indices, lo, hi, extra, gammas, skipped = serial
+        assert len(indices) == 40 and skipped > 0
+        for j, row in zip(indices, zip(lo, extra, gammas)):
+            assert tuple(attempt_stream(21, 1, j).uniform(3)) == row  # x, extra, gamma
+        assert in_process_pool.submitted == []
+        pooled = run_attempts(_skip_most_with_extra, 40, 21, 1, 2, "synthetic")
+        assert in_process_pool.submitted
+        for a, b in zip(serial[:5], pooled[:5]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert serial[5] == pooled[5]
+
     def test_a_share_carries_its_attempt_range_not_its_seed_words(self, monkeypatch,
                                                                   in_process_pool):
         # every toy attempt is accepted, so a batch is one block, and at
@@ -847,7 +872,10 @@ class TestPool:
         cfg = make_config("interval_regression", n=1000)
         data = generate_data(cfg, attempt_stream(3, ROLE_DATA, 0))
         draw = prepare_draw(cfg, "posterior", data)
-        m, rows_cap = attempt_uniforms(draw), chunk_rows(draw)
+        rows_cap = chunk_rows(draw)
+        # the gamma column is a copy: a view would keep every chunk's array alive
+        draw = partial(scenarios._with_gamma_uniform, draw)
+        m = attempt_uniforms(draw)
         assert 500 >= 10 * rows_cap
         peaks = []
         for rows in (rows_cap, 500):

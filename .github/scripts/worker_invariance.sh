@@ -24,8 +24,9 @@ for sid in interval_censored errors_in_variables interval_regression binary_miss
     done
   done
 done
-# interval_censored's gamma uniform, the last column of each attempt row after
-# the two processes' sticks and one variate each: 126 prior rows a chunk
+# interval_censored's gamma uniform, appended to the draw's arrays by the
+# engine's one wrapper: the last column of each attempt row, after the two
+# processes' sticks and one variate each; 126 prior rows a chunk
 for w in $counts; do
   timeout 300 python -m partialid.cli run --scenario interval_censored --n 1000 \
     --prior-family II --n-draws 1000 --seed 7 --workers "$w" \

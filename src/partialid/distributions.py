@@ -46,9 +46,13 @@ def beta_quantile(a: float, b: float, u):
     ``betaincinv``, exactly 0 at u = 0 and clipped to [0, 1].  Any other
     shape, or a table with a coefficient that is not finite, inverts by
     ``betaincinv``.  The path is fixed by (a, b) alone, so a uniform gives the
-    same bits in every batch, chunk and process.
+    same bits in every batch, chunk and process.  A ``u`` outside [0, 1], NaN
+    too, raises :class:`ParameterError` on every path.
     """
     check_positive(a=a, b=b)  # before the cache: NaN and arrays raise here
+    u = as_reals("u", u)
+    if not ((0 <= u) & (u <= 1)).all():  # NaN fails both
+        raise ParameterError("u must lie in [0, 1]")
     if a == 1:
         # I_x(1, b) = 1 - (1 - x)**b inverts exactly
         return -np.expm1(np.log1p(-u) / b)
@@ -57,7 +61,6 @@ def beta_quantile(a: float, b: float, u):
     coef = _beta_table(float(a), float(b)) if inside else None
     if coef is None:
         return special.betaincinv(a, b, u)
-    u = np.asarray(u, dtype=float)
     # ndtri(0) is -inf: clip before the step index is taken (minimum and
     # maximum, as np.clip's dispatch costs more than a chunk's few rho values)
     s = (np.minimum(np.maximum(special.ndtri(u), -_T_END), _T_END) + _T_END) / _STEP

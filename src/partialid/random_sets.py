@@ -10,6 +10,7 @@ O((G + N) log N) time and O(G + N) memory for G grid points over N draws.
 
 from __future__ import annotations
 
+import reprlib
 import sys
 import warnings
 from dataclasses import dataclass
@@ -189,8 +190,9 @@ def credible_region(batch: SetDrawBatch, alpha: float) -> CredibleRegion:
     inside reaches alpha.  Monotone in alpha by construction; alpha = 1 gives
     the hull of all draws.
     """
-    if not 0 < as_reals("alpha", alpha) <= 1:  # NaN fails
-        raise ParameterError(f"alpha must lie in (0, 1], got {alpha}")
+    level = as_reals("alpha", alpha)
+    if level.shape or not 0 < level <= 1:  # one number; NaN fails
+        raise ParameterError(f"alpha must be one number in (0, 1], got {reprlib.repr(alpha)}")
     if batch.source != "posterior":
         raise ParameterError("credible regions are defined for posterior batches")
     _require_nonempty(batch)

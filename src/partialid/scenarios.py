@@ -597,11 +597,12 @@ def check_workers(workers: int) -> int:
 
 def check_attempts(n_draws: int, workers: int) -> tuple[int, int]:
     """Return ``n_draws`` and ``workers`` as ints; raise unless each is an
-    integer of at least 1.
-
-    A count above the CPUs is capped where it is used, not rejected here.
-    """
-    return as_int("n_draws", n_draws, 1), as_int("workers", workers, 1)
+    integer of at least 1 and ``n_draws`` at most 2**32, a role's attempts.
+    A worker count above the CPUs is capped where it is used, not rejected."""
+    n_draws = as_int("n_draws", n_draws, 1)
+    if n_draws > 2**_ROLE_SHIFT:
+        raise ParameterError(f"n_draws must be <= 2**{_ROLE_SHIFT}, got {n_draws}")
+    return n_draws, as_int("workers", workers, 1)
 
 
 def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,

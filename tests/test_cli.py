@@ -200,9 +200,10 @@ class TestRunScenario:
         ("interval_censored", {"alpha": "x"}, r"alpha .*'x'"),
         ("interval_censored", {"seed": 1.5}, r"seed must be an integer, got 1\.5"),
         ("toy_analytic", {"seed": "7"}, r"seed must be an integer, got '7'"),
+        ("toy_analytic", {"n_draws": 5_000_000_000}, r"n_draws must be <= 2\*\*32"),
     ], ids=["alpha_above_one", "unknown_family", "alpha_zero", "no_draws", "no_workers",
             "fractional_n", "fractional_draws", "text_draws", "fractional_workers",
-            "text_alpha", "fractional_seed", "text_seed"])
+            "text_alpha", "fractional_seed", "text_seed", "unreachable_draws"])
     def test_bad_option_fails_before_any_data_pool_or_draw(
             self, tmp_path, monkeypatch, scenario, option, match):
         from partialid import scenarios

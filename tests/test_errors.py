@@ -18,6 +18,7 @@ from partialid import (
     analytic_coverage_binary,
     analytic_coverage_toy,
     beta_cdf,
+    beta_quantile,
     binary_posterior_params,
     choose_truncation_level,
     count_binary,
@@ -37,6 +38,7 @@ from partialid import (
 )
 from partialid.distributions import cholesky_factor
 from partialid.errors import as_reals, check_finite, check_positive
+from partialid.scenarios import check_attempts
 
 # each entry point with one real parameter set to the value, and that
 # parameter's name as its ParameterError states it
@@ -73,6 +75,11 @@ FINITE = {
 
 _POSTERIOR = SetDrawBatch([0.0, 0.5], [1.0, 2.0], "posterior", "synthetic")
 
+# a shape of each of beta_quantile's three paths, and beta_quantile there with u set to the value
+BETA_PATHS = {"closed_form": (1.0, 3.0), "table": (3.0, 3.0), "betaincinv": (2e4, 3.0)}
+BETA_U = {f"beta_quantile({path})": (lambda v, a=a, b=b: beta_quantile(a, b, v), "u")
+          for path, (a, b) in BETA_PATHS.items()}
+
 # each entry point with one real number (a bound, a matrix entry, a grid point,
 # a datum, a draw; infinite or not) set to the value, and that number's name
 # as its ParameterError states it
@@ -85,6 +92,7 @@ REAL = {
         lambda v: sample_mvnormal([0.0, 0.0], [[v, 0.0], [0.0, 1.0]], substream(1, 0)),
         "covariance"),
     "beta_cdf(x)": (lambda v: beta_cdf(v, 1.0, 1.0), "x"),
+    **BETA_U,
     "make_config(grid)": (lambda v: make_config("toy_analytic", grid=[0.0, v]), "grid"),
     "Dataset(values)": (lambda v: Dataset("interval_censored", [[0.0, v]]), "values"),
     "binary_posterior_params(alpha)": (
@@ -107,6 +115,14 @@ REAL = {
     "credible_region(alpha)": (lambda v: credible_region(_POSTERIOR, v), "alpha"),
     "histogram(values)": (lambda v: histogram([0.5, v], 5, (0.0, 1.0)), "values"),
     "histogram(value_range)": (lambda v: histogram([0.5], 5, (v, 1.0)), "value_range"),
+}
+
+# each entry point with one number of [0, 1] set to the value, and that
+# number's name as its ParameterError states it
+UNIT = {
+    **BETA_U,
+    "analytic_coverage_binary(gamma)": (
+        lambda v: analytic_coverage_binary(v, (2.0, 3.0, 1.0)), "gamma"),
 }
 
 # each count with the value in its place
@@ -188,6 +204,39 @@ def test_a_bound_or_matrix_entry_must_be_a_real_number(entry, value):
     call, name = REAL[entry]
     with pytest.raises(ParameterError, match=f"^{name} must be real numbers"):
         call(value)
+
+
+@pytest.mark.parametrize("value", [1.5, -0.1, np.nan, [0.5, 1.5]],
+                         ids=["above", "below", "nan", "list"])
+@pytest.mark.parametrize("entry", UNIT)
+def test_a_number_of_the_unit_interval_must_lie_in_it(entry, value):
+    # beta_quantile raised numpy's untyped IndexError at a tabulated shape,
+    # and returned NaN at the others
+    call, name = UNIT[entry]
+    with pytest.raises(ParameterError, match=rf"^{name} must lie in \[0, 1\]"):
+        call(value)
+
+
+@pytest.mark.parametrize("a, b", BETA_PATHS.values(), ids=BETA_PATHS)
+def test_every_beta_path_takes_a_list_of_uniforms(a, b):
+    # the closed form raised TypeError for a list
+    u = [0.0, 0.25, 0.75]
+    np.testing.assert_array_equal(beta_quantile(a, b, u), beta_quantile(a, b, np.array(u)))
+
+
+@pytest.mark.parametrize("alpha", [[0.9, 0.95], np.array([0.9]), np.nan],
+                         ids=["two", "one_element_array", "nan"])
+def test_a_credible_level_is_one_number_in_0_1(alpha):
+    # an array of two raised numpy's "truth value of an array is ambiguous"
+    with pytest.raises(ParameterError, match=r"^alpha must be one number in \(0, 1\], got "):
+        credible_region(_POSTERIOR, alpha)
+
+
+def test_a_draw_count_no_role_reaches_fails_before_any_draw():
+    # a role has 2**32 attempts; a larger count was blamed on skips, "0 skips in 0 attempts"
+    assert check_attempts(2**32, 1) == (2**32, 1)
+    with pytest.raises(ParameterError, match=r"^n_draws must be <= 2\*\*32, got 4294967297$"):
+        draw_set_batch(make_config("toy_analytic"), "prior", 2**32 + 1, 0)
 
 
 @pytest.mark.parametrize("value_range", [(0.0, 1.0, 5.0), (1.0,), 5.0, [[0.0], [1.0]], []],

@@ -15,7 +15,8 @@ place of K atoms, and every digest of the four ``binary_missing`` runs when
 its interval [p1, p1 + p3] became two Beta draws in place of a three-cell
 Dirichlet draw, and its ``intervals.csv`` and ``summary.json`` digests again
 when those two Betas were drawn through a quantile table
-(``distributions.BetaQuantile``) in place of ``betaincinv`` (all deliberate
+(``distributions.BetaQuantile``, since replaced by the same table in
+``distributions.beta_quantile``) in place of ``betaincinv`` (all deliberate
 numeric changes); every other digest is as first recorded.  A change that
 moves them on purpose must say so in CHANGES.md.
 """

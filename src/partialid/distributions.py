@@ -38,7 +38,7 @@ _STEP = 2 * _T_END / (_NODES - 1)
 
 
 def beta_quantile(a: float, b: float, u):
-    """The Beta(a, b) quantile of each uniform in ``u``, the path of every Beta variate.
+    """The Beta(a, b) quantile of each uniform in ``u``, the one quantile of every Beta variate.
 
     It is the closed form at ``a == 1``.  With both shapes in
     :data:`BETA_TABLE_SHAPES` it is a table built once per shape per process
@@ -47,12 +47,18 @@ def beta_quantile(a: float, b: float, u):
     shape, or a table with a coefficient that is not finite, inverts by
     ``betaincinv``.  The path is fixed by (a, b) alone, so a uniform gives the
     same bits in every batch, chunk and process.  A ``u`` outside [0, 1], NaN
-    too, raises :class:`ParameterError` on every path.
+    too, raises :class:`ParameterError`; :func:`sample_beta` skips that
+    check, as a stream's uniforms lie in [0, 1).
     """
-    check_positive(a=a, b=b)  # before the cache: NaN and arrays raise here
     u = as_reals("u", u)
     if not ((0 <= u) & (u <= 1)).all():  # NaN fails both
         raise ParameterError("u must lie in [0, 1]")
+    return _beta_quantile(a, b, u)
+
+
+def _beta_quantile(a: float, b: float, u):
+    """:func:`beta_quantile` of uniforms known to lie in [0, 1]."""
+    check_positive(a=a, b=b)  # before the cache: NaN and arrays raise here
     if a == 1:
         # I_x(1, b) = 1 - (1 - x)**b inverts exactly
         return -np.expm1(np.log1p(-u) / b)
@@ -61,6 +67,7 @@ def beta_quantile(a: float, b: float, u):
     coef = _beta_table(float(a), float(b)) if inside else None
     if coef is None:
         return special.betaincinv(a, b, u)
+    u = np.asarray(u, dtype=float)
     # ndtri(0) is -inf: clip before the step index is taken (minimum and
     # maximum, as np.clip's dispatch costs more than a chunk's few rho values)
     s = (np.minimum(np.maximum(special.ndtri(u), -_T_END), _T_END) + _T_END) / _STEP
@@ -108,7 +115,7 @@ def _beta_table(a: float, b: float) -> np.ndarray | None:
 
 def sample_beta(a: float, b: float, rng: RngStream, size=None):
     """Beta(a, b) draws: :func:`beta_quantile` of ``size`` uniforms."""
-    return beta_quantile(a, b, rng.uniform(size))
+    return _beta_quantile(a, b, rng.uniform(size))
 
 
 def sample_normal(mu: float, sigma2: float, rng: RngStream, size=None):

@@ -51,9 +51,9 @@ from .distributions import (
     EIGEN_FLOOR,
     ScalarNormal,
     beta_cdf,
-    beta_quantile,
     cholesky_factor,
     psd_repair,
+    sample_beta,
     sample_mvnormal,
     sample_normal,
 )
@@ -367,8 +367,8 @@ def _binary_draw(a1, a2, a3, source):
     # [p1, p1 + p3] of a Dirichlet(a1, a2, a3) draw p, from two Betas: by
     # aggregation p1 + p3 ~ Beta(a1 + a3, a2), and by neutrality
     # p1 / (p1 + p3) ~ Beta(a1, a3), independent of it
-    hi = beta_quantile(a1 + a3, a2, source.uniform())
-    lo = hi * beta_quantile(a1, a3, source.uniform())
+    hi = sample_beta(a1 + a3, a2, source)
+    lo = hi * sample_beta(a1, a3, source)
     return lo, hi, np.ones(np.shape(hi), dtype=bool)
 
 

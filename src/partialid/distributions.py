@@ -38,7 +38,7 @@ _STEP = 2 * _T_END / (_NODES - 1)
 
 
 def beta_quantile(a: float, b: float, u):
-    """The Beta(a, b) quantile of each uniform in ``u``, the one quantile of every Beta variate.
+    """The Beta(a, b) quantile of each uniform in ``u``, the path of every Beta variate.
 
     It is the closed form at ``a == 1``.  With both shapes in
     :data:`BETA_TABLE_SHAPES` it is a table built once per shape per process

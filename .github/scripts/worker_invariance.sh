@@ -3,12 +3,12 @@
 # on more CPUs, nproc (where more than one pool process draws), and compares
 # every CSV byte for byte with the workers-1 run; last, one process runs three
 # scenarios at workers 2 through one shared pool.  The golden runs use 100
-# draws, which never fill more than one chunk.  Process means are stacked
-# matmuls, one BLAS call per row, which every numpy must dispatch per row
-# whatever the chunk a row is in, and row-wise sums; binary_missing's short
-# rows come from rng.pcg64_uniforms, in every chunk.  Each python command runs
-# under `timeout 300`, so a pool that cannot shut down fails the step rather
-# than hanging the job.
+# draws, which fill at most two chunks (scenarios.chunk_rows: 64 rows or more
+# at n = 1000).  Process means are stacked matmuls, one BLAS call per row,
+# which every numpy must dispatch per row whatever the chunk a row is in, and
+# row-wise sums; binary_missing's short rows come from rng.pcg64_uniforms, in
+# every chunk.  Each python command runs under `timeout 300`, so a pool that
+# cannot shut down fails the step rather than hanging the job.
 #
 # Usage: PYTHONPATH=src .github/scripts/worker_invariance.sh OUT_DIR
 set -euo pipefail
@@ -43,6 +43,16 @@ for w in $counts; do
     --out-dir "$out/s$w" > /dev/null
   for f in coverage.csv intervals.csv gamma_hist.csv; do
     cmp "$out/s1/binary_missing_seed7/$f" "$out/s$w/binary_missing_seed7/$f"
+  done
+done
+# rows longer than the buffer's cap of 2**18 uniforms: an interval_censored
+# posterior at n = 100000 reads 200262 uniforms an attempt, one row a chunk,
+# and its 20 attempts cross scenarios.POOL_UNIFORMS
+for w in $counts; do
+  timeout 300 python -m partialid.cli run --scenario interval_censored --n 100000 \
+    --n-draws 20 --seed 7 --workers "$w" --out-dir "$out/b$w" > /dev/null
+  for f in coverage.csv intervals.csv; do
+    cmp "$out/b1/interval_censored_seed7/$f" "$out/b$w/interval_censored_seed7/$f"
   done
 done
 # one process runs the three Dirichlet-process scenarios back to back at

@@ -46,14 +46,19 @@ def beta_quantile(a: float, b: float, u):
     ``betaincinv``, exactly 0 at u = 0 and clipped to [0, 1].  Any other
     shape, or a table with a coefficient that is not finite, inverts by
     ``betaincinv``.  The path is fixed by (a, b) alone, so a uniform gives the
-    same bits in every batch, chunk and process.  A ``u`` outside [0, 1], NaN
-    too, raises :class:`ParameterError`; :func:`sample_beta` skips that
-    check, as a stream's uniforms lie in [0, 1).
+    same bits in every batch, chunk and process.  At u = 1 it is exactly 1 on
+    every path, with no warning.  A ``u`` outside [0, 1], NaN too, raises
+    :class:`ParameterError`; :func:`sample_beta` skips that check and the
+    u = 1 case, as a stream's uniforms lie in [0, 1).
     """
     u = as_reals("u", u)
     if not ((0 <= u) & (u <= 1)).all():  # NaN fails both
         raise ParameterError("u must lie in [0, 1]")
-    return _beta_quantile(a, b, u)
+    top = u == 1
+    if not top.any():
+        return _beta_quantile(a, b, u)
+    # the closed form would take log1p(-1), the table its value at t = 8.3
+    return np.where(top, 1.0, _beta_quantile(a, b, np.where(top, 0.0, u)))[()]
 
 
 def _beta_quantile(a: float, b: float, u):

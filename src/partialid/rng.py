@@ -215,11 +215,12 @@ def _pcg64_step(hi, lo, inc_hi, inc_lo):
     return new_hi, new_lo
 
 
-def pcg64_uniforms(words: np.ndarray, m: int) -> np.ndarray:
+def pcg64_uniforms(words: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
     """``Generator(PCG64(seed)).random(m)`` for every row of seed words at once.
 
     ``words`` is ``(n, 4)`` uint64, each row the four words PCG64 takes from
-    its seed sequence; the result is ``(n, m)``, bit for bit as numpy draws it.
+    its seed sequence; the result is ``(n, m)``, bit for bit as numpy draws it,
+    written into ``out`` if given, a C-contiguous ``(n, m)`` float array.
     """
     states = np.empty((2, m, len(words)), dtype=np.uint64)  # hi, lo of each step
     with np.errstate(over="ignore"):
@@ -235,24 +236,27 @@ def pcg64_uniforms(words: np.ndarray, m: int) -> np.ndarray:
         # XSL-RR: (hi ^ lo) rotated right by the top 6 bits of the state
         hi, lo = states
         rot = hi >> _U58
-        out = hi ^ lo
-        out = (out >> rot) | (out << ((_U64 - rot) & _U63))
+        bits = hi ^ lo
+        bits = (bits >> rot) | (bits << ((_U64 - rot) & _U63))
     # a double from the top 53 bits; C order, as row-wise reductions expect
-    return np.ascontiguousarray((out >> _U11).T * 2.0**-53)
+    return np.multiply((bits >> _U11).T, 2.0**-53,
+                       out=np.empty((len(words), m)) if out is None else out)
 
 
-def stream_uniforms(words: np.ndarray, m: int) -> np.ndarray:
+def stream_uniforms(words: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
     """The first ``m`` uniforms of the stream of each row of seed words.
 
     ``words`` is ``(n, 4)`` uint64, row r the :func:`seed_words` of a stream;
     row r of the result is that stream's ``uniform(m)``, drawn without
     building the stream.  Up to :data:`SHORT_ROW` uniforms, all rows are
     computed at once (:func:`pcg64_uniforms`), longer rows by one generator
-    each.
+    each.  With ``out``, a C-contiguous float array of at least n rows of
+    ``m``, the rows are written into its leading n rows, and the result is
+    that view of it: a caller that draws many chunks reuses one buffer.
     """
+    out = np.empty((len(words), m)) if out is None else out[:len(words)]
     if m <= SHORT_ROW:
-        return pcg64_uniforms(words, m)
-    out = np.empty((len(words), m))
+        return pcg64_uniforms(words, m, out)
     for row, seed in zip(out, words):
         np.random.Generator(np.random.PCG64(_SeedRow(seed))).random(out=row)
     return out

@@ -488,8 +488,8 @@ def draw_set(
 
 # --- batch assembly ----------------------------------------------------------
 
-#: Most uniforms a chunk's array holds (256 KB of doubles), so a batch's
-#: memory does not grow with its size or its data.
+#: Uniforms, as whole rows, of a chunk (256 KB of doubles) where that is more
+#: rows than the 64-row floor of :func:`chunk_rows`, as for short rows.
 CHUNK_UNIFORMS = 2**15
 
 #: Fewest uniforms, attempts times uniforms per attempt, of a block that is
@@ -500,6 +500,27 @@ CHUNK_UNIFORMS = 2**15
 #: and 4095 toy uniforms 1.3x to 2.1x; end to end, 2**17 beat 2**18 in 10 of 10
 #: alternating parallel_posterior pairs.
 POOL_UNIFORMS = 2**17
+
+
+def chunk_rows(m: int) -> int:
+    """The rows of a chunk of attempts that read ``m`` uniforms each: the one chunk rule.
+
+    A chunk has ``CHUNK_UNIFORMS // m`` rows, and at least 64 while 64 rows
+    hold at most 2**18 uniforms (2 MB); at least one, whatever ``m``.  So a
+    chunk's buffer holds at most max(2**18, ``m``) uniforms at any batch size
+    or n, and a share reuses one (:func:`_task`).  A draw call has a fixed cost
+    of 70 to 190 µs, which the 14 to 21 rows that 2**15 uniforms give a
+    study-size posterior did not spread; 48 to 96 rows ran alike, 128 and 256 slowed the
+    interval_regression posterior, and a pure uniform count (2**16 or 2**17)
+    slowed the errors_in_variables prior, whose draw builds (rows, 5, k)
+    features.  At n = 1000, with the gamma uniform: toy_analytic and
+    binary_missing (m = 3) run 10922 rows a chunk, interval_censored's prior
+    (m = 260) 126, errors_in_variables' prior 65, and the other four
+    Dirichlet-process batches (m up to 2262) 64; none meets the 2**18 cap,
+    which leaves 1 or 2 posterior rows at n = 10**5, and one row at m = 10**6.
+    """
+    return max(1, CHUNK_UNIFORMS // m, min(64, 2**18 // m))
+
 
 _pool = []  # [(parent's end of a pipe, pool process)]: the pool this process's runs share
 
@@ -555,21 +576,27 @@ atexit.register(shutdown_attempt_pool)
 
 def _with_gamma_uniform(draw: Callable, source):
     """``draw(source)``'s arrays, then each row's next uniform, the gamma uniform
-    of :func:`~partialid.priors.draw_gammas`: a copy, which pins no chunk's array."""
-    return (*draw(source), source.uniform().copy())
+    of :func:`~partialid.priors.draw_gammas`."""
+    return (*draw(source), source.uniform())
 
 
 def _task(draw: Callable, m: int, master_seed: int, streams: range):
     """Each array ``draw`` returns for the attempt streams ``streams``, one row
     each, or the error they raised: one share of a block, whose attempts read
     ``m`` uniforms each.  It computes the seed words of its streams at once
-    (:func:`~partialid.rng.seed_words`) and runs them in chunks of at most
-    :data:`CHUNK_UNIFORMS` uniforms (:func:`~partialid.rng.stream_uniforms`)."""
+    (:func:`~partialid.rng.seed_words`) and runs them in chunks of
+    :func:`chunk_rows` rows, each drawn into one buffer of the share
+    (:func:`~partialid.rng.stream_uniforms`); an array the draw returns that
+    is a view of the buffer is copied before the next chunk overwrites it."""
     try:
         words = seed_words(master_seed, np.arange(streams.start, streams.stop, dtype=np.uint64))
-        step = max(1, CHUNK_UNIFORMS // m)
-        parts = [draw(UniformRows(stream_uniforms(words[i:i + step], m)))
-                 for i in range(0, len(streams), step)]
+        rows = min(chunk_rows(m), len(streams))
+        buffer = np.empty((rows, m))
+        parts = []
+        for i in range(0, len(streams), rows):
+            u = stream_uniforms(words[i:i + rows], m, out=buffer)
+            parts.append([a.copy() if np.may_share_memory(a, buffer) else a
+                          for a in draw(UniformRows(u))])
         return tuple(np.concatenate(out) for out in zip(*parts))
     except Exception as exc:  # run_attempts raises it if it consumes the share
         return exc

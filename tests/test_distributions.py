@@ -355,6 +355,20 @@ class TestBetaQuantile:
             value = beta_quantile(3.0, 3.0, float(u[i]))
             assert isinstance(value, float) and value == x[i]
 
+    @pytest.mark.parametrize("a, b", [(1.0, 3.0), (3.0, 3.0), (0.5, 0.5)],
+                             ids=("closed_form", "table", "betaincinv"))
+    def test_u_equal_to_one_gives_exactly_one_on_every_path(self, a, b):
+        u = lattice_points(50)[:20]
+        u[[3, 11]] = 1.0
+        rest = np.ones(len(u), dtype=bool)
+        rest[[3, 11]] = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no log1p(-1) on the closed form
+            assert beta_quantile(a, b, 1.0) == 1.0
+            x = beta_quantile(a, b, u)
+        assert x[3] == x[11] == 1.0
+        assert x[rest].tobytes() == beta_quantile(a, b, u[rest]).tobytes()
+
     def test_a_shape_is_tabulated_once(self, betaincinv_calls):
         u = lattice_points(49)
         x = beta_quantile(911.0, 95.0, u)

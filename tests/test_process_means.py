@@ -105,7 +105,7 @@ def attempt_uniforms(draw):
 
 def chunk_rows(draw):
     """The rows of a chunk of ``draw``'s attempts, each with its gamma uniform."""
-    return max(1, scenarios.CHUNK_UNIFORMS // (1 + attempt_uniforms(draw)))
+    return scenarios.chunk_rows(1 + attempt_uniforms(draw))
 
 
 def stream_rows(master_seed, rows, m):

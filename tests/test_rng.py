@@ -123,6 +123,21 @@ def test_only_long_rows_build_a_generator_per_row(monkeypatch):
         stream_uniforms(words, SHORT_ROW + 1)
 
 
+@pytest.mark.parametrize("m", (3, SHORT_ROW, SHORT_ROW + 1, 300))
+def test_rows_drawn_into_a_reused_buffer_equal_fresh_rows(m):
+    # chunks of 4 rows into one buffer, the last chunk of 2 rows shorter than it
+    words = seed_words(5, indices_of(range(100, 110)))
+    fresh = stream_uniforms(words, m)
+    buffer = np.full((4, m), np.nan)
+    for start in range(0, 10, 4):
+        rows = stream_uniforms(words[start:start + 4], m, out=buffer)
+        assert rows.base is buffer
+        assert rows.shape == (min(4, 10 - start), m) and rows.flags.c_contiguous
+        assert rows.tobytes() == fresh[start:start + 4].tobytes()
+    # the short last chunk leaves the buffer's later rows as the chunk before wrote them
+    assert buffer[2:].tobytes() == fresh[6:8].tobytes()
+
+
 PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
 M64, M128 = 2**64 - 1, 2**128
 

@@ -410,6 +410,43 @@ def _raise_at(poison, source, error=RuntimeError):
     return lo, hi, accept
 
 
+def _views(source):
+    """A synthetic long-row draw whose arrays, accept aside, are views of its uniforms."""
+    x = source.uniform(100)
+    return x[..., 0], x[..., 0], x[..., 1] >= 0.2, x[..., 2]
+
+
+def _copies(source):
+    """:func:`_views` with each array a copy."""
+    return tuple(np.copy(a) for a in _views(source))
+
+
+def _long_row(source):
+    """A synthetic draw that reads 299999 uniforms an attempt."""
+    x = source.uniform(299_999)
+    return x[..., 0], x[..., 0], np.ones(x.shape[:-1], dtype=bool)
+
+
+def chunks_drawn(monkeypatch):
+    """The rows and buffer shape of each chunk :func:`scenarios._task` draws in
+    this process, in call order."""
+    drawn, fill = [], scenarios.stream_uniforms
+
+    def counted(words, m, out):
+        drawn.append((len(words), out.shape))
+        return fill(words, m, out=out)
+
+    monkeypatch.setattr(scenarios, "stream_uniforms", counted)
+    return drawn
+
+
+def force_chunk_rows(monkeypatch, rows):
+    """Chunks of ``rows`` rows, under the floor of :func:`scenarios.chunk_rows`;
+    returns :func:`chunks_drawn`."""
+    monkeypatch.setattr(scenarios, "chunk_rows", lambda m: rows)
+    return chunks_drawn(monkeypatch)
+
+
 def _slow_elsewhere(here, poison, source):
     """:func:`_nan_at`, a second slower in any process but ``here``."""
     if os.getpid() != here:
@@ -487,14 +524,16 @@ class TestDrawSetBatch:
             if u >= 0.8:
                 expected.append((j, u, rng.uniform()))
             j += 1
-        # 14 uniforms make chunks of 7 rows, so blocks span many chunks
-        for chunk_uniforms in (scenarios.CHUNK_UNIFORMS, 14):
-            monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", chunk_uniforms)
+        # the rule's chunks, then chunks of 7 rows, so blocks span many chunks
+        for rows in (None, 7):
+            if rows:
+                chunks = force_chunk_rows(monkeypatch, rows)
             indices, lo, hi, gammas, skipped = run_attempts(_skip_most, 40, 21, 1, 1, "synthetic")
             assert indices.tolist() == [i for i, _, _ in expected]
             assert lo.tolist() == hi.tolist() == [u for _, u, _ in expected]
             assert gammas.tolist() == [g for _, _, g in expected]
             assert skipped == j - 40
+        assert len(chunks) >= 10 and max(r for r, _ in chunks) == 7
 
     def test_attempts_past_the_last_acceptance_are_not_consumed(self, monkeypatch,
                                                                  pool_sizes):
@@ -503,7 +542,7 @@ class TestDrawSetBatch:
         late = attempt_stream(21, 1, indices[-1] + 1).uniform()
         monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
         monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)  # split every block
-        monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", 2)  # one attempt per chunk
+        chunks = force_chunk_rows(monkeypatch, 1)  # one attempt per chunk
         for workers in (1, 2):
             # a bad row is masked in its chunk; only a consumed one raises
             late_nan = partial(_nan_at, late)
@@ -518,6 +557,7 @@ class TestDrawSetBatch:
         with pytest.raises(RuntimeError, match="past the last acceptance"):
             run_attempts(late_raise, 11, 21, 1, 2, "synthetic")
         assert pool_sizes == [1]  # one pool for the process
+        assert len(chunks) >= 10 and {r for r, _ in chunks} == {1}
 
     def test_posterior_batch_concentrates(self):
         cfg = make_config("interval_censored", n=400)
@@ -540,7 +580,7 @@ def attempt_uniforms(draw):
 
 def chunk_rows(draw):
     """The rows of a chunk of ``draw``'s attempts, each with its gamma uniform."""
-    return max(1, scenarios.CHUNK_UNIFORMS // (1 + attempt_uniforms(draw)))
+    return scenarios.chunk_rows(1 + attempt_uniforms(draw))
 
 
 class TestBlockEquivalence:
@@ -556,9 +596,9 @@ class TestBlockEquivalence:
         cfg = make_config(sid, n=n if has_data else None)
         data = generate_data(cfg, attempt_stream(9, ROLE_DATA, 0)) if has_data else None
         # chunks of 7 rows, so the batch spans several chunks and top-up blocks
-        widest = 1 + attempt_uniforms(prepare_draw(cfg, mode, data))
-        monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", 7 * widest)
+        chunks = force_chunk_rows(monkeypatch, 7)
         batch = draw_set_batch(cfg, mode, 40, 9, dataset=data)
+        assert len(chunks) >= 6
         role = ROLE_PRIOR_SETS if mode == "prior" else ROLE_POSTERIOR_SETS
         rows = dict(zip(batch.attempt_indices.tolist(), range(len(batch))))
         for j in range(batch.attempt_indices[-1] + 1):
@@ -797,8 +837,9 @@ class TestPool:
 
     def test_workers_1_runs_each_block_as_one_share_without_a_pool(self, monkeypatch, shares,
                                                                    in_process_pool):
-        monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", 14)  # 7-row chunks
+        chunks = force_chunk_rows(monkeypatch, 7)
         indices = run_attempts(_skip_most, 40, 21, 1, 1, "synthetic")[0] + 2**32
+        assert len(chunks) >= 10  # the first share alone spans 6
         assert shares[0] == range(2**32, 2**32 + 40)  # the whole first block
         assert all(a.stop == b.start for a, b in zip(shares, shares[1:]))
         for k, streams in enumerate(shares[1:]):  # a top-up block asks for at least `need`
@@ -814,12 +855,12 @@ class TestPool:
         monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
         cfg = make_config("interval_censored", n=1000)
         data = generate_data(cfg, attempt_stream(5, ROLE_DATA, 0))
-        # 14 rows a chunk against shares of 50 to 100 attempts; _skip_most tops
-        # its blocks up after skips, and 14 uniforms make its chunks 7 rows
-        for draw, n_draws, chunk_uniforms in [
-                (prepare_draw(cfg, "posterior", data), 200, scenarios.CHUNK_UNIFORMS),
-                (_skip_most, 40, 14)]:
-            monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", chunk_uniforms)
+        # the rule's 64 rows a chunk against shares of 150 to 300 attempts;
+        # _skip_most tops its blocks up after skips, in chunks of 7 rows
+        for draw, n_draws, forced in [(prepare_draw(cfg, "posterior", data), 600, None),
+                                      (_skip_most, 40, 7)]:
+            if forced:
+                chunks = force_chunk_rows(monkeypatch, forced)
             in_process_pool.submitted.clear()
             serial = run_attempts(draw, n_draws, 5, ROLE_POSTERIOR_SETS, 1, "s")
             assert len(serial[0]) == n_draws
@@ -831,6 +872,7 @@ class TestPool:
             rows = [len(streams) for *_, streams in in_process_pool.submitted]
             assert any(r >= 2 * chunk_rows(draw) for r in rows), rows
         assert serial[4] > 0 and len(set(rows)) > 1  # topped up
+        assert len(chunks) >= 20
         assert in_process_pool.sizes == [1, 2, 3, 1, 2, 3]
 
     def test_every_array_a_draw_returns_is_kept_at_its_accepted_rows(self, monkeypatch,
@@ -838,7 +880,7 @@ class TestPool:
         # a fourth array rides through shares and 2-row chunks, the gamma uniform after it
         monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
         monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
-        monkeypatch.setattr(scenarios, "CHUNK_UNIFORMS", 6)
+        chunks = force_chunk_rows(monkeypatch, 2)
         serial = run_attempts(_skip_most_with_extra, 40, 21, 1, 1, "synthetic")
         indices, lo, hi, extra, gammas, skipped = serial
         assert len(indices) == 40 and skipped > 0
@@ -850,6 +892,7 @@ class TestPool:
         for a, b in zip(serial[:5], pooled[:5]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert serial[5] == pooled[5]
+        assert len(chunks) >= 20
 
     def test_a_share_carries_its_attempt_range_not_its_seed_words(self, monkeypatch,
                                                                   in_process_pool):
@@ -868,17 +911,17 @@ class TestPool:
         assert sizes[1] <= sizes[0] + 16, sizes
 
     def test_a_share_peak_memory_does_not_grow_with_its_rows(self):
-        # one chunk (17 rows at n=1000) against a 500-row share of many chunks
+        # one chunk (64 rows at n=1000) against a 1000-row share of many chunks
         cfg = make_config("interval_regression", n=1000)
         data = generate_data(cfg, attempt_stream(3, ROLE_DATA, 0))
         draw = prepare_draw(cfg, "posterior", data)
         rows_cap = chunk_rows(draw)
-        # the gamma column is a copy: a view would keep every chunk's array alive
+        # the gamma column, a view of the share's one buffer, is copied chunk by chunk
         draw = partial(scenarios._with_gamma_uniform, draw)
         m = attempt_uniforms(draw)
-        assert 500 >= 10 * rows_cap
+        assert 1000 >= 10 * rows_cap
         peaks = []
-        for rows in (rows_cap, 500):
+        for rows in (rows_cap, 1000):
             tracemalloc.start()
             try:
                 scenarios._task(draw, m, 3, range(rows))
@@ -886,6 +929,55 @@ class TestPool:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_draw_returning_views_of_its_uniforms_gives_the_same_bytes(self, monkeypatch,
+                                                                         workers):
+        # 101 uniforms an attempt make 324-row chunks, several to a share; each
+        # chunk overwrites the share's one buffer, so _task copies every view of it
+        monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
+        chunks = chunks_drawn(monkeypatch)
+        views = run_attempts(_views, 2000, 4, 1, workers, "views")
+        assert len(chunks) >= 3 and chunks[0] == (324, (324, 101))
+        copies = run_attempts(_copies, 2000, 4, 1, workers, "copies")
+        assert views[-1] == copies[-1] > 0
+        for a, b in zip(views[:-1], copies[:-1]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        j = views[0][-1]
+        assert views[3][-1] == attempt_stream(4, 1, j).uniform(3)[2]
+
+    @pytest.mark.parametrize("sid,mode,rows", [
+        ("toy_analytic", "prior", 10922),
+        ("binary_missing", "prior", 10922),
+        ("binary_missing", "posterior", 10922),
+        ("interval_censored", "prior", 126),
+        ("interval_censored", "posterior", 64),
+        ("errors_in_variables", "prior", 65),
+        ("errors_in_variables", "posterior", 64),
+        ("interval_regression", "prior", 64),
+        ("interval_regression", "posterior", 64),
+    ])
+    def test_chunk_rows_at_study_size(self, sid, mode, rows):
+        has_data = bool(scenarios.SCENARIOS[sid].columns)
+        cfg = make_config(sid)
+        data = generate_data(cfg, attempt_stream(3, ROLE_DATA, 0)) if has_data else None
+        draw = prepare_draw(cfg, mode, data)
+        m = 1 + attempt_uniforms(draw)
+        assert chunk_rows(draw) == rows
+        assert rows * m <= 2**18  # below the buffer's cap
+
+    def test_a_chunk_buffer_holds_at_most_2_18_uniforms_or_one_row(self, monkeypatch):
+        for m in (1, 3, 16, 17, 260, 2262, 4096, 4097, 10**5, 2**18, 10**6):
+            rows = scenarios.chunk_rows(m)
+            assert rows >= 1 and rows * m <= max(2**18, m), m
+            assert rows >= min(64, 2**18 // m)
+        assert scenarios.chunk_rows(10**6) == 1
+        # a share of long rows draws one row at a time into one buffer of one row
+        chunks = chunks_drawn(monkeypatch)
+        m = 300_000
+        scenarios._task(partial(scenarios._with_gamma_uniform, _long_row), m, 2, range(3))
+        assert chunks == [(1, (1, m))] * 3
 
     def test_a_block_is_split_from_the_threshold_up(self, monkeypatch, in_process_pool):
         # toy attempts read 3 uniforms, the gamma uniform included, and none skips

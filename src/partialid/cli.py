@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import numbers
 import platform
 import sys
 import time
@@ -24,7 +23,7 @@ import scipy
 
 from . import __version__
 from . import scenarios as sc
-from .errors import ParameterError, SkipBudgetError, as_int
+from .errors import ParameterError, SkipBudgetError, as_int, as_level
 from .priors import default_prior_spec, draw_gammas, histogram
 from .random_sets import IntervalSet, credible_region, estimate_coverage, point_estimate_set
 
@@ -149,10 +148,10 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     """Merge a config file (if any) with command-line flags into a RunConfig.
 
     Options given by neither take the field defaults of :class:`RunConfig`.
-    It only parses: values become numbers, ``grid`` (``lo hi step``, finite,
-    with a point count numpy can allocate) an array, and ``workers`` must not
-    exceed the CPUs this process may run on.
-    :func:`run_scenario` checks every option before it draws.
+    It only parses: values become numbers and ``grid`` (``lo hi step``) the
+    points of :func:`~partialid.scenarios.step_grid`, which checks the spec.
+    Its one check of its own is that ``workers`` does not exceed the CPUs this
+    process may run on; :func:`run_scenario` checks every option before it draws.
     """
     values = _read_config_file(args.config) if getattr(args, "config", None) else {}
     for key in _CONFIG_KEYS:
@@ -164,15 +163,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     run = RunConfig(**{k: _coerce(k, v) for k, v in values.items()})
     sc.check_workers(run.workers)
     if run.grid is not None:
-        lo, hi, step = run.grid
-        if not (np.isfinite(run.grid).all() and hi > lo and step > 0):
-            raise ParameterError(f"bad grid spec: lo={lo}, hi={hi}, step={step}")
-        span = (hi - lo) / step  # inf when it overflows
-        # numpy sizes an array in bytes, which its index type must count
-        if not span < np.iinfo(np.intp).max // np.dtype(float).itemsize:
-            raise ParameterError(f"grid spec lo={lo}, hi={hi}, step={step} has too many "
-                                 f"points to allocate")
-        run.grid = np.linspace(lo, hi, int(round(span)) + 1)
+        run.grid = sc.step_grid(*run.grid)
     return run
 
 
@@ -215,9 +206,7 @@ def run_scenario(run_cfg: RunConfig) -> RunReport:
     spec = None
     if run_cfg.prior_family is not None:
         spec = default_prior_spec(run_cfg.scenario, run_cfg.prior_family)
-    if not (isinstance(run_cfg.alpha, numbers.Real) and 0 < run_cfg.alpha <= 1):
-        raise ParameterError(f"alpha must lie in (0, 1], got {run_cfg.alpha!r}")
-    alpha = float(run_cfg.alpha)
+    alpha = as_level("alpha", run_cfg.alpha)
     n_draws, workers = sc.check_attempts(run_cfg.n_draws, run_cfg.workers)
     seed = as_int("seed", run_cfg.seed)
 

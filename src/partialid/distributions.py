@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .errors import ParameterError, as_reals, check_finite, check_positive
+from .errors import ParameterError, as_reals, as_symmetric, as_unit, check_finite, check_positive
 from .rng import RngStream
 
 
@@ -51,9 +51,7 @@ def beta_quantile(a: float, b: float, u):
     :class:`ParameterError`; :func:`sample_beta` skips that check and the
     u = 1 case, as a stream's uniforms lie in [0, 1).
     """
-    u = as_reals("u", u)
-    if not ((0 <= u) & (u <= 1)).all():  # NaN fails both
-        raise ParameterError("u must lie in [0, 1]")
+    u = as_unit("u", u)
     top = u == 1
     if not top.any():
         return _beta_quantile(a, b, u)
@@ -151,14 +149,8 @@ class ScalarNormal:
 
 def cholesky_factor(cov) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite covariance matrix."""
-    check_finite(covariance=cov)
-    cov = as_reals("covariance", cov)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ParameterError(f"expected a square covariance matrix, got shape {cov.shape}")
-    if not np.array_equal(cov, cov.T):
-        raise ParameterError("covariance matrix must be symmetric")
     try:
-        return np.linalg.cholesky(cov)
+        return np.linalg.cholesky(as_symmetric("covariance", cov))
     except np.linalg.LinAlgError:
         raise ParameterError(
             "covariance is not positive definite; apply psd_repair first"
@@ -229,10 +221,7 @@ def sample_truncated_normal(mu, sigma2, lo, hi, rng: RngStream, size=None):
 def beta_cdf(x, a: float, b: float):
     """Regularized incomplete beta function I_x(a, b) on [0, 1]."""
     check_positive(a=a, b=b)
-    arr = as_reals("x", x)
-    if not np.all((0 <= arr) & (arr <= 1)):  # NaN fails both
-        raise ParameterError("beta_cdf argument must lie in [0, 1]")
-    out = special.betainc(a, b, arr)
+    out = special.betainc(a, b, as_unit("x", x))
     return float(out) if np.isscalar(x) else out
 
 
@@ -252,12 +241,7 @@ def psd_repair(m) -> PsdRepair:
     eigenvalue actually had to be raised.  Inputs whose smallest eigenvalue
     already meets the floor are returned unchanged.
     """
-    check_finite(matrix=m)
-    m = as_reals("matrix", m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ParameterError(f"expected a square matrix, got shape {m.shape}")
-    if not np.array_equal(m, m.T):
-        raise ParameterError("matrix must be symmetric")
+    m = as_symmetric("matrix", m)
     w, v = np.linalg.eigh(m)
     if w.min() >= EIGEN_FLOOR:
         return PsdRepair(m.copy(), False)

@@ -1,4 +1,5 @@
-"""Exception types, and the number checks, shared across the package."""
+"""Exception types, and the package's input rules: one function a rule, each raising
+:class:`ParameterError` naming the input it rejects."""
 
 import math
 import numbers
@@ -74,3 +75,38 @@ def check_finite(**values) -> None:
         except ParameterError:
             pass
         raise ParameterError(f"{name} must be finite, got {reprlib.repr(value)}")
+
+
+def as_unit(name: str, value) -> np.ndarray:
+    """``value`` as a float array (:func:`as_reals`) if every entry lies in [0, 1]."""
+    a = as_reals(name, value)
+    if not ((0 <= a) & (a <= 1)).all():  # NaN fails both
+        raise ParameterError(f"{name} must lie in [0, 1]")
+    return a
+
+
+def as_level(name: str, value) -> float:
+    """``value`` as a Python float if it is one real number in (0, 1]."""
+    level = as_reals(name, value)
+    if level.shape or not 0 < level <= 1:  # one number; NaN fails
+        raise ParameterError(f"{name} must be one number in (0, 1], got {reprlib.repr(value)}")
+    return float(level)
+
+
+def as_grid(name: str, value) -> np.ndarray:
+    """``value`` as a float array if it is 1-d, nonempty, strictly increasing and without NaN."""
+    g = as_reals(name, value)
+    # neighbours compared, not subtracted (inf - inf); a NaN fails a comparison, a lone one has none
+    if g.ndim != 1 or not g.size or np.isnan(g[0]) or not (g[1:] > g[:-1]).all():
+        raise ParameterError(f"{name} must be nonempty, 1-d, strictly increasing and without "
+                             f"NaN, got {reprlib.repr(value)}")
+    return g
+
+
+def as_symmetric(name: str, value) -> np.ndarray:
+    """``value`` as a float array if it is a finite, square and symmetric matrix."""
+    check_finite(**{name: value})
+    m = as_reals(name, value)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.array_equal(m, m.T):
+        raise ParameterError(f"{name} must be a square symmetric matrix, got shape {m.shape}")
+    return m

@@ -10,14 +10,13 @@ O((G + N) log N) time and O(G + N) memory for G grid points over N draws.
 
 from __future__ import annotations
 
-import reprlib
 import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, as_int, as_reals
+from .errors import ParameterError, as_grid, as_int, as_level, as_reals
 
 #: Skip fraction above which a batch carries a data-quality warning.
 HIGH_SKIP_RATE = 0.05
@@ -157,11 +156,7 @@ def estimate_coverage(batch: SetDrawBatch, grid) -> CoverageCurve:
     Counted by binary search in the batch's sorted endpoints; O(G + N) memory.
     """
     _require_nonempty(batch)
-    grid = as_reals("grid", grid)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ParameterError("grid must be a nonempty 1-d array")
-    if np.any(np.isnan(grid)) or np.any(np.diff(grid) <= 0):
-        raise ParameterError("grid must be strictly increasing, without NaN")
+    grid = as_grid("grid", grid)
     values = _hit_fraction(batch, grid, grid)
     return CoverageCurve(grid=grid.copy(), values=values, mc_draws=len(batch))
 
@@ -190,9 +185,7 @@ def credible_region(batch: SetDrawBatch, alpha: float) -> CredibleRegion:
     inside reaches alpha.  Monotone in alpha by construction; alpha = 1 gives
     the hull of all draws.
     """
-    level = as_reals("alpha", alpha)
-    if level.shape or not 0 < level <= 1:  # one number; NaN fails
-        raise ParameterError(f"alpha must be one number in (0, 1], got {reprlib.repr(alpha)}")
+    alpha = as_level("alpha", alpha)
     if batch.source != "posterior":
         raise ParameterError("credible regions are defined for posterior batches")
     _require_nonempty(batch)

@@ -57,7 +57,7 @@ from .distributions import (
     sample_mvnormal,
     sample_normal,
 )
-from .errors import ParameterError, SkipBudgetError, as_int, as_reals
+from .errors import ParameterError, SkipBudgetError, as_grid, as_int, as_reals, as_unit
 from .random_sets import IntervalSet, SetDrawBatch
 from .rng import RngStream, UniformRows, seed_words, stream_uniforms, substream
 
@@ -107,10 +107,15 @@ INTERVAL_REGRESSION_RAW_COV = np.array(
 )
 
 
-def default_grid(scenario_id: str) -> np.ndarray:
-    lo, hi = _scenario(scenario_id).grid_range
-    n_points = int(round((hi - lo) / _GRID_STEP)) + 1
-    return np.linspace(lo, hi, n_points)
+def step_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """Points from ``lo`` to ``hi`` about ``step`` apart, for a finite spec numpy can allocate."""
+    if not (np.isfinite(as_reals("grid spec", [lo, hi, step])).all() and hi > lo and step > 0):
+        raise ParameterError(f"bad grid spec: lo={lo}, hi={hi}, step={step}")
+    span = (float(hi) - float(lo)) / float(step)  # inf, not numpy's warning, when it overflows
+    # numpy sizes an array in bytes, which its index type must count
+    if not span < np.iinfo(np.intp).max // np.dtype(float).itemsize:
+        raise ParameterError(f"grid spec lo={lo}, hi={hi}, step={step} has too many points")
+    return np.linspace(lo, hi, int(round(span)) + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,21 +134,15 @@ class ScenarioConfig:
 
 def make_config(scenario_id: str, n: int | None = None, grid=None) -> ScenarioConfig:
     """Build a scenario configuration, filling in the study defaults."""
-    scenario = _scenario(scenario_id)
-    if not scenario.columns:
-        if n is not None:
-            raise ParameterError(f"{scenario_id} has no data-generating process")
-        n = 0
-    else:
-        n = DEFAULT_SAMPLE_SIZE if n is None else as_int("n", n, 1)
+    scenario = _scenario(scenario_id) if n is None else _with_data(scenario_id)
+    n = as_int("n", n, 1) if n is not None else (DEFAULT_SAMPLE_SIZE if scenario.columns else 0)
     if grid is None:
-        grid = default_grid(scenario_id)
+        grid = step_grid(*scenario.grid_range, _GRID_STEP)
     else:
-        grid = as_reals("grid", grid)
-        if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
-            raise ParameterError("grid must be strictly increasing with >= 2 points")
-        if not np.isfinite(grid).all():
-            raise ParameterError(f"grid points must be finite, got {grid[~np.isfinite(grid)][0]}")
+        grid = as_grid("grid", grid)
+        # the histogram's range is the grid's ends
+        if grid.size < 2 or not np.isfinite(grid[[0, -1]]).all():
+            raise ParameterError("grid must be strictly increasing with >= 2 points, all finite")
     return ScenarioConfig(scenario_id, n, grid, scenario.hyper())
 
 
@@ -158,9 +157,7 @@ class Dataset:
     values: np.ndarray
 
     def __post_init__(self):
-        columns = _scenario(self.scenario_id).columns
-        if not columns:
-            raise ParameterError(f"{self.scenario_id} has no data-generating process")
+        columns = _with_data(self.scenario_id).columns
         values = as_reals("values", self.values).copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -185,10 +182,7 @@ class Dataset:
 
 def generate_data(cfg: ScenarioConfig, rng: RngStream) -> Dataset:
     """Draw one observable sample from the scenario's data generating process."""
-    scenario = _scenario(cfg.scenario_id)
-    if not scenario.columns:
-        raise ParameterError(f"{cfg.scenario_id} has no data-generating process")
-    return Dataset(cfg.scenario_id, scenario.generate(cfg.n, rng))
+    return Dataset(cfg.scenario_id, _with_data(cfg.scenario_id).generate(cfg.n, rng))
 
 
 # --- identified-set functionals -------------------------------------------
@@ -440,6 +434,14 @@ def _scenario(scenario_id: str) -> Scenario:
         raise ParameterError(f"unknown scenario {scenario_id!r}") from None
 
 
+def _with_data(scenario_id: str) -> Scenario:
+    """The record of a scenario that generates data; :class:`ParameterError` otherwise."""
+    scenario = _scenario(scenario_id)
+    if not scenario.columns:
+        raise ParameterError(f"{scenario_id} has no data-generating process")
+    return scenario
+
+
 def prepare_draw(
     cfg: ScenarioConfig,
     mode: str,
@@ -459,10 +461,8 @@ def prepare_draw(
     if mode not in ("prior", "posterior"):
         raise ParameterError(f"mode must be 'prior' or 'posterior', got {mode!r}")
     sid = cfg.scenario_id
-    scenario = _scenario(sid)
+    scenario = _with_data(sid) if mode == "posterior" else _scenario(sid)
     if mode == "posterior":
-        if not scenario.columns:
-            raise ParameterError(f"{sid} has no posterior")
         if dataset is None:
             raise ParameterError("posterior draws need a dataset")
         if dataset.scenario_id != sid:
@@ -796,9 +796,7 @@ def analytic_coverage_binary(gamma, alpha):
     difference of their CDFs.
     """
     alpha = _cell_params(alpha)
-    g = as_reals("gamma", gamma)
-    if not np.all((0 <= g) & (g <= 1)):  # NaN fails both
-        raise ParameterError("gamma must lie in [0, 1]")
+    g = as_unit("gamma", gamma)
     lower_cdf = beta_cdf(g, alpha[0], alpha[1] + alpha[2])
     upper_cdf = beta_cdf(g, alpha[0] + alpha[2], alpha[1])
     out = lower_cdf - upper_cdf

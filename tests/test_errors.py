@@ -1,5 +1,6 @@
-"""The four number rules of ``partialid.errors`` at every entry point that uses them."""
+"""The input rules of ``partialid.errors`` at every entry point that uses them."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -33,9 +34,11 @@ from partialid import (
     sample_mvnormal,
     sample_normal,
     sample_truncated_normal,
+    scenarios,
     stick_weights,
     substream,
 )
+from partialid.cli import RunConfig, run_scenario
 from partialid.distributions import cholesky_factor
 from partialid.errors import as_reals, check_finite, check_positive
 from partialid.scenarios import check_attempts
@@ -121,8 +124,38 @@ REAL = {
 # number's name as its ParameterError states it
 UNIT = {
     **BETA_U,
+    "beta_cdf(x)": (lambda v: beta_cdf(v, 1.0, 1.0), "x"),
     "analytic_coverage_binary(gamma)": (
         lambda v: analytic_coverage_binary(v, (2.0, 3.0, 1.0)), "gamma"),
+}
+
+# each entry point with its grid set to the value
+GRID = {
+    "make_config": lambda v: make_config("toy_analytic", grid=v),
+    "estimate_coverage": lambda v: estimate_coverage(_POSTERIOR, v),
+}
+
+
+class _WorkStarted(Exception):
+    """Raised by a run's first data, pool or draw: its options were all taken."""
+
+
+def _start_work(*args, **kwargs):
+    raise _WorkStarted
+
+
+def _run_to_first_work(alpha, out_dir):
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("generate_data", "_attempt_pool", "draw_set_batch"):
+            patch.setattr(scenarios, name, _start_work)
+        with pytest.raises(_WorkStarted):
+            run_scenario(RunConfig(scenario="interval_censored", alpha=alpha, out_dir=out_dir))
+
+
+# each entry point with its level set to the value; a level it takes gives no error
+LEVEL = {
+    "run_scenario": _run_to_first_work,
+    "credible_region": lambda v, out_dir: credible_region(_POSTERIOR, v),
 }
 
 # each count with the value in its place
@@ -224,12 +257,61 @@ def test_every_beta_path_takes_a_list_of_uniforms(a, b):
     np.testing.assert_array_equal(beta_quantile(a, b, u), beta_quantile(a, b, np.array(u)))
 
 
-@pytest.mark.parametrize("alpha", [[0.9, 0.95], np.array([0.9]), np.nan],
-                         ids=["two", "one_element_array", "nan"])
-def test_a_credible_level_is_one_number_in_0_1(alpha):
+@pytest.mark.parametrize("grid", [[np.inf, np.inf], [-np.inf, -np.inf], [1.0, 0.0], [np.nan],
+                                  [0.0, np.nan], [], [[0.0, 1.0]]],
+                         ids=["inf_inf", "-inf_-inf", "decreasing", "nan", "nan_last", "empty",
+                              "2-d"])
+@pytest.mark.parametrize("entry", GRID)
+def test_a_grid_is_1d_and_strictly_increasing(entry, grid):
+    # [inf, inf] computed inf - inf: estimate_coverage returned [0, 0] with
+    # numpy's "invalid value" warning, and raised that warning as an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="^grid must be .*strictly increasing"):
+            GRID[entry](grid)
+
+
+@pytest.mark.parametrize("spec", [
+    (0.0, 1.0, 0.0), (1.0, 0.0, 0.1), (0.0, np.nan, 0.1), (0.0, np.inf, 1.0),
+    (np.float64(-1e308), np.float64(1e308), 1.0), (0.0, 1.0, np.float64(1e-320)),
+    ("0", 1.0, 0.1),
+], ids=["no_step", "reversed", "nan", "inf", "overflowing_span", "tiny_step", "text"])
+def test_a_grid_spec_is_finite_increasing_and_allocatable(spec):
+    # numpy numbers overflowed (hi - lo) / step with numpy's RuntimeWarning,
+    # and text raised numpy's untyped TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="grid spec"):
+            scenarios.step_grid(*spec)
+
+
+@pytest.mark.parametrize("matrix", [[[1.0, 0.5], [0.0, 1.0]], [[1.0, 0.0]], [1.0, 1.0]],
+                         ids=["asymmetric", "not_square", "1-d"])
+@pytest.mark.parametrize("call, name", [(psd_repair, "matrix"), (cholesky_factor, "covariance")],
+                         ids=["psd_repair", "cholesky_factor"])
+def test_a_matrix_is_square_and_symmetric(call, name, matrix):
+    with pytest.raises(ParameterError, match=f"^{name} must be a square symmetric matrix"):
+        call(matrix)
+
+
+@pytest.mark.parametrize("alpha, taken", [
+    (np.array(0.9), True), (True, True), (0.5, True), (1, True), (np.float32(0.95), True),
+    (0, False), (1.5, False), (np.nan, False), ("x", False), ([0.9], False),
+    ([0.9, 0.95], False), (np.array([0.9]), False),
+], ids=["0-d_array", "true", "half", "one", "float32", "zero", "above", "nan", "text", "list",
+        "two", "one_element_array"])
+@pytest.mark.parametrize("entry", LEVEL)
+def test_a_credible_level_is_one_number_in_0_1(entry, alpha, taken, tmp_path):
+    # run_scenario rejected np.array(0.9), which credible_region took, and
+    # credible_region kept the caller's object as its alpha (True, a float32);
     # an array of two raised numpy's "truth value of an array is ambiguous"
-    with pytest.raises(ParameterError, match=r"^alpha must be one number in \(0, 1\], got "):
-        credible_region(_POSTERIOR, alpha)
+    if not taken:
+        with pytest.raises(ParameterError,
+                           match=r"^alpha must be (one number in \(0, 1\]|real numbers), got "):
+            LEVEL[entry](alpha, str(tmp_path))
+    elif (region := LEVEL[entry](alpha, str(tmp_path))) is not None:
+        assert type(region.alpha) is float and region.alpha == float(alpha)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_draw_count_no_role_reaches_fails_before_any_draw():

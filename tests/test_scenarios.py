@@ -44,7 +44,6 @@ from partialid.scenarios import (
     ROLE_PRIOR_SETS,
     SCENARIO_IDS,
     attempt_stream,
-    default_grid,
     prepare_draw,
     run_attempts,
 )
@@ -111,9 +110,9 @@ class TestMakeConfig:
             cfg.true_set = IntervalSet(0.0, 1.0)
 
     def test_grid_defaults(self):
-        assert default_grid("toy_analytic")[-1] == 2.5
-        assert default_grid("binary_missing").size == 21
-        assert default_grid("interval_regression")[0] == -1.0
+        assert make_config("toy_analytic").grid[-1] == 2.5
+        assert make_config("binary_missing").grid.size == 21
+        assert make_config("interval_regression").grid[0] == -1.0
         cfg = make_config("binary_missing", grid=np.linspace(0, 1, 101))
         assert cfg.grid.size == 101
 

@@ -14,6 +14,7 @@ from .dirichlet import (
     stick_weights,
 )
 from .distributions import (
+    MultivariateNormal,
     PsdRepair,
     ScalarNormal,
     beta_cdf,
@@ -74,6 +75,7 @@ __all__ = [
     "Histogram",
     "IntervalSet",
     "MarginalSampleBatch",
+    "MultivariateNormal",
     "ParameterError",
     "PsdRepair",
     "RngStream",

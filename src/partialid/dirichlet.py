@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .distributions import ScalarNormal, sample_beta, sample_normal
+from .distributions import ScalarNormal, sample_beta
 from .errors import ParameterError, as_int, check_positive
 from .rng import RngStream
 
@@ -96,12 +96,20 @@ def stick_weights(n0: float, k: int, rng: RngStream) -> tuple[np.ndarray, float]
     Weight j is v_j * prod_{i<j}(1 - v_i) with v_i i.i.d. Beta(1, n0); the
     tail is prod_{i<=k}(1 - v_i), the mass the truncation discards.  A
     :class:`~partialid.rng.UniformRows` gives one draw, and one tail, per row.
+    It makes two arrays of the sticks' shape, v and the running products of
+    1 - v, and changes each in place: ``cumprod(out=)`` for the products,
+    then the weights are written over v, with no concatenated copy.
     """
     v = sample_beta(1.0, n0, rng, size=as_int("k", k, 1))
-    remaining = np.cumprod(1.0 - v, axis=-1)
-    weights = v * np.concatenate((np.ones_like(remaining[..., :1]), remaining[..., :-1]),
-                                 axis=-1)
-    return weights, remaining[..., -1]
+    remaining = np.subtract(1.0, v)
+    np.cumprod(remaining, axis=-1, out=remaining)
+    # v becomes the weights: v[..., 1:] *= remaining[..., :-1], taken over the
+    # flat run of rows, as numpy would buffer the rows' strided views; the
+    # first weight of each row, v itself, is put back
+    head = v[..., 0].copy()
+    v.reshape(-1)[1:] *= remaining.reshape(-1)[:-1]  # both new, C-contiguous
+    v[..., 0] = head
+    return v, remaining[..., -1].copy()
 
 
 def process_means(spec: DirichletProcessSpec, source, features=None, data_table=None):
@@ -120,6 +128,12 @@ def process_means(spec: DirichletProcessSpec, source, features=None, data_table=
     mu + sqrt(var Σw²) / Σw · z given the weights w.  A mean is linear in the
     measure, so each side is one weighted sum divided by its weights' total,
     and every row makes the same products whatever the rows.
+
+    Each large temporary of a block is made once and changed in place: the
+    sticks (:func:`stick_weights`), the atoms (a
+    :class:`~partialid.distributions.MultivariateNormal` adds its mean to its
+    product) and the ``(rows, n)`` data weights, negated and ``log1p``'d in
+    one array.  The uniforms are only read, never written.
     """
     n0 = spec.concentration
     k = choose_truncation_level(n0)
@@ -131,7 +145,7 @@ def process_means(spec: DirichletProcessSpec, source, features=None, data_table=
             raise ParameterError("a ScalarNormal base draws the mean of its atoms; "
                                  "pass features=None")
         spread = np.sqrt(np.sum(weights * weights, axis=-1, keepdims=True)) / total
-        means = base.mu + spread * sample_normal(0.0, base.var, source, size=1)
+        means = base.mu + spread * base.deviations(source, size=1)
     else:
         atoms = np.asarray(base(source, k), dtype=float)
         lead = weights.shape[:-1]  # the rows of a block, () for one draw
@@ -154,6 +168,7 @@ def process_means(spec: DirichletProcessSpec, source, features=None, data_table=
         return (1.0 - rho) * means + rho * data_table[:, 0]
     # log1p(-u) is minus the Exp(1) variate of a Dirichlet(1, ..., 1) weight;
     # the sign cancels in the ratio
-    g = np.log1p(-source.uniform(n))
+    g = np.negative(source.uniform(n))
+    np.log1p(g, out=g)
     data_means = (data_table @ g[..., None])[..., 0] / g.sum(axis=-1, keepdims=True)
     return (1.0 - rho) * means + rho * data_means

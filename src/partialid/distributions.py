@@ -16,7 +16,7 @@ truncated normal has a log-space quantile built from ``log_ndtr`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -60,11 +60,18 @@ def beta_quantile(a: float, b: float, u):
 
 
 def _beta_quantile(a: float, b: float, u):
-    """:func:`beta_quantile` of uniforms known to lie in [0, 1]."""
+    """:func:`beta_quantile` of uniforms known to lie in [0, 1].  The closed
+    form makes one array of ``u``'s shape and changes it in place, and returns
+    a scalar for a scalar or 0-d ``u``; ``u`` itself is only read."""
     check_positive(a=a, b=b)  # before the cache: NaN and arrays raise here
     if a == 1:
-        # I_x(1, b) = 1 - (1 - x)**b inverts exactly
-        return -np.expm1(np.log1p(-u) / b)
+        # I_x(1, b) = 1 - (1 - x)**b inverts exactly: -expm1(log1p(-u) / b),
+        # each step in place in one new array (u is the source's, never written)
+        x = np.negative(u, out=np.empty(np.shape(u)))
+        np.log1p(x, out=x)
+        x /= b
+        np.expm1(x, out=x)
+        return np.negative(x, out=x)[()]  # a scalar for a scalar u
     least, greatest = BETA_TABLE_SHAPES
     inside = least <= min(a, b) and max(a, b) <= greatest
     coef = _beta_table(float(a), float(b)) if inside else None
@@ -131,10 +138,11 @@ def sample_normal(mu: float, sigma2: float, rng: RngStream, size=None):
 
 @dataclass(frozen=True)
 class ScalarNormal:
-    """The N(mu, var) base measure of a Dirichlet process: called as
-    ``(rng, size)`` it draws ``size`` atoms by :func:`sample_normal`, and its
-    fields state the law, which lets a process draw the mean of its atoms as
-    one variate (:func:`~partialid.dirichlet.process_means`)."""
+    """The N(mu, var) base measure of a Dirichlet process, checked when made:
+    called as ``(rng, size)`` it draws ``size`` atoms by :func:`sample_normal`,
+    and its fields state the law, which lets a process draw the mean of its
+    atoms as one variate (:func:`~partialid.dirichlet.process_means`), by
+    :meth:`deviations`, with no further check."""
 
     mu: float
     var: float
@@ -142,6 +150,10 @@ class ScalarNormal:
     def __post_init__(self):
         check_finite(mu=self.mu)
         check_positive(variance=self.var)
+
+    def deviations(self, rng: RngStream, size=None):
+        """N(0, var) draws, unchecked: the distances of ``size`` atoms from mu."""
+        return math.sqrt(self.var) * special.ndtri(rng.uniform(size))
 
     def __call__(self, rng: RngStream, size=None):
         return sample_normal(self.mu, self.var, rng, size)
@@ -157,28 +169,49 @@ def cholesky_factor(cov) -> np.ndarray:
         ) from None
 
 
-def sample_mvnormal(mean, cov, rng: RngStream, size=None, *, chol=None):
+@dataclass(frozen=True, eq=False)
+class MultivariateNormal:
+    """The N(mean, cov) law, checked and factored when made, as the base
+    measure of a Dirichlet process is, once a batch: called as ``(rng, size)``
+    it draws ``size`` variates, shaped as :func:`sample_mvnormal`'s, with no
+    further check.  It keeps read-only copies of ``mean`` and ``cov`` and the
+    lower Cholesky factor ``chol``."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+    chol: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        check_finite(mean=self.mean)
+        mean = as_reals("mean", self.mean).copy()
+        cov = as_reals("covariance", self.cov).copy()
+        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
+            raise ParameterError(
+                f"dimension mismatch: mean has shape {mean.shape}, cov has shape {cov.shape}"
+            )
+        for name, value in (("mean", mean), ("cov", cov), ("chol", cholesky_factor(cov))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __call__(self, rng: RngStream, size=None):
+        d = self.mean.size
+        u = rng.uniform(size=d if size is None else (size, d))
+        # a stack of draws (rows of a UniformRows) multiplies one matrix at a
+        # time; the mean is added in place
+        x = special.ndtri(u) @ self.chol.T
+        x += self.mean
+        return x
+
+
+def sample_mvnormal(mean, cov, rng: RngStream, size=None):
     """Multivariate normal draws: Cholesky factor applied to quantile-transformed uniforms.
 
     ``cov`` must be symmetric positive definite; run :func:`psd_repair` first
-    if it is not.  A caller drawing repeatedly from one distribution passes
-    ``chol=cholesky_factor(cov)`` to skip the per-call check and factorization.
+    if it is not.  A caller drawing repeatedly from one law makes one
+    :class:`MultivariateNormal`, which checks and factors it once.
     Returns shape ``(d,)`` for ``size=None``, else ``(size, d)``.
     """
-    check_finite(mean=mean)
-    mean = as_reals("mean", mean)
-    cov = as_reals("covariance", cov)
-    if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
-        raise ParameterError(
-            f"dimension mismatch: mean has shape {mean.shape}, cov has shape {cov.shape}"
-        )
-    if chol is None:
-        chol = cholesky_factor(cov)
-    d = mean.size
-    u = rng.uniform(size=d if size is None else (size, d))
-    z = special.ndtri(u)
-    # a stack of draws (rows of a UniformRows) multiplies one matrix at a time
-    return mean + z @ chol.T
+    return MultivariateNormal(mean, cov)(rng, size)
 
 
 def sample_truncated_normal(mu, sigma2, lo, hi, rng: RngStream, size=None):

@@ -21,6 +21,7 @@ one generator per row.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -64,7 +65,14 @@ class UniformRows:
         self.u, self.at = u, 0
 
     def uniform(self, size=None) -> np.ndarray:
-        shape = () if size is None else tuple(np.atleast_1d(size))
+        """Each row's next uniforms; ``size`` is None, an integer or a tuple of
+        integers, and ``at``, the uniforms read so far, a Python int."""
+        if size is None:
+            shape = ()
+        elif isinstance(size, tuple):
+            shape = tuple(map(operator.index, size))
+        else:
+            shape = (operator.index(size),)
         count = math.prod(shape)
         self.at += count
         return self.u[:, self.at - count:self.at].reshape(len(self.u), *shape)

@@ -49,9 +49,9 @@ import numpy as np
 from .dirichlet import DirichletProcessSpec, process_means
 from .distributions import (
     EIGEN_FLOOR,
+    MultivariateNormal,
     ScalarNormal,
     beta_cdf,
-    cholesky_factor,
     psd_repair,
     sample_beta,
     sample_mvnormal,
@@ -200,7 +200,11 @@ def _interval(lo, hi, accept) -> IntervalSet | None:
 
 def _moment_features(a):  # y, z, yz, zz, yy of atoms (y, z)
     y, z = a[..., 0], a[..., 1]
-    return np.stack((y, z, y * z, z * z, y * y), axis=-2)
+    out = np.empty(a.shape[:-2] + (5, a.shape[-2]))
+    out[..., 0, :], out[..., 1, :] = y, z
+    for i, (p, q) in enumerate(((y, z), (z, z), (y, y)), 2):
+        np.multiply(p, q, out=out[..., i, :])
+    return out
 
 
 def _instrument_features(a):  # y1 z, y2 z, x z of atoms (y1, y2, x, z)
@@ -280,8 +284,7 @@ def _joint_draw(features, bounds_rows, spec, table, source):
 def _prepare_joint(features, bounds_rows, cfg, mode, dataset):
     """Prepared draw of a regression scenario: ``bounds_rows`` of the means of
     ``features`` under one joint process draw, the data's table built here."""
-    mean, cov = cfg.hyper["base_mean"], cfg.hyper["base_cov"]
-    base = partial(sample_mvnormal, mean, cov, chol=cholesky_factor(cov))
+    base = MultivariateNormal(cfg.hyper["base_mean"], cfg.hyper["base_cov"])
     spec = DirichletProcessSpec(cfg.hyper["n0"], base)
     table = None if mode == "prior" else np.ascontiguousarray(features(dataset.values))
     return partial(_joint_draw, features, bounds_rows, spec, table)
@@ -496,9 +499,11 @@ CHUNK_UNIFORMS = 2**15
 #: split among the attempt pool's processes; a smaller block is one share,
 #: run here.  Through a warm pool of one process on 2 CPUs, blocks of 133760
 #: to 251000 uniforms of the other scenarios ran 0.51x to 0.93x as long split
-#: as whole, interval_censored's 1000 prior attempts (260000) 1.12x to 1.17x,
-#: and 4095 toy uniforms 1.3x to 2.1x; end to end, 2**17 beat 2**18 in 10 of 10
-#: alternating parallel_posterior pairs.
+#: as whole, and 4095 toy uniforms 1.3x to 2.1x; interval_censored's 1000
+#: prior attempts (260000), 1.12x to 1.17x then, now run 0.55x to 0.82x
+#: (6.6 to 6.8 ms whole, 3.7 to 5.4 ms split, in 10 alternating pairs of
+#: processes); end to end, 2**17 beat 2**18 in 10 of 10 alternating
+#: parallel_posterior pairs.
 POOL_UNIFORMS = 2**17
 
 

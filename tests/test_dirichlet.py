@@ -126,6 +126,21 @@ class TestStickWeights:
             tenth.append(w[9])
         assert np.mean(first) > np.mean(tenth)
 
+    @pytest.mark.parametrize("k", [1, 2, 37])
+    def test_weights_are_each_stick_times_the_mass_left_before_it(self, k):
+        # the weights are made in place, over the flat run of rows: each row
+        # keeps its own first stick and never reads the row before it
+        u = substream(1, 3).uniform(size=(6, k + 3))
+        v = -np.expm1(np.log1p(-u[:, :k]) / 20.0)
+        remaining = np.cumprod(1.0 - v, axis=-1)
+        expected = v * np.concatenate((np.ones((6, 1)), remaining[:, :-1]), axis=-1)
+        w, tail = stick_weights(20.0, k, UniformRows(u))
+        assert np.array_equal(w, expected) and np.array_equal(tail, remaining[:, -1])
+        assert w.flags.c_contiguous and w.shape == (6, k) and tail.shape == (6,)
+        for r in range(6):
+            one, one_tail = stick_weights(20.0, k, UniformRows(u[r:r + 1]))
+            assert np.array_equal(one[0], w[r]) and one_tail[0] == tail[r]
+
     def test_tail_mass_law(self):
         # -ln(tail) ~ Gamma(K, n0): mean K/n0, variance K/n0^2
         n0, k, runs = 20.0, 100, 2000

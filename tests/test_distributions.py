@@ -1,5 +1,6 @@
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -12,9 +13,11 @@ from scipy.linalg import eigvalsh as scipy_eigvalsh
 
 import partialid
 from partialid import (
+    MultivariateNormal,
     ParameterError,
     beta_cdf,
     beta_quantile,
+    cholesky_factor,
     psd_repair,
     sample_beta,
     sample_mvnormal,
@@ -23,6 +26,7 @@ from partialid import (
     substream,
 )
 from partialid import distributions
+from partialid.rng import UniformRows
 from partialid.scenarios import INTERVAL_REGRESSION_RAW_COV
 
 
@@ -78,6 +82,46 @@ class TestSampleMvnormal:
         cov = np.array([[1.0, 0.2], [0.3, 1.0]])
         with pytest.raises(ParameterError):
             sample_mvnormal([0.0, 0.0], cov, substream(3, 4))
+
+
+class TestMultivariateNormal:
+    """A base measure checked and factored once, drawing as sample_mvnormal does."""
+
+    cov = np.array([[2.0, 0.9], [0.9, 2.0]])
+
+    def test_draws_mean_plus_normal_quantiles_times_the_factor(self):
+        law = MultivariateNormal([1.0, -2.0], self.cov)
+        chol = np.linalg.cholesky(self.cov)
+        for size, shape in ((None, 2), (1, (1, 2)), (7, (7, 2))):
+            u = substream(3, 5).uniform(shape)
+            expected = np.array([1.0, -2.0]) + special.ndtri(u) @ chol.T
+            assert np.array_equal(law(substream(3, 5), size), expected)
+            assert np.array_equal(sample_mvnormal([1.0, -2.0], self.cov, substream(3, 5), size),
+                                  expected)
+        u = substream(3, 6).uniform(size=(5, 40))
+        rows = UniformRows(u)
+        expected = np.array([1.0, -2.0]) + special.ndtri(u[:, :40].reshape(5, 20, 2)) @ chol.T
+        assert np.array_equal(law(rows, 20), expected) and rows.at == 40
+
+    def test_keeps_read_only_copies_and_pickles(self):
+        mean = np.array([1.0, -2.0])
+        law = MultivariateNormal(mean, self.cov)
+        mean[0] = 50.0
+        assert law.mean.tolist() == [1.0, -2.0]
+        assert np.array_equal(law.chol, cholesky_factor(self.cov))
+        for field in (law.mean, law.cov, law.chol):
+            assert not field.flags.writeable
+        again = pickle.loads(pickle.dumps(law))
+        assert np.array_equal(again(substream(3, 7), 4), law(substream(3, 7), 4))
+
+    @pytest.mark.parametrize("mean, cov", [
+        (np.zeros(4), INTERVAL_REGRESSION_RAW_COV),
+        ([0.0, 0.0, 0.0], np.eye(2)),
+        ([0.0, 0.0], [[1.0, 0.2], [0.3, 1.0]]),
+    ], ids=("not_positive_definite", "dimension_mismatch", "asymmetric"))
+    def test_a_bad_law_raises_when_it_is_made(self, mean, cov):
+        with pytest.raises(ParameterError):
+            MultivariateNormal(mean, cov)
 
 
 class TestPsdRepair:
@@ -347,6 +391,23 @@ class TestBetaQuantile:
         assert np.array_equal(beta_quantile(1.0, b, u), -np.expm1(np.log1p(-u) / b))
         assert np.array_equal(beta_quantile(1.0, b, u),
                               sample_beta(1.0, b, substream(47, 0), size=100))
+
+    @pytest.mark.parametrize("b", [0.5, 3.0, 1e4])
+    def test_the_closed_form_keeps_its_bits_and_type_at_every_shape_of_u(self, b):
+        # one array changed in place: a scalar or 0-d u still gives a scalar,
+        # and u, read-only or not, is never written
+        rows = substream(49, 0).uniform(size=(4, 25))
+        for u in (float(rows[1, 2]), np.array(rows[1, 2]), rows[1], rows, rows[:, 3:17]):
+            expected = -np.expm1(np.log1p(-np.asarray(u)) / b)
+            before = np.array(u, copy=True)
+            for path in (beta_quantile, distributions._beta_quantile):
+                x = path(1.0, b, u)
+                assert np.shape(x) == np.shape(u) and np.array_equal(x, expected)
+                assert isinstance(x, float) if np.ndim(u) == 0 else isinstance(x, np.ndarray)
+                assert np.array_equal(u, before)
+        frozen = rows.copy()
+        frozen.setflags(write=False)
+        assert np.array_equal(beta_quantile(1.0, b, frozen), -np.expm1(np.log1p(-rows) / b))
 
     def test_a_scalar_gives_the_bits_of_its_array_element(self):
         u = lattice_points(48)[:50]

@@ -13,6 +13,7 @@ from partialid import (
     DirichletProcessSpec,
     IntervalSet,
     MarginalSampleBatch,
+    MultivariateNormal,
     ParameterError,
     ScalarNormal,
     SetDrawBatch,
@@ -69,6 +70,7 @@ FINITE = {
     "ScalarNormal": (lambda v: ScalarNormal(v, 1.0), "mu"),
     "sample_mvnormal": (lambda v: sample_mvnormal([v, 0.0], np.eye(2), substream(1, 0)),
                         "mean"),
+    "MultivariateNormal": (lambda v: MultivariateNormal([v, 0.0], np.eye(2)), "mean"),
     "sample_truncated_normal": (
         lambda v: sample_truncated_normal(v, 1.0, -1.0, 1.0, substream(1, 0)), "mu"),
     "sample_truncated_normal(array)": (
@@ -94,6 +96,8 @@ REAL = {
     "sample_mvnormal(cov)": (
         lambda v: sample_mvnormal([0.0, 0.0], [[v, 0.0], [0.0, 1.0]], substream(1, 0)),
         "covariance"),
+    "MultivariateNormal(cov)": (
+        lambda v: MultivariateNormal([0.0, 0.0], [[v, 0.0], [0.0, 1.0]]), "covariance"),
     "beta_cdf(x)": (lambda v: beta_cdf(v, 1.0, 1.0), "x"),
     **BETA_U,
     "make_config(grid)": (lambda v: make_config("toy_analytic", grid=[0.0, v]), "grid"),

@@ -20,7 +20,6 @@ from partialid import DirichletProcessSpec, generate_data, make_config, prepare_
 from partialid import scenarios
 from partialid.dirichlet import choose_truncation_level, stick_weights
 from partialid.distributions import (
-    cholesky_factor,
     sample_beta,
     sample_mvnormal,
 )
@@ -87,8 +86,7 @@ def oracle_draw(cfg, mode, dataset, source):
     """``(lo, hi, accept)`` of a regression scenario from the concatenated draw."""
     hyper = cfg.hyper
     mean, cov = hyper["base_mean"], hyper["base_cov"]
-    spec = DirichletProcessSpec(hyper["n0"], partial(sample_mvnormal, mean, cov,
-                                                     chol=cholesky_factor(cov)))
+    spec = DirichletProcessSpec(hyper["n0"], partial(sample_mvnormal, mean, cov))
     rows = (reverse_regression_rows if cfg.scenario_id == "errors_in_variables"
             else instrument_ratio_rows)
     return rows(*concatenated_draw(spec, source, None if mode == "prior" else dataset.values))

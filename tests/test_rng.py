@@ -138,6 +138,20 @@ def test_rows_drawn_into_a_reused_buffer_equal_fresh_rows(m):
     assert buffer[2:].tobytes() == fresh[6:8].tobytes()
 
 
+def test_uniform_rows_hand_out_each_rows_next_uniforms_and_count_them_as_an_int():
+    u = np.arange(24.0).reshape(2, 12)
+    rows = rng.UniformRows(u)
+    assert rows.uniform().tolist() == [0.0, 12.0]
+    assert rows.uniform(2).tolist() == [[1.0, 2.0], [13.0, 14.0]]
+    assert rows.uniform(np.int64(1)).shape == (2, 1)
+    assert rows.uniform((2, 3)).tolist() == [[[4.0, 5.0, 6.0], [7.0, 8.0, 9.0]],
+                                             [[16.0, 17.0, 18.0], [19.0, 20.0, 21.0]]]
+    assert rows.at == 10 and type(rows.at) is int
+    for size in (1.5, "2", (2.0,)):
+        with pytest.raises(TypeError):
+            rows.uniform(size)
+
+
 PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
 M64, M128 = 2**64 - 1, 2**128
 

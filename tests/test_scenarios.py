@@ -582,6 +582,21 @@ def chunk_rows(draw):
     return scenarios.chunk_rows(1 + attempt_uniforms(draw))
 
 
+#: Most traced memory, in KB, of one 64-row chunk draw of each Dirichlet-process
+#: scenario and mode at n = 1000, apart from its own uniforms (130 to 1131 KB).
+#: With a temporary made afresh at each step it took 336, 1171, 1005, 1756,
+#: 1236 and 1755 KB; with each made once and changed in place, 171, 652, 735,
+#: 1237, 754 and 1236 KB (numpy 2.4).
+CHUNK_PEAK_KB = {
+    ("interval_censored", "prior"): 250,
+    ("interval_censored", "posterior"): 820,
+    ("errors_in_variables", "prior"): 900,
+    ("errors_in_variables", "posterior"): 1450,
+    ("interval_regression", "prior"): 1000,
+    ("interval_regression", "posterior"): 1450,
+}
+
+
 class TestBlockEquivalence:
     """A batch is attempt-by-attempt draw_set, then one more uniform of the stream."""
 
@@ -928,6 +943,49 @@ class TestPool:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    @pytest.mark.parametrize("sid,mode", CHUNK_PEAK_KB)
+    def test_a_chunk_draw_makes_each_temporary_once(self, sid, mode):
+        # the traced peak of one 64-row chunk at n = 1000, its uniforms not
+        # counted: each large temporary is made once and changed in place
+        cfg = make_config(sid, n=1000)
+        draw = prepare_draw(cfg, mode, generate_data(cfg, attempt_stream(3, ROLE_DATA, 0)))
+        u = stream_uniforms(seed_words(3, np.arange(64)), attempt_uniforms(draw))
+        draw(UniformRows(u))  # caches, such as the rho table, are filled outside the trace
+        tracemalloc.start()
+        try:
+            draw(UniformRows(u))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= CHUNK_PEAK_KB[sid, mode] * 1024, peak / 1024
+
+    @pytest.mark.parametrize("sid,mode", CHUNK_PEAK_KB)
+    @pytest.mark.parametrize("n", [1, 30, 1000])
+    def test_a_draw_never_writes_its_uniforms(self, sid, mode, n):
+        cfg = make_config(sid, n=n)
+        draw = prepare_draw(cfg, mode, generate_data(cfg, attempt_stream(4, ROLE_DATA, 0)))
+        u = stream_uniforms(seed_words(4, np.arange(5)), attempt_uniforms(draw))
+        before = u.copy()
+        u.setflags(write=False)
+        draw(UniformRows(u))
+        assert np.array_equal(u, before)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_uniforms_of_an_attempt_are_a_python_int(self, monkeypatch, in_process_pool,
+                                                         workers):
+        # m travels in every share's pickle; a numpy integer would be pickled too
+        monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
+        counts, task = [], scenarios._task
+        monkeypatch.setattr(scenarios, "_task",
+                            lambda draw, m, *args: counts.append(m) or task(draw, m, *args))
+        cfg = make_config("errors_in_variables", n=30)
+        draw = prepare_draw(cfg, "posterior", generate_data(cfg, attempt_stream(5, ROLE_DATA, 0)))
+        run_attempts(draw, 40, 5, ROLE_POSTERIOR_SETS, workers, "m")
+        assert len(counts) == workers and all(type(m) is int for m in counts)
+        assert all(type(sent.args[1]) is int for sent, _ in in_process_pool.submitted)
+        assert len(in_process_pool.submitted) == workers - 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_draw_returning_views_of_its_uniforms_gives_the_same_bytes(self, monkeypatch,

@@ -199,8 +199,15 @@ class MultivariateNormal:
         # a stack of draws (rows of a UniformRows) multiplies one matrix at a
         # time; the mean is added in place
         x = special.ndtri(u) @ self.chol.T
-        x += self.mean
-        return x
+        if x.ndim == 1:
+            x += self.mean
+            return x
+        # tiled along each row of the flat (rows, size * d) view: one long
+        # inner loop a row, in place of size loops of d, with the same sums
+        k = x.shape[-2]
+        flat = x.reshape(math.prod(x.shape[:-2]), k * d)
+        flat += np.tile(self.mean, k)
+        return flat.reshape(x.shape)
 
 
 def sample_mvnormal(mean, cov, rng: RngStream, size=None):

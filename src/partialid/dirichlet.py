@@ -16,7 +16,10 @@ i.i.d. atoms is exactly N(mu, var Σw² / (Σw)²), one normal variate.
 Posterior draws mix the truncated prior with the observed data points through
 a Beta(n, n0) split and symmetric-Dirichlet data weights (Ferguson, 1973; the
 Bayesian bootstrap of Rubin, 1981), whose side is one weighted sum over the
-data's feature table.
+data's feature table.  Their prior side carries only 1 - rho ~ Beta(n0, n),
+so the measure they draw discards (1 - rho) times the tail, and the same
+(eps, delta) rule, by a union bound over the two factors, keeps fewer sticks
+and atoms: at n = 1000, 93 in place of 167 at n0 = 20.
 
 The arithmetic is row-wise, the blocked view of truncated stick-breaking of
 Ishwaran & James (2001): :func:`process_means` makes one draw per row of
@@ -50,23 +53,40 @@ TRUNCATION_DELTA = 0.01
 MAX_TRUNCATION_LEVEL = 2**16
 
 
-def choose_truncation_level(n0: float) -> int:
-    """Smallest K with P(truncation tail mass > TRUNCATION_EPS) <= TRUNCATION_DELTA.
+def choose_truncation_level(n0: float, n: int = 0) -> int:
+    """Smallest K with P(discarded mass > TRUNCATION_EPS) <= TRUNCATION_DELTA,
+    for a prior draw (``n`` 0) or a posterior draw given ``n`` data points.
 
-    The tail mass after keeping K sticks satisfies -ln(tail) ~ Gamma(K, rate
-    n0), whose CDF at -ln(eps), P(tail > eps), falls as K grows;
+    A prior draw discards the tail T_K after K sticks: -ln(T_K) ~ Gamma(K,
+    rate n0), whose CDF at -ln(eps), P(T_K > eps), falls as K grows;
     ``scipy.special.gdtrib`` inverts that CDF in the shape, and K is the
-    ceiling of the shape at which it equals delta.  Raises
-    :class:`ParameterError` for a concentration that is not a positive real
-    number, which is checked before the cache of levels sees it, and when K
-    would exceed :data:`MAX_TRUNCATION_LEVEL` or the shape is not finite.
+    ceiling of the shape at which it equals delta.  A posterior draw puts
+    only 1 - rho ~ Beta(n0, n) on its prior side and discards (1 - rho) T_K.
+    Its K is the smallest that meets the rule by a union bound over the two
+    independent factors: with s the Beta(n0, n) quantile at 1 - delta / 2,
+    P(1 - rho > s) = delta / 2, and K keeps P(T_K > eps / s) <= delta / 2,
+    the ceiling of ``gdtrib`` at delta / 2 and ln(s / eps); it is 1 if
+    s <= eps, and never more than the prior's K.  K does not increase in n:
+    at n = 1000, 93 at n0 = 20 and 46 at n0 = 10, against the prior's 167
+    and 90.  Raises :class:`ParameterError` for a concentration that is not
+    a positive real number or an ``n`` that is not an integer of at least 0,
+    both checked before the cache of levels sees them, and when the prior's K
+    would exceed :data:`MAX_TRUNCATION_LEVEL` or its shape is not finite.
     """
     check_positive(concentration=n0)
-    return _truncation_level(n0)
+    return _truncation_level(n0, as_int("n", n, 0))
 
 
 @lru_cache(maxsize=None)
-def _truncation_level(n0: float) -> int:
+def _truncation_level(n0: float, n: int) -> int:
+    if n:
+        prior = _truncation_level(n0, 0)
+        half = TRUNCATION_DELTA / 2
+        s = special.betaincinv(n0, n, 1 - half)  # P(1 - rho > s) = delta / 2
+        if s <= TRUNCATION_EPS:
+            return 1
+        shape = special.gdtrib(n0, half, math.log(s / TRUNCATION_EPS))
+        return max(1, math.ceil(shape)) if shape < prior else prior  # also a nan shape
     shape = special.gdtrib(n0, TRUNCATION_DELTA, -math.log(TRUNCATION_EPS))
     if not shape <= MAX_TRUNCATION_LEVEL:  # also a shape that is inf or nan
         raise ParameterError(f"concentration {n0} needs {shape} sticks, more than "
@@ -122,7 +142,10 @@ def process_means(spec: DirichletProcessSpec, source, features=None, data_table=
     values ``(..., q, k)``; None makes scalar atoms their own feature, q = 1.
     ``source`` is a stream, for one draw, or a
     :class:`~partialid.rng.UniformRows`, for one draw per row.  A draw takes k
-    sticks, k atoms, then rho and n data weights (none for n = 1).  A
+    sticks, k atoms, then rho and n data weights (none for n = 1), with k =
+    ``choose_truncation_level(n0, n)``: a posterior draw discards only its
+    prior side's share 1 - rho of the tail, and keeps fewer sticks, the more
+    data it has; a data table with no column raises before any draw.  A
     :class:`~partialid.distributions.ScalarNormal` base takes no ``features``
     and one variate z in place of the atoms: their mean is exactly
     mu + sqrt(var Σw²) / Σw · z given the weights w.  A mean is linear in the
@@ -136,7 +159,10 @@ def process_means(spec: DirichletProcessSpec, source, features=None, data_table=
     one array.  The uniforms are only read, never written.
     """
     n0 = spec.concentration
-    k = choose_truncation_level(n0)
+    n = 0 if data_table is None else data_table.shape[-1]
+    if data_table is not None and n == 0:
+        raise ParameterError("a posterior draw needs data; pass None for the prior")
+    k = choose_truncation_level(n0, n)
     weights, _ = stick_weights(n0, k, source)
     total = weights.sum(axis=-1, keepdims=True)
     base = spec.base_sampler
@@ -157,9 +183,6 @@ def process_means(spec: DirichletProcessSpec, source, features=None, data_table=
         means = (values @ weights[..., None])[..., 0] / total
     if data_table is None:
         return means
-    n = data_table.shape[-1]
-    if n == 0:
-        raise ParameterError("a posterior draw needs data; pass None for the prior")
     if data_table.shape != (means.shape[-1], n):
         raise ParameterError(f"{means.shape[-1]} features of the base-measure atoms, "
                              f"data table {data_table.shape}")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scipy import special
+from scipy import integrate, special
 
 from partialid import (
     DirichletProcessSpec,
@@ -101,6 +101,67 @@ class TestChooseTruncationLevel:
         assert DirichletProcessSpec(lo, normal_base(0.0, 1.0)).concentration == lo
         with pytest.raises(ParameterError, match="sticks"):
             choose_truncation_level(hi)
+
+
+def posterior_exceedance(n0, n, k):
+    """P((1 - rho) T_K > eps) by quadrature, with 1 - rho ~ Beta(n0, n) and
+    -ln(T_K) ~ Gamma(K, rate n0) independent: the Gamma CDF at ln(t / eps),
+    integrated over the quantiles t of 1 - rho above eps."""
+    def exceeds(u):  # P(T_K > eps / t) at the Beta(n0, n) quantile t of u
+        t = special.betaincinv(n0, n, u)
+        return special.gdtr(n0, k, np.log(t / TRUNCATION_EPS)) if t > TRUNCATION_EPS else 0.0
+
+    return integrate.quad(exceeds, special.betainc(n0, n, TRUNCATION_EPS), 1.0,
+                          epsabs=1e-9, limit=200)[0]
+
+
+def union_bound_holds(n0, n, k):
+    """The rule's union bound at level k: P(T_K > eps / s) <= delta / 2, s the
+    Beta(n0, n) quantile at 1 - delta / 2."""
+    s = special.betaincinv(n0, n, 1 - TRUNCATION_DELTA / 2)
+    return s <= TRUNCATION_EPS or (
+        special.gdtr(n0, k, np.log(s / TRUNCATION_EPS)) <= TRUNCATION_DELTA / 2)
+
+
+#: data sizes of the posterior levels' checks, fixed before their first run
+POSTERIOR_SIZES = (1, 2, 20, 200, 1000, 10**4, 10**5)
+
+
+class TestPosteriorTruncationLevel:
+    def test_frozen_levels(self):
+        # n = 1000, the study's size: about half the prior's 167 and 90
+        assert choose_truncation_level(20.0, 1000) == 93
+        assert choose_truncation_level(10.0, 1000) == 46
+        assert choose_truncation_level(20.0, 0) == choose_truncation_level(20.0) == 167
+
+    @pytest.mark.parametrize("n0", [1.0, 10.0, 20.0])
+    def test_level_meets_its_definition(self, n0):
+        prior = choose_truncation_level(n0)
+        levels = [choose_truncation_level(n0, n) for n in POSTERIOR_SIZES]
+        assert levels == sorted(levels, reverse=True)  # no more sticks for more data
+        for n, k in zip(POSTERIOR_SIZES, levels):
+            assert 1 <= k <= prior, (n0, n)
+            assert posterior_exceedance(n0, n, k) <= TRUNCATION_DELTA, (n0, n)
+            # the bound's level, or the prior's, which meets the rule for any rho
+            assert k == prior or union_bound_holds(n0, n, k), (n0, n)
+            if k > 1:  # the smallest level the bound admits
+                assert not union_bound_holds(n0, n, k - 1), (n0, n)
+        assert levels[0] == prior  # one data point leaves the prior side nearly all its mass
+        assert levels[-1] == 1  # at 10**5 points 1 - rho alone is below eps
+
+    def test_simulated_exceedance_rate(self):
+        # independent oracle: simulate (1 - rho) T_K with numpy's own Beta
+        # sampler, against the quadrature of the definition, at K and at 60
+        # sticks, where about half the draws discard more than eps
+        n0, n, draws = 20.0, 1000, 20_000
+        k = choose_truncation_level(n0, n)
+        gen = np.random.default_rng(1)
+        for level in (k, 60):
+            tails = np.prod(1.0 - gen.beta(1.0, n0, size=(draws, level)), axis=1)
+            rate = np.mean(gen.beta(n0, n, size=draws) * tails > TRUNCATION_EPS)
+            exact = posterior_exceedance(n0, n, level)
+            assert abs(rate - exact) <= 4 * np.sqrt(exact * (1 - exact) / draws) + 1 / draws
+        assert rate > TRUNCATION_DELTA >= posterior_exceedance(n0, n, k)
 
 
 class TestDirichletProcessSpec:
@@ -286,7 +347,7 @@ class TestProcessMeansPosterior:
         spec = DirichletProcessSpec(10.0, normal_base(0.0, 1.0))
         rows = UniformRows(np.random.default_rng(n).random((3, 400)))
         process_means(spec, rows, atom, np.ones((1, n)) if n else None)
-        assert rows.at == 2 * choose_truncation_level(10.0) + (n > 0) + (n if n > 1 else 0)
+        assert rows.at == 2 * choose_truncation_level(10.0, n) + (n > 0) + (n if n > 1 else 0)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 30])
     def test_scalar_normal_uniforms_taken(self, n):
@@ -294,12 +355,15 @@ class TestProcessMeansPosterior:
         spec = DirichletProcessSpec(10.0, ScalarNormal(0.0, 1.0))
         rows = UniformRows(np.random.default_rng(n).random((3, 400)))
         process_means(spec, rows, None, np.ones((1, n)) if n else None)
-        assert rows.at == choose_truncation_level(10.0) + 1 + (n > 0) + (n if n > 1 else 0)
+        assert rows.at == choose_truncation_level(10.0, n) + 1 + (n > 0) + (n if n > 1 else 0)
 
     def test_one_data_point(self):
-        # rho on the point, 1 - rho on the prior mean
+        # rho on the point, 1 - rho on the prior mean: one point leaves the
+        # prior side the prior's sticks
         spec = DirichletProcessSpec(10.0, normal_base(0.0, 1.0))
-        u = np.random.default_rng(1).random((2, 2 * choose_truncation_level(10.0) + 1))
+        k = choose_truncation_level(10.0, 1)
+        assert k == choose_truncation_level(10.0)
+        u = np.random.default_rng(1).random((2, 2 * k + 1))
         prior_means = process_means(spec, UniformRows(u), atom)
         means = process_means(spec, UniformRows(u), atom, np.array([[3.0]]))
         rho = -np.expm1(np.log1p(-u[:, -1:]) / 10.0)  # Beta(1, n0) by inverse CDF

@@ -174,6 +174,11 @@ COUNTS = {
     "stick_weights(k)": (lambda v: stick_weights(5.0, v, substream(1, 0)), "k"),
 }
 
+# each count that may be 0 with the value in its place
+COUNTS_FROM_ZERO = {
+    "choose_truncation_level(n)": (lambda v: choose_truncation_level(10.0, v), "n"),
+}
+
 
 @pytest.mark.parametrize("value", [np.inf, np.nan, 0, -1, "x"],
                          ids=["inf", "nan", "zero", "negative", "text"])
@@ -393,6 +398,22 @@ def test_count_must_be_an_integer_of_at_least_one(entry, value, message):
     call, name = COUNTS[entry]
     with pytest.raises(ParameterError, match=f"^{name} must be {message}$"):
         call(value)
+
+
+@pytest.mark.parametrize("value, message", [
+    (-1, ">= 0, got -1"), (2.5, "an integer, got 2.5"), ("3", "an integer, got '3'"),
+], ids=["negative", "fraction", "text"])
+@pytest.mark.parametrize("entry", COUNTS_FROM_ZERO)
+def test_count_from_zero_must_be_an_integer_of_at_least_zero(entry, value, message):
+    call, name = COUNTS_FROM_ZERO[entry]
+    with pytest.raises(ParameterError, match=f"^{name} must be {message}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [0, np.int64(3)], ids=["zero", "int64"])
+@pytest.mark.parametrize("entry", COUNTS_FROM_ZERO)
+def test_count_from_zero_takes_zero_and_numpy_integers(entry, value):
+    COUNTS_FROM_ZERO[entry][0](value)
 
 
 def test_an_infinite_prior_variance_fails_before_any_draw():

@@ -16,8 +16,12 @@ its interval [p1, p1 + p3] became two Beta draws in place of a three-cell
 Dirichlet draw, and its ``intervals.csv`` and ``summary.json`` digests again
 when those two Betas were drawn through a quantile table
 (``distributions.BetaQuantile``, since replaced by the same table in
-``distributions.beta_quantile``) in place of ``betaincinv`` (all deliberate
-numeric changes); every other digest is as first recorded.  A change that
+``distributions.beta_quantile``) in place of ``betaincinv``, and every digest
+of the ten runs with a posterior Dirichlet-process draw (interval_censored,
+errors_in_variables and interval_regression) when a posterior draw's
+truncation level became that of the mass it discards,
+``choose_truncation_level(n0, n)`` (all deliberate numeric changes); every
+other digest is as first recorded.  A change that
 moves them on purpose must say so in CHANGES.md.
 """
 
@@ -36,40 +40,40 @@ GOLDEN = [
         'intervals.csv': '6a5705cd13bde2d3bf067d4f22f3c8fee772ac7b749d32116a70d2151068e9e1',
     }),
     (('interval_censored', None, 1), {
-        'coverage.csv': '829a1dabe13b5237c710e876a6b2c8c2f8b59c998c6682d2ca5d9dd35fa80f4d',
-        'intervals.csv': '01cb1d0dfd3bd2e2c432a3bd43aaab6e129946489994c2188ee526eca8318a8e',
+        'coverage.csv': '608b4babb8395b0e613eff8fe4d7387342a42af85cc68ce4ec957e4e1f90fbd7',
+        'intervals.csv': '1fbbebc7cb62b8ca7711fb775db266e55eec9caf904e61d7f700113472783999',
     }),
     (('errors_in_variables', None, 1), {
-        'coverage.csv': '265106477f40630a6633b82a520a4dc7bab6311c6221fe86cd41c8feec564f75',
-        'intervals.csv': '25197239bf58ed65838af6d034948f37626de42ccd4135929950746dcdecf882',
+        'coverage.csv': '0bc00d9ebd0bc6f7e8c64ecdf46f7cfce2b000c12fd9f47028085cf5f85af7ee',
+        'intervals.csv': '4e1421a6aa5e7f0285842a53e2f33b0c324196ea9c4ceb1d641a9e8e86cec7b2',
     }),
     (('interval_regression', None, 1), {
-        'coverage.csv': 'c52c9408f3a15125240236c27653e520894d0708c89fdb9b6508d42d4a77a873',
-        'intervals.csv': '11bd3fc128c0b40a047731c20c90572610c37413161f16a31ab3453986632519',
+        'coverage.csv': '65b05b2064243da600cdde8586491a3d6f6af730e5de7c933ba3f1dfb81538c1',
+        'intervals.csv': '059dee319af61d8f6fb35f017fb7c646c8bc2d2cfe5364656f95f14d79731a2a',
     }),
     (('binary_missing', None, 1), {
         'coverage.csv': '926f4c6b2c984d7389ab7a8319abe17db9fd7869d078aeb94151cf7886f698e2',
         'intervals.csv': 'be8a44663212262d847dac7f0804e42f15a22968a15d896db5f899b74b44dabc',
     }),
     (('interval_censored', 'I', 1), {
-        'coverage.csv': '829a1dabe13b5237c710e876a6b2c8c2f8b59c998c6682d2ca5d9dd35fa80f4d',
-        'gamma_hist.csv': 'f30299584b013d7f4233ebd2458f4ec1b8bf88d20af30fcd7be0f6d3181d44fd',
-        'intervals.csv': '01cb1d0dfd3bd2e2c432a3bd43aaab6e129946489994c2188ee526eca8318a8e',
+        'coverage.csv': '608b4babb8395b0e613eff8fe4d7387342a42af85cc68ce4ec957e4e1f90fbd7',
+        'gamma_hist.csv': '6a158b91b6387404363cce4de7b3bd64295dfe05d4458d8cca7455cb8c052d3b',
+        'intervals.csv': '1fbbebc7cb62b8ca7711fb775db266e55eec9caf904e61d7f700113472783999',
     }),
     (('interval_censored', 'II', 1), {
-        'coverage.csv': '829a1dabe13b5237c710e876a6b2c8c2f8b59c998c6682d2ca5d9dd35fa80f4d',
-        'gamma_hist.csv': '58b674d7f2190bc0a363527895adf766ae37c21690f224ae6fdf5c7c049f4d6f',
-        'intervals.csv': '01cb1d0dfd3bd2e2c432a3bd43aaab6e129946489994c2188ee526eca8318a8e',
+        'coverage.csv': '608b4babb8395b0e613eff8fe4d7387342a42af85cc68ce4ec957e4e1f90fbd7',
+        'gamma_hist.csv': 'e090faa05c12844c1bb273756979bb189868b77b0e049a2af138f497a6f91227',
+        'intervals.csv': '1fbbebc7cb62b8ca7711fb775db266e55eec9caf904e61d7f700113472783999',
     }),
     (('interval_censored', 'III', 1), {
-        'coverage.csv': '829a1dabe13b5237c710e876a6b2c8c2f8b59c998c6682d2ca5d9dd35fa80f4d',
-        'gamma_hist.csv': 'b993d59dcc8d5378e90f8b2e51a151a90ca16c6e9363ba17e103f22399f06e44',
-        'intervals.csv': '01cb1d0dfd3bd2e2c432a3bd43aaab6e129946489994c2188ee526eca8318a8e',
+        'coverage.csv': '608b4babb8395b0e613eff8fe4d7387342a42af85cc68ce4ec957e4e1f90fbd7',
+        'gamma_hist.csv': '33849158759c38dd8f1a96128c60294920c6728450532fea7200b1e07362285d',
+        'intervals.csv': '1fbbebc7cb62b8ca7711fb775db266e55eec9caf904e61d7f700113472783999',
     }),
     (('interval_censored', 'IV', 1), {
-        'coverage.csv': '829a1dabe13b5237c710e876a6b2c8c2f8b59c998c6682d2ca5d9dd35fa80f4d',
-        'gamma_hist.csv': 'ae07b88fb1039e254262cbea2a903d65783bd621099cd6cc2d440a1ac78103dd',
-        'intervals.csv': '01cb1d0dfd3bd2e2c432a3bd43aaab6e129946489994c2188ee526eca8318a8e',
+        'coverage.csv': '608b4babb8395b0e613eff8fe4d7387342a42af85cc68ce4ec957e4e1f90fbd7',
+        'gamma_hist.csv': '40b71604884a5794b32e996ab9eefc675ff4fc82ee49f1394f9d39589409dc32',
+        'intervals.csv': '1fbbebc7cb62b8ca7711fb775db266e55eec9caf904e61d7f700113472783999',
     }),
     (('binary_missing', 'II', 1), {
         'coverage.csv': '926f4c6b2c984d7389ab7a8319abe17db9fd7869d078aeb94151cf7886f698e2',
@@ -87,17 +91,17 @@ GOLDEN = [
         'intervals.csv': 'be8a44663212262d847dac7f0804e42f15a22968a15d896db5f899b74b44dabc',
     }),
     (('interval_censored', None, 2), {
-        'coverage.csv': '829a1dabe13b5237c710e876a6b2c8c2f8b59c998c6682d2ca5d9dd35fa80f4d',
-        'intervals.csv': '01cb1d0dfd3bd2e2c432a3bd43aaab6e129946489994c2188ee526eca8318a8e',
+        'coverage.csv': '608b4babb8395b0e613eff8fe4d7387342a42af85cc68ce4ec957e4e1f90fbd7',
+        'intervals.csv': '1fbbebc7cb62b8ca7711fb775db266e55eec9caf904e61d7f700113472783999',
     }),
     (('interval_regression', None, 2), {
-        'coverage.csv': 'c52c9408f3a15125240236c27653e520894d0708c89fdb9b6508d42d4a77a873',
-        'intervals.csv': '11bd3fc128c0b40a047731c20c90572610c37413161f16a31ab3453986632519',
+        'coverage.csv': '65b05b2064243da600cdde8586491a3d6f6af730e5de7c933ba3f1dfb81538c1',
+        'intervals.csv': '059dee319af61d8f6fb35f017fb7c646c8bc2d2cfe5364656f95f14d79731a2a',
     }),
     (('errors_in_variables', 'II', 2), {
-        'coverage.csv': '265106477f40630a6633b82a520a4dc7bab6311c6221fe86cd41c8feec564f75',
-        'gamma_hist.csv': 'd50572e5760caf54382e663658cf4239c449772047276f1713ec15fc88178326',
-        'intervals.csv': '25197239bf58ed65838af6d034948f37626de42ccd4135929950746dcdecf882',
+        'coverage.csv': '0bc00d9ebd0bc6f7e8c64ecdf46f7cfce2b000c12fd9f47028085cf5f85af7ee',
+        'gamma_hist.csv': '669e4ec3da58d7779810c4524ac7c1d1d1535ec5efe480730fdaf7daff542e46',
+        'intervals.csv': '4e1421a6aa5e7f0285842a53e2f33b0c324196ea9c4ceb1d641a9e8e86cec7b2',
     }),
 ]
 
@@ -108,21 +112,21 @@ SUMMARY_GOLDEN = {
     ('toy_analytic', None, 1):
         '61b5f1455417b7ca9f3a45a1831011828f87feaa0b8a8ee2730fa280740f3570',
     ('interval_censored', None, 1):
-        '133dc76ce6d132af24528452acfa76342506ea4ac2ae3dca252b737f2f0f33f6',
+        'b41a298e23aa1072b0002910a8c869d15eb98c7f817b9b01d4c9e7c647fe8e9c',
     ('errors_in_variables', None, 1):
-        'a1e02ed02d645aa117ac3be7acfe49663bbcc2703dff074076130b008b867d0a',
+        'b40d04048297ce91574baadde0ddf5f8304966d4d62ff3629b91581741207f0d',
     ('interval_regression', None, 1):
-        '206ee5e2bf16dc4e5b55ac799381aba688946e6e0a8c62a2ba4311d2577bc802',
+        '1ec0de8c988951450c4f51c8a584e45caabe461ca0ec6815c44387cd700c4994',
     ('binary_missing', None, 1):
         'd397b54f213fd24a15dd940066ed55a2994d96badcd3c9ef59905f13b661295d',
     ('interval_censored', 'I', 1):
-        '3340b30a5242141f31060bc66ae69802b38b6b9b4221830ef6b5ff9deaeca7cf',
+        'c1cf934c489a7cd37157e4e74f569378c9cb5e10b77d26993ad2f55ac9a095cf',
     ('interval_censored', 'II', 1):
-        '84c82d4d6add3795e24f52505ae61347ac69cf8a11a2f954fbde2384c5be1e5d',
+        '62ee1b22cd9964089659920e09f1740b277fff7dc17d7fde6463402468fa0dd8',
     ('interval_censored', 'III', 1):
-        '2ea464850c4e4de00c589f51a9360f5d68fde19cec38a9db957f1bd633070bd5',
+        'c4590c1fbc10bb5bb67f65ea8497946eacc102f2dc6d0dc9b7b0cf6545d83601',
     ('interval_censored', 'IV', 1):
-        '551880f1f9f85715fc5f9dcea304c29924b025dcc7271db2015b9c1c6038e386',
+        '9220d4990fe36024a1d18b65c0864f00b0792e43e44888e00bbfe5733b07deab',
     ('binary_missing', 'II', 1):
         '4ede31a26a7f82ee6603e431ea6ee7008e4df4b74d4f7ab3ee6c851a2de2cace',
     ('binary_missing', 'III', 1):
@@ -130,11 +134,11 @@ SUMMARY_GOLDEN = {
     ('binary_missing', 'IV', 1):
         '9bb44d8258d821d14b0e484c50e05988c4e50150f9a7228c50c963a5f949fd2f',
     ('interval_censored', None, 2):
-        '5f6f85acdf967323a35d41ed2f4b6ceed82104324e68c6ef528c521338246639',
+        '2f07fcd91e4464a87db0a1b4af97790253c02a494dabc9c511cfd87fec43480a',
     ('interval_regression', None, 2):
-        '8c7f224bb6e16d3796cdbf74698a45ee20659ad1da1d4828f314233668feb6af',
+        'ae63c799e862a12e852efa26b866108431afba49abd984f71af999a65668b207',
     ('errors_in_variables', 'II', 2):
-        '256042261d5ab668e0fd69c394069de17b0884bb9e5bc550b5cdbd587fa909d1',
+        'cefa98434231c1392397083e42b487ec6693cb67b397861c41bbc41caf4b863d',
 }
 
 CASE_IDS = ["-".join(map(str, case)) for case, _ in GOLDEN]

@@ -34,7 +34,7 @@ DP_SCENARIOS = ("interval_censored", "errors_in_variables", "interval_regression
 def concatenated_draw(spec, source, data=None):
     """Normalized weights and atoms of one draw per row, the data as the last n atoms."""
     n0 = spec.concentration
-    k = choose_truncation_level(n0)
+    k = choose_truncation_level(n0, 0 if data is None else len(data))
     weights, _ = stick_weights(n0, k, source)
     atoms = np.asarray(spec.base_sampler(source, k), dtype=float)
     lead = weights.shape[:-1]
@@ -124,7 +124,7 @@ def process_calls(draw):
         spec1, spec2, t1, t2 = draw.args
         n = 0 if t1 is None else t1.shape[1]
         # k sticks and the one variate of the atoms' mean, then rho and n data weights
-        k = choose_truncation_level(spec1.concentration)
+        k = choose_truncation_level(spec1.concentration, n)
         return [(0, spec1, None, t1), (k + 1 + (n > 0) + (n if n > 1 else 0), spec2, None, t2)]
     features, _, spec, table = draw.args
     return [(0, spec, features, table)]
@@ -191,7 +191,7 @@ def test_censored_prior_side_follows_its_exact_law(mode):
     bound = np.sqrt(np.log(2 / LAW_ALPHA) / (2 * LAW_DRAWS))
     for (offset, spec, _, table), column in zip(process_calls(draw), ("y1", "y2")):
         base = spec.base_sampler
-        k = choose_truncation_level(spec.concentration)
+        k = choose_truncation_level(spec.concentration, 0 if table is None else table.shape[1])
         rows = u[:, offset:]  # k sticks, the one variate, then rho and the data weights
         fresh = stream_rows(LAW_SEED + 1, range(LAW_DRAWS), k)
         oracle_rows = np.concatenate((rows[:, :k], fresh, rows[:, k + 1:]), axis=1)
@@ -210,10 +210,11 @@ def test_censored_prior_side_follows_its_exact_law(mode):
         assert np.all(np.abs(means - expected) <= 1e-12 * (1 + np.abs(expected)))
 
 
-@pytest.mark.parametrize("mode, uniforms", [("prior", 259), ("posterior", 2261)])
+@pytest.mark.parametrize("mode, uniforms", [("prior", 259), ("posterior", 2143)])
 def test_censored_attempt_uniforms(mode, uniforms):
-    # k sticks and one variate per process (k = 90 and 167), then rho and the
-    # n = 1000 data weights of each in the posterior
+    # k sticks and one variate per process (k = 90 and 167 in the prior, 46
+    # and 93 in the posterior), then rho and the n = 1000 data weights of each
+    # in the posterior
     cfg = make_config("interval_censored")
     dataset = generate_data(cfg, attempt_stream(1, ROLE_DATA, 0))
     assert attempt_uniforms(prepare_draw(cfg, mode, dataset)) == uniforms
@@ -228,7 +229,8 @@ def test_censored_attempt_uniforms(mode, uniforms):
 # with a = n0 + n and that base.
 #
 # Truncation: the draws renormalize the first K sticks, whose tail T has
-# E[T] = (n0 / (n0 + 1))**K.  The renormalized weights' sum of squares moves by
+# E[T] = (n0 / (n0 + 1))**K, K the level of the draw's data size n (0 in the
+# prior); a posterior draw's prior side carries 1 - rho <= 1 of it.  The renormalized weights' sum of squares moves by
 # at most 2T from the untruncated one, and both the variance of M and E[Cov_P]
 # depend on the prior atoms only through it, so truncation moves them by at most
 # 2 E[T] Var_H[X] and 2 E[T] |Cov_H(X, Y)|; it leaves every mean exact.  Each
@@ -240,8 +242,8 @@ SEED = 12
 Z_MAX = 4.0
 
 
-def truncation_tail_mean(n0):
-    return (n0 / (n0 + 1.0)) ** choose_truncation_level(n0)
+def truncation_tail_mean(n0, n=0):
+    return (n0 / (n0 + 1.0)) ** choose_truncation_level(n0, n)
 
 
 def draw_means(draw, calls):
@@ -287,13 +289,13 @@ def test_censored_endpoint_moments(mode, base_var):
     lo, hi = (m[:, 0] for m in draw_means(draw, process_calls(draw)))
     for i, (x, column) in enumerate(((lo, "y1"), (hi, "y2"))):
         n0, mu, var = (cfg.hyper[name][i] for name in ("n0", "base_mean", "base_var"))
-        a, mean, second = n0, mu, var + mu**2
+        a, mean, second, n = n0, mu, var + mu**2, 0
         if mode == "posterior":
             y = dataset.column(column)
-            a = n0 + y.size
+            a, n = n0 + y.size, y.size
             mean, second = posterior_base(n0, mu, y), posterior_base(n0, var + mu**2, y**2)
         check_mean(x, mean)
-        check_variance(x, (second - mean**2) / (a + 1), 2 * truncation_tail_mean(n0) * var)
+        check_variance(x, (second - mean**2) / (a + 1), 2 * truncation_tail_mean(n0, n) * var)
 
 
 @pytest.mark.parametrize("mode", ["prior", "posterior"])
@@ -304,13 +306,13 @@ def test_errors_in_variables_expected_covariance(mode):
     (m,) = draw_means(draw, process_calls(draw))
     cov_p = m[:, 2] - m[:, 0] * m[:, 1]  # features y, z, yz, zz, yy
     n0, h_cov = cfg.hyper["n0"], cfg.hyper["base_cov"][0, 1]
-    a, cov = n0, h_cov  # the base mean is zero
+    a, cov, n = n0, h_cov, 0  # the base mean is zero
     if mode == "posterior":
         y, z = dataset.column("y"), dataset.column("z")
-        a = n0 + y.size
+        a, n = n0 + y.size, y.size
         cov = posterior_base(n0, h_cov, y * z) - posterior_base(n0, 0.0, y) * posterior_base(
             n0, 0.0, z)
-    check_mean(cov_p, a / (a + 1) * cov, 2 * truncation_tail_mean(n0) * abs(h_cov))
+    check_mean(cov_p, a / (a + 1) * cov, 2 * truncation_tail_mean(n0, n) * abs(h_cov))
 
 
 @pytest.mark.parametrize("mode", ["prior", "posterior"])

@@ -685,7 +685,7 @@ class TestBlockEquivalence:
             spec = DirichletProcessSpec(n0, ScalarNormal(mu, var))
             table = np.ascontiguousarray(data.column(column)[None]) if n else None
             # k sticks and the one variate of the atoms' mean, then rho and n data weights
-            k = choose_truncation_level(n0)
+            k = choose_truncation_level(n0, n)
             calls.append((spec, table, k + 1 + (n > 0) + (n if n > 1 else 0)))
         (spec1, t1, m1), (spec2, t2, m2) = calls
         for r, j in enumerate(batch.attempt_indices):

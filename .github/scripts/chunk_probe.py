@@ -2,7 +2,9 @@
 faults of a batch, for each Dirichlet-process scenario and mode at n = 1000.
 
 For each, it prints a Markdown table row: the attempt's uniforms m (the gamma
-uniform left out), the rows of a chunk (``scenarios.chunk_rows``), the
+uniform left out), beside the truncation level K of each of its processes
+(``dirichlet.choose_truncation_level``, which a posterior draw gives its data
+size), the rows of a chunk (``scenarios.chunk_rows``), the
 traced peak (``tracemalloc``) of one draw of those rows, apart from the
 chunk's own uniforms, whose size it prints beside it, and the minor page
 faults (``getrusage`` ``ru_minflt``) and wall time of a 1000-draw batch,
@@ -20,7 +22,13 @@ import tracemalloc
 
 import numpy as np
 
-from partialid import draw_set_batch, generate_data, make_config, prepare_draw
+from partialid import (
+    choose_truncation_level,
+    draw_set_batch,
+    generate_data,
+    make_config,
+    prepare_draw,
+)
 from partialid.rng import UniformRows, seed_words, stream_uniforms
 from partialid.scenarios import ROLE_DATA, attempt_stream, chunk_rows
 
@@ -33,6 +41,12 @@ def attempt_uniforms(draw) -> int:
     probe = UniformRows(np.broadcast_to(0.5, (1, 2**40)))
     draw(probe)
     return probe.at
+
+
+def levels(cfg, mode: str) -> str:
+    """The truncation level of each process of an attempt, in the order it draws them."""
+    n = cfg.n if mode == "posterior" else 0
+    return ", ".join(str(choose_truncation_level(n0, n)) for n0 in np.atleast_1d(cfg.hyper["n0"]))
 
 
 def chunk_peak(draw, m: int, rows: int, seed: int) -> int:
@@ -62,9 +76,9 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     seed = parser.parse_args().seed
     print(f"Chunk probe: n = {N}, {DRAWS} draws, seed {seed}\n")
-    print("| scenario | mode | m | rows | chunk peak KB | uniforms KB "
+    print("| scenario | mode | m | K | rows | chunk peak KB | uniforms KB "
           "| batch faults | batch ms |")
-    print("|---|---|---:|---:|---:|---:|---:|---:|")
+    print("|---|---|---:|---:|---:|---:|---:|---:|---:|")
     for sid in SCENARIOS:
         cfg = make_config(sid, n=N)
         data = generate_data(cfg, attempt_stream(seed, ROLE_DATA, 0))
@@ -74,7 +88,7 @@ def main() -> None:
             rows = chunk_rows(m + 1)  # a batch's rows also hold the gamma uniform
             peak = chunk_peak(draw, m, rows, seed)
             faults, seconds = batch_faults(cfg, mode, data, seed)
-            print(f"| {sid} | {mode} | {m} | {rows} | {peak / 1024:.0f} "
+            print(f"| {sid} | {mode} | {m} | {levels(cfg, mode)} | {rows} | {peak / 1024:.0f} "
                   f"| {rows * m * 8 / 1024:.0f} | {faults} | {seconds * 1e3:.1f} |")
 
 

@@ -521,7 +521,7 @@ def chunk_rows(m: int) -> int:
     features.  At n = 1000, with the gamma uniform: toy_analytic and
     binary_missing (m = 3) run 10922 rows a chunk, interval_censored's prior
     (m = 260) 126, errors_in_variables' prior 65, and the other four
-    Dirichlet-process batches (m up to 2262) 64; none meets the 2**18 cap,
+    Dirichlet-process batches (m up to 2144) 64; none meets the 2**18 cap,
     which leaves 1 or 2 posterior rows at n = 10**5, and one row at m = 10**6.
     """
     return max(1, CHUNK_UNIFORMS // m, min(64, 2**18 // m))

@@ -230,7 +230,8 @@ def test_censored_attempt_uniforms(mode, uniforms):
 #
 # Truncation: the draws renormalize the first K sticks, whose tail T has
 # E[T] = (n0 / (n0 + 1))**K, K the level of the draw's data size n (0 in the
-# prior); a posterior draw's prior side carries 1 - rho <= 1 of it.  The renormalized weights' sum of squares moves by
+# prior); a posterior draw's prior side carries 1 - rho <= 1 of it.  The
+# renormalized weights' sum of squares moves by
 # at most 2T from the untruncated one, and both the variance of M and E[Cov_P]
 # depend on the prior atoms only through it, so truncation moves them by at most
 # 2 E[T] Var_H[X] and 2 E[T] |Cov_H(X, Y)|; it leaves every mean exact.  Each

@@ -86,7 +86,7 @@ def _truncation_level(n0: float, n: int) -> int:
         if s <= TRUNCATION_EPS:
             return 1
         shape = special.gdtrib(n0, half, math.log(s / TRUNCATION_EPS))
-        return max(1, math.ceil(shape)) if shape < prior else prior  # also a nan shape
+        return math.ceil(shape) if shape < prior else prior  # also a nan shape
     shape = special.gdtrib(n0, TRUNCATION_DELTA, -math.log(TRUNCATION_EPS))
     if not shape <= MAX_TRUNCATION_LEVEL:  # also a shape that is inf or nan
         raise ParameterError(f"concentration {n0} needs {shape} sticks, more than "

@@ -156,12 +156,13 @@ class TestPosteriorTruncationLevel:
         n0, n, draws = 20.0, 1000, 20_000
         k = choose_truncation_level(n0, n)
         gen = np.random.default_rng(1)
+        rates = {}
         for level in (k, 60):
             tails = np.prod(1.0 - gen.beta(1.0, n0, size=(draws, level)), axis=1)
-            rate = np.mean(gen.beta(n0, n, size=draws) * tails > TRUNCATION_EPS)
+            rates[level] = np.mean(gen.beta(n0, n, size=draws) * tails > TRUNCATION_EPS)
             exact = posterior_exceedance(n0, n, level)
-            assert abs(rate - exact) <= 4 * np.sqrt(exact * (1 - exact) / draws) + 1 / draws
-        assert rate > TRUNCATION_DELTA >= posterior_exceedance(n0, n, k)
+            assert abs(rates[level] - exact) <= 4 * np.sqrt(exact * (1 - exact) / draws) + 1 / draws
+        assert rates[k] <= TRUNCATION_DELTA < rates[60]
 
 
 class TestDirichletProcessSpec:

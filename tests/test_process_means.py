@@ -230,21 +230,26 @@ def test_censored_attempt_uniforms(mode, uniforms):
 #
 # Truncation: the draws renormalize the first K sticks, whose tail T has
 # E[T] = (n0 / (n0 + 1))**K, K the level of the draw's data size n (0 in the
-# prior); a posterior draw's prior side carries 1 - rho <= 1 of it.  The
-# renormalized weights' sum of squares moves by
-# at most 2T from the untruncated one, and both the variance of M and E[Cov_P]
-# depend on the prior atoms only through it, so truncation moves them by at most
-# 2 E[T] Var_H[X] and 2 E[T] |Cov_H(X, Y)|; it leaves every mean exact.  Each
-# check is |estimate - exact| <= 4 standard errors + that bound.  The tolerance
-# and the seeds were fixed before any result was seen; a failure is a defect.
+# prior).  The renormalized weights' sum of squares moves by at most 2T from
+# the untruncated one, and both the variance of M and E[Cov_P] depend on the
+# prior atoms only through it, times (1 - rho)^2 in a posterior draw, whose
+# prior side carries 1 - rho ~ Beta(n0, n), independent of the sticks.  So
+# truncation moves them by at most 2 E[(1 - rho)^2] E[T] Var_H[X] and
+# 2 E[(1 - rho)^2] E[T] |Cov_H(X, Y)|, with (1 - rho)^2 = 1 in the prior; it
+# leaves every mean exact.  Each check is |estimate - exact| <= 4 standard
+# errors + that bound.  The tolerance and the seeds were fixed before any
+# result was seen; a failure is a defect.
 
 DRAWS = 20_000
 SEED = 12
 Z_MAX = 4.0
 
 
-def truncation_tail_mean(n0, n=0):
-    return (n0 / (n0 + 1.0)) ** choose_truncation_level(n0, n)
+def prior_side_tail(n0, n=0):
+    """E[(1 - rho)^2] E[T] of a draw given n data points: 1 - rho ~ Beta(n0, n),
+    or 1 in the prior, and T the tail of its K sticks."""
+    share = n0 * (n0 + 1) / ((n0 + n) * (n0 + n + 1))
+    return share * (n0 / (n0 + 1.0)) ** choose_truncation_level(n0, n)
 
 
 def draw_means(draw, calls):
@@ -296,7 +301,7 @@ def test_censored_endpoint_moments(mode, base_var):
             a, n = n0 + y.size, y.size
             mean, second = posterior_base(n0, mu, y), posterior_base(n0, var + mu**2, y**2)
         check_mean(x, mean)
-        check_variance(x, (second - mean**2) / (a + 1), 2 * truncation_tail_mean(n0, n) * var)
+        check_variance(x, (second - mean**2) / (a + 1), 2 * prior_side_tail(n0, n) * var)
 
 
 @pytest.mark.parametrize("mode", ["prior", "posterior"])
@@ -313,7 +318,7 @@ def test_errors_in_variables_expected_covariance(mode):
         a, n = n0 + y.size, y.size
         cov = posterior_base(n0, h_cov, y * z) - posterior_base(n0, 0.0, y) * posterior_base(
             n0, 0.0, z)
-    check_mean(cov_p, a / (a + 1) * cov, 2 * truncation_tail_mean(n0, n) * abs(h_cov))
+    check_mean(cov_p, a / (a + 1) * cov, 2 * prior_side_tail(n0, n) * abs(h_cov))
 
 
 @pytest.mark.parametrize("mode", ["prior", "posterior"])

@@ -46,10 +46,11 @@ for w in $counts; do
   done
 done
 # rows longer than the buffer's cap of 2**18 uniforms: an interval_censored
-# posterior at n = 100000 reads 200262 uniforms an attempt, one row a chunk,
-# and its 20 attempts cross scenarios.POOL_UNIFORMS
+# posterior at n = 140000 reads 280007 uniforms an attempt (both processes keep
+# one stick; the gamma uniform included), one row a chunk, and its 20 attempts
+# cross scenarios.POOL_UNIFORMS
 for w in $counts; do
-  timeout 300 python -m partialid.cli run --scenario interval_censored --n 100000 \
+  timeout 300 python -m partialid.cli run --scenario interval_censored --n 140000 \
     --n-draws 20 --seed 7 --workers "$w" --out-dir "$out/b$w" > /dev/null
   for f in coverage.csv intervals.csv; do
     cmp "$out/b1/interval_censored_seed7/$f" "$out/b$w/interval_censored_seed7/$f"

@@ -65,16 +65,20 @@ class MarginalSampleBatch(SetDrawBatch):
     """Paired (gamma, interval) draws from the marginal prior or posterior.
 
     A :class:`SetDrawBatch` whose draws each carry a gamma inside the interval.
+    It shares every array, count and flag of ``batch``, already checked and
+    read-only, and checks and copies only ``gammas``.
     """
 
     __slots__ = ("gammas",)
 
-    def __init__(self, gammas, lo, hi, source, scenario_id, skipped=0,
-                 attempt_indices=None, *, warn: bool = True):
-        super().__init__(lo, hi, source, scenario_id, skipped, attempt_indices, warn=warn)
+    def __init__(self, batch: SetDrawBatch, gammas):
+        if not isinstance(batch, SetDrawBatch):
+            raise ParameterError(f"batch must be a SetDrawBatch, got {type(batch).__name__}")
+        for name in SetDrawBatch.__slots__:
+            setattr(self, name, getattr(batch, name))
         gammas = as_reals("gammas", gammas).copy()
         if gammas.shape != self.lo.shape:
-            raise ParameterError("gammas, lo, hi must be aligned 1-d arrays")
+            raise ParameterError("gammas must align with the batch's draws")
         if not np.all((self.lo <= gammas) & (gammas <= self.hi)):  # NaN fails both
             raise ParameterError("every gamma must lie in its paired interval")
         gammas.setflags(write=False)
@@ -87,8 +91,8 @@ def draw_gammas(spec: ConditionalPriorSpec, batch: SetDrawBatch) -> MarginalSamp
     Draw j transforms ``batch.gamma_uniforms[j]``, the uniform its attempt
     stream drew after the interval, so it never fails and never redraws the
     interval.  An interval narrower than :data:`DEGENERATE_WIDTH` gives its
-    midpoint.  The result keeps the batch's intervals, skip account and
-    high-skip flag, and does not warn again.
+    midpoint.  The result wraps ``batch``: it shares its intervals, uniforms,
+    skip account and high-skip flag, and does not warn again.
     """
     if batch.gamma_uniforms is None:
         raise ParameterError("drawing gammas needs the batch's gamma_uniforms")
@@ -104,11 +108,7 @@ def draw_gammas(spec: ConditionalPriorSpec, batch: SetDrawBatch) -> MarginalSamp
         draws = lo + (hi - lo) * rng.uniform()
     else:
         draws = lo + (hi - lo) * sample_beta(spec.p, spec.q, rng)
-    return MarginalSampleBatch(
-        np.where(degenerate, mid, draws), batch.lo, batch.hi,
-        batch.source, batch.scenario_id, skipped=batch.skipped,
-        attempt_indices=batch.attempt_indices, warn=False,
-    )
+    return MarginalSampleBatch(batch, np.where(degenerate, mid, draws))
 
 
 def marginal_sample(

@@ -64,17 +64,16 @@ class SetDrawBatch:
     ``gamma_uniforms`` the uniform in [0, 1) that attempt drew after its
     interval, for a second-stage draw given the interval.  A batch whose
     ``skip_rate`` exceeds :data:`HIGH_SKIP_RATE` sets ``high_skip_warning`` and
-    warns at construction, naming the first caller outside the package, unless
-    ``warn`` is false (a batch made from one that has warned).
-    Marginal (gamma, interval) batches are a subclass, so both kinds follow
-    the same rules.
+    warns at construction, naming the first caller outside the package.
+    Marginal (gamma, interval) batches are a subclass that wraps a built
+    batch, so both kinds follow the same rules and a batch warns once.
     """
 
     __slots__ = ("lo", "hi", "source", "scenario_id", "skipped", "attempt_indices",
                  "gamma_uniforms", "high_skip_warning", "_lo_sorted", "_hi_sorted")
 
     def __init__(self, lo, hi, source: str, scenario_id: str, skipped: int = 0,
-                 attempt_indices=None, gamma_uniforms=None, *, warn: bool = True):
+                 attempt_indices=None, gamma_uniforms=None):
         lo, hi = as_reals("lo", lo).copy(), as_reals("hi", hi).copy()
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ParameterError("lo and hi must be 1-d arrays of equal length")
@@ -104,7 +103,7 @@ class SetDrawBatch:
         for arr in (lo, hi, self._lo_sorted, self._hi_sorted):
             arr.setflags(write=False)
         self.high_skip_warning = self.skip_rate > HIGH_SKIP_RATE
-        if self.high_skip_warning and warn:
+        if self.high_skip_warning:
             # name the first caller outside the package (skip_file_prefixes is 3.12+)
             frame, level = sys._getframe(1), 2
             while frame is not None and frame.f_globals.get("__name__", "").startswith(_PACKAGE):
@@ -177,12 +176,12 @@ class CredibleRegion:
 
 
 def credible_region(batch: SetDrawBatch, alpha: float) -> CredibleRegion:
-    """Smallest endpoint-quantile interval containing a fraction >= alpha of draws.
+    """Equal-tailed endpoint-quantile interval containing a fraction >= alpha of draws.
 
-    Starts from the (1-alpha)/2 lower quantile of the left endpoints and the
-    matching upper quantile of the right endpoints, then walks both cut points
-    outward one order statistic at a time until the fraction of draws fully
-    inside reaches alpha.  Monotone in alpha by construction; alpha = 1 gives
+    With k = floor((1 - alpha) n / 2), taken in integers, the region runs from
+    the k-th smallest left endpoint to the k-th largest right endpoint (from
+    0).  At most k draws start below it and at most k end above it, so at
+    least n - 2k >= alpha n lie inside.  Monotone in alpha; alpha = 1 gives
     the hull of all draws.
     """
     alpha = as_level("alpha", alpha)
@@ -190,14 +189,10 @@ def credible_region(batch: SetDrawBatch, alpha: float) -> CredibleRegion:
         raise ParameterError("credible regions are defined for posterior batches")
     _require_nonempty(batch)
     n = len(batch)
-    k = int(np.floor((1.0 - alpha) / 2.0 * n))
-    while True:
-        q_lo = batch._lo_sorted[k]
-        q_hi = batch._hi_sorted[n - 1 - k]
-        contained = float(np.mean((batch.lo >= q_lo) & (batch.hi <= q_hi)))
-        if contained >= alpha or k == 0:
-            break
-        k -= 1
+    p, q = alpha.as_integer_ratio()
+    k = (q - p) * n // (2 * q)
+    q_lo, q_hi = batch._lo_sorted[k], batch._hi_sorted[n - 1 - k]
+    contained = float(np.mean((batch.lo >= q_lo) & (batch.hi <= q_hi)))
     return CredibleRegion(IntervalSet(float(q_lo), float(q_hi)), contained, alpha)
 
 

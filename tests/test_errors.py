@@ -117,7 +117,8 @@ REAL = {
         lambda v: SetDrawBatch([0.0], [1.0], "prior", "synthetic", gamma_uniforms=[v]),
         "gamma_uniforms"),
     "MarginalSampleBatch(gammas)": (
-        lambda v: MarginalSampleBatch([v], [0.0], [1.0], "prior", "synthetic"), "gammas"),
+        lambda v: MarginalSampleBatch(SetDrawBatch([0.0], [1.0], "prior", "synthetic"), [v]),
+        "gammas"),
     "estimate_coverage(grid)": (lambda v: estimate_coverage(_POSTERIOR, [0.0, v]), "grid"),
     "credible_region(alpha)": (lambda v: credible_region(_POSTERIOR, v), "alpha"),
     "histogram(values)": (lambda v: histogram([0.5, v], 5, (0.0, 1.0)), "values"),
@@ -377,7 +378,7 @@ def test_booleans_convert_as_zero_and_one():
 def test_a_batch_or_dataset_holds_its_own_copy():
     lo, hi, u, values = np.zeros(3), np.ones(3), np.full(3, 0.5), np.zeros((3, 2))
     batch = SetDrawBatch(lo, hi, "prior", "synthetic", gamma_uniforms=u)
-    marginal = MarginalSampleBatch(u, lo, hi, "prior", "synthetic")
+    marginal = MarginalSampleBatch(batch, u)
     data = Dataset("interval_censored", values)
     for given, held in [(lo, batch.lo), (hi, batch.hi), (u, batch.gamma_uniforms),
                         (u, marginal.gammas), (values, data.values)]:

@@ -269,13 +269,41 @@ class TestMarginalSample:
         from partialid import MarginalSampleBatch
 
         with pytest.raises(ParameterError):
-            MarginalSampleBatch([0.5], [1.0], [2.0], "prior", "synthetic")
+            MarginalSampleBatch(SetDrawBatch([1.0], [2.0], "prior", "synthetic"), [0.5])
 
     def test_nan_gamma_rejected(self):
         from partialid import MarginalSampleBatch
 
         with pytest.raises(ParameterError, match="paired interval"):
-            MarginalSampleBatch([np.nan], [0.0], [1.0], "prior", "synthetic")
+            MarginalSampleBatch(SetDrawBatch([0.0], [1.0], "prior", "synthetic"), [np.nan])
+
+    def test_wraps_its_set_batch(self):
+        from partialid import MarginalSampleBatch
+
+        with pytest.warns(UserWarning, match="skipped 2 of 5 draws"):
+            batch = SetDrawBatch([0.0, 1.0, 2.0], [1.0, 3.0, 2.0], "posterior", "synthetic",
+                                 skipped=2, attempt_indices=[0, 3, 4],
+                                 gamma_uniforms=[0.5, 0.25, 0.0])
+        gammas = np.array([0.5, 1.5, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the batch has warned; its wrapper does not
+            marginal = MarginalSampleBatch(batch, gammas)
+        for name in SetDrawBatch.__slots__:
+            assert getattr(marginal, name) is getattr(batch, name)
+        for name in ("lo", "hi", "attempt_indices", "gamma_uniforms", "_lo_sorted", "_hi_sorted"):
+            assert np.shares_memory(getattr(marginal, name), getattr(batch, name))
+        assert not np.shares_memory(marginal.gammas, gammas)
+        assert marginal.gammas.tolist() == gammas.tolist() and not marginal.gammas.flags.writeable
+        assert (marginal.skipped, marginal.skip_rate, len(marginal)) == (2, 0.4, 3)
+        assert marginal.high_skip_warning is True
+
+    @pytest.mark.parametrize("batch", [None, (np.zeros(1), np.ones(1)), IntervalSet(0.0, 1.0)],
+                             ids=["none", "arrays", "interval"])
+    def test_rejects_a_first_argument_that_is_not_a_batch(self, batch):
+        from partialid import MarginalSampleBatch
+
+        with pytest.raises(ParameterError, match="^batch must be a SetDrawBatch, got "):
+            MarginalSampleBatch(batch, [0.5])
 
 
 # --- the exact marginal law of binary_missing ------------------------------------

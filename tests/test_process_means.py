@@ -16,7 +16,14 @@ import numpy as np
 import pytest
 from scipy import special
 
-from partialid import DirichletProcessSpec, generate_data, make_config, prepare_draw, process_means
+from partialid import (
+    Dataset,
+    DirichletProcessSpec,
+    generate_data,
+    make_config,
+    prepare_draw,
+    process_means,
+)
 from partialid import scenarios
 from partialid.dirichlet import choose_truncation_level, stick_weights
 from partialid.distributions import (
@@ -319,6 +326,29 @@ def test_errors_in_variables_expected_covariance(mode):
         cov = posterior_base(n0, h_cov, y * z) - posterior_base(n0, 0.0, y) * posterior_base(
             n0, 0.0, z)
     check_mean(cov_p, a / (a + 1) * cov, 2 * prior_side_tail(n0, n) * abs(h_cov))
+
+
+# errors_in_variables' bounds are ratios of centred second moments, so moving y,
+# z and the base mean by constants moves no bound but for rounding; the data
+# and base mean are centred at 0, where an uncentred moment would go unseen
+LOCATION_SHIFT = np.array([3.0, -2.0])
+LOCATION_RTOL = 1e-9  # fixed before the first run; the runs differ by at most about 3e-14
+
+
+@pytest.mark.parametrize("mode", ["prior", "posterior"])
+def test_errors_in_variables_bounds_are_location_invariant(mode):
+    cfg = make_config("errors_in_variables", n=200)
+    dataset = generate_data(cfg, attempt_stream(SEED, ROLE_DATA, 0))
+    moved_cfg = dataclasses.replace(
+        cfg, hyper={**cfg.hyper, "base_mean": cfg.hyper["base_mean"] + LOCATION_SHIFT})
+    moved = Dataset("errors_in_variables", dataset.values + LOCATION_SHIFT)
+    draw = prepare_draw(cfg, mode, dataset)
+    u = block_uniforms(draw, SEED, range(200))
+    lo, hi, accept = draw(UniformRows(u))
+    moved_lo, moved_hi, moved_accept = prepare_draw(moved_cfg, mode, moved)(UniformRows(u))
+    assert accept.any() and np.array_equal(moved_accept, accept)
+    for new, old in ((moved_lo, lo), (moved_hi, hi)):
+        np.testing.assert_allclose(new[accept], old[accept], rtol=LOCATION_RTOL, atol=0)
 
 
 @pytest.mark.parametrize("mode", ["prior", "posterior"])

@@ -1,5 +1,7 @@
 import itertools
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -289,6 +291,16 @@ class TestCredibleRegion:
         with pytest.raises(ParameterError):
             credible_region(batch, 0.95)
 
+    @pytest.mark.parametrize("alpha, n, edge", [(0.3, 180, 116), (0.55, 40, 31)])
+    def test_exact_index_where_the_float_product_rounds(self, alpha, n, edge):
+        # in floats (1 - alpha) / 2 * n is 62.99999999999999 and 9.0; for the
+        # doubles 0.3 and 0.55 it is just above 63 and just below 9, so k is
+        # 63 and 8, and the nested intervals [-i, i] cut at -(n - 1 - k), n - 1 - k
+        i = np.arange(n, dtype=float)
+        out = credible_region(SetDrawBatch(-i, i, "posterior", "synthetic"), alpha)
+        assert out.region == IntervalSet(-edge, edge)
+        assert out.containment == (edge + 1) / n
+
     def test_contains_point_estimate_at_moderate_alpha(self):
         batch = random_batch(8)
         pe = point_estimate_set(batch)
@@ -351,8 +363,11 @@ class TestEstimatorProperties:
     @given(batches(), st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5).map(sorted))
     def test_credible_regions_meet_alpha_and_nest(self, batch, alphas):
         regions = [credible_region(batch, alpha) for alpha in alphas]
+        n = len(batch)
         for r in regions:
             assert r.containment >= r.alpha
+            k = math.floor((1 - Fraction(r.alpha)) * n / 2)  # the exact index
+            assert r.region == IntervalSet(np.sort(batch.lo)[k], np.sort(batch.hi)[n - 1 - k])
         for r, s in zip(regions, regions[1:]):
             assert r.containment <= s.containment
             assert s.region.lo <= r.region.lo and r.region.hi <= s.region.hi

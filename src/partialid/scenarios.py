@@ -659,17 +659,16 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
     1.  The pool serves one thread at a time: runs in two threads at once at
     ``workers`` 2 or more would read each other's replies.  The main thread
     sends each pool process one later share of the block, computes the first
-    share itself, and then reads the replies in share order: an outcome, or
-    the error the share raised.  A process found dead has its share run here,
-    which gives the same bytes, and the pool is dropped; the next block
-    starts another.  Shares are consumed in attempt order, and every reply of
-    a block is read before the next block starts, those past the block's last
-    acceptance, or after its error, unopened; only then is that error raised.
-    A block left by any other exception, such as an interrupt in the middle
-    of a reply, drops the pool instead, so no reply is left for a later block
-    to read as its own.  Attempts past the ``n_draws``-th acceptance are
-    never counted and their errors never raised; a consumed, accepted one
-    without ``lo <= hi`` raises :class:`ParameterError`.  Returns
+    share itself, and then reads every later share's reply in share order: an
+    outcome, or the error the share raised.  A process found dead has its
+    share run here, which gives the same bytes, and the pool is dropped; the
+    next block starts another.  Any other exception while the block runs, such
+    as an interrupt in the middle of a reply, drops the pool too, so no reply
+    is left for a later block to read as its own.  Only then are the shares
+    consumed, in attempt order, up to the ``n_draws``-th acceptance: a share's
+    error is raised where it is reached, and so is :class:`ParameterError`
+    for an accepted attempt without ``lo <= hi``; later attempts are never
+    counted and their errors never raised.  Returns
     ``(attempt_indices, lo, hi, *columns, skipped)``: ``columns`` are the
     accepted rows of each further array of the wrapped draw, the gamma
     uniforms last.  Raises :class:`ParameterError` for a role outside
@@ -701,43 +700,36 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
         pool = _attempt_pool(others) if others and len(streams) * m >= POOL_UNIFORMS else []
         step = -(-len(streams) // (len(pool) + 1))
         shares = [streams[i:i + step] for i in range(0, len(streams), step)]
-        sent, error = [], None  # the ends given the later shares, their replies unread
         try:
             for (here, _), share in zip(pool, shares[1:]):
                 with contextlib.suppress(OSError):  # a dead process: reading its reply fails
                     here.send((task, share))
-                sent.append(here)
-            for k, share in enumerate(shares):  # the first runs here, the others there
+            outcomes = [task(shares[0])]  # the first share runs here, the others there
+            for (here, _), share in zip(pool, shares[1:]):
                 try:
-                    outcome = sent.pop(0).recv() if k else task(share)
+                    outcomes.append(here.recv())
                 except (EOFError, OSError) as exc:  # its process died: it runs here
                     log.warning("the attempt pool lost a share (%r); it runs here", exc)
                     shutdown_attempt_pool()  # the next block starts another
-                    outcome = task(share)  # it seeds its own streams: the same outcome
-                if isinstance(outcome, Exception):  # a share's error, raised below
-                    error = outcome
-                    break
-                lo, hi, accept, *columns = outcome
-                rows = np.flatnonzero(accept)[:need]
-                skipped += int(rows[-1] + 1 if len(rows) == need else len(share)) - len(rows)
-                first = share.start - base  # the attempt of row 0
-                bad = rows[~(lo[rows] <= hi[rows])]
-                if bad.size:
-                    error = ParameterError(f"{label}: attempt {first + bad[0]} drew the "
-                                           f"invalid interval [{lo[bad[0]]}, {hi[bad[0]]}]")
-                    break
-                taken.append((first + rows, lo[rows], hi[rows], *(c[rows] for c in columns)))
-                need -= len(rows)
-                if not need:
-                    break
-            for here in sent:  # replies past the last acceptance, or an error: read unopened
-                with contextlib.suppress(EOFError, OSError):  # a dead process: the next block
-                    here.recv_bytes()
+                    outcomes.append(task(share))  # it seeds its own streams: the same outcome
         except BaseException:  # interrupted, maybe mid-message: the next block starts another
             shutdown_attempt_pool()
             raise
-        if error is not None:
-            raise error
+        for share, outcome in zip(shares, outcomes):
+            if isinstance(outcome, Exception):  # the error the share raised
+                raise outcome
+            lo, hi, accept, *columns = outcome
+            rows = np.flatnonzero(accept)[:need]
+            skipped += int(rows[-1] + 1 if len(rows) == need else len(share)) - len(rows)
+            first = share.start - base  # the attempt of row 0
+            bad = rows[~(lo[rows] <= hi[rows])]
+            if bad.size:
+                raise ParameterError(f"{label}: attempt {first + bad[0]} drew the "
+                                     f"invalid interval [{lo[bad[0]]}, {hi[bad[0]]}]")
+            taken.append((first + rows, lo[rows], hi[rows], *(c[rows] for c in columns)))
+            need -= len(rows)
+            if not need:
+                break
     return (*(np.concatenate(part) for part in zip(*taken)), skipped)
 
 

@@ -52,8 +52,6 @@ def in_process_pool(monkeypatch):
         def recv(self):
             return self.replies.pop(0)
 
-        recv_bytes = recv
-
         def close(self):
             pass
 

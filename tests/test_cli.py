@@ -475,8 +475,7 @@ class TestPoolLifetime:
 
         # a process that died before the block leaves its share no reader; one
         # that died before or during it, no reply
-        for name, error in (("send", BrokenPipeError), ("recv", EOFError),
-                            ("recv_bytes", EOFError)):
+        for name, error in (("send", BrokenPipeError), ("recv", EOFError)):
             if name != "send" or when == "idle":
                 monkeypatch.setattr(end, name, dead(error))
         assert self._run(tmp_path, "b", 2) == serial

@@ -351,6 +351,49 @@ def test_errors_in_variables_bounds_are_location_invariant(mode):
         np.testing.assert_allclose(new[accept], old[accept], rtol=LOCATION_RTOL, atol=0)
 
 
+CENSORED_SHIFT = 3.0
+CENSORED_ATOL = 1e-9  # fixed before the first run; the runs differ by at most about 4.4e-15
+Z_SCALE = 4.0  # a power of two: the scaled draws are bit-identical, well inside LOCATION_RTOL
+
+
+@pytest.mark.parametrize("mode", ["prior", "posterior"])
+def test_interval_censored_bounds_move_with_the_outcomes(mode):
+    # the bounds are the two processes' means: moving y1, y2 and both base
+    # means by one constant moves lo and hi by it
+    cfg = make_config("interval_censored", n=200)
+    dataset = generate_data(cfg, attempt_stream(11, ROLE_DATA, 0))
+    moved_cfg = dataclasses.replace(cfg, hyper={
+        **cfg.hyper, "base_mean": tuple(mu + CENSORED_SHIFT for mu in cfg.hyper["base_mean"])})
+    moved = Dataset("interval_censored", dataset.values + CENSORED_SHIFT)
+    draw = prepare_draw(cfg, mode, dataset)
+    u = block_uniforms(draw, 11, range(200))
+    lo, hi, accept = draw(UniformRows(u))
+    moved_lo, moved_hi, moved_accept = prepare_draw(moved_cfg, mode, moved)(UniformRows(u))
+    assert accept.any() and np.array_equal(moved_accept, accept)
+    for new, old in ((moved_lo, lo), (moved_hi, hi)):
+        np.testing.assert_allclose(new, old + CENSORED_SHIFT, rtol=0, atol=CENSORED_ATOL)
+
+
+@pytest.mark.parametrize("mode", ["prior", "posterior"])
+def test_interval_regression_bounds_are_instrument_scale_invariant(mode):
+    # each bound is a ratio of two means of products with z: scaling z in
+    # the data, the base mean and the base covariance scales both alike
+    cfg = make_config("interval_regression", n=200)
+    dataset = generate_data(cfg, attempt_stream(11, ROLE_DATA, 0))
+    scale = np.array([1.0, 1.0, 1.0, Z_SCALE])
+    moved_cfg = dataclasses.replace(cfg, hyper={
+        **cfg.hyper, "base_mean": cfg.hyper["base_mean"] * scale,
+        "base_cov": cfg.hyper["base_cov"] * np.outer(scale, scale)})
+    moved = Dataset("interval_regression", dataset.values * scale)
+    draw = prepare_draw(cfg, mode, dataset)
+    u = block_uniforms(draw, 11, range(200))
+    lo, hi, accept = draw(UniformRows(u))
+    moved_lo, moved_hi, moved_accept = prepare_draw(moved_cfg, mode, moved)(UniformRows(u))
+    assert accept.any() and np.array_equal(moved_accept, accept)
+    for new, old in ((moved_lo, lo), (moved_hi, hi)):
+        np.testing.assert_allclose(new[accept], old[accept], rtol=LOCATION_RTOL, atol=0)
+
+
 @pytest.mark.parametrize("mode", ["prior", "posterior"])
 def test_interval_regression_cross_moment_means(mode):
     cfg = make_config("interval_regression", n=200)

@@ -1187,6 +1187,30 @@ class TestPool:
         (args,) = in_process_pool.submitted  # the pool's share ran once, and was read
         assert not any(end.replies for end, _ in scenarios._pool)
 
+    def test_a_failed_parents_share_still_runs_a_lost_share_here(self, monkeypatch, caplog,
+                                                                 in_process_pool):
+        # every reply of a block is read before its error is raised, so a
+        # share whose process died is run here, and the dead pool dropped
+        monkeypatch.setattr(scenarios, "max_workers", lambda: 2)
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
+        run_attempts(_skip_most, 40, 21, 1, 2, "synthetic")
+        ((end, _),) = pool = scenarios._pool
+
+        def dead():
+            raise EOFError("the pool's process died")
+
+        end.recv = dead
+        draw = partial(_raise_at, attempt_stream(21, 1, 0).uniform())
+        with pytest.raises(RuntimeError, match="past the last acceptance"):
+            run_attempts(draw, 40, 21, 1, 2, "synthetic")
+        assert caplog.text.count("the attempt pool lost a share") == 1
+        assert scenarios._pool == [] and in_process_pool.shut == [pool]
+        serial = run_attempts(_skip_most, 40, 22, 1, 1, "synthetic")
+        pooled = run_attempts(_skip_most, 40, 22, 1, 2, "synthetic")
+        for a, b in zip(serial[:4], pooled[:4]):
+            assert a.tobytes() == b.tobytes()
+        assert serial[4] == pooled[4] and in_process_pool.sizes == [1, 1]
+
     @pytest.mark.skipif(scenarios.max_workers() < 2, reason="needs two CPUs")
     def test_a_live_pool_runs_no_thread(self, monkeypatch):
         # so Python 3.12's warning about forking a process with threads cannot
@@ -1216,17 +1240,29 @@ class TestPool:
         """A real pool, including a block whose pool share is past the last
         acceptance, lives until its interpreter exits, and no process
         outlives that."""
-        dropped, recv_bytes = [], Connection.recv_bytes  # recv reads a consumed reply
-        monkeypatch.setattr(Connection, "recv_bytes",
-                            lambda end: dropped.append(end) or recv_bytes(end))
+        # this process's shares sent, replies read and each role's last acceptance
+        sent, read, last = [], [], {}
+        send, recv, run = Connection.send, Connection.recv, scenarios.run_attempts
+        monkeypatch.setattr(Connection, "send",
+                            lambda end, obj: sent.append(obj) or send(end, obj))
+        monkeypatch.setattr(Connection, "recv", lambda end: read.append(end) or recv(end))
+
+        def run_attempts(*args):
+            result = run(*args)
+            last[args[3]] = result[0][-1]
+            return result
+
+        monkeypatch.setattr(scenarios, "run_attempts", run_attempts)
         monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
         monkeypatch.setattr(scenarios, "prepare_draw", lambda *args: _skip_most)
         with pytest.warns(UserWarning, match="skipped"):
             report = run_scenario(RunConfig(scenario="toy_analytic", n=None, n_draws=10,
                                             seed=21, workers=2, out_dir=str(tmp_path)))
         assert report.skips["prior_sets"] > 0
-        assert dropped  # a share the run did not consume,
-        assert not any(end.poll() for end, _ in scenarios._pool)  # whose reply was read
+        past = [streams for _, streams in sent
+                if streams.start % 2**32 > last[streams.start >> 32]]
+        assert past and len(read) == len(sent)  # a share past the last acceptance, read,
+        assert not any(end.poll() for end, _ in scenarios._pool)  # and no reply left
 
         # two runs share the pool the first one starts; it is still up at exit
         _run_child(f"""

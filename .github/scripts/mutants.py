@@ -57,7 +57,7 @@ MUTANTS = (
            "v = sample_beta(1.0, n0, rng, size=as_int(\"k\", k, 1))",
            "v = sample_beta(1.0, 2 * n0, rng, size=as_int(\"k\", k, 1))",
            "the stick law, and so every process draw's spread"),
-    Mutant("ScalarNormal spread without its sqrt", "dirichlet.py",
+    Mutant("ScalarNormal spread without its sqrt", "distributions.py",
            "spread = np.sqrt(np.sum(weights * weights, axis=-1, keepdims=True)) / total",
            "spread = np.sum(weights * weights, axis=-1, keepdims=True) / total",
            "interval_censored's prior-side shortcut"),
@@ -98,6 +98,19 @@ MUTANTS = (
            "np.searchsorted(batch._lo_sorted, b, side=\"right\")",
            "np.searchsorted(batch._lo_sorted, b, side=\"left\")",
            "ties of a grid point with a lower end"),
+    Mutant("NormalProducts spread without its sqrt", "distributions.py",
+           "return (self.intercept * a + self.beta * b + np.sqrt(c) * noise) / total",
+           "return (self.intercept * a + self.beta * b + c * noise) / total",
+           "interval_regression's prior-side shortcut: the noise's scale"),
+    Mutant("NormalProducts noise doubled", "distributions.py",
+           "return (self.intercept * a + self.beta * b + np.sqrt(c) * noise) / total",
+           "return (self.intercept * a + self.beta * b + 2 * np.sqrt(c) * noise) / total",
+           "interval_regression's prior-side shortcut: the noise's scale"),
+    Mutant("NormalProducts L_S from the covariance of v", "distributions.py",
+           "(\"noise\", chol[1:, 1:].copy())",
+           "(\"noise\", cholesky_factor(law.cov[:-1, :-1]))",
+           "interval_regression's prior-side shortcut: the noise given z, not "
+           "the whole spread of v"),
 )
 
 

@@ -15,6 +15,7 @@ from .dirichlet import (
 )
 from .distributions import (
     MultivariateNormal,
+    NormalProducts,
     PsdRepair,
     ScalarNormal,
     beta_cdf,
@@ -76,6 +77,7 @@ __all__ = [
     "IntervalSet",
     "MarginalSampleBatch",
     "MultivariateNormal",
+    "NormalProducts",
     "ParameterError",
     "PsdRepair",
     "RngStream",

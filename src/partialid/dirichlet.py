@@ -9,17 +9,22 @@ known law of the discarded tail mass: minus the log of the tail is Gamma(K,
 rate n0), so K, the smallest level that keeps the tail below
 ``TRUNCATION_EPS`` with probability 1 - ``TRUNCATION_DELTA`` (Muliere &
 Tardella, 1998), is the ceiling of the Gamma shape that
-``scipy.special.gdtrib`` solves for.  A base measure that states its law, a
-:class:`~partialid.distributions.ScalarNormal` N(mu, var), needs no atoms for
-the mean of the atoms themselves: given the weights w, the weighted mean of K
-i.i.d. atoms is exactly N(mu, var Σw² / (Σw)²), one normal variate.
+``scipy.special.gdtrib`` solves for.  A base measure that states the law of
+its weighted feature means needs no atoms.  For a
+:class:`~partialid.distributions.ScalarNormal` N(mu, var), featured as the
+atoms themselves, given the weights w the weighted mean of K i.i.d. atoms is
+exactly N(mu, var Σw² / (Σw)²), one normal variate.  For a
+:class:`~partialid.distributions.NormalProducts` N(mean, cov), featured as
+the last coordinate z times each of the d - 1 others, given w and the K
+values of z the weighted means are exactly jointly normal: K values of z and
+d - 1 normal variates in place of dK atom coordinates.
 Posterior draws mix the truncated prior with the observed data points through
 a Beta(n, n0) split and symmetric-Dirichlet data weights (Ferguson, 1973; the
 Bayesian bootstrap of Rubin, 1981), whose side is one weighted sum over the
 data's feature table.  Their prior side carries only 1 - rho ~ Beta(n0, n),
 so the measure they draw discards (1 - rho) times the tail, and the same
-(eps, delta) rule, by a union bound over the two factors, keeps fewer sticks
-and atoms: at n = 1000, 93 in place of 167 at n0 = 20.
+(eps, delta) rule, by a union bound over the two factors, keeps fewer sticks:
+at n = 1000, 93 in place of 167 at n0 = 20.
 
 The arithmetic is row-wise, the blocked view of truncated stick-breaking of
 Ishwaran & James (2001): :func:`process_means` makes one draw per row of
@@ -37,7 +42,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .distributions import ScalarNormal, sample_beta
+from .distributions import sample_beta
 from .errors import ParameterError, as_int, check_positive
 from .rng import RngStream
 
@@ -99,8 +104,11 @@ class DirichletProcessSpec:
     """Concentration and base-measure sampler of a Dirichlet process.
 
     ``base_sampler(rng, size)`` must return ``size`` i.i.d. atoms from the
-    base measure, shaped ``(size,)`` for scalar atoms or ``(size, d)``; a
-    :class:`~partialid.distributions.ScalarNormal` also states its law.
+    base measure, shaped ``(size,)`` for scalar atoms or ``(size, d)``; or the
+    base states the law of its weighted feature means, as a
+    :class:`~partialid.distributions.ScalarNormal` or a
+    :class:`~partialid.distributions.NormalProducts`
+    (:func:`process_means`).
     """
 
     concentration: float
@@ -145,12 +153,16 @@ def process_means(spec: DirichletProcessSpec, source, features=None, data_table=
     sticks, k atoms, then rho and n data weights (none for n = 1), with k =
     ``choose_truncation_level(n0, n)``: a posterior draw discards only its
     prior side's share 1 - rho of the tail, and keeps fewer sticks, the more
-    data it has; a data table with no column raises before any draw.  A
-    :class:`~partialid.distributions.ScalarNormal` base takes no ``features``
-    and one variate z in place of the atoms: their mean is exactly
-    mu + sqrt(var Σw²) / Σw · z given the weights w.  A mean is linear in the
-    measure, so each side is one weighted sum divided by its weights' total,
-    and every row makes the same products whatever the rows.
+    data it has; a data table with no column raises before any draw.  A base
+    that states the law of its weighted feature means (a ``weighted_means``
+    method) takes no ``features`` and draws those means in place of the
+    atoms, given the weights w: a
+    :class:`~partialid.distributions.ScalarNormal` reads one variate, its
+    mean being exactly mu + sqrt(var Σw²) / Σw times it, and a
+    :class:`~partialid.distributions.NormalProducts` k instrument values and
+    d - 1 normals.  A mean is linear in the measure, so each side is one
+    weighted sum divided by its weights' total, and every row makes the same
+    products whatever the rows.
 
     Each large temporary of a block is made once and changed in place: the
     sticks (:func:`stick_weights`), the atoms (a
@@ -166,12 +178,11 @@ def process_means(spec: DirichletProcessSpec, source, features=None, data_table=
     weights, _ = stick_weights(n0, k, source)
     total = weights.sum(axis=-1, keepdims=True)
     base = spec.base_sampler
-    if isinstance(base, ScalarNormal):
+    if hasattr(base, "weighted_means"):  # a base that states their law
         if features is not None:
-            raise ParameterError("a ScalarNormal base draws the mean of its atoms; "
-                                 "pass features=None")
-        spread = np.sqrt(np.sum(weights * weights, axis=-1, keepdims=True)) / total
-        means = base.mu + spread * base.deviations(source, size=1)
+            raise ParameterError(f"a {type(base).__name__} base draws the means of its "
+                                 "features; pass features=None")
+        means = base.weighted_means(weights, total, source)
     else:
         atoms = np.asarray(base(source, k), dtype=float)
         lead = weights.shape[:-1]  # the rows of a block, () for one draw

@@ -142,7 +142,7 @@ class ScalarNormal:
     called as ``(rng, size)`` it draws ``size`` atoms by :func:`sample_normal`,
     and its fields state the law, which lets a process draw the mean of its
     atoms as one variate (:func:`~partialid.dirichlet.process_means`), by
-    :meth:`deviations`, with no further check."""
+    :meth:`weighted_means`, with no further check."""
 
     mu: float
     var: float
@@ -151,9 +151,13 @@ class ScalarNormal:
         check_finite(mu=self.mu)
         check_positive(variance=self.var)
 
-    def deviations(self, rng: RngStream, size=None):
-        """N(0, var) draws, unchecked: the distances of ``size`` atoms from mu."""
-        return math.sqrt(self.var) * special.ndtri(rng.uniform(size))
+    def weighted_means(self, weights, total, source):
+        """The mean of the atoms under ``weights`` / ``total``, shaped ``(..., 1)``,
+        one draw per row of ``weights`` ``(..., k)`` and ``total`` ``(..., 1)``:
+        given the weights w it is exactly N(mu, var Σw² / total²), so it reads
+        one uniform of ``source``, whatever k."""
+        spread = np.sqrt(np.sum(weights * weights, axis=-1, keepdims=True)) / total
+        return self.mu + spread * (math.sqrt(self.var) * special.ndtri(source.uniform(1)))
 
     def __call__(self, rng: RngStream, size=None):
         return sample_normal(self.mu, self.var, rng, size)
@@ -208,6 +212,64 @@ class MultivariateNormal:
         flat = x.reshape(math.prod(x.shape[:-2]), k * d)
         flat += np.tile(self.mean, k)
         return flat.reshape(x.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class NormalProducts:
+    """N(mean, cov) atoms, featured as the last coordinate times each of the
+    others: the base measure of a Dirichlet process whose features are the
+    products z v of an instrument z, the last coordinate, with each other
+    coordinate v.  It is checked and factored when made, by
+    :class:`MultivariateNormal` with z moved first, and its fields state the
+    law of the weighted means of the features, which a process draws
+    (:meth:`weighted_means`) with no further check and no atoms.
+
+    Given z, v = c + beta z + e, with e ~ N(0, S) independent of z and S the
+    Schur complement of z's variance.  The factor of the covariance with z
+    first is [[sd, 0], [sd beta, L_S]], L_S the lower factor of S, so beta
+    and L_S come from it, which exists whenever ``cov`` is positive definite;
+    S is not formed and factored apart, as its eigenvalues may span many
+    orders (1e-6, 2e-6 and 0.158 for the repaired interval_regression base)."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+    sd: float = field(init=False, repr=False)  # of z
+    beta: np.ndarray = field(init=False, repr=False)
+    intercept: np.ndarray = field(init=False, repr=False)  # c
+    noise: np.ndarray = field(init=False, repr=False)  # L_S
+
+    def __post_init__(self):
+        law = MultivariateNormal(self.mean, self.cov)
+        if law.mean.size < 2:
+            raise ParameterError(f"products need at least two coordinates, got {law.mean.size}")
+        chol = cholesky_factor(np.roll(law.cov, 1, axis=(0, 1)))  # z first
+        sd = float(chol[0, 0])
+        beta = chol[1:, 0] / sd
+        intercept = law.mean[:-1] - beta * law.mean[-1]
+        for name, value in (("mean", law.mean), ("cov", law.cov), ("beta", beta),
+                            ("intercept", intercept), ("noise", chol[1:, 1:].copy())):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "sd", sd)
+
+    def weighted_means(self, weights, total, source):
+        """The means of the d - 1 products under ``weights`` / ``total``, shaped
+        ``(..., d - 1)``, one draw per row of ``weights`` ``(..., k)`` and
+        ``total`` ``(..., 1)``.  It reads k values of z, then d - 1 standard
+        normals xi, from ``source``: with A = Σ w z, B = Σ w z² and
+        C = Σ (w z)², the weighted sum Σ w z v is exactly
+        c A + beta B + sqrt(C) L_S xi given the weights and z."""
+        z = special.ndtri(source.uniform(weights.shape[-1]))
+        z *= self.sd
+        z += self.mean[-1]
+        wz = weights * z
+        a = wz.sum(axis=-1, keepdims=True)
+        b = np.sum(wz * z, axis=-1, keepdims=True)
+        c = np.sum(wz * wz, axis=-1, keepdims=True)
+        xi = special.ndtri(source.uniform(self.beta.size))
+        # L_S xi as row-wise sums, so a row's bits do not depend on its block
+        noise = np.sum(xi[..., None, :] * self.noise, axis=-1)
+        return (self.intercept * a + self.beta * b + np.sqrt(c) * noise) / total
 
 
 def sample_mvnormal(mean, cov, rng: RngStream, size=None):

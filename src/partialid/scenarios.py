@@ -50,6 +50,7 @@ from .dirichlet import DirichletProcessSpec, process_means
 from .distributions import (
     EIGEN_FLOOR,
     MultivariateNormal,
+    NormalProducts,
     ScalarNormal,
     beta_cdf,
     psd_repair,
@@ -281,13 +282,18 @@ def _joint_draw(features, bounds_rows, spec, table, source):
     return bounds_rows(process_means(spec, source, features, table))
 
 
-def _prepare_joint(features, bounds_rows, cfg, mode, dataset):
+def _prepare_joint(law, features, bounds_rows, cfg, mode, dataset):
     """Prepared draw of a regression scenario: ``bounds_rows`` of the means of
-    ``features`` under one joint process draw, the data's table built here."""
-    base = MultivariateNormal(cfg.hyper["base_mean"], cfg.hyper["base_cov"])
+    ``features`` under one joint process draw whose base is ``law`` of the
+    base mean and covariance, the data's table built here.  A law that states
+    the weighted means of its features, a
+    :class:`~partialid.distributions.NormalProducts`, draws no atoms, and
+    takes no ``features`` (:func:`process_means`)."""
+    base = law(cfg.hyper["base_mean"], cfg.hyper["base_cov"])
     spec = DirichletProcessSpec(cfg.hyper["n0"], base)
     table = None if mode == "prior" else np.ascontiguousarray(features(dataset.values))
-    return partial(_joint_draw, features, bounds_rows, spec, table)
+    atom_features = None if hasattr(base, "weighted_means") else features
+    return partial(_joint_draw, atom_features, bounds_rows, spec, table)
 
 
 def _generate_errors_in_variables(n, rng):
@@ -410,14 +416,16 @@ SCENARIOS = MappingProxyType({
         hyper=lambda: {"n0": 20.0, "base_mean": np.zeros(2),
                        "base_cov": np.array([[2.0, 0.9], [0.9, 2.0]])},
         generate=_generate_errors_in_variables,
-        prepare=partial(_prepare_joint, _moment_features, _reverse_regression_rows),
+        prepare=partial(_prepare_joint, MultivariateNormal, _moment_features,
+                        _reverse_regression_rows),
     ),
     "interval_regression": Scenario(
         columns=("y1", "y2", "x", "z"), grid_range=(-1.0, 20.0),
         true_set=IntervalSet(2.0, 6.0), shapes=(1.0, 0.5),
         hyper=_interval_regression_hyper,
         generate=_generate_interval_regression,
-        prepare=partial(_prepare_joint, _instrument_features, _instrument_ratio_rows),
+        prepare=partial(_prepare_joint, NormalProducts, _instrument_features,
+                        _instrument_ratio_rows),
     ),
     "binary_missing": Scenario(
         columns=("yd", "d"), grid_range=(0.0, 1.0),
@@ -520,8 +528,9 @@ def chunk_rows(m: int) -> int:
     slowed the errors_in_variables prior, whose draw builds (rows, 5, k)
     features.  At n = 1000, with the gamma uniform: toy_analytic and
     binary_missing (m = 3) run 10922 rows a chunk, interval_censored's prior
-    (m = 260) 126, errors_in_variables' prior 65, and the other four
-    Dirichlet-process batches (m up to 2144) 64; none meets the 2**18 cap,
+    (m = 260) 126, interval_regression's prior (m = 338) 96,
+    errors_in_variables' prior (m = 502) 65, and the three posteriors (m =
+    1191, 1281 and 2144) 64; none meets the 2**18 cap,
     which leaves 1 or 2 posterior rows at n = 10**5, and one row at m = 10**6.
     """
     return max(1, CHUNK_UNIFORMS // m, min(64, 2**18 // m))
@@ -661,8 +670,9 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
     sends each pool process one later share of the block, computes the first
     share itself, and then reads every later share's reply in share order: an
     outcome, or the error the share raised.  A process found dead has its
-    share run here, which gives the same bytes, and the pool is dropped; the
-    next block starts another.  Any other exception while the block runs, such
+    share run here, which gives the same bytes; the other processes' replies
+    are still read, and then the pool is dropped: the next block starts
+    another.  Any other exception while the block runs, such
     as an interrupt in the middle of a reply, drops the pool too, so no reply
     is left for a later block to read as its own.  Only then are the shares
     consumed, in attempt order, up to the ``n_draws``-th acceptance: a share's
@@ -705,13 +715,16 @@ def run_attempts(draw: Callable, n_draws: int, master_seed: int, role: int,
                 with contextlib.suppress(OSError):  # a dead process: reading its reply fails
                     here.send((task, share))
             outcomes = [task(shares[0])]  # the first share runs here, the others there
+            lost = False
             for (here, _), share in zip(pool, shares[1:]):
                 try:
                     outcomes.append(here.recv())
                 except (EOFError, OSError) as exc:  # its process died: it runs here
                     log.warning("the attempt pool lost a share (%r); it runs here", exc)
-                    shutdown_attempt_pool()  # the next block starts another
+                    lost = True
                     outcomes.append(task(share))  # it seeds its own streams: the same outcome
+            if lost:  # after the live processes' replies: the next block starts another
+                shutdown_attempt_pool()
         except BaseException:  # interrupted, maybe mid-message: the next block starts another
             shutdown_attempt_pool()
             raise

@@ -498,6 +498,24 @@ class TestPoolLifetime:
         assert "the attempt pool lost a share" in caplog.text  # and ran it here
         assert len(multiprocessing.active_children()) == 1
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_killed_process_leaves_the_other_replies_to_be_read(self, tmp_path, monkeypatch,
+                                                                  caplog):
+        # the pool is dropped after the block's last reply, so the live
+        # process's share is read, not logged as lost and run again here
+        import signal
+
+        monkeypatch.setattr(scenarios, "max_workers", lambda: 3)
+        monkeypatch.setattr(scenarios, "POOL_UNIFORMS", 0)
+        serial = self._run(tmp_path, "w1", 1)
+        assert self._run(tmp_path, "a", 3) == serial
+        (_, dead), _ = scenarios._pool  # the first of two pool processes
+        os.kill(dead.pid, signal.SIGKILL)
+        dead.join()
+        caplog.clear()
+        assert self._run(tmp_path, "b", 3) == serial
+        assert caplog.text.count("the attempt pool lost a share") == 1
+
 
 def _per_value_rows(indices, lo, hi):
     """The interval rows as a run wrote them one value at a time."""

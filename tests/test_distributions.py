@@ -14,6 +14,7 @@ from scipy.linalg import eigvalsh as scipy_eigvalsh
 import partialid
 from partialid import (
     MultivariateNormal,
+    NormalProducts,
     ParameterError,
     beta_cdf,
     beta_quantile,
@@ -122,6 +123,58 @@ class TestMultivariateNormal:
     def test_a_bad_law_raises_when_it_is_made(self, mean, cov):
         with pytest.raises(ParameterError):
             MultivariateNormal(mean, cov)
+
+
+class TestNormalProducts:
+    """The law of the weighted means of z v, z the last coordinate of N(mean, cov) atoms."""
+
+    mean = np.array([1.0, -0.5, 2.0, 0.5])
+    cov = np.array([[1.0, 0.3, 0.2, 0.4],
+                    [0.3, 2.0, 0.1, -0.6],
+                    [0.2, 0.1, 1.5, 0.3],
+                    [0.4, -0.6, 0.3, 1.2]])
+
+    def test_means_are_the_conditional_normal_law(self):
+        # one draw from a stream reads k values of z, then three normals; the
+        # regression of v on z and the Schur complement, taken directly here
+        law = NormalProducts(self.mean, self.cov)
+        w = np.array([0.5, 0.2, 0.1, 0.05])
+        means = law.weighted_means(w, w.sum(keepdims=True), substream(4, 1))
+        u = substream(4, 1).uniform(7)
+        z = self.mean[3] + np.sqrt(self.cov[3, 3]) * special.ndtri(u[:4])
+        beta = self.cov[:3, 3] / self.cov[3, 3]
+        schur = self.cov[:3, :3] - np.outer(self.cov[:3, 3], self.cov[:3, 3]) / self.cov[3, 3]
+        c = self.mean[:3] - beta * self.mean[3]
+        wz = w * z
+        expected = (c * wz.sum() + beta * np.sum(wz * z) + np.sqrt(np.sum(wz * wz))
+                    * (np.linalg.cholesky(schur) @ special.ndtri(u[4:]))) / w.sum()
+        assert means.shape == (3,)
+        np.testing.assert_allclose(means, expected, rtol=1e-13, atol=1e-15)
+        rows = UniformRows(np.broadcast_to(u, (2, 7)))
+        assert np.array_equal(law.weighted_means(np.tile(w, (2, 1)), np.full((2, 1), w.sum()),
+                                                 rows), np.tile(means, (2, 1)))
+        assert rows.at == 7
+
+    def test_keeps_read_only_fields_and_pickles(self):
+        mean = self.mean.copy()
+        law = NormalProducts(mean, self.cov)
+        mean[0] = 50.0
+        assert law.mean.tolist() == self.mean.tolist()
+        for field in (law.mean, law.cov, law.beta, law.intercept, law.noise):
+            assert not field.flags.writeable
+        again = pickle.loads(pickle.dumps(law))
+        w = np.full(5, 0.1)
+        assert np.array_equal(again.weighted_means(w, w.sum(keepdims=True), substream(4, 2)),
+                              law.weighted_means(w, w.sum(keepdims=True), substream(4, 2)))
+
+    @pytest.mark.parametrize("mean, cov", [
+        (np.zeros(4), INTERVAL_REGRESSION_RAW_COV),
+        ([0.0, 0.0, 0.0], np.eye(2)),
+        ([0.0], [[1.0]]),
+    ], ids=("not_positive_definite", "dimension_mismatch", "one_coordinate"))
+    def test_a_bad_law_raises_when_it_is_made(self, mean, cov):
+        with pytest.raises(ParameterError):
+            NormalProducts(mean, cov)
 
 
 class TestPsdRepair:

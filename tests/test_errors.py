@@ -14,6 +14,7 @@ from partialid import (
     IntervalSet,
     MarginalSampleBatch,
     MultivariateNormal,
+    NormalProducts,
     ParameterError,
     ScalarNormal,
     SetDrawBatch,
@@ -71,6 +72,7 @@ FINITE = {
     "sample_mvnormal": (lambda v: sample_mvnormal([v, 0.0], np.eye(2), substream(1, 0)),
                         "mean"),
     "MultivariateNormal": (lambda v: MultivariateNormal([v, 0.0], np.eye(2)), "mean"),
+    "NormalProducts": (lambda v: NormalProducts([v, 0.0], np.eye(2)), "mean"),
     "sample_truncated_normal": (
         lambda v: sample_truncated_normal(v, 1.0, -1.0, 1.0, substream(1, 0)), "mu"),
     "sample_truncated_normal(array)": (
@@ -98,6 +100,8 @@ REAL = {
         "covariance"),
     "MultivariateNormal(cov)": (
         lambda v: MultivariateNormal([0.0, 0.0], [[v, 0.0], [0.0, 1.0]]), "covariance"),
+    "NormalProducts(cov)": (
+        lambda v: NormalProducts([0.0, 0.0], [[v, 0.0], [0.0, 1.0]]), "covariance"),
     "beta_cdf(x)": (lambda v: beta_cdf(v, 1.0, 1.0), "x"),
     **BETA_U,
     "make_config(grid)": (lambda v: make_config("toy_analytic", grid=[0.0, v]), "grid"),

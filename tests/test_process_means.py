@@ -3,10 +3,13 @@
 ``process_means`` never builds a process draw.  The concatenated computation
 it replaced, one row of normalized weights over the k prior atoms followed by
 the n data points, survives here only, as the oracle the Dirichlet-process
-scenarios are checked against: the two regression scenarios bit for bit, and
-interval_censored, whose prior side is one normal variate in place of k atoms,
-in law given the same sticks.  The moment tests check the draws against exact
-moments of the Dirichlet process (Ferguson, 1973).
+scenarios are checked against: errors_in_variables bit for bit, and the two
+scenarios whose base states the law of its weighted feature means in law
+given the same sticks: interval_censored, whose prior side is one normal
+variate in place of k atoms, and interval_regression, whose prior side is k
+instrument values and three normals in place of 4k atom coordinates.  The
+moment tests check the draws against exact moments of the Dirichlet process
+(Ferguson, 1973).
 """
 
 import dataclasses
@@ -80,23 +83,13 @@ def reverse_regression_rows(w, a):
     return lo, hi, ~(syz <= 0) & ~(szz <= 0)
 
 
-def instrument_ratio_rows(w, a):
-    z = a[..., 3]
-    ezx = row_means(w, a[..., 2] * z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lo = row_means(w, a[..., 0] * z) / ezx
-        hi = row_means(w, a[..., 1] * z) / ezx
-    return lo, hi, ~(ezx <= 0) & ~(lo > hi)
-
-
 def oracle_draw(cfg, mode, dataset, source):
-    """``(lo, hi, accept)`` of a regression scenario from the concatenated draw."""
+    """``(lo, hi, accept)`` of errors_in_variables from the concatenated draw."""
     hyper = cfg.hyper
     mean, cov = hyper["base_mean"], hyper["base_cov"]
     spec = DirichletProcessSpec(hyper["n0"], partial(sample_mvnormal, mean, cov))
-    rows = (reverse_regression_rows if cfg.scenario_id == "errors_in_variables"
-            else instrument_ratio_rows)
-    return rows(*concatenated_draw(spec, source, None if mode == "prior" else dataset.values))
+    data = None if mode == "prior" else dataset.values
+    return reverse_regression_rows(*concatenated_draw(spec, source, data))
 
 
 # --- blocks of attempt rows ------------------------------------------------------
@@ -139,10 +132,10 @@ def process_calls(draw):
 
 CASES = [(sid, "prior", 30) for sid in DP_SCENARIOS] + [
     (sid, "posterior", n) for sid in DP_SCENARIOS for n in (1, 30, 1000)]
-REGRESSION_CASES = [case for case in CASES if case[0] != "interval_censored"]
+ATOM_CASES = [case for case in CASES if case[0] == "errors_in_variables"]
 
 
-@pytest.mark.parametrize("sid, mode, n", REGRESSION_CASES)
+@pytest.mark.parametrize("sid, mode, n", ATOM_CASES)
 def test_matches_concatenated_draws(sid, mode, n):
     cfg = make_config(sid, n=n)
     dataset = generate_data(cfg, attempt_stream(11, ROLE_DATA, 0))
@@ -223,6 +216,73 @@ def test_censored_attempt_uniforms(mode, uniforms):
     # and 93 in the posterior), then rho and the n = 1000 data weights of each
     # in the posterior
     cfg = make_config("interval_censored")
+    dataset = generate_data(cfg, attempt_stream(1, ROLE_DATA, 0))
+    assert attempt_uniforms(prepare_draw(cfg, mode, dataset)) == uniforms
+
+
+# --- interval_regression's prior side in law ---------------------------------------
+# With the base's coordinates (y1, y2, x, z) ~ N(mu, Sigma), given z the others
+# v = (y1, y2, x) are c + beta z + e, e ~ N(0, S) independent of z, S the Schur
+# complement of z's variance, beta and L_S (the lower factor of S) read off the
+# factor of Sigma with z moved first.  So given the weights w and the instrument
+# values z, F = sum(w z v) is c A + beta B + sqrt(C) L_S xi, with A = sum(w z),
+# B = sum(w z^2), C = sum((w z)^2) and xi ~ N(0, I).  The oracle reads the
+# draw's sticks and instrument uniforms, and draws each atom's (y1, y2, x) from
+# fresh uniforms given z through that factor; its standardised residual
+# L_S^-1 (F - c A - beta B) / sqrt(C) must be N(0, 1) in each coordinate, within
+# the DKW bound at LAW_ALPHA, and process_means must equal the oracle's means
+# with xi, its three normals, in place of that residual.  LAW_DRAWS, LAW_ALPHA
+# and the seeds are the censored test's, fixed before the first run.
+
+Z_FIRST = [3, 0, 1, 2]
+
+
+@pytest.mark.parametrize("mode", ["prior", "posterior"])
+def test_instrument_products_follow_their_exact_law(mode):
+    cfg = make_config("interval_regression", n=30)
+    dataset = generate_data(cfg, attempt_stream(LAW_SEED, ROLE_DATA, 0))
+    draw = prepare_draw(cfg, mode, dataset)
+    ((_, spec, _, table),) = process_calls(draw)
+    k = choose_truncation_level(spec.concentration, 0 if table is None else table.shape[1])
+    # k sticks, k instrument values, three normals, then rho and the data weights
+    rows = block_uniforms(draw, LAW_SEED, range(LAW_DRAWS))
+    mean = cfg.hyper["base_mean"][Z_FIRST]
+    cov = cfg.hyper["base_cov"][np.ix_(Z_FIRST, Z_FIRST)]
+    factor = np.linalg.cholesky(cov)
+    beta, noise = factor[1:, 0] / factor[0, 0], factor[1:, 1:]
+    c = mean[1:] - beta * mean[0]
+    atom_rows = np.empty((LAW_DRAWS, k, 4))  # each atom's uniforms, z first
+    atom_rows[..., 0] = rows[:, k:2 * k]
+    atom_rows[..., 1:] = stream_rows(LAW_SEED + 1, range(LAW_DRAWS), 3 * k).reshape(-1, k, 3)
+    oracle_rows = np.concatenate(
+        (rows[:, :k], atom_rows.reshape(LAW_DRAWS, 4 * k), rows[:, 2 * k + 3:]), axis=1)
+    oracle = DirichletProcessSpec(spec.concentration, partial(sample_mvnormal, mean, cov))
+    data = None if table is None else dataset.values[:, Z_FIRST]
+    weights, atoms = concatenated_draw(oracle, UniformRows(oracle_rows), data)
+    wz = weights[:, :k] * atoms[:, :k, 0]
+    f = np.matmul(wz[:, None, :], atoms[:, :k, 1:])[:, 0]
+    a = wz.sum(axis=1, keepdims=True)
+    b = np.sum(wz * atoms[:, :k, 0], axis=1, keepdims=True)
+    spread = np.sqrt(np.sum(wz * wz, axis=1, keepdims=True))
+    t = np.linalg.solve(noise, (f - c * a - beta * b).T).T / spread
+    bound = np.sqrt(np.log(2 / LAW_ALPHA) / (2 * LAW_DRAWS))
+    steps = np.arange(1, LAW_DRAWS + 1) / LAW_DRAWS
+    for j in range(3):
+        cdf = special.ndtr(np.sort(t[:, j]))
+        ks = max(np.max(steps - cdf), np.max(cdf - (steps - 1 / LAW_DRAWS)))
+        assert ks <= bound, (mode, j, ks, bound)
+    xi = special.ndtri(rows[:, 2 * k:2 * k + 3])
+    means = process_means(spec, UniformRows(rows), None, table)
+    products = atoms[..., :1] * atoms[..., 1:]
+    expected = np.sum(weights[..., None] * products, axis=1) + spread * ((xi - t) @ noise.T)
+    assert np.all(np.abs(means - expected) <= 1e-12 * (1 + np.abs(expected)))
+
+
+@pytest.mark.parametrize("mode, uniforms", [("prior", 337), ("posterior", 1190)])
+def test_instrument_attempt_uniforms(mode, uniforms):
+    # k sticks, k instrument values and three normals (k = 167 in the prior,
+    # 93 in the posterior), then rho and the n = 1000 data weights in the posterior
+    cfg = make_config("interval_regression")
     dataset = generate_data(cfg, attempt_stream(1, ROLE_DATA, 0))
     assert attempt_uniforms(prepare_draw(cfg, mode, dataset)) == uniforms
 
@@ -326,6 +386,28 @@ def test_errors_in_variables_expected_covariance(mode):
         cov = posterior_base(n0, h_cov, y * z) - posterior_base(n0, 0.0, y) * posterior_base(
             n0, 0.0, z)
     check_mean(cov_p, a / (a + 1) * cov, 2 * prior_side_tail(n0, n) * abs(h_cov))
+
+
+@pytest.mark.parametrize("mode", ["prior", "posterior"])
+def test_interval_regression_cross_moment_variances(mode):
+    # Var[E_P[y z]] = Var_H[y z] / (a + 1), with Var_H[y z] of jointly normal
+    # y and z by Isserlis' theorem, and the posterior base as in posterior_base
+    cfg = make_config("interval_regression", n=200)
+    dataset = generate_data(cfg, attempt_stream(SEED, ROLE_DATA, 0))
+    draw = prepare_draw(cfg, mode, dataset)
+    (m,) = draw_means(draw, process_calls(draw))
+    mu, h_cov, n0 = cfg.hyper["base_mean"], cfg.hyper["base_cov"], cfg.hyper["n0"]
+    for i in range(3):  # E_P[y1 z], E_P[y2 z], E_P[x z]
+        mean_h = h_cov[i, 3] + mu[i] * mu[3]
+        var_h = (h_cov[i, i] * h_cov[3, 3] + h_cov[i, 3] ** 2 + mu[i] ** 2 * h_cov[3, 3]
+                 + mu[3] ** 2 * h_cov[i, i] + 2 * mu[i] * mu[3] * h_cov[i, 3])
+        a, mean, second, n = n0, mean_h, var_h + mean_h**2, 0
+        if mode == "posterior":
+            v = dataset.values
+            yz = v[:, i] * v[:, 3]
+            a, n = n0 + yz.size, yz.size
+            mean, second = posterior_base(n0, mean_h, yz), posterior_base(n0, second, yz**2)
+        check_variance(m[:, i], (second - mean**2) / (a + 1), 2 * prior_side_tail(n0, n) * var_h)
 
 
 # errors_in_variables' bounds are ratios of centred second moments, so moving y,

@@ -1012,7 +1012,7 @@ class TestPool:
         ("interval_censored", "posterior", 64),
         ("errors_in_variables", "prior", 65),
         ("errors_in_variables", "posterior", 64),
-        ("interval_regression", "prior", 64),
+        ("interval_regression", "prior", 96),
         ("interval_regression", "posterior", 64),
     ])
     def test_chunk_rows_at_study_size(self, sid, mode, rows):

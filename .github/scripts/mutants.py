@@ -1,8 +1,7 @@
 """What the tests can see: each of a fixed table of one-line defects is applied
 to a copy of the checkout, and tier-1 runs against it.
 
-    python .github/scripts/mutants.py            # every mutant
-    python .github/scripts/mutants.py NAME ...   # the named ones
+    python .github/scripts/mutants.py
 
 A mutant is an exact replacement of a text that occurs once in one file of
 ``src/partialid``.  Tier-1 runs with the golden digests (``tests/test_golden.py``
@@ -147,12 +146,8 @@ def run(mutant: Mutant | None, tree: Path) -> tuple[str, str, float]:
     return "caught", _first_failure(proc.stdout, proc.returncode), seconds
 
 
-def main(names: list[str]) -> int:
-    mutants = [m for m in MUTANTS if not names or m.name in names]
-    if names and len(mutants) != len(set(names)):
-        print(f"unknown mutant among {names}", file=sys.stderr)
-        return 2
-    stale = [m.name for m in mutants
+def main() -> int:
+    stale = [m.name for m in MUTANTS
              if (ROOT / "src" / "partialid" / m.file).read_text(encoding="utf-8").count(m.old) != 1]
     if stale:
         print(f"text not found exactly once, the table is stale: {stale}", file=sys.stderr)
@@ -165,13 +160,13 @@ def main(names: list[str]) -> int:
             shutil.copytree(ROOT / part, tree / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", tree)  # a test reads the version there
         outcome, test, seconds = run(None, tree)
-        print(f"[0/{len(mutants)}] no mutant: {outcome} {test} ({seconds:.0f} s)", file=sys.stderr)
+        print(f"[0/{len(MUTANTS)}] no mutant: {outcome} {test} ({seconds:.0f} s)", file=sys.stderr)
         if outcome != "missed":  # a failure the mutants would be credited with
             print(f"tier-1 fails with no mutant applied: {test}", file=sys.stderr)
             return 2
-        for i, mutant in enumerate(mutants, 1):
+        for i, mutant in enumerate(MUTANTS, 1):
             outcome, test, seconds = run(mutant, tree)
-            print(f"[{i}/{len(mutants)}] {mutant.name}: {outcome} {test} ({seconds:.0f} s)",
+            print(f"[{i}/{len(MUTANTS)}] {mutant.name}: {outcome} {test} ({seconds:.0f} s)",
                   file=sys.stderr)
             rows.append((mutant, outcome, test))
     caught = sum(outcome == "caught" for _, outcome, _ in rows)
@@ -185,4 +180,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

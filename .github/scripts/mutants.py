@@ -61,8 +61,8 @@ MUTANTS = (
            "spread = np.sum(weights * weights, axis=-1, keepdims=True) / total",
            "interval_censored's prior-side shortcut"),
     Mutant("atoms @ chol for @ chol.T", "distributions.py",
-           "x = special.ndtri(u) @ self.chol.T",
-           "x = special.ndtri(u) @ self.chol",
+           "(\"_chol_t\", chol.T.copy())",
+           "(\"_chol_t\", chol.copy())",
            "a multivariate normal's covariance"),
     Mutant("datum 0's data weight 0", "dirichlet.py",
            "np.log1p(g, out=g)",
@@ -94,9 +94,13 @@ MUTANTS = (
            "q, p = scenario.shapes",
            "the default conditional-prior wiring"),
     Mutant("coverage search side=\"left\"", "random_sets.py",
-           "np.searchsorted(batch._lo_sorted, b, side=\"right\")",
-           "np.searchsorted(batch._lo_sorted, b, side=\"left\")",
+           "batch._lo_sorted.searchsorted(b, \"right\")",
+           "batch._lo_sorted.searchsorted(b, \"left\")",
            "ties of a grid point with a lower end"),
+    Mutant("containment counts lo > q_lo for lo >= q_lo", "random_sets.py",
+           "(batch.lo >= q_lo)",
+           "(batch.lo > q_lo)",
+           "a credible region's containment: draws starting on its lower end"),
     Mutant("NormalProducts spread without its sqrt", "distributions.py",
            "return (self.intercept * a + self.beta * b + np.sqrt(c) * noise) / total",
            "return (self.intercept * a + self.beta * b + c * noise) / total",

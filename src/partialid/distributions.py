@@ -184,6 +184,9 @@ class MultivariateNormal:
     mean: np.ndarray
     cov: np.ndarray
     chol: np.ndarray = field(init=False, repr=False)
+    # chol.T made C-contiguous: numpy's matmul of a chunk's stack of draws by
+    # the F-ordered view took 2.3x to 3.7x as long, for the same bits
+    _chol_t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         check_finite(mean=self.mean)
@@ -193,7 +196,9 @@ class MultivariateNormal:
             raise ParameterError(
                 f"dimension mismatch: mean has shape {mean.shape}, cov has shape {cov.shape}"
             )
-        for name, value in (("mean", mean), ("cov", cov), ("chol", cholesky_factor(cov))):
+        chol = cholesky_factor(cov)
+        for name, value in (("mean", mean), ("cov", cov), ("chol", chol),
+                            ("_chol_t", chol.T.copy())):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -202,7 +207,7 @@ class MultivariateNormal:
         u = rng.uniform(size=d if size is None else (size, d))
         # a stack of draws (rows of a UniformRows) multiplies one matrix at a
         # time; the mean is added in place
-        x = special.ndtri(u) @ self.chol.T
+        x = special.ndtri(u) @ self._chol_t
         if x.ndim == 1:
             x += self.mean
             return x

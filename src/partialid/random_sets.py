@@ -3,9 +3,11 @@
 Coverage functions, capacity functionals, credible regions, and point
 estimates, all computed from batches of simulated interval draws.  Intervals
 are closed everywhere: a grid point sitting exactly on an endpoint counts as
-covered, and two intervals sharing only an endpoint count as hitting.  The
-estimators count draws by binary search in endpoints sorted once per batch:
-O((G + N) log N) time and O(G + N) memory for G grid points over N draws.
+covered, and two intervals sharing only an endpoint count as hitting.  Each
+batch sorts its endpoints once.  Coverage and capacity count draws by binary
+search in them: O((G + N) log N) time and O(G + N) memory for G grid points
+over N draws.  A credible region takes its ends from them by index and counts
+the draws inside in one O(N) pass.
 """
 
 from __future__ import annotations
@@ -145,8 +147,8 @@ def _require_nonempty(batch: SetDrawBatch):
 
 def _hit_fraction(batch: SetDrawBatch, a, b):
     """Fraction of draws meeting [a, b]: a miss has lo > b or hi < a, never both."""
-    return (np.searchsorted(batch._lo_sorted, b, side="right")
-            - np.searchsorted(batch._hi_sorted, a, side="left")) / len(batch)
+    return (batch._lo_sorted.searchsorted(b, "right")
+            - batch._hi_sorted.searchsorted(a, "left")) / len(batch)
 
 
 def estimate_coverage(batch: SetDrawBatch, grid) -> CoverageCurve:
@@ -192,11 +194,17 @@ def credible_region(batch: SetDrawBatch, alpha: float) -> CredibleRegion:
     p, q = alpha.as_integer_ratio()
     k = (q - p) * n // (2 * q)
     q_lo, q_hi = batch._lo_sorted[k], batch._hi_sorted[n - 1 - k]
-    contained = float(np.mean((batch.lo >= q_lo) & (batch.hi <= q_hi)))
+    contained = float(np.count_nonzero((batch.lo >= q_lo) & (batch.hi <= q_hi)) / n)
     return CredibleRegion(IntervalSet(float(q_lo), float(q_hi)), contained, alpha)
 
 
 def point_estimate_set(batch: SetDrawBatch) -> IntervalSet:
-    """Interval of Monte Carlo mean endpoints (the posterior-mean bounds)."""
+    """Interval of Monte Carlo mean endpoints (the posterior-mean bounds);
+    :class:`ParameterError` if an end takes both infinities, whose mean is
+    undefined."""
     _require_nonempty(batch)
+    for end, ends in (("lower", batch._lo_sorted), ("upper", batch._hi_sorted)):
+        if ends[0] == -np.inf and ends[-1] == np.inf:
+            raise ParameterError(f"the mean of the {end} ends is undefined: "
+                                 "they include both -inf and +inf")
     return IntervalSet(float(batch.lo.mean()), float(batch.hi.mean()))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -322,6 +323,19 @@ class TestPointEstimateSet:
         with pytest.raises(ParameterError):
             point_estimate_set(empty)
 
+    @pytest.mark.parametrize("lo, hi, end", [([-math.inf, math.inf], [0.0, math.inf], "lower"),
+                                             ([-math.inf, 0.0], [-math.inf, math.inf], "upper")])
+    def test_infinities_of_both_signs_rejected_without_warning(self, lo, hi, end):
+        batch = SetDrawBatch(lo, hi, "posterior", "synthetic")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=f"mean of the {end} ends is undefined"):
+                point_estimate_set(batch)
+
+    def test_infinities_of_one_sign_give_an_infinite_mean(self):
+        batch = SetDrawBatch([-math.inf, 0.0], [1.0, math.inf], "posterior", "synthetic")
+        assert point_estimate_set(batch) == IntervalSet(-math.inf, math.inf)
+
 
 # endpoints on a quarter grid give ties, degenerate draws and grid points on endpoints
 _quarters = st.integers(-12, 12).map(lambda i: i / 4.0)
@@ -366,6 +380,8 @@ class TestEstimatorProperties:
         n = len(batch)
         for r in regions:
             assert r.containment >= r.alpha
+            inside = (batch.lo >= r.region.lo) & (batch.hi <= r.region.hi)
+            assert type(r.containment) is float and r.containment == np.mean(inside)
             k = math.floor((1 - Fraction(r.alpha)) * n / 2)  # the exact index
             assert r.region == IntervalSet(np.sort(batch.lo)[k], np.sort(batch.hi)[n - 1 - k])
         for r, s in zip(regions, regions[1:]):

@@ -1,5 +1,6 @@
 """Memory of the chunk loop: what one chunk draw allocates, and the page
-faults of a batch, for each Dirichlet-process scenario and mode at n = 1000.
+faults of a batch, for each Dirichlet-process scenario and mode at n = 1000,
+and the page faults of the random-set batch layer.
 
 For each, it prints a Markdown table row: the attempt's uniforms m (the gamma
 uniform left out), beside the truncation level K of each of its processes
@@ -8,9 +9,11 @@ size), the rows of a chunk (``scenarios.chunk_rows``), the
 traced peak (``tracemalloc``) of one draw of those rows, apart from the
 chunk's own uniforms, whose size it prints beside it, and the minor page
 faults (``getrusage`` ``ru_minflt``) and wall time of a 1000-draw batch,
-after one such batch has warmed the allocator.  Fault counts depend on the
-C library's allocator and its trimming, so the probe reports and gates
-nothing.
+after one such batch has warmed the allocator.  A last line gives the
+minor faults, in all and one by one, and the best time of ten
+``SetDrawBatch`` constructions on 100 000 endpoints, after one warm
+construction.  Fault counts depend on the C library's allocator and its
+trimming, so the probe reports and gates nothing.
 
 Usage: PYTHONPATH=src python .github/scripts/chunk_probe.py [--seed 7]
 """
@@ -23,6 +26,7 @@ import tracemalloc
 import numpy as np
 
 from partialid import (
+    SetDrawBatch,
     choose_truncation_level,
     draw_set_batch,
     generate_data,
@@ -34,6 +38,7 @@ from partialid.scenarios import ROLE_DATA, attempt_stream, chunk_rows
 
 SCENARIOS = ("interval_censored", "errors_in_variables", "interval_regression")
 N, DRAWS = 1000, 1000
+ENDPOINTS, CONSTRUCTIONS = 100_000, 10
 
 
 def attempt_uniforms(draw) -> int:
@@ -71,6 +76,23 @@ def batch_faults(cfg, mode, data, seed: int) -> tuple[int, float]:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, seconds
 
 
+def construction_faults(seed: int) -> tuple[list[int], float]:
+    """Minor faults of each of ``CONSTRUCTIONS`` batches of ``ENDPOINTS``
+    intervals, after one warm construction, and the best seconds of one."""
+    gen = np.random.default_rng(seed)
+    lo = gen.random(ENDPOINTS)
+    hi = 1.0 + gen.random(ENDPOINTS)
+    SetDrawBatch(lo, hi, "posterior", "probe")
+    faults, best = [], float("inf")
+    for _ in range(CONSTRUCTIONS):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        SetDrawBatch(lo, hi, "posterior", "probe")
+        best = min(best, time.perf_counter() - start)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return faults, best
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
@@ -90,6 +112,10 @@ def main() -> None:
             faults, seconds = batch_faults(cfg, mode, data, seed)
             print(f"| {sid} | {mode} | {m} | {levels(cfg, mode)} | {rows} | {peak / 1024:.0f} "
                   f"| {rows * m * 8 / 1024:.0f} | {faults} | {seconds * 1e3:.1f} |")
+    faults, best = construction_faults(seed)
+    print(f"\nBatch layer: {CONSTRUCTIONS} `SetDrawBatch` constructions on {ENDPOINTS} "
+          f"endpoints, after a warm one: {sum(faults)} minor faults "
+          f"({', '.join(map(str, faults))}), best {best * 1e3:.2f} ms")
 
 
 if __name__ == "__main__":

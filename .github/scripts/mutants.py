@@ -101,6 +101,14 @@ MUTANTS = (
            "(batch.lo >= q_lo)",
            "(batch.lo > q_lo)",
            "a credible region's containment: draws starting on its lower end"),
+    Mutant("only the lower sorted row sorted", "random_sets.py",
+           "ends[2:].sort(axis=1)",
+           "ends[2].sort()",
+           "the sorted upper ends that coverage, capacity and credible regions search"),
+    Mutant("sorted rows filled in swapped order", "random_sets.py",
+           "ends[2:] = ends[:2]",
+           "ends[2:] = ends[1::-1]",
+           "which end each sorted row holds"),
     Mutant("NormalProducts spread without its sqrt", "distributions.py",
            "return (self.intercept * a + self.beta * b + np.sqrt(c) * noise) / total",
            "return (self.intercept * a + self.beta * b + c * noise) / total",

@@ -3,11 +3,12 @@
 Coverage functions, capacity functionals, credible regions, and point
 estimates, all computed from batches of simulated interval draws.  Intervals
 are closed everywhere: a grid point sitting exactly on an endpoint counts as
-covered, and two intervals sharing only an endpoint count as hitting.  Each
-batch sorts its endpoints once.  Coverage and capacity count draws by binary
-search in them: O((G + N) log N) time and O(G + N) memory for G grid points
-over N draws.  A credible region takes its ends from them by index and counts
-the draws inside in one O(N) pass.
+covered, and two intervals sharing only an endpoint count as hitting.  A
+batch keeps its endpoints and their sorted copies as the four rows of one
+read-only array, sorted once in place.  Coverage and capacity count draws by
+binary search in the sorted rows: O((G + N) log N) time and O(G + N) memory
+for G grid points over N draws.  A credible region takes its ends from them by
+index and counts the draws inside in one O(N) pass.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class SetDrawBatch:
 
     def __init__(self, lo, hi, source: str, scenario_id: str, skipped: int = 0,
                  attempt_indices=None, gamma_uniforms=None):
-        lo, hi = as_reals("lo", lo).copy(), as_reals("hi", hi).copy()
+        lo, hi = as_reals("lo", lo), as_reals("hi", hi)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ParameterError("lo and hi must be 1-d arrays of equal length")
         if not np.all(lo <= hi):
@@ -84,8 +85,14 @@ class SetDrawBatch:
         if source not in ("prior", "posterior"):
             raise ParameterError(f"source must be 'prior' or 'posterior', got {source!r}")
         skipped = as_int("skipped", skipped, 0)
-        self.lo = lo
-        self.hi = hi
+        # the endpoints, then their sorted copies, as the rows of one buffer;
+        # rows taken before setflags would stay writeable
+        ends = np.empty((4, lo.size))
+        ends[0], ends[1] = lo, hi
+        ends[2:] = ends[:2]
+        ends[2:].sort(axis=1)
+        ends.setflags(write=False)
+        self.lo, self.hi, self._lo_sorted, self._hi_sorted = ends
         self.source = source
         self.scenario_id = scenario_id
         self.skipped = skipped
@@ -101,9 +108,6 @@ class SetDrawBatch:
                 raise ParameterError("gamma_uniforms must be aligned uniforms in [0, 1)")
             gamma_uniforms.setflags(write=False)
         self.gamma_uniforms = gamma_uniforms
-        self._lo_sorted, self._hi_sorted = np.sort(lo), np.sort(hi)
-        for arr in (lo, hi, self._lo_sorted, self._hi_sorted):
-            arr.setflags(write=False)
         self.high_skip_warning = self.skip_rate > HIGH_SKIP_RATE
         if self.high_skip_warning:
             # name the first caller outside the package (skip_file_prefixes is 3.12+)
@@ -203,8 +207,17 @@ def point_estimate_set(batch: SetDrawBatch) -> IntervalSet:
     :class:`ParameterError` if an end takes both infinities, whose mean is
     undefined."""
     _require_nonempty(batch)
-    for end, ends in (("lower", batch._lo_sorted), ("upper", batch._hi_sorted)):
-        if ends[0] == -np.inf and ends[-1] == np.inf:
+    means = []
+    for end, ends, ordered in (("lower", batch.lo, batch._lo_sorted),
+                               ("upper", batch.hi, batch._hi_sorted)):
+        if ordered[0] == -np.inf and ordered[-1] == np.inf:
             raise ParameterError(f"the mean of the {end} ends is undefined: "
                                  "they include both -inf and +inf")
-    return IntervalSet(float(batch.lo.mean()), float(batch.hi.mean()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = ends.mean()
+        if not np.isfinite(mean):
+            # an infinite end, or finite ends whose sum overflowed, to inf or,
+            # with both signs, to nan; the sum of ends / n does neither
+            mean = (ends / len(ends)).sum()
+        means.append(float(mean))
+    return IntervalSet(*means)

@@ -117,6 +117,21 @@ class TestSetDrawBatch:
         with pytest.raises(ParameterError, match=match):
             SetDrawBatch(lo, hi, "prior", "toy_analytic", **extra)
 
+    def test_owns_its_endpoints_and_sorted_copies_read_only(self):
+        # signed zeros tie, values repeat and both infinities occur
+        values = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf])
+        pairs = np.sort(np.random.default_rng(13).integers(0, 6, size=(2, 1000)), axis=0)
+        lo, hi = values[pairs[0]], values[pairs[1]]
+        expected = [a.tobytes() for a in (lo, hi, np.sort(lo), np.sort(hi))]
+        batch = SetDrawBatch(lo, hi, "posterior", "synthetic")
+        stored = (batch.lo, batch.hi, batch._lo_sorted, batch._hi_sorted)
+        assert [a.tobytes() for a in stored] == expected
+        for a in stored:
+            assert not a.flags.writeable
+            assert not np.shares_memory(a, lo) and not np.shares_memory(a, hi)
+        lo[:], hi[:] = 5.0, 6.0
+        assert [a.tobytes() for a in stored] == expected
+
     def test_high_skip_rate_warns(self):
         with pytest.warns(UserWarning):
             SetDrawBatch(np.zeros(50), np.ones(50), "prior", "synthetic", skipped=10)
@@ -335,6 +350,19 @@ class TestPointEstimateSet:
     def test_infinities_of_one_sign_give_an_infinite_mean(self):
         batch = SetDrawBatch([-math.inf, 0.0], [1.0, math.inf], "posterior", "synthetic")
         assert point_estimate_set(batch) == IntervalSet(-math.inf, math.inf)
+
+    @pytest.mark.parametrize("lo, hi, means", [
+        ([1e308, 1e308], [1e308, 1.5e308], (1e308, 1.25e308)),
+        ([-1.5e308, -1e308], [-1e308, -1e308], (-1.25e308, -1e308)),
+        # numpy sums in several lanes, which overflow to inf and -inf
+        ([1.5e308, -1.5e308] * 16, [1.5e308, -1.5e308] * 16, (0.0, 0.0)),
+        ([math.inf] + [-1.5e308] * 31, [math.inf] * 32, (math.inf, math.inf))])
+    def test_ends_whose_sum_overflows_give_their_mean(self, lo, hi, means):
+        batch = SetDrawBatch(lo, hi, "posterior", "synthetic")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pe = point_estimate_set(batch)
+        assert (pe.lo, pe.hi) == pytest.approx(means, rel=1e-15)
 
 
 # endpoints on a quarter grid give ties, degenerate draws and grid points on endpoints
